@@ -25,7 +25,9 @@ struct SelectionFixture {
   Sla sla;
   Random rng;
 
-  explicit SelectionFixture(int replica_count)
+  // Each replica's latency window holds `samples` RTTs; the monitor's
+  // default cap is 4096, the window a busy client runs with.
+  SelectionFixture(int replica_count, int samples)
       : clock(SecondsToMicroseconds(1000)),
         monitor(&clock),
         session(PasswordCheckingSla()),
@@ -37,7 +39,7 @@ struct SelectionFixture {
       view.authoritative = (i == 0);
       replicas.push_back(view);
       // Populate monitor state: mixed latencies and staleness.
-      for (int s = 0; s < 50; ++s) {
+      for (int s = 0; s < samples; ++s) {
         monitor.RecordLatency(view.name,
                               MillisecondsToMicroseconds(1 + 37 * i + s % 7));
       }
@@ -50,7 +52,8 @@ struct SelectionFixture {
 };
 
 void BM_SelectTarget(benchmark::State& state) {
-  SelectionFixture fixture(static_cast<int>(state.range(0)));
+  SelectionFixture fixture(static_cast<int>(state.range(0)),
+                           static_cast<int>(state.range(1)));
   SelectionOptions options;
   for (auto _ : state) {
     benchmark::DoNotOptimize(SelectTarget(
@@ -58,10 +61,11 @@ void BM_SelectTarget(benchmark::State& state) {
         fixture.clock.NowMicros(), fixture.monitor, options, &fixture.rng));
   }
 }
-BENCHMARK(BM_SelectTarget)->Arg(3)->Arg(8)->Arg(16);
+// Args: replicas, latency samples per replica.
+BENCHMARK(BM_SelectTarget)->ArgsProduct({{3, 8, 16}, {50, 4096}});
 
 void BM_MinReadTimestamp(benchmark::State& state) {
-  SelectionFixture fixture(3);
+  SelectionFixture fixture(3, 50);
   const Guarantee guarantees[] = {
       Guarantee::Strong(),       Guarantee::Causal(),
       Guarantee::BoundedSeconds(30), Guarantee::ReadMyWrites(),
@@ -74,21 +78,27 @@ void BM_MinReadTimestamp(benchmark::State& state) {
 }
 BENCHMARK(BM_MinReadTimestamp);
 
+// A full window of state.range(0) samples: every Record also evicts one.
 void BM_MonitorRecordLatency(benchmark::State& state) {
   ManualClock clock(SecondsToMicroseconds(1000));
-  Monitor monitor(&clock);
+  Monitor::Options options;
+  options.latency_window.max_samples = static_cast<size_t>(state.range(0));
+  Monitor monitor(&clock, options);
   int64_t i = 0;
+  for (; i < state.range(0); ++i) {
+    monitor.RecordLatency("node-0", 1000 + i % 500);
+  }
   for (auto _ : state) {
     clock.AdvanceMicros(100);
     monitor.RecordLatency("node-0", 1000 + (i++ % 500));
   }
 }
-BENCHMARK(BM_MonitorRecordLatency);
+BENCHMARK(BM_MonitorRecordLatency)->Arg(50)->Arg(4096);
 
 void BM_MonitorPNodeLat(benchmark::State& state) {
   ManualClock clock(SecondsToMicroseconds(1000));
   Monitor monitor(&clock);
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < state.range(0); ++i) {
     monitor.RecordLatency("node-0", 1000 + i % 500);
   }
   for (auto _ : state) {
@@ -96,7 +106,7 @@ void BM_MonitorPNodeLat(benchmark::State& state) {
         monitor.PNodeLat("node-0", MillisecondsToMicroseconds(1)));
   }
 }
-BENCHMARK(BM_MonitorPNodeLat);
+BENCHMARK(BM_MonitorPNodeLat)->Arg(50)->Arg(4096);
 
 void BM_EncodeDecodeGetReply(benchmark::State& state) {
   proto::GetReply reply;

@@ -102,15 +102,19 @@ void ThreadedPuller::PullNow() {
 }
 
 void ThreadedPuller::Loop() {
+  // Pulls are scheduled start to start: the next deadline is taken when a
+  // pull begins, so the pull's own duration does not stretch the period.
+  const auto period = std::chrono::microseconds(period_us_);
+  auto deadline = std::chrono::steady_clock::now() + period;
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    cv_.wait_for(lock, std::chrono::microseconds(period_us_), [this] {
-      return stop_ || pull_requested_;
-    });
+    cv_.wait_until(lock, deadline,
+                   [this] { return stop_ || pull_requested_; });
     if (stop_) {
       return;
     }
     pull_requested_ = false;
+    deadline = std::chrono::steady_clock::now() + period;
     lock.unlock();
     Result<int> pulled = puller_.PullOnce();
     if (!pulled.ok()) {

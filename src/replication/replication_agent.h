@@ -109,8 +109,10 @@ class BlockingPuller {
   SyncFn sync_;
 };
 
-// Background thread that pulls every `period_us` until stopped. Used by the
-// real-transport examples; the simulation schedules pulls itself.
+// Background thread that starts a pull every `period_us` (start to start, so
+// a slow pull does not stretch the period; one longer than the period is
+// followed at once by the next) until stopped. Used by the real-transport
+// examples; the simulation schedules pulls itself.
 class ThreadedPuller {
  public:
   ThreadedPuller(ReplicationAgent* agent, BlockingPuller::SyncFn sync,

@@ -2,15 +2,19 @@
 //
 // Pileus monitors keep "a sliding window of the last few minutes of
 // measurements" per storage node (paper Section 4.5). PNodeLat(node, L) is the
-// fraction of windowed round-trip times below L; the window also exposes
-// quantiles and an optional exponential recency weighting (the paper notes
-// "more recent measurements could be weighted higher than older ones").
+// fraction of windowed round-trip times below L; the window also exposes the
+// mean and quantiles. Every windowed sample counts equally. The client queries
+// the window on every Get, so beside the arrival-ordered samples it keeps a
+// sorted copy of their values and a running sum: FractionBelow is a binary
+// search, Mean and Quantile are O(1), and Record pays one sorted insert (a
+// memmove bounded by max_samples).
 
 #ifndef PILEUS_SRC_UTIL_SLIDING_WINDOW_H_
 #define PILEUS_SRC_UTIL_SLIDING_WINDOW_H_
 
 #include <cstddef>
 #include <deque>
+#include <vector>
 
 #include "src/common/clock.h"
 
@@ -23,8 +27,6 @@ class SlidingWindow {
     MicrosecondCount window_us = SecondsToMicroseconds(120);
     // Hard cap on retained samples regardless of age.
     size_t max_samples = 4096;
-    // When > 0, FractionBelow weights sample i (age a_i) by exp(-a_i/tau).
-    MicrosecondCount recency_tau_us = 0;
   };
 
   SlidingWindow() : SlidingWindow(Options{}) {}
@@ -33,7 +35,7 @@ class SlidingWindow {
   // Records a latency sample observed at `now_us`.
   void Record(MicrosecondCount now_us, MicrosecondCount value_us);
 
-  // Fraction of samples (by weight) strictly below `threshold_us`; returns
+  // Fraction of samples strictly below `threshold_us`; returns
   // `empty_estimate` when no samples are in the window, modelling an
   // unmeasured node optimistically so it gets probed/tried.
   double FractionBelow(MicrosecondCount now_us, MicrosecondCount threshold_us,
@@ -53,7 +55,7 @@ class SlidingWindow {
     return samples_.empty() ? -1 : samples_.back().at_us;
   }
 
-  void Clear() { samples_.clear(); }
+  void Clear();
 
  private:
   struct Sample {
@@ -62,10 +64,16 @@ class SlidingWindow {
   };
 
   void EvictExpired(MicrosecondCount now_us) const;
+  // Drops the oldest sample from the arrival order and the index.
+  void PopOldest() const;
 
   Options options_;
-  // Mutable so read-side queries can lazily evict expired samples.
+  // Mutable so read-side queries can lazily evict expired samples. samples_
+  // is in arrival order; sorted_ holds the same values in ascending order and
+  // sum_ their total.
   mutable std::deque<Sample> samples_;
+  mutable std::vector<MicrosecondCount> sorted_;
+  mutable MicrosecondCount sum_ = 0;
 };
 
 }  // namespace pileus

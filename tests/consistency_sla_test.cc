@@ -64,6 +64,11 @@ struct ValidationCase {
   bool valid;
 };
 
+// gtest shows each parameter in the test list. Without this it dumps the
+// struct's raw bytes, pointers included, so the listed name changed from run
+// to run.
+void PrintTo(const ValidationCase& c, std::ostream* os) { *os << c.name; }
+
 class SlaValidation : public ::testing::TestWithParam<ValidationCase> {};
 
 TEST_P(SlaValidation, Validates) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "src/common/clock.h"
 #include "src/replication/replication_agent.h"
@@ -176,6 +178,28 @@ TEST(ThreadedPullerTest, PeriodicPullsHappen) {
     }
   }  // Destructor stops the thread.
   EXPECT_GE(pulls.load(), 3);
+}
+
+TEST(ThreadedPullerTest, SlowPullsDoNotStretchThePeriod) {
+  // Each pull takes 90% of the period. Scheduled start to start, about 50
+  // pulls begin in a second; waiting a full period after each pull returns
+  // would allow at most 26. The bound leaves room for a loaded machine.
+  constexpr auto kPeriod = std::chrono::milliseconds(20);
+  constexpr auto kPullTime = std::chrono::milliseconds(18);
+  Fixture fx;
+  ReplicationAgent agent(&fx.secondary, {.table = "t"});
+  std::atomic<int> pulls{0};
+  ThreadedPuller puller(
+      &agent,
+      [&](const proto::SyncRequest& request) {
+        ++pulls;
+        std::this_thread::sleep_for(kPullTime);
+        return fx.primary.HandleSync(request.after, request.max_versions);
+      },
+      std::chrono::duration_cast<std::chrono::microseconds>(kPeriod).count());
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  puller.Stop();
+  EXPECT_GE(pulls.load(), 36);
 }
 
 TEST(ThreadedPullerTest, StopIsIdempotent) {

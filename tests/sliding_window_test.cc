@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <utility>
+#include <vector>
+
+#include "src/common/random.h"
 #include "src/util/sliding_window.h"
 
 namespace pileus {
@@ -78,24 +84,6 @@ TEST(SlidingWindowTest, QuantileNearestRank) {
   EXPECT_EQ(window.Quantile(0, 1.0), 1000);
 }
 
-TEST(SlidingWindowTest, RecencyWeightingFavorsNewSamples) {
-  SlidingWindow::Options options;
-  options.window_us = 100 * kSec;
-  options.recency_tau_us = 5 * kSec;
-  SlidingWindow window(options);
-  // Old samples all fast, recent samples all slow.
-  for (int i = 0; i < 50; ++i) {
-    window.Record(i * 1000, 10);
-  }
-  for (int i = 0; i < 50; ++i) {
-    window.Record(60 * kSec + i * 1000, 10000);
-  }
-  const MicrosecondCount now = 60 * kSec + 50 * 1000;
-  // Unweighted fraction below 100 would be 0.5; with recency weighting the
-  // slow recent samples dominate.
-  EXPECT_LT(window.FractionBelow(now, 100), 0.1);
-}
-
 TEST(SlidingWindowTest, LastSampleTime) {
   SlidingWindow window;
   EXPECT_EQ(window.LastSampleTime(), -1);
@@ -110,6 +98,89 @@ TEST(SlidingWindowTest, ClearEmptiesWindow) {
   window.Record(0, 1);
   window.Clear();
   EXPECT_TRUE(window.Empty(0));
+}
+
+TEST(SlidingWindowTest, EvictingOneOfEqualValuesKeepsTheOthers) {
+  SlidingWindow::Options options;
+  options.window_us = 10 * kSec;
+  options.max_samples = 3;
+  SlidingWindow window(options);
+  window.Record(0, 5);
+  window.Record(5 * kSec, 5);
+  window.Record(6 * kSec, 7);
+  window.Record(6 * kSec, 9);  // Over the cap: the first 5 goes.
+  EXPECT_EQ(window.SampleCount(6 * kSec), 3u);
+  EXPECT_DOUBLE_EQ(window.FractionBelow(6 * kSec, 6), 1.0 / 3.0);
+  EXPECT_EQ(window.Quantile(6 * kSec, 0.0), 5);
+  EXPECT_EQ(window.Mean(6 * kSec), 7);
+  // At 15.5 s the second 5 has aged out too; 7 and 9 remain.
+  EXPECT_EQ(window.SampleCount(15 * kSec + kSec / 2), 2u);
+  EXPECT_DOUBLE_EQ(window.FractionBelow(15 * kSec + kSec / 2, 6), 0.0);
+  EXPECT_EQ(window.Mean(15 * kSec + kSec / 2), 8);
+}
+
+// Drives the window through a seeded random mix of records (values drawn from
+// a small range, so most are duplicates), clock advances that expire samples,
+// max_samples overflow and clears, and after every step compares each query
+// with a brute-force recomputation over a plain list. Equality is exact.
+TEST(SlidingWindowTest, MatchesBruteForceOnRandomHistory) {
+  SlidingWindow::Options options;
+  options.window_us = 1000;
+  options.max_samples = 16;
+  SlidingWindow window(options);
+  std::deque<std::pair<MicrosecondCount, MicrosecondCount>> reference;
+  Random rng(42);
+  MicrosecondCount now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    SCOPED_TRACE(step);
+    const double op = rng.NextDouble();
+    if (op < 0.7) {
+      const MicrosecondCount value = rng.NextInt64InRange(0, 20);
+      window.Record(now, value);
+      reference.emplace_back(now, value);
+      if (reference.size() > options.max_samples) {
+        reference.pop_front();
+      }
+    } else if (op < 0.95) {
+      now += rng.NextInt64InRange(0, 40);
+    } else if (op < 0.99) {
+      now += rng.NextInt64InRange(0, 1500);  // Expires some or all samples.
+    } else {
+      window.Clear();
+      reference.clear();
+    }
+    while (!reference.empty() &&
+           reference.front().first < now - options.window_us) {
+      reference.pop_front();
+    }
+
+    std::vector<MicrosecondCount> values;
+    MicrosecondCount sum = 0;
+    for (const auto& [at_us, value] : reference) {
+      values.push_back(value);
+      sum += value;
+    }
+    std::sort(values.begin(), values.end());
+    const size_t n = values.size();
+
+    ASSERT_EQ(window.SampleCount(now), n);
+    for (MicrosecondCount t = -1; t <= 22; ++t) {
+      const auto below = static_cast<size_t>(
+          std::count_if(values.begin(), values.end(),
+                        [t](MicrosecondCount v) { return v < t; }));
+      const double expected =
+          n == 0 ? 0.5 : static_cast<double>(below) / static_cast<double>(n);
+      ASSERT_EQ(window.FractionBelow(now, t, 0.5), expected) << "t=" << t;
+    }
+    ASSERT_EQ(window.Mean(now),
+              n == 0 ? 0 : sum / static_cast<MicrosecondCount>(n));
+    for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+      const size_t rank =
+          std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)));
+      ASSERT_EQ(window.Quantile(now, q), n == 0 ? 0 : values[rank])
+          << "q=" << q;
+    }
+  }
 }
 
 }  // namespace
