@@ -1,9 +1,12 @@
 // Microbenchmarks of the client library's hot paths: target selection
 // (Figure 8), minimum-acceptable-read-timestamp computation, monitor updates
-// and estimates, and the wire codec. These run on every Get, so their cost
-// bounds the client-side overhead Pileus adds over a plain key-value client.
+// and estimates, and the wire codec with its CRC-32. These run on every Get,
+// so their cost bounds the client-side overhead Pileus adds over a plain
+// key-value client.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "src/common/clock.h"
 #include "src/core/monitor.h"
@@ -11,6 +14,7 @@
 #include "src/core/session.h"
 #include "src/core/sla.h"
 #include "src/proto/messages.h"
+#include "src/util/crc32.h"
 
 namespace {
 
@@ -121,6 +125,41 @@ void BM_EncodeDecodeGetReply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeDecodeGetReply);
+
+// A scan's reply: 50 items of 100 B values, about 6 KB on the wire, so
+// the frame's CRC-32 (once to encode, once to decode) is a large share.
+void BM_EncodeDecodeRangeReply(benchmark::State& state) {
+  proto::RangeReply reply;
+  for (int i = 0; i < 50; ++i) {
+    proto::ObjectVersion item;
+    item.key = "user" + std::to_string(100000 + i);
+    item.value.assign(100, 'v');
+    item.timestamp = Timestamp{1000000 + i, 0};
+    reply.items.push_back(std::move(item));
+  }
+  reply.truncated = true;
+  reply.high_timestamp = Timestamp{2000000, 0};
+  const proto::Message message = reply;
+  state.counters["frame_bytes"] =
+      static_cast<double>(proto::EncodeMessage(message).size());
+  for (auto _ : state) {
+    const std::string bytes = proto::EncodeMessage(message);
+    benchmark::DoNotOptimize(proto::DecodeMessage(bytes));
+  }
+  state.SetItemsProcessed(state.iterations() * 50);
+}
+BENCHMARK(BM_EncodeDecodeRangeReply);
+
+// CRC-32 over a Get-sized frame, a 1 KiB WAL record, a scan reply and a
+// checkpoint-sized buffer.
+void BM_Crc32(benchmark::State& state) {
+  const std::string data(static_cast<size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(6144)->Arg(1 << 20);
 
 void BM_EncodeDecodeSyncReply(benchmark::State& state) {
   proto::SyncReply reply;

@@ -987,8 +987,7 @@ Result<RangeResult> PileusClient::DoGetRange(Session& session,
     if (!timed.reply.ok()) {
       continue;
     }
-    const auto* range_reply =
-        std::get_if<proto::RangeReply>(&timed.reply.value());
+    auto* range_reply = std::get_if<proto::RangeReply>(&timed.reply.value());
     if (range_reply == nullptr) {
       continue;  // ErrorReply.
     }
@@ -1023,10 +1022,9 @@ Result<RangeResult> PileusClient::DoGetRange(Session& session,
     outcome.retried = attempt > 0;
 
     RangeResult result;
-    result.items = range_reply->items;
     result.truncated = range_reply->truncated;
     result.outcome = outcome;
-    for (const proto::ObjectVersion& item : result.items) {
+    for (const proto::ObjectVersion& item : range_reply->items) {
       session.RecordGet(item.key, item.timestamp);
       if (options_.cache != nullptr) {
         // Each returned item is key-covering evidence bounded by the scan's
@@ -1042,6 +1040,9 @@ Result<RangeResult> PileusClient::DoGetRange(Session& session,
                   range_reply->high_timestamp, /*ok=*/true);
     EmitReadRecord(AuditOp::kRange, session, begin, end, start_us, sla,
                    outcome, /*ok=*/true, nullptr, range_reply);
+    // The reply is ours: hand its items over instead of copying them (the
+    // audit record above has already taken its copy).
+    result.items = std::move(range_reply->items);
     return result;
   }
   if (instruments_.get_errors != nullptr) {

@@ -770,10 +770,10 @@ TcpChannel::~TcpChannel() {
 
 size_t TcpChannel::in_flight() const { return state_->InFlight(); }
 
-void TcpChannel::CallAsync(const proto::Message& request,
-                           MicrosecondCount timeout_us,
-                           AsyncCallback callback) {
-  std::shared_ptr<State> state = state_;
+uint64_t TcpChannel::Send(const proto::Message& request,
+                          MicrosecondCount timeout_us,
+                          AsyncCallback callback) {
+  State* const state = state_.get();
   std::vector<State::Completion> done;
   uint64_t id = 0;
   bool sent = false;
@@ -804,12 +804,20 @@ void TcpChannel::CallAsync(const proto::Message& request,
       }
     }
   }
-  if (sent && timeout_us > 0) {
-    state->loop->RunAfter(timeout_us,
-                          [state, id] { state->HandleTimeout(id); });
-  }
   for (auto& [cb, result] : done) {
     cb(std::move(result));
+  }
+  return sent ? id : 0;
+}
+
+void TcpChannel::CallAsync(const proto::Message& request,
+                           MicrosecondCount timeout_us,
+                           AsyncCallback callback) {
+  const uint64_t id = Send(request, timeout_us, std::move(callback));
+  if (id != 0 && timeout_us > 0) {
+    std::shared_ptr<State> state = state_;
+    state->loop->RunAfter(timeout_us,
+                          [state, id] { state->HandleTimeout(id); });
   }
 }
 
@@ -841,19 +849,30 @@ Result<proto::Message> TcpChannel::Call(const proto::Message& request,
       Result<proto::Message> result{Status::Ok()};
     };
     auto waiter = std::make_shared<Waiter>();
-    CallAsync(request, remaining,
-              [waiter](Result<proto::Message> result) {
-                std::lock_guard<std::mutex> lock(waiter->mu);
-                waiter->result = std::move(result);
-                waiter->done = true;
-                waiter->cv.notify_one();
-              });
-    Result<proto::Message> result{Status::Ok()};
-    {
-      std::unique_lock<std::mutex> lock(waiter->mu);
-      waiter->cv.wait(lock, [&waiter] { return waiter->done; });
-      result = std::move(waiter->result);
+    const uint64_t id =
+        Send(request, remaining, [waiter](Result<proto::Message> result) {
+          std::lock_guard<std::mutex> lock(waiter->mu);
+          waiter->result = std::move(result);
+          waiter->done = true;
+          waiter->cv.notify_one();
+        });
+    // The caller waits out its own deadline instead of arming a loop timer:
+    // no eventfd wakeup of the reactor and no timer left in its heap per
+    // call. At expiry HandleTimeout completes the call with kTimeout unless
+    // the reply already claimed it, in which case its completion is on the
+    // way; either way the callback runs exactly once and the wait below
+    // ends.
+    std::unique_lock<std::mutex> lock(waiter->mu);
+    if (id != 0 && remaining > 0 &&
+        !waiter->cv.wait_for(lock, std::chrono::microseconds(remaining),
+                             [&waiter] { return waiter->done; })) {
+      lock.unlock();
+      state_->HandleTimeout(id);
+      lock.lock();
     }
+    waiter->cv.wait(lock, [&waiter] { return waiter->done; });
+    Result<proto::Message> result = std::move(waiter->result);
+    lock.unlock();
     if (result.ok()) {
       if (artificial_delay_us_ > 0) {
         std::this_thread::sleep_for(

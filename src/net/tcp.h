@@ -16,8 +16,9 @@
 //    coalesce into single syscalls. An AsyncHandler may complete on another
 //    thread entirely (WAL group commit acks ride this path).
 //  - TcpChannel::CallAsync sends without blocking and invokes a completion
-//    callback on a shared client event loop; the synchronous Channel::Call
-//    API is implemented on top of it.
+//    callback on a shared client event loop, with a loop timer for its
+//    deadline. The synchronous Channel::Call shares the send and reply path
+//    but waits out its deadline on the caller's thread.
 
 #ifndef PILEUS_SRC_NET_TCP_H_
 #define PILEUS_SRC_NET_TCP_H_
@@ -187,9 +188,10 @@ class TcpChannel : public Channel {
   TcpChannel(const TcpChannel&) = delete;
   TcpChannel& operator=(const TcpChannel&) = delete;
 
-  // Synchronous call, implemented over CallAsync. Retries once on a fresh
-  // connection when the failure is kUnavailable and deadline budget remains
-  // (a server restart mid-stream recovers transparently).
+  // Synchronous call: sends like CallAsync but waits out its own deadline
+  // on the caller's thread, so no loop timer is armed per call. Retries once
+  // on a fresh connection when the failure is kUnavailable and deadline
+  // budget remains (a server restart mid-stream recovers transparently).
   Result<proto::Message> Call(const proto::Message& request,
                               MicrosecondCount timeout_us) override;
 
@@ -207,6 +209,12 @@ class TcpChannel : public Channel {
 
  private:
   struct State;
+
+  // Registers `callback` under a fresh request id and writes the frame;
+  // arms no deadline. Returns the id, or 0 if the frame was not sent — the
+  // callback has then already run with the failure.
+  uint64_t Send(const proto::Message& request, MicrosecondCount timeout_us,
+                AsyncCallback callback);
 
   std::shared_ptr<State> state_;
   const MicrosecondCount artificial_delay_us_;

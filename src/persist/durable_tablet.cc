@@ -57,6 +57,28 @@ std::string FrameCheckpoint(const std::string& payload) {
   return file;
 }
 
+// Makes a rename into the directory holding `path` durable. Without it a
+// crash can forget the rename even after the file's own fsync, and
+// Checkpoint() truncates the WAL right after: recovery would then find the
+// old checkpoint (or none) and an empty log.
+Status SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Errno("open", dir);
+  }
+  if (::fsync(fd) != 0) {
+    const Status status = Errno("fsync", dir);
+    ::close(fd);
+    return status;
+  }
+  ::close(fd);
+  return Status::Ok();
+}
+
 Status WriteFileAtomically(const std::string& path,
                            std::string_view contents) {
   const std::string tmp = path + ".tmp";
@@ -87,7 +109,7 @@ Status WriteFileAtomically(const std::string& path,
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     return Errno("rename", tmp);
   }
-  return Status::Ok();
+  return SyncParentDirectory(path);
 }
 
 struct CheckpointData {

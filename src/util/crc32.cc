@@ -1,30 +1,63 @@
 #include "src/util/crc32.h"
 
 #include <array>
+#include <cstddef>
 
 namespace pileus {
 
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8: kTables[0] is the classic byte-at-a-time table for the
+// reflected polynomial 0xedb88320; kTables[k][b] is the CRC state after
+// byte b is followed by k zero bytes, so eight table lookups advance the
+// state by eight input bytes at once. Built at compile time, so the tables
+// are ready before any static initializer can checksum anything.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables BuildTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xff] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+constexpr Tables kTables = BuildTables();
+
+// Little-endian load through unsigned char: independent of alignment and of
+// the host's byte order.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = BuildTable();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = seed ^ 0xffffffffu;
-  for (const char ch : data) {
-    crc = kTable[(crc ^ static_cast<unsigned char>(ch)) & 0xff] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xff] ^ kTables[6][(lo >> 8) & 0xff] ^
+          kTables[5][(lo >> 16) & 0xff] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xff] ^ kTables[2][(hi >> 8) & 0xff] ^
+          kTables[1][(hi >> 16) & 0xff] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }

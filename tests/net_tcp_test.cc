@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -190,6 +192,59 @@ TEST(TcpTest, SlowHandlerHitsClientDeadline) {
   Result<proto::Message> reply =
       channel.Call(proto::PutRequest{}, MillisecondsToMicroseconds(50));
   EXPECT_EQ(reply.status().code(), StatusCode::kTimeout);
+}
+
+TEST(TcpTest, SynchronousCallTimeoutLeavesNoStaleReply) {
+  // A synchronous Call waits out its own deadline. When it expires the call
+  // must come back kTimeout with nothing left in flight, and the late reply
+  // — released just ahead of the next call's reply, on the same connection —
+  // must be discarded by id rather than handed to the next caller.
+  struct Parked {
+    std::mutex mu;
+    std::function<void(proto::Message)> done;
+  };
+  auto parked = std::make_shared<Parked>();
+  std::atomic<int> requests_seen{0};
+  TcpServer server;
+  ASSERT_TRUE(server
+                  .StartAsync(0,
+                              [parked, &requests_seen](
+                                  const proto::Message& request,
+                                  std::function<void(proto::Message)> done) {
+                                std::lock_guard<std::mutex> lock(parked->mu);
+                                if (requests_seen.fetch_add(1) == 0) {
+                                  parked->done = std::move(done);
+                                  return;
+                                }
+                                if (parked->done != nullptr) {
+                                  proto::GetReply late;
+                                  late.value = "too-late";
+                                  parked->done(late);
+                                  parked->done = nullptr;
+                                }
+                                done(Echo(request));
+                              })
+                  .ok());
+  TcpChannel channel(server.port());
+
+  proto::GetRequest first;
+  first.key = "first";
+  const MicrosecondCount start = RealClock::Instance()->NowMicros();
+  Result<proto::Message> timed_out =
+      channel.Call(first, MillisecondsToMicroseconds(50));
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
+  EXPECT_GE(RealClock::Instance()->NowMicros() - start,
+            MillisecondsToMicroseconds(50));
+  EXPECT_EQ(channel.in_flight(), 0u);
+
+  proto::GetRequest second;
+  second.key = "second";
+  Result<proto::Message> reply =
+      channel.Call(second, SecondsToMicroseconds(5));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(std::get<proto::GetReply>(reply.value()).value, "echo:second");
+  EXPECT_EQ(channel.in_flight(), 0u);
+  EXPECT_EQ(requests_seen.load(), 2);
 }
 
 TEST(TcpTest, ArtificialDelayEmulatesWan) {

@@ -11,7 +11,9 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -97,6 +99,67 @@ TEST(Crc32Test, SeedContinuation) {
   const uint32_t whole = Crc32("hello world");
   const uint32_t split = Crc32(" world", Crc32("hello"));
   EXPECT_EQ(split, whole);
+}
+
+// Byte-at-a-time CRC-32 with the table built inline: the reference the
+// sliced implementation must match bit for bit.
+uint32_t ReferenceCrc32(std::string_view data, uint32_t seed = 0) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t crc = seed ^ 0xffffffffu;
+  for (const char ch : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xff] ^ (crc >> 8);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::string RandomBytes(std::mt19937_64* rng, size_t size) {
+  std::string bytes(size, '\0');
+  for (char& ch : bytes) {
+    ch = static_cast<char>((*rng)() & 0xff);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesByteAtATimeReference) {
+  std::mt19937_64 rng(14);
+  // Every length 0-300 at every start offset 0-7 (alignment and the
+  // eight-byte tail split), with a nonzero seed on half of them.
+  const std::string buffer = RandomBytes(&rng, 308);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::string_view view(buffer.data() + offset, length);
+      const uint32_t seed = length % 2 == 0 ? 0u : 0x9e3779b9u;
+      ASSERT_EQ(Crc32(view, seed), ReferenceCrc32(view, seed))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // Random buffers up to 64 KiB.
+  for (int round = 0; round < 64; ++round) {
+    const std::string data = RandomBytes(&rng, rng() % (64 * 1024 + 1));
+    ASSERT_EQ(Crc32(data), ReferenceCrc32(data)) << "size " << data.size();
+  }
+  // One 1 MiB buffer.
+  const std::string big = RandomBytes(&rng, 1 << 20);
+  EXPECT_EQ(Crc32(big), ReferenceCrc32(big));
+}
+
+TEST(Crc32Test, ChainedSeedsMatchOneShotAtEverySplit) {
+  std::mt19937_64 rng(40);
+  const std::string data = RandomBytes(&rng, 40);
+  const uint32_t whole = Crc32(data);
+  EXPECT_EQ(whole, ReferenceCrc32(data));
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const std::string_view a(data.data(), split);
+    const std::string_view b(data.data() + split, data.size() - split);
+    EXPECT_EQ(Crc32(b, Crc32(a)), whole) << "split at " << split;
+  }
 }
 
 // --- WriteAheadLog ---
