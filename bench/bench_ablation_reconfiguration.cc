@@ -16,6 +16,7 @@
 // sync-member catch-up, lease fencing of the demoted primary).
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -37,7 +38,12 @@ double RunPlacementCell(const std::string& primary_site,
   GeoTestbedOptions testbed_options;
   testbed_options.seed = 62;
   GeoTestbed testbed(testbed_options);
-  testbed.MovePrimary(primary_site);
+  const Status moved = testbed.TriggerFailover(primary_site);
+  if (!moved.ok()) {
+    std::printf("FAIL: moving the primary to %s: %s\n", primary_site.c_str(),
+                moved.ToString().c_str());
+    std::exit(1);
+  }
   PreloadKeys(testbed, 10000);
   testbed.StartReplication();
 

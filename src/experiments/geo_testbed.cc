@@ -456,14 +456,6 @@ void GeoTestbed::SetRttDelta(const std::string& site_a,
                                    delta_us);
 }
 
-void GeoTestbed::MovePrimary(const std::string& new_primary_site) {
-  // Deprecated shim: the old in-place role flip is now a live epoch bump so
-  // every path (benches included) exercises the real reconfiguration code.
-  Status st = TriggerFailover(new_primary_site);
-  assert(st.ok() && "MovePrimary: live reconfiguration failed");
-  (void)st;
-}
-
 void GeoTestbed::JournalConfig(NodeEntry& entry,
                                const reconfig::ConfigEpoch& config) {
   if (entry.wal.is_open()) {
@@ -777,11 +769,6 @@ void GeoTestbed::SetNodeDown(const std::string& site, bool down) {
   NodeEntry* entry = FindEntry(site);
   assert(entry != nullptr);
   entry->down = down;
-}
-
-bool GeoTestbed::IsNodeDown(const std::string& site) {
-  NodeEntry* entry = FindEntry(site);
-  return entry != nullptr && entry->down;
 }
 
 void GeoTestbed::CrashNode(const std::string& site) {

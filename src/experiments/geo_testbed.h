@@ -138,7 +138,6 @@ class GeoTestbed {
   // kUnavailable (after the normal network transit - like a connection
   // refused by the dead node's host). Replication to/from it stalls too.
   void SetNodeDown(const std::string& site, bool down);
-  bool IsNodeDown(const std::string& site);
 
   // Scriptable fault injection (drops, gray slowness, partitions,
   // corruption). Every simulated message leg - client requests, replies,
@@ -183,11 +182,6 @@ class GeoTestbed {
   // Completed failovers/moves (auto-detected and triggered).
   uint64_t failovers() const { return failovers_; }
 
-  // Deprecated: pre-live-reconfiguration role flip, kept as a thin wrapper
-  // over TriggerFailover so existing benches and ablations keep working.
-  // Unlike the old in-place flip this bumps the config epoch, so clients
-  // discover the move from reply piggybacks instead of needing a rebuild.
-  void MovePrimary(const std::string& new_primary_site);
   const std::string& primary_site() const { return primary_site_; }
 
  private:

@@ -1,21 +1,19 @@
 #include "src/experiments/scenario.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
-#include <array>
-#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
+#include <variant>
 
-#include "src/cache/client_cache.h"
 #include "src/common/random.h"
-#include "src/core/client.h"
-#include "src/experiments/geo_testbed.h"
-#include "src/monitoring/aggregator.h"
+#include "src/experiments/deployment.h"
 #include "src/persist/wal.h"
-#include "src/storage/admission.h"
 #include "src/workload/ycsb.h"
 
 namespace pileus::experiments {
@@ -71,10 +69,30 @@ core::Sla AuditSla() {
 }
 
 std::string ScenarioResult::Summary() const {
+  // The scenario label and the flags that reproduce the run.
+  const uint64_t seed = options.seed;
+  std::string label(FaultScenarioName(options.scenario));
+  std::string repro = "--seed " + std::to_string(seed) + " --scenarios ";
+  if (options.deployment == DeploymentKind::kTabletFleet) {
+    const std::string churn =
+        options.coordinator_kill ? "tablet-churn-kill" : "tablet-churn";
+    label = churn + "/" + label;
+    repro += churn;
+  } else {
+    repro += label;
+    if (options.deployment == DeploymentKind::kTcp) {
+      repro = "--transport tcp " + repro;
+    }
+  }
+
   std::ostringstream os;
-  os << (ok() ? "PASS" : "FAIL") << " scenario="
-     << FaultScenarioName(scenario) << " seed=" << seed << ": "
-     << ops_attempted << " ops (" << ops_failed << " failed), " << sessions
+  os << (ok() ? "PASS" : "FAIL") << " scenario=" << label << " seed=" << seed
+     << ": ";
+  if (!setup.ok()) {
+    os << "setup failed: " << setup.ToString();
+    return os.str();
+  }
+  os << ops_attempted << " ops (" << ops_failed << " failed), " << sessions
      << " sessions";
   if (handoffs > 0) {
     os << ", " << handoffs << " handoffs";
@@ -85,177 +103,197 @@ std::string ScenarioResult::Summary() const {
   if (failovers > 0) {
     os << ", " << failovers << " failovers";
   }
-  os << "; " << report.reads_checked << " reads, " << report.writes_checked
-     << " writes, " << report.ranges_checked << " ranges, "
-     << report.claims_checked << " claims checked";
+  if (options.deployment == DeploymentKind::kTabletFleet) {
+    os << ", " << splits << " splits, " << migrations << " migrations ("
+       << migration_failures << " failed), " << map_refreshes
+       << " map refreshes, " << final_tablets << " tablets @ map v"
+       << final_map_version;
+  }
+  if (coordinator_kills > 0 || coordinator_recoveries > 0) {
+    os << ", " << coordinator_kills << " coordinator kills ("
+       << coordinator_recoveries << " recovered)";
+  }
+  os << "; " << acked_writes << " acked writes (" << lost_acked_writes
+     << " lost); " << report.reads_checked << " reads, "
+     << report.writes_checked << " writes, " << report.ranges_checked
+     << " ranges, " << report.claims_checked << " claims checked";
   if (!ok()) {
     os << "; " << report.violations.size() << " violation"
-       << (report.violations.size() == 1 ? "" : "s")
-       << " (reproduce with --seed " << seed << " --scenarios "
-       << FaultScenarioName(scenario) << ")";
+       << (report.violations.size() == 1 ? "" : "s") << " (reproduce with "
+       << repro << ")";
   }
   return os.str();
 }
 
+Status CheckSupport(const ScenarioOptions& options, std::string_view name,
+                    const std::vector<FaultScenario>& scenarios,
+                    bool aggregator, bool coordinator_kill) {
+  const auto unsupported = [name](std::string_view what) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(name) + " does not support " + std::string(what));
+  };
+  if (std::find(scenarios.begin(), scenarios.end(), options.scenario) ==
+      scenarios.end()) {
+    return unsupported("scenario '" +
+                       std::string(FaultScenarioName(options.scenario)) + "'");
+  }
+  if (options.enable_aggregator && !aggregator) {
+    return unsupported("the monitoring aggregator");
+  }
+  if (options.coordinator_kill && !coordinator_kill) {
+    return unsupported("coordinator kills");
+  }
+  return Status::Ok();
+}
+
 namespace {
 
-// Fault events keyed by the op index they fire before.
-using FaultSchedule = std::multimap<uint64_t, std::function<void()>>;
+std::unique_ptr<Deployment> MakeDeployment(const ScenarioOptions& options) {
+  switch (options.deployment) {
+    case DeploymentKind::kTcp:
+      return MakeTcpDeployment(options);
+    case DeploymentKind::kTabletFleet:
+      return MakeTabletFleetDeployment(options);
+    case DeploymentKind::kSim:
+      break;
+  }
+  return MakeSimDeployment(options);
+}
 
-FaultSchedule BuildFaultSchedule(const ScenarioOptions& options,
-                                 GeoTestbed& testbed, Random& rng) {
-  FaultSchedule schedule;
-  const uint64_t n = std::max<uint64_t>(options.total_ops, 10);
-  const std::array<const char*, 4> sites = {kUs, kEngland, kIndia, kChina};
-  const auto pick_site = [&] { return sites[rng.NextUint64(sites.size())]; };
+// mkdir -p: best effort, components may already exist.
+void MakeDirectories(const std::string& path) {
+  for (size_t slash = path.find('/', 1); slash != std::string::npos;
+       slash = path.find('/', slash + 1)) {
+    ::mkdir(path.substr(0, slash).c_str(), 0755);
+  }
+  ::mkdir(path.c_str(), 0755);
+}
+
+// Fault events keyed by the op index they fire before.
+using FaultPlan = std::multimap<uint64_t, FaultEvent>;
+// (key, timestamp) of every write a client saw acknowledged.
+using AckedWrites = std::vector<std::pair<std::string, Timestamp>>;
+
+FaultPlan PlanFaults(FaultScenario scenario, uint64_t total_ops,
+                     Random& rng) {
+  using Kind = FaultEvent::Kind;
+  using Target = FaultEvent::Target;
+  FaultPlan plan;
+  const uint64_t n = std::max<uint64_t>(total_ops, 10);
   // A window starts somewhere in the first two thirds of the run and always
   // ends before the run does, so the tail of every run is fault-free and
-  // convergence gets re-exercised.
-  const auto pick_window = [&](uint64_t* start, uint64_t* stop) {
-    *start = n / 10 + rng.NextUint64(n / 2);
-    *stop = std::min(n - 1, *start + n / 6 + rng.NextUint64(n / 6 + 1));
+  // convergence gets re-exercised. `lift` repeats the start's target.
+  const auto add_window = [&](FaultEvent start, Kind lift) {
+    const uint64_t begin = n / 10 + rng.NextUint64(n / 2);
+    const uint64_t end = std::min(n - 1, begin + n / 6 + rng.NextUint64(n / 6 + 1));
+    FaultEvent stop = start;
+    stop.kind = lift;
+    plan.emplace(begin, start);
+    plan.emplace(end, stop);
   };
 
-  switch (options.scenario) {
+  switch (scenario) {
     case FaultScenario::kNone:
     case FaultScenario::kHandoff:
       break;  // Hand-off is driven inline by the op loop.
 
     case FaultScenario::kPartition:
       for (int i = 0; i < 2; ++i) {
-        const char* a = pick_site();
-        const char* b = pick_site();
-        while (b == a) {
-          b = pick_site();
-        }
-        uint64_t start = 0;
-        uint64_t stop = 0;
-        pick_window(&start, &stop);
-        schedule.emplace(start, [&testbed, a, b] {
-          testbed.faults().SetPartition(a, b, true);
-          testbed.faults().SetPartition(b, a, true);
-        });
-        schedule.emplace(stop, [&testbed, a, b] {
-          testbed.faults().SetPartition(a, b, false);
-          testbed.faults().SetPartition(b, a, false);
-        });
+        add_window({Kind::kIsolate, Target::kAnyNode, rng.NextUint64()},
+                   Kind::kRejoin);
       }
       break;
 
     case FaultScenario::kDrops:
       for (int i = 0; i < 2; ++i) {
-        const char* site = pick_site();
-        const double probability = 0.1 + 0.3 * rng.NextDouble();
-        uint64_t start = 0;
-        uint64_t stop = 0;
-        pick_window(&start, &stop);
-        schedule.emplace(start, [&testbed, site, probability] {
-          testbed.faults().SetSilentDrop(site, probability);
-        });
-        schedule.emplace(
-            stop, [&testbed, site] { testbed.faults().RecoverNode(site); });
+        add_window({Kind::kDrop, Target::kAnyNode, rng.NextUint64(),
+                    0.1 + 0.3 * rng.NextDouble()},
+                   Kind::kRecover);
       }
       break;
 
     case FaultScenario::kGray:
       for (int i = 0; i < 3; ++i) {
-        const char* site = pick_site();
-        const double multiplier = 2.0 + 4.0 * rng.NextDouble();
-        uint64_t start = 0;
-        uint64_t stop = 0;
-        pick_window(&start, &stop);
-        schedule.emplace(start, [&testbed, site, multiplier] {
-          testbed.faults().SetGrayNode(site, multiplier);
-        });
-        schedule.emplace(
-            stop, [&testbed, site] { testbed.faults().RecoverNode(site); });
+        add_window({Kind::kGray, Target::kAnyNode, rng.NextUint64(),
+                    2.0 + 4.0 * rng.NextDouble()},
+                   Kind::kRecover);
       }
       break;
 
-    case FaultScenario::kCrashRestart: {
-      // Crash a secondary (never the primary: the run should keep
-      // committing writes for the checker to audit against).
-      const char* victim = rng.NextBool(0.5) ? kUs : kIndia;
-      schedule.emplace(n / 3, [&testbed, victim] {
-        testbed.CrashNode(victim);
-      });
-      schedule.emplace(2 * n / 3, [&testbed, victim] {
-        (void)testbed.RestartNode(victim);
-      });
+    case FaultScenario::kCrashRestart:
+      // Crash a replica, never the primary: the run should keep committing
+      // writes for the checker to audit against.
+      plan.emplace(n / 3, FaultEvent{Kind::kCrash, Target::kReplica,
+                                     rng.NextUint64()});
+      plan.emplace(2 * n / 3, FaultEvent{Kind::kRestart});
       break;
-    }
 
-    case FaultScenario::kFailover: {
+    case FaultScenario::kFailover:
       // Crash the PRIMARY mid-run. The lease coordinator must detect the
       // death, fence the old epoch, and promote the sync replica with the
       // highest durable timestamp without losing one acked write. The old
       // primary restarts later and must rejoin as a fenced secondary of the
       // new epoch (its stale-epoch Puts answered with kNotPrimary).
-      const std::string victim = testbed.primary_site();
-      schedule.emplace(n / 3,
-                       [&testbed, victim] { testbed.CrashNode(victim); });
-      schedule.emplace(n / 2, [&testbed, victim] {
-        (void)testbed.RestartNode(victim);
-      });
+      plan.emplace(n / 3, FaultEvent{Kind::kCrash, Target::kPrimary});
+      plan.emplace(n / 2, FaultEvent{Kind::kRestart});
       if (rng.NextBool(0.3)) {
-        // Seeded double failover: kill whoever holds the role by then (the
-        // first promotion must already have happened for this to differ).
-        schedule.emplace(3 * n / 4, [&testbed] {
-          if (testbed.failovers() > 0) {
-            testbed.CrashNode(testbed.primary_site());
-          }
-        });
+        // Seeded double failover: kill whoever holds the role by then.
+        plan.emplace(3 * n / 4, FaultEvent{Kind::kCrash, Target::kPrimary});
       }
       break;
-    }
 
-    case FaultScenario::kOverload: {
+    case FaultScenario::kOverload:
       // Overload episodes: nodes shed data-path requests with kOverloaded
       // plus a retry_after hint, as if another tenant had saturated their
-      // admission buckets. One episode hits a random secondary, so reads
-      // must degrade down the SLA ladder or re-route; one hits the primary,
-      // so writes and strong reads spend retry budget on jittered backoff.
-      // Real admission also runs on every node (see RunAuditScenario), so
-      // stamped queue delays feed the monitors throughout. Whatever rank a
-      // degraded read ends up claiming, the checker audits it like any
-      // other claim - a downgraded guarantee must still be a true one.
-      const std::array<std::string, 2> victims = {
-          rng.NextBool(0.5) ? kUs : kIndia, testbed.primary_site()};
-      for (const std::string& site : victims) {
+      // admission buckets. One episode hits a replica, so reads must degrade
+      // down the SLA ladder or re-route; one hits the primary, so writes and
+      // strong reads spend retry budget on jittered backoff. Whatever rank a
+      // degraded read ends up claiming, the checker audits it like any other
+      // claim - a downgraded guarantee must still be a true one.
+      for (const Target target : {Target::kReplica, Target::kPrimary}) {
+        const uint64_t pick = rng.NextUint64();
         const double probability = 0.5 + 0.35 * rng.NextDouble();
-        const uint32_t retry_after_ms =
+        const auto retry_after_ms =
             static_cast<uint32_t>(20 + rng.NextUint64(101));
-        uint64_t start = 0;
-        uint64_t stop = 0;
-        pick_window(&start, &stop);
-        schedule.emplace(start,
-                         [&testbed, site, probability, retry_after_ms] {
-          testbed.faults().SetOverloadNode(site, probability, retry_after_ms);
-        });
-        schedule.emplace(
-            stop, [&testbed, site] { testbed.faults().RecoverNode(site); });
+        add_window({Kind::kOverload, target, pick, probability,
+                    retry_after_ms},
+                   Kind::kRecover);
       }
       break;
-    }
   }
-  return schedule;
+  return plan;
 }
 
-// Appends a lost-write violation for every primary-WAL entry that is absent
-// from the exported update log. Preloaded keys bypass the WAL, so the
-// subset relation (WAL within log), not equality, is the invariant.
-void CrossCheckPrimaryWal(const ScenarioOptions& options,
-                          const GeoTestbed& testbed, const audit::History& history,
-                          audit::AuditReport* report) {
-  const std::string path =
-      options.durable_root + "/" + testbed.primary_site() + ".wal";
+// Runs one workload op through `client`, recording the write if it was acked.
+template <typename Client>
+bool RunOp(Client& client, core::Session& session,
+           const workload::Operation& op, Random& rng, AckedWrites& acked) {
+  if (op.is_get) {
+    if (rng.NextBool(0.04)) {
+      return client.GetRange(session, op.key, "", 8).ok();
+    }
+    return client.Get(session, op.key).ok();
+  }
+  Result<core::PutResult> write = rng.NextBool(0.10)
+                                      ? client.Delete(session, op.key)
+                                      : client.Put(session, op.key, op.value);
+  if (write.ok()) {
+    acked.emplace_back(op.key, write->timestamp);
+  }
+  return write.ok();
+}
+
+// Appends a lost-write violation for every WAL entry absent from the
+// committed order: everything journaled was acked or transferred, so the
+// subset relation (WAL within the order) must hold.
+void CrossCheckWal(const std::string& path, const audit::History& history,
+                   audit::AuditReport* report) {
   Result<std::vector<proto::ObjectVersion>> wal =
       persist::WriteAheadLog::ReadVersions(path);
   if (!wal.ok()) {
     report->violations.push_back(audit::Violation{
         audit::ViolationType::kLostWrite, 0, audit::kNoRelatedOp,
-        "primary WAL at '" + path + "' unreadable: " +
-            wal.status().ToString()});
+        "WAL at '" + path + "' unreadable: " + wal.status().ToString()});
     return;
   }
   std::set<std::tuple<std::string, int64_t, uint32_t, bool>> committed;
@@ -268,215 +306,189 @@ void CrossCheckPrimaryWal(const ScenarioOptions& options,
                          v.is_tombstone}) == 0) {
       report->violations.push_back(audit::Violation{
           audit::ViolationType::kLostWrite, 0, audit::kNoRelatedOp,
-          "primary WAL holds '" + v.key + "' at " + v.timestamp.ToString() +
-              " which the update-log export lacks"});
+          "WAL '" + path + "' holds '" + v.key + "' at " +
+              v.timestamp.ToString() + " which the committed order lacks"});
+    }
+  }
+}
+
+// Zero lost acked writes: every write a client saw succeed must be in the
+// committed order. Runs even when the order is incomplete, where the
+// checker's own lost-write rule stands down.
+void CheckAckedWrites(const AckedWrites& acked,
+                      const std::vector<proto::ObjectVersion>& committed_order,
+                      ScenarioResult* result) {
+  std::set<std::pair<std::string, Timestamp>> committed;
+  for (const proto::ObjectVersion& version : committed_order) {
+    committed.emplace(version.key, version.timestamp);
+  }
+  result->acked_writes = acked.size();
+  for (const auto& [key, timestamp] : acked) {
+    if (committed.count({key, timestamp}) > 0) {
+      continue;
+    }
+    ++result->lost_acked_writes;
+    if (result->lost_write_details.size() < 10) {
+      std::ostringstream os;
+      os << "acked write " << key << "@" << timestamp
+         << " missing from the committed order";
+      result->lost_write_details.push_back(os.str());
     }
   }
 }
 
 }  // namespace
 
+Status Supports(const ScenarioOptions& options) {
+  return MakeDeployment(options)->Supports(options);
+}
+
 ScenarioResult RunAuditScenario(const ScenarioOptions& options) {
   ScenarioResult result;
-  result.seed = options.seed;
-  result.scenario = options.scenario;
+  result.options = options;
 
-  GeoTestbedOptions geo;
-  geo.seed = options.seed;
-  geo.replication_period_us = options.replication_period_us;
-  geo.durable_root = options.durable_root;
-  if (options.scenario == FaultScenario::kFailover) {
-    // The promotion target must hold the complete committed prefix, so the
-    // run needs at least one synchronous replica (Section 6.4) alongside the
-    // lease coordinator.
-    geo.sync_replica_count = 2;
-    geo.enable_failover = true;
+  audit::HistoryRecorder recorder;  // Outlives the frontends reporting to it.
+  std::unique_ptr<Deployment> deployment = MakeDeployment(options);
+  result.setup = deployment->Supports(options);
+  if (!result.setup.ok()) {
+    return result;
   }
-  if (options.scenario == FaultScenario::kOverload) {
-    // Run the real admission controller on every node alongside the injected
-    // shedding episodes: queue delays get stamped on replies and fed to the
-    // monitors, and genuine pressure sheds through the same kOverloaded path
-    // the injector simulates. The rate sits above the workload's sustained
-    // virtual-time op rate, so the bucket only queues during retry bursts.
-    storage::AdmissionOptions admission;
-    admission.tenant_ops_per_sec = 25;
-    admission.tenant_burst_ops = 16;
-    geo.admission = admission;
+  if (!options.durable_root.empty()) {
+    MakeDirectories(options.durable_root);
+  } else if (options.scenario == FaultScenario::kCrashRestart ||
+             options.coordinator_kill) {
+    result.setup = Status(StatusCode::kInvalidArgument,
+                          "crash-restart and coordinator kills recover from "
+                          "disk and need a durable_root");
+    return result;
   }
-  GeoTestbed testbed(geo);
-  if (geo.enable_failover) {
-    testbed.StartReconfiguration();
+  result.setup = deployment->Build(&recorder);
+  if (!result.setup.ok()) {
+    return result;
   }
-
-  audit::HistoryRecorder recorder;
-  core::PileusClient::Options client_options;
-  client_options.op_observer = &recorder;
-  // One cache per frontend, as in a real deployment: hand-off between
-  // frontends then genuinely crosses cache domains and exercises the
-  // session's hand-off floor.
-  cache::ClientCache::Options cache_options;
-  cache_options.capacity_bytes = options.cache_capacity_bytes;
-  cache::ClientCache us_cache(cache_options);
-  cache::ClientCache india_cache(cache_options);
-  core::PileusClient::Options us_options = client_options;
-  core::PileusClient::Options india_options = client_options;
-  if (options.client_cache) {
-    us_options.cache = &us_cache;
-    india_options.cache = &india_cache;
-  }
-  std::unique_ptr<GeoClient> us = testbed.MakeClient(kUs, us_options);
-  std::unique_ptr<GeoClient> india =
-      testbed.MakeClient(kIndia, india_options);
-  const std::array<GeoClient*, 2> frontends = {us.get(), india.get()};
-
-  // Preload through a client rather than PreloadKeys: that writes straight
-  // into the tablets, bypassing the primary's WAL, and un-journaled state
-  // is silently lost across CrashNode/RestartNode - a restarted secondary
-  // would advertise a fresh heartbeat while permanently missing the
-  // preloaded keys, which the checker rightly flags as a prefix violation.
+  const std::vector<Frontend> frontends = deployment->frontends();
   const core::Sla sla = options.sla.value_or(AuditSla());
+  const auto begin_session = [&sla](Frontend frontend) {
+    return std::visit([&sla](auto* client) { return client->BeginSession(sla); },
+                      frontend);
+  };
+  AckedWrites acked;
+
+  // Preload every key through a client, so each one rides the journaled
+  // write path: state written around the WAL would be silently lost across
+  // a crash + restart, which the checker rightly flags.
   {
-    Result<core::Session> preload = us->client().BeginSession(sla);
-    if (preload.ok()) {
-      const std::string value(100, 'p');
-      for (int i = 0; i < options.key_count; ++i) {
-        (void)us->client().Put(*preload, workload::YcsbWorkload::KeyForIndex(i),
-                               value);
+    Result<core::Session> preload = begin_session(frontends[0]);
+    if (!preload.ok()) {
+      result.setup = preload.status();
+      return result;
+    }
+    for (int i = 0; i < options.key_count; ++i) {
+      const std::string key =
+          workload::YcsbWorkload::KeyForIndex(static_cast<uint64_t>(i));
+      std::string value = std::to_string(i);  // Distinct per key.
+      value.resize(100, 'p');
+      Result<core::PutResult> put = std::visit(
+          [&](auto* client) { return client->Put(*preload, key, value); },
+          frontends[0]);
+      if (put.ok()) {
+        acked.emplace_back(key, put->timestamp);
       }
     }
   }
-  testbed.StartReplication();
-  us->StartProbing();
-  india->StartProbing();
-
-  // Shared-monitoring aggregator (DESIGN.md Section 12): a periodic event
-  // plays the control plane — each frontend reports its monitor's local
-  // conditions, the aggregator merges them, and the fleet digest is pushed
-  // back into both monitors as a selection prior. Killed halfway through the
-  // op loop below, so the audit also covers the fall-back phase where priors
-  // age out and clients converge back to self-probed estimates.
-  std::optional<monitoring::MonitorAggregator> aggregator;
-  sim::PeriodicHandle aggregator_pump;
-  if (options.enable_aggregator) {
-    aggregator.emplace(testbed.env().clock());
-    aggregator_pump = testbed.env().SchedulePeriodic(
-        options.aggregator_period_us, options.aggregator_period_us,
-        [&aggregator, &frontends] {
-          for (GeoClient* fe : frontends) {
-            core::Monitor& monitor = fe->client().monitor();
-            aggregator->Ingest(std::string(fe->site()),
-                               monitor.state_version(),
-                               monitor.BuildReportConditions());
-          }
-          const monitoring::ConditionDigest digest = aggregator->Digest();
-          for (GeoClient* fe : frontends) {
-            fe->client().monitor().InstallDigest(digest);
-          }
-        });
-  }
-
-  // Warm-up: a couple of replication rounds plus probe traffic, so monitors
-  // hold real estimates before the recorded window starts.
-  testbed.env().RunFor(2 * options.replication_period_us +
-                       SecondsToMicroseconds(1));
+  deployment->Start();
 
   // Everything random below derives from the one seed: workload stream,
-  // fault windows, frontend choices, op mutations.
+  // fault plan, frontend choices, op mutations.
   Random rng(options.seed);
   workload::WorkloadOptions wl;
   wl.key_count = options.key_count;
   wl.ops_per_session = options.ops_per_session;
   wl.seed = rng.NextUint64();
   workload::YcsbWorkload workload(wl);
-
-  FaultSchedule schedule = BuildFaultSchedule(options, testbed, rng);
+  const FaultPlan plan = PlanFaults(options.scenario, options.total_ops, rng);
   const int handoff_stride = std::max(2, options.ops_per_session / 2);
 
   std::optional<core::Session> session;
-  int frontend = 0;
+  size_t frontend = 0;
   uint64_t ops_in_session = 0;
+  std::string crashed;  // The node the last kCrash took down.
 
   for (uint64_t i = 0; i < options.total_ops; ++i) {
-    const auto due = schedule.equal_range(i);
+    const auto due = plan.equal_range(i);
     for (auto it = due.first; it != due.second; ++it) {
-      it->second();
+      const FaultEvent& event = it->second;
+      std::string node = crashed;
+      if (event.kind != FaultEvent::Kind::kRestart) {
+        const std::vector<std::string> nodes = deployment->Nodes(event.target);
+        node = nodes.empty() ? "" : nodes[event.pick % nodes.size()];
+      }
+      if (node.empty()) {
+        continue;
+      }
+      deployment->Apply(event, node);
+      crashed = event.kind == FaultEvent::Kind::kCrash ? node : crashed;
     }
-    if (options.enable_aggregator && i == options.total_ops / 2) {
-      // Aggregator dies mid-run: digests stop arriving, installed priors age
-      // past their TTL, and the monitors must carry selection on their own
-      // probing for the rest of the run without a single violation.
-      aggregator_pump.Cancel();
+    result.setup = deployment->BeforeOp(i);
+    if (!result.setup.ok()) {
+      return result;
     }
 
     const workload::Operation op = workload.Next();
     if (op.starts_new_session || !session.has_value()) {
-      frontend = static_cast<int>(rng.NextUint64(2));
-      Result<core::Session> begun =
-          frontends[frontend]->client().BeginSession(sla);
+      frontend = rng.NextUint64(frontends.size());
+      Result<core::Session> begun = begin_session(frontends[frontend]);
+      if (!begun.ok()) {
+        result.setup = begun.status();
+        return result;
+      }
       session.emplace(std::move(begun).value());
       ++result.sessions;
       ops_in_session = 0;
     } else if (options.scenario == FaultScenario::kHandoff &&
                ops_in_session % handoff_stride == 0) {
-      // Serialize the session and resume it on the other frontend; its
+      // Serialize the session and resume it on the next frontend; its
       // guarantees must keep holding across the move.
       Result<core::Session> resumed =
           core::Session::Deserialize(session->Serialize());
       if (resumed.ok()) {
         session.emplace(std::move(resumed).value());
-        frontend = 1 - frontend;
+        frontend = (frontend + 1) % frontends.size();
         ++result.handoffs;
       }
     }
 
-    core::PileusClient& client = frontends[frontend]->client();
     ++result.ops_attempted;
     ++ops_in_session;
-    bool ok = true;
-    if (op.is_get) {
-      if (rng.NextBool(0.04)) {
-        ok = client.GetRange(*session, op.key, "", 8).ok();
-      } else {
-        ok = client.Get(*session, op.key).ok();
-      }
-    } else {
-      if (rng.NextBool(0.10)) {
-        ok = client.Delete(*session, op.key).ok();
-      } else {
-        ok = client.Put(*session, op.key, op.value).ok();
-      }
-    }
+    const bool ok = std::visit(
+        [&](auto* client) { return RunOp(*client, *session, op, rng, acked); },
+        frontends[frontend]);
     if (!ok) {
       ++result.ops_failed;
     }
-    testbed.env().RunFor(wl.think_time_us);
+    deployment->AfterOp();
   }
 
-  us->StopProbing();
-  india->StopProbing();
-  testbed.faults().ClearAll();
-  // A failover may still be in flight when the ops run out (detection is
-  // bound to virtual time, not op count); run the clock until the promotion
-  // lands so the ground-truth export below reads a live primary.
-  if (geo.enable_failover) {
-    for (int i = 0; i < 100 && testbed.IsNodeCrashed(testbed.primary_site());
-         ++i) {
-      testbed.env().RunFor(geo.failover_heartbeat_period_us);
-    }
+  for (const Frontend& fe : frontends) {
+    result.cache_served +=
+        std::visit([](auto* client) { return client->cache_serves(); }, fe);
   }
-  result.cache_served =
-      us->client().cache_serves() + india->client().cache_serves();
-  result.failovers = testbed.failovers();
-
-  bool contiguous = true;
-  recorder.SetGroundTruth(
-      testbed.primary_node()->ExportTableLog(kTableName, &contiguous),
-      contiguous);
+  Result<GroundTruth> truth = deployment->Finish(result);
+  if (!truth.ok()) {
+    result.setup = truth.status();
+    return result;
+  }
+  const bool complete = truth->complete;
+  const std::vector<std::string> wal_paths = std::move(truth->wal_paths);
+  recorder.SetGroundTruth(std::move(truth->versions), complete);
   result.history = recorder.Snapshot();
   result.report = audit::ConsistencyChecker().Check(result.history);
-  if (!options.durable_root.empty() && contiguous) {
-    CrossCheckPrimaryWal(options, testbed, result.history, &result.report);
+  if (complete) {
+    for (const std::string& path : wal_paths) {
+      CrossCheckWal(path, result.history, &result.report);
+    }
   }
+  CheckAckedWrites(acked, result.history.ground_truth, &result);
   return result;
 }
 

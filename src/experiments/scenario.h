@@ -1,15 +1,17 @@
 // Audit scenarios: seeded random workloads under seeded random faults, with
-// every client-visible op recorded and checked offline (ISSUE: Jepsen-in-a-box
-// for the deterministic simulator; DESIGN.md "Consistency auditing").
+// every client-visible op recorded and checked offline (DESIGN.md
+// "Consistency auditing").
 //
-// A scenario drives a YCSB-shaped op mix (Gets, Puts, Deletes, small Range
-// scans, session turnover) from two frontends of the Fig-10 GeoTestbed while
-// a randomized-but-reproducible fault schedule runs underneath: partitions,
-// silent drops, gray slowness, crash + WAL-restart of a secondary, and
-// serialized session hand-off between frontends. Afterwards the primary's
-// committed-write order becomes the ground truth and the ConsistencyChecker
-// audits the whole history. Everything derives from one seed; a failing run
-// is reproduced bit-for-bit by re-running with the printed seed.
+// One runner drives every deployment the audit covers: the Fig-10 GeoTestbed
+// on the deterministic simulator, a durable group-commit primary plus a
+// pulled secondary over loopback TCP, and a tablet fleet that splits and
+// migrates ranges under a dynamic ShardedClient. The runner owns the seeded
+// op loop (YCSB-shaped Gets, Puts, Deletes and small Range scans, session
+// turnover and serialized hand-off between frontends), the fault plan, and
+// the checks: the ConsistencyChecker over the recorded history, the WAL
+// cross-check against the committed order, and the acked-write check.
+// Everything derives from one seed; a failing run is reproduced by
+// re-running with the printed seed.
 
 #ifndef PILEUS_SRC_EXPERIMENTS_SCENARIO_H_
 #define PILEUS_SRC_EXPERIMENTS_SCENARIO_H_
@@ -22,17 +24,17 @@
 
 #include "src/audit/checker.h"
 #include "src/audit/history.h"
-#include "src/common/clock.h"
+#include "src/common/status.h"
 #include "src/core/sla.h"
 
 namespace pileus::experiments {
 
 enum class FaultScenario {
   kNone = 0,       // Healthy network: any violation is a logic bug.
-  kPartition,      // Timed two-way partitions between random site pairs.
-  kDrops,          // Silent packet loss on a random site.
-  kGray,           // Gray slowness episodes on random sites.
-  kCrashRestart,   // Crash a secondary mid-run, restart it from its WAL.
+  kPartition,      // Timed windows that cut one node off from all others.
+  kDrops,          // Silent packet loss on a random node.
+  kGray,           // Gray slowness episodes on random nodes.
+  kCrashRestart,   // Crash a replica mid-run, restart it from its WAL.
   kHandoff,        // Serialize sessions and resume them on the other frontend.
   kFailover,       // Crash the PRIMARY mid-run: lease-based live failover.
   kOverload,       // Admission-shedding episodes: degraded reads must still
@@ -46,32 +48,40 @@ std::string_view FaultScenarioName(FaultScenario scenario);
 std::optional<FaultScenario> ParseFaultScenario(std::string_view name);
 std::vector<FaultScenario> AllFaultScenarios();
 
+// Where the scenario runs (DESIGN.md Section 8 lists what each supports).
+enum class DeploymentKind {
+  kSim = 0,      // Fig-10 GeoTestbed on the deterministic simulator.
+  kTcp,          // Durable primary + pulled secondary over loopback TCP.
+  kTabletFleet,  // Splitting, migrating tablet fleet on a ManualClock.
+};
+
 struct ScenarioOptions {
+  DeploymentKind deployment = DeploymentKind::kSim;
   uint64_t seed = 1;
   FaultScenario scenario = FaultScenario::kNone;
-  // Client operations across both frontends (excluding the preload).
+  // Client operations across all frontends (excluding the preload).
   uint64_t total_ops = 600;
   int key_count = 100;
   int ops_per_session = 40;
-  // Fast pulls so staleness stays small relative to virtual run time.
-  MicrosecondCount replication_period_us = SecondsToMicroseconds(10);
-  // Required for kCrashRestart (the restarted node recovers from its WAL);
-  // optional otherwise. When set, the run also cross-checks the primary's
-  // WAL against its in-memory update log.
+  // WALs live here. Required for kCrashRestart (the restarted node recovers
+  // from its WAL), for coordinator_kill, and for every TCP run; optional
+  // otherwise. When set, the run also cross-checks the WALs against the
+  // committed order.
   std::string durable_root;
   // Give each frontend its own consistency-aware client cache, so
   // cache-served reads enter the audited history and the checker verifies
   // their claims like any network read (DESIGN.md "Client cache").
   bool client_cache = false;
   uint64_t cache_capacity_bytes = uint64_t{4} << 20;
-  // Run a shared-monitoring aggregator alongside the workload (DESIGN.md
-  // Section 12): a periodic event collects both frontends' condition
-  // reports, merges them, and pushes the fleet digest back as selection
-  // priors. The aggregator is killed halfway through the run, so the audit
-  // covers both the prior-driven phase and the fall-back-to-self-probing
-  // phase — neither may produce a consistency violation.
+  // Sim only: run a shared-monitoring aggregator (DESIGN.md Section 12)
+  // that pushes fleet digests into both frontends' monitors, and kill it
+  // halfway through the run, so the audit covers both the prior-driven
+  // phase and the fall-back-to-self-probing phase.
   bool enable_aggregator = false;
-  MicrosecondCount aggregator_period_us = SecondsToMicroseconds(5);
+  // Tablet fleet only: run the coordinator durably and kill it mid-operation
+  // at rotating protocol crash points; a standby recovers from the intent
+  // log (DESIGN.md Section 15).
+  bool coordinator_kill = false;
   // Defaults to AuditSla().
   std::optional<core::Sla> sla;
 };
@@ -81,22 +91,46 @@ struct ScenarioOptions {
 core::Sla AuditSla();
 
 struct ScenarioResult {
-  uint64_t seed = 0;
-  FaultScenario scenario = FaultScenario::kNone;
+  ScenarioOptions options;  // The run's options, for the summary.
+  // Non-ok when the options are unsupported, the world could not be built,
+  // or the deployment could not be driven; the audit fields are empty then.
+  Status setup = Status::Ok();
   audit::AuditReport report;
   // The audited history (kept so violation reports can cite full op records).
   audit::History history;
   uint64_t ops_attempted = 0;
-  uint64_t ops_failed = 0;   // Op returned an error (fine under faults).
+  uint64_t ops_failed = 0;  // Op returned an error (fine under faults).
   uint64_t sessions = 0;
   uint64_t handoffs = 0;
   uint64_t cache_served = 0;  // Gets answered by the frontends' caches.
-  uint64_t failovers = 0;     // Completed primary promotions (kFailover).
+  // Every Put/Delete a client saw succeed (preload included) must appear in
+  // the committed order, whether or not that order is complete.
+  uint64_t acked_writes = 0;
+  uint64_t lost_acked_writes = 0;
+  std::vector<std::string> lost_write_details;  // The first few.
+  // Sim: completed primary promotions (kFailover).
+  uint64_t failovers = 0;
+  // Tablet fleet: churn executed and coordinator kills survived.
+  uint64_t splits = 0;
+  uint64_t migrations = 0;
+  uint64_t migration_failures = 0;
+  uint64_t map_refreshes = 0;  // Client-side map adoptions after fences.
+  uint64_t final_tablets = 0;
+  uint64_t final_map_version = 0;
+  uint64_t coordinator_kills = 0;
+  uint64_t coordinator_recoveries = 0;
 
-  bool ok() const { return report.ok(); }
+  bool ok() const {
+    return setup.ok() && report.ok() && lost_acked_writes == 0;
+  }
   // One line: verdict, scenario, seed (the repro handle), op counts.
   std::string Summary() const;
 };
+
+// Ok when the chosen deployment can run `options` as asked: the scenario and
+// the aggregator / coordinator-kill knobs. RunAuditScenario checks this
+// first and fails setup on an unsupported combination.
+Status Supports(const ScenarioOptions& options);
 
 ScenarioResult RunAuditScenario(const ScenarioOptions& options);
 

@@ -1,0 +1,211 @@
+// The simulator deployment: the Fig-10 GeoTestbed with frontends in the US
+// and India, replicating every few virtual seconds.
+
+#include <array>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "src/cache/client_cache.h"
+#include "src/experiments/deployment.h"
+#include "src/experiments/geo_testbed.h"
+#include "src/monitoring/aggregator.h"
+#include "src/storage/admission.h"
+
+namespace pileus::experiments {
+namespace {
+
+// Fast pulls so staleness stays small relative to virtual run time.
+constexpr MicrosecondCount kReplicationPeriodUs = SecondsToMicroseconds(10);
+constexpr MicrosecondCount kAggregatorPeriodUs = SecondsToMicroseconds(5);
+constexpr MicrosecondCount kThinkUs = MillisecondsToMicroseconds(5);
+// The storage sites (China hosts clients only).
+constexpr std::array<const char*, 3> kStorageSites = {kUs, kEngland, kIndia};
+
+class SimDeployment : public Deployment {
+ public:
+  explicit SimDeployment(const ScenarioOptions& options) : options_(options) {}
+
+  Status Supports(const ScenarioOptions& options) const override {
+    return CheckSupport(options, "the sim deployment", AllFaultScenarios(),
+                        /*aggregator=*/true, /*coordinator_kill=*/false);
+  }
+
+  Status Build(core::OpObserver* observer) override {
+    GeoTestbedOptions geo;
+    geo.seed = options_.seed;
+    geo.replication_period_us = kReplicationPeriodUs;
+    geo.durable_root = options_.durable_root;
+    if (options_.scenario == FaultScenario::kFailover) {
+      // The promotion target must hold the complete committed prefix, so the
+      // run needs at least one synchronous replica (Section 6.4) alongside
+      // the lease coordinator.
+      geo.sync_replica_count = 2;
+      geo.enable_failover = true;
+    }
+    if (options_.scenario == FaultScenario::kOverload) {
+      // Run the real admission controller on every node alongside the
+      // injected shedding episodes: queue delays get stamped on replies and
+      // fed to the monitors, and genuine pressure sheds through the same
+      // kOverloaded path the injector simulates. The rate sits above the
+      // workload's sustained virtual-time op rate, so the bucket only queues
+      // during retry bursts.
+      storage::AdmissionOptions admission;
+      admission.tenant_ops_per_sec = 25;
+      admission.tenant_burst_ops = 16;
+      geo.admission = admission;
+    }
+    testbed_ = std::make_unique<GeoTestbed>(geo);
+    if (geo.enable_failover) {
+      testbed_->StartReconfiguration();
+    }
+    // One cache per frontend, as in a real deployment: hand-off between
+    // frontends then genuinely crosses cache domains and exercises the
+    // session's hand-off floor.
+    cache::ClientCache::Options cache_options;
+    cache_options.capacity_bytes = options_.cache_capacity_bytes;
+    for (const char* site : {kUs, kIndia}) {
+      core::PileusClient::Options client_options;
+      client_options.op_observer = observer;
+      if (options_.client_cache) {
+        caches_.push_back(std::make_unique<cache::ClientCache>(cache_options));
+        client_options.cache = caches_.back().get();
+      }
+      frontends_.push_back(testbed_->MakeClient(site, client_options));
+    }
+    return Status::Ok();
+  }
+
+  std::vector<Frontend> frontends() override {
+    return {&frontends_[0]->client(), &frontends_[1]->client()};
+  }
+
+  void Start() override {
+    testbed_->StartReplication();
+    for (auto& fe : frontends_) {
+      fe->StartProbing();
+    }
+    if (options_.enable_aggregator) {
+      // A periodic event plays the control plane: each frontend reports its
+      // monitor's local conditions, the aggregator merges them, and the fleet
+      // digest is pushed back into both monitors as a selection prior.
+      aggregator_.emplace(testbed_->env().clock());
+      aggregator_pump_ = testbed_->env().SchedulePeriodic(
+          kAggregatorPeriodUs, kAggregatorPeriodUs, [this] {
+            for (auto& fe : frontends_) {
+              core::Monitor& monitor = fe->client().monitor();
+              aggregator_->Ingest(fe->site(), monitor.state_version(),
+                                  monitor.BuildReportConditions());
+            }
+            const monitoring::ConditionDigest digest = aggregator_->Digest();
+            for (auto& fe : frontends_) {
+              fe->client().monitor().InstallDigest(digest);
+            }
+          });
+    }
+    // Warm-up: a couple of replication rounds plus probe traffic, so
+    // monitors hold real estimates before the recorded window starts.
+    testbed_->env().RunFor(2 * kReplicationPeriodUs +
+                           SecondsToMicroseconds(1));
+  }
+
+  // Replicas are the secondaries the frontends sit next to.
+  std::vector<std::string> Nodes(FaultEvent::Target target) override {
+    if (target == FaultEvent::Target::kAnyNode) {
+      return {kStorageSites.begin(), kStorageSites.end()};
+    }
+    if (target == FaultEvent::Target::kReplica) {
+      return {kUs, kIndia};
+    }
+    return {testbed_->primary_site()};
+  }
+
+  void Apply(const FaultEvent& event, const std::string& node) override {
+    sim::FaultInjector& faults = testbed_->faults();
+    switch (event.kind) {
+      case FaultEvent::Kind::kIsolate:
+      case FaultEvent::Kind::kRejoin:
+        for (const char* site : kStorageSites) {
+          if (node != site) {
+            const bool cut = event.kind == FaultEvent::Kind::kIsolate;
+            faults.SetPartition(node, site, cut);
+            faults.SetPartition(site, node, cut);
+          }
+        }
+        break;
+      case FaultEvent::Kind::kDrop:
+        faults.SetSilentDrop(node, event.amount);
+        break;
+      case FaultEvent::Kind::kGray:
+        faults.SetGrayNode(node, event.amount);
+        break;
+      case FaultEvent::Kind::kOverload:
+        faults.SetOverloadNode(node, event.amount, event.retry_after_ms);
+        break;
+      case FaultEvent::Kind::kRecover:
+        faults.RecoverNode(node);
+        break;
+      case FaultEvent::Kind::kCrash:
+        testbed_->CrashNode(node);
+        break;
+      case FaultEvent::Kind::kRestart:
+        (void)testbed_->RestartNode(node);
+        break;
+    }
+  }
+
+  Status BeforeOp(uint64_t op) override {
+    if (options_.enable_aggregator && op == options_.total_ops / 2) {
+      // The aggregator dies mid-run: digests stop arriving, installed priors
+      // age past their TTL, and the monitors must carry selection on their
+      // own probing for the rest of the run without a single violation.
+      aggregator_pump_.Cancel();
+    }
+    return Status::Ok();
+  }
+
+  void AfterOp() override { testbed_->env().RunFor(kThinkUs); }
+
+  Result<GroundTruth> Finish(ScenarioResult& result) override {
+    for (auto& fe : frontends_) {
+      fe->StopProbing();
+    }
+    testbed_->faults().ClearAll();
+    // A failover may still be in flight when the ops run out (detection is
+    // bound to virtual time, not op count); run the clock until the
+    // promotion lands so the export below reads a live primary.
+    if (testbed_->options().enable_failover) {
+      for (int i = 0;
+           i < 100 && testbed_->IsNodeCrashed(testbed_->primary_site()); ++i) {
+        testbed_->env().RunFor(
+            testbed_->options().failover_heartbeat_period_us);
+      }
+    }
+    result.failovers = testbed_->failovers();
+    GroundTruth truth;
+    truth.versions = testbed_->primary_node()->ExportTableLog(
+        kTableName, &truth.complete);
+    if (!options_.durable_root.empty()) {
+      truth.wal_paths.push_back(options_.durable_root + "/" +
+                                testbed_->primary_site() + ".wal");
+    }
+    return truth;
+  }
+
+ private:
+  const ScenarioOptions& options_;
+  std::unique_ptr<GeoTestbed> testbed_;
+  std::vector<std::unique_ptr<cache::ClientCache>> caches_;
+  std::vector<std::unique_ptr<GeoClient>> frontends_;
+  std::optional<monitoring::MonitorAggregator> aggregator_;
+  sim::PeriodicHandle aggregator_pump_;
+};
+
+}  // namespace
+
+std::unique_ptr<Deployment> MakeSimDeployment(const ScenarioOptions& options) {
+  return std::make_unique<SimDeployment>(options);
+}
+
+}  // namespace pileus::experiments

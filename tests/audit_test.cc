@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -130,32 +131,39 @@ TEST(AuditScenarioTest, AggregatorPrimedSweepStaysCleanThroughItsDeath) {
 }
 
 TEST(AuditScenarioTest, SameSeedIsReproducible) {
-  ScenarioOptions options;
-  options.seed = 9;
-  options.scenario = FaultScenario::kPartition;
-  options.total_ops = 200;
-  options.durable_root = MakeTempDir();
-  const ScenarioResult first = RunAuditScenario(options);
-  options.durable_root = MakeTempDir();
-  const ScenarioResult second = RunAuditScenario(options);
-  EXPECT_EQ(first.Summary(), second.Summary());
-  ASSERT_EQ(first.history.ops.size(), second.history.ops.size());
-  // Session ids come from a process-global counter, so two runs in one
-  // process assign different raw ids; compare them up to renumbering by
-  // first appearance.
-  std::map<uint64_t, uint64_t> renumber_first;
-  std::map<uint64_t, uint64_t> renumber_second;
-  const auto canonical = [](const core::OpRecord& op,
-                            std::map<uint64_t, uint64_t>& renumber) {
-    core::OpRecord copy = op;
-    copy.session_id =
-        renumber.emplace(op.session_id, renumber.size() + 1).first->second;
-    return audit::DescribeOp(copy);
-  };
-  for (size_t i = 0; i < first.history.ops.size(); ++i) {
-    EXPECT_EQ(canonical(first.history.ops[i], renumber_first),
-              canonical(second.history.ops[i], renumber_second))
-        << "op #" << i;
+  // Both deterministic deployments: the simulator and the tablet fleet on
+  // its ManualClock. (TCP runs on wall-clock time.)
+  for (const DeploymentKind deployment :
+       {DeploymentKind::kSim, DeploymentKind::kTabletFleet}) {
+    ScenarioOptions options;
+    options.deployment = deployment;
+    options.seed = 9;
+    options.scenario = FaultScenario::kPartition;
+    options.total_ops = 200;
+    options.durable_root = MakeTempDir();
+    const ScenarioResult first = RunAuditScenario(options);
+    options.durable_root = MakeTempDir();
+    const ScenarioResult second = RunAuditScenario(options);
+    ASSERT_TRUE(first.setup.ok()) << first.Summary();
+    EXPECT_EQ(first.Summary(), second.Summary());
+    ASSERT_EQ(first.history.ops.size(), second.history.ops.size());
+    // Session ids come from a process-global counter, so two runs in one
+    // process assign different raw ids; compare them up to renumbering by
+    // first appearance.
+    std::map<uint64_t, uint64_t> renumber_first;
+    std::map<uint64_t, uint64_t> renumber_second;
+    const auto canonical = [](const core::OpRecord& op,
+                              std::map<uint64_t, uint64_t>& renumber) {
+      core::OpRecord copy = op;
+      copy.session_id =
+          renumber.emplace(op.session_id, renumber.size() + 1).first->second;
+      return audit::DescribeOp(copy);
+    };
+    for (size_t i = 0; i < first.history.ops.size(); ++i) {
+      EXPECT_EQ(canonical(first.history.ops[i], renumber_first),
+                canonical(second.history.ops[i], renumber_second))
+          << first.Summary() << " op #" << i;
+    }
   }
 }
 
@@ -163,8 +171,8 @@ TEST(AuditScenarioTest, SummaryCitesTheSeedOnFailure) {
   // A summary for a failing report must contain the repro handle. Forge a
   // failing result rather than hunting for a real violation.
   ScenarioResult result;
-  result.seed = 42;
-  result.scenario = FaultScenario::kGray;
+  result.options.seed = 42;
+  result.options.scenario = FaultScenario::kGray;
   result.report.violations.push_back(audit::Violation{
       audit::ViolationType::kStaleStrongRead, 0, audit::kNoRelatedOp, "x"});
   const std::string summary = result.Summary();
@@ -172,6 +180,87 @@ TEST(AuditScenarioTest, SummaryCitesTheSeedOnFailure) {
   EXPECT_NE(summary.find("--seed 42"), std::string::npos) << summary;
   EXPECT_NE(summary.find("gray"), std::string::npos) << summary;
 }
+
+constexpr DeploymentKind kDeployments[] = {
+    DeploymentKind::kSim, DeploymentKind::kTcp, DeploymentKind::kTabletFleet};
+
+TEST(AuditScenarioTest, InvalidSlaOrUnsupportedOptionsFailSetup) {
+  // An invalid SLA on every deployment, then combinations a deployment
+  // cannot express. Each must fail setup and run nothing.
+  std::vector<ScenarioOptions> bad(7);
+  for (size_t i = 0; i < 3; ++i) {
+    bad[i].deployment = kDeployments[i];
+    bad[i].sla = core::Sla();  // No subSLAs: BeginSession rejects it.
+  }
+  bad[3].deployment = DeploymentKind::kTcp;
+  bad[3].scenario = FaultScenario::kPartition;
+  bad[4].deployment = DeploymentKind::kTcp;
+  bad[4].enable_aggregator = true;
+  bad[5].deployment = DeploymentKind::kTabletFleet;
+  bad[5].scenario = FaultScenario::kHandoff;
+  bad[6].coordinator_kill = true;  // On the sim.
+  for (size_t i = 0; i < bad.size(); ++i) {
+    bad[i].durable_root = MakeTempDir();
+    EXPECT_EQ(Supports(bad[i]).ok(), i < 3) << i;
+    const ScenarioResult result = RunAuditScenario(bad[i]);
+    EXPECT_FALSE(result.setup.ok()) << result.Summary();
+    EXPECT_EQ(result.ops_attempted, 0u) << result.Summary();
+    EXPECT_NE(result.Summary().find("FAIL"), std::string::npos);
+    EXPECT_NE(result.Summary().find("setup failed"), std::string::npos);
+  }
+}
+
+// Every deployment x every scenario it supports, at small op counts.
+std::vector<ScenarioOptions> SupportedCases() {
+  std::vector<ScenarioOptions> cases;
+  for (const DeploymentKind deployment : kDeployments) {
+    for (const FaultScenario scenario : AllFaultScenarios()) {
+      ScenarioOptions options;
+      options.deployment = deployment;
+      options.scenario = scenario;
+      if (Supports(options).ok()) {
+        cases.push_back(options);
+      }
+    }
+  }
+  return cases;
+}
+
+std::string CaseName(const ::testing::TestParamInfo<ScenarioOptions>& info) {
+  const char* deployment[] = {"sim", "tcp", "fleet"};
+  std::string name =
+      std::string(deployment[static_cast<int>(info.param.deployment)]) + "_" +
+      std::string(FaultScenarioName(info.param.scenario));
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+class DeploymentScenarioTest
+    : public ::testing::TestWithParam<ScenarioOptions> {};
+
+TEST_P(DeploymentScenarioTest, AuditsClean) {
+  ScenarioOptions options = GetParam();
+  options.seed = 7;
+  options.total_ops = 200;
+  options.key_count = 40;
+  options.durable_root = MakeTempDir();
+  const ScenarioResult result = RunAuditScenario(options);
+  // TCP runs on wall-clock time, so only the verdict is stable there.
+  EXPECT_TRUE(result.ok())
+      << result.Summary() << "\n" << result.report.ToString();
+  if (options.deployment == DeploymentKind::kTcp) {
+    return;
+  }
+  EXPECT_EQ(result.ops_attempted, 200u) << result.Summary();
+  EXPECT_GT(result.acked_writes, 0u) << result.Summary();
+  EXPECT_GT(result.report.claims_checked, 0u) << result.Summary();
+  if (options.deployment == DeploymentKind::kTabletFleet) {
+    EXPECT_GT(result.final_tablets, 2u) << result.Summary();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSupported, DeploymentScenarioTest,
+                         ::testing::ValuesIn(SupportedCases()), CaseName);
 
 // The checker's input (OpRecord claims) and the PR-2 telemetry stream
 // (TraceEvent met_rank/consistency) are emitted by the same client code path;

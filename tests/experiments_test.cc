@@ -1,6 +1,6 @@
 // Unit tests for the experiments module: table rendering, run statistics,
-// preloading, the workload runner's accounting, and the tablet-churn
-// scenario's coordinator-kill mode.
+// preloading, the workload runner's accounting, and the tablet fleet's
+// coordinator-kill mode.
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
@@ -9,7 +9,7 @@
 #include "src/experiments/geo_testbed.h"
 #include "src/experiments/runner.h"
 #include "src/experiments/tables.h"
-#include "src/experiments/tablet_churn.h"
+#include "src/experiments/scenario.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus::experiments {
@@ -151,12 +151,14 @@ TEST(ComparisonTest, BreakdownTableMentionsEveryRank) {
 TEST(TabletChurnTest, CoordinatorKillRecoversWithZeroLoss) {
   char tmpl[] = "/tmp/pileus_churn_kill.XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  TabletChurnOptions options;
+  ScenarioOptions options;
+  options.deployment = DeploymentKind::kTabletFleet;
   options.seed = 3;
   options.total_ops = 400;
+  options.key_count = 120;
   options.coordinator_kill = true;
   options.durable_root = tmpl;
-  const TabletChurnResult result = RunTabletChurnScenario(options);
+  const ScenarioResult result = RunAuditScenario(options);
   ASSERT_TRUE(result.setup.ok()) << result.setup;
   EXPECT_TRUE(result.ok()) << result.Summary();
   EXPECT_GT(result.coordinator_kills, 0u);
@@ -166,10 +168,11 @@ TEST(TabletChurnTest, CoordinatorKillRecoversWithZeroLoss) {
 }
 
 TEST(TabletChurnTest, CoordinatorKillRequiresDurableRoot) {
-  TabletChurnOptions options;
+  ScenarioOptions options;
+  options.deployment = DeploymentKind::kTabletFleet;
   options.coordinator_kill = true;
   options.durable_root = "";
-  const TabletChurnResult result = RunTabletChurnScenario(options);
+  const ScenarioResult result = RunAuditScenario(options);
   EXPECT_FALSE(result.setup.ok());
 }
 

@@ -170,10 +170,11 @@ TEST(GeoTestbedTest, ProbesPopulateMonitorWithoutForegroundTraffic) {
   client->StopProbing();
 }
 
-TEST(GeoTestbedTest, MovePrimaryRetargetsReplicationAndClients) {
+TEST(GeoTestbedTest, TriggerFailoverRetargetsReplicationAndClients) {
   GeoTestbed testbed(FastGeoOptions());
   PreloadKeys(testbed, 10);
-  testbed.MovePrimary(kUs);
+  const Status status = testbed.TriggerFailover(kUs);
+  ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(testbed.primary_site(), kUs);
   testbed.StartReplication();
 

@@ -1,9 +1,8 @@
 // Consistency-audit sweep runner (DESIGN.md "Consistency auditing").
 //
-// Runs seeded random workloads against the simulated geo testbed under
-// scripted fault scenarios, records every client-visible operation, and
-// audits the history offline against the primary's commit order. Every run
-// is reproducible from its printed seed:
+// Runs seeded random workloads under scripted fault scenarios, records every
+// client-visible operation, and audits the history offline against the
+// committed order. Every run is reproducible from its printed seed:
 //
 //   pileus_audit                        # default sweep: 8 seeds x 3 scenarios
 //   pileus_audit --seed 42              # one seed across the scenario list
@@ -13,47 +12,46 @@
 //                                       # with WAL group commit, replication
 //                                       # pulls over TCP (wall-clock time, so
 //                                       # runs are seeded but not bit-exact)
+//   pileus_audit --scenarios tablet-churn   # a splitting, migrating fleet
 //
-// Exits non-zero when any run reports a violation.
+// Exits 2 on a scenario or option the chosen deployment does not support,
+// and 1 when any run reports a violation or a lost acked write.
 
 #include <stdlib.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/experiments/scenario.h"
-#include "src/experiments/tablet_churn.h"
-#include "src/experiments/tcp_scenario.h"
 #include "tools/flags.h"
 
 namespace pileus {
 namespace {
 
+using experiments::DeploymentKind;
 using experiments::FaultScenario;
-using experiments::RunAuditScenario;
-using experiments::RunTabletChurnScenario;
-using experiments::RunTcpAuditScenario;
 using experiments::ScenarioOptions;
 using experiments::ScenarioResult;
-using experiments::TabletChurnOptions;
-using experiments::TabletChurnResult;
 
-std::vector<std::string> SplitCommas(const std::string& list) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= list.size()) {
-    const size_t comma = list.find(',', begin);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > begin) {
-      out.push_back(list.substr(begin, end - begin));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    begin = comma + 1;
+// Prints what a failing run needs for triage: the report, the lost acked
+// writes, and the full op records each violation cites.
+void PrintFailure(const ScenarioResult& result) {
+  std::printf("%s\n", result.report.ToString().c_str());
+  for (const std::string& detail : result.lost_write_details) {
+    std::printf("    %s\n", detail.c_str());
   }
-  return out;
+  for (const auto& violation : result.report.violations) {
+    for (const size_t index :
+         {violation.op_index, violation.related_op_index}) {
+      if (index < result.history.ops.size()) {
+        std::printf("    op #%zu: %s\n", index,
+                    audit::DescribeOp(result.history.ops[index]).c_str());
+      }
+    }
+  }
 }
 
 int Run(int argc, char** argv) {
@@ -103,10 +101,22 @@ int Run(int argc, char** argv) {
     scenario_list =
         tcp ? "none,crash-restart,handoff" : "none,partition,crash-restart";
   }
-  std::vector<FaultScenario> scenarios;
-  bool churn = false;
-  bool churn_kill = false;
-  for (const std::string& name : SplitCommas(scenario_list)) {
+  ScenarioOptions base;
+  base.deployment = tcp ? DeploymentKind::kTcp : DeploymentKind::kSim;
+  base.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
+  base.key_count = static_cast<int>(flags.GetInt("keys"));
+  base.client_cache = flags.GetBool("cache");
+  base.cache_capacity_bytes =
+      static_cast<uint64_t>(flags.GetInt("cache_bytes"));
+  base.enable_aggregator = flags.GetBool("aggregator");
+
+  // Each entry: a run configuration and the directory name its WALs use.
+  std::vector<std::pair<std::string, ScenarioOptions>> configs;
+  std::istringstream names(scenario_list);
+  for (std::string name; std::getline(names, name, ',');) {
+    if (name.empty()) {
+      continue;
+    }
     if (name == "tablet-churn" || name == "tablet-churn-kill") {
       if (tcp) {
         std::fprintf(stderr,
@@ -115,7 +125,20 @@ int Run(int argc, char** argv) {
                      name.c_str());
         return 2;
       }
-      (name == "tablet-churn" ? churn : churn_kill) = true;
+      // Splits, live migrations, and rebalancer rounds run concurrently
+      // with the workload, swept under each sub-fault. The kill variant also
+      // kills the durable coordinator at rotating protocol crash points.
+      for (const FaultScenario fault :
+           {FaultScenario::kNone, FaultScenario::kPartition,
+            FaultScenario::kCrashRestart}) {
+        ScenarioOptions options = base;
+        options.deployment = DeploymentKind::kTabletFleet;
+        options.scenario = fault;
+        options.coordinator_kill = name == "tablet-churn-kill";
+        configs.emplace_back(
+            name + "_" + std::string(experiments::FaultScenarioName(fault)),
+            options);
+      }
       continue;
     }
     const auto scenario = experiments::ParseFaultScenario(name);
@@ -123,18 +146,21 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
       return 2;
     }
-    if (tcp && !experiments::TcpScenarioSupports(*scenario)) {
-      std::fprintf(stderr,
-                   "scenario '%s' is not expressible over the tcp transport "
-                   "(supported: none, crash-restart, handoff)\n",
-                   name.c_str());
-      return 2;
-    }
-    scenarios.push_back(*scenario);
+    ScenarioOptions options = base;
+    options.scenario = *scenario;
+    configs.emplace_back(name, options);
   }
-  if (scenarios.empty() && !churn && !churn_kill) {
+  if (configs.empty()) {
     std::fprintf(stderr, "no scenarios selected\n");
     return 2;
+  }
+  for (const auto& [name, options] : configs) {
+    const Status supported = experiments::Supports(options);
+    if (!supported.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                   supported.message().c_str());
+      return 2;
+    }
   }
 
   std::vector<uint64_t> seeds;
@@ -158,94 +184,18 @@ int Run(int argc, char** argv) {
 
   int failures = 0;
   uint64_t runs = 0;
-  for (const FaultScenario scenario : scenarios) {
+  for (auto& [name, options] : configs) {
     for (const uint64_t seed : seeds) {
-      ScenarioOptions options;
       options.seed = seed;
-      options.scenario = scenario;
-      options.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
-      options.key_count = static_cast<int>(flags.GetInt("keys"));
-      options.client_cache = flags.GetBool("cache");
-      options.cache_capacity_bytes =
-          static_cast<uint64_t>(flags.GetInt("cache_bytes"));
-      options.enable_aggregator = flags.GetBool("aggregator");
       // One subdirectory per run: WALs append, so runs must not share files.
       options.durable_root =
-          durable_root + "/" +
-          std::string(experiments::FaultScenarioName(scenario)) + "_" +
-          std::to_string(seed);
-      const ScenarioResult result =
-          tcp ? RunTcpAuditScenario(options) : RunAuditScenario(options);
+          durable_root + "/" + name + "_" + std::to_string(seed);
+      const ScenarioResult result = experiments::RunAuditScenario(options);
       ++runs;
       std::printf("%s\n", result.Summary().c_str());
       if (!result.ok()) {
         ++failures;
-        std::printf("%s\n", result.report.ToString().c_str());
-        for (const auto& violation : result.report.violations) {
-          if (violation.op_index < result.history.ops.size()) {
-            std::printf(
-                "    op #%zu: %s\n", violation.op_index,
-                audit::DescribeOp(result.history.ops[violation.op_index])
-                    .c_str());
-          }
-          if (violation.related_op_index < result.history.ops.size()) {
-            std::printf(
-                "    op #%zu: %s\n", violation.related_op_index,
-                audit::DescribeOp(result.history.ops[violation.related_op_index])
-                    .c_str());
-          }
-        }
-      }
-    }
-  }
-  if (churn || churn_kill) {
-    // Dynamic-tablet churn: splits, live migrations, and rebalancer rounds
-    // run concurrently with the workload, swept under each sub-fault. The
-    // kill variant additionally runs the coordinator durably and kills it
-    // at rotating protocol crash points mid-operation; a standby recovers
-    // from the intent log (DESIGN.md Section 15).
-    const FaultScenario sub_faults[] = {FaultScenario::kNone,
-                                        FaultScenario::kPartition,
-                                        FaultScenario::kCrashRestart};
-    for (const bool kill : {false, true}) {
-      if (kill ? !churn_kill : !churn) {
-        continue;
-      }
-      const char* variant = kill ? "tablet-churn-kill" : "tablet-churn";
-      for (const FaultScenario fault : sub_faults) {
-        for (const uint64_t seed : seeds) {
-          TabletChurnOptions options;
-          options.seed = seed;
-          options.scenario = fault;
-          options.coordinator_kill = kill;
-          options.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
-          options.key_count = static_cast<int>(flags.GetInt("keys"));
-          options.client_cache = flags.GetBool("cache");
-          options.cache_capacity_bytes =
-              static_cast<uint64_t>(flags.GetInt("cache_bytes"));
-          options.durable_root =
-              durable_root + "/" + variant + "_" +
-              std::string(experiments::FaultScenarioName(fault)) + "_" +
-              std::to_string(seed);
-          const TabletChurnResult result = RunTabletChurnScenario(options);
-          ++runs;
-          std::printf("%s\n", result.Summary().c_str());
-          if (!result.ok()) {
-            ++failures;
-            std::printf("%s\n", result.report.ToString().c_str());
-            for (const auto& detail : result.lost_write_details) {
-              std::printf("    %s\n", detail.c_str());
-            }
-            for (const auto& violation : result.report.violations) {
-              if (violation.op_index < result.history.ops.size()) {
-                std::printf(
-                    "    op #%zu: %s\n", violation.op_index,
-                    audit::DescribeOp(result.history.ops[violation.op_index])
-                        .c_str());
-              }
-            }
-          }
-        }
+        PrintFailure(result);
       }
     }
   }
