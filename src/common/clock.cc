@@ -11,8 +11,10 @@ MicrosecondCount RealClock::NowMicros() const {
 }
 
 RealClock* RealClock::Instance() {
-  static RealClock clock;
-  return &clock;
+  // Never destroyed, like the shared client event loops that read it: those
+  // threads keep running through static destruction at process exit.
+  static RealClock* clock = new RealClock();
+  return clock;
 }
 
 }  // namespace pileus

@@ -106,10 +106,10 @@ class Monitor {
   void RecordLatency(std::string_view node, MicrosecondCount rtt_us);
   void RecordHighTimestamp(std::string_view node, const Timestamp& high);
 
-  // Configuration evidence (Section 6.2): replies piggyback the serving
-  // node's installed config epoch and its primary. Monotonic - a stale epoch
-  // (delayed reply from a demoted node) never rolls the view back. Epoch 0
-  // (unconfigured) is ignored.
+  // Configuration evidence (Section 6.2): replies piggyback the epoch and
+  // primary of the serving node's tablet for the request's key. Monotonic -
+  // a stale epoch (delayed reply from a demoted node) never rolls the view
+  // back. Epoch 0 (unconfigured) is ignored.
   void RecordConfig(uint64_t epoch, std::string_view primary);
 
   // Reachability evidence: successes are normal replies, failures are

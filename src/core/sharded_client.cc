@@ -251,12 +251,15 @@ Result<T> ShardedClient::RouteOp(std::string_view key, Fn&& op) {
       if (result.ok()) {
         return result;
       }
-      // A kWrongTablet fence means the server knows a newer map; in dynamic
-      // mode kUnavailable is worth one refresh too (reads surface a fenced
-      // replica set as plain unavailability). Both spend a retry token.
+      // A kWrongTablet fence means the server knows a newer map, and so
+      // does a kNotPrimary the shard client could not resolve (the new
+      // primary is outside its replica set). In dynamic mode kUnavailable
+      // is worth one refresh too (reads surface a fenced replica set as
+      // plain unavailability). All spend a retry token.
       const StatusCode code = result.status().code();
       const bool refreshable =
           dynamic() && (code == StatusCode::kWrongTablet ||
+                        code == StatusCode::kNotPrimary ||
                         code == StatusCode::kUnavailable);
       if (!refreshable || attempt >= dynamic_.max_map_refresh_attempts) {
         return result;

@@ -18,8 +18,10 @@
 //     matching the paper's manually configured prototype.
 //   - Dynamic (CreateDynamic): shards derive from a versioned
 //     tablets::TabletMap (DESIGN.md Section 14). The server fences requests
-//     that land on a node the current map routes elsewhere (kWrongTablet);
-//     the client reacts by fetching a newer map and retrying, spending the
+//     that land on a node the current map routes elsewhere (kWrongTablet),
+//     and writes at a member that no longer leads the range (kNotPrimary,
+//     when the hinted primary is outside the shard's replica set); the
+//     client reacts by fetching a newer map and retrying, spending the
 //     same retry budget as every other retry path. A dynamic map may have
 //     gaps while the client is behind (a mid-churn map it could only
 //     partially connect to), so lookups can miss: unrouteable keys fail

@@ -368,6 +368,11 @@ GeoTestbed::GeoTestbed(GeoTestbedOptions options)
     sim::SiteId id;
   } kNodeSites[] = {{kUs, us}, {kEngland, england}, {kIndia, india}};
 
+  // One tablet spans the table; StartReconfiguration fills in its config.
+  map_.table = kTableName;
+  map_.tablets.emplace_back();
+  map_.tablets.front().range = KeyRange::All();
+
   nodes_.reserve(3);
   for (const auto& [site, id] : kNodeSites) {
     NodeEntry entry;
@@ -457,9 +462,9 @@ void GeoTestbed::SetRttDelta(const std::string& site_a,
 }
 
 void GeoTestbed::JournalConfig(NodeEntry& entry,
-                               const reconfig::ConfigEpoch& config) {
+                               const tablets::TabletMap& map) {
   if (entry.wal.is_open()) {
-    Status st = entry.wal.AppendConfig(config);
+    Status st = entry.wal.AppendConfig(map.tablets.front().config);
     assert(st.ok());
     (void)st;
   }
@@ -470,49 +475,56 @@ bool GeoTestbed::IsLive(const std::string& site) {
   return entry != nullptr && !entry->crashed && !entry->down;
 }
 
-void GeoTestbed::InstallOnNode(NodeEntry& entry,
-                               const reconfig::ConfigEpoch& config,
-                               MicrosecondCount lease_duration_us) {
+MicrosecondCount GeoTestbed::LeaseDuration() const {
+  return options_.enable_failover ? coordinator_->options().lease_duration_us()
+                                  : 0;
+}
+
+std::optional<proto::TabletMapReply> GeoTestbed::InstallOnNode(
+    NodeEntry& entry, const tablets::TabletMap& map) {
   if (entry.crashed || entry.down || entry.node == nullptr) {
-    return;  // Unreachable; it learns the epoch on recovery or via gossip.
+    return std::nullopt;  // Unreachable; it learns the map on recovery.
   }
-  proto::ConfigRequest request;
+  proto::TabletMapRequest request;
   request.table = kTableName;
   request.install = true;
-  request.config = config;
-  request.lease_duration_us = lease_duration_us;
-  entry.node->Handle(request);
-  JournalConfig(entry, config);
+  request.map = map;
+  request.lease_duration_us = LeaseDuration();
+  proto::Message reply = entry.node->Handle(request);
+  JournalConfig(entry, map);
+  auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
+  if (map_reply == nullptr) {
+    return std::nullopt;
+  }
+  return std::move(*map_reply);
 }
 
 void GeoTestbed::StartReconfiguration() {
   if (coordinator_ == nullptr) {
-    current_config_.epoch = 1;
-    current_config_.primary = primary_site_;
-    current_config_.members.clear();
-    current_config_.sync_members.clear();
+    map_.version = 1;
+    reconfig::ConfigEpoch& config = map_.tablets.front().config;
+    config.epoch = 1;
+    config.primary = primary_site_;
+    config.members.clear();
+    config.sync_members.clear();
     for (const NodeEntry& entry : nodes_) {
-      current_config_.members.push_back(entry.site);
+      config.members.push_back(entry.site);
     }
     // Section 6.4 sync-replica order: England (primary), then US, then
     // India — mirrors the tablet roles the constructor set up.
     if (options_.sync_replica_count >= 2) {
-      current_config_.sync_members.push_back(kUs);
+      config.sync_members.push_back(kUs);
     }
     if (options_.sync_replica_count >= 3) {
-      current_config_.sync_members.push_back(kIndia);
+      config.sync_members.push_back(kIndia);
     }
     reconfig::FailoverCoordinator::Options copts;
     copts.heartbeat_period_us = options_.failover_heartbeat_period_us;
     copts.missed_heartbeats_to_fail = options_.missed_heartbeats_to_fail;
-    copts.sync_member_target =
-        static_cast<int>(current_config_.sync_members.size());
-    coordinator_ = std::make_unique<reconfig::FailoverCoordinator>(
-        current_config_, copts);
-    const MicrosecondCount lease =
-        options_.enable_failover ? copts.lease_duration_us() : 0;
+    copts.sync_member_target = static_cast<int>(config.sync_members.size());
+    coordinator_ = std::make_unique<reconfig::FailoverCoordinator>(copts);
     for (NodeEntry& entry : nodes_) {
-      InstallOnNode(entry, current_config_, lease);
+      InstallOnNode(entry, map_);
     }
     if (options_.metrics != nullptr) {
       epoch_gauge_ = options_.metrics->GetGauge("pileus_reconfig_epoch");
@@ -520,7 +532,7 @@ void GeoTestbed::StartReconfiguration() {
           options_.metrics->GetCounter("pileus_reconfig_failovers_total");
       unavailability_histogram_ = options_.metrics->GetHistogram(
           "pileus_reconfig_crash_to_promotion_us");
-      epoch_gauge_->Set(static_cast<int64_t>(current_config_.epoch));
+      epoch_gauge_->Set(static_cast<int64_t>(config.epoch));
     }
   }
   if (options_.enable_failover && !heartbeat_task_.active()) {
@@ -532,70 +544,40 @@ void GeoTestbed::StartReconfiguration() {
 
 void GeoTestbed::RunHeartbeatRound() {
   const MicrosecondCount now = env_.clock()->NowMicros();
-  const MicrosecondCount lease = coordinator_->options().lease_duration_us();
   for (NodeEntry& entry : nodes_) {
-    if (!current_config_.IsMember(entry.site)) {
+    if (!current_config().IsMember(entry.site)) {
       continue;
     }
-    // The coordinator's heartbeat doubles as the lease renewal: a same-epoch
-    // re-install extends the primary's write lease, and the reply reports
-    // the member's durable WAL tail for promotion ranking.
+    // The coordinator's heartbeat doubles as the lease renewal: a
+    // same-version re-install extends the primary's write lease, and the
+    // reply reports the member's durable WAL tail for promotion ranking.
     if (entry.crashed || entry.down || entry.node == nullptr) {
       coordinator_->OnHeartbeatMiss(entry.site, now);
       continue;
     }
-    proto::ConfigRequest heartbeat;
+    proto::TabletMapRequest heartbeat;
     heartbeat.table = kTableName;
     heartbeat.install = true;
-    heartbeat.config = current_config_;
-    heartbeat.lease_duration_us = lease;
+    heartbeat.map = map_;
+    heartbeat.lease_duration_us = LeaseDuration();
     proto::Message reply = entry.node->Handle(heartbeat);
-    const auto* config_reply = std::get_if<proto::ConfigReply>(&reply);
-    if (config_reply == nullptr) {
+    const auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
+    if (map_reply == nullptr) {
       coordinator_->OnHeartbeatMiss(entry.site, now);
       continue;
     }
     coordinator_->OnHeartbeatAck(entry.site, now,
-                                 config_reply->durable_timestamp);
+                                 map_reply->durable_timestamp);
   }
-  std::optional<reconfig::FailoverCoordinator::Plan> plan =
-      coordinator_->MaybePlanFailover(now);
-  if (plan.has_value()) {
-    Status st = ExecuteFailover(*plan);
+  if (std::optional<tablets::TabletMap> next =
+          coordinator_->MaybePlanFailover(map_)) {
+    Status st = ExecuteFailover(*next);
     if (!st.ok()) {
-      PILEUS_LOG(kWarning) << "failover to " << plan->next.primary
+      PILEUS_LOG(kWarning) << "failover to "
+                           << next->tablets.front().config.primary
                            << " failed: " << st << "; will retry";
     }
   }
-}
-
-reconfig::ConfigEpoch GeoTestbed::NextConfigFor(
-    const std::string& new_primary) {
-  reconfig::ConfigEpoch next;
-  next.epoch = current_config_.epoch + 1;
-  next.primary = new_primary;
-  next.members = current_config_.members;
-  // Keep the sync-set size: surviving sync members stay, the promoted node
-  // leaves the set (it now holds the stronger role), and the demoted
-  // primary — which holds the complete prefix — backfills first.
-  const size_t want = current_config_.sync_members.size();
-  for (const std::string& member : current_config_.sync_members) {
-    if (member != new_primary && IsLive(member)) {
-      next.sync_members.push_back(member);
-    }
-  }
-  auto try_add = [&](const std::string& member) {
-    if (next.sync_members.size() >= want || member == new_primary ||
-        !IsLive(member) || next.IsSyncMember(member)) {
-      return;
-    }
-    next.sync_members.push_back(member);
-  };
-  try_add(current_config_.primary);
-  for (const std::string& member : next.members) {
-    try_add(member);
-  }
-  return next;
 }
 
 Status GeoTestbed::TriggerFailover(const std::string& new_primary_site) {
@@ -612,33 +594,40 @@ Status GeoTestbed::TriggerFailover(const std::string& new_primary_site) {
   if (new_primary_site == primary_site_) {
     return Status::Ok();  // Already holds the role.
   }
-  reconfig::FailoverCoordinator::Plan plan;
-  plan.next = NextConfigFor(new_primary_site);
-  plan.old_primary = current_config_.primary;
-  return ExecuteFailover(plan);
+  // Any live member may backfill the sync set, heartbeats or not.
+  std::optional<tablets::TabletMap> next = coordinator_->PlanMove(
+      map_, new_primary_site,
+      [this](const std::string& site) { return IsLive(site); });
+  if (!next.has_value()) {
+    return Status(StatusCode::kInvalidArgument,
+                  new_primary_site + " is not a member");
+  }
+  return ExecuteFailover(*next);
 }
 
-Status GeoTestbed::ExecuteFailover(
-    const reconfig::FailoverCoordinator::Plan& plan) {
-  NodeEntry* target = FindEntry(plan.next.primary);
+Status GeoTestbed::ExecuteFailover(const tablets::TabletMap& next) {
+  const reconfig::ConfigEpoch& config = next.tablets.front().config;
+  NodeEntry* target = FindEntry(config.primary);
   if (target == nullptr || target->crashed || target->down) {
     return Status(StatusCode::kUnavailable,
-                  "planned primary " + plan.next.primary + " is unreachable");
+                  "planned primary " + config.primary + " is unreachable");
   }
-  const MicrosecondCount lease =
-      options_.enable_failover ? coordinator_->options().lease_duration_us()
-                               : 0;
-  // 1. Promote: the new primary installs the epoch first, so it assigns
+  // 1. Promote: the new primary installs the map first, so it assigns
   //    timestamps above everything it has applied before anyone can route a
-  //    Put at it.
-  InstallOnNode(*target, plan.next, lease);
+  //    Put at it. The install is a successful contact, so detection of the
+  //    new primary starts fresh.
+  if (std::optional<proto::TabletMapReply> reply =
+          InstallOnNode(*target, next)) {
+    coordinator_->OnHeartbeatAck(target->site, env_.clock()->NowMicros(),
+                                 reply->durable_timestamp);
+  }
   // 2. Catch up members that are newly designated sync replicas BEFORE the
   //    install flips their role: a sync replica must hold the complete
   //    committed prefix or strong reads against it would miss writes.
+  const reconfig::ConfigEpoch& old_config = current_config();
   storage::Tablet* primary_tablet = target->node->FindTablet(kTableName, "");
-  for (const std::string& member : plan.next.sync_members) {
-    if (current_config_.IsSyncMember(member) ||
-        member == current_config_.primary) {
+  for (const std::string& member : config.sync_members) {
+    if (old_config.IsSyncMember(member) || member == old_config.primary) {
       continue;  // Already complete (old sync member or demoted primary).
     }
     NodeEntry* entry = FindEntry(member);
@@ -664,26 +653,25 @@ Status GeoTestbed::ExecuteFailover(
     if (&entry == target) {
       continue;
     }
-    InstallOnNode(entry, plan.next, lease);
+    InstallOnNode(entry, next);
   }
   // 4. Commit.
-  NodeEntry* old_primary = FindEntry(plan.old_primary);
-  primary_site_ = plan.next.primary;
-  current_config_ = plan.next;
-  coordinator_->AdoptPlan(plan);
+  NodeEntry* old_primary = FindEntry(old_config.primary);
+  primary_site_ = config.primary;
+  map_ = next;
   ++failovers_;
   if (failover_counter_ != nullptr) {
     failover_counter_->Increment();
   }
   if (epoch_gauge_ != nullptr) {
-    epoch_gauge_->Set(static_cast<int64_t>(current_config_.epoch));
+    epoch_gauge_->Set(static_cast<int64_t>(current_config().epoch));
   }
   if (unavailability_histogram_ != nullptr && old_primary != nullptr &&
       old_primary->crashed && old_primary->crashed_at_us >= 0) {
     unavailability_histogram_->Record(env_.clock()->NowMicros() -
                                       old_primary->crashed_at_us);
   }
-  PILEUS_LOG(kInfo) << "reconfigured: " << current_config_.ToString();
+  PILEUS_LOG(kInfo) << "reconfigured: " << current_config().ToString();
   return Status::Ok();
 }
 
@@ -847,20 +835,22 @@ Status GeoTestbed::RestartNode(const std::string& site) {
                                                   : "");
   }
   if (coordinator_ != nullptr) {
-    // Config-epoch recovery: re-install the last journaled config with an
-    // already-expired lease, so a restarted ex-primary comes back fenced
-    // (it rejects Puts with kNotPrimary) until the coordinator speaks.
+    // Config-epoch recovery: re-install the last journaled config, as the
+    // one-tablet map of that epoch, with an already-expired lease, so a
+    // restarted ex-primary comes back fenced (it rejects Puts with
+    // kNotPrimary) until the coordinator speaks.
     if (recovered_config.has_value()) {
-      entry->node->InstallConfig(*recovered_config, kTableName,
-                                 /*lease_expiry_us=*/1);
+      tablets::TabletMap recovered = map_;
+      recovered.version = recovered_config->epoch;
+      recovered.tablets.front().config = *recovered_config;
+      entry->node->InstallTabletMap(recovered, /*lease_expiry_us=*/1);
     }
-    // Then adopt the live config (a newer epoch demotes a stale ex-primary
-    // to secondary; the same epoch just clears the expired lease).
-    entry->node->InstallConfig(current_config_, kTableName,
-                               /*lease_expiry_us=*/0);
-    JournalConfig(*entry, current_config_);
+    // Then adopt the live map (a newer version demotes a stale ex-primary
+    // to secondary; the same version just clears the expired lease).
+    entry->node->InstallTabletMap(map_, /*lease_expiry_us=*/0);
+    JournalConfig(*entry, map_);
   } else {
-    entry->node->SetPrimaryForTable(kTableName, site == primary_site_);
+    tablet->SetPrimary(site == primary_site_);
   }
   replication::ReplicationAgent::Options agent_options;
   agent_options.table = kTableName;

@@ -29,6 +29,7 @@
 #include "src/sim/fault_injector.h"
 #include "src/sim/sim_environment.h"
 #include "src/storage/storage_node.h"
+#include "src/tablets/tablet_map.h"
 #include "src/telemetry/metrics.h"
 
 namespace pileus::experiments {
@@ -161,23 +162,23 @@ class GeoTestbed {
 
   // --- Live reconfiguration (Section 6.2) ---
 
-  // Installs the initial configuration (epoch 1: the current primary,
-  // members, and sync roles) on every live storage node and, when
-  // GeoTestbedOptions::enable_failover is set, starts the coordinator's
-  // virtual-time heartbeat loop. Idempotent; TriggerFailover calls it
-  // lazily.
+  // Installs the initial one-tablet map (version 1; its tablet at epoch 1
+  // names the current primary, members, and sync roles) on every live
+  // storage node and, when GeoTestbedOptions::enable_failover is set,
+  // starts the coordinator's virtual-time heartbeat loop. Idempotent;
+  // TriggerFailover calls it lazily.
   void StartReconfiguration();
 
-  // Live primary move / manual failover: builds the next config epoch with
-  // `new_primary_site` in the role, promotes it, catches up any newly
-  // designated sync members, and installs the epoch on every reachable
+  // Live primary move / manual failover: edits the map so the tablet's next
+  // epoch has `new_primary_site` in the role, promotes it, catches up any
+  // newly designated sync members, and installs the map on every reachable
   // member (fencing the old primary when it is still alive). Works with or
   // without the heartbeat loop. Fails when the target is crashed or down.
   Status TriggerFailover(const std::string& new_primary_site);
 
-  // The installed configuration (epoch 0 until StartReconfiguration runs).
+  // The table's tablet config (epoch 0 until StartReconfiguration runs).
   const reconfig::ConfigEpoch& current_config() const {
-    return current_config_;
+    return map_.tablets.front().config;
   }
   // Completed failovers/moves (auto-detected and triggered).
   uint64_t failovers() const { return failovers_; }
@@ -216,24 +217,26 @@ class GeoTestbed {
   std::string WalPath(const std::string& site) const;
   // Journals one applied write into the entry's WAL (no-op when closed).
   void JournalVersion(NodeEntry& entry, const proto::ObjectVersion& version);
-  // Journals a config epoch so recovery re-fences a restarted ex-primary.
-  void JournalConfig(NodeEntry& entry, const reconfig::ConfigEpoch& config);
+  // Journals the map's tablet config (WAL config record) so recovery
+  // re-fences a restarted ex-primary.
+  void JournalConfig(NodeEntry& entry, const tablets::TabletMap& map);
 
   // --- Reconfiguration internals ---
   bool IsLive(const std::string& site);
-  // Sends the config (as a ConfigRequest install) to a live node and
-  // journals it. Skips crashed/down nodes.
-  void InstallOnNode(NodeEntry& entry, const reconfig::ConfigEpoch& config,
-                     MicrosecondCount lease_duration_us);
-  // The epoch+1 config for a deliberate move: `new_primary` takes the role,
-  // the demoted primary backfills the sync set when a slot frees up.
-  reconfig::ConfigEpoch NextConfigFor(const std::string& new_primary);
+  // The lease a map install grants (0 without the heartbeat loop).
+  MicrosecondCount LeaseDuration() const;
+  // Sends `map` (as a TabletMapRequest install carrying LeaseDuration()) to
+  // a live node and journals it. Skips crashed/down nodes (nullopt); they
+  // learn the map on recovery.
+  std::optional<proto::TabletMapReply> InstallOnNode(
+      NodeEntry& entry, const tablets::TabletMap& map);
   // One coordinator heartbeat round: renew leases on live members, feed the
-  // detector, and execute any promotion plan it produces.
+  // detector, and execute any map edit it proposes.
   void RunHeartbeatRound();
-  // Fences, promotes, catches up new sync members, installs everywhere,
-  // and commits the plan (shared by auto-detection and TriggerFailover).
-  Status ExecuteFailover(const reconfig::FailoverCoordinator::Plan& plan);
+  // Promotes, catches up new sync members, installs `next` everywhere
+  // (fencing the old primary), and commits it (shared by auto-detection
+  // and TriggerFailover).
+  Status ExecuteFailover(const tablets::TabletMap& next);
 
   GeoTestbedOptions options_;
   sim::SimEnvironment env_;
@@ -243,8 +246,9 @@ class GeoTestbed {
   sim::SiteId china_site_ = -1;
   uint64_t replication_rounds_ = 0;
 
-  // Live reconfiguration state (set up by StartReconfiguration).
-  reconfig::ConfigEpoch current_config_;
+  // Live reconfiguration state: the table's one-tablet map (installed by
+  // StartReconfiguration; version and epoch 0 until then).
+  tablets::TabletMap map_;
   std::unique_ptr<reconfig::FailoverCoordinator> coordinator_;
   sim::PeriodicHandle heartbeat_task_;
   uint64_t failovers_ = 0;

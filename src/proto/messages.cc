@@ -11,7 +11,7 @@ namespace {
 // trailer so corrupted frames are rejected deterministically instead of
 // decoding into garbage field values. Version 3 added the configuration
 // piggyback (config_epoch + primary_hint) to data-path replies and the
-// ConfigRequest/ConfigReply control-plane pair (Section 6.2). Version 4
+// table-wide config install/query pair (Section 6.2). Version 4
 // added the admission-control fields: tenant/deadline/utility context on
 // data-path requests, queue_delay_us on data-path replies, and the
 // retry_after_ms hint on ErrorReply (DESIGN.md Section 11). Version 5
@@ -20,8 +20,11 @@ namespace {
 // Section 12). Version 6 added the dynamic-tablet control plane: the
 // TabletMapRequest/TabletMapReply pair, the optional key-range filter on
 // SyncRequest (migration catch-up pulls), and the map_version hint on
-// ErrorReply for kWrongTablet fences (DESIGN.md Section 14).
-constexpr uint8_t kWireVersion = 6;
+// ErrorReply for kWrongTablet fences (DESIGN.md Section 14). Version 7
+// retired the table-wide config install pair (tags 19/20): failover installs
+// tablet maps, so TabletMapRequest gained the write lease and TabletMapReply
+// the durable timestamp that ranks promotion candidates.
+constexpr uint8_t kWireVersion = 7;
 
 // Varint-encoded microsecond counts (deadlines, queue delays) share one
 // decode path so every site gets the same overflow check.
@@ -206,20 +209,6 @@ void EncodeBody(Encoder& enc, const ErrorReply& m) {
   enc.PutVarint64(m.map_version);
 }
 
-void EncodeBody(Encoder& enc, const ConfigRequest& m) {
-  enc.PutLengthPrefixed(m.table);
-  enc.PutBool(m.install);
-  reconfig::EncodeConfigEpoch(enc, m.config);
-  enc.PutVarint64(static_cast<uint64_t>(m.lease_duration_us));
-}
-
-void EncodeBody(Encoder& enc, const ConfigReply& m) {
-  enc.PutBool(m.accepted);
-  reconfig::EncodeConfigEpoch(enc, m.config);
-  enc.PutTimestamp(m.durable_timestamp);
-  enc.PutTimestamp(m.high_timestamp);
-}
-
 void EncodeBody(Encoder& enc, const MonitorReport& m) {
   enc.PutLengthPrefixed(m.reporter);
   enc.PutVarint64(m.seq);
@@ -246,12 +235,14 @@ void EncodeBody(Encoder& enc, const TabletMapRequest& m) {
   enc.PutBool(m.install);
   tablets::EncodeTabletMap(enc, m.map);
   enc.PutLengthPrefixed(m.split_key);
+  enc.PutVarint64(static_cast<uint64_t>(m.lease_duration_us));
 }
 
 void EncodeBody(Encoder& enc, const TabletMapReply& m) {
   enc.PutBool(m.accepted);
   enc.PutBool(m.has_map);
   tablets::EncodeTabletMap(enc, m.map);
+  enc.PutTimestamp(m.durable_timestamp);
 }
 
 Status DecodeBody(Decoder& dec, GetRequest* m) {
@@ -440,26 +431,6 @@ Status DecodeBody(Decoder& dec, ErrorReply* m) {
   return dec.GetVarint64(&m->map_version);
 }
 
-Status DecodeBody(Decoder& dec, ConfigRequest* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->table));
-  PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->install));
-  PILEUS_RETURN_IF_ERROR(reconfig::DecodeConfigEpoch(dec, &m->config));
-  uint64_t lease;
-  PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&lease));
-  if (lease > static_cast<uint64_t>(INT64_MAX)) {
-    return Status(StatusCode::kCorruption, "lease duration overflow");
-  }
-  m->lease_duration_us = static_cast<MicrosecondCount>(lease);
-  return Status::Ok();
-}
-
-Status DecodeBody(Decoder& dec, ConfigReply* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->accepted));
-  PILEUS_RETURN_IF_ERROR(reconfig::DecodeConfigEpoch(dec, &m->config));
-  PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&m->durable_timestamp));
-  return dec.GetTimestamp(&m->high_timestamp);
-}
-
 Status DecodeBody(Decoder& dec, MonitorReport* m) {
   PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->reporter));
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&m->seq));
@@ -491,13 +462,15 @@ Status DecodeBody(Decoder& dec, TabletMapRequest* m) {
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&m->have_version));
   PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->install));
   PILEUS_RETURN_IF_ERROR(tablets::DecodeTabletMap(dec, &m->map));
-  return dec.GetLengthPrefixedString(&m->split_key);
+  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->split_key));
+  return DecodeMicros(dec, &m->lease_duration_us);
 }
 
 Status DecodeBody(Decoder& dec, TabletMapReply* m) {
   PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->accepted));
   PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->has_map));
-  return tablets::DecodeTabletMap(dec, &m->map);
+  PILEUS_RETURN_IF_ERROR(tablets::DecodeTabletMap(dec, &m->map));
+  return dec.GetTimestamp(&m->durable_timestamp);
 }
 
 template <typename T>
@@ -553,10 +526,6 @@ MessageType TypeOf(const Message& message) {
           return MessageType::kStatsRequest;
         } else if constexpr (std::is_same_v<T, StatsReply>) {
           return MessageType::kStatsReply;
-        } else if constexpr (std::is_same_v<T, ConfigRequest>) {
-          return MessageType::kConfigRequest;
-        } else if constexpr (std::is_same_v<T, ConfigReply>) {
-          return MessageType::kConfigReply;
         } else if constexpr (std::is_same_v<T, MonitorReport>) {
           return MessageType::kMonitorReport;
         } else if constexpr (std::is_same_v<T, DigestSubscribe>) {
@@ -634,10 +603,6 @@ std::string_view MessageTypeName(MessageType type) {
       return "StatsRequest";
     case MessageType::kStatsReply:
       return "StatsReply";
-    case MessageType::kConfigRequest:
-      return "ConfigRequest";
-    case MessageType::kConfigReply:
-      return "ConfigReply";
     case MessageType::kMonitorReport:
       return "MonitorReport";
     case MessageType::kDigestSubscribe:
@@ -731,10 +696,6 @@ Result<Message> DecodeMessage(std::string_view bytes) {
       return DecodeInto<StatsRequest>(dec);
     case MessageType::kStatsReply:
       return DecodeInto<StatsReply>(dec);
-    case MessageType::kConfigRequest:
-      return DecodeInto<ConfigRequest>(dec);
-    case MessageType::kConfigReply:
-      return DecodeInto<ConfigReply>(dec);
     case MessageType::kMonitorReport:
       return DecodeInto<MonitorReport>(dec);
     case MessageType::kDigestSubscribe:

@@ -57,8 +57,8 @@ enum class MessageType : uint8_t {
   kDeleteRequest = 16,  // Replied to with a PutReply (a delete is a write).
   kStatsRequest = 17,
   kStatsReply = 18,
-  kConfigRequest = 19,
-  kConfigReply = 20,
+  // 19 and 20 are retired: they carried the table-wide config install,
+  // which failover replaced with tablet-map installs. Decoders reject them.
   kMonitorReport = 21,
   kDigestSubscribe = 22,
   kDigestPush = 23,
@@ -104,9 +104,9 @@ struct GetReply {
   Timestamp high_timestamp;        // Node's high timestamp (Section 4.3).
   bool served_by_primary = false;  // Lets clients skip redundant strong reads
                                    // (Section 2.3 speculative pattern).
-  // Configuration piggyback (Section 6.2): the serving node's installed
-  // config epoch and that config's primary. 0/empty when the node never
-  // installed a config (legacy static placement).
+  // Configuration piggyback (Section 6.2): the epoch and primary of the
+  // tablet that owns the key in the serving node's installed tablet map.
+  // 0/empty when the node never installed a map (legacy static placement).
   uint64_t config_epoch = 0;
   std::string primary_hint;
   // Server-measured admission queue delay at serve time: how far behind its
@@ -129,8 +129,8 @@ struct PutRequest {
 struct PutReply {
   Timestamp timestamp;       // Update timestamp assigned by the primary.
   Timestamp high_timestamp;  // Primary's high timestamp after the Put.
-  uint64_t config_epoch = 0;  // Installed config epoch (0 = unconfigured).
-  std::string primary_hint;   // That config's primary.
+  uint64_t config_epoch = 0;  // Owning tablet's epoch (0 = no map).
+  std::string primary_hint;   // That tablet's primary.
   MicrosecondCount queue_delay_us = 0;  // Admission queue delay at serve time.
 };
 
@@ -141,8 +141,8 @@ struct ProbeRequest {
 struct ProbeReply {
   Timestamp high_timestamp;
   bool is_primary = false;
-  uint64_t config_epoch = 0;  // Installed config epoch (0 = unconfigured).
-  std::string primary_hint;   // That config's primary.
+  uint64_t config_epoch = 0;  // Owning tablet's epoch (0 = no map).
+  std::string primary_hint;   // That tablet's primary.
   // Current admission queue delay for the probed table's bucket, so monitors
   // learn about building pressure even between data-path replies.
   MicrosecondCount queue_delay_us = 0;
@@ -167,8 +167,8 @@ struct SyncReply {
   // when `versions` is empty (idle-primary heartbeat, Section 4.3).
   Timestamp heartbeat;
   bool has_more = false;
-  uint64_t config_epoch = 0;  // Installed config epoch (0 = unconfigured).
-  std::string primary_hint;   // That config's primary.
+  uint64_t config_epoch = 0;  // Owning tablet's epoch (0 = no map).
+  std::string primary_hint;   // That tablet's primary.
 };
 
 struct GetAtRequest {
@@ -202,9 +202,9 @@ struct CommitReply {
 struct ErrorReply {
   StatusCode code = StatusCode::kInternal;
   std::string message;
-  // For kNotPrimary the epoch and primary of the node's installed config:
-  // enough for the client to redirect the write without a directory lookup.
-  // 0/empty on other errors or when the node never installed a config.
+  // For kNotPrimary the epoch and primary of the key's tablet in the node's
+  // installed map: enough for the client to redirect the write without a
+  // directory lookup. 0/empty on other errors or when no map is installed.
   uint64_t config_epoch = 0;
   std::string primary_hint;
   // For kOverloaded: how long the shedding node expects to need before its
@@ -245,8 +245,8 @@ struct RangeReply {
   // the tablets that served it.
   Timestamp high_timestamp;
   bool served_by_primary = false;
-  uint64_t config_epoch = 0;  // Installed config epoch (0 = unconfigured).
-  std::string primary_hint;   // That config's primary.
+  uint64_t config_epoch = 0;  // Owning tablet's epoch (0 = no map).
+  std::string primary_hint;   // That tablet's primary.
   MicrosecondCount queue_delay_us = 0;  // Admission queue delay at serve time.
 };
 
@@ -260,30 +260,6 @@ struct StatsRequest {
 
 struct StatsReply {
   std::string text;  // Rendered export in the requested format.
-};
-
-// Reconfiguration control plane (Section 6.2). A query reports the node's
-// installed config; an install asks it to adopt `config` (accepted when the
-// epoch is not older than the installed one - re-installing the current
-// epoch renews the primary's lease without touching roles). The coordinator
-// heartbeats members with installs and uses the replies' durable timestamps
-// to pick promotion targets.
-struct ConfigRequest {
-  std::string table;
-  bool install = false;
-  reconfig::ConfigEpoch config;  // Meaningful only for installs.
-  // Write lease granted to the config's primary, measured from receipt.
-  // 0 = no lease (the role never self-fences; used without a coordinator).
-  MicrosecondCount lease_duration_us = 0;
-};
-
-struct ConfigReply {
-  bool accepted = false;         // Install adopted (queries always accept).
-  reconfig::ConfigEpoch config;  // The node's installed config (post-op).
-  // Newest update timestamp this node has durably applied; drives the
-  // coordinator's promotion choice (highest durable tail wins).
-  Timestamp durable_timestamp;
-  Timestamp high_timestamp;
 };
 
 // Shared-monitoring control plane (DESIGN.md Section 12, paper Section 6.1).
@@ -322,9 +298,15 @@ struct TabletMapRequest {
   std::string table;
   uint64_t have_version = 0;
   // Install request (coordinator → storage node): adopt `map` when it is not
-  // older than the installed one. Queries leave this false.
+  // older than the installed one. Queries leave this false. A same-version
+  // re-install is how a failover coordinator heartbeats (Section 6.2).
   bool install = false;
   tablets::TabletMap map;  // Meaningful only for installs.
+  // Write lease granted with an accepted install to a node that leads a
+  // tablet in `map`, measured from receipt; a re-install renews it. Past it
+  // the node answers writes with kNotPrimary. 0 = no lease (the role never
+  // self-fences; used without a failover coordinator).
+  MicrosecondCount lease_duration_us = 0;
   // Admin verb (pileus_cli): when non-empty, split the hosted tablet
   // containing this key before answering. Purely local — a
   // coordinator-managed fleet splits through its coordinator instead, which
@@ -340,6 +322,10 @@ struct TabletMapReply {
   // is then default-constructed).
   bool has_map = false;
   tablets::TabletMap map;
+  // Newest update timestamp this node has durably applied across the
+  // table's tablets; drives the failover coordinator's promotion choice
+  // (highest durable tail wins).
+  Timestamp durable_timestamp;
 };
 
 using Message =
@@ -347,17 +333,17 @@ using Message =
                  ProbeReply, SyncRequest, SyncReply, GetAtRequest, GetAtReply,
                  CommitRequest, CommitReply, ErrorReply, RangeRequest,
                  RangeReply, DeleteRequest, StatsRequest, StatsReply,
-                 ConfigRequest, ConfigReply, MonitorReport, DigestSubscribe,
-                 DigestPush, TabletMapRequest, TabletMapReply>;
+                 MonitorReport, DigestSubscribe, DigestPush, TabletMapRequest,
+                 TabletMapReply>;
 
 MessageType TypeOf(const Message& message);
 std::string_view MessageTypeName(MessageType type);
 
 // True for request types admission control governs (Get / GetAt / Range /
-// Put / Delete / Commit). Control traffic — probes, sync pulls, config,
-// stats — is exempt, so monitoring and replication keep working while a node
-// sheds load. Fault-injecting transports use this to decide which messages
-// an overload rule may shed (DESIGN.md Section 11).
+// Put / Delete / Commit). Control traffic — probes, sync pulls, map
+// installs, stats — is exempt, so monitoring and replication keep working
+// while a node sheds load. Fault-injecting transports use this to decide
+// which messages an overload rule may shed (DESIGN.md Section 11).
 bool IsDataPathRequest(const Message& message);
 
 // The rejection an overloaded node answers a shed request with.

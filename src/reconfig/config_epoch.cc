@@ -60,6 +60,30 @@ std::string ConfigEpoch::ToString() const {
   return os.str();
 }
 
+ConfigEpoch NextEpoch(
+    const ConfigEpoch& current, const std::string& new_primary,
+    size_t sync_target,
+    const std::function<bool(const std::string&)>& reachable) {
+  ConfigEpoch next;
+  next.epoch = current.epoch + 1;
+  next.primary = new_primary;
+  next.members = current.members;
+  auto try_add = [&](const std::string& member) {
+    if (next.sync_members.size() < sync_target && member != new_primary &&
+        !next.IsSyncMember(member) && reachable(member)) {
+      next.sync_members.push_back(member);
+    }
+  };
+  for (const std::string& member : current.sync_members) {
+    try_add(member);
+  }
+  try_add(current.primary);
+  for (const std::string& member : current.members) {
+    try_add(member);
+  }
+  return next;
+}
+
 void EncodeConfigEpoch(Encoder& enc, const ConfigEpoch& config) {
   enc.PutVarint64(config.epoch);
   enc.PutLengthPrefixed(config.primary);

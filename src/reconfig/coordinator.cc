@@ -4,19 +4,12 @@
 
 namespace pileus::reconfig {
 
-FailoverCoordinator::FailoverCoordinator(ConfigEpoch initial, Options options)
-    : config_(std::move(initial)), options_(options) {
-  for (const std::string& member : config_.members) {
-    health_.emplace(member, MemberHealth{});
-  }
-}
-
 void FailoverCoordinator::OnHeartbeatAck(const std::string& node,
                                          MicrosecondCount now_us,
                                          const Timestamp& durable_timestamp) {
+  (void)now_us;
   MemberHealth& health = health_[node];
   health.consecutive_misses = 0;
-  health.last_ack_us = now_us;
   health.durable = MaxTimestamp(health.durable, durable_timestamp);
   health.ever_acked = true;
 }
@@ -33,99 +26,72 @@ bool FailoverCoordinator::Reachable(const std::string& node) const {
          it->second.consecutive_misses == 0;
 }
 
-ConfigEpoch FailoverCoordinator::NextConfig(
-    const std::string& new_primary) const {
-  ConfigEpoch next;
-  next.epoch = config_.epoch + 1;
-  next.primary = new_primary;
-  next.members = config_.members;
-  // Sync members: prefer survivors that already hold the role (no catch-up
-  // needed), then fill with the freshest reachable members. Membership order
-  // breaks ties so the choice is deterministic.
-  std::vector<std::string> candidates;
-  for (const std::string& member : config_.members) {
-    if (member != new_primary && Reachable(member)) {
-      candidates.push_back(member);
+std::optional<tablets::TabletMap> FailoverCoordinator::MaybePlanFailover(
+    const tablets::TabletMap& current) const {
+  tablets::TabletMap next = current;
+  bool changed = false;
+  for (tablets::TabletInfo& tablet : next.tablets) {
+    const ConfigEpoch& config = tablet.config;
+    auto primary_health = health_.find(config.primary);
+    if (primary_health == health_.end() ||
+        primary_health->second.consecutive_misses <
+            options_.missed_heartbeats_to_fail) {
+      continue;
     }
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [this](const std::string& a, const std::string& b) {
-                     const bool a_sync = config_.IsSyncMember(a);
-                     const bool b_sync = config_.IsSyncMember(b);
-                     if (a_sync != b_sync) {
-                       return a_sync;
-                     }
-                     return health_.at(a).durable > health_.at(b).durable;
-                   });
-  const size_t want =
-      config_.sync_members.empty()
-          ? 0
-          : static_cast<size_t>(std::max(0, options_.sync_member_target));
-  for (const std::string& candidate : candidates) {
-    if (next.sync_members.size() >= want) {
-      break;
+    // Promotion choice: the reachable member with the highest durable update
+    // timestamp loses nothing that was ever acked (a sync member holds the
+    // complete committed prefix, so it naturally wins).
+    const std::string* best = nullptr;
+    Timestamp best_durable = Timestamp::Zero();
+    for (const std::string& member : config.members) {
+      if (member == config.primary || !Reachable(member)) {
+        continue;
+      }
+      const Timestamp& durable = health_.at(member).durable;
+      if (best == nullptr || durable > best_durable ||
+          (durable == best_durable && config.IsSyncMember(member) &&
+           !config.IsSyncMember(*best))) {
+        best = &member;
+        best_durable = durable;
+      }
     }
-    next.sync_members.push_back(candidate);
+    if (best == nullptr) {
+      continue;  // Nobody to promote; retry after the next round.
+    }
+    const size_t sync_target =
+        config.sync_members.empty()
+            ? 0
+            : static_cast<size_t>(std::max(0, options_.sync_member_target));
+    tablet.config =
+        NextEpoch(config, *best, sync_target,
+                  [this](const std::string& node) { return Reachable(node); });
+    changed = true;
   }
+  if (!changed) {
+    return std::nullopt;
+  }
+  ++next.version;
   return next;
 }
 
-std::optional<FailoverCoordinator::Plan> FailoverCoordinator::MaybePlanFailover(
-    MicrosecondCount now_us) {
-  (void)now_us;
-  auto primary_health = health_.find(config_.primary);
-  if (primary_health == health_.end() ||
-      primary_health->second.consecutive_misses <
-          options_.missed_heartbeats_to_fail) {
-    return std::nullopt;
-  }
-  // Promotion choice: the reachable member with the highest durable update
-  // timestamp loses nothing that was ever acked (a sync member holds the
-  // complete committed prefix, so it naturally wins).
-  const std::string* best = nullptr;
-  Timestamp best_durable = Timestamp::Zero();
-  for (const std::string& member : config_.members) {
-    if (member == config_.primary || !Reachable(member)) {
+std::optional<tablets::TabletMap> FailoverCoordinator::PlanMove(
+    const tablets::TabletMap& current, const std::string& target,
+    const std::function<bool(const std::string&)>& reachable) const {
+  tablets::TabletMap next = current;
+  bool changed = false;
+  for (tablets::TabletInfo& tablet : next.tablets) {
+    if (!tablet.config.IsMember(target) || tablet.config.primary == target) {
       continue;
     }
-    const MemberHealth& health = health_.at(member);
-    if (best == nullptr || health.durable > best_durable ||
-        (health.durable == best_durable && config_.IsSyncMember(member) &&
-         !config_.IsSyncMember(*best))) {
-      best = &member;
-      best_durable = health.durable;
-    }
+    tablet.config = NextEpoch(tablet.config, target,
+                              tablet.config.sync_members.size(), reachable);
+    changed = true;
   }
-  if (best == nullptr) {
-    return std::nullopt;  // Nobody to promote; retry after the next round.
-  }
-  Plan plan;
-  plan.next = NextConfig(*best);
-  plan.old_primary = config_.primary;
-  plan.promoted_from = best_durable;
-  return plan;
-}
-
-std::optional<FailoverCoordinator::Plan> FailoverCoordinator::PlanMove(
-    const std::string& target) {
-  if (!config_.IsMember(target) || target == config_.primary) {
+  if (!changed) {
     return std::nullopt;
   }
-  Plan plan;
-  plan.next = NextConfig(target);
-  plan.old_primary = config_.primary;
-  auto it = health_.find(target);
-  plan.promoted_from = it == health_.end() ? Timestamp::Zero()
-                                           : it->second.durable;
-  return plan;
-}
-
-void FailoverCoordinator::AdoptPlan(const Plan& plan) {
-  config_ = plan.next;
-  ++failovers_;
-  // The new primary starts the epoch with a clean bill of health; members
-  // keep their miss counts so a second failure is detected promptly.
-  health_[config_.primary].consecutive_misses = 0;
+  ++next.version;
+  return next;
 }
 
 }  // namespace pileus::reconfig

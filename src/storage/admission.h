@@ -41,7 +41,7 @@
 namespace pileus::storage {
 
 // What kind of work a request represents, for shedding priority. Control
-// traffic (probes, sync pulls, config installs, stats) is never admitted
+// traffic (probes, sync pulls, map installs, stats) is never admitted
 // through the controller at all: monitoring and replication must survive
 // overload or the system can neither observe nor drain the backlog.
 enum class AdmitClass {

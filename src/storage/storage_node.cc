@@ -20,7 +20,7 @@ proto::Message MakeError(const Status& status) {
 }
 
 // The table a request addresses, empty for messages without one (replies,
-// stats). Used to look up the installed config for reply stamping.
+// stats). Used to look up the installed map for reply stamping.
 std::string_view TableOf(const proto::Message& request) {
   return std::visit(
       [](const auto& m) -> std::string_view {
@@ -28,6 +28,33 @@ std::string_view TableOf(const proto::Message& request) {
           return m.table;
         } else {
           return {};
+        }
+      },
+      request);
+}
+
+// The key whose tablet a request's reply speaks for: the key itself, a
+// scan's first key, a ranged pull's first key, a commit's first write.
+// nullopt for keyless requests (probes, whole-table pulls).
+std::optional<std::string_view> KeyOf(const proto::Message& request) {
+  if (const auto* range = std::get_if<proto::RangeRequest>(&request)) {
+    return range->begin;
+  }
+  if (const auto* sync = std::get_if<proto::SyncRequest>(&request)) {
+    return sync->has_range ? std::optional<std::string_view>(sync->range_begin)
+                           : std::nullopt;
+  }
+  if (const auto* commit = std::get_if<proto::CommitRequest>(&request)) {
+    return commit->writes.empty()
+               ? std::nullopt
+               : std::optional<std::string_view>(commit->writes.front().key);
+  }
+  return std::visit(
+      [](const auto& m) -> std::optional<std::string_view> {
+        if constexpr (requires { m.key; }) {
+          return m.key;
+        } else {
+          return std::nullopt;
         }
       },
       request);
@@ -59,49 +86,10 @@ Status StorageNode::AddTablet(std::string_view table,
   return Status::Ok();
 }
 
-void StorageNode::SetPrimaryForTable(std::string_view table, bool is_primary) {
+bool StorageNode::InstallTabletMap(const tablets::TabletMap& map,
+                                   MicrosecondCount lease_expiry_us) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tablets_.find(table);
-  if (it == tablets_.end()) {
-    return;
-  }
-  for (auto& tablet : it->second) {
-    tablet->SetPrimary(is_primary);
-  }
-}
-
-void StorageNode::SetSyncReplicaForTable(std::string_view table,
-                                         bool is_sync) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tablets_.find(table);
-  if (it == tablets_.end()) {
-    return;
-  }
-  for (auto& tablet : it->second) {
-    tablet->SetSyncReplica(is_sync);
-  }
-}
-
-void StorageNode::InstallConfig(const reconfig::ConfigEpoch& config,
-                                std::string_view table,
-                                MicrosecondCount lease_expiry_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InstallConfigLocked(config, table, lease_expiry_us);
-}
-
-std::optional<reconfig::ConfigEpoch> StorageNode::InstalledConfig(
-    std::string_view table) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = configs_.find(table);
-  if (it == configs_.end()) {
-    return std::nullopt;
-  }
-  return it->second.config;
-}
-
-bool StorageNode::InstallTabletMap(const tablets::TabletMap& map) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return InstallTabletMapLocked(map);
+  return InstallTabletMapLocked(map, lease_expiry_us);
 }
 
 std::optional<tablets::TabletMap> StorageNode::InstalledTabletMap(
@@ -111,15 +99,16 @@ std::optional<tablets::TabletMap> StorageNode::InstalledTabletMap(
   if (it == tablet_maps_.end()) {
     return std::nullopt;
   }
-  return it->second;
+  return it->second.map;
 }
 
-bool StorageNode::InstallTabletMapLocked(const tablets::TabletMap& map) {
+bool StorageNode::InstallTabletMapLocked(const tablets::TabletMap& map,
+                                         MicrosecondCount lease_expiry_us) {
   if (map.version == 0 || !map.Validate().ok()) {
     return false;
   }
   auto it = tablet_maps_.find(map.table);
-  if (it != tablet_maps_.end() && map.version < it->second.version) {
+  if (it != tablet_maps_.end() && map.version < it->second.map.version) {
     return false;  // Stale map: a fenced coordinator or delayed install.
   }
   // Coordinator-epoch fence (DESIGN.md Section 15): once a map from
@@ -127,17 +116,14 @@ bool StorageNode::InstallTabletMapLocked(const tablets::TabletMap& map) {
   // (non-legacy) epoch is refused outright — version monotonicity alone
   // cannot fence it, because both coordinators mint plausible versions.
   if (it != tablet_maps_.end() && map.coordinator_epoch != 0 &&
-      map.coordinator_epoch < it->second.coordinator_epoch) {
+      map.coordinator_epoch < it->second.map.coordinator_epoch) {
     return false;
   }
-  if (it == tablet_maps_.end()) {
-    tablet_maps_.emplace(map.table, map);
-  } else {
-    it->second = map;
-  }
+  tablet_maps_[map.table] = InstalledMap{map, lease_expiry_us};
   // Roles follow the map immediately, including on a same-version
-  // re-install (idempotent): the migration cutover relies on the source
-  // being demoted the instant it adopts the map that moves its range.
+  // re-install (idempotent, so a lease renewal leaves tablets alone): the
+  // migration cutover and a failover rely on the old primary being demoted
+  // the instant it adopts the map that moves its range.
   ApplyTabletMapRolesLocked(map);
   RefreshTabletGaugesLocked();
   return true;
@@ -165,25 +151,77 @@ std::optional<proto::Message> StorageNode::CheckTabletRoutingLocked(
   if (it == tablet_maps_.end()) {
     return std::nullopt;  // No map installed: static placement decides.
   }
-  const tablets::TabletMap& map = it->second;
-  const tablets::TabletInfo* entry = map.OwnerOf(key);
+  const InstalledMap& installed = it->second;
+  const tablets::TabletInfo* entry = installed.map.OwnerOf(key);
   if (entry == nullptr) {
     return std::nullopt;  // Map does not cover the key; fall through.
   }
-  const bool member = entry->config.IsMember(name_);
-  if (member && (!write || entry->config.primary == name_)) {
+  const reconfig::ConfigEpoch& config = entry->config;
+  proto::ErrorReply err;
+  if (!config.IsMember(name_)) {
+    err.code = StatusCode::kWrongTablet;
+    err.message = "tablet " + entry->range.ToString() +
+                  " is not served by node " + name_;
+    err.map_version = installed.map.version;
+  } else if (!write) {
+    return std::nullopt;
+  } else if (config.primary != name_) {
+    err.code = StatusCode::kNotPrimary;
+    err.message = "node " + name_ + " is not the primary of tablet " +
+                  entry->range.ToString() + " in epoch " +
+                  std::to_string(config.epoch);
+  } else if (installed.lease_expiry_us != 0 &&
+             clock_->NowMicros() >= installed.lease_expiry_us) {
+    // The coordinator may already have promoted someone else; refusing here
+    // is what makes that promotion safe (self-fencing).
+    err.code = StatusCode::kNotPrimary;
+    err.message = "node " + name_ + " holds an expired lease on tablet " +
+                  entry->range.ToString() + " in epoch " +
+                  std::to_string(config.epoch);
+  } else {
     return std::nullopt;
   }
-  proto::ErrorReply err;
-  err.code = StatusCode::kWrongTablet;
-  err.message = member ? "tablet " + entry->range.ToString() +
-                             " writes go to primary " + entry->config.primary
-                       : "tablet " + entry->range.ToString() +
-                             " is not served by node " + name_;
-  err.config_epoch = entry->config.epoch;
-  err.primary_hint = entry->config.primary;
-  err.map_version = map.version;
+  err.config_epoch = config.epoch;
+  err.primary_hint = config.primary;
   return proto::Message(std::move(err));
+}
+
+void StorageNode::StampPlacementLocked(const proto::Message& request,
+                                       proto::Message& reply) const {
+  auto it = tablet_maps_.find(TableOf(request));
+  if (it == tablet_maps_.end()) {
+    return;
+  }
+  // A keyless request (a probe, a whole-table pull) is stamped only when a
+  // single tablet spans the table: with several, no one entry speaks for
+  // the node, and a client must not learn one tablet's primary for another.
+  const tablets::TabletMap& map = it->second.map;
+  const std::optional<std::string_view> key = KeyOf(request);
+  const tablets::TabletInfo* entry =
+      key.has_value()           ? map.OwnerOf(*key)
+      : map.tablets.size() == 1 ? &map.tablets.front()
+                                : nullptr;
+  if (entry == nullptr) {
+    return;
+  }
+  const reconfig::ConfigEpoch& config = entry->config;
+  std::visit(
+      [&config](auto& m) {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, proto::ErrorReply>) {
+          // Only a kNotPrimary rejection carries the redirect hint; other
+          // errors say nothing about placement (a kWrongTablet fence already
+          // carries its own).
+          if (m.code == StatusCode::kNotPrimary) {
+            m.config_epoch = config.epoch;
+            m.primary_hint = config.primary;
+          }
+        } else if constexpr (requires { m.config_epoch; }) {
+          m.config_epoch = config.epoch;
+          m.primary_hint = config.primary;
+        }
+      },
+      reply);
 }
 
 Status StorageNode::SplitTablet(std::string_view table,
@@ -267,28 +305,46 @@ std::vector<StorageNode::LocalTabletStat> StorageNode::LocalTabletStats(
 proto::Message StorageNode::HandleTabletMapLocked(
     const proto::TabletMapRequest& request) {
   proto::TabletMapReply reply;
-  reply.accepted =
-      request.install ? InstallTabletMapLocked(request.map) : true;
+  if (request.install) {
+    const bool leads = std::any_of(
+        request.map.tablets.begin(), request.map.tablets.end(),
+        [this](const tablets::TabletInfo& entry) {
+          return entry.config.primary == name_;
+        });
+    const MicrosecondCount expiry =
+        request.lease_duration_us == 0 || !leads
+            ? 0
+            : clock_->NowMicros() + request.lease_duration_us;
+    reply.accepted = InstallTabletMapLocked(request.map, expiry);
+  } else {
+    reply.accepted = true;  // A query always succeeds.
+  }
   if (!request.split_key.empty()) {
     // Admin split (pileus_cli): split the hosted tablet locally. The map a
     // coordinator owns is not retiled here — standalone nodes show the new
     // tablets through the synthesized view below.
     const Status split = SplitTabletLocked(request.table, request.split_key);
     if (!split.ok()) {
-      proto::ErrorReply error;
-      error.code = split.code();
-      error.message = split.message();
-      return error;
+      return MakeError(split);
+    }
+  }
+  // Durable tail: the newest update timestamp across the table's tablets
+  // (writes are journaled before they are acknowledged, so the in-memory
+  // log tail is also the durable tail). Drives the promotion choice.
+  auto hosted = tablets_.find(request.table);
+  if (hosted != tablets_.end()) {
+    for (const auto& tablet : hosted->second) {
+      reply.durable_timestamp = MaxTimestamp(
+          reply.durable_timestamp, tablet->update_log().LastTimestamp());
     }
   }
   auto installed = tablet_maps_.find(request.table);
   if (installed != tablet_maps_.end()) {
-    if (installed->second.version > request.have_version) {
+    if (installed->second.map.version > request.have_version) {
       reply.has_map = true;
-      reply.map = installed->second;
+      reply.map = installed->second.map;
       // Refresh the advisory load stats for ranges hosted here, so the map
       // a client or the CLI fetches reflects live sizes.
-      auto hosted = tablets_.find(request.table);
       if (hosted != tablets_.end()) {
         for (tablets::TabletInfo& entry : reply.map.tablets) {
           for (const auto& tablet : hosted->second) {
@@ -304,153 +360,20 @@ proto::Message StorageNode::HandleTabletMapLocked(
   // No installed map: synthesize a display-only view (version 0) from the
   // hosted tablets so the CLI can render static deployments too. Clients
   // must not route off it (InstallTabletMap rejects version 0).
-  auto hosted = tablets_.find(request.table);
   if (hosted == tablets_.end() || hosted->second.empty()) {
     return reply;
   }
   reply.has_map = true;
   reply.map.table = std::string(request.table);
   reply.map.version = 0;
-  const auto config_it = configs_.find(request.table);
   for (const auto& tablet : hosted->second) {
     tablets::TabletInfo entry;
     entry.range = tablet->range();
-    if (config_it != configs_.end()) {
-      entry.config = config_it->second.config;
-    } else {
-      entry.config.primary = tablet->is_primary() ? name_ : "";
-      entry.config.members = {name_};
-    }
+    entry.config.primary = tablet->is_primary() ? name_ : "";
+    entry.config.members = {name_};
     entry.size_bytes = tablet->ApproximateBytes();
     entry.ops_per_sec = 0;
     reply.map.tablets.push_back(std::move(entry));
-  }
-  return reply;
-}
-
-void StorageNode::ApplyConfigRolesLocked(const reconfig::ConfigEpoch& config,
-                                         std::string_view table) {
-  auto it = tablets_.find(table);
-  if (it == tablets_.end()) {
-    return;
-  }
-  const bool is_primary = config.primary == name_;
-  const bool is_sync = !is_primary && config.IsSyncMember(name_);
-  for (auto& tablet : it->second) {
-    tablet->SetPrimary(is_primary);
-    tablet->SetSyncReplica(is_sync);
-  }
-}
-
-bool StorageNode::InstallConfigLocked(const reconfig::ConfigEpoch& config,
-                                      std::string_view table,
-                                      MicrosecondCount lease_expiry_us) {
-  if (config.epoch == 0) {
-    return false;  // Epoch 0 means "unconfigured"; it is never installed.
-  }
-  auto it = configs_.find(table);
-  if (it == configs_.end()) {
-    TableConfig installed;
-    installed.config = config;
-    installed.lease_expiry_us = lease_expiry_us;
-    configs_.emplace(std::string(table), std::move(installed));
-    ApplyConfigRolesLocked(config, table);
-    return true;
-  }
-  TableConfig& installed = it->second;
-  if (config.epoch < installed.config.epoch) {
-    return false;  // Stale epoch: a fenced coordinator or delayed message.
-  }
-  const bool epoch_advanced = config.epoch > installed.config.epoch;
-  installed.config = config;
-  installed.lease_expiry_us = lease_expiry_us;
-  if (epoch_advanced) {
-    // Roles only move with the epoch; a same-epoch re-install is a lease
-    // renewal and must not disturb tablet state.
-    ApplyConfigRolesLocked(config, table);
-  }
-  return true;
-}
-
-Status StorageNode::CheckWritableLocked(std::string_view table) const {
-  auto it = configs_.find(table);
-  if (it == configs_.end()) {
-    return Status::Ok();  // Unconfigured: static tablet roles decide.
-  }
-  const TableConfig& installed = it->second;
-  if (installed.config.primary != name_) {
-    return Status(StatusCode::kNotPrimary,
-                  "node " + name_ + " is not the primary in epoch " +
-                      std::to_string(installed.config.epoch));
-  }
-  if (installed.lease_expiry_us != 0 &&
-      clock_->NowMicros() >= installed.lease_expiry_us) {
-    // The coordinator may already have promoted someone else; refusing here
-    // is what makes that promotion safe (self-fencing).
-    return Status(StatusCode::kNotPrimary,
-                  "node " + name_ + " holds an expired lease in epoch " +
-                      std::to_string(installed.config.epoch));
-  }
-  return Status::Ok();
-}
-
-void StorageNode::StampConfigLocked(std::string_view table,
-                                    proto::Message& reply) const {
-  auto it = configs_.find(table);
-  if (it == configs_.end()) {
-    return;
-  }
-  const reconfig::ConfigEpoch& config = it->second.config;
-  std::visit(
-      [&config](auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, proto::ErrorReply>) {
-          // Only a kNotPrimary rejection carries the redirect hint; other
-          // errors say nothing about placement.
-          if (m.code == StatusCode::kNotPrimary) {
-            m.config_epoch = config.epoch;
-            m.primary_hint = config.primary;
-          }
-        } else if constexpr (requires { m.config_epoch; }) {
-          m.config_epoch = config.epoch;
-          m.primary_hint = config.primary;
-        }
-      },
-      reply);
-}
-
-proto::Message StorageNode::HandleConfigLocked(
-    const proto::ConfigRequest& request) {
-  proto::ConfigReply reply;
-  if (request.install) {
-    const MicrosecondCount expiry =
-        request.lease_duration_us == 0 ||
-                request.config.primary != name_
-            ? 0
-            : clock_->NowMicros() + request.lease_duration_us;
-    reply.accepted = InstallConfigLocked(request.config, request.table, expiry);
-  } else {
-    reply.accepted = true;  // A query always succeeds.
-  }
-  if (auto it = configs_.find(request.table); it != configs_.end()) {
-    reply.config = it->second.config;
-  }
-  // Durable tail: the newest update timestamp across the table's tablets
-  // (writes are journaled before they are acknowledged, so the in-memory
-  // log tail is also the durable tail). Drives the promotion choice.
-  reply.high_timestamp = Timestamp::Max();
-  bool any = false;
-  if (auto it = tablets_.find(request.table); it != tablets_.end()) {
-    for (const auto& tablet : it->second) {
-      any = true;
-      reply.durable_timestamp = MaxTimestamp(
-          reply.durable_timestamp, tablet->update_log().LastTimestamp());
-      reply.high_timestamp =
-          std::min(reply.high_timestamp, tablet->high_timestamp());
-    }
-  }
-  if (!any) {
-    reply.high_timestamp = Timestamp::Zero();
   }
   return reply;
 }
@@ -782,16 +705,16 @@ proto::Message StorageNode::Handle(const proto::Message& request) {
   if (admission_ != nullptr) {
     if (std::optional<proto::Message> rejection =
             AdmitLocked(request, &decision)) {
-      StampConfigLocked(TableOf(request), *rejection);
       CountRequestLocked(request, *rejection);
       return std::move(*rejection);
     }
   }
   proto::Message reply = HandleLocked(request);
   StampQueueDelayLocked(request, decision, reply);
-  // Piggyback the installed config on everything we send back (Section 6.2):
-  // clients learn about a reconfiguration from ordinary traffic.
-  StampConfigLocked(TableOf(request), reply);
+  // Piggyback the owning tablet's config on everything we send back
+  // (Section 6.2): clients learn about a reconfiguration from ordinary
+  // traffic.
+  StampPlacementLocked(request, reply);
   CountRequestLocked(request, reply);
   return reply;
 }
@@ -819,9 +742,6 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
       return MakeError(StatusCode::kWrongNode,
                        "node " + name_ + " has no tablet for key");
     }
-    if (Status writable = CheckWritableLocked(put->table); !writable.ok()) {
-      return MakeError(writable);
-    }
     Result<proto::PutReply> reply = tablet->HandlePut(put->key, put->value);
     if (!reply.ok()) {
       return MakeError(reply.status());
@@ -838,9 +758,6 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
       return MakeError(StatusCode::kWrongNode,
                        "node " + name_ + " has no tablet for key");
     }
-    if (Status writable = CheckWritableLocked(del->table); !writable.ok()) {
-      return MakeError(writable);
-    }
     Result<proto::PutReply> reply = tablet->HandleDelete(del->key);
     if (!reply.ok()) {
       return MakeError(reply.status());
@@ -853,19 +770,13 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
       // A scan is only as trustworthy as its weakest tablet: fence the whole
       // request if any overlapping range is assigned elsewhere.
       const KeyRange wanted{range->begin, range->end};
-      for (const tablets::TabletInfo& entry : map_it->second.tablets) {
+      for (const tablets::TabletInfo& entry : map_it->second.map.tablets) {
         if (!entry.range.Overlaps(wanted)) {
           continue;
         }
-        if (!entry.config.IsMember(name_)) {
-          proto::ErrorReply err;
-          err.code = StatusCode::kWrongTablet;
-          err.message = "tablet " + entry.range.ToString() +
-                        " is not served by node " + name_;
-          err.config_epoch = entry.config.epoch;
-          err.primary_hint = entry.config.primary;
-          err.map_version = map_it->second.version;
-          return proto::Message(std::move(err));
+        if (auto fence = CheckTabletRoutingLocked(
+                range->table, entry.range.begin, /*write=*/false)) {
+          return std::move(*fence);
         }
       }
     }
@@ -1006,9 +917,6 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     }
     return tablet->HandleGetAt(get_at->key, get_at->snapshot);
   }
-  if (const auto* config = std::get_if<proto::ConfigRequest>(&request)) {
-    return HandleConfigLocked(*config);
-  }
   if (const auto* tablet_map = std::get_if<proto::TabletMapRequest>(&request)) {
     return HandleTabletMapLocked(*tablet_map);
   }
@@ -1021,9 +929,6 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     if (auto fence = CheckTabletRoutingLocked(
             commit->table, commit->writes.front().key, /*write=*/true)) {
       return std::move(*fence);
-    }
-    if (Status writable = CheckWritableLocked(commit->table); !writable.ok()) {
-      return MakeError(writable);
     }
     // All writes must land in one tablet for atomic commit; multi-tablet
     // transactions are out of scope (as in the paper's prototype).

@@ -20,7 +20,6 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/proto/messages.h"
-#include "src/reconfig/config_epoch.h"
 #include "src/storage/admission.h"
 #include "src/storage/tablet.h"
 #include "src/tablets/tablet_map.h"
@@ -41,35 +40,22 @@ class StorageNode {
   // Registers a tablet. Ranges of one table must not overlap on one node.
   Status AddTablet(std::string_view table, Tablet::Options options);
 
-  // Role changes for the whole table on this node (Section 6.2
-  // reconfiguration and Section 6.4 sync replicas).
-  void SetPrimaryForTable(std::string_view table, bool is_primary);
-  void SetSyncReplicaForTable(std::string_view table, bool is_sync);
-
-  // Installs `config` for its table (normally done via a ConfigRequest; this
-  // entry point serves recovery, which replays WAL config records before the
-  // transport exists). Stale epochs are ignored. A `lease_expiry_us` of 0
-  // means the primary role never self-fences; recovery passes an expiry in
-  // the past so a restarted ex-primary stays fenced until re-leased.
-  void InstallConfig(const reconfig::ConfigEpoch& config,
-                     std::string_view table,
-                     MicrosecondCount lease_expiry_us = 0);
-
-  // The installed config for `table` (nullopt when unconfigured). Epoch 0
-  // never occurs here: installs of epoch-0 configs are rejected.
-  std::optional<reconfig::ConfigEpoch> InstalledConfig(
-      std::string_view table) const;
-
   // --- Dynamic tablets (DESIGN.md Section 14) ---
 
-  // Installs a tablet map version-monotonically (also reachable via a
-  // TabletMapRequest with install=true). Adopting a map applies the
-  // per-tablet roles it implies to hosted tablets — the migration cutover
-  // demotes/fences the source and promotes the target through exactly this
-  // path — and turns on kWrongTablet fencing: data-path requests for ranges
-  // the map assigns elsewhere are rejected with the owner as a hint.
+  // Installs a tablet map version-monotonically (normally done via a
+  // TabletMapRequest with install=true; this entry point serves recovery,
+  // which replays journaled configs before the transport exists). Adopting
+  // a map applies the per-tablet roles it implies to hosted tablets — a
+  // failover (Section 6.2) and the migration cutover both promote and
+  // demote through exactly this path — and turns on the write fence:
+  // requests for ranges the map assigns elsewhere are rejected with
+  // kWrongTablet, writes at a member that does not lead the key's tablet
+  // with kNotPrimary, each with the owner as a hint. A `lease_expiry_us` of
+  // 0 means the primary role never self-fences; recovery passes an expiry
+  // in the past so a restarted ex-primary stays fenced until re-leased.
   // Returns false for version-0, invalid, or stale maps.
-  bool InstallTabletMap(const tablets::TabletMap& map);
+  bool InstallTabletMap(const tablets::TabletMap& map,
+                        MicrosecondCount lease_expiry_us = 0);
 
   // The installed tablet map (nullopt when none was ever installed).
   std::optional<tablets::TabletMap> InstalledTabletMap(
@@ -137,7 +123,7 @@ class StorageNode {
 
   // Puts every subsequent data-path request through per-tenant admission
   // control (DESIGN.md Section 11). Control traffic — probes, sync pulls,
-  // config installs, stats — bypasses admission so monitoring and
+  // map installs, stats — bypasses admission so monitoring and
   // replication keep working while the node sheds load. Call again with
   // different options to replace the controller (buckets reset).
   void EnableAdmission(AdmissionOptions options);
@@ -156,43 +142,36 @@ class StorageNode {
                                           std::string_view tenant = {});
 
  private:
-  struct TableConfig {
-    reconfig::ConfigEpoch config;
-    // Virtual-clock instant past which this node, when it is the config's
-    // primary, stops accepting writes (lease fencing, Section 6.2).
-    // 0 = no lease.
+  // A table's placement state: the installed map and the write lease of
+  // whichever tablets the map makes this node lead.
+  struct InstalledMap {
+    tablets::TabletMap map;
+    // Virtual-clock instant past which this node stops accepting writes for
+    // tablets it leads (lease fencing, Section 6.2). 0 = no lease.
     MicrosecondCount lease_expiry_us = 0;
   };
 
   proto::Message HandleLocked(const proto::Message& request);
-  proto::Message HandleConfigLocked(const proto::ConfigRequest& request);
   proto::Message HandleTabletMapLocked(const proto::TabletMapRequest& request);
   Status SplitTabletLocked(std::string_view table, std::string_view split_key);
-  bool InstallTabletMapLocked(const tablets::TabletMap& map);
+  bool InstallTabletMapLocked(const tablets::TabletMap& map,
+                              MicrosecondCount lease_expiry_us);
   // Applies the roles the map assigns this node to hosted tablets whose
   // range matches a map entry (primary iff named primary, sync replica iff
   // listed; a non-member is demoted outright).
   void ApplyTabletMapRolesLocked(const tablets::TabletMap& map);
-  // The kWrongTablet fence: non-null when the installed tablet map assigns
-  // `key`'s range to other nodes (or, for writes, to another primary). The
-  // rejection carries the owning primary and the map version as hints.
+  // The one placement fence: non-null when the installed tablet map assigns
+  // `key`'s range to other nodes (kWrongTablet, with the map version), or,
+  // for writes, when this node does not lead the range or its lease has
+  // lapsed (kNotPrimary). Both carry the tablet's epoch and primary as the
+  // redirect hint.
   std::optional<proto::Message> CheckTabletRoutingLocked(
       std::string_view table, std::string_view key, bool write) const;
-  // Applies tablet roles implied by `config` (primary iff named primary,
-  // sync replica iff listed and not primary). Called when an install raises
-  // the epoch.
-  void ApplyConfigRolesLocked(const reconfig::ConfigEpoch& config,
-                              std::string_view table);
-  bool InstallConfigLocked(const reconfig::ConfigEpoch& config,
-                           std::string_view table,
-                           MicrosecondCount lease_expiry_us);
-  // Non-ok when a write for `table` must be rejected: this node is not the
-  // installed config's primary, or its lease has expired (fenced). Both map
-  // to kNotPrimary so clients redirect instead of giving up.
-  Status CheckWritableLocked(std::string_view table) const;
   // Stamps the reply's config_epoch/primary_hint fields (data-path replies
-  // and errors) from the table's installed config; no-op when unconfigured.
-  void StampConfigLocked(std::string_view table, proto::Message& reply) const;
+  // and kNotPrimary errors) from the installed map entry owning the
+  // request's key; no-op when the table has no map.
+  void StampPlacementLocked(const proto::Message& request,
+                            proto::Message& reply) const;
   // Counts `request`/`reply` into the telemetry counters; no-op when
   // EnableTelemetry was never called. Called with mu_ held.
   void CountRequestLocked(const proto::Message& request,
@@ -246,10 +225,8 @@ class StorageNode {
   // table name -> tablets sorted by range begin.
   std::map<std::string, std::vector<std::unique_ptr<Tablet>>, std::less<>>
       tablets_;
-  // table name -> installed configuration (absent until the first install).
-  std::map<std::string, TableConfig, std::less<>> configs_;
   // table name -> installed tablet map (absent until the first install).
-  std::map<std::string, tablets::TabletMap, std::less<>> tablet_maps_;
+  std::map<std::string, InstalledMap, std::less<>> tablet_maps_;
   uint64_t requests_served_ = 0;
   Instruments instruments_;
   std::unique_ptr<AdmissionController> admission_;

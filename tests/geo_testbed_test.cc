@@ -545,10 +545,10 @@ TEST(GeoTestbedTest, RestartedExPrimaryRejoinsFencedAsSecondary) {
 
   ASSERT_TRUE(testbed.RestartNode(kEngland).ok());
   // The restarted ex-primary rejoins under the current epoch, demoted.
-  auto installed = testbed.node(kEngland)->InstalledConfig(kTableName);
+  auto installed = testbed.node(kEngland)->InstalledTabletMap(kTableName);
   ASSERT_TRUE(installed.has_value());
-  EXPECT_EQ(installed->epoch, epoch);
-  EXPECT_NE(installed->primary, kEngland);
+  EXPECT_EQ(installed->tablets.front().config.epoch, epoch);
+  EXPECT_NE(installed->tablets.front().config.primary, kEngland);
 
   proto::PutRequest put;
   put.table = kTableName;

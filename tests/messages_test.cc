@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "src/proto/messages.h"
+#include "src/util/codec.h"
+#include "src/util/crc32.h"
 
 namespace pileus::proto {
 namespace {
@@ -308,33 +310,49 @@ TEST(MessagesTest, ConfigPiggybackRoundTrips) {
   EXPECT_EQ(RoundTrip(range).primary_hint, "India");
 }
 
-TEST(MessagesTest, ConfigRequestReplyRoundTrip) {
-  ConfigRequest req;
+TEST(MessagesTest, TabletMapLeaseAndDurableTimestampRoundTrip) {
+  // Wire v7: failover installs maps, so the lease rides on the install and
+  // the promotion-ranking durable tail on the reply (Section 6.2).
+  TabletMapRequest req;
   req.table = "ycsb";
   req.install = true;
-  req.config.epoch = 9;
-  req.config.primary = "US";
-  req.config.members = {"England", "US", "India"};
-  req.config.sync_members = {"India"};
+  req.map.table = "ycsb";
+  req.map.version = 9;
+  tablets::TabletInfo whole;
+  whole.range = KeyRange::All();
+  whole.config.epoch = 9;
+  whole.config.primary = "US";
+  whole.config.members = {"England", "US", "India"};
+  whole.config.sync_members = {"India"};
+  req.map.tablets = {whole};
   req.lease_duration_us = 1500000;
-  const ConfigRequest out_req = RoundTrip(req);
-  EXPECT_EQ(out_req.table, "ycsb");
+  const TabletMapRequest out_req = RoundTrip(req);
   EXPECT_TRUE(out_req.install);
-  EXPECT_EQ(out_req.config, req.config);
+  EXPECT_EQ(out_req.map, req.map);
   EXPECT_EQ(out_req.lease_duration_us, 1500000);
 
-  ConfigReply reply;
+  TabletMapReply reply;
   reply.accepted = true;
-  reply.config = req.config;
   reply.durable_timestamp = Timestamp{880, 2};
-  reply.high_timestamp = Timestamp{900, 0};
-  const ConfigReply out = RoundTrip(reply);
+  const TabletMapReply out = RoundTrip(reply);
   EXPECT_TRUE(out.accepted);
-  EXPECT_EQ(out.config, reply.config);
   EXPECT_EQ(out.durable_timestamp, reply.durable_timestamp);
-  EXPECT_EQ(out.high_timestamp, reply.high_timestamp);
-  EXPECT_EQ(TypeOf(Message(req)), MessageType::kConfigRequest);
-  EXPECT_EQ(MessageTypeName(MessageType::kConfigReply), "ConfigReply");
+}
+
+TEST(MessagesTest, RetiredConfigTagRejected) {
+  // Tag 19 carried the table-wide config install, retired in wire v7. A
+  // well-formed frame (valid version and checksum) with that tag must still
+  // fail to decode rather than alias another message.
+  std::string bytes = EncodeMessage(Message(ProbeRequest{}));
+  bytes.resize(bytes.size() - 4);  // Drop the CRC trailer.
+  bytes[0] = '\x13';                // 19.
+  Encoder trailer;
+  trailer.PutFixed32(Crc32(bytes));
+  bytes += trailer.buffer();
+  const Result<Message> decoded = DecodeMessage(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(MessageTypeName(static_cast<MessageType>(19)), "Unknown");
 }
 
 TEST(MessagesTest, TypeOfMatchesAlternative) {

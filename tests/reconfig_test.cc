@@ -67,9 +67,48 @@ TEST(ConfigEpochTest, DecodeTruncatedFails) {
   EXPECT_FALSE(DecodeConfigEpoch(dec, &decoded).ok());
 }
 
+TEST(ConfigEpochTest, NextEpochBackfillsDemotedPrimaryFirst) {
+  const ConfigEpoch config = MakeConfig();
+  auto all = [](const std::string&) { return true; };
+  // US leaves the sync set for the primary role; the demoted England, which
+  // holds the complete prefix, takes its slot ahead of India.
+  const ConfigEpoch next = NextEpoch(config, "US", 1, all);
+  EXPECT_EQ(next.epoch, config.epoch + 1);
+  EXPECT_EQ(next.primary, "US");
+  EXPECT_EQ(next.members, config.members);
+  EXPECT_EQ(next.sync_members, std::vector<std::string>{"England"});
+
+  // Unreachable members never qualify; surviving sync members stay put.
+  auto not_england = [](const std::string& node) { return node != "England"; };
+  EXPECT_EQ(NextEpoch(config, "US", 1, not_england).sync_members,
+            std::vector<std::string>{"India"});
+  EXPECT_EQ(NextEpoch(config, "India", 1, all).sync_members,
+            std::vector<std::string>{"US"});
+  EXPECT_TRUE(NextEpoch(config, "US", 0, all).sync_members.empty());
+}
+
+// A two-tablet map: England leads ["", "m") and follows on ["m", ""), which
+// US leads. India serves only the first tablet.
+tablets::TabletMap MakeMap() {
+  tablets::TabletMap map;
+  map.table = "ycsb";
+  map.version = 10;
+  tablets::TabletInfo low;
+  low.range = KeyRange{"", "m"};
+  low.config = MakeConfig();
+  tablets::TabletInfo high;
+  high.range = KeyRange{"m", ""};
+  high.config.epoch = 5;
+  high.config.primary = "US";
+  high.config.members = {"US", "England"};
+  high.config.sync_members = {"England"};
+  map.tablets = {low, high};
+  return map;
+}
+
 class CoordinatorTest : public ::testing::Test {
  protected:
-  CoordinatorTest() : coordinator_(MakeConfig(), MakeOptions()) {}
+  CoordinatorTest() : map_(MakeMap()), coordinator_(MakeOptions()) {}
 
   static FailoverCoordinator::Options MakeOptions() {
     FailoverCoordinator::Options options;
@@ -79,8 +118,8 @@ class CoordinatorTest : public ::testing::Test {
     return options;
   }
 
-  // One heartbeat round at time `now`: the primary acks unless listed dead,
-  // the secondaries ack with the given durable timestamps.
+  // One heartbeat round at time `now`: England acks unless listed dead,
+  // the others ack with the given durable timestamps.
   void Round(MicrosecondCount now, bool primary_alive,
              const Timestamp& us_durable, const Timestamp& india_durable) {
     if (primary_alive) {
@@ -92,6 +131,7 @@ class CoordinatorTest : public ::testing::Test {
     coordinator_.OnHeartbeatAck("India", now, india_durable);
   }
 
+  const tablets::TabletMap map_;
   FailoverCoordinator coordinator_;
 };
 
@@ -104,7 +144,7 @@ TEST_F(CoordinatorTest, HealthyPrimaryProducesNoPlan) {
   for (int i = 0; i < 10; ++i) {
     Round(i * 500000, /*primary_alive=*/true, Timestamp{500, 0},
           Timestamp{400, 0});
-    EXPECT_FALSE(coordinator_.MaybePlanFailover(i * 500000).has_value());
+    EXPECT_FALSE(coordinator_.MaybePlanFailover(map_).has_value());
   }
 }
 
@@ -112,7 +152,7 @@ TEST_F(CoordinatorTest, NoPlanBelowMissThreshold) {
   Round(0, true, Timestamp{500, 0}, Timestamp{400, 0});
   Round(500000, false, Timestamp{500, 0}, Timestamp{400, 0});
   Round(1000000, false, Timestamp{500, 0}, Timestamp{400, 0});
-  EXPECT_FALSE(coordinator_.MaybePlanFailover(1000000).has_value());
+  EXPECT_FALSE(coordinator_.MaybePlanFailover(map_).has_value());
 }
 
 TEST_F(CoordinatorTest, PromotesHighestDurableMember) {
@@ -121,41 +161,66 @@ TEST_F(CoordinatorTest, PromotesHighestDurableMember) {
     Round(i * 500000, /*primary_alive=*/false, Timestamp{500, 0},
           Timestamp{700, 0});
   }
-  auto plan = coordinator_.MaybePlanFailover(1500000);
+  auto plan = coordinator_.MaybePlanFailover(map_);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->next.primary, "India");  // Highest durable timestamp wins.
-  EXPECT_EQ(plan->next.epoch, MakeConfig().epoch + 1);
-  EXPECT_EQ(plan->old_primary, "England");
-  EXPECT_EQ(plan->promoted_from, (Timestamp{700, 0}));
-  EXPECT_TRUE(plan->next.IsMember("England"));  // Membership survives.
+  EXPECT_EQ(plan->version, map_.version + 1);
+  const ConfigEpoch& next = plan->tablets[0].config;
+  EXPECT_EQ(next.primary, "India");  // Highest durable timestamp wins.
+  EXPECT_EQ(next.epoch, MakeConfig().epoch + 1);
+  EXPECT_TRUE(next.IsMember("England"));  // Membership survives.
+  EXPECT_EQ(next.sync_members, std::vector<std::string>{"US"});
 }
 
-TEST_F(CoordinatorTest, AdoptPlanCommitsAndResetsDetection) {
+TEST_F(CoordinatorTest, FailoverMovesOnlyTabletsTheDeadPrimaryLed) {
   for (int i = 1; i <= 3; ++i) {
     Round(i * 500000, /*primary_alive=*/false, Timestamp{800, 0},
           Timestamp{700, 0});
   }
-  auto plan = coordinator_.MaybePlanFailover(1500000);
+  auto plan = coordinator_.MaybePlanFailover(map_);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->next.primary, "US");
+  // England loses the tablet it led...
+  EXPECT_EQ(plan->tablets[0].config.primary, "US");
+  EXPECT_EQ(plan->tablets[0].config.epoch, map_.tablets[0].config.epoch + 1);
+  // ...and nothing else: the tablet it follows on keeps its epoch and roles.
+  EXPECT_EQ(plan->tablets[1], map_.tablets[1]);
+}
 
-  coordinator_.AdoptPlan(*plan);
-  EXPECT_EQ(coordinator_.config(), plan->next);
-  EXPECT_EQ(coordinator_.failovers(), 1u);
-  // Detection starts fresh: the new primary has not missed anything yet.
-  EXPECT_FALSE(coordinator_.MaybePlanFailover(1500000).has_value());
+TEST_F(CoordinatorTest, PromotionAckResetsDetection) {
+  // India misses three rounds while England stays healthy: nothing to do,
+  // since India leads nothing.
+  for (int i = 1; i <= 3; ++i) {
+    coordinator_.OnHeartbeatAck("England", i * 500000, Timestamp{900, 0});
+    coordinator_.OnHeartbeatMiss("India", i * 500000);
+  }
+  EXPECT_FALSE(coordinator_.MaybePlanFailover(map_).has_value());
+
+  // A deliberate move to India, which the driver knows is live again.
+  auto all = [](const std::string&) { return true; };
+  auto moved = coordinator_.PlanMove(map_, "India", all);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(moved->tablets[0].config.primary, "India");
+  // Its stale misses would fail it over at once...
+  EXPECT_TRUE(coordinator_.MaybePlanFailover(*moved).has_value());
+  // ...until the driver reports the promoting install as a contact:
+  // detection starts fresh in the new epoch.
+  coordinator_.OnHeartbeatAck("India", 2000000, Timestamp{700, 0});
+  EXPECT_FALSE(coordinator_.MaybePlanFailover(*moved).has_value());
 }
 
 TEST_F(CoordinatorTest, PlanMoveValidatesTarget) {
-  EXPECT_FALSE(coordinator_.PlanMove("China").has_value());    // Not a member.
-  EXPECT_FALSE(coordinator_.PlanMove("England").has_value());  // Already it.
+  auto all = [](const std::string&) { return true; };
+  EXPECT_FALSE(coordinator_.PlanMove(map_, "China", all).has_value());
 
-  Round(0, true, Timestamp{500, 0}, Timestamp{400, 0});
-  auto plan = coordinator_.PlanMove("US");
+  auto plan = coordinator_.PlanMove(map_, "US", all);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->next.primary, "US");
-  EXPECT_EQ(plan->next.epoch, MakeConfig().epoch + 1);
-  EXPECT_EQ(plan->old_primary, "England");
+  EXPECT_EQ(plan->version, map_.version + 1);
+  EXPECT_EQ(plan->tablets[0].config.primary, "US");
+  EXPECT_EQ(plan->tablets[0].config.epoch, MakeConfig().epoch + 1);
+  EXPECT_EQ(plan->tablets[0].config.sync_members,
+            std::vector<std::string>{"England"});
+  EXPECT_EQ(plan->tablets[1], map_.tablets[1]);  // US already leads it.
+  // Already leading everything it serves: nothing left to move.
+  EXPECT_FALSE(coordinator_.PlanMove(*plan, "US", all).has_value());
 }
 
 }  // namespace

@@ -390,6 +390,39 @@ TEST_F(DynamicShardedClientTest, WrongTabletFenceTriggersMapRefresh) {
   EXPECT_TRUE(node_a_->FindTablet("t", "apple")->HandleGet("apple").found);
 }
 
+TEST_F(DynamicShardedClientTest, DemotedPrimaryRedirectTriggersMapRefresh) {
+  // A leads the upper range alone; B hosts a copy the client's map omits.
+  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
+  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
+  AddTablet(*node_b_, KeyRange{"m", ""}, /*is_primary=*/false);
+
+  tablets::TabletMap v1;
+  v1.table = "t";
+  v1.version = 1;
+  v1.tablets.push_back(Entry("", "m", 1, "A"));
+  v1.tablets.push_back(Entry("m", "", 1, "A"));
+  BuildDynamic(v1);
+
+  // A failover edit: B leads the upper range in epoch 2, and A stays on as
+  // a member, so A answers the stale route with kNotPrimary (not
+  // kWrongTablet). Its hint names B, whom the shard client cannot reach
+  // from its v1 replica set.
+  tablets::TabletMap v2 = v1;
+  v2.version = 2;
+  v2.tablets[1] = Entry("m", "", 2, "B");
+  v2.tablets[1].config.members = {"A", "B"};
+  ASSERT_TRUE(node_a_->InstallTabletMap(v2));
+  ASSERT_TRUE(node_b_->InstallTabletMap(v2));
+
+  // The unresolved redirect refreshes the map and the retry lands on B.
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  ASSERT_TRUE(client_->Put(session, "zebra", "high").ok());
+  EXPECT_EQ(client_->map_version(), 2u);
+  EXPECT_EQ(client_->map_refreshes(), 1u);
+  EXPECT_TRUE(node_b_->FindTablet("t", "zebra")->HandleGet("zebra").found);
+  EXPECT_FALSE(node_a_->FindTablet("t", "zebra")->HandleGet("zebra").found);
+}
+
 TEST_F(DynamicShardedClientTest, UnrouteableKeyReturnsUnavailable) {
   // The initial map covers only the lower half — dynamic mode tolerates the
   // gap, but keys inside it must fail honestly instead of misrouting.

@@ -91,7 +91,7 @@ TEST_F(StorageNodeTest, MultipleTabletsRouteByRange) {
   EXPECT_EQ(node.TabletsForTable("t").size(), 4u);
 }
 
-// --- Configuration epochs (Section 6.2) ---
+// --- Configuration epochs (Section 6.2), installed as tablet maps ---
 
 reconfig::ConfigEpoch EpochWithPrimary(uint64_t epoch,
                                        const std::string& primary) {
@@ -102,19 +102,38 @@ reconfig::ConfigEpoch EpochWithPrimary(uint64_t epoch,
   return config;
 }
 
-TEST_F(StorageNodeTest, InstallConfigAdoptsAndStampsReplies) {
-  proto::ConfigRequest install;
-  install.table = "t";
-  install.install = true;
-  install.config = EpochWithPrimary(1, "node-1");
-  proto::Message reply = node_.Handle(install);
-  const auto* config_reply = std::get_if<proto::ConfigReply>(&reply);
-  ASSERT_NE(config_reply, nullptr);
-  EXPECT_TRUE(config_reply->accepted);
-  ASSERT_TRUE(node_.InstalledConfig("t").has_value());
-  EXPECT_EQ(node_.InstalledConfig("t")->epoch, 1u);
+// A one-tablet map of table "t" whose version tracks the tablet's epoch.
+tablets::TabletMap MapWithPrimary(uint64_t epoch, const std::string& primary) {
+  tablets::TabletMap map;
+  map.table = "t";
+  map.version = epoch;
+  tablets::TabletInfo tablet;
+  tablet.range = KeyRange::All();
+  tablet.config = EpochWithPrimary(epoch, primary);
+  map.tablets.push_back(std::move(tablet));
+  return map;
+}
 
-  // Every data reply now carries the epoch piggyback.
+proto::TabletMapRequest InstallRequest(const tablets::TabletMap& map,
+                                       MicrosecondCount lease_duration_us = 0) {
+  proto::TabletMapRequest install;
+  install.table = map.table;
+  install.install = true;
+  install.map = map;
+  install.lease_duration_us = lease_duration_us;
+  return install;
+}
+
+TEST_F(StorageNodeTest, InstallConfigAdoptsAndStampsReplies) {
+  proto::Message reply =
+      node_.Handle(InstallRequest(MapWithPrimary(1, "node-1")));
+  const auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
+  ASSERT_NE(map_reply, nullptr);
+  EXPECT_TRUE(map_reply->accepted);
+  ASSERT_TRUE(node_.InstalledTabletMap("t").has_value());
+  EXPECT_EQ(node_.InstalledTabletMap("t")->tablets.front().config.epoch, 1u);
+
+  // Every data reply now carries the owning tablet's epoch piggyback.
   proto::PutRequest put;
   put.table = "t";
   put.key = "k";
@@ -127,22 +146,22 @@ TEST_F(StorageNodeTest, InstallConfigAdoptsAndStampsReplies) {
 }
 
 TEST_F(StorageNodeTest, StaleEpochInstallRejected) {
-  node_.InstallConfig(EpochWithPrimary(3, "node-1"), "t");
+  ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(3, "node-1")));
 
-  proto::ConfigRequest stale;
-  stale.table = "t";
-  stale.install = true;
-  stale.config = EpochWithPrimary(2, "node-2");
-  proto::Message reply = node_.Handle(stale);
-  const auto* config_reply = std::get_if<proto::ConfigReply>(&reply);
-  ASSERT_NE(config_reply, nullptr);
-  EXPECT_FALSE(config_reply->accepted);
-  EXPECT_EQ(config_reply->config.epoch, 3u);
-  EXPECT_EQ(node_.InstalledConfig("t")->primary, "node-1");
+  proto::Message reply =
+      node_.Handle(InstallRequest(MapWithPrimary(2, "node-2")));
+  const auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
+  ASSERT_NE(map_reply, nullptr);
+  EXPECT_FALSE(map_reply->accepted);
+  ASSERT_TRUE(map_reply->has_map);
+  EXPECT_EQ(map_reply->map.version, 3u);
+  EXPECT_EQ(node_.InstalledTabletMap("t")->tablets.front().config.primary,
+            "node-1");
 }
 
 TEST_F(StorageNodeTest, NonPrimaryEpochRejectsPutsWithHint) {
-  node_.InstallConfig(EpochWithPrimary(2, "node-2"), "t");
+  ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(2, "node-2")));
+  EXPECT_FALSE(node_.FindTablet("t", "k")->is_primary());  // Demoted.
 
   proto::PutRequest put;
   put.table = "t";
@@ -151,6 +170,8 @@ TEST_F(StorageNodeTest, NonPrimaryEpochRejectsPutsWithHint) {
   proto::Message reply = node_.Handle(put);
   const auto* err = std::get_if<proto::ErrorReply>(&reply);
   ASSERT_NE(err, nullptr);
+  // A member that does not lead the key's tablet redirects; only a
+  // non-member answers kWrongTablet.
   EXPECT_EQ(err->code, StatusCode::kNotPrimary);
   // The redirect payload: enough for the client to retry at the primary.
   EXPECT_EQ(err->config_epoch, 2u);
@@ -158,13 +179,10 @@ TEST_F(StorageNodeTest, NonPrimaryEpochRejectsPutsWithHint) {
 }
 
 TEST_F(StorageNodeTest, ExpiredLeaseFencesThenRenewalUnfences) {
-  proto::ConfigRequest install;
-  install.table = "t";
-  install.install = true;
-  install.config = EpochWithPrimary(1, "node-1");
-  install.lease_duration_us = 1000;
+  const proto::TabletMapRequest install =
+      InstallRequest(MapWithPrimary(1, "node-1"), /*lease_duration_us=*/1000);
   proto::Message installed = node_.Handle(install);
-  ASSERT_TRUE(std::get_if<proto::ConfigReply>(&installed)->accepted);
+  ASSERT_TRUE(std::get_if<proto::TabletMapReply>(&installed)->accepted);
 
   proto::PutRequest put;
   put.table = "t";
@@ -178,13 +196,16 @@ TEST_F(StorageNodeTest, ExpiredLeaseFencesThenRenewalUnfences) {
   const auto* err = std::get_if<proto::ErrorReply>(&fenced);
   ASSERT_NE(err, nullptr);
   EXPECT_EQ(err->code, StatusCode::kNotPrimary);
+  EXPECT_EQ(err->config_epoch, 1u);
+  EXPECT_EQ(err->primary_hint, "node-1");
+  EXPECT_TRUE(node_.FindTablet("t", "k")->is_primary());
 
-  // A same-epoch re-install is a lease renewal: writable again, roles
+  // A same-version re-install is a lease renewal: writable again, roles
   // untouched.
   proto::Message renewed = node_.Handle(install);
-  ASSERT_TRUE(std::get_if<proto::ConfigReply>(&renewed)->accepted);
+  ASSERT_TRUE(std::get_if<proto::TabletMapReply>(&renewed)->accepted);
   EXPECT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
-  EXPECT_EQ(node_.InstalledConfig("t")->epoch, 1u);
+  EXPECT_EQ(node_.InstalledTabletMap("t")->version, 1u);
 }
 
 TEST_F(StorageNodeTest, ConfigQueryReportsDurableTimestamp) {
@@ -196,14 +217,34 @@ TEST_F(StorageNodeTest, ConfigQueryReportsDurableTimestamp) {
   const auto* put_reply = std::get_if<proto::PutReply>(&put_msg);
   ASSERT_NE(put_reply, nullptr);
 
-  proto::ConfigRequest query;
+  proto::TabletMapRequest query;
   query.table = "t";
   proto::Message reply = node_.Handle(query);
-  const auto* config_reply = std::get_if<proto::ConfigReply>(&reply);
-  ASSERT_NE(config_reply, nullptr);
-  EXPECT_TRUE(config_reply->accepted);
-  EXPECT_EQ(config_reply->config.epoch, 0u);  // Never installed one.
-  EXPECT_EQ(config_reply->durable_timestamp, put_reply->timestamp);
+  const auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
+  ASSERT_NE(map_reply, nullptr);
+  EXPECT_TRUE(map_reply->accepted);
+  EXPECT_EQ(map_reply->map.version, 0u);  // Never installed one.
+  EXPECT_EQ(map_reply->durable_timestamp, put_reply->timestamp);
+}
+
+TEST_F(StorageNodeTest, ProbeStampedOnlyFromOneTabletMap) {
+  ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(4, "node-1")));
+  proto::ProbeRequest probe;
+  probe.table = "t";
+  proto::Message reply = node_.Handle(probe);
+  ASSERT_TRUE(std::holds_alternative<proto::ProbeReply>(reply));
+  EXPECT_EQ(std::get<proto::ProbeReply>(reply).config_epoch, 4u);
+
+  // With two tablets no single entry speaks for a keyless probe.
+  tablets::TabletMap split = MapWithPrimary(5, "node-1");
+  split.tablets.front().range = KeyRange{"", "m"};
+  tablets::TabletInfo upper = split.tablets.front();
+  upper.range = KeyRange{"m", ""};
+  split.tablets.push_back(upper);
+  ASSERT_TRUE(node_.InstallTabletMap(split));
+  reply = node_.Handle(probe);
+  ASSERT_TRUE(std::holds_alternative<proto::ProbeReply>(reply));
+  EXPECT_EQ(std::get<proto::ProbeReply>(reply).config_epoch, 0u);
 }
 
 TEST_F(StorageNodeTest, OverlappingTabletRejected) {
@@ -381,12 +422,12 @@ TEST_F(StorageNodeTest, ReplyMessageAsRequestIsRejected) {
 }
 
 TEST_F(StorageNodeTest, RoleFlipsForWholeTable) {
-  node_.SetPrimaryForTable("t", false);
+  ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(1, "node-2")));
   proto::PutRequest put;
   put.table = "t";
   put.key = "k";
   EXPECT_TRUE(std::holds_alternative<proto::ErrorReply>(node_.Handle(put)));
-  node_.SetPrimaryForTable("t", true);
+  ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(2, "node-1")));
   EXPECT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
 }
 
@@ -395,7 +436,10 @@ TEST_F(StorageNodeTest, SyncReplicaFlagAffectsAuthoritativeness) {
   StorageNode node("n", "s", &clock);
   ASSERT_TRUE(node.AddTablet("t", Tablet::Options{}).ok());
   EXPECT_FALSE(node.FindTablet("t", "k")->authoritative());
-  node.SetSyncReplicaForTable("t", true);
+  tablets::TabletMap map = MapWithPrimary(1, "node-1");
+  map.tablets.front().config.members = {"node-1", "n"};
+  map.tablets.front().config.sync_members = {"n"};
+  ASSERT_TRUE(node.InstallTabletMap(map));
   EXPECT_TRUE(node.FindTablet("t", "k")->authoritative());
   // Still not a primary: Puts are rejected.
   proto::PutRequest put;

@@ -15,6 +15,7 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -280,6 +281,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   // --- Replication (secondaries) ---
+  std::unique_ptr<storage::Tablet> shadow;
   std::unique_ptr<replication::ReplicationAgent> agent;
   std::unique_ptr<replication::ThreadedPuller> puller;
   std::unique_ptr<net::TcpChannel> sync_channel;
@@ -287,7 +289,16 @@ int main(int argc, char** argv) {
     replication::ReplicationAgent::Options agent_options{.table = table};
     agent_options.max_versions_per_pull =
         static_cast<uint32_t>(flags.GetInt("pull_batch"));
-    agent = std::make_unique<replication::ReplicationAgent>(tablet,
+    // In memory, the served tablet is written only under the node's lock
+    // (the server thread reads it concurrently): the agent tracks pull
+    // progress on a private shadow tablet instead.
+    storage::Tablet* progress_tablet = tablet;
+    if (node) {
+      shadow = std::make_unique<storage::Tablet>(storage::Tablet::Options{},
+                                                 RealClock::Instance());
+      progress_tablet = shadow.get();
+    }
+    agent = std::make_unique<replication::ReplicationAgent>(progress_tablet,
                                                             agent_options);
     agent->EnableTelemetry(&telemetry::MetricsRegistry::Default(),
                            flags.GetString("name"));
@@ -296,35 +307,47 @@ int main(int argc, char** argv) {
     auto* channel = sync_channel.get();
     auto* durable_ptr = durable.get();
     auto* service_ptr = durable_service.get();
+    auto* node_ptr = node.get();
     auto* tablet_ptr = tablet;
     puller = std::make_unique<replication::ThreadedPuller>(
         agent.get(),
-        [channel, durable_ptr, service_ptr,
+        [channel, durable_ptr, service_ptr, node_ptr,
          tablet_ptr](const proto::SyncRequest& request)
             -> Result<proto::SyncReply> {
           Result<proto::SyncReply> reply = SyncOverChannel(*channel, request);
-          // The agent applies the reply to the in-memory tablet; journal it
-          // too when durable. To keep a single apply path, journal here and
-          // return an empty reply to the agent when durable.
-          if (reply.ok() && durable_ptr != nullptr) {
-            Status st = durable_ptr->ApplySync(reply.value());
+          if (!reply.ok()) {
+            return reply;
+          }
+          if (node_ptr != nullptr) {
+            // Apply to the served tablet under the node's lock and hand the
+            // agent only the progress.
+            node_ptr->WithLock([&] { tablet_ptr->ApplySync(*reply); });
+            if (!reply->versions.empty()) {
+              reply->heartbeat =
+                  std::max(reply->heartbeat, reply->versions.back().timestamp);
+              reply->versions.clear();
+            }
+            return reply;
+          }
+          // Durable: journal and apply here, then return an empty reply so
+          // the agent (whose target is the served tablet) applies nothing
+          // twice.
+          Status st = durable_ptr->ApplySync(reply.value());
+          if (!st.ok()) {
+            return st;
+          }
+          // One durability barrier covers the whole applied batch (a shared
+          // group-commit fsync when enabled, inline otherwise).
+          if (!reply->versions.empty() && service_ptr != nullptr) {
+            st = service_ptr->SyncNow();
             if (!st.ok()) {
               return st;
             }
-            // One durability barrier covers the whole applied batch (a
-            // shared group-commit fsync when enabled, inline otherwise).
-            if (!reply->versions.empty() && service_ptr != nullptr) {
-              st = service_ptr->SyncNow();
-              if (!st.ok()) {
-                return st;
-              }
-            }
-            proto::SyncReply applied;
-            applied.heartbeat = tablet_ptr->high_timestamp();
-            applied.has_more = reply->has_more;
-            return applied;
           }
-          return reply;
+          proto::SyncReply applied;
+          applied.heartbeat = tablet_ptr->high_timestamp();
+          applied.has_more = reply->has_more;
+          return applied;
         },
         MillisecondsToMicroseconds(flags.GetInt("pull_period_ms")));
     std::printf("replicating from 127.0.0.1:%lld every %lld ms\n",
@@ -374,14 +397,16 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
-  std::printf("shutting down (%llu requests served)\n",
-              static_cast<unsigned long long>(
-                  durable_service ? durable_service->requests_served()
-                                  : node->requests_served()));
+  // Stop the threads that serve and replicate first: the request count is
+  // theirs to write until then.
   if (puller) {
     puller->Stop();
   }
   server.Stop();
+  std::printf("shutting down (%llu requests served)\n",
+              static_cast<unsigned long long>(
+                  durable_service ? durable_service->requests_served()
+                                  : node->requests_served()));
   if (durable) {
     (void)durable->Checkpoint();
   }
