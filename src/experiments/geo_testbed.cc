@@ -6,6 +6,7 @@
 #include <cassert>
 
 #include "src/common/logging.h"
+#include "src/persist/durable_tablet.h"
 
 namespace pileus::experiments {
 
@@ -388,9 +389,10 @@ GeoTestbed::GeoTestbed(GeoTestbedOptions options)
         (options_.sync_replica_count >= 2 && std::string(site) == kUs) ||
         (options_.sync_replica_count >= 3 && std::string(site) == kIndia);
     tablet_options.store = options_.store;
-    Status st = entry.node->AddTablet(kTableName, tablet_options);
-    assert(st.ok());
-    (void)st;
+    Result<std::optional<reconfig::ConfigEpoch>> hosted =
+        HostTablet(entry, tablet_options);
+    assert(hosted.ok() && "failed to host the node's tablet");
+    (void)hosted;
     if (options_.admission.has_value()) {
       entry.node->EnableAdmission(*options_.admission);
     }
@@ -403,30 +405,39 @@ GeoTestbed::GeoTestbed(GeoTestbedOptions options)
     entry.agent = std::make_unique<replication::ReplicationAgent>(
         entry.node->FindTablet(kTableName, ""), agent_options);
   }
-  // Durability: one WAL per node so CrashNode/RestartNode can model real
-  // crash-recovery instead of pretending volatile state survives.
-  if (!options_.durable_root.empty()) {
-    ::mkdir(options_.durable_root.c_str(), 0755);  // Best effort; may exist.
-    for (NodeEntry& entry : nodes_) {
-      Result<persist::WriteAheadLog> wal =
-          persist::WriteAheadLog::Open(WalPath(entry.site));
-      assert(wal.ok() && "failed to open node WAL");
-      entry.wal = std::move(wal).value();
-    }
-  }
 }
 
-std::string GeoTestbed::WalPath(const std::string& site) const {
-  return options_.durable_root + "/" + site + ".wal";
-}
-
-void GeoTestbed::JournalVersion(NodeEntry& entry,
-                                const proto::ObjectVersion& version) {
-  if (entry.wal.is_open()) {
-    Status st = entry.wal.AppendVersion(version);
-    assert(st.ok());
-    (void)st;
+Result<std::optional<reconfig::ConfigEpoch>> GeoTestbed::HostTablet(
+    NodeEntry& entry, storage::Tablet::Options options) {
+  if (options_.durable_root.empty()) {
+    PILEUS_RETURN_IF_ERROR(
+        entry.node->AddTablet(kTableName, std::move(options)));
+    return std::optional<reconfig::ConfigEpoch>();
   }
+  // Durability lets CrashNode/RestartNode model real crash-recovery instead
+  // of pretending volatile state survives.
+  persist::DurableTablet::Options durable;
+  durable.directory = options_.durable_root + "/" + entry.site;
+  ::mkdir(options_.durable_root.c_str(), 0755);  // Best effort; may exist.
+  ::mkdir(durable.directory.c_str(), 0755);
+  durable.tablet = std::move(options);
+  // The simulated disk keeps every record: a checkpoint would compact the
+  // update log the replication pulls read from.
+  durable.checkpoint_threshold_bytes = 0;
+  Result<std::unique_ptr<persist::DurableTablet>> opened =
+      persist::DurableTablet::Open(durable, env_.clock());
+  if (!opened.ok()) {
+    return opened.status();
+  }
+  const persist::DurableTablet::RecoveryInfo& recovery =
+      (*opened)->recovery_info();
+  PILEUS_LOG(kInfo) << entry.site << ": replayed " << recovery.wal_versions
+                    << " versions from WAL"
+                    << (recovery.wal_tail_torn ? " (torn tail discarded)"
+                                               : "");
+  PILEUS_RETURN_IF_ERROR(
+      entry.node->AddTablet(kTableName, (*opened)->shared_tablet()));
+  return recovery.config;
 }
 
 GeoTestbed::~GeoTestbed() {
@@ -461,15 +472,6 @@ void GeoTestbed::SetRttDelta(const std::string& site_a,
                                    delta_us);
 }
 
-void GeoTestbed::JournalConfig(NodeEntry& entry,
-                               const tablets::TabletMap& map) {
-  if (entry.wal.is_open()) {
-    Status st = entry.wal.AppendConfig(map.tablets.front().config);
-    assert(st.ok());
-    (void)st;
-  }
-}
-
 bool GeoTestbed::IsLive(const std::string& site) {
   NodeEntry* entry = FindEntry(site);
   return entry != nullptr && !entry->crashed && !entry->down;
@@ -491,7 +493,6 @@ std::optional<proto::TabletMapReply> GeoTestbed::InstallOnNode(
   request.map = map;
   request.lease_duration_us = LeaseDuration();
   proto::Message reply = entry.node->Handle(request);
-  JournalConfig(entry, map);
   auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
   if (map_reply == nullptr) {
     return std::nullopt;
@@ -639,10 +640,7 @@ Status GeoTestbed::ExecuteFailover(const tablets::TabletMap& next) {
     while (more) {
       const proto::SyncReply delta =
           primary_tablet->HandleSync(tablet->high_timestamp(), 0);
-      for (const proto::ObjectVersion& version : delta.versions) {
-        JournalVersion(*entry, version);
-      }
-      tablet->ApplySync(delta);
+      (void)tablet->ApplySync(delta);
       more = delta.has_more;
     }
   }
@@ -740,11 +738,8 @@ void GeoTestbed::RunPullRound(NodeEntry& entry) {
       if (entry_ptr->down || entry_ptr->crashed) {
         return;  // Crashed while the reply was in flight.
       }
-      // Journal before applying: pulled versions must survive a crash just
-      // like primary writes.
-      for (const proto::ObjectVersion& version : reply.versions) {
-        JournalVersion(*entry_ptr, version);
-      }
+      // A durable tablet journals the pulled versions as it applies them:
+      // they survive a crash just like primary writes.
       const bool more = entry_ptr->agent->OnReply(reply);
       if (more) {
         RunPullRound(*entry_ptr);  // Immediately start another round.
@@ -770,8 +765,8 @@ void GeoTestbed::CrashNode(const std::string& site) {
   faults_.CrashNode(site);
   entry->crashed = true;
   entry->crashed_at_us = env_.clock()->NowMicros();
-  // Volatile state dies with the process. The WAL (entry->wal, when open)
-  // is the disk: it survives.
+  // Volatile state dies with the process. The tablet's journal on disk
+  // survives.
   entry->agent.reset();
   entry->node.reset();
 }
@@ -802,53 +797,29 @@ Status GeoTestbed::RestartNode(const std::string& site) {
       (options_.sync_replica_count >= 2 && site == kUs) ||
       (options_.sync_replica_count >= 3 && site == kIndia);
   tablet_options.store = options_.store;
-  Status st = entry->node->AddTablet(kTableName, tablet_options);
-  if (!st.ok()) {
-    return st;
+  Result<std::optional<reconfig::ConfigEpoch>> recovered_config =
+      HostTablet(*entry, tablet_options);
+  if (!recovered_config.ok()) {
+    return recovered_config.status();
   }
   if (options_.admission.has_value()) {
     entry->node->EnableAdmission(*options_.admission);
   }
   storage::Tablet* tablet = entry->node->FindTablet(kTableName, "");
-  std::optional<reconfig::ConfigEpoch> recovered_config;
-  if (entry->wal.is_open()) {
-    Result<persist::WriteAheadLog::ReplayStats> stats =
-        persist::WriteAheadLog::Replay(
-            WalPath(site),
-            [tablet](const proto::ObjectVersion& version) {
-              tablet->ApplyReplicatedPut(version);
-            },
-            [tablet](const Timestamp& heartbeat) {
-              proto::SyncReply hb;
-              hb.heartbeat = heartbeat;
-              tablet->ApplySync(hb);
-            },
-            [&recovered_config](const reconfig::ConfigEpoch& config) {
-              recovered_config = config;
-            });
-    if (!stats.ok()) {
-      return stats.status();
-    }
-    PILEUS_LOG(kInfo) << "restarted " << site << ": replayed "
-                      << stats.value().versions << " versions from WAL"
-                      << (stats.value().tail_torn ? " (torn tail discarded)"
-                                                  : "");
-  }
   if (coordinator_ != nullptr) {
     // Config-epoch recovery: re-install the last journaled config, as the
     // one-tablet map of that epoch, with an already-expired lease, so a
     // restarted ex-primary comes back fenced (it rejects Puts with
     // kNotPrimary) until the coordinator speaks.
-    if (recovered_config.has_value()) {
+    if (recovered_config->has_value()) {
       tablets::TabletMap recovered = map_;
-      recovered.version = recovered_config->epoch;
-      recovered.tablets.front().config = *recovered_config;
+      recovered.version = (*recovered_config)->epoch;
+      recovered.tablets.front().config = **recovered_config;
       entry->node->InstallTabletMap(recovered, /*lease_expiry_us=*/1);
     }
     // Then adopt the live map (a newer version demotes a stale ex-primary
     // to secondary; the same version just clears the expired lease).
     entry->node->InstallTabletMap(map_, /*lease_expiry_us=*/0);
-    JournalConfig(*entry, map_);
   } else {
     tablet->SetPrimary(site == primary_site_);
   }
@@ -887,8 +858,12 @@ proto::Message GeoTestbed::Serve(NodeEntry& entry,
       },
       reply);
 
-  // Durability: journal every write this node just accepted, before the
-  // reply (the ack) leaves. Extracted below for the sync fan-out as well.
+  // Section 6.4: with multiple sync replicas, a Put (or transactional
+  // commit) at the primary is acked only after every sync replica applied
+  // it. The client-visible extra delay is the slowest replica's round trip.
+  if (options_.sync_replica_count <= 1 || entry.site != primary_site_) {
+    return reply;
+  }
   std::vector<proto::ObjectVersion> accepted_writes;
   if (const auto* put = std::get_if<proto::PutRequest>(&request)) {
     if (const auto* put_reply = std::get_if<proto::PutReply>(&reply)) {
@@ -916,18 +891,7 @@ proto::Message GeoTestbed::Serve(NodeEntry& entry,
       }
     }
   }
-  for (const proto::ObjectVersion& version : accepted_writes) {
-    JournalVersion(entry, version);
-  }
-
-  // Section 6.4: with multiple sync replicas, a Put (or transactional
-  // commit) at the primary is acked only after every sync replica applied
-  // it. The client-visible extra delay is the slowest replica's round trip.
-  if (options_.sync_replica_count <= 1 || entry.site != primary_site_) {
-    return reply;
-  }
-  const std::vector<proto::ObjectVersion>& fanout_writes = accepted_writes;
-  if (fanout_writes.empty()) {
+  if (accepted_writes.empty()) {
     return reply;
   }
   auto& latency = env_.latency_model();
@@ -940,9 +904,8 @@ proto::Message GeoTestbed::Serve(NodeEntry& entry,
     if (tablet == nullptr || !tablet->is_sync_replica()) {
       continue;
     }
-    for (const proto::ObjectVersion& version : fanout_writes) {
-      tablet->ApplyReplicatedPut(version);
-      JournalVersion(other, version);
+    for (const proto::ObjectVersion& version : accepted_writes) {
+      (void)tablet->ApplyReplicatedPut(version);
     }
     const MicrosecondCount rtt =
         latency.SampleOneWay(entry.site_id, other.site_id, env_.rng()) +

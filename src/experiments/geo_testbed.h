@@ -23,7 +23,6 @@
 
 #include "src/core/client.h"
 #include "src/core/connection.h"
-#include "src/persist/wal.h"
 #include "src/reconfig/coordinator.h"
 #include "src/replication/replication_agent.h"
 #include "src/sim/fault_injector.h"
@@ -53,10 +52,11 @@ struct GeoTestbedOptions {
   // 3 adds India too. Puts are acked only after every sync replica applied.
   int sync_replica_count = 1;
   storage::VersionedStore::Options store;
-  // When non-empty, every storage node journals its applied writes to
-  // `<durable_root>/<site>.wal` (created on demand), and CrashNode /
-  // RestartNode model a real process crash: volatile state is lost and the
-  // restarted node recovers from its WAL before replication catches it up.
+  // When non-empty, every storage node's tablet is durable: it journals its
+  // state changes to `<durable_root>/<site>/wal.log` (created on demand),
+  // and CrashNode / RestartNode model a real process crash: volatile state
+  // is lost and the restarted node recovers from its WAL before
+  // replication catches it up.
   std::string durable_root;
   // Live failover (Section 6.2). When true, StartReconfiguration also runs a
   // lease-based coordinator as virtual-time heartbeat events: a primary that
@@ -196,12 +196,11 @@ class GeoTestbed {
     sim::PeriodicHandle pull_task;
     bool down = false;
     // Crashed: node/agent are destroyed (volatile state lost) until
-    // RestartNode; the WAL below is the only thing that survives.
+    // RestartNode; only the tablet's journal on disk survives.
     bool crashed = false;
     // Virtual time of the crash (-1 when not crashed); feeds the
     // crash-to-promotion latency histogram.
     MicrosecondCount crashed_at_us = -1;
-    persist::WriteAheadLog wal;  // Open only when durable_root is set.
   };
 
   // The server-side of one simulated request: dispatch plus, for Puts with
@@ -214,20 +213,20 @@ class GeoTestbed {
   void SchedulePull(NodeEntry& entry);
   void RunPullRound(NodeEntry& entry);
 
-  std::string WalPath(const std::string& site) const;
-  // Journals one applied write into the entry's WAL (no-op when closed).
-  void JournalVersion(NodeEntry& entry, const proto::ObjectVersion& version);
-  // Journals the map's tablet config (WAL config record) so recovery
-  // re-fences a restarted ex-primary.
-  void JournalConfig(NodeEntry& entry, const tablets::TabletMap& map);
+  // Hosts the site's one tablet on its fresh node: in memory, or with a
+  // durable_root, journaled under `<durable_root>/<site>/` and recovered
+  // from whatever an earlier incarnation left there. Returns the config the
+  // journal recovered (nullopt in memory or when none was journaled).
+  Result<std::optional<reconfig::ConfigEpoch>> HostTablet(
+      NodeEntry& entry, storage::Tablet::Options options);
 
   // --- Reconfiguration internals ---
   bool IsLive(const std::string& site);
   // The lease a map install grants (0 without the heartbeat loop).
   MicrosecondCount LeaseDuration() const;
   // Sends `map` (as a TabletMapRequest install carrying LeaseDuration()) to
-  // a live node and journals it. Skips crashed/down nodes (nullopt); they
-  // learn the map on recovery.
+  // a live node, whose durable tablet journals it. Skips crashed/down nodes
+  // (nullopt); they learn the map on recovery.
   std::optional<proto::TabletMapReply> InstallOnNode(
       NodeEntry& entry, const tablets::TabletMap& map);
   // One coordinator heartbeat round: renew leases on live members, feed the

@@ -188,7 +188,7 @@ class SimDeployment : public Deployment {
         kTableName, &truth.complete);
     if (!options_.durable_root.empty()) {
       truth.wal_paths.push_back(options_.durable_root + "/" +
-                                testbed_->primary_site() + ".wal");
+                                testbed_->primary_site() + "/wal.log");
     }
     return truth;
   }

@@ -1,468 +1,29 @@
 #include "src/persist/durable_service.h"
 
-#include <sys/stat.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <condition_variable>
-#include <cstring>
-
-#include "src/common/logging.h"
+#include <future>
 
 namespace pileus::persist {
-
-namespace {
-
-proto::Message MakeError(StatusCode code, std::string message) {
-  proto::ErrorReply err;
-  err.code = code;
-  err.message = std::move(message);
-  return err;
-}
-
-proto::Message MakeError(const Status& status) {
-  return MakeError(status.code(), status.message());
-}
-
-// Requests whose successful reply implies a journaled state change.
-bool IsMutation(const proto::Message& request) {
-  return std::holds_alternative<proto::PutRequest>(request) ||
-         std::holds_alternative<proto::DeleteRequest>(request) ||
-         std::holds_alternative<proto::CommitRequest>(request);
-}
-
-bool IsError(const proto::Message& reply) {
-  return std::holds_alternative<proto::ErrorReply>(reply);
-}
-
-}  // namespace
 
 DurableStorageService::DurableStorageService(
     std::string table, DurableTablet* tablet,
     const GroupCommitConfig& group_commit)
-    : table_(std::move(table)), tablet_(tablet) {
-  if (!group_commit.enabled) {
-    return;
-  }
-  GroupCommitter::Options options;
-  options.max_batch = group_commit.max_batch;
-  options.max_delay_us = group_commit.max_delay_us;
-  committer_ = std::make_unique<GroupCommitter>(
-      [this] {
-        // Serialized against appends and checkpoints: the WAL objects are
-        // only safe to touch under the service lock.
-        std::lock_guard<std::mutex> lock(mu_);
-        return SyncAllLocked();
-      },
-      options);
-  const Status status = committer_->Start();
-  if (!status.ok()) {
-    PILEUS_LOG(kError) << "group committer failed to start, falling back to "
-                          "inline sync: "
-                       << status;
-  }
-}
-
-DurableStorageService::~DurableStorageService() {
-  if (committer_ != nullptr) {
-    committer_->Stop();
-  }
+    : node_("durable", "local", tablet->tablet().clock()) {
+  // A fresh node hosts nothing the tablet could overlap.
+  (void)node_.AddTablet(table, tablet->shared_tablet());
+  committer_ = StartGroupCommit(&node_, group_commit);
 }
 
 proto::Message DurableStorageService::Handle(const proto::Message& request) {
-  if (committer_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
-    return HandleLocked(request);
-  }
-  struct Waiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    proto::Message reply;
-  };
-  auto waiter = std::make_shared<Waiter>();
-  HandleAsync(request, [waiter](proto::Message reply) {
-    std::lock_guard<std::mutex> lock(waiter->mu);
-    waiter->reply = std::move(reply);
-    waiter->done = true;
-    waiter->cv.notify_all();
+  auto reply = std::make_shared<std::promise<proto::Message>>();
+  std::future<proto::Message> ready = reply->get_future();
+  node_.HandleAsync(request, [reply](proto::Message message) {
+    reply->set_value(std::move(message));
   });
-  std::unique_lock<std::mutex> lock(waiter->mu);
-  waiter->cv.wait(lock, [&waiter] { return waiter->done; });
-  return std::move(waiter->reply);
-}
-
-void DurableStorageService::HandleAsync(
-    const proto::Message& request, std::function<void(proto::Message)> done) {
-  proto::Message reply;
-  bool defer = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
-    reply = HandleLocked(request);
-    // Only successful mutations wait for the durability barrier; their WAL
-    // append (made just above, under this lock) precedes the registration,
-    // so the batch fsync is guaranteed to cover it.
-    defer = committer_ != nullptr && IsMutation(request) && !IsError(reply);
-  }
-  if (!defer) {
-    done(std::move(reply));
-    return;
-  }
-  committer_->AckAfterSync(
-      [reply = std::move(reply), done = std::move(done)](
-          const Status& status) mutable {
-        if (status.ok()) {
-          done(std::move(reply));
-        } else {
-          // The write is applied in memory but its durability is unknown;
-          // refuse to ack it as committed.
-          done(MakeError(Status(StatusCode::kUnavailable,
-                                "wal sync failed: " + status.message())));
-        }
-      });
+  return ready.get();
 }
 
 Status DurableStorageService::SyncNow() {
-  if (committer_ != nullptr) {
-    return committer_->SyncNow();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return SyncAllLocked();
-}
-
-Status DurableStorageService::SyncAllLocked() {
-  if (!dynamic_tablets_) {
-    return tablet_->Sync();
-  }
-  for (Slot& slot : slots_) {
-    PILEUS_RETURN_IF_ERROR(slot.tablet->Sync());
-  }
-  return Status();
-}
-
-size_t DurableStorageService::tablet_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dynamic_tablets_ ? slots_.size() : 1;
-}
-
-void DurableStorageService::SortSlotsLocked() {
-  std::sort(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
-    return a.tablet->tablet().range().begin < b.tablet->tablet().range().begin;
-  });
-}
-
-Status DurableStorageService::EnableDynamicTablets(
-    const DurableTablet::Options& base_options, Clock* clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  base_options_ = base_options;
-  clock_ = clock;
-  slots_.clear();
-  slots_.push_back(Slot{tablet_, nullptr, base_options.directory, 0});
-  // Re-open recorded split children, breadth-first: every split record in a
-  // tablet's WAL names a child rooted at `<its dir>/child-<n>` (n counts
-  // that tablet's splits in log order), and children can have split again.
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    const size_t recorded =
-        slots_[i].tablet->recovery_info().split_keys.size();
-    for (size_t n = 0; n < recorded; ++n) {
-      const std::string directory =
-          slots_[i].directory + "/child-" + std::to_string(n);
-      DurableTablet::Options options = base_options_;
-      options.directory = directory;
-      // The child's checkpoint (fsynced before the parent's split record was
-      // written) records its true range; the seed range is ignored.
-      Result<std::unique_ptr<DurableTablet>> opened =
-          DurableTablet::Open(options, clock_);
-      if (!opened.ok()) {
-        slots_.clear();
-        return Status(opened.status().code(),
-                      "reopening split child " + directory + ": " +
-                          opened.status().message());
-      }
-      Slot child;
-      child.tablet = opened.value().get();
-      child.owned = std::move(opened).value();
-      child.directory = directory;
-      slots_.push_back(std::move(child));
-      slots_[i].children_spawned = n + 1;
-    }
-  }
-  SortSlotsLocked();
-  dynamic_tablets_ = true;
-  return Status();
-}
-
-DurableTablet* DurableStorageService::RouteLocked(std::string_view key) {
-  if (!dynamic_tablets_) {
-    return tablet_;
-  }
-  for (Slot& slot : slots_) {
-    if (slot.tablet->tablet().range().Contains(key)) {
-      return slot.tablet;
-    }
-  }
-  return tablet_;  // Unreachable while the hosted ranges tile the keyspace.
-}
-
-Status DurableStorageService::SplitLocked(std::string_view split_key) {
-  Slot* owner = nullptr;
-  for (Slot& slot : slots_) {
-    if (slot.tablet->tablet().range().Contains(split_key)) {
-      owner = &slot;
-      break;
-    }
-  }
-  if (owner == nullptr) {
-    return Status(StatusCode::kOutOfRange,
-                  "no hosted tablet contains the split key");
-  }
-  const std::string directory =
-      owner->directory + "/child-" + std::to_string(owner->children_spawned);
-  if (::mkdir(directory.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status(StatusCode::kInternal,
-                  "mkdir '" + directory + "': " + std::strerror(errno));
-  }
-  Result<std::unique_ptr<DurableTablet>> child =
-      owner->tablet->Split(split_key, directory);
-  if (!child.ok()) {
-    return child.status();
-  }
-  owner->children_spawned += 1;
-  Slot slot;
-  slot.tablet = child.value().get();
-  slot.owned = std::move(child).value();
-  slot.directory = directory;
-  slots_.push_back(std::move(slot));  // Invalidates `owner`; done with it.
-  SortSlotsLocked();
-  return Status();
-}
-
-tablets::TabletMap DurableStorageService::SynthesizeMapLocked() const {
-  tablets::TabletMap map;
-  map.table = table_;
-  map.version = 0;  // Display-only: installs of v0 maps are rejected.
-  for (const Slot& slot : slots_) {
-    const storage::Tablet& tablet = slot.tablet->tablet();
-    tablets::TabletInfo info;
-    info.range = tablet.range();
-    info.size_bytes = tablet.ApproximateBytes();
-    info.ops_per_sec = 0;  // Cumulative rate needs a sampler; none here.
-    map.tablets.push_back(std::move(info));
-  }
-  return map;
-}
-
-proto::Message DurableStorageService::HandleTabletMapLocked(
-    const proto::TabletMapRequest& request) {
-  if (request.table != table_) {
-    return MakeError(StatusCode::kNotFound, "unknown table " + request.table);
-  }
-  if (!dynamic_tablets_) {
-    return MakeError(StatusCode::kInvalidArgument,
-                     "dynamic tablets are not enabled on this node");
-  }
-  if (request.install) {
-    // A durable single-table daemon has no coordinator above it; the
-    // in-memory StorageNode path is where installed maps (and the
-    // kWrongTablet fence) live.
-    return MakeError(StatusCode::kInvalidArgument,
-                     "durable nodes do not install tablet maps");
-  }
-  if (!request.split_key.empty()) {
-    if (const Status split = SplitLocked(request.split_key); !split.ok()) {
-      return MakeError(split);
-    }
-  }
-  proto::TabletMapReply reply;
-  reply.accepted = true;
-  reply.has_map = true;
-  reply.map = SynthesizeMapLocked();
-  return reply;
-}
-
-proto::Message DurableStorageService::HandleLocked(
-    const proto::Message& request) {
-  if (const auto* get = std::get_if<proto::GetRequest>(&request)) {
-    if (get->table != table_) {
-      return MakeError(StatusCode::kWrongNode, "unknown table " + get->table);
-    }
-    return RouteLocked(get->key)->HandleGet(get->key);
-  }
-  if (const auto* put = std::get_if<proto::PutRequest>(&request)) {
-    if (put->table != table_) {
-      return MakeError(StatusCode::kWrongNode, "unknown table " + put->table);
-    }
-    Result<proto::PutReply> reply =
-        RouteLocked(put->key)->HandlePut(put->key, put->value);
-    if (!reply.ok()) {
-      return MakeError(reply.status());
-    }
-    return std::move(reply).value();
-  }
-  if (const auto* del = std::get_if<proto::DeleteRequest>(&request)) {
-    if (del->table != table_) {
-      return MakeError(StatusCode::kWrongNode, "unknown table " + del->table);
-    }
-    Result<proto::PutReply> reply = RouteLocked(del->key)->HandleDelete(
-        del->key);
-    if (!reply.ok()) {
-      return MakeError(reply.status());
-    }
-    return std::move(reply).value();
-  }
-  if (const auto* range = std::get_if<proto::RangeRequest>(&request)) {
-    if (range->table != table_) {
-      return MakeError(StatusCode::kWrongNode,
-                       "unknown table " + range->table);
-    }
-    if (!dynamic_tablets_) {
-      return tablet_->tablet().HandleRange(range->begin, range->end,
-                                           range->limit);
-    }
-    // Stitch per-tablet scans together in range order; each tablet holds
-    // only its own keys, so concatenation preserves ascending key order.
-    proto::RangeReply merged;
-    bool first = true;
-    for (Slot& slot : slots_) {
-      const KeyRange& owned = slot.tablet->tablet().range();
-      const bool overlaps =
-          (range->end.empty() || owned.begin < range->end) &&
-          (owned.end.empty() || range->begin < owned.end);
-      if (!overlaps) {
-        continue;
-      }
-      const uint32_t remaining =
-          range->limit == 0
-              ? 0
-              : range->limit - static_cast<uint32_t>(merged.items.size());
-      proto::RangeReply part = slot.tablet->tablet().HandleRange(
-          range->begin, range->end, remaining);
-      for (proto::ObjectVersion& item : part.items) {
-        merged.items.push_back(std::move(item));
-      }
-      merged.truncated = merged.truncated || part.truncated;
-      merged.served_by_primary = part.served_by_primary;
-      merged.high_timestamp = first ? part.high_timestamp
-                                    : std::min(merged.high_timestamp,
-                                               part.high_timestamp);
-      first = false;
-      if (range->limit != 0 && merged.items.size() >= range->limit) {
-        break;
-      }
-    }
-    return merged;
-  }
-  if (const auto* probe = std::get_if<proto::ProbeRequest>(&request)) {
-    if (probe->table != table_) {
-      return MakeError(StatusCode::kNotFound, "unknown table " + probe->table);
-    }
-    proto::ProbeReply reply;
-    reply.is_primary = tablet_->tablet().authoritative();
-    // Mirror Tablet::HandleGet's convention: authoritative copies advertise a
-    // clock-fresh high timestamp. With several hosted tablets, advertise the
-    // minimum — everything at or below it is present on this node.
-    if (!dynamic_tablets_) {
-      reply.high_timestamp = tablet_->HandleGet("").high_timestamp;
-      return reply;
-    }
-    bool first = true;
-    for (Slot& slot : slots_) {
-      const Timestamp high = slot.tablet->HandleGet("").high_timestamp;
-      reply.high_timestamp =
-          first ? high : std::min(reply.high_timestamp, high);
-      first = false;
-    }
-    return reply;
-  }
-  if (const auto* sync = std::get_if<proto::SyncRequest>(&request)) {
-    if (sync->table != table_) {
-      return MakeError(StatusCode::kNotFound, "unknown table " + sync->table);
-    }
-    if (!dynamic_tablets_) {
-      return tablet_->HandleSync(sync->after, sync->max_versions);
-    }
-    // Merge the per-tablet logs into one ascending-timestamp stream. The
-    // heartbeat is the minimum across tablets: the puller may only advance
-    // its high timestamp to a point every hosted log is complete up to.
-    proto::SyncReply merged;
-    bool first = true;
-    for (Slot& slot : slots_) {
-      proto::SyncReply part =
-          slot.tablet->HandleSync(sync->after, sync->max_versions);
-      for (proto::ObjectVersion& v : part.versions) {
-        merged.versions.push_back(std::move(v));
-      }
-      merged.has_more = merged.has_more || part.has_more;
-      merged.heartbeat =
-          first ? part.heartbeat : std::min(merged.heartbeat, part.heartbeat);
-      first = false;
-    }
-    std::stable_sort(merged.versions.begin(), merged.versions.end(),
-                     [](const proto::ObjectVersion& a,
-                        const proto::ObjectVersion& b) {
-                       return a.timestamp < b.timestamp;
-                     });
-    if (sync->max_versions != 0 &&
-        merged.versions.size() > sync->max_versions) {
-      merged.versions.resize(sync->max_versions);
-      merged.has_more = true;
-      // Do not claim completeness past what was actually sent.
-      merged.heartbeat =
-          std::min(merged.heartbeat, merged.versions.back().timestamp);
-    }
-    return merged;
-  }
-  if (const auto* get_at = std::get_if<proto::GetAtRequest>(&request)) {
-    if (get_at->table != table_) {
-      return MakeError(StatusCode::kWrongNode,
-                       "unknown table " + get_at->table);
-    }
-    return RouteLocked(get_at->key)
-        ->tablet()
-        .HandleGetAt(get_at->key, get_at->snapshot);
-  }
-  if (const auto* commit = std::get_if<proto::CommitRequest>(&request)) {
-    if (commit->table != table_) {
-      return MakeError(StatusCode::kWrongNode,
-                       "unknown table " + commit->table);
-    }
-    // A commit is atomic within one tablet's WAL; a transaction that spans
-    // split tablets on this node cannot be journaled atomically here.
-    DurableTablet* target = tablet_;
-    if (dynamic_tablets_) {
-      if (commit->writes.empty()) {
-        return MakeError(StatusCode::kInvalidArgument,
-                         "commit carries no writes");
-      }
-      target = RouteLocked(commit->writes[0].key);
-      const KeyRange& owned = target->tablet().range();
-      for (const proto::ObjectVersion& write : commit->writes) {
-        if (!owned.Contains(write.key)) {
-          return MakeError(StatusCode::kInvalidArgument,
-                           "transaction spans split tablets on this node");
-        }
-      }
-      for (const std::string& key : commit->read_keys) {
-        if (!owned.Contains(key)) {
-          return MakeError(StatusCode::kInvalidArgument,
-                           "transaction spans split tablets on this node");
-        }
-      }
-    }
-    Result<proto::CommitReply> reply = target->HandleCommit(*commit);
-    if (!reply.ok()) {
-      return MakeError(reply.status());
-    }
-    return std::move(reply).value();
-  }
-  if (const auto* tablet_map =
-          std::get_if<proto::TabletMapRequest>(&request)) {
-    return HandleTabletMapLocked(*tablet_map);
-  }
-  return MakeError(StatusCode::kInvalidArgument,
-                   "service received a non-request message");
+  return committer_ != nullptr ? committer_->SyncNow() : node_.SyncJournals();
 }
 
 }  // namespace pileus::persist

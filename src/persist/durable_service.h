@@ -1,125 +1,52 @@
-// Request dispatcher for a durable storage node serving one table.
+// A StorageNode serving one caller-owned durable tablet.
 //
-// Mirrors StorageNode::Handle for a DurableTablet so a daemon can sit a
-// TcpServer (or any transport) directly on top of journaled storage. A
-// single mutex serializes requests, matching StorageNode's threading model.
-//
-// With group commit enabled, mutation acks (Put/Delete/Commit) are deferred:
-// the write is applied and appended to the WAL under the lock, but the reply
-// is released only after a GroupCommitter batch fsync covers it — so every
-// acked write survives a crash, at one fsync per batch instead of per write.
-// Reads still reply immediately (the in-memory tablet already reflects the
-// pending writes, which is exactly the sync_every_append=false memory state).
+// A thin adapter for callers written when durability was a separate node
+// type. It hosts the tablet on a StorageNode, so requests go through the
+// node's one dispatcher (admission, fencing, telemetry, merged reads), and
+// with group commit on the node defers mutation acks to a GroupCommitter
+// until a batch fsync covers them (DESIGN.md Section 13).
 
 #ifndef PILEUS_SRC_PERSIST_DURABLE_SERVICE_H_
 #define PILEUS_SRC_PERSIST_DURABLE_SERVICE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/persist/durable_tablet.h"
 #include "src/persist/group_commit.h"
 #include "src/proto/messages.h"
-#include "src/tablets/tablet_map.h"
+#include "src/storage/storage_node.h"
 
 namespace pileus::persist {
-
-// Group-commit knobs for DurableStorageService (namespace scope so it can be
-// brace-initialized at call sites).
-struct GroupCommitConfig {
-  bool enabled = false;
-  size_t max_batch = 64;
-  MicrosecondCount max_delay_us = 2000;
-};
 
 class DurableStorageService {
  public:
   // `tablet` is not owned and must outlive the service.
-  DurableStorageService(std::string table, DurableTablet* tablet)
-      : table_(std::move(table)), tablet_(tablet) {}
   DurableStorageService(std::string table, DurableTablet* tablet,
-                        const GroupCommitConfig& group_commit);
-  ~DurableStorageService();
+                        const GroupCommitConfig& group_commit = {});
 
-  // Synchronous dispatch. When group commit is on, mutations block until
-  // their covering batch fsync completes.
+  // Synchronous dispatch. Under group commit a successful mutation returns
+  // once it is durable.
   proto::Message Handle(const proto::Message& request);
 
-  // Asynchronous dispatch for the event-driven transport: `done` is invoked
-  // exactly once — inline for reads and errors, from the committer thread
-  // for mutations under group commit. `done` must be thread-safe to call
-  // from another thread and must not block for long.
+  // StorageNode::HandleAsync.
   void HandleAsync(const proto::Message& request,
-                   std::function<void(proto::Message)> done);
+                   std::function<void(proto::Message)> done) {
+    node_.HandleAsync(request, std::move(done));
+  }
 
-  // Forces a durability barrier covering everything applied so far (e.g.
-  // after a replication pull applied a batch of versions).
+  // Forces a durability barrier covering everything applied so far.
   Status SyncNow();
-
-  // Turns on dynamic-tablet support (DESIGN.md Section 14) for this durable
-  // node: TabletMapRequest is answered with a synthesized version-0 view of
-  // the hosted tablets, and its split_key admin verb splits through
-  // DurableTablet::Split (child checkpoint fsynced before the WAL split
-  // record — no acked write is ever lost across a crash mid-split).
-  //
-  // Child tablets live in numbered subdirectories (`<dir>/child-<n>`) of the
-  // tablet that spawned them; this call re-opens, recursively, every child
-  // recorded by earlier splits and routes key-addressed requests across the
-  // resulting set. `base_options` must be the options `tablet` was opened
-  // with (children inherit everything but directory and range).
-  Status EnableDynamicTablets(const DurableTablet::Options& base_options,
-                              Clock* clock);
-
-  // Hosted tablets (1 until a split happens; parent plus split-off
-  // children afterwards), sorted by range begin.
-  size_t tablet_count() const;
 
   // Null when group commit is disabled.
   GroupCommitter* group_committer() { return committer_.get(); }
 
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
+  uint64_t requests_served() const { return node_.requests_served(); }
 
  private:
-  // One hosted durable tablet. The parent (slot 0 at enable time) is the
-  // caller-owned tablet_; split children are owned here.
-  struct Slot {
-    DurableTablet* tablet = nullptr;
-    std::unique_ptr<DurableTablet> owned;  // Null for the parent.
-    std::string directory;
-    uint64_t children_spawned = 0;  // Names the next child subdirectory.
-  };
-
-  proto::Message HandleLocked(const proto::Message& request);
-  proto::Message HandleTabletMapLocked(const proto::TabletMapRequest& request);
-  // The hosted tablet owning `key`; tablet_ when dynamic tablets are off.
-  // Never null: the hosted ranges tile the parent's original range.
-  DurableTablet* RouteLocked(std::string_view key);
-  // Splits the hosted tablet owning `split_key` at that key.
-  Status SplitLocked(std::string_view split_key);
-  // Version-0 map view of the hosted tablets (display/CLI only; nodes
-  // reject installing v0 maps, so nothing can route off it persistently).
-  tablets::TabletMap SynthesizeMapLocked() const;
-  // Everything in every hosted WAL, to stable storage.
-  Status SyncAllLocked();
-  void SortSlotsLocked();
-
-  std::string table_;
-  DurableTablet* tablet_;
-  mutable std::mutex mu_;
-  std::atomic<uint64_t> requests_served_{0};
-  std::unique_ptr<GroupCommitter> committer_;
-  // Dynamic-tablet state (empty/false until EnableDynamicTablets).
-  bool dynamic_tablets_ = false;
-  DurableTablet::Options base_options_;
-  Clock* clock_ = nullptr;
-  std::vector<Slot> slots_;  // Sorted by range begin.
+  storage::StorageNode node_;
+  std::unique_ptr<GroupCommitter> committer_;  // Destroyed before node_.
 };
 
 }  // namespace pileus::persist

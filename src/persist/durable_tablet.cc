@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <stdio.h>
 #include <string.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <utility>
@@ -195,13 +196,171 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
 
 }  // namespace
 
+// The WAL-plus-checkpoint journal of one tablet directory.
+class WalJournal final : public storage::TabletJournal {
+ public:
+  WalJournal(DurableTablet::Options options, WriteAheadLog wal,
+             std::vector<std::string> split_keys,
+             std::optional<reconfig::ConfigEpoch> config)
+      : options_(std::move(options)),
+        wal_(std::move(wal)),
+        split_keys_(std::move(split_keys)),
+        config_(std::move(config)) {}
+
+  Status RecordVersions(
+      storage::Tablet& tablet,
+      std::span<const proto::ObjectVersion> versions) override {
+    for (const proto::ObjectVersion& version : versions) {
+      PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(version));
+    }
+    return AfterAppend(tablet);
+  }
+
+  Status RecordHeartbeat(storage::Tablet& tablet) override {
+    PILEUS_RETURN_IF_ERROR(wal_.AppendHeartbeat(tablet.high_timestamp()));
+    return AfterAppend(tablet);
+  }
+
+  Status RecordConfig(const reconfig::ConfigEpoch& config) override {
+    PILEUS_RETURN_IF_ERROR(wal_.AppendConfig(config));
+    config_ = config;
+    return options_.sync_every_append ? wal_.Sync() : Status::Ok();
+  }
+
+  // Crash ordering: no acked write is ever lost.
+  //   1. The child's checkpoint (every version at or above the key, plus the
+  //      parent's high timestamp) is written and fsynced into child-<n>.
+  //   2. Only then is a split record appended to this WAL and synced.
+  // A crash before step 2 leaves the parent owning its full range and the
+  // child directory an orphan that no replayed split record names (the
+  // next split reuses it); a crash after it recovers the parent shrunk and
+  // the child complete from its own checkpoint.
+  Result<std::unique_ptr<storage::TabletJournal>> RecordSplit(
+      const storage::Tablet& parent, std::string_view split_key) override {
+    DurableTablet::Options child = options_;
+    child.directory =
+        options_.directory + "/child-" + std::to_string(split_keys_.size());
+    if (::mkdir(child.directory.c_str(), 0755) != 0 && errno != EEXIST) {
+      return Errno("mkdir", child.directory);
+    }
+    child.tablet.range = KeyRange{std::string(split_key), parent.range().end};
+    std::vector<proto::ObjectVersion> child_versions;
+    for (proto::ObjectVersion& v :
+         parent.store().LatestVersionsAfter(Timestamp::Zero())) {
+      if (v.key >= split_key) {
+        child_versions.push_back(std::move(v));
+      }
+    }
+    PILEUS_RETURN_IF_ERROR(WriteFileAtomically(
+        child.directory + "/checkpoint.db",
+        FrameCheckpoint(EncodeCheckpoint(
+            child_versions, parent.high_timestamp(), child.tablet.range))));
+    // An orphan left by a crashed split may hold a stale log.
+    Result<WriteAheadLog> child_wal =
+        WriteAheadLog::Open(child.directory + "/wal.log");
+    if (!child_wal.ok()) {
+      return child_wal.status();
+    }
+    PILEUS_RETURN_IF_ERROR(child_wal->Reset());
+    PILEUS_RETURN_IF_ERROR(child_wal->Sync());
+
+    PILEUS_RETURN_IF_ERROR(wal_.AppendSplit(split_key));
+    PILEUS_RETURN_IF_ERROR(wal_.Sync());
+    split_keys_.emplace_back(split_key);
+    return std::unique_ptr<storage::TabletJournal>(std::make_unique<WalJournal>(
+        std::move(child), std::move(child_wal).value(),
+        std::vector<std::string>{}, std::nullopt));
+  }
+
+  Status Sync() override { return wal_.Sync(); }
+
+  Status Checkpoint(storage::Tablet& tablet) {
+    if (options_.tombstone_gc_horizon_us > 0) {
+      // Safe because the horizon (Options comment) exceeds replication lag:
+      // every replica has long since synced past these tombstones.
+      const Timestamp horizon{tablet.high_timestamp().physical_us -
+                                  options_.tombstone_gc_horizon_us,
+                              0};
+      (void)tablet.CollectTombstones(horizon);
+    }
+    PILEUS_RETURN_IF_ERROR(WriteFileAtomically(
+        options_.directory + "/checkpoint.db",
+        FrameCheckpoint(EncodeCheckpoint(
+            tablet.store().LatestVersionsAfter(Timestamp::Zero()),
+            tablet.high_timestamp(), tablet.range()))));
+    PILEUS_RETURN_IF_ERROR(TrimLog());
+    // Everything up to the checkpointed high timestamp is durable in the
+    // snapshot; the in-memory replication log no longer needs it (laggards
+    // fall back to a full-state transfer).
+    tablet.CompactLog(tablet.high_timestamp());
+    return Status::Ok();
+  }
+
+  const WriteAheadLog& wal() const { return wal_; }
+
+ private:
+  Status AfterAppend(storage::Tablet& tablet) {
+    if (options_.sync_every_append) {
+      PILEUS_RETURN_IF_ERROR(wal_.Sync());
+    }
+    if (options_.checkpoint_threshold_bytes == 0 ||
+        wal_.bytes_written() < options_.checkpoint_threshold_bytes) {
+      return Status::Ok();
+    }
+    return Checkpoint(tablet);
+  }
+
+  // Empties the WAL after a checkpoint, keeping what the checkpoint does not
+  // hold: the split records (they name the children) and the last config.
+  // With those to keep, the trimmed log replaces the old one by rename, so a
+  // crash leaves one or the other; the old one replays idempotently over
+  // the new checkpoint.
+  Status TrimLog() {
+    if (split_keys_.empty() && !config_.has_value()) {
+      return wal_.Reset();
+    }
+    const std::string path = options_.directory + "/wal.log";
+    const std::string trimmed = path + ".new";
+    {
+      Result<WriteAheadLog> next = WriteAheadLog::Open(trimmed);
+      if (!next.ok()) {
+        return next.status();
+      }
+      PILEUS_RETURN_IF_ERROR(next->Reset());  // A crash may have left one.
+      for (const std::string& key : split_keys_) {
+        PILEUS_RETURN_IF_ERROR(next->AppendSplit(key));
+      }
+      if (config_.has_value()) {
+        PILEUS_RETURN_IF_ERROR(next->AppendConfig(*config_));
+      }
+      PILEUS_RETURN_IF_ERROR(next->Sync());
+    }
+    if (::rename(trimmed.c_str(), path.c_str()) != 0) {
+      return Errno("rename", trimmed);
+    }
+    PILEUS_RETURN_IF_ERROR(SyncParentDirectory(path));
+    Result<WriteAheadLog> reopened = WriteAheadLog::Open(path);
+    if (!reopened.ok()) {
+      return reopened.status();
+    }
+    wal_ = std::move(reopened).value();
+    return Status::Ok();
+  }
+
+  DurableTablet::Options options_;
+  WriteAheadLog wal_;
+  // Split n of this tablet lives in child-<n>.
+  std::vector<std::string> split_keys_;
+  std::optional<reconfig::ConfigEpoch> config_;
+};
+
 Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
                                                            Clock* clock) {
   RecoveryInfo recovery;
-  const std::string checkpoint_path = options.directory + "/checkpoint.db";
   const std::string wal_path = options.directory + "/wal.log";
 
-  Result<CheckpointData> loaded = LoadCheckpoint(checkpoint_path);
+  Result<CheckpointData> loaded =
+      LoadCheckpoint(options.directory + "/checkpoint.db");
   if (!loaded.ok()) {
     return loaded.status();
   }
@@ -211,34 +370,37 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
   // promotion afterwards seeds the allocator above everything recovered. The
   // checkpoint's recorded range (when present) wins over the caller's seed
   // options: a split may have shrunk this tablet since those were written.
+  // No journal is attached yet, so replay records nothing.
   storage::Tablet::Options recovery_options = options.tablet;
   recovery_options.is_primary = false;
   if (loaded->has_range) {
     recovery_options.range = loaded->range;
   }
-  auto tablet = std::make_unique<storage::Tablet>(recovery_options, clock);
+  auto tablet = std::make_shared<storage::Tablet>(recovery_options, clock);
   for (const proto::ObjectVersion& version : loaded->versions) {
-    tablet->ApplyReplicatedPut(version);
+    (void)tablet->ApplyReplicatedPut(version);
   }
-  proto::SyncReply checkpoint_heartbeat;
-  checkpoint_heartbeat.heartbeat = loaded->high;
-  tablet->ApplySync(checkpoint_heartbeat);
+  const auto advance_to = [&tablet](const Timestamp& heartbeat) {
+    proto::SyncReply heartbeat_only;
+    heartbeat_only.heartbeat = heartbeat;
+    (void)tablet->ApplySync(heartbeat_only);
+  };
+  advance_to(loaded->high);
 
   Result<WriteAheadLog::ReplayStats> replayed = WriteAheadLog::Replay(
       wal_path,
       [&tablet](const proto::ObjectVersion& version) {
-        tablet->ApplyReplicatedPut(version);
+        (void)tablet->ApplyReplicatedPut(version);
       },
-      [&tablet](const Timestamp& heartbeat) {
-        proto::SyncReply heartbeat_only;
-        heartbeat_only.heartbeat = heartbeat;
-        tablet->ApplySync(heartbeat_only);
+      advance_to,
+      [&recovery](const reconfig::ConfigEpoch& config) {
+        recovery.config = config;
       },
-      /*on_config=*/nullptr,
       [&tablet, &recovery](const std::string& split_key) {
         // The data above the key already lives in the child directory whose
         // checkpoint preceded this record; shrink the parent and drop the
-        // extracted half.
+        // extracted half. A checkpoint taken after the split already holds
+        // the shrunk range.
         if (tablet->range().IsSplittable(split_key)) {
           (void)tablet->Split(split_key);
         }
@@ -251,10 +413,8 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
   recovery.wal_heartbeats = replayed->heartbeats;
   recovery.wal_tail_torn = replayed->tail_torn;
 
-  // Keep the stored options in sync with what recovery actually produced so
-  // later checkpoints journal the effective (post-split) range.
+  // Later checkpoints and splits journal the effective (post-split) range.
   options.tablet.range = tablet->range();
-
   if (options.tablet.is_primary) {
     tablet->SetPrimary(true);
   }
@@ -263,160 +423,42 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
   if (!wal.ok()) {
     return wal.status();
   }
+  auto journal = std::make_unique<WalJournal>(
+      std::move(options), std::move(wal).value(), recovery.split_keys,
+      recovery.config);
+  WalJournal* raw = journal.get();
+  tablet->AttachJournal(std::move(journal));
   return std::unique_ptr<DurableTablet>(
-      new DurableTablet(std::move(options), std::move(tablet),
-                        std::move(wal).value(), recovery));
+      new DurableTablet(std::move(tablet), raw, std::move(recovery)));
 }
 
-Result<proto::PutReply> DurableTablet::HandlePut(std::string_view key,
-                                                 std::string_view value) {
-  Result<proto::PutReply> reply = tablet_->HandlePut(key, value);
-  if (!reply.ok()) {
-    return reply;
-  }
-  proto::ObjectVersion version;
-  version.key = std::string(key);
-  version.value = std::string(value);
-  version.timestamp = reply->timestamp;
-  PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(version));
-  if (options_.sync_every_append) {
-    PILEUS_RETURN_IF_ERROR(wal_.Sync());
-  }
-  PILEUS_RETURN_IF_ERROR(MaybeAutoCheckpoint());
-  return reply;
-}
-
-Result<proto::PutReply> DurableTablet::HandleDelete(std::string_view key) {
-  Result<proto::PutReply> reply = tablet_->HandleDelete(key);
-  if (!reply.ok()) {
-    return reply;
-  }
-  proto::ObjectVersion tombstone;
-  tombstone.key = std::string(key);
-  tombstone.timestamp = reply->timestamp;
-  tombstone.is_tombstone = true;
-  PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(tombstone));
-  if (options_.sync_every_append) {
-    PILEUS_RETURN_IF_ERROR(wal_.Sync());
-  }
-  PILEUS_RETURN_IF_ERROR(MaybeAutoCheckpoint());
-  return reply;
-}
-
-Status DurableTablet::ApplySync(const proto::SyncReply& reply) {
-  tablet_->ApplySync(reply);
-  for (const proto::ObjectVersion& version : reply.versions) {
-    PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(version));
-  }
-  PILEUS_RETURN_IF_ERROR(wal_.AppendHeartbeat(tablet_->high_timestamp()));
-  if (options_.sync_every_append) {
-    PILEUS_RETURN_IF_ERROR(wal_.Sync());
-  }
-  return MaybeAutoCheckpoint();
-}
-
-Result<proto::CommitReply> DurableTablet::HandleCommit(
-    const proto::CommitRequest& request) {
-  Result<proto::CommitReply> reply = tablet_->HandleCommit(request);
-  if (!reply.ok() || !reply->committed) {
-    return reply;
-  }
-  for (const proto::ObjectVersion& w : request.writes) {
-    proto::ObjectVersion version = w;
-    version.timestamp = reply->commit_timestamp;
-    PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(version));
-  }
-  if (options_.sync_every_append) {
-    PILEUS_RETURN_IF_ERROR(wal_.Sync());
-  }
-  PILEUS_RETURN_IF_ERROR(MaybeAutoCheckpoint());
-  return reply;
-}
-
-Status DurableTablet::Checkpoint() {
-  if (options_.tombstone_gc_horizon_us > 0) {
-    // Safe because the horizon (Options comment) exceeds replication lag:
-    // every replica has long since synced past these tombstones.
-    const Timestamp horizon{
-        tablet_->high_timestamp().physical_us -
-            options_.tombstone_gc_horizon_us,
-        0};
-    (void)tablet_->CollectTombstones(horizon);
-  }
-  const std::string payload = EncodeCheckpoint(
-      tablet_->store().LatestVersionsAfter(Timestamp::Zero()),
-      tablet_->high_timestamp(), tablet_->range());
-  PILEUS_RETURN_IF_ERROR(
-      WriteFileAtomically(CheckpointPath(), FrameCheckpoint(payload)));
-  PILEUS_RETURN_IF_ERROR(wal_.Reset());
-  // Everything up to the checkpointed high timestamp is durable in the
-  // snapshot; the in-memory replication log no longer needs it (laggards
-  // fall back to a full-state transfer).
-  tablet_->CompactLog(tablet_->high_timestamp());
-  return Status::Ok();
-}
-
-Result<std::unique_ptr<DurableTablet>> DurableTablet::Split(
-    std::string_view split_key, const std::string& child_directory) {
-  if (!tablet_->range().IsSplittable(split_key)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "split key " + std::string(split_key) +
-                      " is not strictly inside " +
-                      tablet_->range().ToString());
-  }
-
-  // Step 1: make the child's half durable in its own directory BEFORE the
-  // parent journals the split. Until the split record lands, the parent
-  // still owns the full range and the child directory is an orphan — so a
-  // crash anywhere in between loses nothing.
-  KeyRange child_range{std::string(split_key), tablet_->range().end};
-  std::vector<proto::ObjectVersion> child_versions;
-  for (proto::ObjectVersion& v :
-       tablet_->store().LatestVersionsAfter(Timestamp::Zero())) {
-    if (v.key >= split_key) {
-      child_versions.push_back(std::move(v));
+Result<std::vector<std::unique_ptr<DurableTablet>>> DurableTablet::OpenAll(
+    Options options, Clock* clock) {
+  std::vector<std::unique_ptr<DurableTablet>> opened;
+  // Breadth-first: each replayed split record names a child directory, and
+  // children can have split again.
+  std::vector<std::string> directories = {options.directory};
+  for (size_t i = 0; i < directories.size(); ++i) {
+    options.directory = directories[i];
+    Result<std::unique_ptr<DurableTablet>> tablet = Open(options, clock);
+    if (!tablet.ok()) {
+      return Status(tablet.status().code(), "opening " + directories[i] +
+                                                ": " +
+                                                tablet.status().message());
     }
+    for (size_t n = 0; n < (*tablet)->recovery_info().split_keys.size();
+         ++n) {
+      directories.push_back(directories[i] + "/child-" + std::to_string(n));
+    }
+    opened.push_back(std::move(tablet).value());
   }
-  const std::string child_payload = EncodeCheckpoint(
-      child_versions, tablet_->high_timestamp(), child_range);
-  PILEUS_RETURN_IF_ERROR(WriteFileAtomically(
-      child_directory + "/checkpoint.db", FrameCheckpoint(child_payload)));
-
-  // Step 2: commit the split on the parent. From here on, parent recovery
-  // replays the record and shrinks to [begin, split_key).
-  PILEUS_RETURN_IF_ERROR(wal_.AppendSplit(split_key));
-  PILEUS_RETURN_IF_ERROR(wal_.Sync());
-
-  // Step 3: split the in-memory tablet; the upper sibling keeps the parent's
-  // roles, high timestamp, and update-log suffix for its half.
-  Result<std::unique_ptr<storage::Tablet>> upper = tablet_->Split(split_key);
-  if (!upper.ok()) {
-    return upper.status();
-  }
-  options_.tablet.range = tablet_->range();
-
-  Options child_options = options_;
-  child_options.directory = child_directory;
-  child_options.tablet.range = (*upper)->range();
-  child_options.tablet.is_primary = (*upper)->is_primary();
-  child_options.tablet.is_sync_replica = (*upper)->is_sync_replica();
-
-  Result<WriteAheadLog> child_wal =
-      WriteAheadLog::Open(child_directory + "/wal.log");
-  if (!child_wal.ok()) {
-    return child_wal.status();
-  }
-  return std::unique_ptr<DurableTablet>(
-      new DurableTablet(std::move(child_options), std::move(upper).value(),
-                        std::move(child_wal).value(), RecoveryInfo{}));
+  return opened;
 }
 
-Status DurableTablet::MaybeAutoCheckpoint() {
-  if (options_.checkpoint_threshold_bytes == 0 ||
-      wal_.bytes_written() < options_.checkpoint_threshold_bytes) {
-    return Status::Ok();
-  }
-  return Checkpoint();
-}
+Status DurableTablet::Sync() { return journal_->Sync(); }
+
+Status DurableTablet::Checkpoint() { return journal_->Checkpoint(*tablet_); }
+
+const WriteAheadLog& DurableTablet::wal() const { return journal_->wal(); }
 
 }  // namespace pileus::persist

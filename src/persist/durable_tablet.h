@@ -1,20 +1,29 @@
 // A tablet with crash recovery: WAL + checkpoints.
 //
-// DurableTablet wraps storage::Tablet so that every state change (accepted
-// Put, replicated version, replication heartbeat) is journaled to a
-// write-ahead log before it is acknowledged, and the whole store is
-// periodically checkpointed so the log stays short. Reopening the same
-// directory reconstructs the tablet exactly: contents, high timestamp, and a
+// A durable tablet is a storage::Tablet whose journal (tablet_journal.h) is
+// a write-ahead log plus periodic checkpoints in the tablet's directory.
+// Every state change (accepted Put, Delete or commit, replicated version,
+// replication heartbeat, installed config, split) is appended to the WAL
+// before it is acknowledged, and the whole store is periodically
+// checkpointed so the log stays short. Reopening the same directory
+// reconstructs the tablet exactly: contents, high timestamp, range, and a
 // timestamp allocator that never re-issues an update timestamp.
+//
+// DurableTablet is the handle Open returns. It shares ownership of the
+// journaled tablet, so a StorageNode can host the same tablet
+// (AddTablet(table, shared_tablet())) and serve it like any other.
 //
 // Layout inside the tablet directory:
 //   checkpoint.db - latest durable snapshot (atomic rename on update)
 //   wal.log       - records since that snapshot
+//   child-<n>/    - the upper half split off by this tablet's n-th split,
+//                   itself a durable tablet directory
 
 #ifndef PILEUS_SRC_PERSIST_DURABLE_TABLET_H_
 #define PILEUS_SRC_PERSIST_DURABLE_TABLET_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +33,8 @@
 #include "src/storage/tablet.h"
 
 namespace pileus::persist {
+
+class WalJournal;
 
 class DurableTablet {
  public:
@@ -48,77 +59,56 @@ class DurableTablet {
     uint64_t wal_heartbeats = 0;
     bool wal_tail_torn = false;
     // Split records replayed from the WAL, in log order. Each shrank this
-    // tablet to [begin, key); the data at or above the key lives in a child
-    // directory whose checkpoint was made durable before the record was
-    // written. Callers that discover tablets per-directory use these to know
-    // which child directories this parent has legitimately spawned.
+    // tablet to [begin, key); the data at or above the key lives in
+    // child-<n> (n = the record's position), whose checkpoint was made
+    // durable before the record was written.
     std::vector<std::string> split_keys;
+    // The last journaled config (a tablet-map install the node accepted),
+    // for a driver to re-install fenced.
+    std::optional<reconfig::ConfigEpoch> config;
   };
 
   // Opens (or creates) the durable tablet, replaying any existing state.
   static Result<std::unique_ptr<DurableTablet>> Open(Options options,
                                                      Clock* clock);
 
-  // --- Journaled request handlers (mirror storage::Tablet's) ---
+  // Opens the tablet in `options.directory` and, recursively, every split
+  // child its WAL records, root first: a node's whole data directory.
+  // Children inherit `options` but take their range from their checkpoint.
+  static Result<std::vector<std::unique_ptr<DurableTablet>>> OpenAll(
+      Options options, Clock* clock);
 
   Result<proto::PutReply> HandlePut(std::string_view key,
-                                    std::string_view value);
-  Result<proto::PutReply> HandleDelete(std::string_view key);
+                                    std::string_view value) {
+    return tablet_->HandlePut(key, value);
+  }
   proto::GetReply HandleGet(std::string_view key) const {
     return tablet_->HandleGet(key);
   }
-  proto::SyncReply HandleSync(const Timestamp& after,
-                              uint32_t max_versions) const {
-    return tablet_->HandleSync(after, max_versions);
-  }
-  Status ApplySync(const proto::SyncReply& reply);
-  Result<proto::CommitReply> HandleCommit(const proto::CommitRequest& request);
-
-  // Writes a fresh snapshot (atomically) and truncates the WAL.
-  Status Checkpoint();
-
-  // Splits this durable tablet at `split_key` (DESIGN.md Section 14). The
-  // returned child owns [split_key, end) rooted at `child_directory` (must
-  // exist and be empty); this tablet shrinks to [begin, split_key).
-  //
-  // Crash ordering — no acked write is ever lost:
-  //   1. The child's checkpoint (every version at or above the key, plus the
-  //      parent's high timestamp) is written and fsynced into the child
-  //      directory.
-  //   2. Only then is a split record appended to the parent WAL and synced.
-  // A crash before step 2 leaves the parent owning its full range and the
-  // child directory an ignorable orphan (it is not in any replayed split
-  // record); a crash after it recovers the parent shrunk and the child
-  // complete from its own checkpoint.
-  Result<std::unique_ptr<DurableTablet>> Split(
-      std::string_view split_key, const std::string& child_directory);
 
   // Forces the WAL to stable storage.
-  Status Sync() { return wal_.Sync(); }
+  Status Sync();
+
+  // Writes a fresh snapshot (atomically) and empties the WAL.
+  Status Checkpoint();
 
   storage::Tablet& tablet() { return *tablet_; }
   const storage::Tablet& tablet() const { return *tablet_; }
-  const WriteAheadLog& wal() const { return wal_; }
+  const std::shared_ptr<storage::Tablet>& shared_tablet() const {
+    return tablet_;
+  }
+  const WriteAheadLog& wal() const;
   const RecoveryInfo& recovery_info() const { return recovery_; }
 
  private:
-  DurableTablet(Options options, std::unique_ptr<storage::Tablet> tablet,
-                WriteAheadLog wal, RecoveryInfo recovery)
-      : options_(std::move(options)),
-        tablet_(std::move(tablet)),
-        wal_(std::move(wal)),
-        recovery_(recovery) {}
+  DurableTablet(std::shared_ptr<storage::Tablet> tablet, WalJournal* journal,
+                RecoveryInfo recovery)
+      : tablet_(std::move(tablet)),
+        journal_(journal),
+        recovery_(std::move(recovery)) {}
 
-  Status MaybeAutoCheckpoint();
-
-  std::string CheckpointPath() const {
-    return options_.directory + "/checkpoint.db";
-  }
-  std::string WalPath() const { return options_.directory + "/wal.log"; }
-
-  Options options_;
-  std::unique_ptr<storage::Tablet> tablet_;
-  WriteAheadLog wal_;
+  std::shared_ptr<storage::Tablet> tablet_;
+  WalJournal* journal_;  // Owned by *tablet_.
   RecoveryInfo recovery_;
 };
 

@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "src/common/logging.h"
+#include "src/storage/storage_node.h"
 #include "src/telemetry/metrics.h"
 
 namespace pileus::persist {
@@ -144,6 +146,26 @@ void GroupCommitter::Loop() {
     Metrics().acks->Increment(batch.size());
     lock.lock();
   }
+}
+
+std::unique_ptr<GroupCommitter> StartGroupCommit(
+    storage::StorageNode* node, const GroupCommitConfig& config) {
+  if (!config.enabled) {
+    return nullptr;
+  }
+  auto committer = std::make_unique<GroupCommitter>(
+      [node] { return node->SyncJournals(); },
+      GroupCommitter::Options{config.max_batch, config.max_delay_us});
+  if (const Status status = committer->Start(); !status.ok()) {
+    PILEUS_LOG(kError) << "group committer failed to start, falling back to "
+                          "inline sync: "
+                       << status;
+  }
+  node->DeferAcks(
+      [raw = committer.get()](GroupCommitter::AckFn ack) {
+        raw->AckAfterSync(std::move(ack));
+      });
+  return committer;
 }
 
 }  // namespace pileus::persist

@@ -1,6 +1,6 @@
 // WAL group commit: many concurrent writers share one fsync.
 //
-// The durable write path appends to the WAL under the service lock, then
+// The durable write path appends to the WAL under the node lock, then
 // registers an ack with the GroupCommitter instead of fsyncing inline. A
 // background committer thread runs one Sync() per batch — bounded by
 // max_batch acks or max_delay_us of waiting, whichever comes first — and
@@ -21,6 +21,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -28,7 +29,18 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 
+namespace pileus::storage {
+class StorageNode;
+}  // namespace pileus::storage
+
 namespace pileus::persist {
+
+// Group-commit knobs (namespace scope so call sites can brace-initialize).
+struct GroupCommitConfig {
+  bool enabled = false;
+  size_t max_batch = 64;
+  MicrosecondCount max_delay_us = 2000;
+};
 
 class GroupCommitter {
  public:
@@ -39,8 +51,8 @@ class GroupCommitter {
     MicrosecondCount max_delay_us = 2000;
   };
 
-  // Performs the actual durability barrier (e.g. tablet->Sync() under the
-  // service lock). Runs on the committer thread only.
+  // Performs the actual durability barrier (e.g. every journal's Sync()
+  // under the node lock). Runs on the committer thread only.
   using SyncFn = std::function<Status()>;
   // Receives the outcome of the covering sync. Runs on the committer thread;
   // must not call back into the committer.
@@ -89,6 +101,12 @@ class GroupCommitter {
   std::atomic<uint64_t> syncs_{0};
   std::atomic<uint64_t> acked_{0};
 };
+
+// Starts a committer whose batch sync flushes every journal on `node` under
+// the node's request lock, and makes the node defer mutation acks to it.
+// Null when `config.enabled` is false. Destroy the committer before `node`.
+std::unique_ptr<GroupCommitter> StartGroupCommit(
+    storage::StorageNode* node, const GroupCommitConfig& config);
 
 }  // namespace pileus::persist
 

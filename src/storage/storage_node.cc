@@ -67,22 +67,25 @@ StorageNode::StorageNode(std::string name, std::string site, Clock* clock)
 
 Status StorageNode::AddTablet(std::string_view table,
                               Tablet::Options options) {
+  return AddTablet(table, std::make_shared<Tablet>(std::move(options), clock_));
+}
+
+Status StorageNode::AddTablet(std::string_view table,
+                              std::shared_ptr<Tablet> tablet) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& list = tablets_[std::string(table)];
   for (const auto& existing : list) {
-    if (existing->range().Overlaps(options.range)) {
+    if (existing->range().Overlaps(tablet->range())) {
       return Status(StatusCode::kInvalidArgument,
-                    "tablet range " + options.range.ToString() +
+                    "tablet range " + tablet->range().ToString() +
                         " overlaps existing " +
                         existing->range().ToString());
     }
   }
-  list.push_back(std::make_unique<Tablet>(std::move(options), clock_));
-  std::sort(list.begin(), list.end(),
-            [](const std::unique_ptr<Tablet>& a,
-               const std::unique_ptr<Tablet>& b) {
-              return a->range().begin < b->range().begin;
-            });
+  list.push_back(std::move(tablet));
+  std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
+    return a->range().begin < b->range().begin;
+  });
   return Status::Ok();
 }
 
@@ -118,6 +121,20 @@ bool StorageNode::InstallTabletMapLocked(const tablets::TabletMap& map,
   if (it != tablet_maps_.end() && map.coordinator_epoch != 0 &&
       map.coordinator_epoch < it->second.map.coordinator_epoch) {
     return false;
+  }
+  // Journal the config each hosted tablet now runs under, so a restart
+  // recovers it. A same-version re-install (a lease renewal) changes
+  // nothing worth recording.
+  if (it == tablet_maps_.end() || map.version != it->second.map.version) {
+    if (auto hosted = tablets_.find(map.table); hosted != tablets_.end()) {
+      for (const auto& tablet : hosted->second) {
+        const tablets::TabletInfo* entry = map.OwnerOf(tablet->range().begin);
+        if (entry != nullptr && tablet->journal() != nullptr &&
+            !tablet->journal()->RecordConfig(entry->config).ok()) {
+          return false;
+        }
+      }
+    }
   }
   tablet_maps_[map.table] = InstalledMap{map, lease_expiry_us};
   // Roles follow the map immediately, including on a same-version
@@ -247,8 +264,7 @@ Status StorageNode::SplitTabletLocked(std::string_view table,
     }
     it->second.push_back(std::move(upper).value());
     std::sort(it->second.begin(), it->second.end(),
-              [](const std::unique_ptr<Tablet>& a,
-                 const std::unique_ptr<Tablet>& b) {
+              [](const auto& a, const auto& b) {
                 return a->range().begin < b->range().begin;
               });
     RefreshTabletGaugesLocked();
@@ -698,6 +714,77 @@ void StorageNode::StampQueueDelayLocked(const proto::Message& request,
       reply);
 }
 
+void StorageNode::DeferAcks(AckAfterSync ack_after_sync) {
+  ack_after_sync_ = std::move(ack_after_sync);
+}
+
+Status StorageNode::SyncJournals() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [table, list] : tablets_) {
+    for (const auto& tablet : list) {
+      if (tablet->journal() != nullptr) {
+        PILEUS_RETURN_IF_ERROR(tablet->journal()->Sync());
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+Status StorageNode::ApplySync(std::string_view table,
+                              const proto::SyncReply& reply) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tablets_.find(table);
+  if (it == tablets_.end()) {
+    return Status(StatusCode::kNotFound,
+                  "node " + name_ + " hosts no tablets of table");
+  }
+  if (it->second.size() == 1) {
+    return it->second.front()->ApplySync(reply);
+  }
+  // The reply is complete up to its heartbeat or its last version, for
+  // every key: each tablet advances that far.
+  proto::SyncReply part;
+  part.heartbeat = reply.versions.empty()
+                       ? reply.heartbeat
+                       : MaxTimestamp(reply.heartbeat,
+                                      reply.versions.back().timestamp);
+  for (const auto& tablet : it->second) {
+    part.versions.clear();
+    for (const proto::ObjectVersion& version : reply.versions) {
+      if (tablet->range().Contains(version.key)) {
+        part.versions.push_back(version);
+      }
+    }
+    PILEUS_RETURN_IF_ERROR(tablet->ApplySync(part));
+  }
+  return Status::Ok();
+}
+
+void StorageNode::HandleAsync(const proto::Message& request,
+                              std::function<void(proto::Message)> done) {
+  proto::Message reply = Handle(request);
+  const bool mutation = std::holds_alternative<proto::PutRequest>(request) ||
+                        std::holds_alternative<proto::DeleteRequest>(request) ||
+                        std::holds_alternative<proto::CommitRequest>(request);
+  if (!ack_after_sync_ || !mutation ||
+      std::holds_alternative<proto::ErrorReply>(reply)) {
+    done(std::move(reply));
+    return;
+  }
+  // Handle journaled the mutation under the request lock before this
+  // registration, so the barrier's sync covers it.
+  ack_after_sync_([reply = std::move(reply),
+                   done = std::move(done)](const Status& status) mutable {
+    if (status.ok()) {
+      done(std::move(reply));
+      return;
+    }
+    // Applied in memory, durability unknown: never ack it as committed.
+    done(MakeError(StatusCode::kUnavailable,
+                   "journal sync failed: " + status.message()));
+  });
+}
+
 proto::Message StorageNode::Handle(const proto::Message& request) {
   std::lock_guard<std::mutex> lock(mu_);
   ++requests_served_;
@@ -843,67 +930,7 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     return reply;
   }
   if (const auto* sync = std::get_if<proto::SyncRequest>(&request)) {
-    // Sync requests address a whole table; with multiple tablets the reply
-    // covers the tablet owning the lowest range (agents sync per tablet via
-    // direct tablet access; the RPC path supports single-tablet tables).
-    auto it = tablets_.find(sync->table);
-    if (it == tablets_.end() || it->second.empty()) {
-      return MakeError(StatusCode::kNotFound,
-                       "node " + name_ + " hosts no tablets of table");
-    }
-    if (sync->has_range) {
-      // Per-tablet pull (migration catch-up / multi-tablet replication).
-      // Sync is control traffic and is deliberately never fenced by the
-      // tablet map — the migration drain pulls from a source that is
-      // already fenced. The node's tablets may be finer than the requested
-      // range (e.g. children of a split the map never adopted), so every
-      // overlapping tablet contributes and the merged heartbeat is the
-      // lowest bound any contributor guarantees complete.
-      const KeyRange wanted{sync->range_begin, sync->range_end};
-      std::vector<proto::SyncReply> parts;
-      for (const auto& tablet : it->second) {
-        if (tablet->range().Overlaps(wanted)) {
-          parts.push_back(tablet->HandleSync(sync->after, sync->max_versions));
-        }
-      }
-      if (parts.empty()) {
-        return MakeError(StatusCode::kNotFound,
-                         "node " + name_ + " hosts no tablet for range");
-      }
-      if (parts.size() == 1) {
-        return std::move(parts.front());
-      }
-      proto::SyncReply merged;
-      Timestamp bound = parts.front().heartbeat;
-      for (const proto::SyncReply& part : parts) {
-        if (part.heartbeat < bound) {
-          bound = part.heartbeat;
-        }
-        merged.has_more = merged.has_more || part.has_more;
-      }
-      for (proto::SyncReply& part : parts) {
-        for (proto::ObjectVersion& version : part.versions) {
-          if (!wanted.Contains(version.key) && !wanted.IsEmpty()) {
-            continue;  // A coarser tablet may spill neighbouring keys.
-          }
-          if (version.timestamp <= bound) {
-            merged.versions.push_back(std::move(version));
-          } else {
-            // Complete only up to `bound`: re-pulled next round once every
-            // contributor has caught up past it.
-            merged.has_more = true;
-          }
-        }
-      }
-      std::sort(merged.versions.begin(), merged.versions.end(),
-                [](const proto::ObjectVersion& a,
-                   const proto::ObjectVersion& b) {
-                  return a.timestamp < b.timestamp;
-                });
-      merged.heartbeat = bound;
-      return merged;
-    }
-    return it->second.front()->HandleSync(sync->after, sync->max_versions);
+    return HandleSyncLocked(*sync);
   }
   if (const auto* get_at = std::get_if<proto::GetAtRequest>(&request)) {
     if (auto fence = CheckTabletRoutingLocked(get_at->table, get_at->key,
@@ -921,36 +948,117 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     return HandleTabletMapLocked(*tablet_map);
   }
   if (const auto* commit = std::get_if<proto::CommitRequest>(&request)) {
-    if (commit->writes.empty()) {
-      proto::CommitReply reply;
-      reply.committed = true;
-      return reply;  // Read-only transactions commit trivially.
-    }
-    if (auto fence = CheckTabletRoutingLocked(
-            commit->table, commit->writes.front().key, /*write=*/true)) {
-      return std::move(*fence);
-    }
-    // All writes must land in one tablet for atomic commit; multi-tablet
-    // transactions are out of scope (as in the paper's prototype).
-    Tablet* tablet = FindTablet(commit->table, commit->writes.front().key);
-    if (tablet == nullptr) {
-      return MakeError(StatusCode::kWrongNode,
-                       "node " + name_ + " has no tablet for commit");
-    }
-    for (const proto::ObjectVersion& w : commit->writes) {
-      if (!tablet->range().Contains(w.key)) {
-        return MakeError(StatusCode::kInvalidArgument,
-                         "transaction writes span tablets");
-      }
-    }
-    Result<proto::CommitReply> reply = tablet->HandleCommit(*commit);
-    if (!reply.ok()) {
-      return MakeError(reply.status());
-    }
-    return std::move(reply).value();
+    return HandleCommitLocked(*commit);
   }
   return MakeError(StatusCode::kInvalidArgument,
                    "node received a non-request message");
+}
+
+proto::Message StorageNode::HandleSyncLocked(
+    const proto::SyncRequest& request) {
+  // Sync is control traffic and is deliberately never fenced by the tablet
+  // map: the migration drain pulls from a source that is already fenced.
+  auto it = tablets_.find(request.table);
+  if (it == tablets_.end() || it->second.empty()) {
+    return MakeError(StatusCode::kNotFound,
+                     "node " + name_ + " hosts no tablets of table");
+  }
+  // A whole-table pull covers every tablet; a ranged pull (migration
+  // catch-up) every tablet overlapping its range, which may be finer than
+  // the range (children of a split the map never adopted).
+  const KeyRange wanted =
+      request.has_range ? KeyRange{request.range_begin, request.range_end}
+                        : KeyRange::All();
+  std::vector<proto::SyncReply> parts;
+  for (const auto& tablet : it->second) {
+    if (tablet->range().Overlaps(wanted)) {
+      parts.push_back(tablet->HandleSync(request.after, request.max_versions));
+    }
+  }
+  if (parts.empty()) {
+    return MakeError(StatusCode::kNotFound,
+                     "node " + name_ + " hosts no tablet for range");
+  }
+  if (parts.size() == 1) {
+    return std::move(parts.front());
+  }
+  // One ascending stream, complete up to its heartbeat: the lowest bound
+  // any contributor guarantees. A receiver advances to the last version it
+  // gets, so a version above the bound waits for a later pull; otherwise
+  // the receiver could skip a lower timestamp another tablet has yet to
+  // assign. A ranged pull reports such a version as has_more (the drain
+  // keeps pulling); a whole-table pull gets it next period.
+  proto::SyncReply merged;
+  merged.heartbeat = Timestamp::Max();
+  for (const proto::SyncReply& part : parts) {
+    merged.heartbeat = std::min(merged.heartbeat, part.heartbeat);
+    merged.has_more = merged.has_more || part.has_more;
+  }
+  for (proto::SyncReply& part : parts) {
+    for (proto::ObjectVersion& version : part.versions) {
+      if (!wanted.Contains(version.key)) {
+        continue;  // A coarser tablet may spill neighbouring keys.
+      }
+      if (version.timestamp > merged.heartbeat) {
+        merged.has_more = merged.has_more || request.has_range;
+        continue;
+      }
+      merged.versions.push_back(std::move(version));
+    }
+  }
+  std::stable_sort(merged.versions.begin(), merged.versions.end(),
+                   [](const proto::ObjectVersion& a,
+                      const proto::ObjectVersion& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  if (request.max_versions != 0 &&
+      merged.versions.size() > request.max_versions) {
+    // Claim completeness only up to the last version actually sent.
+    merged.versions.resize(request.max_versions);
+    merged.has_more = true;
+    merged.heartbeat = merged.versions.back().timestamp;
+  }
+  return merged;
+}
+
+proto::Message StorageNode::HandleCommitLocked(
+    const proto::CommitRequest& request) {
+  if (request.writes.empty()) {
+    proto::CommitReply reply;
+    reply.committed = true;
+    return reply;  // Read-only transactions commit trivially.
+  }
+  if (auto fence = CheckTabletRoutingLocked(
+          request.table, request.writes.front().key, /*write=*/true)) {
+    return std::move(*fence);
+  }
+  Tablet* tablet = FindTablet(request.table, request.writes.front().key);
+  if (tablet == nullptr) {
+    return MakeError(StatusCode::kWrongNode,
+                     "node " + name_ + " has no tablet for commit");
+  }
+  // A commit is atomic within one tablet (one update timestamp, one
+  // journal), so every write and every read it validates must stay in that
+  // tablet; multi-tablet transactions are out of scope, as in the paper's
+  // prototype.
+  const auto outside = [tablet](std::string_view key) {
+    return !tablet->range().Contains(key);
+  };
+  if (std::any_of(request.writes.begin(), request.writes.end(),
+                  [&](const proto::ObjectVersion& w) {
+                    return outside(w.key);
+                  }) ||
+      (request.validate_reads &&
+       std::any_of(request.read_keys.begin(), request.read_keys.end(),
+                   outside))) {
+    return MakeError(StatusCode::kInvalidArgument,
+                     "transaction spans tablets");
+  }
+  Result<proto::CommitReply> reply = tablet->HandleCommit(request);
+  if (!reply.ok()) {
+    return MakeError(reply.status());
+  }
+  return std::move(reply).value();
 }
 
 }  // namespace pileus::storage

@@ -5,10 +5,15 @@
 // Thread safety: a single mutex serializes request handling, so the same node
 // object can sit behind the threaded in-process transport, the TCP server, or
 // be called directly from the single-threaded simulation.
+//
+// Durability is a property of the hosted tablets, not of the node: a
+// journaled tablet (tablet_journal.h) records its own state changes, and the
+// node serves durable and in-memory tablets through the one Handle.
 
 #ifndef PILEUS_SRC_STORAGE_STORAGE_NODE_H_
 #define PILEUS_SRC_STORAGE_STORAGE_NODE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,6 +44,9 @@ class StorageNode {
 
   // Registers a tablet. Ranges of one table must not overlap on one node.
   Status AddTablet(std::string_view table, Tablet::Options options);
+  // Hosts an already built tablet (e.g. one recovered from disk); the node
+  // shares its ownership with the caller.
+  Status AddTablet(std::string_view table, std::shared_ptr<Tablet> tablet);
 
   // --- Dynamic tablets (DESIGN.md Section 14) ---
 
@@ -83,6 +91,32 @@ class StorageNode {
   // Generic dispatch: takes any request message, returns the matching reply
   // (or ErrorReply). This is what transports invoke.
   proto::Message Handle(const proto::Message& request);
+
+  // Asynchronous dispatch for the event-driven transport: `done` runs
+  // exactly once, inline for reads, errors and every request when acks are
+  // not deferred, and otherwise from the barrier's thread once a
+  // successful Put, Delete or Commit is durable (DESIGN.md Section 13).
+  // `done` must be safe to call from another thread.
+  void HandleAsync(const proto::Message& request,
+                   std::function<void(proto::Message)> done);
+
+  // Receives one deferred ack and must run it, with the barrier's outcome,
+  // once every journal record made before the call is durable.
+  // persist::GroupCommitter::AckAfterSync is such a barrier.
+  using AckAfterSync =
+      std::function<void(std::function<void(const Status&)> ack)>;
+  // Makes HandleAsync hold back mutation acks until `ack_after_sync`
+  // releases them. Without it a mutation is acked once its journal record
+  // returns (the journal fsyncs inline when configured to). Set before
+  // serving; the barrier must outlive the node's use of it.
+  void DeferAcks(AckAfterSync ack_after_sync);
+
+  // Syncs every hosted tablet's journal, under the request lock.
+  Status SyncJournals();
+
+  // Secondary side of a whole-table pull: each version goes to the hosted
+  // tablet owning its key, the heartbeat to every tablet of `table`.
+  Status ApplySync(std::string_view table, const proto::SyncReply& reply);
 
   // Direct accessors used by replication agents and tests. The returned
   // tablet pointer is stable for the node's lifetime but callers must
@@ -152,6 +186,8 @@ class StorageNode {
   };
 
   proto::Message HandleLocked(const proto::Message& request);
+  proto::Message HandleSyncLocked(const proto::SyncRequest& request);
+  proto::Message HandleCommitLocked(const proto::CommitRequest& request);
   proto::Message HandleTabletMapLocked(const proto::TabletMapRequest& request);
   Status SplitTabletLocked(std::string_view table, std::string_view split_key);
   bool InstallTabletMapLocked(const tablets::TabletMap& map,
@@ -223,13 +259,14 @@ class StorageNode {
   Clock* clock_;  // Not owned.
   mutable std::mutex mu_;
   // table name -> tablets sorted by range begin.
-  std::map<std::string, std::vector<std::unique_ptr<Tablet>>, std::less<>>
+  std::map<std::string, std::vector<std::shared_ptr<Tablet>>, std::less<>>
       tablets_;
   // table name -> installed tablet map (absent until the first install).
   std::map<std::string, InstalledMap, std::less<>> tablet_maps_;
   uint64_t requests_served_ = 0;
   Instruments instruments_;
   std::unique_ptr<AdmissionController> admission_;
+  AckAfterSync ack_after_sync_;  // Empty: mutation acks are not deferred.
 };
 
 }  // namespace pileus::storage

@@ -70,6 +70,7 @@ Result<proto::PutReply> Tablet::HandleDelete(std::string_view key) {
   store_.Apply(tombstone);
   update_log_.Append(tombstone);
   high_timestamp_ = MaxTimestamp(high_timestamp_, tombstone.timestamp);
+  PILEUS_RETURN_IF_ERROR(Record({&tombstone, 1}));
 
   proto::PutReply reply;
   reply.timestamp = tombstone.timestamp;
@@ -103,6 +104,7 @@ Result<proto::PutReply> Tablet::HandlePut(std::string_view key,
   store_.Apply(version);
   update_log_.Append(version);
   high_timestamp_ = MaxTimestamp(high_timestamp_, version.timestamp);
+  PILEUS_RETURN_IF_ERROR(Record({&version, 1}));
 
   proto::PutReply reply;
   reply.timestamp = version.timestamp;
@@ -124,6 +126,15 @@ Result<std::unique_ptr<Tablet>> Tablet::Split(std::string_view split_key) {
                   "split key '" + std::string(split_key) +
                       "' is not strictly inside " + options_.range.ToString());
   }
+  std::unique_ptr<TabletJournal> upper_journal;
+  if (journal_ != nullptr) {
+    Result<std::unique_ptr<TabletJournal>> recorded =
+        journal_->RecordSplit(*this, split_key);
+    if (!recorded.ok()) {
+      return recorded.status();
+    }
+    upper_journal = std::move(recorded).value();
+  }
   Options upper_options = options_;
   upper_options.range = KeyRange{std::string(split_key), options_.range.end};
   auto upper = std::make_unique<Tablet>(upper_options, clock_);
@@ -133,6 +144,7 @@ Result<std::unique_ptr<Tablet>> Tablet::Split(std::string_view split_key) {
   // Both children inherit the allocator floor so update timestamps stay
   // strictly increasing across the split on either side.
   upper->last_assigned_ = last_assigned_;
+  upper->journal_ = std::move(upper_journal);
   options_.range.end = std::string(split_key);
   return upper;
 }
@@ -161,26 +173,34 @@ proto::SyncReply Tablet::HandleSync(const Timestamp& after,
   return reply;
 }
 
-void Tablet::ApplySync(const proto::SyncReply& reply) {
+Status Tablet::ApplySync(const proto::SyncReply& reply) {
+  const Timestamp before = high_timestamp_;
   for (const proto::ObjectVersion& version : reply.versions) {
-    if (version.timestamp <= high_timestamp_) {
+    if (version.timestamp <= before) {
       continue;  // Duplicate delivery.
     }
     store_.Apply(version);
     update_log_.Append(version);
+    PILEUS_RETURN_IF_ERROR(Record({&version, 1}));
   }
   high_timestamp_ = MaxTimestamp(high_timestamp_, reply.heartbeat);
   if (!reply.versions.empty()) {
     high_timestamp_ =
         MaxTimestamp(high_timestamp_, reply.versions.back().timestamp);
   }
+  if (journal_ != nullptr && high_timestamp_ != before) {
+    return journal_->RecordHeartbeat(*this);
+  }
+  return Status::Ok();
 }
 
-void Tablet::ApplyReplicatedPut(const proto::ObjectVersion& version) {
-  if (store_.Apply(version)) {
+Status Tablet::ApplyReplicatedPut(const proto::ObjectVersion& version) {
+  const bool applied = store_.Apply(version);
+  if (applied) {
     update_log_.Append(version);
   }
   high_timestamp_ = MaxTimestamp(high_timestamp_, version.timestamp);
+  return applied ? Record({&version, 1}) : Status::Ok();
 }
 
 proto::GetAtReply Tablet::HandleGetAt(std::string_view key,
@@ -232,13 +252,14 @@ Result<proto::CommitReply> Tablet::HandleCommit(
   // log keeps same-timestamp batches intact so replication delivers the
   // transaction as a unit.
   const Timestamp commit_ts = AllocateTimestamp();
-  for (const proto::ObjectVersion& w : request.writes) {
-    proto::ObjectVersion version = w;
+  std::vector<proto::ObjectVersion> versions = request.writes;
+  for (proto::ObjectVersion& version : versions) {
     version.timestamp = commit_ts;
     store_.Apply(version);
-    update_log_.Append(std::move(version));
+    update_log_.Append(version);
   }
   high_timestamp_ = MaxTimestamp(high_timestamp_, commit_ts);
+  PILEUS_RETURN_IF_ERROR(Record(versions));
 
   reply.committed = true;
   reply.commit_timestamp = commit_ts;

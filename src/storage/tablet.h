@@ -7,6 +7,9 @@
 // A tablet can also be a synchronous replica (the Section 6.4 extension):
 // Puts are applied to it before the client is acked, so it is authoritative
 // for strong reads like the primary.
+//
+// A tablet may carry a journal (tablet_journal.h) that records each state
+// change after it is made; durable tablets are journaled ones.
 
 #ifndef PILEUS_SRC_STORAGE_TABLET_H_
 #define PILEUS_SRC_STORAGE_TABLET_H_
@@ -20,6 +23,7 @@
 #include "src/common/status.h"
 #include "src/common/timestamp.h"
 #include "src/proto/messages.h"
+#include "src/storage/tablet_journal.h"
 #include "src/storage/update_log.h"
 #include "src/storage/versioned_store.h"
 #include "src/util/key_range.h"
@@ -47,6 +51,7 @@ class Tablet {
     return options_.is_primary || options_.is_sync_replica;
   }
   const Timestamp& high_timestamp() const { return high_timestamp_; }
+  Clock* clock() const { return clock_; }
   const VersionedStore& store() const { return store_; }
   UpdateLog& update_log() { return update_log_; }
 
@@ -55,6 +60,14 @@ class Tablet {
   // timestamps stay strictly increasing across the role change.
   void SetPrimary(bool is_primary);
   void SetSyncReplica(bool is_sync) { options_.is_sync_replica = is_sync; }
+
+  // Durability: every state change from now on is recorded in `journal`.
+  // Attach after recovery replay, so replay is never journaled again.
+  void AttachJournal(std::unique_ptr<TabletJournal> journal) {
+    journal_ = std::move(journal);
+  }
+  // Null for an in-memory tablet.
+  TabletJournal* journal() const { return journal_.get(); }
 
   // --- Load stats and splits (DESIGN.md Section 14) ---
 
@@ -75,7 +88,8 @@ class Tablet {
   // children keep the parent's roles, high timestamp, and timestamp
   // allocator floor, and they partition the parent's update-log suffix by
   // key — so replication pulls and audits against either child see exactly
-  // the versions the parent would have served for that half.
+  // the versions the parent would have served for that half. A journaled
+  // tablet records the split first and hands the sibling the new journal.
   Result<std::unique_ptr<Tablet>> Split(std::string_view split_key);
 
   // --- Request handlers (storage nodes know nothing about SLAs) ---
@@ -102,11 +116,11 @@ class Tablet {
                               uint32_t max_versions) const;
 
   // Secondary side of replication: applies versions in order, then advances
-  // the high timestamp to the heartbeat.
-  void ApplySync(const proto::SyncReply& reply);
+  // the high timestamp to the heartbeat. Fails only when the journal does.
+  Status ApplySync(const proto::SyncReply& reply);
 
   // Applies one already-timestamped write (synchronous replication fan-out).
-  void ApplyReplicatedPut(const proto::ObjectVersion& version);
+  Status ApplyReplicatedPut(const proto::ObjectVersion& version);
 
   // Drops update-log entries at or below `up_to`, bounding node memory for
   // long-running deployments. Replication pulls from before the compaction
@@ -147,6 +161,12 @@ class Tablet {
   // timestamp.
   Timestamp CurrentHeartbeat() const;
 
+  // Journals versions this tablet just applied (no-op when in-memory).
+  Status Record(std::span<const proto::ObjectVersion> versions) {
+    return journal_ == nullptr ? Status::Ok()
+                               : journal_->RecordVersions(*this, versions);
+  }
+
   Options options_;
   Clock* clock_;  // Not owned.
   VersionedStore store_;
@@ -155,6 +175,7 @@ class Tablet {
   Timestamp last_assigned_ = Timestamp::Zero();
   // Data-path ops served; mutable because reads are logically const.
   mutable uint64_t ops_total_ = 0;
+  std::unique_ptr<TabletJournal> journal_;
 };
 
 }  // namespace pileus::storage

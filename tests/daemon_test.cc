@@ -1,13 +1,16 @@
-// Runs the shipped pileus_server binary itself: an in-memory primary and an
-// in-memory secondary pulling from it over loopback. A write through a
-// TcpChannel must reach the secondary, and both daemons must shut down
-// cleanly. Under a sanitizer build the children inherit the sanitizer, so a
-// data race or memory error in the daemon fails this test through their
-// exit status.
+// Runs the shipped pileus_server binary itself: a primary and a secondary
+// pulling from it over loopback, in memory and durable. A write through a
+// TcpChannel must reach the secondary, and the daemons must shut down
+// cleanly; the durable primary must also admit, export its storage metrics
+// and recover every acked write after a restart. Under a sanitizer build the
+// children inherit the sanitizer, so a data race or memory error in the
+// daemon fails this test through their exit status.
 
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <signal.h>
+#include <stdlib.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -163,6 +166,116 @@ TEST(DaemonTest, InMemorySecondaryCatchesUpFromPrimary) {
 
   EXPECT_EQ(secondary.Stop(), 0) << secondary.output();
   EXPECT_EQ(primary.Stop(), 0) << primary.output();
+}
+
+proto::GetRequest GetOf(const std::string& key) {
+  proto::GetRequest get;
+  get.table = "default";
+  get.key = key;
+  return get;
+}
+
+TEST(DaemonTest, DurableDaemonsAdmitReplicateAndRecover) {
+  char tmpl[] = "/tmp/pileus_daemon_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  const std::string primary_dir = root + "/primary";
+  const std::string secondary_dir = root + "/secondary";
+  ASSERT_EQ(::mkdir(primary_dir.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir(secondary_dir.c_str(), 0755), 0);
+  constexpr int kWrites = 5;
+
+  {
+    ServerProcess primary({"--port", "0", "--role", "primary", "--data_dir",
+                           primary_dir, "--group_commit",
+                           "--admit_ops_per_sec", "20", "--admit_burst", "10",
+                           "--admit_queue", "10"});
+    ASSERT_TRUE(primary.started());
+    const uint16_t primary_port = primary.WaitForPort();
+    ASSERT_GT(primary_port, 0) << primary.output();
+    ServerProcess secondary({"--port", "0", "--role", "secondary",
+                             "--data_dir", secondary_dir, "--primary_port",
+                             std::to_string(primary_port), "--pull_period_ms",
+                             "20"});
+    ASSERT_TRUE(secondary.started());
+    const uint16_t secondary_port = secondary.WaitForPort();
+    ASSERT_GT(secondary_port, 0) << secondary.output();
+
+    net::TcpChannel to_primary(primary_port);
+    net::TcpChannel to_secondary(secondary_port);
+    // Within the admission burst: every write is admitted and acked.
+    for (int i = 0; i < kWrites; ++i) {
+      proto::PutRequest put;
+      put.table = "default";
+      put.key = "k" + std::to_string(i);
+      put.value = "v" + std::to_string(i);
+      Result<proto::Message> reply =
+          to_primary.Call(put, SecondsToMicroseconds(10));
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      ASSERT_TRUE(std::holds_alternative<proto::PutReply>(reply.value()));
+    }
+
+    // The writes reach the durable secondary.
+    const std::string last = "k" + std::to_string(kWrites - 1);
+    bool caught_up = false;
+    const auto deadline = Clock::now() + std::chrono::seconds(30);
+    while (!caught_up && Clock::now() < deadline) {
+      Result<proto::Message> reply =
+          to_secondary.Call(GetOf(last), SecondsToMicroseconds(10));
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      const auto* get_reply = std::get_if<proto::GetReply>(&reply.value());
+      ASSERT_NE(get_reply, nullptr);
+      caught_up = get_reply->found;
+      if (!caught_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    EXPECT_TRUE(caught_up);
+
+    // The durable node exports the storage metrics.
+    Result<proto::Message> stats =
+        to_primary.Call(proto::StatsRequest{}, SecondsToMicroseconds(10));
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_TRUE(std::holds_alternative<proto::StatsReply>(stats.value()));
+    EXPECT_NE(std::get<proto::StatsReply>(stats.value())
+                  .text.find("pileus_storage_puts_total"),
+              std::string::npos);
+
+    // A burst far over 20 ops/s is shed.
+    bool overloaded = false;
+    for (int i = 0; i < 200 && !overloaded; ++i) {
+      Result<proto::Message> reply =
+          to_primary.Call(GetOf("k0"), SecondsToMicroseconds(10));
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      const auto* err = std::get_if<proto::ErrorReply>(&reply.value());
+      overloaded = err != nullptr && err->code == StatusCode::kOverloaded;
+    }
+    EXPECT_TRUE(overloaded);
+
+    EXPECT_EQ(secondary.Stop(), 0) << secondary.output();
+    EXPECT_EQ(primary.Stop(), 0) << primary.output();
+  }
+
+  // A restart on the same directory serves every acked write.
+  ServerProcess restarted(
+      {"--port", "0", "--role", "primary", "--data_dir", primary_dir});
+  ASSERT_TRUE(restarted.started());
+  const uint16_t port = restarted.WaitForPort();
+  ASSERT_GT(port, 0) << restarted.output();
+  {
+    net::TcpChannel channel(port);
+    for (int i = 0; i < kWrites; ++i) {
+      Result<proto::Message> reply = channel.Call(
+          GetOf("k" + std::to_string(i)), SecondsToMicroseconds(10));
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      const auto* get_reply = std::get_if<proto::GetReply>(&reply.value());
+      ASSERT_NE(get_reply, nullptr);
+      EXPECT_TRUE(get_reply->found) << "k" << i;
+      EXPECT_EQ(get_reply->value, "v" + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(restarted.Stop(), 0) << restarted.output();
+  (void)::system(("rm -rf '" + root + "'").c_str());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Tests for DurableStorageService: protocol dispatch onto journaled storage,
-// including a full restart cycle through the service interface.
+// Tests for DurableStorageService, the adapter that serves one durable
+// tablet through a StorageNode: protocol dispatch onto journaled storage,
+// fencing, group commit, and full restart cycles through the adapter.
 
 #include <gtest/gtest.h>
 
@@ -181,6 +182,50 @@ TEST_F(DurableServiceTest, RangeDispatch) {
   EXPECT_TRUE(rr->served_by_primary);
 }
 
+// The adapter's node fences like any other: it accepts tablet-map
+// installs, rejects writes once the map names another primary, and
+// journals the installed config so a restart recovers it.
+TEST_F(DurableServiceTest, MapInstallsFenceWritesAndAreJournaled) {
+  const auto install = [](uint64_t version, const std::string& primary) {
+    proto::TabletMapRequest request;
+    request.table = "t";
+    request.install = true;
+    request.map.table = "t";
+    request.map.version = version;
+    tablets::TabletInfo entry;
+    entry.range = KeyRange::All();
+    entry.config.epoch = version;
+    entry.config.primary = primary;
+    entry.config.members = {"durable", "other"};
+    request.map.tablets.push_back(entry);
+    return request;
+  };
+  proto::PutRequest put;
+  put.table = "t";
+  put.key = "k";
+  put.value = "v";
+  {
+    auto tablet = OpenTablet();
+    DurableStorageService service("t", tablet.get());
+    proto::Message reply = service.Handle(install(1, "durable"));
+    ASSERT_TRUE(std::holds_alternative<proto::TabletMapReply>(reply));
+    EXPECT_TRUE(std::get<proto::TabletMapReply>(reply).accepted);
+    EXPECT_TRUE(std::holds_alternative<proto::PutReply>(service.Handle(put)));
+
+    reply = service.Handle(install(2, "other"));
+    EXPECT_TRUE(std::get<proto::TabletMapReply>(reply).accepted);
+    reply = service.Handle(put);
+    const auto* err = std::get_if<proto::ErrorReply>(&reply);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, StatusCode::kNotPrimary);
+    EXPECT_EQ(err->primary_hint, "other");
+  }
+  auto reopened = OpenTablet();
+  ASSERT_TRUE(reopened->recovery_info().config.has_value());
+  EXPECT_EQ(reopened->recovery_info().config->epoch, 2u);
+  EXPECT_EQ(reopened->recovery_info().config->primary, "other");
+}
+
 TEST_F(DurableServiceTest, NonRequestRejected) {
   auto tablet = OpenTablet();
   DurableStorageService service("t", tablet.get());
@@ -190,9 +235,9 @@ TEST_F(DurableServiceTest, NonRequestRejected) {
 
 // --- Group-commit durability ---
 //
-// The contract under test (durable_service.h / group_commit.h): with group
-// commit on, a mutation is acked only after a batch fsync covers its WAL
-// append. So a crash can lose writes that were appended but never acked —
+// The contract under test (StorageNode::HandleAsync, group_commit.h): with
+// group commit on, a mutation is acked only after a batch fsync covers its
+// WAL append. So a crash can lose writes that were appended but never acked —
 // and must never lose a write whose client saw a reply.
 
 TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {

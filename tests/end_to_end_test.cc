@@ -49,17 +49,23 @@ TEST(EndToEndInProcTest, ReplicationMakesDataLocal) {
   auto client = cluster.MakeClient(PileusClient::Options{});
   Session session = client->BeginSession(core::ShoppingCartSla()).value();
 
+  // The puller applies to Local under its lock; read under it too.
+  const auto local_has_cart = [&cluster] {
+    return cluster.local().WithLock(
+        [&] { return cluster.local().FindTablet("t", "")->HandleGet("cart"); })
+        .found;
+  };
   ASSERT_TRUE(client->Put(session, "cart", "3 items").ok());
-  EXPECT_FALSE(cluster.local().FindTablet("t", "")->HandleGet("cart").found);
+  EXPECT_FALSE(local_has_cart());
 
   cluster.PullNow();
   for (int i = 0; i < 100; ++i) {
-    if (cluster.local().FindTablet("t", "")->HandleGet("cart").found) {
+    if (local_has_cart()) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_TRUE(cluster.local().FindTablet("t", "")->HandleGet("cart").found);
+  EXPECT_TRUE(local_has_cart());
 
   // Tell the monitor (as probes would) and watch the read turn local. Both
   // nodes need latency samples: an unmeasured node reports mean 0 and would

@@ -1,9 +1,11 @@
 // Overload control (DESIGN.md Section 11): per-tenant admission with
 // utility-weighted shedding, the client's retry budget, overload evidence in
 // the monitor, the fault injector's overload mode, and end-to-end
-// multi-tenant isolation over the real in-process transport.
+// multi-tenant isolation over the real in-process transport, with an
+// in-memory and with a durable primary.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <algorithm>
 #include <string>
@@ -15,6 +17,7 @@
 #include "src/core/monitor.h"
 #include "src/core/retry_budget.h"
 #include "src/core/sla.h"
+#include "src/persist/durable_tablet.h"
 #include "src/sim/fault_injector.h"
 #include "src/storage/admission.h"
 #include "tests/testbed_fixture.h"
@@ -274,8 +277,47 @@ core::Sla TwoRankSla() {
       .Add(core::Guarantee::Eventual(), SecondsToMicroseconds(2), 0.1);
 }
 
-TEST(OverloadEndToEndTest, ShedRepliesReachTheClientAndMonitor) {
-  testbed::InProcCluster cluster;
+// The end-to-end cases run with an in-memory and with a durable primary:
+// admission sits in the node's one dispatcher in front of both.
+enum class Backend { kInMemory, kDurable };
+
+class OverloadEndToEndTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  void TearDown() override {
+    if (!dir_.empty()) {
+      (void)::system(("rm -rf '" + dir_ + "'").c_str());
+    }
+  }
+
+  // The primary's tablet in this test's backend (null: in-memory).
+  std::shared_ptr<storage::Tablet> PrimaryTablet() {
+    if (GetParam() == Backend::kInMemory) {
+      return nullptr;
+    }
+    char tmpl[] = "/tmp/pileus_overload_XXXXXX";
+    EXPECT_NE(::mkdtemp(tmpl), nullptr);
+    dir_ = tmpl;
+    persist::DurableTablet::Options options;
+    options.directory = dir_;
+    options.tablet.is_primary = true;
+    Result<std::unique_ptr<persist::DurableTablet>> opened =
+        persist::DurableTablet::Open(options, RealClock::Instance());
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    return opened.ok() ? (*opened)->shared_tablet() : nullptr;
+  }
+
+  std::string dir_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, OverloadEndToEndTest,
+    ::testing::Values(Backend::kInMemory, Backend::kDurable),
+    [](const ::testing::TestParamInfo<Backend>& param_info) {
+      return param_info.param == Backend::kInMemory ? "InMemory" : "Durable";
+    });
+
+TEST_P(OverloadEndToEndTest, ShedRepliesReachTheClientAndMonitor) {
+  testbed::InProcCluster cluster(PrimaryTablet());
   AdmissionOptions admission;
   admission.tenant_ops_per_sec = 5;
   admission.tenant_burst_ops = 2;
@@ -309,8 +351,8 @@ TEST(OverloadEndToEndTest, ShedRepliesReachTheClientAndMonitor) {
   EXPECT_GT(delay_local + delay_primary, 0u);
 }
 
-TEST(OverloadEndToEndTest, WritesSurviveSheddingWithRetryBudget) {
-  testbed::InProcCluster cluster;
+TEST_P(OverloadEndToEndTest, WritesSurviveSheddingWithRetryBudget) {
+  testbed::InProcCluster cluster(PrimaryTablet());
   AdmissionOptions admission;
   admission.tenant_ops_per_sec = 20;
   admission.tenant_burst_ops = 4;
@@ -346,8 +388,8 @@ TEST(OverloadEndToEndTest, WritesSurviveSheddingWithRetryBudget) {
 // Satellite: two tenants on one cluster, one of them hot. The quiet
 // tenant's bucket is its own, so its latency and subSLA hit-rate must stay
 // healthy while the hot tenant is being shed.
-TEST(OverloadEndToEndTest, QuietTenantUnaffectedByHotTenant) {
-  testbed::InProcCluster cluster;
+TEST_P(OverloadEndToEndTest, QuietTenantUnaffectedByHotTenant) {
+  testbed::InProcCluster cluster(PrimaryTablet());
   AdmissionOptions admission;
   admission.tenant_ops_per_sec = 25;
   admission.tenant_burst_ops = 5;

@@ -443,7 +443,7 @@ TEST_F(PersistTest, ReplicatedStateIsJournaled) {
     ASSERT_TRUE(secondary.ok());
     const proto::SyncReply reply =
         primary.HandleSync(Timestamp::Zero(), 0);
-    ASSERT_TRUE((*secondary)->ApplySync(reply).ok());
+    ASSERT_TRUE((*secondary)->tablet().ApplySync(reply).ok());
     high_after_sync = (*secondary)->tablet().high_timestamp();
   }
 
@@ -488,7 +488,7 @@ TEST_F(PersistTest, CommitIsJournaled) {
       w.value = "tx";
       request.writes.push_back(w);
     }
-    auto reply = (*tablet)->HandleCommit(request);
+    auto reply = (*tablet)->tablet().HandleCommit(request);
     ASSERT_TRUE(reply.ok());
     ASSERT_TRUE(reply->committed);
   }
@@ -511,7 +511,7 @@ TEST_F(PersistTest, DeletesSurviveRecovery) {
     clock.AdvanceMicros(10);
     ASSERT_TRUE((*tablet)->HandlePut("drop", "v").ok());
     clock.AdvanceMicros(10);
-    ASSERT_TRUE((*tablet)->HandleDelete("drop").ok());
+    ASSERT_TRUE((*tablet)->tablet().HandleDelete("drop").ok());
   }
   auto reopened = DurableTablet::Open(options, &clock);
   ASSERT_TRUE(reopened.ok());
@@ -528,7 +528,7 @@ TEST_F(PersistTest, DeletesSurviveCheckpointedRecovery) {
     auto tablet = DurableTablet::Open(options, &clock);
     ASSERT_TRUE((*tablet)->HandlePut("drop", "v").ok());
     clock.AdvanceMicros(10);
-    ASSERT_TRUE((*tablet)->HandleDelete("drop").ok());
+    ASSERT_TRUE((*tablet)->tablet().HandleDelete("drop").ok());
     ASSERT_TRUE((*tablet)->Checkpoint().ok());  // Tombstone in the snapshot.
   }
   auto reopened = DurableTablet::Open(options, &clock);
@@ -570,6 +570,132 @@ TEST_F(PersistTest, CorruptCheckpointIsRejected) {
   auto reopened = DurableTablet::Open(options, &clock);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+}
+
+// --- Durable splits (DESIGN.md Section 14) ---
+
+// The key's value as the reopened tablet owning it serves it ("" when no
+// reopened tablet owns the key or it is not found).
+std::string ReadFrom(
+    const std::vector<std::unique_ptr<DurableTablet>>& tablets,
+    const std::string& key) {
+  for (const auto& tablet : tablets) {
+    if (tablet->tablet().range().Contains(key)) {
+      const proto::GetReply reply = tablet->HandleGet(key);
+      return reply.found ? reply.value : "";
+    }
+  }
+  return "";
+}
+
+TEST_F(PersistTest, SplitThenReopenRecoversBothHalves) {
+  ManualClock clock(1000);
+  DurableTablet::Options options;
+  options.directory = dir_;
+  options.tablet.is_primary = true;
+  {
+    auto tablet = DurableTablet::Open(options, &clock);
+    ASSERT_TRUE(tablet.ok()) << tablet.status();
+    for (const char* key : {"b", "q"}) {
+      clock.AdvanceMicros(5);
+      ASSERT_TRUE((*tablet)->HandlePut(key, "before").ok());
+    }
+    Result<std::unique_ptr<storage::Tablet>> upper =
+        (*tablet)->tablet().Split("m");
+    ASSERT_TRUE(upper.ok()) << upper.status();
+    clock.AdvanceMicros(5);
+    ASSERT_TRUE((*tablet)->HandlePut("c", "after").ok());
+    ASSERT_TRUE((*upper)->HandlePut("r", "after").ok());
+    // A checkpoint empties the parent's log; the split record that names
+    // the child must survive it.
+    ASSERT_TRUE((*tablet)->Checkpoint().ok());
+  }  // "Crash".
+
+  auto reopened = DurableTablet::OpenAll(options, &clock);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_EQ(reopened->size(), 2u);
+  EXPECT_EQ((*reopened)[0]->tablet().range(), (KeyRange{"", "m"}));
+  EXPECT_EQ((*reopened)[1]->tablet().range(), (KeyRange{"m", ""}));
+  EXPECT_EQ(ReadFrom(*reopened, "b"), "before");
+  EXPECT_EQ(ReadFrom(*reopened, "q"), "before");
+  EXPECT_EQ(ReadFrom(*reopened, "c"), "after");
+  EXPECT_EQ(ReadFrom(*reopened, "r"), "after");
+  // Neither half serves the other's keys.
+  EXPECT_FALSE((*reopened)[0]->HandleGet("q").found);
+  EXPECT_FALSE((*reopened)[1]->HandleGet("b").found);
+}
+
+TEST_F(PersistTest, LostSplitRecordReopensWholeAndReusesTheOrphan) {
+  ManualClock clock(1000);
+  DurableTablet::Options options;
+  options.directory = dir_;
+  options.tablet.is_primary = true;
+  off_t before_split = 0;
+  {
+    auto tablet = DurableTablet::Open(options, &clock);
+    ASSERT_TRUE(tablet.ok()) << tablet.status();
+    for (const char* key : {"b", "q"}) {
+      clock.AdvanceMicros(5);
+      ASSERT_TRUE((*tablet)->HandlePut(key, "v").ok());
+    }
+    before_split = FileSize(WalPath());
+    Result<std::unique_ptr<storage::Tablet>> upper =
+        (*tablet)->tablet().Split("m");
+    ASSERT_TRUE(upper.ok()) << upper.status();
+    clock.AdvanceMicros(5);
+    ASSERT_TRUE((*upper)->HandlePut("stale", "v").ok());
+  }
+  // The split record never reached the parent's log: the child directory is
+  // an orphan, and the parent still owns every key.
+  TruncateFile(WalPath(), before_split);
+  {
+    auto reopened = DurableTablet::OpenAll(options, &clock);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    ASSERT_EQ(reopened->size(), 1u);
+    EXPECT_EQ((*reopened)[0]->tablet().range(), KeyRange::All());
+    EXPECT_EQ(ReadFrom(*reopened, "b"), "v");
+    EXPECT_EQ(ReadFrom(*reopened, "q"), "v");
+    EXPECT_EQ(ReadFrom(*reopened, "stale"), "");
+
+    // The next split reuses the orphan's directory from a clean slate.
+    ASSERT_TRUE((*reopened)[0]->tablet().Split("m").ok());
+  }
+  auto resplit = DurableTablet::OpenAll(options, &clock);
+  ASSERT_TRUE(resplit.ok()) << resplit.status();
+  ASSERT_EQ(resplit->size(), 2u);
+  EXPECT_EQ(ReadFrom(*resplit, "q"), "v");
+  EXPECT_EQ(ReadFrom(*resplit, "stale"), "");
+}
+
+TEST_F(PersistTest, ChildThatSplitAgainReopensRecursively) {
+  ManualClock clock(1000);
+  DurableTablet::Options options;
+  options.directory = dir_;
+  options.tablet.is_primary = true;
+  {
+    auto tablet = DurableTablet::Open(options, &clock);
+    ASSERT_TRUE(tablet.ok()) << tablet.status();
+    for (const char* key : {"b", "p", "x"}) {
+      clock.AdvanceMicros(5);
+      ASSERT_TRUE((*tablet)->HandlePut(key, std::string(key) + "1").ok());
+    }
+    Result<std::unique_ptr<storage::Tablet>> middle =
+        (*tablet)->tablet().Split("m");
+    ASSERT_TRUE(middle.ok()) << middle.status();
+    Result<std::unique_ptr<storage::Tablet>> top = (*middle)->Split("t");
+    ASSERT_TRUE(top.ok()) << top.status();
+    clock.AdvanceMicros(5);
+    ASSERT_TRUE((*top)->HandlePut("y", "y1").ok());
+  }
+  auto reopened = DurableTablet::OpenAll(options, &clock);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_EQ(reopened->size(), 3u);
+  EXPECT_EQ((*reopened)[0]->tablet().range(), (KeyRange{"", "m"}));
+  EXPECT_EQ((*reopened)[1]->tablet().range(), (KeyRange{"m", "t"}));
+  EXPECT_EQ((*reopened)[2]->tablet().range(), (KeyRange{"t", ""}));
+  for (const char* key : {"b", "p", "x", "y"}) {
+    EXPECT_EQ(ReadFrom(*reopened, key), std::string(key) + "1") << key;
+  }
 }
 
 // --- GroupCommitter unit tests ---

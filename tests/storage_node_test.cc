@@ -1,32 +1,82 @@
 // Tests for StorageNode: tablet registration, request dispatch, and the
-// errors a node returns for misrouted or malformed requests.
+// errors a node returns for misrouted or malformed requests. Every case runs
+// twice: over in-memory tablets and over durable (journaled) ones, which
+// the node must serve identically.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
+#include <sys/stat.h>
+
+#include <string>
 
 #include "src/common/clock.h"
+#include "src/persist/durable_tablet.h"
 #include "src/storage/storage_node.h"
 
 namespace pileus::storage {
 namespace {
 
-class StorageNodeTest : public ::testing::Test {
+enum class Backend { kInMemory, kDurable };
+
+class StorageNodeTest : public ::testing::TestWithParam<Backend> {
  protected:
-  StorageNodeTest() : clock_(1000), node_("node-1", "US", &clock_) {
+  StorageNodeTest() : clock_(1000), node_("node-1", "US", &clock_) {}
+
+  void SetUp() override {
+    if (GetParam() == Backend::kDurable) {
+      char tmpl[] = "/tmp/pileus_node_XXXXXX";
+      ASSERT_NE(::mkdtemp(tmpl), nullptr);
+      dir_ = tmpl;
+    }
     Tablet::Options options;
     options.is_primary = true;
-    EXPECT_TRUE(node_.AddTablet("t", options).ok());
+    ASSERT_TRUE(AddTablet(node_, &clock_, "t", options).ok());
+  }
+
+  void TearDown() override {
+    if (!dir_.empty()) {
+      (void)::system(("rm -rf '" + dir_ + "'").c_str());
+    }
+  }
+
+  // Adds a tablet to `node` in this test's backend; a durable one gets a
+  // fresh directory of its own.
+  Status AddTablet(StorageNode& node, Clock* clock, std::string_view table,
+                   Tablet::Options options) {
+    if (GetParam() == Backend::kInMemory) {
+      return node.AddTablet(table, std::move(options));
+    }
+    persist::DurableTablet::Options durable;
+    durable.directory = dir_ + "/" + std::to_string(tablets_opened_++);
+    ::mkdir(durable.directory.c_str(), 0755);
+    durable.tablet = std::move(options);
+    Result<std::unique_ptr<persist::DurableTablet>> opened =
+        persist::DurableTablet::Open(durable, clock);
+    if (!opened.ok()) {
+      return opened.status();
+    }
+    return node.AddTablet(table, (*opened)->shared_tablet());
   }
 
   ManualClock clock_;
   StorageNode node_;
+  std::string dir_;
+  int tablets_opened_ = 0;
 };
 
-TEST_F(StorageNodeTest, NameAndSite) {
+INSTANTIATE_TEST_SUITE_P(
+    Backends, StorageNodeTest,
+    ::testing::Values(Backend::kInMemory, Backend::kDurable),
+    [](const ::testing::TestParamInfo<Backend>& param_info) {
+      return param_info.param == Backend::kInMemory ? "InMemory" : "Durable";
+    });
+
+TEST_P(StorageNodeTest, NameAndSite) {
   EXPECT_EQ(node_.name(), "node-1");
   EXPECT_EQ(node_.site(), "US");
 }
 
-TEST_F(StorageNodeTest, PutThenGet) {
+TEST_P(StorageNodeTest, PutThenGet) {
   proto::PutRequest put;
   put.table = "t";
   put.key = "k";
@@ -45,7 +95,7 @@ TEST_F(StorageNodeTest, PutThenGet) {
   EXPECT_EQ(node_.requests_served(), 2u);
 }
 
-TEST_F(StorageNodeTest, GetUnknownTableIsWrongNode) {
+TEST_P(StorageNodeTest, GetUnknownTableIsWrongNode) {
   proto::GetRequest get;
   get.table = "nope";
   get.key = "k";
@@ -55,13 +105,13 @@ TEST_F(StorageNodeTest, GetUnknownTableIsWrongNode) {
   EXPECT_EQ(err->code, StatusCode::kWrongNode);
 }
 
-TEST_F(StorageNodeTest, KeyOutsideTabletRangeIsWrongNode) {
+TEST_P(StorageNodeTest, KeyOutsideTabletRangeIsWrongNode) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
   Tablet::Options options;
   options.range = KeyRange{"a", "m"};
   options.is_primary = true;
-  ASSERT_TRUE(node.AddTablet("t", options).ok());
+  ASSERT_TRUE(AddTablet(node, &clock, "t", options).ok());
 
   proto::GetRequest get;
   get.table = "t";
@@ -70,14 +120,14 @@ TEST_F(StorageNodeTest, KeyOutsideTabletRangeIsWrongNode) {
   EXPECT_TRUE(std::holds_alternative<proto::ErrorReply>(reply));
 }
 
-TEST_F(StorageNodeTest, MultipleTabletsRouteByRange) {
+TEST_P(StorageNodeTest, MultipleTabletsRouteByRange) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
   for (const auto& range : SplitKeySpaceEvenly(4)) {
     Tablet::Options options;
     options.range = range;
     options.is_primary = true;
-    ASSERT_TRUE(node.AddTablet("t", options).ok());
+    ASSERT_TRUE(AddTablet(node, &clock, "t", options).ok());
   }
   // Keys across the spectrum all land somewhere.
   for (const char* key : {"", "Alpha", "m-middle", "zz-top"}) {
@@ -124,7 +174,7 @@ proto::TabletMapRequest InstallRequest(const tablets::TabletMap& map,
   return install;
 }
 
-TEST_F(StorageNodeTest, InstallConfigAdoptsAndStampsReplies) {
+TEST_P(StorageNodeTest, InstallConfigAdoptsAndStampsReplies) {
   proto::Message reply =
       node_.Handle(InstallRequest(MapWithPrimary(1, "node-1")));
   const auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
@@ -145,7 +195,7 @@ TEST_F(StorageNodeTest, InstallConfigAdoptsAndStampsReplies) {
   EXPECT_EQ(put_reply->primary_hint, "node-1");
 }
 
-TEST_F(StorageNodeTest, StaleEpochInstallRejected) {
+TEST_P(StorageNodeTest, StaleEpochInstallRejected) {
   ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(3, "node-1")));
 
   proto::Message reply =
@@ -159,7 +209,7 @@ TEST_F(StorageNodeTest, StaleEpochInstallRejected) {
             "node-1");
 }
 
-TEST_F(StorageNodeTest, NonPrimaryEpochRejectsPutsWithHint) {
+TEST_P(StorageNodeTest, NonPrimaryEpochRejectsPutsWithHint) {
   ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(2, "node-2")));
   EXPECT_FALSE(node_.FindTablet("t", "k")->is_primary());  // Demoted.
 
@@ -178,7 +228,7 @@ TEST_F(StorageNodeTest, NonPrimaryEpochRejectsPutsWithHint) {
   EXPECT_EQ(err->primary_hint, "node-2");
 }
 
-TEST_F(StorageNodeTest, ExpiredLeaseFencesThenRenewalUnfences) {
+TEST_P(StorageNodeTest, ExpiredLeaseFencesThenRenewalUnfences) {
   const proto::TabletMapRequest install =
       InstallRequest(MapWithPrimary(1, "node-1"), /*lease_duration_us=*/1000);
   proto::Message installed = node_.Handle(install);
@@ -208,7 +258,7 @@ TEST_F(StorageNodeTest, ExpiredLeaseFencesThenRenewalUnfences) {
   EXPECT_EQ(node_.InstalledTabletMap("t")->version, 1u);
 }
 
-TEST_F(StorageNodeTest, ConfigQueryReportsDurableTimestamp) {
+TEST_P(StorageNodeTest, ConfigQueryReportsDurableTimestamp) {
   proto::PutRequest put;
   put.table = "t";
   put.key = "k";
@@ -227,7 +277,7 @@ TEST_F(StorageNodeTest, ConfigQueryReportsDurableTimestamp) {
   EXPECT_EQ(map_reply->durable_timestamp, put_reply->timestamp);
 }
 
-TEST_F(StorageNodeTest, ProbeStampedOnlyFromOneTabletMap) {
+TEST_P(StorageNodeTest, ProbeStampedOnlyFromOneTabletMap) {
   ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(4, "node-1")));
   proto::ProbeRequest probe;
   probe.table = "t";
@@ -247,17 +297,17 @@ TEST_F(StorageNodeTest, ProbeStampedOnlyFromOneTabletMap) {
   EXPECT_EQ(std::get<proto::ProbeReply>(reply).config_epoch, 0u);
 }
 
-TEST_F(StorageNodeTest, OverlappingTabletRejected) {
+TEST_P(StorageNodeTest, OverlappingTabletRejected) {
   Tablet::Options options;
   options.range = KeyRange{"a", "z"};
-  const Status status = node_.AddTablet("t", options);
+  const Status status = AddTablet(node_, &clock_, "t", options);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(StorageNodeTest, PutToSecondaryReturnsNotPrimary) {
+TEST_P(StorageNodeTest, PutToSecondaryReturnsNotPrimary) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
-  ASSERT_TRUE(node.AddTablet("t", Tablet::Options{}).ok());
+  ASSERT_TRUE(AddTablet(node, &clock, "t", Tablet::Options{}).ok());
   proto::PutRequest put;
   put.table = "t";
   put.key = "k";
@@ -267,7 +317,7 @@ TEST_F(StorageNodeTest, PutToSecondaryReturnsNotPrimary) {
   EXPECT_EQ(err->code, StatusCode::kNotPrimary);
 }
 
-TEST_F(StorageNodeTest, ProbeReportsHighTimestampAndRole) {
+TEST_P(StorageNodeTest, ProbeReportsHighTimestampAndRole) {
   proto::ProbeRequest probe;
   probe.table = "t";
   proto::Message reply = node_.Handle(probe);
@@ -277,14 +327,14 @@ TEST_F(StorageNodeTest, ProbeReportsHighTimestampAndRole) {
   EXPECT_GT(probe_reply->high_timestamp, Timestamp::Zero());
 }
 
-TEST_F(StorageNodeTest, ProbeUnknownTableFails) {
+TEST_P(StorageNodeTest, ProbeUnknownTableFails) {
   proto::ProbeRequest probe;
   probe.table = "nope";
   proto::Message reply = node_.Handle(probe);
   EXPECT_TRUE(std::holds_alternative<proto::ErrorReply>(reply));
 }
 
-TEST_F(StorageNodeTest, SyncDispatch) {
+TEST_P(StorageNodeTest, SyncDispatch) {
   proto::PutRequest put;
   put.table = "t";
   put.key = "k";
@@ -300,7 +350,7 @@ TEST_F(StorageNodeTest, SyncDispatch) {
   EXPECT_EQ(sync_reply->versions.size(), 1u);
 }
 
-TEST_F(StorageNodeTest, GetAtDispatch) {
+TEST_P(StorageNodeTest, GetAtDispatch) {
   proto::PutRequest put;
   put.table = "t";
   put.key = "k";
@@ -317,7 +367,7 @@ TEST_F(StorageNodeTest, GetAtDispatch) {
   EXPECT_TRUE(at_reply->found);
 }
 
-TEST_F(StorageNodeTest, ReadOnlyCommitTriviallySucceeds) {
+TEST_P(StorageNodeTest, ReadOnlyCommitTriviallySucceeds) {
   proto::CommitRequest commit;
   commit.table = "t";
   proto::Message reply = node_.Handle(commit);
@@ -326,14 +376,14 @@ TEST_F(StorageNodeTest, ReadOnlyCommitTriviallySucceeds) {
   EXPECT_TRUE(commit_reply->committed);
 }
 
-TEST_F(StorageNodeTest, CrossTabletCommitRejected) {
+TEST_P(StorageNodeTest, CrossTabletCommitRejected) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
   for (const auto& range : SplitKeySpaceEvenly(2)) {
     Tablet::Options options;
     options.range = range;
     options.is_primary = true;
-    ASSERT_TRUE(node.AddTablet("t", options).ok());
+    ASSERT_TRUE(AddTablet(node, &clock, "t", options).ok());
   }
   proto::CommitRequest commit;
   commit.table = "t";
@@ -348,14 +398,14 @@ TEST_F(StorageNodeTest, CrossTabletCommitRejected) {
   EXPECT_EQ(err->code, StatusCode::kInvalidArgument);
 }
 
-TEST_F(StorageNodeTest, RangeScanAcrossMultipleTablets) {
+TEST_P(StorageNodeTest, RangeScanAcrossMultipleTablets) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
   for (const auto& range : SplitKeySpaceEvenly(4)) {
     Tablet::Options options;
     options.range = range;
     options.is_primary = true;
-    ASSERT_TRUE(node.AddTablet("t", options).ok());
+    ASSERT_TRUE(AddTablet(node, &clock, "t", options).ok());
   }
   // Keys spread across all four tablets.
   for (int c = 10; c < 250; c += 20) {
@@ -380,14 +430,14 @@ TEST_F(StorageNodeTest, RangeScanAcrossMultipleTablets) {
   EXPECT_GT(rr->high_timestamp, Timestamp::Zero());
 }
 
-TEST_F(StorageNodeTest, RangeScanLimitAcrossTablets) {
+TEST_P(StorageNodeTest, RangeScanLimitAcrossTablets) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
   for (const auto& range : SplitKeySpaceEvenly(2)) {
     Tablet::Options options;
     options.range = range;
     options.is_primary = true;
-    ASSERT_TRUE(node.AddTablet("t", options).ok());
+    ASSERT_TRUE(AddTablet(node, &clock, "t", options).ok());
   }
   for (int c = 10; c < 250; c += 10) {
     proto::PutRequest put;
@@ -407,21 +457,21 @@ TEST_F(StorageNodeTest, RangeScanLimitAcrossTablets) {
   EXPECT_TRUE(rr->truncated);
 }
 
-TEST_F(StorageNodeTest, RangeScanUnknownTable) {
+TEST_P(StorageNodeTest, RangeScanUnknownTable) {
   proto::RangeRequest range;
   range.table = "nope";
   proto::Message reply = node_.Handle(range);
   EXPECT_TRUE(std::holds_alternative<proto::ErrorReply>(reply));
 }
 
-TEST_F(StorageNodeTest, ReplyMessageAsRequestIsRejected) {
+TEST_P(StorageNodeTest, ReplyMessageAsRequestIsRejected) {
   proto::Message reply = node_.Handle(proto::Message(proto::GetReply{}));
   const auto* err = std::get_if<proto::ErrorReply>(&reply);
   ASSERT_NE(err, nullptr);
   EXPECT_EQ(err->code, StatusCode::kInvalidArgument);
 }
 
-TEST_F(StorageNodeTest, RoleFlipsForWholeTable) {
+TEST_P(StorageNodeTest, RoleFlipsForWholeTable) {
   ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(1, "node-2")));
   proto::PutRequest put;
   put.table = "t";
@@ -431,10 +481,10 @@ TEST_F(StorageNodeTest, RoleFlipsForWholeTable) {
   EXPECT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
 }
 
-TEST_F(StorageNodeTest, SyncReplicaFlagAffectsAuthoritativeness) {
+TEST_P(StorageNodeTest, SyncReplicaFlagAffectsAuthoritativeness) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
-  ASSERT_TRUE(node.AddTablet("t", Tablet::Options{}).ok());
+  ASSERT_TRUE(AddTablet(node, &clock, "t", Tablet::Options{}).ok());
   EXPECT_FALSE(node.FindTablet("t", "k")->authoritative());
   tablets::TabletMap map = MapWithPrimary(1, "node-1");
   map.tablets.front().config.members = {"node-1", "n"};
@@ -448,7 +498,7 @@ TEST_F(StorageNodeTest, SyncReplicaFlagAffectsAuthoritativeness) {
   EXPECT_TRUE(std::holds_alternative<proto::ErrorReply>(node.Handle(put)));
 }
 
-TEST_F(StorageNodeTest, HighTimestampAccessor) {
+TEST_P(StorageNodeTest, HighTimestampAccessor) {
   EXPECT_EQ(node_.HighTimestamp("missing", "k"), Timestamp::Zero());
   proto::PutRequest put;
   put.table = "t";
@@ -456,6 +506,75 @@ TEST_F(StorageNodeTest, HighTimestampAccessor) {
   put.value = "v";
   (void)node_.Handle(put);
   EXPECT_GT(node_.HighTimestamp("t", "k"), Timestamp::Zero());
+}
+
+// After an admin split, a keyless pull must still cover the whole table:
+// a secondary that advances to the reply's heartbeat would otherwise skip
+// the other tablet's writes for good.
+TEST_P(StorageNodeTest, WholeTablePullCoversEverySplitTablet) {
+  ASSERT_TRUE(node_.SplitTablet("t", "m").ok());
+  Timestamp written[2];
+  const char* keys[2] = {"a", "x"};
+  for (int i = 0; i < 2; ++i) {
+    clock_.AdvanceMicros(1);
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = keys[i];
+    put.value = "v";
+    proto::Message reply = node_.Handle(put);
+    ASSERT_TRUE(std::holds_alternative<proto::PutReply>(reply));
+    written[i] = std::get<proto::PutReply>(reply).timestamp;
+  }
+  clock_.AdvanceMicros(10);
+
+  proto::SyncRequest pull;
+  pull.table = "t";
+  proto::Message reply = node_.Handle(pull);
+  const auto* whole = std::get_if<proto::SyncReply>(&reply);
+  ASSERT_NE(whole, nullptr);
+  ASSERT_EQ(whole->versions.size(), 2u);
+  EXPECT_EQ(whole->versions[0].key, "a");
+  EXPECT_EQ(whole->versions[1].key, "x");
+  EXPECT_GE(whole->heartbeat, written[1]);
+
+  // A batched pull claims completeness only up to the one version it sent.
+  pull.max_versions = 1;
+  reply = node_.Handle(pull);
+  const auto* batch = std::get_if<proto::SyncReply>(&reply);
+  ASSERT_NE(batch, nullptr);
+  ASSERT_EQ(batch->versions.size(), 1u);
+  EXPECT_EQ(batch->versions[0].key, "a");
+  EXPECT_EQ(batch->heartbeat, written[0]);
+  EXPECT_TRUE(batch->has_more);
+}
+
+// A serializable commit validates its reads in the tablet it commits to;
+// a read key in another tablet cannot be validated there, so the commit is
+// rejected rather than committed over a changed read.
+TEST_P(StorageNodeTest, CommitValidatingAReadInAnotherTabletRejected) {
+  ASSERT_TRUE(node_.SplitTablet("t", "m").ok());
+  clock_.AdvanceMicros(1);
+  const Timestamp snapshot{clock_.NowMicros(), 0};
+  clock_.AdvanceMicros(1);
+  proto::PutRequest put;
+  put.table = "t";
+  put.key = "x";
+  put.value = "changed-after-the-snapshot";
+  ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
+
+  proto::CommitRequest commit;
+  commit.table = "t";
+  commit.snapshot = snapshot;
+  commit.validate_reads = true;
+  commit.read_keys = {"x"};
+  proto::ObjectVersion write;
+  write.key = "b";
+  write.value = "v";
+  commit.writes = {write};
+  proto::Message reply = node_.Handle(commit);
+  const auto* err = std::get_if<proto::ErrorReply>(&reply);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->code, StatusCode::kInvalidArgument);
 }
 
 }  // namespace

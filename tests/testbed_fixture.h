@@ -41,15 +41,21 @@ inline void PreloadAndReplicate(experiments::GeoTestbed& testbed,
 
 // A two-node deployment over the real in-process transport (threads and
 // wall-clock time): "England" primary (20 ms away) and a "Local" secondary
-// (1 ms away), replicating every 50 ms.
+// (1 ms away), replicating every 50 ms. The primary hosts `primary_tablet`
+// (e.g. a durable one) when given, an in-memory primary tablet otherwise.
 class InProcCluster {
  public:
-  InProcCluster()
+  explicit InProcCluster(
+      std::shared_ptr<storage::Tablet> primary_tablet = nullptr)
       : primary_("England", "England", RealClock::Instance()),
         local_("Local", "Local", RealClock::Instance()) {
-    storage::Tablet::Options primary_options;
-    primary_options.is_primary = true;
-    EXPECT_TRUE(primary_.AddTablet("t", primary_options).ok());
+    if (primary_tablet == nullptr) {
+      storage::Tablet::Options primary_options;
+      primary_options.is_primary = true;
+      primary_tablet = std::make_shared<storage::Tablet>(
+          primary_options, RealClock::Instance());
+    }
+    EXPECT_TRUE(primary_.AddTablet("t", std::move(primary_tablet)).ok());
     EXPECT_TRUE(local_.AddTablet("t", storage::Tablet::Options{}).ok());
 
     network_.RegisterEndpoint("England", [this](const proto::Message& m) {
@@ -59,26 +65,33 @@ class InProcCluster {
       return local_.Handle(m);
     });
 
+    // The served tablet is written only under Local's lock (its readers
+    // run concurrently), so the agent tracks pull progress on a shadow.
     agent_ = std::make_unique<replication::ReplicationAgent>(
-        local_.FindTablet("t", ""),
-        replication::ReplicationAgent::Options{.table = "t"});
+        &shadow_, replication::ReplicationAgent::Options{.table = "t"});
     // The replication agent pulls over its own channel to the primary.
     auto sync_channel = std::shared_ptr<net::Channel>(
         network_.Connect("England", 10 * kMicrosecondsPerMillisecond));
     puller_ = std::make_unique<replication::ThreadedPuller>(
         agent_.get(),
-        [sync_channel](const proto::SyncRequest& request)
+        [this, sync_channel](const proto::SyncRequest& request)
             -> Result<proto::SyncReply> {
-          // Serialize through the node's lock via Handle().
           Result<proto::Message> reply =
               sync_channel->Call(request, SecondsToMicroseconds(5));
           if (!reply.ok()) {
             return reply.status();
           }
-          if (auto* sync = std::get_if<proto::SyncReply>(&reply.value())) {
-            return std::move(*sync);
+          auto* sync = std::get_if<proto::SyncReply>(&reply.value());
+          if (sync == nullptr) {
+            return Status(StatusCode::kInternal, "unexpected sync reply");
           }
-          return Status(StatusCode::kInternal, "unexpected sync reply");
+          PILEUS_RETURN_IF_ERROR(local_.ApplySync("t", *sync));
+          if (!sync->versions.empty()) {
+            sync->heartbeat =
+                MaxTimestamp(sync->heartbeat, sync->versions.back().timestamp);
+            sync->versions.clear();
+          }
+          return std::move(*sync);
         },
         50 * kMicrosecondsPerMillisecond);
   }
@@ -119,6 +132,7 @@ class InProcCluster {
   storage::StorageNode primary_;
   storage::StorageNode local_;
   net::InProcNetwork network_;
+  storage::Tablet shadow_{storage::Tablet::Options{}, RealClock::Instance()};
   std::unique_ptr<replication::ReplicationAgent> agent_;
   std::unique_ptr<replication::ThreadedPuller> puller_;
 };
