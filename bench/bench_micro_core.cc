@@ -60,9 +60,15 @@ void BM_SelectTarget(benchmark::State& state) {
                            static_cast<int>(state.range(1)));
   SelectionOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectTarget(
-        fixture.sla, fixture.replicas, fixture.session, "key-1",
-        fixture.clock.NowMicros(), fixture.monitor, options, &fixture.rng));
+    // What a point Get passes: the key's floors at the op's start.
+    const MicrosecondCount now_us = fixture.clock.NowMicros();
+    const MinReadTimestampFn min_read = [&fixture,
+                                         now_us](const Guarantee& guarantee) {
+      return fixture.session.MinReadTimestamp(guarantee, "key-1", now_us);
+    };
+    benchmark::DoNotOptimize(SelectTarget(fixture.sla, fixture.replicas,
+                                          nullptr, min_read, fixture.monitor,
+                                          options, &fixture.rng));
   }
 }
 // Args: replicas, latency samples per replica.

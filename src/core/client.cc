@@ -209,48 +209,6 @@ void PileusClient::EmitReadTrace(telemetry::TraceOp op, const Session& session,
   options_.trace_sink->OnTrace(event);
 }
 
-void PileusClient::EmitReadRecord(AuditOp op, const Session& session,
-                                  std::string_view key,
-                                  std::string_view end_key,
-                                  MicrosecondCount begin_us, const Sla& sla,
-                                  const GetOutcome& outcome, bool ok,
-                                  const proto::GetReply* reply,
-                                  const proto::RangeReply* range) {
-  if (options_.op_observer == nullptr) {
-    return;
-  }
-  OpRecord record;
-  record.op = op;
-  record.session_id = session.id();
-  record.table = table_.table_name;
-  record.key = std::string(key);
-  record.end_key = std::string(end_key);
-  record.begin_us = begin_us;
-  record.end_us = clock_->NowMicros();
-  record.ok = ok;
-  record.node = outcome.node_name;
-  record.target_rank = outcome.target_rank;
-  record.claimed_met_rank = outcome.met_rank;
-  if (outcome.met_rank >= 0 &&
-      outcome.met_rank < static_cast<int>(sla.size())) {
-    record.claimed_guarantee = sla[outcome.met_rank].consistency;
-    record.claimed_latency_bound_us = sla[outcome.met_rank].latency_us;
-  }
-  record.from_primary = outcome.from_primary;
-  record.retried = outcome.retried;
-  if (reply != nullptr) {
-    record.found = reply->found;
-    record.value = reply->value;
-    record.value_timestamp = reply->value_timestamp;
-    record.high_timestamp = reply->high_timestamp;
-  }
-  if (range != nullptr) {
-    record.items = range->items;
-    record.high_timestamp = range->high_timestamp;
-  }
-  options_.op_observer->OnOp(record);
-}
-
 void PileusClient::EmitWriteRecord(AuditOp op, const Session& session,
                                    std::string_view key,
                                    MicrosecondCount begin_us, bool ok,
@@ -278,19 +236,6 @@ Result<Session> PileusClient::BeginSession(const Sla& default_sla) const {
     return st;
   }
   return Session(default_sla);
-}
-
-Result<GetResult> PileusClient::Get(Session& session, std::string_view key) {
-  return DoGet(session, key, session.default_sla());
-}
-
-Result<GetResult> PileusClient::Get(Session& session, std::string_view key,
-                                    const Sla& sla) {
-  Status st = sla.Validate();
-  if (!st.ok()) {
-    return st;
-  }
-  return DoGet(session, key, sla);
 }
 
 int PileusClient::PickFixedStrategyNode() {
@@ -428,149 +373,284 @@ MicrosecondCount PileusClient::JitteredBackoff(MicrosecondCount nominal_us,
                                        (0.5 + 0.5 * rng_.NextDouble()));
 }
 
-void PileusClient::AdmitToCache(std::string_view key,
-                                const proto::GetReply& reply) {
-  if (options_.cache == nullptr) {
+// --- The read path: one routine behind Get and GetRange ---
+
+// A point Get of one key (Section 3.1).
+struct PileusClient::GetOp {
+  using Request = proto::GetRequest;
+  using Reply = proto::GetReply;
+  using Result = GetResult;
+  static constexpr telemetry::TraceOp kTraceOp = telemetry::TraceOp::kGet;
+  static constexpr AuditOp kAuditOp = AuditOp::kGet;
+  static constexpr const char* kUnavailable =
+      "no replica answered within the SLA deadline";
+
+  Session& session;
+  std::string_view key;
+
+  void FillRequest(Request& request) const { request.key = std::string(key); }
+
+  void FillKeys(OpRecord& record) const { record.key = std::string(key); }
+
+  Timestamp MinReadTimestamp(const Guarantee& guarantee,
+                             MicrosecondCount now_us) const {
+    return session.MinReadTimestamp(guarantee, key, now_us);
+  }
+
+  // The reply a cached entry asserts (DESIGN.md "Client cache"). An entry
+  // is eligible only past the session's hand-off floor: a session resumed
+  // on this frontend must not trust cache state older than everything it
+  // had already observed elsewhere.
+  std::optional<Reply> LookupCache(cache::ClientCache& cache,
+                                   const std::string& table) const {
+    std::optional<cache::ClientCache::Entry> entry = cache.Lookup(table, key);
+    if (!entry.has_value() || entry->valid_through < session.cache_floor()) {
+      return std::nullopt;
+    }
+    Reply reply;
+    reply.found = !entry->is_tombstone;
+    reply.value = std::move(entry->value);
+    reply.value_timestamp = entry->timestamp;
+    reply.high_timestamp = entry->valid_through;
+    return reply;
+  }
+
+  // Read-through fill: the serving node's prefix proves its value (or
+  // absence) is the newest committed state of the key at or below the
+  // reply's high timestamp. A not-found reply is positive evidence of
+  // absence; its value timestamp carries the tombstone's update timestamp
+  // when the key was deleted (Zero when it never existed).
+  void Admit(cache::ClientCache& cache, const std::string& table,
+             const Reply& reply) const {
+    cache.Admit(table, key,
+                reply.found ? std::string_view(reply.value)
+                            : std::string_view(),
+                reply.value_timestamp, /*is_tombstone=*/!reply.found,
+                reply.high_timestamp);
+  }
+
+  // Records the observed version - including a tombstone's timestamp on a
+  // not-found reply - so monotonic reads can never "resurrect" a deleted
+  // value from a staler replica later in the session.
+  void RecordInSession(const Reply& reply) const {
+    if (!reply.value_timestamp.IsZero()) {
+      session.RecordGet(key, reply.value_timestamp);
+    }
+  }
+
+  void FillRecord(OpRecord& record, const Reply& reply) const {
+    record.found = reply.found;
+    record.value = reply.value;
+    record.value_timestamp = reply.value_timestamp;
+    record.high_timestamp = reply.high_timestamp;
+  }
+
+  Result TakeResult(Reply& reply, const GetOutcome& outcome) const {
+    Result result;
+    result.found = reply.found;
+    result.value = std::move(reply.value);
+    result.timestamp = reply.value_timestamp;
+    result.outcome = outcome;
+    return result;
+  }
+};
+
+// A range scan over [key, end). The serving node's high timestamp bounds the
+// staleness of every returned item (see Session::MinReadTimestampForScan).
+struct PileusClient::RangeOp {
+  using Request = proto::RangeRequest;
+  using Reply = proto::RangeReply;
+  using Result = RangeResult;
+  static constexpr telemetry::TraceOp kTraceOp = telemetry::TraceOp::kRange;
+  static constexpr AuditOp kAuditOp = AuditOp::kRange;
+  static constexpr const char* kUnavailable =
+      "no replica answered the scan within the SLA deadline";
+
+  Session& session;
+  std::string_view key;  // The scan's begin key.
+  std::string_view end;
+  uint32_t limit = 0;
+
+  void FillRequest(Request& request) const {
+    request.begin = std::string(key);
+    request.end = std::string(end);
+    request.limit = limit;
+  }
+
+  void FillKeys(OpRecord& record) const {
+    record.key = std::string(key);
+    record.end_key = std::string(end);
+  }
+
+  Timestamp MinReadTimestamp(const Guarantee& guarantee,
+                             MicrosecondCount now_us) const {
+    return session.MinReadTimestampForScan(guarantee, now_us);
+  }
+
+  // Cache entries cover single keys, never a range: scans always go to the
+  // network.
+  std::optional<Reply> LookupCache(cache::ClientCache&,
+                                   const std::string&) const {
+    return std::nullopt;
+  }
+
+  // Each returned item is key-covering evidence bounded by the scan's high
+  // timestamp (scans exclude tombstones, so items are live).
+  void Admit(cache::ClientCache& cache, const std::string& table,
+             const Reply& reply) const {
+    for (const proto::ObjectVersion& item : reply.items) {
+      cache.Admit(table, item.key, item.value, item.timestamp,
+                  item.is_tombstone, reply.high_timestamp);
+    }
+  }
+
+  void RecordInSession(const Reply& reply) const {
+    for (const proto::ObjectVersion& item : reply.items) {
+      session.RecordGet(item.key, item.timestamp);
+    }
+  }
+
+  void FillRecord(OpRecord& record, const Reply& reply) const {
+    record.items = reply.items;
+    record.high_timestamp = reply.high_timestamp;
+  }
+
+  // The reply is ours: its items are handed over instead of copied (the
+  // audit record has already taken its copy).
+  Result TakeResult(Reply& reply, const GetOutcome& outcome) const {
+    Result result;
+    result.items = std::move(reply.items);
+    result.truncated = reply.truncated;
+    result.outcome = outcome;
+    return result;
+  }
+};
+
+template <typename Op>
+void PileusClient::EmitReadRecord(const Op& op, MicrosecondCount begin_us,
+                                  const Sla& sla, const GetOutcome& outcome,
+                                  const typename Op::Reply* reply) {
+  if (options_.op_observer == nullptr) {
     return;
   }
-  // A not-found reply is positive evidence of absence: the node's prefix
-  // holds nothing live for the key at or below its high timestamp. The
-  // value timestamp carries the tombstone's update timestamp when the key
-  // was deleted (Zero when it never existed).
-  options_.cache->Admit(table_.table_name, key,
-                        reply.found ? std::string_view(reply.value)
-                                    : std::string_view(),
-                        reply.value_timestamp, /*is_tombstone=*/!reply.found,
-                        reply.high_timestamp);
+  OpRecord record;
+  record.op = Op::kAuditOp;
+  record.session_id = op.session.id();
+  record.table = table_.table_name;
+  op.FillKeys(record);
+  record.begin_us = begin_us;
+  record.end_us = clock_->NowMicros();
+  record.ok = reply != nullptr;
+  record.node = outcome.node_name;
+  record.target_rank = outcome.target_rank;
+  record.claimed_met_rank = outcome.met_rank;
+  if (outcome.met_rank >= 0 &&
+      outcome.met_rank < static_cast<int>(sla.size())) {
+    record.claimed_guarantee = sla[outcome.met_rank].consistency;
+    record.claimed_latency_bound_us = sla[outcome.met_rank].latency_us;
+  }
+  record.from_primary = outcome.from_primary;
+  record.retried = outcome.retried;
+  if (reply != nullptr) {
+    op.FillRecord(record, *reply);
+  }
+  options_.op_observer->OnOp(record);
 }
 
-int PileusClient::DetermineMetRank(const Sla& sla, const Session& session,
-                                   std::string_view key,
-                                   const proto::GetReply& reply,
-                                   MicrosecondCount total_rtt_us,
-                                   MicrosecondCount now_us) const {
+int PileusClient::DetermineMetRank(const Sla& sla,
+                                   const MinReadTimestampFn& min_read_timestamp,
+                                   const Timestamp& high_timestamp,
+                                   bool served_by_primary,
+                                   MicrosecondCount rtt_us) {
   for (size_t rank = 0; rank < sla.size(); ++rank) {
     const SubSla& sub = sla[rank];
-    if (total_rtt_us > sub.latency_us) {
+    if (rtt_us > sub.latency_us) {
       continue;
     }
     if (sub.consistency.RequiresAuthoritative()) {
-      if (reply.served_by_primary) {
+      if (served_by_primary) {
         return static_cast<int>(rank);
       }
       continue;
     }
-    const Timestamp min_read =
-        session.MinReadTimestamp(sub.consistency, key, now_us);
-    if (reply.high_timestamp >= min_read) {
+    if (high_timestamp >= min_read_timestamp(sub.consistency)) {
       return static_cast<int>(rank);
     }
   }
   return -1;
 }
 
-Result<GetResult> PileusClient::DoGet(Session& session, std::string_view key,
-                                      const Sla& sla) {
+template <typename Op>
+Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
+  using Reply = typename Op::Reply;
   MaybeAdoptConfig();
   ++gets_issued_;
-  if (instruments_.gets != nullptr) {
-    instruments_.gets->Increment();
+  telemetry::Counter* const issued =
+      Op::kTraceOp == telemetry::TraceOp::kGet ? instruments_.gets
+                                               : instruments_.ranges;
+  if (issued != nullptr) {
+    issued->Increment();
   }
   const MicrosecondCount deadline_us = sla.MaxLatency();
   const MicrosecondCount start_us = clock_->NowMicros();
+  const bool pileus = options_.strategy == ReadStrategy::kPileus;
 
-  proto::GetRequest request;
-  request.table = table_.table_name;
-  request.key = std::string(key);
-  request.tenant = options_.tenant;
-  request.deadline_us = deadline_us;
+  // Minimum acceptable read timestamps are evaluated at `eval_us`: the op's
+  // start while selecting, the judging time while judging a claim.
+  MicrosecondCount eval_us = start_us;
+  const MinReadTimestampFn min_read = [&op, &eval_us](const Guarantee& g) {
+    return op.MinReadTimestamp(g, eval_us);
+  };
+  const auto met_rank = [&](const Reply& reply, MicrosecondCount rtt_us) {
+    eval_us = clock_->NowMicros();
+    return DetermineMetRank(sla, min_read, reply.high_timestamp,
+                            reply.served_by_primary, rtt_us);
+  };
 
   GetOutcome outcome;
   outcome.messages_sent = 0;
-
-  // --- Cache pseudo-replica (DESIGN.md "Client cache") ---
-  // An entry is eligible only past the session's hand-off floor: a session
-  // resumed on this frontend must not trust cache state older than
-  // everything it had already observed elsewhere.
-  std::optional<cache::ClientCache::Entry> cached;
-  if (options_.cache != nullptr &&
-      options_.strategy == ReadStrategy::kPileus) {
-    cached = options_.cache->Lookup(table_.table_name, key);
-    if (cached.has_value() &&
-        cached->valid_through < session.cache_floor()) {
-      cached.reset();
+  // A cache serve is judged at execution time like a network reply, and the
+  // audit checker later re-verifies it against the committed history.
+  const auto cache_meets_sla = [&](const Reply& reply) {
+    const MicrosecondCount rtt_us = clock_->NowMicros() - start_us;
+    const int met = met_rank(reply, rtt_us);
+    if (met < 0) {
+      return false;
     }
-  }
+    outcome.met_rank = met;
+    outcome.utility = sla[met].utility;
+    outcome.rtt_us = rtt_us;
+    outcome.node_index = -1;
+    outcome.node_name = std::string(kCacheNodeName);
+    outcome.from_cache = true;
+    return true;
+  };
 
-  // --- Choose target node(s) ---
+  // --- Select (Figure 8), with the cache as a zero-RTT pseudo-replica ---
+  // `targets` lists every replica called, in call order: the op's tried-set.
   std::vector<int> targets;
-  if (options_.strategy == ReadStrategy::kPileus) {
-    CacheView cache_view;
-    const CacheView* cache_view_ptr = nullptr;
-    if (cached.has_value()) {
-      cache_view.high_timestamp = cached->valid_through;
-      cache_view.latency_us = options_.cache->options().serve_latency_us;
-      cache_view_ptr = &cache_view;
+  if (pileus) {
+    std::optional<Reply> cached;
+    if (options_.cache != nullptr) {
+      cached = op.LookupCache(*options_.cache, table_.table_name);
     }
-    const SelectionResult sel =
-        SelectTarget(sla, replica_views_, cache_view_ptr, session, key,
-                     start_us, *monitor_, options_.selection, &rng_);
+    CacheView cache_view;
+    if (cached.has_value()) {
+      cache_view.high_timestamp = cached->high_timestamp;
+      cache_view.latency_us = options_.cache->options().serve_latency_us;
+    }
+    const SelectionResult sel = SelectTarget(
+        sla, replica_views_, cached.has_value() ? &cache_view : nullptr,
+        min_read, *monitor_, options_.selection, &rng_);
     outcome.target_rank = sel.target_rank;
-
-    if (sel.cache_selected) {
-      // Serve locally. Synthesize the reply the entry invariant asserts and
-      // re-verify the claim with the same DetermineMetRank as a network
-      // reply, at execution time; the audit checker later re-verifies it
-      // against the committed history like any other read.
-      proto::GetReply reply;
-      reply.found = !cached->is_tombstone;
-      reply.value = cached->value;
-      reply.value_timestamp = cached->timestamp;
-      reply.high_timestamp = cached->valid_through;
-      reply.served_by_primary = false;
-      const MicrosecondCount now_us = clock_->NowMicros();
-      const int met =
-          DetermineMetRank(sla, session, key, reply, now_us - start_us,
-                           now_us);
-      if (met >= 0) {
-        outcome.met_rank = met;
-        outcome.utility = sla[met].utility;
-        outcome.rtt_us = now_us - start_us;
-        outcome.node_index = -1;
-        outcome.node_name = std::string(kCacheNodeName);
-        outcome.from_cache = true;
-        outcome.messages_sent = 0;
-
-        GetResult result;
-        result.found = reply.found;
-        result.value = reply.value;
-        result.timestamp = reply.value_timestamp;
-        result.outcome = outcome;
-        if (!result.timestamp.IsZero()) {
-          session.RecordGet(key, result.timestamp);
-        }
-        retry_budget_->RecordSuccess();
-        cache_serves_.fetch_add(1, std::memory_order_relaxed);
-        if (instruments_.cache_served != nullptr) {
-          instruments_.cache_served->Increment();
-          (met < Instruments::kTrackedRanks
-               ? instruments_.cache_served_by_rank[met]
-               : instruments_.cache_served_overflow)
-              ->Increment();
-        }
-        CountReadOutcome(outcome);
-        EmitReadTrace(telemetry::TraceOp::kGet, session, key, sla, outcome,
-                      reply.high_timestamp, /*ok=*/true);
-        EmitReadRecord(AuditOp::kGet, session, key, {}, start_us, sla,
-                       outcome, /*ok=*/true, &reply, nullptr);
-        return result;
-      }
-      // The claim selection promised no longer holds at execution time
-      // (e.g. a bounded floor advanced past valid_through between the two
-      // clock reads); fall through to the network choice.
+    // --- Cache serve. When the claim selection promised no longer holds
+    // (e.g. a bounded floor advanced past valid_through between the two
+    // clock reads), fall through to the network choice. ---
+    if (sel.cache_selected && cache_meets_sla(*cached)) {
+      return FinishRead(op, sla, start_us, outcome, *cached);
     }
     targets.push_back(sel.node_index);
-    // Parallel Gets (Section 6.3): fan out across additional tied candidates.
+    // Parallel reads (Section 6.3): fan out across additional candidates.
     for (int candidate : sel.candidates) {
       if (static_cast<int>(targets.size()) >= options_.parallel_fanout) {
         break;
@@ -586,72 +666,103 @@ Result<GetResult> PileusClient::DoGet(Session& session, std::string_view key,
   // The admission context travels with the request: the subSLA rank this
   // read aims for (its utility decides how early the server sheds it) and
   // whether only an authoritative answer can satisfy it.
+  proto::Message message{std::in_place_type<typename Op::Request>};
+  auto& request = std::get<typename Op::Request>(message);
+  request.table = table_.table_name;
+  request.tenant = options_.tenant;
+  request.deadline_us = deadline_us;
   const int aim_rank = outcome.target_rank >= 0 ? outcome.target_rank : 0;
   request.utility_micros = static_cast<uint32_t>(
       std::min(sla[aim_rank].utility, 4000.0) * 1e6 + 0.5);
   request.strong_read = sla[aim_rank].consistency.RequiresAuthoritative();
-  const proto::Message request_message = request;
+  op.FillRequest(request);
 
-  // --- Issue the read(s) ---
-  std::vector<TimedReply> replies;
+  // --- Send to the chosen node and its fan-out partners ---
+  std::vector<TimedReply> replies;  // replies[i] answers targets[i].
   if (targets.size() == 1) {
     replies.push_back(
-        table_.replicas[targets[0]].connection->Call(request_message,
-                                                     deadline_us));
+        table_.replicas[targets[0]].connection->Call(message, deadline_us));
   } else {
     std::vector<NodeConnection*> connections;
     connections.reserve(targets.size());
     for (int t : targets) {
       connections.push_back(table_.replicas[t].connection.get());
     }
-    replies = fanout_->CallAll(connections, request_message, deadline_us);
+    replies = fanout_->CallAll(connections, message, deadline_us);
   }
   outcome.messages_sent += static_cast<int>(targets.size());
   messages_sent_ += targets.size();
+  const size_t first_round = targets.size();
 
+  // --- Judge (Figure 9): every call feeds the monitor, every well-formed
+  // reply fills the cache, and the winner has the best met subSLA, then the
+  // lowest RTT. `rtt_us` is the latency the application saw for that call,
+  // failed attempts before it included. ---
   bool overload_seen = false;
-  int last_retry_after_ms = -1;
-  for (size_t i = 0; i < targets.size(); ++i) {
+  int retry_after_ms = -1;
+  int winner = -1;
+  int winner_met = -1;
+  const auto judge = [&](size_t i, MicrosecondCount rtt_us) {
     const int hint = AbsorbReplyEvidence(targets[i], replies[i]);
     if (hint >= 0) {
       overload_seen = true;
-      last_retry_after_ms = std::max(last_retry_after_ms, hint);
+      retry_after_ms = std::max(retry_after_ms, hint);
     }
-  }
-
-  // --- Pick the winning reply: best met subSLA, then lowest RTT ---
-  const MicrosecondCount eval_now = clock_->NowMicros();
-  int winner = -1;
-  int winner_met = -1;
-  for (size_t i = 0; i < replies.size(); ++i) {
+    replies[i].rtt_us = rtt_us;
     if (!replies[i].reply.ok()) {
-      continue;
+      return;
     }
-    const auto* get_reply =
-        std::get_if<proto::GetReply>(&replies[i].reply.value());
-    if (get_reply == nullptr) {
-      continue;  // ErrorReply (wrong node, missing table, ...).
+    const auto* reply = std::get_if<Reply>(&replies[i].reply.value());
+    if (reply == nullptr) {
+      return;  // ErrorReply (wrong node, overloaded, missing table, ...).
     }
-    // Every well-formed reply is key-covering evidence, not just the winner.
-    AdmitToCache(key, *get_reply);
-    const int met = DetermineMetRank(sla, session, key, *get_reply,
-                                     replies[i].rtt_us, eval_now);
-    const bool better =
-        winner < 0 ||
-        (met >= 0 && (winner_met < 0 || met < winner_met)) ||
-        (met == winner_met && replies[i].rtt_us < replies[winner].rtt_us);
-    if (better) {
+    if (options_.cache != nullptr) {
+      op.Admit(*options_.cache, table_.table_name, *reply);
+    }
+    const int met = met_rank(*reply, rtt_us);
+    if (winner < 0 || (met >= 0 && (winner_met < 0 || met < winner_met)) ||
+        (met == winner_met && rtt_us < replies[winner].rtt_us)) {
       winner = static_cast<int>(i);
       winner_met = met;
     }
+  };
+  for (size_t i = 0; i < first_round; ++i) {
+    judge(i, replies[i].rtt_us);
   }
 
-  // --- Availability retries (Section 3.3): the targeted node(s) failed
-  // outright; try the remaining replicas while deadline budget remains ---
-  if (winner < 0 && options_.retry_other_replicas_on_failure &&
-      options_.strategy == ReadStrategy::kPileus) {
-    // Untried replicas, most promising (lowest mean monitored latency)
-    // first; unmeasured nodes sort first and get explored.
+  // One more call, to `node`, with what is left of the deadline. False when
+  // no time or retry budget remains.
+  const auto retry = [&](int node) {
+    const MicrosecondCount remaining =
+        deadline_us - (clock_->NowMicros() - start_us);
+    if (remaining <= 0) {
+      return false;
+    }
+    // Every extra call spends retry budget: a brown-out must not turn failed
+    // reads into an amplifying storm (DESIGN.md Section 11).
+    if (!retry_budget_->TryAcquire()) {
+      if (instruments_.retry_budget_denied != nullptr) {
+        instruments_.retry_budget_denied->Increment();
+      }
+      return false;
+    }
+    // Deadline propagation: the server sees what is actually left, not the
+    // original budget, so it can shed reads its queue can no longer meet.
+    request.deadline_us = remaining;
+    targets.push_back(node);
+    replies.push_back(table_.replicas[node].connection->Call(message,
+                                                             remaining));
+    ++outcome.messages_sent;
+    ++messages_sent_;
+    judge(replies.size() - 1,
+          std::max(replies.back().rtt_us, clock_->NowMicros() - start_us));
+    return true;
+  };
+
+  // --- Availability retries (Section 3.3): nothing usable came back; try
+  // the untried replicas, most promising (lowest mean monitored latency)
+  // first, so unmeasured nodes sort first and get explored ---
+  if (winner < 0 && pileus && options_.retry_other_replicas_on_failure) {
     std::vector<int> untried;
     for (int i = 0; i < static_cast<int>(table_.replicas.size()); ++i) {
       if (std::find(targets.begin(), targets.end(), i) == targets.end()) {
@@ -662,237 +773,125 @@ Result<GetResult> PileusClient::DoGet(Session& session, std::string_view key,
       return monitor_->MeanLatency(table_.replicas[a].name) <
              monitor_->MeanLatency(table_.replicas[b].name);
     });
-    for (int idx : untried) {
-      const MicrosecondCount elapsed = clock_->NowMicros() - start_us;
-      const MicrosecondCount remaining = deadline_us - elapsed;
-      if (remaining <= 0) {
+    for (int node : untried) {
+      if (!retry(node) || winner >= 0) {
         break;
       }
-      // Every extra attempt spends retry budget: a brown-out must not turn
-      // failed reads into an amplifying storm (DESIGN.md Section 11).
-      if (!retry_budget_->TryAcquire()) {
-        if (instruments_.retry_budget_denied != nullptr) {
-          instruments_.retry_budget_denied->Increment();
-        }
-        break;
-      }
-      // Deadline propagation: the server sees what is actually left, not the
-      // original budget, so it can shed reads its queue can no longer meet.
-      proto::GetRequest retry_request = request;
-      retry_request.deadline_us = remaining;
-      TimedReply attempt = table_.replicas[idx].connection->Call(
-          proto::Message(retry_request), remaining);
-      ++outcome.messages_sent;
-      ++messages_sent_;
-      const int hint = AbsorbReplyEvidence(idx, attempt);
-      if (hint >= 0) {
-        overload_seen = true;
-        last_retry_after_ms = std::max(last_retry_after_ms, hint);
-      }
-      if (!attempt.reply.ok()) {
-        continue;
-      }
-      const auto* get_reply =
-          std::get_if<proto::GetReply>(&attempt.reply.value());
-      if (get_reply == nullptr) {
-        continue;
-      }
-      AdmitToCache(key, *get_reply);
-      // The app-visible latency of this Get includes the failed attempts.
-      const MicrosecondCount total =
-          std::max(attempt.rtt_us, clock_->NowMicros() - start_us);
-      targets.push_back(idx);
-      replies.emplace_back(std::move(attempt.reply), total);
-      winner = static_cast<int>(replies.size()) - 1;
-      winner_met = DetermineMetRank(sla, session, key, *get_reply, total,
-                                    clock_->NowMicros());
-      outcome.retried = true;
-      break;
     }
   }
 
-  // --- Optional fallback retry at the primary (Section 5.4 discussion) ---
-  if (options_.fallback_to_primary_retry && winner_met < 0) {
-    MicrosecondCount elapsed = clock_->NowMicros() - start_us;
-    MicrosecondCount remaining = deadline_us - elapsed;
-    const bool primary_already_tried =
-        std::find(targets.begin(), targets.end(), current_primary_index_) !=
-        targets.end();
+  // --- Fallback at the primary (Section 5.4 discussion): no subSLA was met
+  // and the primary has not been called yet ---
+  if (options_.fallback_to_primary_retry && winner_met < 0 &&
+      std::find(targets.begin(), targets.end(), current_primary_index_) ==
+          targets.end()) {
     // A retry_after hint is honored when the wait still fits inside the
     // deadline: arriving after the primary's queue drained beats arriving
     // during the drain and being shed again.
-    if (remaining > 0 && !primary_already_tried && last_retry_after_ms > 0 &&
-        options_.sleep_fn) {
-      const MicrosecondCount wait = JitteredBackoff(0, last_retry_after_ms);
+    const MicrosecondCount remaining =
+        deadline_us - (clock_->NowMicros() - start_us);
+    if (remaining > 0 && retry_after_ms > 0 && options_.sleep_fn) {
+      const MicrosecondCount wait = JitteredBackoff(0, retry_after_ms);
       if (wait < remaining) {
         options_.sleep_fn(wait);
-        elapsed = clock_->NowMicros() - start_us;
-        remaining = deadline_us - elapsed;
       }
     }
-    if (remaining > 0 && !primary_already_tried &&
-        retry_budget_->TryAcquire()) {
-      proto::GetRequest retry_request = request;
-      retry_request.deadline_us = remaining;
-      TimedReply retry = table_.replicas[current_primary_index_]
-                             .connection->Call(proto::Message(retry_request),
-                                               remaining);
-      ++outcome.messages_sent;
-      ++messages_sent_;
-      const int hint = AbsorbReplyEvidence(current_primary_index_, retry);
-      if (hint >= 0) {
-        overload_seen = true;
-      }
-      if (retry.reply.ok()) {
-        if (const auto* get_reply =
-                std::get_if<proto::GetReply>(&retry.reply.value())) {
-          AdmitToCache(key, *get_reply);
-          const MicrosecondCount total = elapsed + retry.rtt_us;
-          const int met = DetermineMetRank(sla, session, key, *get_reply,
-                                           total, clock_->NowMicros());
-          if (met >= 0 || winner < 0) {
-            outcome.retried = true;
-            outcome.met_rank = met;
-            outcome.utility = met >= 0 ? sla[met].utility : 0.0;
-            outcome.rtt_us = total;
-            outcome.node_index = current_primary_index_;
-            outcome.node_name = table_.replicas[current_primary_index_].name;
-            outcome.from_primary = get_reply->served_by_primary;
+    retry(current_primary_index_);
+  }
 
-            GetResult result;
-            result.found = get_reply->found;
-            result.value = get_reply->value;
-            result.timestamp = get_reply->value_timestamp;
-            result.outcome = outcome;
-            if (!result.timestamp.IsZero()) {
-              session.RecordGet(key, result.timestamp);
-            }
-            retry_budget_->RecordSuccess();
-            CountReadOutcome(outcome);
-            EmitReadTrace(telemetry::TraceOp::kGet, session, key, sla,
-                          outcome, get_reply->high_timestamp, /*ok=*/true);
-            EmitReadRecord(AuditOp::kGet, session, key, {}, start_us, sla,
-                           outcome, /*ok=*/true, get_reply, nullptr);
-            return result;
-          }
-        }
-      }
+  if (winner >= 0) {
+    auto& reply = std::get<Reply>(replies[winner].reply.value());
+    outcome.met_rank = winner_met;
+    outcome.utility = winner_met >= 0 ? sla[winner_met].utility : 0.0;
+    outcome.rtt_us = replies[winner].rtt_us;
+    outcome.node_index = targets[winner];
+    outcome.node_name = table_.replicas[targets[winner]].name;
+    outcome.from_primary = reply.served_by_primary;
+    outcome.retried = static_cast<size_t>(winner) >= first_round;
+    return FinishRead(op, sla, start_us, outcome, reply);
+  }
+
+  // --- Degradation ladder's last rung (DESIGN.md Section 11): every
+  // network attempt failed and at least one node said kOverloaded. Serve
+  // from the cache at whatever (downgraded) rank the entry still meets with
+  // the full elapsed time, rather than surfacing failure. ---
+  if (overload_seen && pileus && options_.cache != nullptr) {
+    std::optional<Reply> entry =
+        op.LookupCache(*options_.cache, table_.table_name);
+    if (entry.has_value() && cache_meets_sla(*entry)) {
+      outcome.retried = true;
+      return FinishRead(op, sla, start_us, outcome, *entry);
     }
   }
 
-  if (winner < 0) {
-    // --- Degradation ladder's last rung (DESIGN.md Section 11) ---
-    // Every network attempt failed and at least one node said kOverloaded:
-    // serve from the cache at whatever (downgraded) rank the entry still
-    // meets, rather than surfacing failure. The claim is honest — it passes
-    // through the same DetermineMetRank (with the full elapsed time, so only
-    // ranks whose latency bound still holds qualify) and is audited like any
-    // network reply.
-    if (overload_seen && options_.degraded_cache_serve &&
-        options_.cache != nullptr &&
-        options_.strategy == ReadStrategy::kPileus) {
-      std::optional<cache::ClientCache::Entry> entry =
-          options_.cache->Lookup(table_.table_name, key);
-      if (entry.has_value() &&
-          entry->valid_through >= session.cache_floor()) {
-        proto::GetReply reply;
-        reply.found = !entry->is_tombstone;
-        reply.value = entry->value;
-        reply.value_timestamp = entry->timestamp;
-        reply.high_timestamp = entry->valid_through;
-        reply.served_by_primary = false;
-        const MicrosecondCount now_us = clock_->NowMicros();
-        const int met = DetermineMetRank(sla, session, key, reply,
-                                         now_us - start_us, now_us);
-        if (met >= 0) {
-          outcome.met_rank = met;
-          outcome.utility = sla[met].utility;
-          outcome.rtt_us = now_us - start_us;
-          outcome.node_index = -1;
-          outcome.node_name = std::string(kCacheNodeName);
-          outcome.from_cache = true;
-          outcome.retried = true;
+  // --- Failure finish: nothing usable came back inside the deadline ---
+  if (instruments_.get_errors != nullptr) {
+    instruments_.get_errors->Increment();
+    if (outcome.messages_sent > 0) {
+      instruments_.messages->Increment(
+          static_cast<uint64_t>(outcome.messages_sent));
+    }
+  }
+  outcome.rtt_us = clock_->NowMicros() - start_us;
+  EmitReadTrace(Op::kTraceOp, op.session, op.key, sla, outcome,
+                Timestamp::Zero(), /*ok=*/false);
+  EmitReadRecord(op, start_us, sla, outcome, nullptr);
+  return Status(StatusCode::kUnavailable, Op::kUnavailable);
+}
 
-          GetResult result;
-          result.found = reply.found;
-          result.value = reply.value;
-          result.timestamp = reply.value_timestamp;
-          result.outcome = outcome;
-          if (!result.timestamp.IsZero()) {
-            session.RecordGet(key, result.timestamp);
-          }
-          degraded_cache_serves_.fetch_add(1, std::memory_order_relaxed);
-          cache_serves_.fetch_add(1, std::memory_order_relaxed);
-          if (instruments_.degraded_cache_served != nullptr) {
-            instruments_.degraded_cache_served->Increment();
-          }
-          if (instruments_.cache_served != nullptr) {
-            instruments_.cache_served->Increment();
-            (met < Instruments::kTrackedRanks
-                 ? instruments_.cache_served_by_rank[met]
-                 : instruments_.cache_served_overflow)
-                ->Increment();
-          }
-          CountReadOutcome(outcome);
-          EmitReadTrace(telemetry::TraceOp::kGet, session, key, sla, outcome,
-                        reply.high_timestamp, /*ok=*/true);
-          EmitReadRecord(AuditOp::kGet, session, key, {}, start_us, sla,
-                         outcome, /*ok=*/true, &reply, nullptr);
-          return result;
-        }
+template <typename Op>
+typename Op::Result PileusClient::FinishRead(const Op& op, const Sla& sla,
+                                             MicrosecondCount start_us,
+                                             const GetOutcome& outcome,
+                                             typename Op::Reply& reply) {
+  op.RecordInSession(reply);
+  // A degraded cache serve is no evidence that the network recovered, so it
+  // does not refill the retry budget.
+  const bool degraded = outcome.from_cache && outcome.retried;
+  if (!degraded) {
+    retry_budget_->RecordSuccess();
+  }
+  if (outcome.from_cache) {
+    cache_serves_.fetch_add(1, std::memory_order_relaxed);
+    if (degraded) {
+      degraded_cache_serves_.fetch_add(1, std::memory_order_relaxed);
+      if (instruments_.degraded_cache_served != nullptr) {
+        instruments_.degraded_cache_served->Increment();
       }
     }
-    // Nothing usable came back inside the SLA's overall deadline.
-    if (instruments_.get_errors != nullptr) {
-      instruments_.get_errors->Increment();
-      if (outcome.messages_sent > 0) {
-        instruments_.messages->Increment(
-            static_cast<uint64_t>(outcome.messages_sent));
-      }
+    if (instruments_.cache_served != nullptr) {
+      instruments_.cache_served->Increment();
+      (outcome.met_rank < Instruments::kTrackedRanks
+           ? instruments_.cache_served_by_rank[outcome.met_rank]
+           : instruments_.cache_served_overflow)
+          ->Increment();
     }
-    outcome.rtt_us = clock_->NowMicros() - start_us;
-    EmitReadTrace(telemetry::TraceOp::kGet, session, key, sla, outcome,
-                  Timestamp::Zero(), /*ok=*/false);
-    EmitReadRecord(AuditOp::kGet, session, key, {}, start_us, sla, outcome,
-                   /*ok=*/false, nullptr, nullptr);
-    return Status(StatusCode::kUnavailable,
-                  "no replica answered within the SLA deadline");
   }
-
-  const auto& get_reply =
-      std::get<proto::GetReply>(replies[winner].reply.value());
-  outcome.met_rank = winner_met;
-  outcome.utility = winner_met >= 0 ? sla[winner_met].utility : 0.0;
-  outcome.rtt_us = replies[winner].rtt_us;
-  outcome.node_index = targets[winner];
-  outcome.node_name = table_.replicas[targets[winner]].name;
-  outcome.from_primary = get_reply.served_by_primary;
-
-  GetResult result;
-  result.found = get_reply.found;
-  result.value = get_reply.value;
-  result.timestamp = get_reply.value_timestamp;
-  result.outcome = outcome;
-  // Record the observed version - including a tombstone's timestamp on a
-  // not-found reply - so monotonic reads can never "resurrect" a deleted
-  // value from a staler replica later in the session.
-  if (!result.timestamp.IsZero()) {
-    session.RecordGet(key, result.timestamp);
-  }
-  retry_budget_->RecordSuccess();
   CountReadOutcome(outcome);
-  EmitReadTrace(telemetry::TraceOp::kGet, session, key, sla, outcome,
-                get_reply.high_timestamp, /*ok=*/true);
-  EmitReadRecord(AuditOp::kGet, session, key, {}, start_us, sla, outcome,
-                 /*ok=*/true, &get_reply, nullptr);
-  return result;
+  EmitReadTrace(Op::kTraceOp, op.session, op.key, sla, outcome,
+                reply.high_timestamp, /*ok=*/true);
+  EmitReadRecord(op, start_us, sla, outcome, &reply);
+  return op.TakeResult(reply, outcome);
+}
+
+Result<GetResult> PileusClient::Get(Session& session, std::string_view key) {
+  return Read(session.default_sla(), GetOp{session, key});
+}
+
+Result<GetResult> PileusClient::Get(Session& session, std::string_view key,
+                                    const Sla& sla) {
+  Status st = sla.Validate();
+  if (!st.ok()) {
+    return st;
+  }
+  return Read(sla, GetOp{session, key});
 }
 
 Result<RangeResult> PileusClient::GetRange(Session& session,
                                            std::string_view begin,
                                            std::string_view end,
                                            uint32_t limit) {
-  return DoGetRange(session, begin, end, limit, session.default_sla());
+  return Read(session.default_sla(), RangeOp{session, begin, end, limit});
 }
 
 Result<RangeResult> PileusClient::GetRange(Session& session,
@@ -903,162 +902,7 @@ Result<RangeResult> PileusClient::GetRange(Session& session,
   if (!st.ok()) {
     return st;
   }
-  return DoGetRange(session, begin, end, limit, sla);
-}
-
-Result<RangeResult> PileusClient::DoGetRange(Session& session,
-                                             std::string_view begin,
-                                             std::string_view end,
-                                             uint32_t limit, const Sla& sla) {
-  MaybeAdoptConfig();
-  ++gets_issued_;
-  if (instruments_.ranges != nullptr) {
-    instruments_.ranges->Increment();
-  }
-  const MicrosecondCount deadline_us = sla.MaxLatency();
-  const MicrosecondCount start_us = clock_->NowMicros();
-
-  proto::RangeRequest request;
-  request.table = table_.table_name;
-  request.begin = std::string(begin);
-  request.end = std::string(end);
-  request.limit = limit;
-  request.tenant = options_.tenant;
-
-  const MinReadTimestampFn scan_min = [&session,
-                                       this](const Guarantee& guarantee) {
-    return session.MinReadTimestampForScan(guarantee, clock_->NowMicros());
-  };
-
-  // Attempt order: the utility-maximizing node first (fixed strategies use
-  // their usual pick), then - if the node fails outright and budget remains -
-  // the other replicas.
-  std::vector<int> order;
-  GetOutcome outcome;
-  outcome.messages_sent = 0;
-  if (options_.strategy == ReadStrategy::kPileus) {
-    const SelectionResult sel = SelectTarget(
-        sla, replica_views_, scan_min, *monitor_, options_.selection, &rng_);
-    outcome.target_rank = sel.target_rank;
-    order.push_back(sel.node_index);
-    if (options_.retry_other_replicas_on_failure) {
-      for (int candidate : sel.candidates) {
-        if (std::find(order.begin(), order.end(), candidate) == order.end()) {
-          order.push_back(candidate);
-        }
-      }
-      for (int i = 0; i < static_cast<int>(table_.replicas.size()); ++i) {
-        if (std::find(order.begin(), order.end(), i) == order.end()) {
-          order.push_back(i);
-        }
-      }
-    }
-  } else {
-    order.push_back(PickFixedStrategyNode());
-  }
-
-  // Admission context, as in DoGet: the targeted rank's utility and
-  // strong-read marker travel with the scan.
-  const int aim_rank = outcome.target_rank >= 0 ? outcome.target_rank : 0;
-  request.utility_micros = static_cast<uint32_t>(
-      std::min(sla[aim_rank].utility, 4000.0) * 1e6 + 0.5);
-  request.strong_read = sla[aim_rank].consistency.RequiresAuthoritative();
-
-  for (size_t attempt = 0; attempt < order.size(); ++attempt) {
-    const int node_index = order[attempt];
-    const MicrosecondCount elapsed = clock_->NowMicros() - start_us;
-    const MicrosecondCount remaining = deadline_us - elapsed;
-    if (remaining <= 0) {
-      break;
-    }
-    // Extra attempts spend retry budget, like every other retry path.
-    if (attempt > 0 && !retry_budget_->TryAcquire()) {
-      if (instruments_.retry_budget_denied != nullptr) {
-        instruments_.retry_budget_denied->Increment();
-      }
-      break;
-    }
-    request.deadline_us = remaining;  // Deadline propagation.
-    TimedReply timed = table_.replicas[node_index].connection->Call(
-        proto::Message(request), remaining);
-    ++outcome.messages_sent;
-    ++messages_sent_;
-    AbsorbReplyEvidence(node_index, timed);
-    if (!timed.reply.ok()) {
-      continue;
-    }
-    auto* range_reply = std::get_if<proto::RangeReply>(&timed.reply.value());
-    if (range_reply == nullptr) {
-      continue;  // ErrorReply.
-    }
-    const MicrosecondCount total =
-        std::max(timed.rtt_us, clock_->NowMicros() - start_us);
-
-    // Determine the met subSLA for the whole scan.
-    outcome.met_rank = -1;
-    for (size_t rank = 0; rank < sla.size(); ++rank) {
-      const SubSla& sub = sla[rank];
-      if (total > sub.latency_us) {
-        continue;
-      }
-      if (sub.consistency.RequiresAuthoritative()) {
-        if (range_reply->served_by_primary) {
-          outcome.met_rank = static_cast<int>(rank);
-          break;
-        }
-        continue;
-      }
-      if (range_reply->high_timestamp >= scan_min(sub.consistency)) {
-        outcome.met_rank = static_cast<int>(rank);
-        break;
-      }
-    }
-    outcome.utility =
-        outcome.met_rank >= 0 ? sla[outcome.met_rank].utility : 0.0;
-    outcome.rtt_us = total;
-    outcome.node_index = node_index;
-    outcome.node_name = table_.replicas[node_index].name;
-    outcome.from_primary = range_reply->served_by_primary;
-    outcome.retried = attempt > 0;
-
-    RangeResult result;
-    result.truncated = range_reply->truncated;
-    result.outcome = outcome;
-    for (const proto::ObjectVersion& item : range_reply->items) {
-      session.RecordGet(item.key, item.timestamp);
-      if (options_.cache != nullptr) {
-        // Each returned item is key-covering evidence bounded by the scan's
-        // high timestamp (scans exclude tombstones, so items are live).
-        options_.cache->Admit(table_.table_name, item.key, item.value,
-                              item.timestamp, item.is_tombstone,
-                              range_reply->high_timestamp);
-      }
-    }
-    retry_budget_->RecordSuccess();
-    CountReadOutcome(outcome);
-    EmitReadTrace(telemetry::TraceOp::kRange, session, begin, sla, outcome,
-                  range_reply->high_timestamp, /*ok=*/true);
-    EmitReadRecord(AuditOp::kRange, session, begin, end, start_us, sla,
-                   outcome, /*ok=*/true, nullptr, range_reply);
-    // The reply is ours: hand its items over instead of copying them (the
-    // audit record above has already taken its copy).
-    result.items = std::move(range_reply->items);
-    return result;
-  }
-  if (instruments_.get_errors != nullptr) {
-    instruments_.get_errors->Increment();
-    if (outcome.messages_sent > 0) {
-      instruments_.messages->Increment(
-          static_cast<uint64_t>(outcome.messages_sent));
-    }
-  }
-  outcome.rtt_us = clock_->NowMicros() - start_us;
-  EmitReadTrace(telemetry::TraceOp::kRange, session, begin, sla, outcome,
-                Timestamp::Zero(), /*ok=*/false);
-  EmitReadRecord(AuditOp::kRange, session, begin, end, start_us, sla,
-                 outcome, /*ok=*/false, nullptr, nullptr);
-  return Status(StatusCode::kUnavailable,
-                "no replica answered the scan within the SLA deadline");
+  return Read(sla, RangeOp{session, begin, end, limit});
 }
 
 Result<PutResult> PileusClient::DoWrite(const proto::Message& request,

@@ -2,7 +2,7 @@
 //
 // PileusClient implements the application-facing API of Figure 2 for one
 // table: sessions with a default SLA, Get with an optional per-operation SLA,
-// and Put. For every Get it
+// and Put. For every read, a Get or a GetRange, it
 //
 //   1. computes each subSLA's minimum acceptable read timestamp from session
 //      state (Section 4.4),
@@ -95,8 +95,12 @@ struct GetOutcome {
   std::string node_name;    // kCacheNodeName when from_cache.
   bool from_primary = false;  // Authoritative data: strong-read quality.
   bool from_cache = false;    // Served locally by the client cache.
-  int messages_sent = 1;      // 1 + fan-out extras + retry; 0 on cache serve.
-  bool retried = false;       // Fallback retry at the primary happened.
+  int messages_sent = 1;      // 1 + fan-out extras + retries; 0 on cache
+                              // serve.
+  bool retried = false;       // The result came from a retry: another
+                              // replica after the target failed, the
+                              // fallback at the primary, or the degraded
+                              // cache serve.
 };
 
 struct GetResult {
@@ -123,10 +127,12 @@ class PileusClient {
     ReadStrategy strategy = ReadStrategy::kPileus;
     Monitor::Options monitor;
     SelectionOptions selection;
-    // Section 6.3: fan a Get out to up to this many tied candidates.
+    // Section 6.3: fan a Get or GetRange out to up to this many tied
+    // candidates.
     int parallel_fanout = 1;
-    // When a reply satisfies no subSLA and deadline budget remains, retry at
-    // the primary (the strategy Section 5.4 says the authors considered).
+    // When no reply satisfies a subSLA and deadline budget remains, retry a
+    // read at the primary (the strategy Section 5.4 says the authors
+    // considered), unless the primary was already called.
     bool fallback_to_primary_retry = false;
     // Availability (Section 3.3): when the targeted node fails outright
     // (unreachable / error), try the remaining replicas while deadline
@@ -195,18 +201,17 @@ class PileusClient {
     // owned; must outlive the client; internally synchronized). Share one
     // instance across a tenant's clients for a per-tenant bound.
     RetryBudget* shared_retry_budget = nullptr;
-    // Degradation ladder's last rung: when every network attempt failed but
-    // an overload rejection was seen, serve a Get from the client cache at
-    // whatever (downgraded) rank the entry still meets, instead of
-    // surfacing kUnavailable. The claimed rank is honest — it goes through
-    // the same DetermineMetRank as a network reply and is audited like one.
-    bool degraded_cache_serve = true;
     // Consistency-aware client cache (DESIGN.md "Client cache"): when set,
     // the cache joins SelectTarget as a zero-RTT pseudo-replica for Pileus
     // Gets and is filled read-through from every Get/GetRange reply and
-    // write-through from every acked Put/Delete. Not owned; must outlive
-    // the client. One cache may be shared by many clients and shards - the
-    // entries are table-scoped and the cache is internally synchronized.
+    // write-through from every acked Put/Delete. It is also the degradation
+    // ladder's last rung (DESIGN.md Section 11): when every network attempt
+    // of a Get failed and an overload rejection was seen, the Get is served
+    // from the cache at whatever (downgraded) rank the entry still meets,
+    // judged by the same met-rank function as a network reply and audited
+    // like one. Not owned; must outlive the client. One cache may be shared
+    // by many clients and shards - the entries are table-scoped and the
+    // cache is internally synchronized.
     cache::ClientCache* cache = nullptr;
     uint64_t seed = 42;
   };
@@ -290,16 +295,33 @@ class PileusClient {
   }
 
  private:
-  Result<GetResult> DoGet(Session& session, std::string_view key,
-                          const Sla& sla);
+  // Per-op adapters for Read: what differs between a point Get and a range
+  // scan (request fields, reply type, cache and session fills, result shape,
+  // trace and audit op kind). Defined in client.cc.
+  struct GetOp;
+  struct RangeOp;
+
+  // The one read protocol behind Get and GetRange (DESIGN.md Section 1):
+  // select the subSLA and node (Figure 8), serve from the cache when it
+  // wins, send (fanned out per Section 6.3), judge every reply (Figure 9),
+  // retry other replicas when nothing usable came back, retry at the
+  // primary when no subSLA was met, and serve a degraded cache entry under
+  // overload. Every replica is called at most once per op.
+  template <typename Op>
+  Result<typename Op::Result> Read(const Sla& sla, const Op& op);
+  // Read's one success finish: session and budget updates, counters, trace
+  // and audit record, then the result. (Its one failure finish ends Read.)
+  template <typename Op>
+  typename Op::Result FinishRead(const Op& op, const Sla& sla,
+                                 MicrosecondCount start_us,
+                                 const GetOutcome& outcome,
+                                 typename Op::Reply& reply);
+
   // Shared Put/Delete path: bounded retries with jittered exponential
   // backoff against the primary, feeding the monitor on every attempt.
   Result<PutResult> DoWrite(const proto::Message& request, Session& session,
                             std::string_view key, std::string_view op_name,
                             telemetry::TraceOp trace_op);
-  Result<RangeResult> DoGetRange(Session& session, std::string_view begin,
-                                 std::string_view end, uint32_t limit,
-                                 const Sla& sla);
 
   // Node choice for the fixed strategies.
   int PickFixedStrategyNode();
@@ -328,18 +350,15 @@ class PileusClient {
   void MaybeAdoptConfig();
   int FindReplicaIndex(std::string_view name) const;
 
-  // Read-through cache fill from a key-covering Get reply: the serving
-  // node's prefix proves its value (or absence) is the newest committed
-  // state of the key at or below the reply's high timestamp. No-op when
-  // Options::cache is unset.
-  void AdmitToCache(std::string_view key, const proto::GetReply& reply);
-
-  // Highest-ranked subSLA satisfied by a reply that took `total_rtt_us`;
-  // -1 when none. `now_us` is the evaluation time for bounded staleness.
-  int DetermineMetRank(const Sla& sla, const Session& session,
-                       std::string_view key, const proto::GetReply& reply,
-                       MicrosecondCount total_rtt_us,
-                       MicrosecondCount now_us) const;
+  // Figure 9: the highest-ranked subSLA a reply satisfies, given its high
+  // timestamp, whether an authoritative copy served it, and the RTT the
+  // application saw; -1 when none. One function judges every read claim:
+  // network replies of Gets and scans, and cache serves.
+  static int DetermineMetRank(const Sla& sla,
+                              const MinReadTimestampFn& min_read_timestamp,
+                              const Timestamp& high_timestamp,
+                              bool served_by_primary,
+                              MicrosecondCount rtt_us);
 
   // Telemetry handles, resolved once at construction when Options::metrics
   // is set. SubSLA ranks above kTrackedRanks-1 share the "8plus" series.
@@ -384,14 +403,12 @@ class PileusClient {
                      std::string_view key, const Sla& sla,
                      const GetOutcome& outcome, const Timestamp& read_ts,
                      bool ok);
-  // Audit records (Options::op_observer). Exactly one of `reply` / `range`
-  // is set on success; both null on failure.
-  void EmitReadRecord(AuditOp op, const Session& session,
-                      std::string_view key, std::string_view end_key,
-                      MicrosecondCount begin_us, const Sla& sla,
-                      const GetOutcome& outcome, bool ok,
-                      const proto::GetReply* reply,
-                      const proto::RangeReply* range);
+  // Audit records (Options::op_observer). `reply` is the served reply on
+  // success and null on failure.
+  template <typename Op>
+  void EmitReadRecord(const Op& op, MicrosecondCount begin_us, const Sla& sla,
+                      const GetOutcome& outcome,
+                      const typename Op::Reply* reply);
   void EmitWriteRecord(AuditOp op, const Session& session,
                        std::string_view key, MicrosecondCount begin_us,
                        bool ok, const Timestamp& assigned);

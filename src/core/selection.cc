@@ -43,17 +43,6 @@ double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
   return util;
 }
 
-double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
-                       const Session& session, std::string_view key,
-                       MicrosecondCount now_us, const Monitor& monitor) {
-  return ExpectedUtility(
-      sub, replica,
-      [&session, key, now_us](const Guarantee& guarantee) {
-        return session.MinReadTimestamp(guarantee, key, now_us);
-      },
-      monitor);
-}
-
 double CacheExpectedUtility(const SubSla& sub, const CacheView& cached,
                             const MinReadTimestampFn& min_read_timestamp) {
   // Strong reads need an authoritative answer; a cached copy never is.
@@ -69,42 +58,6 @@ double CacheExpectedUtility(const SubSla& sub, const CacheView& cached,
     return 0.0;
   }
   return sub.utility;
-}
-
-SelectionResult SelectTarget(const Sla& sla,
-                             const std::vector<ReplicaView>& replicas,
-                             const Session& session, std::string_view key,
-                             MicrosecondCount now_us, const Monitor& monitor,
-                             const SelectionOptions& options, Random* rng) {
-  return SelectTarget(
-      sla, replicas, nullptr,
-      [&session, key, now_us](const Guarantee& guarantee) {
-        return session.MinReadTimestamp(guarantee, key, now_us);
-      },
-      monitor, options, rng);
-}
-
-SelectionResult SelectTarget(const Sla& sla,
-                             const std::vector<ReplicaView>& replicas,
-                             const CacheView* cached, const Session& session,
-                             std::string_view key, MicrosecondCount now_us,
-                             const Monitor& monitor,
-                             const SelectionOptions& options, Random* rng) {
-  return SelectTarget(
-      sla, replicas, cached,
-      [&session, key, now_us](const Guarantee& guarantee) {
-        return session.MinReadTimestamp(guarantee, key, now_us);
-      },
-      monitor, options, rng);
-}
-
-SelectionResult SelectTarget(const Sla& sla,
-                             const std::vector<ReplicaView>& replicas,
-                             const MinReadTimestampFn& min_read_timestamp,
-                             const Monitor& monitor,
-                             const SelectionOptions& options, Random* rng) {
-  return SelectTarget(sla, replicas, nullptr, min_read_timestamp, monitor,
-                      options, rng);
 }
 
 SelectionResult SelectTarget(const Sla& sla,

@@ -87,12 +87,9 @@ struct SelectionResult {
 // bind a (session, key) pair, range scans bind the session's scan state.
 using MinReadTimestampFn = std::function<Timestamp(const Guarantee&)>;
 
-// Expected utility of sending a Get for `key` to `replica` under `sub`,
-// i.e. PNodeSla * utility with the strong-consistency authoritativeness rule
+// Expected utility of sending a read to `replica` under `sub`, i.e.
+// PNodeSla * utility with the strong-consistency authoritativeness rule
 // applied.
-double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
-                       const Session& session, std::string_view key,
-                       MicrosecondCount now_us, const Monitor& monitor);
 double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
                        const MinReadTimestampFn& min_read_timestamp,
                        const Monitor& monitor);
@@ -103,32 +100,14 @@ double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
 double CacheExpectedUtility(const SubSla& sub, const CacheView& cached,
                             const MinReadTimestampFn& min_read_timestamp);
 
-// Figure 8. Returns target_rank/node_index of -1 only when `replicas` is
-// empty.
-SelectionResult SelectTarget(const Sla& sla,
-                             const std::vector<ReplicaView>& replicas,
-                             const Session& session, std::string_view key,
-                             MicrosecondCount now_us, const Monitor& monitor,
-                             const SelectionOptions& options, Random* rng);
-SelectionResult SelectTarget(const Sla& sla,
-                             const std::vector<ReplicaView>& replicas,
-                             const MinReadTimestampFn& min_read_timestamp,
-                             const Monitor& monitor,
-                             const SelectionOptions& options, Random* rng);
-
-// Figure 8 with the client cache as an extra zero-RTT pseudo-replica
-// (`cached` may be null: no usable entry for this key). The iteration order
-// is rank-major with the cache considered *first* within each rank, so the
-// cache wins exact ties at its own rank ("keep the earlier target on
-// equality") but never displaces a replica that reached the same utility at
-// an earlier rank. The cache never joins `candidates` and is never widened
-// in by candidate_epsilon.
-SelectionResult SelectTarget(const Sla& sla,
-                             const std::vector<ReplicaView>& replicas,
-                             const CacheView* cached, const Session& session,
-                             std::string_view key, MicrosecondCount now_us,
-                             const Monitor& monitor,
-                             const SelectionOptions& options, Random* rng);
+// Figure 8, with the client cache as an extra zero-RTT pseudo-replica
+// (`cached` may be null: no usable entry for the key, or a range scan).
+// Returns target_rank/node_index of -1 only when `replicas` is empty and the
+// cache does not win. The iteration order is rank-major with the cache
+// considered *first* within each rank, so the cache wins exact ties at its
+// own rank ("keep the earlier target on equality") but never displaces a
+// replica that reached the same utility at an earlier rank. The cache never
+// joins `candidates` and is never widened in by candidate_epsilon.
 SelectionResult SelectTarget(const Sla& sla,
                              const std::vector<ReplicaView>& replicas,
                              const CacheView* cached,

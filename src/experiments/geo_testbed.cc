@@ -268,11 +268,15 @@ void GeoClient::StartProbing() {
   core::PileusClient* client = client_.get();
   sim::SiteId client_site = site_;
   std::string client_name = site_name_;
-  std::shared_ptr<uint64_t> probes = probes_sent_;
+  std::weak_ptr<uint64_t> alive = probes_sent_;
   probe_task_ = testbed->env_.SchedulePeriodic(
       testbed->options_.probe_check_period_us,
       testbed->options_.probe_check_period_us,
-      [testbed, client, client_site, client_name, probes] {
+      [testbed, client, client_site, client_name, alive] {
+        const std::shared_ptr<uint64_t> probes = alive.lock();
+        if (probes == nullptr) {
+          return;  // The client is gone.
+        }
         auto& env = testbed->env_;
         const core::TableView& table = client->table();
         for (size_t i = 0; i < table.replicas.size(); ++i) {
@@ -297,7 +301,10 @@ void GeoClient::StartProbing() {
           // failure evidence lands only when the probe deadline expires.
           if (to_server.drop || to_server.corrupt || to_client.drop) {
             const MicrosecondCount wait = client->options().probe_timeout_us;
-            env.ScheduleAfter(wait, [client, name, wait] {
+            env.ScheduleAfter(wait, [client, alive, name, wait] {
+              if (alive.expired()) {
+                return;
+              }
               client->monitor().RecordLatency(name, wait);
               client->monitor().RecordFailure(name);
             });
@@ -322,8 +329,11 @@ void GeoClient::StartProbing() {
           // A corrupted reply frame fails the client codec's CRC check:
           // clean kCorruption, counted as a failure.
           const bool reply_corrupted = to_client.corrupt;
-          env.ScheduleAfter(rtt, [client, name, reply, rtt,
+          env.ScheduleAfter(rtt, [client, alive, name, reply, rtt,
                                   reply_corrupted] {
+            if (alive.expired()) {
+              return;
+            }
             client->monitor().RecordLatency(name, rtt);
             const auto* probe_reply = std::get_if<proto::ProbeReply>(&reply);
             if (probe_reply != nullptr && !reply_corrupted) {
@@ -343,6 +353,8 @@ void GeoClient::StartProbing() {
 }
 
 void GeoClient::StopProbing() { probe_task_.Cancel(); }
+
+GeoClient::~GeoClient() { StopProbing(); }
 
 // ---------------------------------------------------------------------------
 // GeoTestbed

@@ -81,6 +81,10 @@ struct GeoTestbedOptions {
 // fan-out caller, and background probe events wired up.
 class GeoClient {
  public:
+  // Stops probing; probe replies still in flight find the client gone and
+  // do nothing.
+  ~GeoClient();
+
   core::PileusClient& client() { return *client_; }
   const std::string& site() const { return site_name_; }
 
@@ -103,7 +107,9 @@ class GeoClient {
   std::unique_ptr<core::FanoutCaller> fanout_;
   std::unique_ptr<core::PileusClient> client_;
   sim::PeriodicHandle probe_task_;
-  // Shared with the probe event lambdas, which outlive rescheduling.
+  // Also the client's liveness token: probe events hold only weak
+  // references to it, so an event that fires after the client was destroyed
+  // finds it expired and leaves the freed client alone.
   std::shared_ptr<uint64_t> probes_sent_ = std::make_shared<uint64_t>(0);
 };
 

@@ -417,6 +417,25 @@ struct TcpServer::Connection
     return Status::Ok();
   }
 
+  // Adds the socket to the loop's epoll set. Runs on the loop thread; a
+  // connection closed before its registration ran is left alone.
+  void RegisterFromLoop() {
+    Status status;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (closed || !fd.valid()) {
+        return;
+      }
+      auto self = shared_from_this();
+      status = loop->RegisterFd(
+          fd.get(), EPOLLIN, [self](uint32_t events) { self->OnEvent(events); });
+    }
+    if (!status.ok()) {
+      PILEUS_LOG(kWarning) << "failed to register connection: " << status;
+      Teardown();
+    }
+  }
+
   // Closes the socket and schedules removal from the server map. Safe from
   // any thread; the map removal runs on the loop thread, where the server is
   // guaranteed alive (Stop() joins the loops before the server dies).
@@ -561,13 +580,11 @@ void TcpServer::AdoptConnection(UniqueFd fd) {
     }
     connections_[key] = conn;
   }
-  const int conn_fd = conn->fd.get();
-  const Status status = loop->RegisterFd(
-      conn_fd, EPOLLIN, [conn](uint32_t events) { conn->OnEvent(events); });
-  if (!status.ok()) {
-    PILEUS_LOG(kWarning) << "failed to register connection: " << status;
-    conn->Teardown();
-  }
+  // The connection's own loop thread registers the socket, so registration,
+  // dispatch and the close in Teardown are ordered on one thread (a Stop or
+  // a reply on another thread closes under the connection's lock, which
+  // registration holds too).
+  loop->RunInLoop([conn] { conn->RegisterFromLoop(); });
 }
 
 void TcpServer::RemoveConnection(uint64_t key) {

@@ -58,6 +58,22 @@ TimedReply PutReplyWith(MicrosecondCount rtt, Timestamp ts) {
   return TimedReply(proto::Message(reply), rtt);
 }
 
+TimedReply RangeReplyWith(MicrosecondCount rtt, Timestamp high,
+                          std::vector<std::string> keys,
+                          bool from_primary = false) {
+  proto::RangeReply reply;
+  for (const std::string& key : keys) {
+    proto::ObjectVersion v;
+    v.key = key;
+    v.value = "v:" + key;
+    v.timestamp = high;
+    reply.items.push_back(std::move(v));
+  }
+  reply.high_timestamp = high;
+  reply.served_by_primary = from_primary;
+  return TimedReply(proto::Message(reply), rtt);
+}
+
 class ClientTest : public ::testing::Test {
  protected:
   ClientTest() : clock_(SecondsToMicroseconds(1000)) {}
@@ -287,231 +303,6 @@ TEST_F(ClientTest, GetDeliversValueAndTopSubSla) {
   EXPECT_EQ(session.LastGetTimestamp("k"), result->timestamp);
 }
 
-TEST_F(ClientTest, SlowReplyMeetsOnlyLowerSubSla) {
-  // Password SLA: 400 ms from the primary misses the 150 ms tier but meets
-  // the 1 s strong tier.
-  Build(PileusClient::Options{},
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(400 * kMs, Now(), Now(), true);
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 100 * kMs, Now());
-  Session session = client_->BeginSession(PasswordCheckingSla()).value();
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->outcome.met_rank, 2);
-  EXPECT_DOUBLE_EQ(result->outcome.utility, 0.25);
-}
-
-TEST_F(ClientTest, StaleReplyMeetsOnlyEventual) {
-  const Timestamp stale{clock_.NowMicros() - SecondsToMicroseconds(100), 0};
-  Build(PileusClient::Options{},
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, stale, stale);
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 400 * kMs, Now());  // Too slow for the 300 ms targets.
-  Teach("near", 1 * kMs, stale);
-  Teach("far", 300 * kMs, stale);
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  // A session Put newer than the near node's high timestamp.
-  session.RecordPut("k", Timestamp{clock_.NowMicros(), 0});
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->outcome.met_rank, 1);  // Eventual tier.
-  EXPECT_DOUBLE_EQ(result->outcome.utility, 0.5);
-}
-
-TEST_F(ClientTest, MetHigherThanTargetedFigure9) {
-  // The monitor believes `near` is stale (target = subSLA 2), but the node
-  // actually caught up: the reply's high timestamp proves read-my-writes.
-  const Timestamp old_high{clock_.NowMicros() - SecondsToMicroseconds(60), 0};
-  Build(PileusClient::Options{},
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(150 * kMs, Now(), Now(), true);
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, Now(), Now());
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 350 * kMs, Now());  // Too slow for the 300 ms bound.
-  Teach("near", 1 * kMs, old_high);
-  Teach("far", 320 * kMs, old_high);
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  session.RecordPut("k", Timestamp{clock_.NowMicros() - 1000, 0});
-
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->outcome.target_rank, 1);  // Expected only eventual.
-  EXPECT_EQ(result->outcome.met_rank, 0);     // Actually got read-my-writes.
-  EXPECT_DOUBLE_EQ(result->outcome.utility, 1.0);
-}
-
-TEST_F(ClientTest, NoSubSlaMetYieldsZeroUtility) {
-  Build(PileusClient::Options{},
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [&](const proto::Message&, MicrosecondCount) {
-          // Responds, but far too slowly for both 300 ms tiers.
-          return GetReplyWith(299 * kMs, Timestamp::Zero(), Timestamp::Zero());
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 400 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 350 * kMs, Timestamp::Zero());
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  session.RecordPut("k", Now());  // Makes rank 0 unmeetable by a stale node.
-  // 299 ms meets the eventual tier though. Use a fresher put and higher rtt:
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->outcome.met_rank, 1);
-
-  // Now an SLA whose tiers are all unmeetable by this reply.
-  const Sla tight = Sla()
-                        .Add(Guarantee::Eventual(), 100 * kMs, 1.0)
-                        .Add(Guarantee::Eventual(), 200 * kMs, 0.5);
-  Result<GetResult> missed = client_->Get(session, "k", tight);
-  ASSERT_TRUE(missed.ok());
-  EXPECT_EQ(missed->outcome.met_rank, -1);
-  EXPECT_DOUBLE_EQ(missed->outcome.utility, 0.0);
-  EXPECT_TRUE(missed->found);  // Data still returned.
-}
-
-TEST_F(ClientTest, FailedTargetFallsOverToAnotherReplica) {
-  // The chosen node is dead; the availability retry serves the Get from the
-  // next replica within the same call.
-  Build(PileusClient::Options{},
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(150 * kMs, Now(), Now(), true);
-        },
-        [](const proto::Message&, MicrosecondCount) {
-          return TimedReply(Status(StatusCode::kUnavailable, "dead"), 2 * kMs);
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(40 * kMs, Now(), Now());
-        });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 40 * kMs, Now());
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(near_->calls(), 1);
-  EXPECT_EQ(result->outcome.node_name, "far");
-  EXPECT_TRUE(result->outcome.retried);
-  EXPECT_EQ(result->outcome.messages_sent, 2);
-  EXPECT_EQ(result->outcome.met_rank, 0);
-  // The failure was recorded: the dead node's PNodeUp dropped.
-  EXPECT_LT(client_->monitor().PNodeUp("near"), 1.0);
-}
-
-TEST_F(ClientTest, ErrorReplyAlsoTriggersFallover) {
-  Build(PileusClient::Options{},
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(150 * kMs, Now(), Now(), true);
-        },
-        [](const proto::Message&, MicrosecondCount) {
-          proto::ErrorReply err;
-          err.code = StatusCode::kWrongNode;
-          return TimedReply(proto::Message(err), 2 * kMs);
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(40 * kMs, Now(), Now());
-        });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 40 * kMs, Now());
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->outcome.node_name, "far");
-  // A WrongNode error means the node is up, just misconfigured: PNodeUp
-  // stays intact.
-  EXPECT_DOUBLE_EQ(client_->monitor().PNodeUp("near"), 1.0);
-}
-
-TEST_F(ClientTest, FalloverDisabledReturnsUnavailable) {
-  PileusClient::Options options;
-  options.retry_other_replicas_on_failure = false;
-  Build(options,
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(150 * kMs, Now(), Now(), true);
-        },
-        [](const proto::Message&, MicrosecondCount) {
-          return TimedReply(Status(StatusCode::kUnavailable, "dead"), 2 * kMs);
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(40 * kMs, Now(), Now());
-        });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 40 * kMs, Now());
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  EXPECT_EQ(client_->Get(session, "k").status().code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(far_->calls(), 0);
-}
-
-TEST_F(ClientTest, AllRepliesFailingIsUnavailable) {
-  Build(PileusClient::Options{},
-        [](const proto::Message&, MicrosecondCount timeout) {
-          return TimedReply(Status(StatusCode::kTimeout, "t"), timeout);
-        },
-        [](const proto::Message&, MicrosecondCount timeout) {
-          return TimedReply(Status(StatusCode::kTimeout, "t"), timeout);
-        },
-        [](const proto::Message&, MicrosecondCount timeout) {
-          return TimedReply(Status(StatusCode::kTimeout, "t"), timeout);
-        });
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  Result<GetResult> result = client_->Get(session, "k");
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-}
-
-TEST_F(ClientTest, GetTimeoutEqualsSlaMaxLatency) {
-  Build(PileusClient::Options{},
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, Now(), Now(), true);
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Session session = client_->BeginSession(PasswordCheckingSla()).value();
-  ASSERT_TRUE(client_->Get(session, "k").ok());
-  EXPECT_EQ(primary_->last_timeout_us(), SecondsToMicroseconds(1));
-}
-
-TEST_F(ClientTest, FallbackRetryRecoversLowerSubSla) {
-  PileusClient::Options options;
-  options.fallback_to_primary_retry = true;
-  const Sla sla = Sla()
-                      .Add(Guarantee::Eventual(), 150 * kMs, 1.0)
-                      .Add(Guarantee::Strong(), SecondsToMicroseconds(1),
-                           0.5);
-  Build(options,
-        [&](const proto::Message&, MicrosecondCount) {
-          clock_.AdvanceMicros(150 * kMs);  // Wall time passes with the RTT.
-          return GetReplyWith(150 * kMs, Now(), Now(), true);
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          // Local node suddenly slow: meets neither tier (not strong).
-          clock_.AdvanceMicros(400 * kMs);
-          return GetReplyWith(400 * kMs, Now(), Now());
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("near", 1 * kMs, Now());
-  Teach("primary", 150 * kMs, Now());
-  Teach("far", 300 * kMs, Now());
-  Session session = client_->BeginSession(sla).value();
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->outcome.retried);
-  EXPECT_EQ(result->outcome.met_rank, 1);
-  EXPECT_EQ(result->outcome.node_name, "primary");
-  EXPECT_EQ(result->outcome.messages_sent, 2);
-  EXPECT_EQ(primary_->calls(), 1);
-}
-
 TEST_F(ClientTest, PrimaryStrategyAlwaysReadsPrimary) {
   PileusClient::Options options;
   options.strategy = ReadStrategy::kPrimary;
@@ -570,33 +361,6 @@ TEST_F(ClientTest, ClosestStrategyConvergesToFastestNode) {
   EXPECT_EQ(near_->calls(), 10);
 }
 
-TEST_F(ClientTest, ParallelFanoutCallsTiedCandidates) {
-  PileusClient::Options options;
-  options.parallel_fanout = 2;
-  Build(options,
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(150 * kMs, Now(), Now(), true);
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(5 * kMs, Now(), Now());
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, Now(), Now());
-        });
-  // near and far tie on expected utility for an eventual SLA.
-  Teach("near", 5 * kMs, Now());
-  Teach("far", 6 * kMs, Now());
-  const Sla sla = Sla().Add(Guarantee::Eventual(), 300 * kMs, 1.0);
-  Session session = client_->BeginSession(sla).value();
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->outcome.messages_sent, 2);
-  EXPECT_EQ(near_->calls() + far_->calls() + primary_->calls(), 2);
-  // The faster reply wins.
-  EXPECT_EQ(result->outcome.rtt_us,
-            result->outcome.node_name == "far" ? 1 * kMs : 5 * kMs);
-}
-
 TEST_F(ClientTest, ProbeNodeFeedsMonitor) {
   Build(PileusClient::Options{},
         [&](const proto::Message& m, MicrosecondCount) {
@@ -628,22 +392,6 @@ TEST_F(ClientTest, ProbeStaleNodesSkipsFreshOnes) {
   EXPECT_EQ(primary_->calls(), 1);
   EXPECT_EQ(near_->calls(), 0);
   EXPECT_EQ(far_->calls(), 1);
-}
-
-TimedReply RangeReplyWith(MicrosecondCount rtt, Timestamp high,
-                          std::vector<std::string> keys,
-                          bool from_primary = false) {
-  proto::RangeReply reply;
-  for (const std::string& key : keys) {
-    proto::ObjectVersion v;
-    v.key = key;
-    v.value = "v:" + key;
-    v.timestamp = high;
-    reply.items.push_back(std::move(v));
-  }
-  reply.high_timestamp = high;
-  reply.served_by_primary = from_primary;
-  return TimedReply(proto::Message(reply), rtt);
 }
 
 TEST_F(ClientTest, DeleteGoesToPrimaryAndUpdatesSession) {
@@ -784,6 +532,333 @@ TEST_F(ClientTest, MessageAccounting) {
   EXPECT_EQ(client_->puts_issued(), 1u);
   EXPECT_EQ(client_->gets_issued(), 1u);
   EXPECT_EQ(client_->messages_sent(), 2u);
+}
+
+// --- One read protocol: every case below runs as a Get and as a GetRange ---
+
+enum class ReadOp { kGet, kGetRange };
+
+void PrintTo(ReadOp op, std::ostream* os) {
+  *os << (op == ReadOp::kGet ? "Get" : "GetRange");
+}
+
+// What the read protocol decided for one op, whichever op it was.
+struct ReadResult {
+  GetOutcome outcome;
+  bool has_data = false;  // The Get found its key, or the scan returned items.
+};
+
+class ReadProtocolTest : public ClientTest,
+                         public ::testing::WithParamInterface<ReadOp> {
+ protected:
+  // A well-formed reply to the op under test. A scan reply holds key "k"
+  // at the high timestamp.
+  TimedReply ReplyWith(MicrosecondCount rtt, Timestamp high, Timestamp value_ts,
+                       bool from_primary = false) const {
+    return GetParam() == ReadOp::kGet
+               ? GetReplyWith(rtt, high, value_ts, from_primary)
+               : RangeReplyWith(rtt, high, {"k"}, from_primary);
+  }
+
+  // A Get of "k", or a scan of ["k", "l"), under `sla` (the session's
+  // default SLA when null).
+  Result<ReadResult> Read(Session& session, const Sla* sla = nullptr) {
+    const Sla& use = sla != nullptr ? *sla : session.default_sla();
+    ReadResult read;
+    if (GetParam() == ReadOp::kGet) {
+      Result<GetResult> got = client_->Get(session, "k", use);
+      if (!got.ok()) {
+        return got.status();
+      }
+      read.outcome = got->outcome;
+      read.has_data = got->found;
+    } else {
+      Result<RangeResult> got = client_->GetRange(session, "k", "l", 0, use);
+      if (!got.ok()) {
+        return got.status();
+      }
+      read.outcome = got->outcome;
+      read.has_data = !got->items.empty();
+    }
+    return read;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Ops, ReadProtocolTest,
+                         ::testing::Values(ReadOp::kGet, ReadOp::kGetRange),
+                         [](const ::testing::TestParamInfo<ReadOp>& param) {
+                           return param.param == ReadOp::kGet ? "Get"
+                                                             : "GetRange";
+                         });
+
+TEST_P(ReadProtocolTest, SlowReplyMeetsOnlyLowerSubSla) {
+  // Password SLA: 400 ms from the primary misses the 150 ms tier but meets
+  // the 1 s strong tier.
+  Build(PileusClient::Options{},
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(400 * kMs, Now(), Now(), true);
+        },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
+  Teach("primary", 100 * kMs, Now());
+  Session session = client_->BeginSession(PasswordCheckingSla()).value();
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcome.met_rank, 2);
+  EXPECT_DOUBLE_EQ(result->outcome.utility, 0.25);
+}
+
+TEST_P(ReadProtocolTest, StaleReplyMeetsOnlyEventual) {
+  const Timestamp stale{clock_.NowMicros() - SecondsToMicroseconds(100), 0};
+  Build(PileusClient::Options{},
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(1 * kMs, stale, stale);
+        },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
+  Teach("primary", 400 * kMs, Now());  // Too slow for the 300 ms targets.
+  Teach("near", 1 * kMs, stale);
+  Teach("far", 300 * kMs, stale);
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  // A session Put newer than the near node's high timestamp.
+  session.RecordPut("k", Timestamp{clock_.NowMicros(), 0});
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcome.met_rank, 1);  // Eventual tier.
+  EXPECT_DOUBLE_EQ(result->outcome.utility, 0.5);
+}
+
+TEST_P(ReadProtocolTest, MetHigherThanTargetedFigure9) {
+  // The monitor believes `near` is stale (target = subSLA 2), but the node
+  // actually caught up: the reply's high timestamp proves read-my-writes.
+  const Timestamp old_high{clock_.NowMicros() - SecondsToMicroseconds(60), 0};
+  Build(PileusClient::Options{},
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(150 * kMs, Now(), Now(), true);
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(1 * kMs, Now(), Now());
+        },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
+  Teach("primary", 350 * kMs, Now());  // Too slow for the 300 ms bound.
+  Teach("near", 1 * kMs, old_high);
+  Teach("far", 320 * kMs, old_high);
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  session.RecordPut("k", Timestamp{clock_.NowMicros() - 1000, 0});
+
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcome.target_rank, 1);  // Expected only eventual.
+  EXPECT_EQ(result->outcome.met_rank, 0);     // Actually got read-my-writes.
+  EXPECT_DOUBLE_EQ(result->outcome.utility, 1.0);
+}
+
+TEST_P(ReadProtocolTest, NoSubSlaMetYieldsZeroUtility) {
+  Build(PileusClient::Options{},
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
+        [&](const proto::Message&, MicrosecondCount) {
+          // Answers in 299 ms from a node that has seen nothing.
+          return ReplyWith(299 * kMs, Timestamp::Zero(), Timestamp::Zero());
+        },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
+  Teach("primary", 400 * kMs, Now());
+  Teach("near", 1 * kMs, Now());
+  Teach("far", 350 * kMs, Timestamp::Zero());
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  session.RecordPut("k", Now());  // Makes rank 0 unmeetable by a stale node.
+  // 299 ms still meets the eventual tier.
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcome.met_rank, 1);
+
+  // Now an SLA whose tiers are all unmeetable by this reply.
+  const Sla tight = Sla()
+                        .Add(Guarantee::Eventual(), 100 * kMs, 1.0)
+                        .Add(Guarantee::Eventual(), 200 * kMs, 0.5);
+  Result<ReadResult> missed = Read(session, &tight);
+  ASSERT_TRUE(missed.ok());
+  EXPECT_EQ(missed->outcome.met_rank, -1);
+  EXPECT_DOUBLE_EQ(missed->outcome.utility, 0.0);
+  EXPECT_TRUE(missed->has_data);  // Data still returned.
+}
+
+TEST_P(ReadProtocolTest, FailedTargetFallsOverToAnotherReplica) {
+  // The chosen node is dead; the availability retry serves the read from
+  // the untried replica with the lowest mean latency, within the same call.
+  Build(PileusClient::Options{},
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(150 * kMs, Now(), Now(), true);
+        },
+        [](const proto::Message&, MicrosecondCount) {
+          return TimedReply(Status(StatusCode::kUnavailable, "dead"), 2 * kMs);
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(40 * kMs, Now(), Now());
+        });
+  Teach("primary", 150 * kMs, Now());
+  Teach("near", 1 * kMs, Now());
+  Teach("far", 40 * kMs, Now());
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(near_->calls(), 1);
+  EXPECT_EQ(primary_->calls(), 0);
+  EXPECT_EQ(result->outcome.node_name, "far");
+  EXPECT_TRUE(result->outcome.retried);
+  EXPECT_EQ(result->outcome.messages_sent, 2);
+  EXPECT_EQ(result->outcome.met_rank, 0);
+  // The failure was recorded: the dead node's PNodeUp dropped.
+  EXPECT_LT(client_->monitor().PNodeUp("near"), 1.0);
+}
+
+TEST_P(ReadProtocolTest, ErrorReplyAlsoTriggersFallover) {
+  Build(PileusClient::Options{},
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(150 * kMs, Now(), Now(), true);
+        },
+        [](const proto::Message&, MicrosecondCount) {
+          proto::ErrorReply err;
+          err.code = StatusCode::kWrongNode;
+          return TimedReply(proto::Message(err), 2 * kMs);
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(40 * kMs, Now(), Now());
+        });
+  Teach("primary", 150 * kMs, Now());
+  Teach("near", 1 * kMs, Now());
+  Teach("far", 40 * kMs, Now());
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcome.node_name, "far");
+  // A WrongNode error means the node is up, just misconfigured: PNodeUp
+  // stays intact.
+  EXPECT_DOUBLE_EQ(client_->monitor().PNodeUp("near"), 1.0);
+}
+
+TEST_P(ReadProtocolTest, FalloverDisabledReturnsUnavailable) {
+  PileusClient::Options options;
+  options.retry_other_replicas_on_failure = false;
+  Build(options,
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(150 * kMs, Now(), Now(), true);
+        },
+        [](const proto::Message&, MicrosecondCount) {
+          return TimedReply(Status(StatusCode::kUnavailable, "dead"), 2 * kMs);
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(40 * kMs, Now(), Now());
+        });
+  Teach("primary", 150 * kMs, Now());
+  Teach("near", 1 * kMs, Now());
+  Teach("far", 40 * kMs, Now());
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  EXPECT_EQ(Read(session).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(far_->calls(), 0);
+}
+
+TEST_P(ReadProtocolTest, AllRepliesFailingIsUnavailable) {
+  Build(PileusClient::Options{},
+        [](const proto::Message&, MicrosecondCount timeout) {
+          return TimedReply(Status(StatusCode::kTimeout, "t"), timeout);
+        },
+        [](const proto::Message&, MicrosecondCount timeout) {
+          return TimedReply(Status(StatusCode::kTimeout, "t"), timeout);
+        },
+        [](const proto::Message&, MicrosecondCount timeout) {
+          return TimedReply(Status(StatusCode::kTimeout, "t"), timeout);
+        });
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  EXPECT_EQ(Read(session).status().code(), StatusCode::kUnavailable);
+}
+
+TEST_P(ReadProtocolTest, GetTimeoutEqualsSlaMaxLatency) {
+  Build(PileusClient::Options{},
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(1 * kMs, Now(), Now(), true);
+        },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
+  Session session = client_->BeginSession(PasswordCheckingSla()).value();
+  ASSERT_TRUE(Read(session).ok());
+  EXPECT_EQ(primary_->last_timeout_us(), SecondsToMicroseconds(1));
+}
+
+TEST_P(ReadProtocolTest, FallbackRetryRecoversLowerSubSla) {
+  PileusClient::Options options;
+  options.fallback_to_primary_retry = true;
+  const Sla sla = Sla()
+                      .Add(Guarantee::Eventual(), 150 * kMs, 1.0)
+                      .Add(Guarantee::Strong(), SecondsToMicroseconds(1),
+                           0.5);
+  Build(options,
+        [&](const proto::Message&, MicrosecondCount) {
+          clock_.AdvanceMicros(150 * kMs);  // Wall time passes with the RTT.
+          return ReplyWith(150 * kMs, Now(), Now(), true);
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          // Local node suddenly slow: meets neither tier (not strong).
+          clock_.AdvanceMicros(400 * kMs);
+          return ReplyWith(400 * kMs, Now(), Now());
+        },
+        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
+  Teach("near", 1 * kMs, Now());
+  Teach("primary", 150 * kMs, Now());
+  Teach("far", 300 * kMs, Now());
+  Session session = client_->BeginSession(sla).value();
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->outcome.retried);
+  EXPECT_EQ(result->outcome.met_rank, 1);
+  EXPECT_EQ(result->outcome.node_name, "primary");
+  EXPECT_EQ(result->outcome.messages_sent, 2);
+  EXPECT_EQ(primary_->calls(), 1);
+}
+
+TEST_P(ReadProtocolTest, FallbackNeverRecallsAFailedPrimary) {
+  // Every replica is down and the fallback is on: the availability retries
+  // already called the primary, so the fallback must not call it again.
+  PileusClient::Options options;
+  options.fallback_to_primary_retry = true;
+  const auto dead = [](const proto::Message&, MicrosecondCount) {
+    return TimedReply(Status(StatusCode::kUnavailable, "dead"), 2 * kMs);
+  };
+  Build(options, dead, dead, dead);
+  Teach("primary", 150 * kMs, Now());
+  Teach("near", 1 * kMs, Now());
+  Teach("far", 40 * kMs, Now());
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  EXPECT_EQ(Read(session).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(near_->calls(), 1);
+  EXPECT_EQ(far_->calls(), 1);
+  EXPECT_EQ(primary_->calls(), 1);
+}
+
+TEST_P(ReadProtocolTest, ParallelFanoutCallsTiedCandidates) {
+  PileusClient::Options options;
+  options.parallel_fanout = 2;
+  Build(options,
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(150 * kMs, Now(), Now(), true);
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(5 * kMs, Now(), Now());
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return ReplyWith(1 * kMs, Now(), Now());
+        });
+  // near and far tie on expected utility for an eventual SLA.
+  Teach("near", 5 * kMs, Now());
+  Teach("far", 6 * kMs, Now());
+  const Sla sla = Sla().Add(Guarantee::Eventual(), 300 * kMs, 1.0);
+  Session session = client_->BeginSession(sla).value();
+  Result<ReadResult> result = Read(session);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcome.messages_sent, 2);
+  EXPECT_EQ(near_->calls() + far_->calls() + primary_->calls(), 2);
+  // The faster reply wins.
+  EXPECT_EQ(result->outcome.rtt_us,
+            result->outcome.node_name == "far" ? 1 * kMs : 5 * kMs);
 }
 
 // --- The consistency-aware client cache (DESIGN.md "Client cache") ---
@@ -1008,6 +1083,57 @@ TEST_F(ClientCacheTest, StrongSlaBypassesCache) {
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->outcome.from_cache);
   EXPECT_EQ(primary_->calls(), 2);  // Both reads hit the primary.
+}
+
+TEST_F(ClientCacheTest, OverloadedReplicasFallBackToDegradedCacheServe) {
+  // The degradation ladder's last rung: every replica sheds the Get, so it
+  // is served from a warm cache entry at the rank the entry still meets.
+  PileusClient::Options options;
+  options.cache = &cache_;
+  bool overloaded = false;
+  const auto shed_or = [&](TimedReply reply) {
+    return overloaded ? TimedReply(proto::MakeOverloadedReply(5), kMs)
+                      : std::move(reply);
+  };
+  Build(options,
+        [&](const proto::Message&, MicrosecondCount) {
+          return shed_or(GetReplyWith(2 * kMs, Now(), Now(), true));
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return shed_or(GetReplyWith(1 * kMs, Now(), Now()));
+        },
+        [&](const proto::Message&, MicrosecondCount) {
+          return shed_or(GetReplyWith(3 * kMs, Now(), Now()));
+        });
+  Teach("primary", 2 * kMs, Now());
+  Teach("near", 1 * kMs, Now());
+  Teach("far", 3 * kMs, Now());
+  // The strong tier needs the primary, so the cache never wins selection
+  // and every Get starts on the network.
+  const Sla sla =
+      Sla()
+          .Add(Guarantee::Strong(), SecondsToMicroseconds(10), 1.0)
+          .Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 0.5);
+  Session session = client_->BeginSession(sla).value();
+  Result<GetResult> warm = client_->Get(session, "k");  // Fills the cache.
+  ASSERT_TRUE(warm.ok());
+  EXPECT_FALSE(warm->outcome.from_cache);
+  EXPECT_EQ(warm->outcome.met_rank, 0);
+
+  overloaded = true;
+  Result<GetResult> result = client_->Get(session, "k");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->outcome.from_cache);
+  EXPECT_TRUE(result->outcome.retried);
+  EXPECT_EQ(result->outcome.target_rank, 0);
+  EXPECT_EQ(result->outcome.met_rank, 1);  // Downgraded to eventual.
+  EXPECT_DOUBLE_EQ(result->outcome.utility, 0.5);
+  EXPECT_EQ(result->outcome.node_name, kCacheNodeName);
+  EXPECT_EQ(result->outcome.messages_sent, 3);  // Each replica shed once.
+  EXPECT_EQ(result->value, "value");
+  EXPECT_EQ(client_->degraded_cache_serves(), 1u);
+  EXPECT_EQ(client_->cache_serves(), 1u);
+  EXPECT_EQ(client_->overload_rejections(), 3u);
 }
 
 }  // namespace

@@ -170,6 +170,29 @@ TEST(GeoTestbedTest, ProbesPopulateMonitorWithoutForegroundTraffic) {
   client->StopProbing();
 }
 
+TEST(GeoTestbedTest, DestroyedClientLeavesInFlightProbesHarmless) {
+  // A client destroyed while probing: its periodic probe tick must stop and
+  // its in-flight probe replies must not touch the freed client. Under
+  // AddressSanitizer either would be a heap-use-after-free.
+  GeoTestbed testbed(FastGeoOptions());
+  PreloadKeys(testbed, 10);
+  testbed.StartReplication();
+  auto doomed = testbed.MakeClient(kChina, core::PileusClient::Options{});
+  doomed->StartProbing();
+  // Just past the first probe tick: every probe's reply is still in flight.
+  testbed.env().RunFor(testbed.options().probe_check_period_us + 1);
+  ASSERT_GT(doomed->probes_sent(), 0u);
+  ASSERT_EQ(doomed->client().monitor().MeanLatency(kUs), 0);
+  doomed.reset();
+
+  testbed.env().RunFor(SecondsToMicroseconds(30));
+  auto survivor = testbed.MakeClient(kChina, core::PileusClient::Options{});
+  Result<core::Session> session = survivor->client().BeginSession(
+      core::Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(5), 1.0));
+  ASSERT_TRUE(session.ok());
+  EXPECT_TRUE(survivor->client().Get(*session, "k").ok());
+}
+
 TEST(GeoTestbedTest, TriggerFailoverRetargetsReplicationAndClients) {
   GeoTestbed testbed(FastGeoOptions());
   PreloadKeys(testbed, 10);

@@ -11,6 +11,14 @@ namespace {
 
 constexpr MicrosecondCount kNow = SecondsToMicroseconds(1000);
 
+// A point Get's minimum acceptable read timestamps for `key` at `now_us`.
+MinReadTimestampFn KeyFloor(const Session& session, std::string_view key,
+                            MicrosecondCount now_us) {
+  return [&session, key, now_us](const Guarantee& guarantee) {
+    return session.MinReadTimestamp(guarantee, key, now_us);
+  };
+}
+
 class SelectionTest : public ::testing::Test {
  protected:
   SelectionTest()
@@ -33,8 +41,9 @@ class SelectionTest : public ::testing::Test {
   }
 
   SelectionResult Select(const Sla& sla, std::string_view key = "k") {
-    return SelectTarget(sla, replicas_, session_, key, clock_.NowMicros(),
-                        monitor_, options_, &rng_);
+    return SelectTarget(sla, replicas_, nullptr,
+                        KeyFloor(session_, key, clock_.NowMicros()), monitor_,
+                        options_, &rng_);
   }
 
   ManualClock clock_;
@@ -47,8 +56,8 @@ class SelectionTest : public ::testing::Test {
 
 TEST_F(SelectionTest, EmptyReplicasYieldsInvalidResult) {
   const SelectionResult result =
-      SelectTarget(ShoppingCartSla(), {}, session_, "k", kNow, monitor_,
-                   options_, &rng_);
+      SelectTarget(ShoppingCartSla(), {}, nullptr, KeyFloor(session_, "k", kNow),
+                   monitor_, options_, &rng_);
   EXPECT_EQ(result.target_rank, -1);
   EXPECT_EQ(result.node_index, -1);
 }
@@ -202,11 +211,13 @@ TEST_F(SelectionTest, ExpectedUtilityHelperMatchesManualProduct) {
   const SubSla sub{Guarantee::ReadMyWrites(), MillisecondsToMicroseconds(300),
                    0.7};
   EXPECT_DOUBLE_EQ(
-      ExpectedUtility(sub, replicas_[1], session_, "k", kNow, monitor_),
+      ExpectedUtility(sub, replicas_[1], KeyFloor(session_, "k", kNow),
+                      monitor_),
       0.7);  // PCons 1 * PLat 1 * utility.
   const SubSla slow{Guarantee::ReadMyWrites(), 500, 0.7};  // 0.5 ms target.
   EXPECT_DOUBLE_EQ(
-      ExpectedUtility(slow, replicas_[1], session_, "k", kNow, monitor_),
+      ExpectedUtility(slow, replicas_[1], KeyFloor(session_, "k", kNow),
+                      monitor_),
       0.0);  // No sample under 0.5 ms.
 }
 
@@ -300,16 +311,16 @@ TEST_F(SelectionTest, MatchesBruteForceOracleOnRandomStates) {
     }
 
     const Sla& sla = slas[trial % 3];
-    const SelectionResult result =
-        SelectTarget(sla, replicas_, session, "k", clock_.NowMicros(),
-                     monitor, options_, &rng_);
+    const MinReadTimestampFn floor =
+        KeyFloor(session, "k", clock_.NowMicros());
+    const SelectionResult result = SelectTarget(sla, replicas_, nullptr, floor,
+                                                monitor, options_, &rng_);
 
     double oracle_max = 0.0;
     for (size_t rank = 0; rank < sla.size(); ++rank) {
       for (const ReplicaView& replica : replicas_) {
         oracle_max = std::max(
-            oracle_max, ExpectedUtility(sla[rank], replica, session, "k",
-                                        clock_.NowMicros(), monitor));
+            oracle_max, ExpectedUtility(sla[rank], replica, floor, monitor));
       }
     }
     ASSERT_DOUBLE_EQ(result.expected_utility, oracle_max) << "trial " << trial;
@@ -318,9 +329,8 @@ TEST_F(SelectionTest, MatchesBruteForceOracleOnRandomStates) {
     double chosen_best = 0.0;
     for (size_t rank = 0; rank < sla.size(); ++rank) {
       chosen_best = std::max(
-          chosen_best,
-          ExpectedUtility(sla[rank], replicas_[result.node_index], session,
-                          "k", clock_.NowMicros(), monitor));
+          chosen_best, ExpectedUtility(sla[rank], replicas_[result.node_index],
+                                       floor, monitor));
     }
     ASSERT_DOUBLE_EQ(chosen_best, oracle_max) << "trial " << trial;
 
@@ -337,8 +347,9 @@ class CacheSelectionTest : public SelectionTest {
  protected:
   SelectionResult SelectWithCache(const Sla& sla, const CacheView& cached,
                                   std::string_view key = "k") {
-    return SelectTarget(sla, replicas_, &cached, session_, key,
-                        clock_.NowMicros(), monitor_, options_, &rng_);
+    return SelectTarget(sla, replicas_, &cached,
+                        KeyFloor(session_, key, clock_.NowMicros()), monitor_,
+                        options_, &rng_);
   }
 };
 
@@ -467,18 +478,20 @@ TEST_F(CacheSelectionTest, EmptyReplicaSetCanStillServeFromCache) {
 }
 
 TEST_F(CacheSelectionTest, NullCacheMatchesPlainSelection) {
+  // A null cache view and a cached entry too slow for every subSLA leave the
+  // network choice exactly as it is without a cache.
   Teach("primary", MillisecondsToMicroseconds(10), Timestamp{100, 0});
   Teach("near", MillisecondsToMicroseconds(1), Timestamp{100, 0});
   const Sla sla =
       Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 1.0);
-  const SelectionResult with_null =
-      SelectTarget(sla, replicas_, nullptr, session_, "k", clock_.NowMicros(),
-                   monitor_, options_, &rng_);
   const SelectionResult plain = Select(sla);
-  EXPECT_FALSE(with_null.cache_selected);
-  EXPECT_EQ(with_null.node_index, plain.node_index);
-  EXPECT_EQ(with_null.target_rank, plain.target_rank);
-  EXPECT_DOUBLE_EQ(with_null.expected_utility, plain.expected_utility);
+  const SelectionResult useless = SelectWithCache(
+      sla, CacheView{Timestamp{100, 0}, SecondsToMicroseconds(11)});
+  EXPECT_FALSE(plain.cache_selected);
+  EXPECT_FALSE(useless.cache_selected);
+  EXPECT_EQ(useless.node_index, plain.node_index);
+  EXPECT_EQ(useless.target_rank, plain.target_rank);
+  EXPECT_DOUBLE_EQ(useless.expected_utility, plain.expected_utility);
 }
 
 TEST_F(CacheSelectionTest, CacheExpectedUtilityIsDeterministic) {
