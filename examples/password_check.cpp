@@ -93,20 +93,14 @@ int main() {
       "edge", [&](const proto::Message& m) { return local.Handle(m); });
 
   replication::ReplicationAgent agent(
-      local.FindTablet("creds", ""),
-      replication::ReplicationAgent::Options{.table = "creds"});
+      &local, replication::ReplicationAgent::Options{.table = "creds"});
   auto sync_channel =
       std::shared_ptr<net::Channel>(network.Connect("primary", 90 * kMs));
   replication::ThreadedPuller puller(
       &agent,
-      [sync_channel](const proto::SyncRequest& request)
-          -> Result<proto::SyncReply> {
-        Result<proto::Message> reply =
-            sync_channel->Call(request, SecondsToMicroseconds(5));
-        if (!reply.ok()) {
-          return reply.status();
-        }
-        return std::get<proto::SyncReply>(reply.value());
+      [sync_channel](const proto::SyncRequest& request) {
+        return replication::ToSyncReply(
+            sync_channel->Call(request, SecondsToMicroseconds(5)));
       },
       80 * kMs);
 

@@ -64,20 +64,14 @@ int main() {
 
   // Replication: the local secondary pulls from the primary every 100 ms.
   replication::ReplicationAgent agent(
-      local.FindTablet("carts", ""),
-      replication::ReplicationAgent::Options{.table = "carts"});
+      &local, replication::ReplicationAgent::Options{.table = "carts"});
   auto sync_channel =
       std::shared_ptr<net::Channel>(network.Connect("remote", 30 * kMs));
   replication::ThreadedPuller puller(
       &agent,
-      [sync_channel](const proto::SyncRequest& request)
-          -> Result<proto::SyncReply> {
-        Result<proto::Message> reply =
-            sync_channel->Call(request, SecondsToMicroseconds(5));
-        if (!reply.ok()) {
-          return reply.status();
-        }
-        return std::get<proto::SyncReply>(reply.value());
+      [sync_channel](const proto::SyncRequest& request) {
+        return replication::ToSyncReply(
+            sync_channel->Call(request, SecondsToMicroseconds(5)));
       },
       100 * kMs);
 

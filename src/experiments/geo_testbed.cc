@@ -410,17 +410,14 @@ GeoTestbed::GeoTestbed(GeoTestbedOptions options)
     }
     nodes_.push_back(std::move(entry));
   }
-  // Replication agents for every node (only non-authoritative ones pull).
-  for (NodeEntry& entry : nodes_) {
-    replication::ReplicationAgent::Options agent_options;
-    agent_options.table = kTableName;
-    entry.agent = std::make_unique<replication::ReplicationAgent>(
-        entry.node->FindTablet(kTableName, ""), agent_options);
-  }
 }
 
 Result<std::optional<reconfig::ConfigEpoch>> GeoTestbed::HostTablet(
     NodeEntry& entry, storage::Tablet::Options options) {
+  // Every node gets an agent; only non-authoritative ones pull.
+  entry.agent = std::make_unique<replication::ReplicationAgent>(
+      entry.node.get(),
+      replication::ReplicationAgent::Options{.table = kTableName});
   if (options_.durable_root.empty()) {
     PILEUS_RETURN_IF_ERROR(
         entry.node->AddTablet(kTableName, std::move(options)));
@@ -638,7 +635,6 @@ Status GeoTestbed::ExecuteFailover(const tablets::TabletMap& next) {
   //    install flips their role: a sync replica must hold the complete
   //    committed prefix or strong reads against it would miss writes.
   const reconfig::ConfigEpoch& old_config = current_config();
-  storage::Tablet* primary_tablet = target->node->FindTablet(kTableName, "");
   for (const std::string& member : config.sync_members) {
     if (old_config.IsSyncMember(member) || member == old_config.primary) {
       continue;  // Already complete (old sync member or demoted primary).
@@ -647,14 +643,7 @@ Status GeoTestbed::ExecuteFailover(const tablets::TabletMap& next) {
     if (entry == nullptr || entry->crashed || entry->down) {
       continue;
     }
-    storage::Tablet* tablet = entry->node->FindTablet(kTableName, "");
-    bool more = true;
-    while (more) {
-      const proto::SyncReply delta =
-          primary_tablet->HandleSync(tablet->high_timestamp(), 0);
-      (void)tablet->ApplySync(delta);
-      more = delta.has_more;
-    }
+    (void)PullInProcess(*entry, *target);
   }
   // 3. Install on the remaining live members. This demotes — and thereby
   //    fences — the old primary when it is still alive (a deliberate move);
@@ -697,12 +686,31 @@ void GeoTestbed::StartReplication() {
   }
 }
 
+Status GeoTestbed::CatchUpSecondaries() {
+  NodeEntry* primary = FindEntry(primary_site_);
+  for (NodeEntry& entry : nodes_) {
+    if (!entry.crashed &&
+        !entry.node->FindTablet(kTableName, "")->authoritative()) {
+      PILEUS_RETURN_IF_ERROR(PullInProcess(entry, *primary));
+    }
+  }
+  return Status::Ok();
+}
+
+Status GeoTestbed::PullInProcess(NodeEntry& entry, NodeEntry& source) {
+  replication::BlockingPuller puller(
+      entry.agent.get(), [node = source.node.get()](
+                             const proto::SyncRequest& request) {
+        return replication::ToSyncReply(node->Handle(request));
+      });
+  return puller.PullOnce().status();
+}
+
 void GeoTestbed::RunPullRound(NodeEntry& entry) {
   if (entry.down || entry.crashed) {
     return;  // A dead node does not replicate.
   }
-  storage::Tablet* tablet = entry.agent->target();
-  if (tablet->authoritative()) {
+  if (entry.node->FindTablet(kTableName, "")->authoritative()) {
     return;  // The primary (and sync replicas) never pull.
   }
   NodeEntry* primary = FindEntry(primary_site_);
@@ -738,22 +746,22 @@ void GeoTestbed::RunPullRound(NodeEntry& entry) {
       return;  // Died while the request was in flight.
     }
     // Request arrives at the primary: capture the reply there.
-    auto* primary_tablet = primary->node->FindTablet(kTableName, "");
-    const proto::SyncReply reply =
-        primary_tablet->HandleSync(request.after, request.max_versions);
+    Result<proto::SyncReply> reply =
+        replication::ToSyncReply(primary->node->Handle(request));
     ++replication_rounds_;
     auto& lat = env_.latency_model();
     const MicrosecondCount ow2 = ScaleLatency(
         lat.SampleOneWay(primary->site_id, entry_ptr->site_id, env_.rng()),
         reply_multiplier);
-    env_.ScheduleAfter(ow2, [this, entry_ptr, reply] {
-      if (entry_ptr->down || entry_ptr->crashed) {
-        return;  // Crashed while the reply was in flight.
+    env_.ScheduleAfter(ow2, [this, entry_ptr, reply = std::move(reply)] {
+      if (entry_ptr->down || entry_ptr->crashed || !reply.ok()) {
+        return;  // Crashed while the reply was in flight, or no reply.
       }
-      // A durable tablet journals the pulled versions as it applies them:
-      // they survive a crash just like primary writes.
-      const bool more = entry_ptr->agent->OnReply(reply);
-      if (more) {
+      // A durable tablet journals the pulled versions as it applies them,
+      // and the agent syncs the journal: they survive a crash just like
+      // primary writes.
+      const Result<bool> more = entry_ptr->agent->OnReply(reply.value());
+      if (more.ok() && more.value()) {
         RunPullRound(*entry_ptr);  // Immediately start another round.
       }
     });
@@ -835,10 +843,6 @@ Status GeoTestbed::RestartNode(const std::string& site) {
   } else {
     tablet->SetPrimary(site == primary_site_);
   }
-  replication::ReplicationAgent::Options agent_options;
-  agent_options.table = kTableName;
-  entry->agent = std::make_unique<replication::ReplicationAgent>(
-      tablet, agent_options);
   entry->crashed = false;
   entry->crashed_at_us = -1;
   faults_.RecoverNode(site);

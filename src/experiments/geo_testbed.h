@@ -132,6 +132,10 @@ class GeoTestbed {
   // Starts the periodic replication pulls (virtual-time events).
   void StartReplication();
 
+  // Pulls every live secondary up to the primary at once, in process: no
+  // simulated messages, no virtual time.
+  Status CatchUpSecondaries();
+
   // Creates a client located at `site` (any of the four site names).
   std::unique_ptr<GeoClient> MakeClient(const std::string& site,
                                         core::PileusClient::Options options);
@@ -216,13 +220,15 @@ class GeoTestbed {
                        MicrosecondCount* extra_delay_us);
 
   NodeEntry* FindEntry(const std::string& site);
-  void SchedulePull(NodeEntry& entry);
   void RunPullRound(NodeEntry& entry);
+  // One complete pull cycle of `entry`'s agent from `source`, in process.
+  Status PullInProcess(NodeEntry& entry, NodeEntry& source);
 
-  // Hosts the site's one tablet on its fresh node: in memory, or with a
-  // durable_root, journaled under `<durable_root>/<site>/` and recovered
-  // from whatever an earlier incarnation left there. Returns the config the
-  // journal recovered (nullopt in memory or when none was journaled).
+  // Gives the site's fresh node its replication agent and hosts its one
+  // tablet: in memory, or with a durable_root, journaled under
+  // `<durable_root>/<site>/` and recovered from whatever an earlier
+  // incarnation left there. Returns the config the journal recovered
+  // (nullopt in memory or when none was journaled).
   Result<std::optional<reconfig::ConfigEpoch>> HostTablet(
       NodeEntry& entry, storage::Tablet::Options options);
 

@@ -31,16 +31,7 @@ void PreloadKeys(GeoTestbed& testbed, int key_count, int value_size) {
     (void)reply;
   }
   // One immediate sync so secondaries start from the preloaded state.
-  for (const char* site : {kUs, kEngland, kIndia}) {
-    storage::StorageNode* node = testbed.node(site);
-    storage::Tablet* tablet = node->FindTablet(kTableName, "");
-    if (tablet->authoritative()) {
-      continue;
-    }
-    const proto::SyncReply reply =
-        primary->HandleSync(tablet->high_timestamp(), 0);
-    tablet->ApplySync(reply);
-  }
+  (void)testbed.CatchUpSecondaries();
 }
 
 RunStats RunYcsb(GeoTestbed& testbed, GeoClient& geo_client,

@@ -10,11 +10,9 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "src/cache/client_cache.h"
@@ -22,8 +20,8 @@
 #include "src/core/client.h"
 #include "src/experiments/deployment.h"
 #include "src/net/tcp.h"
-#include "src/persist/durable_service.h"
 #include "src/persist/durable_tablet.h"
+#include "src/persist/group_commit.h"
 #include "src/proto/messages.h"
 #include "src/replication/replication_agent.h"
 #include "src/storage/storage_node.h"
@@ -42,30 +40,11 @@ constexpr MicrosecondCount kPullPeriodUs = MillisecondsToMicroseconds(20);
 // Ops between re-probes of both replicas from both frontends.
 constexpr uint64_t kProbeStride = 25;
 
-Result<proto::SyncReply> SyncOverTcp(net::Channel& channel,
-                                     const proto::SyncRequest& request) {
-  Result<proto::Message> reply =
-      channel.Call(request, SecondsToMicroseconds(10));
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  if (const auto* err = std::get_if<proto::ErrorReply>(&reply.value())) {
-    return Status(err->code, err->message);
-  }
-  if (auto* sync = std::get_if<proto::SyncReply>(&reply.value())) {
-    return std::move(*sync);
-  }
-  return Status(StatusCode::kInternal, "unexpected reply type for sync");
-}
-
 // The secondary site: the in-memory node, its client-facing server, and the
 // replication pull loop — everything kCrashRestart destroys and rebuilds.
 struct SecondarySite {
   std::unique_ptr<storage::StorageNode> node;
   std::unique_ptr<net::TcpChannel> pull_channel;  // To the primary.
-  // The agent tracks pull progress on this private tablet; the served one
-  // is only written under the node's lock (see BuildSecondary).
-  std::unique_ptr<storage::Tablet> shadow;
   std::unique_ptr<replication::ReplicationAgent> agent;
   std::unique_ptr<replication::ThreadedPuller> puller;
   std::unique_ptr<net::TcpServer> server;
@@ -79,7 +58,6 @@ struct SecondarySite {
     server.reset();
     puller.reset();  // Joins the pull thread.
     agent.reset();
-    shadow.reset();
     pull_channel.reset();
     node.reset();  // Volatile state gone, like a process crash.
   }
@@ -96,36 +74,22 @@ Status BuildSecondary(uint16_t primary_port, uint16_t serve_port,
   storage::Tablet::Options tablet_options;  // Not primary.
   PILEUS_RETURN_IF_ERROR(site->node->AddTablet(kTable, tablet_options));
   site->pull_channel = std::make_unique<net::TcpChannel>(primary_port);
-  site->shadow = std::make_unique<storage::Tablet>(storage::Tablet::Options{},
-                                                   RealClock::Instance());
-  replication::ReplicationAgent::Options agent_options;
-  agent_options.table = kTable;
   site->agent = std::make_unique<replication::ReplicationAgent>(
-      site->shadow.get(), agent_options);
-  // The pull thread applies each reply to the served tablet under the node's
-  // lock, so it never races the server thread's reads, and hands the agent
-  // only the progress.
+      site->node.get(), replication::ReplicationAgent::Options{.table = kTable});
   net::TcpChannel* channel = site->pull_channel.get();
-  storage::StorageNode* node = site->node.get();
-  const auto sync = [channel, node](const proto::SyncRequest& request) {
-    Result<proto::SyncReply> reply = SyncOverTcp(*channel, request);
-    if (!reply.ok()) {
-      return reply;
-    }
-    node->WithLock([&] { node->FindTablet(kTable, "")->ApplySync(*reply); });
-    if (!reply->versions.empty()) {
-      reply->heartbeat =
-          std::max(reply->heartbeat, reply->versions.back().timestamp);
-      reply->versions.clear();
-    }
-    return reply;
+  const auto sync = [channel](const proto::SyncRequest& request) {
+    return replication::ToSyncReply(
+        channel->Call(request, SecondsToMicroseconds(10)));
   };
   (void)replication::BlockingPuller(site->agent.get(), sync).PullOnce();
   site->puller = std::make_unique<replication::ThreadedPuller>(
       site->agent.get(), sync, kPullPeriodUs);
   site->server = std::make_unique<net::TcpServer>();
   return site->server->Start(
-      serve_port, [node](const proto::Message& m) { return node->Handle(m); });
+      serve_port,
+      [node = site->node.get()](const proto::Message& m) {
+        return node->Handle(m);
+      });
 }
 
 class TcpDeployment : public Deployment {
@@ -157,18 +121,21 @@ class TcpDeployment : public Deployment {
         persist::DurableTablet::Open(durable_options, clock);
     PILEUS_RETURN_IF_ERROR(opened.status());
     durable_ = std::move(opened).value();
+    primary_node_ = std::make_unique<storage::StorageNode>(
+        kPrimaryName, "tcp-testbed", clock);
+    PILEUS_RETURN_IF_ERROR(
+        primary_node_->AddTablet(kTable, durable_->shared_tablet()));
     persist::GroupCommitConfig group_commit;
     group_commit.enabled = true;
     group_commit.max_delay_us = 500;  // Wall-clock runs are short; a lone
                                       // write should not stall 2 ms per ack.
-    primary_service_ = std::make_unique<persist::DurableStorageService>(
-        kTable, durable_.get(), group_commit);
+    committer_ = persist::StartGroupCommit(primary_node_.get(), group_commit);
     primary_server_ = std::make_unique<net::TcpServer>();
     PILEUS_RETURN_IF_ERROR(primary_server_->StartAsync(
-        0, [service = primary_service_.get()](
+        0, [node = primary_node_.get()](
                const proto::Message& m,
                std::function<void(proto::Message)> done) {
-          service->HandleAsync(m, std::move(done));
+          node->HandleAsync(m, std::move(done));
         }));
     PILEUS_RETURN_IF_ERROR(
         BuildSecondary(primary_server_->port(), 0, &secondary_));
@@ -242,7 +209,7 @@ class TcpDeployment : public Deployment {
 
   Result<GroundTruth> Finish(ScenarioResult& /*result*/) override {
     secondary_.Destroy();  // Stop pulls before freezing the ground truth.
-    (void)primary_service_->SyncNow();
+    committer_->Stop();    // Final batch sync; later acks sync inline.
     GroundTruth truth;
     truth.versions =
         durable_->tablet().ExportCommittedVersions(&truth.complete);
@@ -261,11 +228,13 @@ class TcpDeployment : public Deployment {
   }
 
   // Declaration order is teardown order, reversed: clients go first, then
-  // the secondary, then the primary's server before its service and tablet.
+  // the secondary, then the primary's server before its committer, node and
+  // tablet.
   const ScenarioOptions& options_;
   std::string primary_dir_;
   std::unique_ptr<persist::DurableTablet> durable_;
-  std::unique_ptr<persist::DurableStorageService> primary_service_;
+  std::unique_ptr<storage::StorageNode> primary_node_;
+  std::unique_ptr<persist::GroupCommitter> committer_;
   std::unique_ptr<net::TcpServer> primary_server_;
   SecondarySite secondary_;
   uint16_t secondary_port_ = 0;

@@ -22,8 +22,4 @@ proto::Message DurableStorageService::Handle(const proto::Message& request) {
   return ready.get();
 }
 
-Status DurableStorageService::SyncNow() {
-  return committer_ != nullptr ? committer_->SyncNow() : node_.SyncJournals();
-}
-
 }  // namespace pileus::persist

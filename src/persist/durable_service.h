@@ -36,9 +36,6 @@ class DurableStorageService {
     node_.HandleAsync(request, std::move(done));
   }
 
-  // Forces a durability barrier covering everything applied so far.
-  Status SyncNow();
-
   // Null when group commit is disabled.
   GroupCommitter* group_committer() { return committer_.get(); }
 

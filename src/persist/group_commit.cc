@@ -15,14 +15,12 @@ namespace {
 struct GroupCommitMetrics {
   telemetry::Counter* syncs;
   telemetry::Counter* acks;
-  telemetry::Counter* forced;
 
   GroupCommitMetrics() {
     telemetry::MetricsRegistry& registry =
         telemetry::MetricsRegistry::Default();
     syncs = registry.GetCounter("pileus_persist_group_commit_syncs_total");
     acks = registry.GetCounter("pileus_persist_group_commit_acks_total");
-    forced = registry.GetCounter("pileus_persist_group_commit_forced_total");
   }
 };
 
@@ -78,53 +76,19 @@ void GroupCommitter::AckAfterSync(AckFn ack) {
   ack(sync_());
 }
 
-Status GroupCommitter::SyncNow() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_ || stopping_) {
-      return sync_();
-    }
-  }
-  Metrics().forced->Increment();
-  struct Waiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-  };
-  auto waiter = std::make_shared<Waiter>();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) {
-      first_enqueue_us_ = RealClock::Instance()->NowMicros();
-    }
-    queue_.push_back([waiter](const Status& status) {
-      std::lock_guard<std::mutex> waiter_lock(waiter->mu);
-      waiter->status = status;
-      waiter->done = true;
-      waiter->cv.notify_all();
-    });
-    kick_ = true;
-  }
-  cv_.notify_all();
-  std::unique_lock<std::mutex> lock(waiter->mu);
-  waiter->cv.wait(lock, [&waiter] { return waiter->done; });
-  return waiter->status;
-}
-
 void GroupCommitter::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    cv_.wait(lock, [this] { return stopping_ || !queue_.empty() || kick_; });
+    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
     if (stopping_ && queue_.empty()) {
       break;
     }
-    // Batch window: collect more acks until the batch fills, the oldest
-    // waiter has waited max_delay_us, or someone forces a boundary.
-    if (!kick_ && !stopping_ && options_.max_delay_us > 0) {
+    // Batch window: collect more acks until the batch fills or the oldest
+    // waiter has waited max_delay_us.
+    if (!stopping_ && options_.max_delay_us > 0) {
       const MicrosecondCount deadline =
           first_enqueue_us_ + options_.max_delay_us;
-      while (!kick_ && !stopping_ && queue_.size() < options_.max_batch) {
+      while (!stopping_ && queue_.size() < options_.max_batch) {
         const MicrosecondCount now = RealClock::Instance()->NowMicros();
         if (now >= deadline) {
           break;
@@ -132,7 +96,6 @@ void GroupCommitter::Loop() {
         cv_.wait_for(lock, std::chrono::microseconds(deadline - now));
       }
     }
-    kick_ = false;
     std::vector<AckFn> batch;
     batch.swap(queue_);
     lock.unlock();

@@ -76,10 +76,6 @@ class GroupCommitter {
   // committer is not running, syncs inline and acks immediately.
   void AckAfterSync(AckFn ack);
 
-  // Forces a batch boundary now and blocks until that sync completes
-  // (replication pulls use this to cover an applied batch).
-  Status SyncNow();
-
   uint64_t syncs() const { return syncs_.load(std::memory_order_relaxed); }
   uint64_t acked() const { return acked_.load(std::memory_order_relaxed); }
 
@@ -94,7 +90,6 @@ class GroupCommitter {
   std::condition_variable cv_;
   bool running_ = false;
   bool stopping_ = false;
-  bool kick_ = false;  // SyncNow: skip the batching delay.
   std::vector<AckFn> queue_;
   MicrosecondCount first_enqueue_us_ = 0;
 

@@ -1,16 +1,60 @@
 #include "src/replication/replication_agent.h"
 
+#include <algorithm>
 #include <chrono>
+#include <variant>
 
 #include "src/common/logging.h"
 
 namespace pileus::replication {
 
+Result<proto::SyncReply> ToSyncReply(Result<proto::Message> reply) {
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  if (const auto* error = std::get_if<proto::ErrorReply>(&reply.value())) {
+    return Status(error->code, error->message);
+  }
+  if (auto* sync = std::get_if<proto::SyncReply>(&reply.value())) {
+    return std::move(*sync);
+  }
+  return Status(StatusCode::kInternal, "unexpected reply type for sync");
+}
+
+ReplicationAgent::ReplicationAgent(storage::Tablet* target, Options options)
+    : owned_node_(std::make_unique<storage::StorageNode>(
+          "replica", "local", target->clock())),
+      target_(owned_node_.get()),
+      options_(std::move(options)) {
+  // A fresh node hosts nothing the tablet could overlap.
+  (void)owned_node_->AddTablet(
+      options_.table,
+      std::shared_ptr<storage::Tablet>(target, [](storage::Tablet*) {}));
+}
+
+Timestamp ReplicationAgent::HighTimestamp() const {
+  return target_->WithLock([this] {
+    Timestamp low = Timestamp::Max();
+    for (const storage::Tablet* tablet :
+         target_->TabletsForTable(options_.table)) {
+      if (options_.range.Covers(tablet->range())) {
+        low = std::min(low, tablet->high_timestamp());
+      }
+    }
+    return low == Timestamp::Max() ? Timestamp::Zero() : low;
+  });
+}
+
 proto::SyncRequest ReplicationAgent::NextRequest() const {
   proto::SyncRequest request;
   request.table = options_.table;
-  request.after = target_->high_timestamp();
+  request.after = HighTimestamp();
   request.max_versions = options_.max_versions_per_pull;
+  if (options_.range != KeyRange::All()) {
+    request.has_range = true;
+    request.range_begin = options_.range.begin;
+    request.range_end = options_.range.end;
+  }
   return request;
 }
 
@@ -33,13 +77,14 @@ void ReplicationAgent::EnableTelemetry(telemetry::MetricsRegistry* registry,
       {{"table", options_.table}, {"node", node_label}}));
 }
 
-bool ReplicationAgent::OnReply(const proto::SyncReply& reply) {
-  target_->ApplySync(reply);
-  versions_applied_ += reply.versions.size();
-  if (reply.config_epoch > last_config_epoch_) {
-    last_config_epoch_ = reply.config_epoch;
-    last_primary_hint_ = reply.primary_hint;
+Result<bool> ReplicationAgent::OnReply(const proto::SyncReply& reply) {
+  PILEUS_RETURN_IF_ERROR(
+      target_->ApplySync(options_.table, options_.range, reply));
+  if (!reply.versions.empty()) {
+    // One durability barrier covers the applied batch (a no-op in memory).
+    PILEUS_RETURN_IF_ERROR(target_->SyncJournals());
   }
+  versions_applied_ += reply.versions.size();
   if (!reply.has_more) {
     ++pulls_completed_;
   }
@@ -53,21 +98,26 @@ bool ReplicationAgent::OnReply(const proto::SyncReply& reply) {
     if (!reply.has_more) {
       instruments_.pulls->Increment();
     }
-    instruments_.high_timestamp_us->Set(target_->high_timestamp().physical_us);
+    instruments_.high_timestamp_us->Set(HighTimestamp().physical_us);
   }
   return reply.has_more;
 }
 
-Result<int> BlockingPuller::PullOnce() {
+Result<int> BlockingPuller::PullOnce(int max_rounds) {
   int applied = 0;
   bool more = true;
-  while (more) {
+  for (int round = 0; more && (max_rounds <= 0 || round < max_rounds);
+       ++round) {
     Result<proto::SyncReply> reply = sync_(agent_->NextRequest());
     if (!reply.ok()) {
       return reply.status();
     }
+    Result<bool> pending = agent_->OnReply(reply.value());
+    if (!pending.ok()) {
+      return pending.status();
+    }
     applied += static_cast<int>(reply.value().versions.size());
-    more = agent_->OnReply(reply.value());
+    more = pending.value();
   }
   return applied;
 }

@@ -7,6 +7,10 @@
 // idle primary answers with a heartbeat that still advances the secondary's
 // high timestamp so clients can discover the node is up to date.
 //
+// The agent writes into a storage node: it reads its progress and applies
+// each reply under the node's request lock, so pulls never race the reads
+// the node serves. It never holds that lock across the sync call itself.
+//
 // The agent core is a transport-free state machine (NextRequest / OnReply) so
 // the deterministic simulation can drive it with scheduled events while real
 // deployments use BlockingPuller (synchronous rounds over any callable) or
@@ -18,6 +22,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,44 +30,53 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/proto/messages.h"
+#include "src/storage/storage_node.h"
 #include "src/storage/tablet.h"
 #include "src/telemetry/metrics.h"
+#include "src/util/key_range.h"
 
 namespace pileus::replication {
+
+// Unwraps the reply to a SyncRequest: an ErrorReply becomes its own status,
+// any other message type kInternal.
+Result<proto::SyncReply> ToSyncReply(Result<proto::Message> reply);
 
 class ReplicationAgent {
  public:
   struct Options {
     std::string table;
+    // The keys to replicate. Anything narrower than the whole keyspace makes
+    // every pull a ranged one (migration catch-up), and only the hosted
+    // tablets that lie inside the range are read and advanced.
+    KeyRange range = KeyRange::All();
     // Cap on versions per sync round trip (0 = unlimited). The update log
     // never splits a same-timestamp (transactional) batch, so the actual
     // count may slightly exceed this.
     uint32_t max_versions_per_pull = 0;
   };
 
-  ReplicationAgent(storage::Tablet* target, Options options)
+  // `target` is not owned and must outlive the agent.
+  ReplicationAgent(storage::StorageNode* target, Options options)
       : target_(target), options_(std::move(options)) {}
 
-  // The sync request to issue next: everything above the target's current
-  // high timestamp.
+  // Adapter for callers that track pull progress on a bare tablet: hosts it
+  // (not owned) on an agent-owned node, so it runs the same code.
+  ReplicationAgent(storage::Tablet* target, Options options);
+
+  // The sync request to issue next: everything above the lowest high
+  // timestamp of the target's tablets in the range.
   proto::SyncRequest NextRequest() const;
 
-  // Applies one sync reply to the target tablet. Returns true when the source
-  // indicated more data is pending (caller should issue another round).
-  bool OnReply(const proto::SyncReply& reply);
+  // Applies one sync reply to the target node and, when it carried
+  // versions, syncs the node's journals before returning. Returns whether
+  // the source has more data pending (the caller should issue another
+  // round), or the apply or sync failure.
+  Result<bool> OnReply(const proto::SyncReply& reply);
 
-  storage::Tablet* target() { return target_; }
   const Options& options() const { return options_; }
 
   uint64_t pulls_completed() const { return pulls_completed_; }
   uint64_t versions_applied() const { return versions_applied_; }
-
-  // Config piggyback from the latest sync reply (Section 6.2): the source's
-  // installed epoch and that epoch's primary. Drivers use this to notice a
-  // failover and re-point the pull at the new primary. 0/empty until a
-  // configured source answers.
-  uint64_t last_config_epoch() const { return last_config_epoch_; }
-  const std::string& last_primary_hint() const { return last_primary_hint_; }
 
   // Registers pileus_replication_* metrics labeled with the table and the
   // given node label and feeds them on every OnReply: sync round trips,
@@ -81,13 +95,15 @@ class ReplicationAgent {
     telemetry::Gauge* high_timestamp_us = nullptr;
   };
 
-  storage::Tablet* target_;  // Not owned.
+  // Lowest high timestamp of the target's tablets inside the range (Zero
+  // when there are none), read under the node lock.
+  Timestamp HighTimestamp() const;
+
+  std::unique_ptr<storage::StorageNode> owned_node_;  // Tablet adapter only.
+  storage::StorageNode* target_;                      // Not owned.
   Options options_;
   uint64_t pulls_completed_ = 0;
   uint64_t versions_applied_ = 0;
-  // Newest config piggyback seen on a sync reply (monotonic in epoch).
-  uint64_t last_config_epoch_ = 0;
-  std::string last_primary_hint_;
   Instruments instruments_;
 };
 
@@ -101,8 +117,9 @@ class BlockingPuller {
   BlockingPuller(ReplicationAgent* agent, SyncFn sync)
       : agent_(agent), sync_(std::move(sync)) {}
 
-  // One full cycle; returns the number of versions applied.
-  Result<int> PullOnce();
+  // One full cycle, or at most `max_rounds` sync round trips when positive;
+  // returns the number of versions applied.
+  Result<int> PullOnce(int max_rounds = 0);
 
  private:
   ReplicationAgent* agent_;  // Not owned.
@@ -112,7 +129,7 @@ class BlockingPuller {
 // Background thread that starts a pull every `period_us` (start to start, so
 // a slow pull does not stretch the period; one longer than the period is
 // followed at once by the next) until stopped. Used by the real-transport
-// examples; the simulation schedules pulls itself.
+// deployments; the simulation schedules pulls itself.
 class ThreadedPuller {
  public:
   ThreadedPuller(ReplicationAgent* agent, BlockingPuller::SyncFn sync,

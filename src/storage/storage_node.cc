@@ -730,25 +730,34 @@ Status StorageNode::SyncJournals() {
   return Status::Ok();
 }
 
-Status StorageNode::ApplySync(std::string_view table,
+Status StorageNode::ApplySync(std::string_view table, const KeyRange& range,
                               const proto::SyncReply& reply) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tablets_.find(table);
-  if (it == tablets_.end()) {
-    return Status(StatusCode::kNotFound,
-                  "node " + name_ + " hosts no tablets of table");
+  std::vector<Tablet*> inside;
+  if (it != tablets_.end()) {
+    for (const auto& tablet : it->second) {
+      if (range.Covers(tablet->range())) {
+        inside.push_back(tablet.get());
+      }
+    }
   }
-  if (it->second.size() == 1) {
-    return it->second.front()->ApplySync(reply);
+  if (inside.empty()) {
+    return Status(StatusCode::kNotFound,
+                  "node " + name_ + " hosts no tablet of table in range");
+  }
+  if (inside.size() == 1 && inside.front()->range() == KeyRange::All()) {
+    return inside.front()->ApplySync(reply);
   }
   // The reply is complete up to its heartbeat or its last version, for
-  // every key: each tablet advances that far.
+  // every key in `range`: each tablet inside it advances that far. A
+  // coarser source tablet may spill keys outside `range`; they are dropped.
   proto::SyncReply part;
   part.heartbeat = reply.versions.empty()
                        ? reply.heartbeat
                        : MaxTimestamp(reply.heartbeat,
                                       reply.versions.back().timestamp);
-  for (const auto& tablet : it->second) {
+  for (Tablet* tablet : inside) {
     part.versions.clear();
     for (const proto::ObjectVersion& version : reply.versions) {
       if (tablet->range().Contains(version.key)) {

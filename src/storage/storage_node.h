@@ -114,9 +114,13 @@ class StorageNode {
   // Syncs every hosted tablet's journal, under the request lock.
   Status SyncJournals();
 
-  // Secondary side of a whole-table pull: each version goes to the hosted
-  // tablet owning its key, the heartbeat to every tablet of `table`.
-  Status ApplySync(std::string_view table, const proto::SyncReply& reply);
+  // Secondary side of a pull over `range`: each version goes to the hosted
+  // tablet owning its key, the heartbeat to every tablet of `table` inside
+  // `range`. A tablet that extends outside `range` is left untouched, since
+  // the reply says nothing about its other keys. kNotFound when no hosted
+  // tablet lies inside `range`.
+  Status ApplySync(std::string_view table, const KeyRange& range,
+                   const proto::SyncReply& reply);
 
   // Direct accessors used by replication agents and tests. The returned
   // tablet pointer is stable for the node's lifetime but callers must

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
-#include <variant>
+
+#include "src/replication/replication_agent.h"
 
 namespace pileus::tablets {
 
@@ -347,40 +348,23 @@ Status TabletCoordinator::RunSplit(const TabletIntent& intent) {
 Status TabletCoordinator::CatchUp(storage::StorageNode* source,
                                   storage::StorageNode* target,
                                   const KeyRange& range, int max_rounds) {
-  for (int round = 0; max_rounds <= 0 || round < max_rounds; ++round) {
-    proto::SyncRequest pull;
-    pull.table = map_.table;
-    pull.max_versions = options_.catchup_batch;
-    pull.has_range = true;
-    pull.range_begin = range.begin;
-    pull.range_end = range.end;
-    pull.after = target->WithLock([&] {
-      const storage::Tablet* tablet =
-          target->FindTablet(map_.table, range.begin);
-      return tablet == nullptr ? Timestamp::Zero() : tablet->high_timestamp();
-    });
-
-    const proto::Message reply = source->Handle(pull);
-    const auto* sync = std::get_if<proto::SyncReply>(&reply);
-    if (sync == nullptr) {
-      const auto* error = std::get_if<proto::ErrorReply>(&reply);
-      return Status(StatusCode::kUnavailable,
-                    "catch-up pull from " + source->name() + " failed: " +
-                        (error != nullptr ? error->message : "bad reply"));
-    }
-    target->WithLock([&] {
-      storage::Tablet* tablet = target->FindTablet(map_.table, range.begin);
-      if (tablet != nullptr) {
-        tablet->ApplySync(*sync);
-      }
-    });
-    if (!sync->has_more) {
-      return Status::Ok();
-    }
+  replication::ReplicationAgent agent(
+      target, {.table = map_.table,
+               .range = range,
+               .max_versions_per_pull = options_.catchup_batch});
+  // Pre-cutover catch-up stops after `max_rounds` even when the source
+  // still reports more: it keeps taking writes, so a never-converging pull
+  // is expected under heavy load. The caller fences the source and drains
+  // the (now finite) remainder.
+  replication::BlockingPuller puller(
+      &agent, [source](const proto::SyncRequest& request) {
+        return replication::ToSyncReply(source->Handle(request));
+      });
+  if (const Result<int> pulled = puller.PullOnce(max_rounds); !pulled.ok()) {
+    return Status(StatusCode::kUnavailable,
+                  "catch-up pull from " + source->name() +
+                      " failed: " + pulled.status().message());
   }
-  // Pre-cutover catch-up only: the source is still taking writes, so a
-  // never-converging pull is expected under heavy load. The caller fences
-  // the source and drains the (now finite) remainder.
   return Status::Ok();
 }
 

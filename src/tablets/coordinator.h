@@ -182,8 +182,10 @@ class TabletCoordinator {
   }
   bool durable() const { return intent_log_.is_open(); }
   Member* FindMember(const std::string& name);
-  // Pulls `range` versions from `source` into `target`'s secondary tablet
-  // until the source has no more (or `max_rounds` pre-cutover rounds pass).
+  // Pulls `range` versions from `source` into `target`'s tablets inside the
+  // range, through a ranged replication agent, until the source has no
+  // more (or `max_rounds` pre-cutover rounds pass). Failures are
+  // kUnavailable.
   Status CatchUp(storage::StorageNode* source, storage::StorageNode* target,
                  const KeyRange& range, int max_rounds);
   // Installs `map` on one node, requiring acceptance.

@@ -30,6 +30,12 @@ struct KeyRange {
 
   bool Overlaps(const KeyRange& other) const;
 
+  // True iff every key of `other` lies in this range.
+  bool Covers(const KeyRange& other) const {
+    return other.begin >= begin &&
+           (end.empty() || (!other.end.empty() && other.end <= end));
+  }
+
   bool operator==(const KeyRange&) const = default;
 
   std::string ToString() const;

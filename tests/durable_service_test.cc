@@ -22,8 +22,8 @@ namespace pileus::persist {
 namespace {
 
 // The committer publishes its acked()/syncs() counters after invoking the
-// acks that unblock Handle/SyncNow, so a reader racing the committer thread
-// can briefly see a stale count. Poll up to a deadline before comparing.
+// acks that unblock Handle, so a reader racing the committer thread can
+// briefly see a stale count. Poll up to a deadline before comparing.
 uint64_t AwaitCounter(const std::function<uint64_t()>& value,
                       uint64_t at_least) {
   const auto deadline =
@@ -250,9 +250,10 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
     auto tablet = OpenTablet();
     GroupCommitConfig config;
     config.enabled = true;
-    // Huge batch + huge delay: the committer syncs only when we say so,
-    // which pins exactly where the durability frontier sits.
-    config.max_batch = 1000;
+    // Phase 1 fills exactly one batch and the delay never fires, so one
+    // sync covers phase 1 and nothing else: that pins exactly where the
+    // durability frontier sits.
+    config.max_batch = kAcked;
     config.max_delay_us = SecondsToMicroseconds(10);
     DurableStorageService service("t", tablet.get(), config);
 
@@ -269,10 +270,8 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
         ++acked;
       });
     }
-    ASSERT_TRUE(service.SyncNow().ok());
-    // SyncNow's own barrier ack is queued after the puts, so by the time it
-    // returns every earlier ack has already run.
-    ASSERT_EQ(acked.load(), kAcked);
+    ASSERT_EQ(AwaitCounter([&acked] { return acked.load(); }, kAcked),
+              static_cast<uint64_t>(kAcked));
     acked_bytes = tablet->wal().bytes_written();
 
     // Phase 2: appended to the WAL (reached the kernel) but never covered
@@ -289,11 +288,10 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
     final_bytes = tablet->wal().bytes_written();
     ASSERT_GT(final_bytes, acked_bytes);
     EXPECT_EQ(late_acks.load(), 0);
-    // 24 put acks + SyncNow's barrier ack; nothing from phase 2.
+    // The 24 put acks; nothing from phase 2.
     GroupCommitter* committer = service.group_committer();
-    EXPECT_EQ(AwaitCounter([committer] { return committer->acked(); },
-                           kAcked + 1),
-              static_cast<uint64_t>(kAcked) + 1);
+    EXPECT_EQ(AwaitCounter([committer] { return committer->acked(); }, kAcked),
+              static_cast<uint64_t>(kAcked));
     // Reads see pending writes immediately: the in-memory tablet is ahead
     // of the durability frontier by design.
     proto::GetRequest get;
@@ -374,20 +372,16 @@ TEST_F(DurableServiceTest, GroupCommitAmortizesSyncsAcrossAckedWrites) {
       ++acked;
     });
   }
-  ASSERT_TRUE(service.SyncNow().ok());
-  ASSERT_EQ(acked.load(), kWrites);
-
   GroupCommitter* committer = service.group_committer();
   ASSERT_NE(committer, nullptr);
-  // 48 put acks + SyncNow's barrier ack.
-  EXPECT_EQ(AwaitCounter([committer] { return committer->acked(); },
-                         kWrites + 1),
-            static_cast<uint64_t>(kWrites) + 1);
+  committer->Stop();  // Syncs the last partial batch and releases its acks.
+  ASSERT_EQ(acked.load(), kWrites);
+  EXPECT_EQ(committer->acked(), static_cast<uint64_t>(kWrites));
   // With max_batch=16 the committer needs at most ceil(48/16) batch syncs
-  // plus the forced barrier; it may batch even wider if it wakes late. The
+  // plus Stop's final one; it may batch even wider if it wakes late. The
   // point of the feature: syncs are a small fraction of acked writes.
   EXPECT_GE(committer->syncs(), 1u);
-  EXPECT_LE(committer->syncs(), 5u);
+  EXPECT_LE(committer->syncs(), 4u);
 
   // WAL replay cross-check: every acked write journaled, in issue order.
   auto journal = WriteAheadLog::ReadVersions(dir_ + "/wal.log");

@@ -734,13 +734,11 @@ TEST(GroupCommitTest, ManyAcksShareFewSyncs) {
       }
     });
   }
-  ASSERT_TRUE(committer.SyncNow().ok());
-  committer.Stop();
+  committer.Stop();  // Releases every registered ack.
 
   EXPECT_EQ(acked_ok.load(), kAcks);
   EXPECT_EQ(acked_failed.load(), 0);
-  // 32 registered acks + SyncNow's own barrier ack.
-  EXPECT_EQ(committer.acked(), static_cast<uint64_t>(kAcks) + 1);
+  EXPECT_EQ(committer.acked(), static_cast<uint64_t>(kAcks));
   EXPECT_GE(committer.syncs(), 1u);
   // Registering 32 acks takes microseconds; each sync takes 10ms. Even with
   // maximal scheduler malice the backlog drains in a handful of batches.
@@ -767,8 +765,7 @@ TEST(GroupCommitTest, SyncFailureIsReportedToEveryWaitingAck) {
       outcomes.push_back(status);
     });
   }
-  EXPECT_FALSE(committer.SyncNow().ok());
-  committer.Stop();
+  committer.Stop();  // The final sync fails too.
 
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(outcomes.size(), 5u);

@@ -65,33 +65,16 @@ class InProcCluster {
       return local_.Handle(m);
     });
 
-    // The served tablet is written only under Local's lock (its readers
-    // run concurrently), so the agent tracks pull progress on a shadow.
-    agent_ = std::make_unique<replication::ReplicationAgent>(
-        &shadow_, replication::ReplicationAgent::Options{.table = "t"});
     // The replication agent pulls over its own channel to the primary.
+    agent_ = std::make_unique<replication::ReplicationAgent>(
+        &local_, replication::ReplicationAgent::Options{.table = "t"});
     auto sync_channel = std::shared_ptr<net::Channel>(
         network_.Connect("England", 10 * kMicrosecondsPerMillisecond));
     puller_ = std::make_unique<replication::ThreadedPuller>(
         agent_.get(),
-        [this, sync_channel](const proto::SyncRequest& request)
-            -> Result<proto::SyncReply> {
-          Result<proto::Message> reply =
-              sync_channel->Call(request, SecondsToMicroseconds(5));
-          if (!reply.ok()) {
-            return reply.status();
-          }
-          auto* sync = std::get_if<proto::SyncReply>(&reply.value());
-          if (sync == nullptr) {
-            return Status(StatusCode::kInternal, "unexpected sync reply");
-          }
-          PILEUS_RETURN_IF_ERROR(local_.ApplySync("t", *sync));
-          if (!sync->versions.empty()) {
-            sync->heartbeat =
-                MaxTimestamp(sync->heartbeat, sync->versions.back().timestamp);
-            sync->versions.clear();
-          }
-          return std::move(*sync);
+        [sync_channel](const proto::SyncRequest& request) {
+          return replication::ToSyncReply(
+              sync_channel->Call(request, SecondsToMicroseconds(5)));
         },
         50 * kMicrosecondsPerMillisecond);
   }
@@ -132,7 +115,6 @@ class InProcCluster {
   storage::StorageNode primary_;
   storage::StorageNode local_;
   net::InProcNetwork network_;
-  storage::Tablet shadow_{storage::Tablet::Options{}, RealClock::Instance()};
   std::unique_ptr<replication::ReplicationAgent> agent_;
   std::unique_ptr<replication::ThreadedPuller> puller_;
 };

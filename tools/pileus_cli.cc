@@ -33,6 +33,7 @@
 #include "src/core/monitor.h"
 #include "src/net/tcp.h"
 #include "src/proto/messages.h"
+#include "src/replication/replication_agent.h"
 #include "src/tablets/intent_log.h"
 #include "src/tablets/tablet_map.h"
 #include "src/telemetry/export.h"
@@ -374,11 +375,12 @@ int main(int argc, char** argv) {
     request.after =
         Timestamp{std::strtoll(flags.GetString("after").c_str(), nullptr, 10),
                   0};
-    Result<proto::Message> reply = Call(channel, request);
+    Result<proto::SyncReply> reply =
+        replication::ToSyncReply(Call(channel, request));
     if (!reply.ok()) {
       return Fail(reply.status());
     }
-    const auto& sync = std::get<proto::SyncReply>(reply.value());
+    const proto::SyncReply& sync = reply.value();
     for (const proto::ObjectVersion& v : sync.versions) {
       std::printf("%s  %s  (%zu bytes)\n", v.timestamp.ToString().c_str(),
                   v.key.c_str(), v.value.size());

@@ -15,7 +15,6 @@
 
 #include <signal.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -43,22 +42,6 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int /*signum*/) { g_stop.store(true); }
-
-Result<proto::SyncReply> SyncOverChannel(net::Channel& channel,
-                                         const proto::SyncRequest& request) {
-  Result<proto::Message> reply =
-      channel.Call(request, SecondsToMicroseconds(30));
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  if (const auto* err = std::get_if<proto::ErrorReply>(&reply.value())) {
-    return Status(err->code, err->message);
-  }
-  if (auto* sync = std::get_if<proto::SyncReply>(&reply.value())) {
-    return std::move(*sync);
-  }
-  return Status(StatusCode::kInternal, "unexpected reply type for sync");
-}
 
 }  // namespace
 
@@ -258,49 +241,26 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   // --- Replication (secondaries) ---
-  // The served tablets are written only under the node's lock (the server
-  // threads read them concurrently), so the agent tracks pull progress on a
-  // private shadow tablet, resumed from what the node recovered.
-  storage::Tablet shadow(storage::Tablet::Options{}, RealClock::Instance());
+  // The agent resumes from what the node recovered, applies each pull under
+  // the node's lock and syncs the journals after each batch.
   std::unique_ptr<replication::ReplicationAgent> agent;
   std::unique_ptr<replication::ThreadedPuller> puller;
   std::unique_ptr<net::TcpChannel> sync_channel;
   if (!is_primary && flags.GetInt("primary_port") > 0) {
-    proto::SyncReply recovered;
-    recovered.heartbeat = node.SelfCondition(table).high_timestamp;
-    (void)shadow.ApplySync(recovered);
-    replication::ReplicationAgent::Options agent_options{.table = table};
-    agent_options.max_versions_per_pull =
-        static_cast<uint32_t>(flags.GetInt("pull_batch"));
-    agent = std::make_unique<replication::ReplicationAgent>(&shadow,
-                                                            agent_options);
+    agent = std::make_unique<replication::ReplicationAgent>(
+        &node, replication::ReplicationAgent::Options{
+                   .table = table,
+                   .max_versions_per_pull =
+                       static_cast<uint32_t>(flags.GetInt("pull_batch"))});
     agent->EnableTelemetry(&telemetry::MetricsRegistry::Default(),
                            flags.GetString("name"));
     sync_channel = std::make_unique<net::TcpChannel>(
         static_cast<uint16_t>(flags.GetInt("primary_port")));
     puller = std::make_unique<replication::ThreadedPuller>(
         agent.get(),
-        [channel = sync_channel.get(), &node, &table,
-         &committer](const proto::SyncRequest& request)
-            -> Result<proto::SyncReply> {
-          Result<proto::SyncReply> reply = SyncOverChannel(*channel, request);
-          if (!reply.ok()) {
-            return reply;
-          }
-          PILEUS_RETURN_IF_ERROR(node.ApplySync(table, *reply));
-          if (reply->versions.empty()) {
-            return reply;
-          }
-          // One durability barrier covers the whole applied batch: a
-          // shared group-commit fsync when enabled, inline otherwise (a
-          // no-op in memory).
-          PILEUS_RETURN_IF_ERROR(committer != nullptr ? committer->SyncNow()
-                                                      : node.SyncJournals());
-          // Hand the agent only the progress.
-          reply->heartbeat =
-              std::max(reply->heartbeat, reply->versions.back().timestamp);
-          reply->versions.clear();
-          return reply;
+        [channel = sync_channel.get()](const proto::SyncRequest& request) {
+          return replication::ToSyncReply(
+              channel->Call(request, SecondsToMicroseconds(30)));
         },
         MillisecondsToMicroseconds(flags.GetInt("pull_period_ms")));
     std::printf("replicating from 127.0.0.1:%lld every %lld ms\n",
