@@ -1,21 +1,22 @@
 // Range-sharded table with per-region primaries (paper Section 4.2).
 //
 // "Different tablets may be configured with different primary sites." A
-// user-profile table is split at "n": users A-M have their tablet's primary
-// in the EU, users N-Z in the US; each region also holds a secondary of the
-// other region's tablet. A client library routes every operation to the
+// user-profile table is split at "n" into two tablets: users A-M have their
+// tablet's primary in the EU, users N-Z in the US; each region also holds a
+// secondary of the other region's tablet. A client library routes every operation to the
 // owning tablet and runs the normal SLA machinery against that tablet's
 // replicas - so EU users get local writes AND the US client still reads
 // everything with its preferred guarantees.
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
-#include "src/core/prober.h"
 #include "src/core/sharded_client.h"
 #include "src/core/sla.h"
 #include "src/net/inproc.h"
 #include "src/storage/storage_node.h"
+#include "src/tablets/tablet_map.h"
 
 using namespace pileus;  // NOLINT
 
@@ -43,20 +44,37 @@ int main() {
   storage::StorageNode eu("eu-node", "eu", RealClock::Instance());
   storage::StorageNode us("us-node", "us", RealClock::Instance());
 
-  const KeyRange low{"", "n"};   // A-M: EU-primary tablet ("profiles_am").
-  const KeyRange high{"n", ""};  // N-Z: US-primary tablet ("profiles_nz").
+  const KeyRange low{"", "n"};   // A-M: EU-primary tablet.
+  const KeyRange high{"n", ""};  // N-Z: US-primary tablet.
 
-  auto add = [](storage::StorageNode& node, const char* table,
-                const KeyRange& range, bool primary) {
+  auto add = [](storage::StorageNode& node, const KeyRange& range,
+                bool primary) {
     storage::Tablet::Options options;
     options.range = range;
     options.is_primary = primary;
-    (void)node.AddTablet(table, options);
+    (void)node.AddTablet("profiles", options);
   };
-  add(eu, "profiles_am", low, /*primary=*/true);
-  add(us, "profiles_am", low, /*primary=*/false);
-  add(us, "profiles_nz", high, /*primary=*/true);
-  add(eu, "profiles_nz", high, /*primary=*/false);
+  add(eu, low, /*primary=*/true);
+  add(us, low, /*primary=*/false);
+  add(us, high, /*primary=*/true);
+  add(eu, high, /*primary=*/false);
+
+  // The client's routing map: each tablet lists its primary first. The
+  // nodes never install a map, so the client never refreshes this one.
+  tablets::TabletMap map;
+  map.table = "profiles";
+  map.version = 1;
+  auto tablet = [](const KeyRange& range, const char* primary,
+                   const char* secondary) {
+    tablets::TabletInfo info;
+    info.range = range;
+    info.config.epoch = 1;
+    info.config.primary = primary;
+    info.config.members = {primary, secondary};
+    return info;
+  };
+  map.tablets = {tablet(low, "eu-node", "us-node"),
+                 tablet(high, "us-node", "eu-node")};
 
   // Transatlantic link: 80 ms round trip; local access 1 ms.
   net::InProcNetwork network;
@@ -66,35 +84,18 @@ int main() {
       "us-node", [&](const proto::Message& m) { return us.Handle(m); });
 
   // A client in the US: its connection to eu-node pays the WAN round trip.
-  auto make_view = [&](const char* table, const char* primary_name,
-                       MicrosecondCount primary_delay,
-                       const char* secondary_name,
-                       MicrosecondCount secondary_delay) {
-    core::TableView view;
-    view.table_name = table;
-    view.replicas = {
-        core::Replica{primary_name, true,
-                      std::make_shared<core::ChannelConnection>(
-                          network.Connect(primary_name, primary_delay),
-                          RealClock::Instance())},
-        core::Replica{secondary_name, false,
-                      std::make_shared<core::ChannelConnection>(
-                          network.Connect(secondary_name, secondary_delay),
-                          RealClock::Instance())}};
-    view.primary_index = 0;
-    return view;
+  core::ShardedClient::RoutingOptions routing;
+  routing.connect = [&](const std::string& node) {
+    const MicrosecondCount delay = node == "eu-node" ? 40 * kMs : 500;
+    return std::make_shared<core::ChannelConnection>(
+        network.Connect(node, delay), RealClock::Instance());
   };
+  routing.max_map_refresh_attempts = 0;
 
-  std::vector<core::ShardedClient::Shard> shards;
-  shards.push_back(core::ShardedClient::Shard{
-      low, make_view("profiles_am", "eu-node", 40 * kMs, "us-node", 500)});
-  shards.push_back(core::ShardedClient::Shard{
-      high, make_view("profiles_nz", "us-node", 500, "eu-node", 40 * kMs)});
-
-  core::PileusClient::Options options;
   Result<std::unique_ptr<core::ShardedClient>> created =
-      core::ShardedClient::Create(std::move(shards), RealClock::Instance(),
-                                  options);
+      core::ShardedClient::Create(std::move(map), RealClock::Instance(),
+                                  core::PileusClient::Options{},
+                                  std::move(routing));
   if (!created.ok()) {
     std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
     return 1;
@@ -120,7 +121,7 @@ int main() {
   // right away.
   Show("read bob   (never written)", client->Get(session, "bob"));
 
-  std::printf("\nshards: %zu; shard of 'alice' routes to table of range %s\n",
+  std::printf("\ntablets: %zu; 'alice' routes to the tablet of range %s\n",
               client->shard_count(),
               client->shard_range(0).ToString().c_str());
   return 0;

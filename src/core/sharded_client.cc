@@ -7,63 +7,21 @@
 namespace pileus::core {
 
 Result<std::unique_ptr<ShardedClient>> ShardedClient::Create(
-    std::vector<Shard> shards, const Clock* clock,
-    PileusClient::Options options, FanoutCaller* fanout) {
-  if (shards.empty()) {
-    return Status(StatusCode::kInvalidArgument, "no shards given");
-  }
-  std::vector<KeyRange> ranges;
-  ranges.reserve(shards.size());
-  for (const Shard& shard : shards) {
-    ranges.push_back(shard.range);
-    PILEUS_RETURN_IF_ERROR(shard.view.Validate());
-  }
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    for (size_t j = i + 1; j < ranges.size(); ++j) {
-      if (ranges[i].Overlaps(ranges[j])) {
-        return Status(StatusCode::kInvalidArgument,
-                      "shard ranges " + ranges[i].ToString() + " and " +
-                          ranges[j].ToString() + " overlap");
-      }
-    }
-  }
-  if (!RangesCoverKeySpace(ranges)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "shard ranges do not tile the keyspace");
-  }
-
-  std::sort(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
-    return a.range.begin < b.range.begin;
-  });
-  std::vector<OwnedShard> owned;
-  owned.reserve(shards.size());
-  for (Shard& shard : shards) {
-    OwnedShard entry;
-    entry.range = shard.range;
-    entry.client = std::make_unique<PileusClient>(std::move(shard.view),
-                                                  clock, options, fanout);
-    owned.push_back(std::move(entry));
-  }
-  return std::unique_ptr<ShardedClient>(new ShardedClient(std::move(owned)));
-}
-
-Result<std::unique_ptr<ShardedClient>> ShardedClient::CreateDynamic(
     tablets::TabletMap initial, const Clock* clock,
-    PileusClient::Options options, DynamicOptions dynamic,
+    PileusClient::Options options, RoutingOptions routing,
     FanoutCaller* fanout) {
-  if (!dynamic.connect) {
+  if (!routing.connect) {
     return Status(StatusCode::kInvalidArgument,
-                  "dynamic mode needs a connection factory");
+                  "routing needs a connection factory");
   }
   if (initial.table.empty() || initial.tablets.empty()) {
     return Status(StatusCode::kInvalidArgument, "empty initial tablet map");
   }
-  auto client = std::unique_ptr<ShardedClient>(
-      new ShardedClient(std::vector<OwnedShard>{}));
+  auto client = std::unique_ptr<ShardedClient>(new ShardedClient());
   client->clock_ = clock;
   client->client_options_ = options;
   client->fanout_ = fanout;
-  client->dynamic_ = std::move(dynamic);
+  client->routing_ = std::move(routing);
   if (options.shared_retry_budget != nullptr) {
     client->refresh_budget_ = options.shared_retry_budget;
   } else {
@@ -88,7 +46,7 @@ std::shared_ptr<NodeConnection> ShardedClient::ConnectTo(
   if (it != connections_.end()) {
     return it->second;
   }
-  std::shared_ptr<NodeConnection> connection = dynamic_.connect(node);
+  std::shared_ptr<NodeConnection> connection = routing_.connect(node);
   if (connection != nullptr) {
     connections_[node] = connection;
   }
@@ -98,17 +56,19 @@ std::shared_ptr<NodeConnection> ShardedClient::ConnectTo(
 Status ShardedClient::AdoptMap(tablets::TabletMap map) {
   // Sorted, non-overlapping ranges with a member primary each; unlike the
   // server-side install we tolerate coverage gaps (a client may only be
-  // able to use part of a mid-churn map).
+  // able to use part of a mid-churn map). Each range must begin at or after
+  // the previous one's end, which rejects unsorted maps too.
   std::vector<OwnedShard> owned;
   for (const tablets::TabletInfo& info : map.tablets) {
     if (info.range.IsEmpty() || info.config.primary.empty() ||
         !info.config.IsMember(info.config.primary)) {
       continue;
     }
-    if (!owned.empty() && !owned.back().range.end.empty() &&
-        info.range.begin < owned.back().range.end) {
+    if (!owned.empty() && (owned.back().range.end.empty() ||
+                           info.range.begin < owned.back().range.end)) {
       return Status(StatusCode::kInvalidArgument,
-                    "tablet map ranges overlap at " + info.range.ToString());
+                    "tablet map ranges overlap or are unsorted at " +
+                        info.range.ToString());
     }
     TableView view;
     view.table_name = map.table;
@@ -144,10 +104,6 @@ Status ShardedClient::AdoptMap(tablets::TabletMap map) {
 }
 
 Status ShardedClient::RefreshTabletMap() {
-  if (!dynamic()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "static shard list cannot be refreshed");
-  }
   return RefreshShared(/*charge_budget=*/false);
 }
 
@@ -187,7 +143,7 @@ Status ShardedClient::FetchTabletMap() {
   Status last(StatusCode::kUnavailable, "no node answered the map query");
   for (auto& [name, connection] : connections_) {
     TimedReply timed =
-        connection->Call(request, dynamic_.refresh_timeout_us);
+        connection->Call(request, routing_.refresh_timeout_us);
     if (!timed.reply.ok()) {
       last = timed.reply.status();
       continue;
@@ -223,8 +179,8 @@ uint64_t ShardedClient::cache_serves() const {
 
 ShardedClient::OwnedShard* ShardedClient::OwnedShardFor(std::string_view key) {
   // Shards are sorted by begin: the only candidate is the last shard whose
-  // begin <= key. In static mode the shards tile the keyspace, so the
-  // candidate always contains the key; a dynamic map may have gaps.
+  // begin <= key. The map may have gaps, so the candidate may not contain
+  // the key.
   auto it = std::upper_bound(
       shards_.begin(), shards_.end(), key,
       [](std::string_view k, const OwnedShard& shard) {
@@ -247,21 +203,20 @@ Result<T> ShardedClient::RouteOp(std::string_view key, Fn&& op) {
   for (int attempt = 0;; ++attempt) {
     OwnedShard* shard = OwnedShardFor(key);
     if (shard != nullptr) {
-      Result<T> result = op(*shard->client);
+      Result<T> result = op(*shard->client, shard->range);
       if (result.ok()) {
         return result;
       }
       // A kWrongTablet fence means the server knows a newer map, and so
       // does a kNotPrimary the shard client could not resolve (the new
-      // primary is outside its replica set). In dynamic mode kUnavailable
-      // is worth one refresh too (reads surface a fenced replica set as
-      // plain unavailability). All spend a retry token.
+      // primary is outside its replica set). kUnavailable is worth a
+      // refresh too (reads surface a fenced replica set as plain
+      // unavailability). All spend a retry token.
       const StatusCode code = result.status().code();
-      const bool refreshable =
-          dynamic() && (code == StatusCode::kWrongTablet ||
-                        code == StatusCode::kNotPrimary ||
-                        code == StatusCode::kUnavailable);
-      if (!refreshable || attempt >= dynamic_.max_map_refresh_attempts) {
+      const bool refreshable = code == StatusCode::kWrongTablet ||
+                               code == StatusCode::kNotPrimary ||
+                               code == StatusCode::kUnavailable;
+      if (!refreshable || attempt >= routing_.max_map_refresh_attempts) {
         return result;
       }
       if (!RefreshShared(/*charge_budget=*/true).ok()) {
@@ -271,7 +226,7 @@ Result<T> ShardedClient::RouteOp(std::string_view key, Fn&& op) {
     }
     // Unrouteable key: never misroute, never walk off the shard list — the
     // stale-map remedy is a refresh, the honest answer is kUnavailable.
-    if (!dynamic() || attempt >= dynamic_.max_map_refresh_attempts ||
+    if (attempt >= routing_.max_map_refresh_attempts ||
         !RefreshShared(/*charge_budget=*/true).ok()) {
       return Status(StatusCode::kUnavailable,
                     "no shard covers key '" + std::string(key) +
@@ -282,28 +237,30 @@ Result<T> ShardedClient::RouteOp(std::string_view key, Fn&& op) {
 }
 
 Result<GetResult> ShardedClient::Get(Session& session, std::string_view key) {
-  return RouteOp<GetResult>(
-      key, [&](PileusClient& client) { return client.Get(session, key); });
+  return RouteOp<GetResult>(key, [&](PileusClient& client, const KeyRange&) {
+    return client.Get(session, key);
+  });
 }
 
 Result<GetResult> ShardedClient::Get(Session& session, std::string_view key,
                                      const Sla& sla) {
-  return RouteOp<GetResult>(key, [&](PileusClient& client) {
+  return RouteOp<GetResult>(key, [&](PileusClient& client, const KeyRange&) {
     return client.Get(session, key, sla);
   });
 }
 
 Result<PutResult> ShardedClient::Put(Session& session, std::string_view key,
                                      std::string_view value) {
-  return RouteOp<PutResult>(key, [&](PileusClient& client) {
+  return RouteOp<PutResult>(key, [&](PileusClient& client, const KeyRange&) {
     return client.Put(session, key, value);
   });
 }
 
 Result<PutResult> ShardedClient::Delete(Session& session,
                                         std::string_view key) {
-  return RouteOp<PutResult>(
-      key, [&](PileusClient& client) { return client.Delete(session, key); });
+  return RouteOp<PutResult>(key, [&](PileusClient& client, const KeyRange&) {
+    return client.Delete(session, key);
+  });
 }
 
 Result<RangeResult> ShardedClient::GetRange(Session& session,
@@ -314,25 +271,26 @@ Result<RangeResult> ShardedClient::GetRange(Session& session,
   combined.outcome.messages_sent = 0;
   int total_messages = 0;
   bool first = true;
-  for (OwnedShard& shard : shards_) {
-    // Intersect [begin, end) with the shard's range.
-    std::string piece_begin = std::max(std::string(begin), shard.range.begin);
-    std::string piece_end = shard.range.end;
-    if (!end.empty() && (piece_end.empty() || std::string(end) < piece_end)) {
-      piece_end = std::string(end);
-    }
-    if (!piece_end.empty() && piece_begin >= piece_end) {
-      continue;  // Empty intersection.
+  // Each piece starts at `cursor` and ends at its tablet's boundary (or at
+  // `end`); the next piece starts where this one ended.
+  std::string cursor(begin);
+  while (end.empty() || cursor < end) {
+    if (limit != 0 && combined.items.size() >= limit) {
+      combined.truncated = true;
+      break;
     }
     const uint32_t remaining =
         limit == 0 ? 0
                    : limit - static_cast<uint32_t>(combined.items.size());
-    if (limit != 0 && remaining == 0) {
-      combined.truncated = true;
-      break;
-    }
-    Result<RangeResult> piece =
-        shard.client->GetRange(session, piece_begin, piece_end, remaining);
+    std::string piece_end;
+    Result<RangeResult> piece = RouteOp<RangeResult>(
+        cursor, [&](PileusClient& client, const KeyRange& range) {
+          piece_end = range.end;
+          if (!end.empty() && (piece_end.empty() || end < piece_end)) {
+            piece_end = std::string(end);
+          }
+          return client.GetRange(session, cursor, piece_end, remaining);
+        });
     if (!piece.ok()) {
       return piece.status();
     }
@@ -361,6 +319,10 @@ Result<RangeResult> ShardedClient::GetRange(Session& session,
           combined.outcome.retried || outcome.retried;
     }
     total_messages += outcome.messages_sent;
+    if (piece_end.empty()) {
+      break;  // The piece ran to the end of the keyspace.
+    }
+    cursor = std::move(piece_end);
   }
   combined.outcome.messages_sent = total_messages;
   return combined;

@@ -182,8 +182,8 @@ class TabletFleetDeployment : public Deployment {
     client_options.sleep_fn = [this](MicrosecondCount us) {
       clock_.AdvanceMicros(us);
     };
-    core::ShardedClient::DynamicOptions dynamic;
-    dynamic.connect =
+    core::ShardedClient::RoutingOptions routing;
+    routing.connect =
         [this](const std::string& name) -> std::shared_ptr<core::NodeConnection> {
       NodeSlot* slot = FindSlot(name);
       if (slot == nullptr) {
@@ -194,8 +194,8 @@ class TabletFleetDeployment : public Deployment {
       return std::make_shared<ChurnConnection>(slot, &clock_);
     };
     Result<std::unique_ptr<core::ShardedClient>> client =
-        core::ShardedClient::CreateDynamic(coordinator_->map(), &clock_,
-                                           client_options, std::move(dynamic));
+        core::ShardedClient::Create(coordinator_->map(), &clock_,
+                                    client_options, std::move(routing));
     PILEUS_RETURN_IF_ERROR(client.status());
     client_ = std::move(client).value();
     return Status::Ok();

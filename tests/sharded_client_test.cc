@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -24,15 +25,19 @@ namespace {
 constexpr MicrosecondCount kMs = kMicrosecondsPerMillisecond;
 
 // Direct call into a StorageNode, advancing a shared manual clock by the
-// configured RTT.
+// configured RTT. Counts the tablet-map queries it carries in `map_queries`.
 class DirectConnection : public NodeConnection {
  public:
   DirectConnection(storage::StorageNode* node, ManualClock* clock,
-                   MicrosecondCount rtt_us)
-      : node_(node), clock_(clock), rtt_us_(rtt_us) {}
+                   MicrosecondCount rtt_us, int* map_queries)
+      : node_(node), clock_(clock), rtt_us_(rtt_us),
+        map_queries_(map_queries) {}
 
   TimedReply Call(const proto::Message& request,
                   MicrosecondCount /*timeout*/) override {
+    if (std::holds_alternative<proto::TabletMapRequest>(request)) {
+      ++*map_queries_;
+    }
     clock_->AdvanceMicros(rtt_us_);
     return TimedReply(node_->Handle(request), rtt_us_);
   }
@@ -41,94 +46,117 @@ class DirectConnection : public NodeConnection {
   storage::StorageNode* node_;
   ManualClock* clock_;
   MicrosecondCount rtt_us_;
+  int* map_queries_;
 };
 
 class ShardedClientTest : public ::testing::Test {
  protected:
-  ShardedClientTest() : clock_(SecondsToMicroseconds(1000)) {}
-
-  // Two shards split at "m": the low shard's primary is node A, the high
-  // shard's primary is node B (different primary sites per tablet, as the
-  // paper allows).
-  void Build(PileusClient::Options options = PileusClient::Options{}) {
+  ShardedClientTest() : clock_(SecondsToMicroseconds(1000)) {
     node_a_ = std::make_unique<storage::StorageNode>("A", "site-a", &clock_);
     node_b_ = std::make_unique<storage::StorageNode>("B", "site-b", &clock_);
-    storage::Tablet::Options low;
-    low.range = KeyRange{"", "m"};
-    low.is_primary = true;
-    ASSERT_TRUE(node_a_->AddTablet("t", low).ok());
-    storage::Tablet::Options low_secondary;
-    low_secondary.range = KeyRange{"", "m"};
-    ASSERT_TRUE(node_b_->AddTablet("t", low_secondary).ok());
+  }
 
-    storage::Tablet::Options high;
-    high.range = KeyRange{"m", ""};
-    high.is_primary = true;
-    ASSERT_TRUE(node_b_->AddTablet("t2", high).ok());
-    storage::Tablet::Options high_secondary;
-    high_secondary.range = KeyRange{"m", ""};
-    ASSERT_TRUE(node_a_->AddTablet("t2", high_secondary).ok());
+  void AddTablet(storage::StorageNode& node, const KeyRange& range,
+                 bool is_primary) {
+    storage::Tablet::Options options;
+    options.range = range;
+    options.is_primary = is_primary;
+    ASSERT_TRUE(node.AddTablet("t", options).ok());
+  }
 
-    std::vector<ShardedClient::Shard> shards;
-    shards.push_back(ShardedClient::Shard{
-        KeyRange{"", "m"}, MakeView("t", node_a_.get(), node_b_.get())});
-    shards.push_back(ShardedClient::Shard{
-        KeyRange{"m", ""}, MakeView("t2", node_b_.get(), node_a_.get())});
-    Result<std::unique_ptr<ShardedClient>> created =
-        ShardedClient::Create(std::move(shards), &clock_, options);
+  tablets::TabletInfo Entry(std::string begin, std::string end,
+                            uint64_t epoch, std::string primary) {
+    tablets::TabletInfo info;
+    info.range.begin = std::move(begin);
+    info.range.end = std::move(end);
+    info.config.epoch = epoch;
+    info.config.primary = primary;
+    info.config.members = {std::move(primary)};
+    return info;
+  }
+
+  // Connects nodes A and B at their own RTTs.
+  ShardedClient::RoutingOptions Routing(MicrosecondCount rtt_a,
+                                        MicrosecondCount rtt_b,
+                                        int max_map_refresh_attempts) {
+    ShardedClient::RoutingOptions routing;
+    routing.connect = [this, rtt_a, rtt_b](const std::string& name)
+        -> std::shared_ptr<NodeConnection> {
+      if (name == "A") {
+        return std::make_shared<DirectConnection>(node_a_.get(), &clock_,
+                                                  rtt_a, &map_queries_);
+      }
+      if (name == "B") {
+        return std::make_shared<DirectConnection>(node_b_.get(), &clock_,
+                                                  rtt_b, &map_queries_);
+      }
+      return nullptr;
+    };
+    routing.max_map_refresh_attempts = max_map_refresh_attempts;
+    return routing;
+  }
+
+  void Create(tablets::TabletMap map, PileusClient::Options options,
+              ShardedClient::RoutingOptions routing) {
+    Result<std::unique_ptr<ShardedClient>> created = ShardedClient::Create(
+        std::move(map), &clock_, options, std::move(routing));
     ASSERT_TRUE(created.ok()) << created.status();
     client_ = std::move(created).value();
   }
 
-  TableView MakeView(const std::string& table, storage::StorageNode* primary,
-                     storage::StorageNode* secondary) {
-    TableView view;
-    view.table_name = table;
-    view.replicas = {
-        Replica{primary->name(), true,
-                std::make_shared<DirectConnection>(primary, &clock_,
-                                                   5 * kMs)},
-        Replica{secondary->name(), false,
-                std::make_shared<DirectConnection>(secondary, &clock_,
-                                                   1 * kMs)}};
-    view.primary_index = 0;
-    return view;
+  // One table split at "m": the low tablet's primary is node A, the high
+  // tablet's primary is node B (different primary sites per tablet, as the
+  // paper allows), and each node holds a secondary of the other tablet.
+  tablets::TabletMap TwoTablets() {
+    tablets::TabletMap map;
+    map.table = "t";
+    map.version = 1;
+    map.tablets.push_back(Entry("", "m", 1, "A"));
+    map.tablets.push_back(Entry("m", "", 1, "B"));
+    map.tablets[0].config.members = {"A", "B"};
+    map.tablets[1].config.members = {"B", "A"};
+    return map;
+  }
+
+  // The two-tablet table as a fixed map: the nodes never install it, so the
+  // client never refreshes it. Node A answers in 5 ms, node B in 1 ms.
+  void Build(PileusClient::Options options = PileusClient::Options{}) {
+    AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
+    AddTablet(*node_b_, KeyRange{"", "m"}, /*is_primary=*/false);
+    AddTablet(*node_b_, KeyRange{"m", ""}, /*is_primary=*/true);
+    AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/false);
+    Create(TwoTablets(), options, Routing(5 * kMs, 1 * kMs, 0));
   }
 
   ManualClock clock_;
   std::unique_ptr<storage::StorageNode> node_a_;
   std::unique_ptr<storage::StorageNode> node_b_;
   std::unique_ptr<ShardedClient> client_;
+  int map_queries_ = 0;  // Tablet-map queries sent to A or B.
 };
 
-TEST_F(ShardedClientTest, CreateRejectsGappyRanges) {
-  Build();  // Just to have nodes for views.
-  std::vector<ShardedClient::Shard> shards;
-  shards.push_back(ShardedClient::Shard{
-      KeyRange{"", "m"}, MakeView("t", node_a_.get(), node_b_.get())});
-  shards.push_back(ShardedClient::Shard{
-      KeyRange{"n", ""}, MakeView("t2", node_b_.get(), node_a_.get())});
-  EXPECT_FALSE(
-      ShardedClient::Create(std::move(shards), &clock_,
-                            PileusClient::Options{})
-          .ok());
-}
-
 TEST_F(ShardedClientTest, CreateRejectsOverlaps) {
-  Build();
-  std::vector<ShardedClient::Shard> shards;
-  shards.push_back(ShardedClient::Shard{
-      KeyRange{"", "n"}, MakeView("t", node_a_.get(), node_b_.get())});
-  shards.push_back(ShardedClient::Shard{
-      KeyRange{"m", ""}, MakeView("t2", node_b_.get(), node_a_.get())});
-  EXPECT_FALSE(
-      ShardedClient::Create(std::move(shards), &clock_,
-                            PileusClient::Options{})
-          .ok());
+  tablets::TabletMap overlapping = TwoTablets();
+  overlapping.tablets[0].range.end = "n";
+  EXPECT_FALSE(ShardedClient::Create(std::move(overlapping), &clock_,
+                                     PileusClient::Options{},
+                                     Routing(1 * kMs, 1 * kMs, 0))
+                   .ok());
+  // Routing binary-searches the ranges, so an unsorted map is refused too.
+  tablets::TabletMap unsorted = TwoTablets();
+  std::swap(unsorted.tablets[0], unsorted.tablets[1]);
+  EXPECT_FALSE(ShardedClient::Create(std::move(unsorted), &clock_,
+                                     PileusClient::Options{},
+                                     Routing(1 * kMs, 1 * kMs, 0))
+                   .ok());
 }
 
 TEST_F(ShardedClientTest, CreateRejectsEmpty) {
-  EXPECT_FALSE(ShardedClient::Create({}, &clock_, PileusClient::Options{})
+  tablets::TabletMap map;
+  map.table = "t";
+  EXPECT_FALSE(ShardedClient::Create(std::move(map), &clock_,
+                                     PileusClient::Options{},
+                                     Routing(1 * kMs, 1 * kMs, 0))
                    .ok());
 }
 
@@ -149,8 +177,8 @@ TEST_F(ShardedClientTest, PutsLandAtTheRightPrimary) {
   // Data lives on the shard's own primary, not the other one.
   EXPECT_TRUE(node_a_->FindTablet("t", "apple")->HandleGet("apple").found);
   EXPECT_FALSE(node_b_->FindTablet("t", "apple")->HandleGet("apple").found);
-  EXPECT_TRUE(node_b_->FindTablet("t2", "zebra")->HandleGet("zebra").found);
-  EXPECT_FALSE(node_a_->FindTablet("t2", "zebra")->HandleGet("zebra").found);
+  EXPECT_TRUE(node_b_->FindTablet("t", "zebra")->HandleGet("zebra").found);
+  EXPECT_FALSE(node_a_->FindTablet("t", "zebra")->HandleGet("zebra").found);
 }
 
 TEST_F(ShardedClientTest, GetsRouteAndHonorSession) {
@@ -241,34 +269,23 @@ TEST_F(ShardedClientTest, RangeScanWithinOneShard) {
 }
 
 TEST_F(ShardedClientTest, ManyShards) {
-  // 8-way split with a single node hosting all primaries.
-  node_a_ = std::make_unique<storage::StorageNode>("A", "site-a", &clock_);
-  std::vector<ShardedClient::Shard> shards;
-  int table_index = 0;
+  // 8-way split of one table with a single node hosting all primaries.
+  tablets::TabletMap map;
+  map.table = "t";
+  map.version = 1;
   for (const KeyRange& range : SplitKeySpaceEvenly(8)) {
-    const std::string table = "t" + std::to_string(table_index++);
-    storage::Tablet::Options options;
-    options.range = range;
-    options.is_primary = true;
-    ASSERT_TRUE(node_a_->AddTablet(table, options).ok());
-    TableView view;
-    view.table_name = table;
-    view.replicas = {Replica{"A", true,
-                             std::make_shared<DirectConnection>(
-                                 node_a_.get(), &clock_, 1 * kMs)}};
-    view.primary_index = 0;
-    shards.push_back(ShardedClient::Shard{range, std::move(view)});
+    AddTablet(*node_a_, range, /*is_primary=*/true);
+    map.tablets.push_back(Entry(range.begin, range.end, 1, "A"));
   }
-  auto created = ShardedClient::Create(std::move(shards), &clock_,
-                                       PileusClient::Options{});
-  ASSERT_TRUE(created.ok()) << created.status();
-  auto client = std::move(created).value();
+  Create(std::move(map), PileusClient::Options{},
+         Routing(1 * kMs, 1 * kMs, 0));
+  ASSERT_EQ(client_->shard_count(), 8u);
 
-  Session session = client->BeginSession(ShoppingCartSla()).value();
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
   for (int c = 0; c < 256; c += 5) {
     const std::string key(1, static_cast<char>(c));
-    ASSERT_TRUE(client->Put(session, key, "v").ok()) << c;
-    Result<GetResult> result = client->Get(session, key);
+    ASSERT_TRUE(client_->Put(session, key, "v").ok()) << c;
+    Result<GetResult> result = client_->Get(session, key);
     ASSERT_TRUE(result.ok()) << c;
     EXPECT_EQ(result->value, "v");
   }
@@ -299,56 +316,55 @@ TEST_F(ShardedClientTest, OneCacheSpansAllShards) {
   EXPECT_EQ(cache.Stats().entries, 2u);
 }
 
-// --- Dynamic mode: map-driven routing, fence-triggered refresh ---
+TEST_F(ShardedClientTest, FixedMapNeverQueriesTheMap) {
+  // A fixed map covering only the lower range: neither an unrouteable key
+  // nor a fenced operation may send a tablet-map query.
+  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
+  AddTablet(*node_b_, KeyRange{"", "m"}, /*is_primary=*/false);
+  tablets::TabletMap v1;
+  v1.table = "t";
+  v1.version = 1;
+  v1.tablets.push_back(Entry("", "m", 1, "A"));
+  Create(v1, PileusClient::Options{}, Routing(1 * kMs, 1 * kMs, 0));
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  ASSERT_TRUE(client_->Put(session, "apple", "low").ok());
 
-class DynamicShardedClientTest : public ::testing::Test {
+  EXPECT_EQ(client_->Get(session, "zebra").status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(client_->GetRange(session, "", "", 0).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(map_queries_, 0);
+
+  // An explicit refresh against nodes that never installed a map is Ok,
+  // costs one query and changes nothing.
+  ASSERT_TRUE(client_->RefreshTabletMap().ok());
+  EXPECT_EQ(map_queries_, 1);
+  EXPECT_EQ(client_->map_version(), 1u);
+
+  // The range moves to B behind the client's back, so A fences it.
+  tablets::TabletMap v2 = v1;
+  v2.version = 2;
+  v2.tablets[0] = Entry("", "m", 2, "B");
+  v2.tablets.push_back(Entry("m", "", 1, "B"));
+  ASSERT_TRUE(node_a_->InstallTabletMap(v2));
+  ASSERT_TRUE(node_b_->InstallTabletMap(v2));
+  const Result<GetResult> fenced = client_->Get(session, "apple");
+  ASSERT_FALSE(fenced.ok());
+  EXPECT_EQ(fenced.status().code(), StatusCode::kUnavailable)
+      << fenced.status();
+  EXPECT_EQ(map_queries_, 1);
+  EXPECT_EQ(client_->map_version(), 1u);
+  EXPECT_EQ(client_->map_refreshes(), 0u);
+}
+
+// --- Refreshing maps: fence-triggered refresh, gaps, migrations ---
+
+class DynamicShardedClientTest : public ShardedClientTest {
  protected:
-  DynamicShardedClientTest() : clock_(SecondsToMicroseconds(1000)) {
-    node_a_ = std::make_unique<storage::StorageNode>("A", "site-a", &clock_);
-    node_b_ = std::make_unique<storage::StorageNode>("B", "site-b", &clock_);
-  }
-
-  void AddTablet(storage::StorageNode& node, const KeyRange& range,
-                 bool is_primary) {
-    storage::Tablet::Options options;
-    options.range = range;
-    options.is_primary = is_primary;
-    ASSERT_TRUE(node.AddTablet("t", options).ok());
-  }
-
-  tablets::TabletInfo Entry(std::string begin, std::string end,
-                            uint64_t epoch, std::string primary) {
-    tablets::TabletInfo info;
-    info.range.begin = std::move(begin);
-    info.range.end = std::move(end);
-    info.config.epoch = epoch;
-    info.config.primary = primary;
-    info.config.members = {std::move(primary)};
-    return info;
-  }
-
   void BuildDynamic(tablets::TabletMap initial) {
-    ShardedClient::DynamicOptions dynamic;
-    dynamic.connect =
-        [this](const std::string& name) -> std::shared_ptr<NodeConnection> {
-      storage::StorageNode* node =
-          name == "A" ? node_a_.get() : (name == "B" ? node_b_.get() : nullptr);
-      if (node == nullptr) {
-        return nullptr;
-      }
-      return std::make_shared<DirectConnection>(node, &clock_, 1 * kMs);
-    };
-    Result<std::unique_ptr<ShardedClient>> created = ShardedClient::CreateDynamic(
-        std::move(initial), &clock_, PileusClient::Options{},
-        std::move(dynamic));
-    ASSERT_TRUE(created.ok()) << created.status();
-    client_ = std::move(created).value();
+    Create(std::move(initial), PileusClient::Options{},
+           Routing(1 * kMs, 1 * kMs, /*max_map_refresh_attempts=*/2));
   }
-
-  ManualClock clock_;
-  std::unique_ptr<storage::StorageNode> node_a_;
-  std::unique_ptr<storage::StorageNode> node_b_;
-  std::unique_ptr<ShardedClient> client_;
 };
 
 TEST_F(DynamicShardedClientTest, WrongTabletFenceTriggersMapRefresh) {
@@ -424,8 +440,8 @@ TEST_F(DynamicShardedClientTest, DemotedPrimaryRedirectTriggersMapRefresh) {
 }
 
 TEST_F(DynamicShardedClientTest, UnrouteableKeyReturnsUnavailable) {
-  // The initial map covers only the lower half — dynamic mode tolerates the
-  // gap, but keys inside it must fail honestly instead of misrouting.
+  // The initial map covers only the lower half — a map may have gaps, but
+  // keys inside one must fail honestly instead of misrouting.
   AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
   tablets::TabletMap partial;
   partial.table = "t";
@@ -465,6 +481,72 @@ TEST_F(DynamicShardedClientTest, UnrouteableKeyRecoversAfterMapFillsGap) {
   EXPECT_EQ(client_->map_version(), 2u);
   EXPECT_EQ(client_->map_refreshes(), 1u);
   EXPECT_EQ(client_->Get(session, "zebra")->value, "high");
+}
+
+TEST_F(DynamicShardedClientTest, ScanAcrossGapIsUnavailable) {
+  // A stores keys on both sides of "m", but the client's map covers only
+  // the lower range: a scan must not skip the gap and claim completeness.
+  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
+  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
+  tablets::TabletMap full;
+  full.table = "t";
+  full.version = 1;
+  full.tablets.push_back(Entry("", "m", 1, "A"));
+  full.tablets.push_back(Entry("m", "", 1, "A"));
+  BuildDynamic(full);
+  Session writer = client_->BeginSession(ShoppingCartSla()).value();
+  ASSERT_TRUE(client_->Put(writer, "apple", "low").ok());
+  ASSERT_TRUE(client_->Put(writer, "zebra", "high").ok());
+
+  tablets::TabletMap partial = full;
+  partial.tablets.pop_back();
+  BuildDynamic(partial);
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  const Result<RangeResult> scan = client_->GetRange(session, "", "", 0);
+  ASSERT_FALSE(scan.ok()) << scan->items.size() << " items returned";
+  EXPECT_EQ(scan.status().code(), StatusCode::kUnavailable);
+
+  // The covered part of the keyspace still scans.
+  const Result<RangeResult> covered = client_->GetRange(session, "", "m", 0);
+  ASSERT_TRUE(covered.ok()) << covered.status();
+  ASSERT_EQ(covered->items.size(), 1u);
+  EXPECT_EQ(covered->items[0].key, "apple");
+}
+
+TEST_F(DynamicShardedClientTest, ScanRefreshesAfterMigration) {
+  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
+  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
+  AddTablet(*node_b_, KeyRange{"m", ""}, /*is_primary=*/false);
+  tablets::TabletMap v1;
+  v1.table = "t";
+  v1.version = 1;
+  v1.tablets.push_back(Entry("", "m", 1, "A"));
+  v1.tablets.push_back(Entry("m", "", 1, "A"));
+  BuildDynamic(v1);
+
+  // The upper range migrates to B; a writer that learned map v2 puts
+  // "zebra" there.
+  tablets::TabletMap v2 = v1;
+  v2.version = 2;
+  v2.tablets[1] = Entry("m", "", 2, "B");
+  ASSERT_TRUE(node_a_->InstallTabletMap(v2));
+  ASSERT_TRUE(node_b_->InstallTabletMap(v2));
+  Session writer = client_->BeginSession(ShoppingCartSla()).value();
+  ASSERT_TRUE(client_->Put(writer, "apple", "low").ok());
+  ASSERT_TRUE(client_->Put(writer, "zebra", "high").ok());
+  ASSERT_EQ(client_->map_version(), 2u);
+
+  // A reader still at v1 scans the whole table: the upper piece is fenced
+  // at A, refreshes the map and is retried at B.
+  BuildDynamic(v1);
+  Session session = client_->BeginSession(ShoppingCartSla()).value();
+  const Result<RangeResult> scan = client_->GetRange(session, "", "", 0);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_EQ(scan->items.size(), 2u);
+  EXPECT_EQ(scan->items[0].key, "apple");
+  EXPECT_EQ(scan->items[1].key, "zebra");
+  EXPECT_EQ(client_->map_version(), 2u);
+  EXPECT_EQ(client_->map_refreshes(), 1u);
 }
 
 // Passes requests straight through to the node but holds every tablet-map
@@ -510,16 +592,12 @@ TEST_F(DynamicShardedClientTest, ConcurrentRefreshesShareOneFetch) {
   v1.tablets.push_back(Entry("m", "", 1, "A"));
 
   auto gated = std::make_shared<GatedMapConnection>(node_a_.get());
-  ShardedClient::DynamicOptions dynamic;
-  dynamic.connect =
+  ShardedClient::RoutingOptions routing;
+  routing.connect =
       [gated](const std::string& name) -> std::shared_ptr<NodeConnection> {
     return name == "A" ? gated : nullptr;
   };
-  Result<std::unique_ptr<ShardedClient>> created =
-      ShardedClient::CreateDynamic(v1, &clock_, PileusClient::Options{},
-                                   std::move(dynamic));
-  ASSERT_TRUE(created.ok()) << created.status();
-  client_ = std::move(created).value();
+  Create(v1, PileusClient::Options{}, std::move(routing));
 
   // A newer map waits on the node; every concurrent refresh wants it.
   tablets::TabletMap v2 = v1;
