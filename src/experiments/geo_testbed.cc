@@ -6,7 +6,7 @@
 #include <cassert>
 
 #include "src/common/logging.h"
-#include "src/persist/durable_tablet.h"
+#include "src/server/node_host.h"
 
 namespace pileus::experiments {
 
@@ -391,37 +391,33 @@ GeoTestbed::GeoTestbed(GeoTestbedOptions options)
     NodeEntry entry;
     entry.site = site;
     entry.site_id = id;
-    entry.node =
-        std::make_unique<storage::StorageNode>(site, site, env_.clock());
-    storage::Tablet::Options tablet_options;
-    tablet_options.range = KeyRange::All();
-    tablet_options.is_primary = (std::string(site) == kEngland);
-    // Section 6.4: sync replicas in the order England, US, India.
-    tablet_options.is_sync_replica =
-        (options_.sync_replica_count >= 2 && std::string(site) == kUs) ||
-        (options_.sync_replica_count >= 3 && std::string(site) == kIndia);
-    tablet_options.store = options_.store;
-    Result<std::optional<reconfig::ConfigEpoch>> hosted =
-        HostTablet(entry, tablet_options);
-    assert(hosted.ok() && "failed to host the node's tablet");
-    (void)hosted;
-    if (options_.admission.has_value()) {
-      entry.node->EnableAdmission(*options_.admission);
-    }
+    const Status built = BuildNode(entry, std::string(site) == kEngland);
+    assert(built.ok() && "failed to build the site's node");
+    (void)built;
     nodes_.push_back(std::move(entry));
   }
 }
 
-Result<std::optional<reconfig::ConfigEpoch>> GeoTestbed::HostTablet(
-    NodeEntry& entry, storage::Tablet::Options options) {
+Status GeoTestbed::BuildNode(NodeEntry& entry, bool is_primary) {
+  entry.node = std::make_unique<storage::StorageNode>(entry.site, entry.site,
+                                                      env_.clock());
+  if (options_.admission.has_value()) {
+    entry.node->EnableAdmission(*options_.admission);
+  }
   // Every node gets an agent; only non-authoritative ones pull.
   entry.agent = std::make_unique<replication::ReplicationAgent>(
       entry.node.get(),
       replication::ReplicationAgent::Options{.table = kTableName});
+  storage::Tablet::Options options;
+  options.range = KeyRange::All();
+  options.is_primary = is_primary;
+  // Section 6.4: sync replicas in the order England, US, India.
+  options.is_sync_replica =
+      (options_.sync_replica_count >= 2 && entry.site == kUs) ||
+      (options_.sync_replica_count >= 3 && entry.site == kIndia);
+  options.store = options_.store;
   if (options_.durable_root.empty()) {
-    PILEUS_RETURN_IF_ERROR(
-        entry.node->AddTablet(kTableName, std::move(options)));
-    return std::optional<reconfig::ConfigEpoch>();
+    return entry.node->AddTablet(kTableName, std::move(options));
   }
   // Durability lets CrashNode/RestartNode model real crash-recovery instead
   // of pretending volatile state survives.
@@ -433,20 +429,9 @@ Result<std::optional<reconfig::ConfigEpoch>> GeoTestbed::HostTablet(
   // The simulated disk keeps every record: a checkpoint would compact the
   // update log the replication pulls read from.
   durable.checkpoint_threshold_bytes = 0;
-  Result<std::unique_ptr<persist::DurableTablet>> opened =
-      persist::DurableTablet::Open(durable, env_.clock());
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  const persist::DurableTablet::RecoveryInfo& recovery =
-      (*opened)->recovery_info();
-  PILEUS_LOG(kInfo) << entry.site << ": replayed " << recovery.wal_versions
-                    << " versions from WAL"
-                    << (recovery.wal_tail_torn ? " (torn tail discarded)"
-                                               : "");
-  PILEUS_RETURN_IF_ERROR(
-      entry.node->AddTablet(kTableName, (*opened)->shared_tablet()));
-  return recovery.config;
+  return server::RecoverTablets(entry.node.get(), kTableName, durable,
+                                env_.clock())
+      .status();
 }
 
 GeoTestbed::~GeoTestbed() {
@@ -805,43 +790,18 @@ Status GeoTestbed::RestartNode(const std::string& site) {
     return Status(StatusCode::kInvalidArgument,
                   "node " + site + " is not crashed");
   }
-  // Rebuild the node empty, as a restarted process would.
-  entry->node =
-      std::make_unique<storage::StorageNode>(site, site, env_.clock());
-  storage::Tablet::Options tablet_options;
-  tablet_options.range = KeyRange::All();
-  // Recover as a plain secondary first; promotion happens after replay so
-  // SetPrimary can seed the timestamp allocator above everything replayed.
-  tablet_options.is_primary = false;
-  tablet_options.is_sync_replica =
-      (options_.sync_replica_count >= 2 && site == kUs) ||
-      (options_.sync_replica_count >= 3 && site == kIndia);
-  tablet_options.store = options_.store;
-  Result<std::optional<reconfig::ConfigEpoch>> recovered_config =
-      HostTablet(*entry, tablet_options);
-  if (!recovered_config.ok()) {
-    return recovered_config.status();
-  }
-  if (options_.admission.has_value()) {
-    entry->node->EnableAdmission(*options_.admission);
-  }
-  storage::Tablet* tablet = entry->node->FindTablet(kTableName, "");
+  // Rebuild the node empty, as a restarted process would, and recover it as
+  // a plain secondary first: promotion after replay lets SetPrimary seed the
+  // timestamp allocator above everything replayed.
+  PILEUS_RETURN_IF_ERROR(BuildNode(*entry, /*is_primary=*/false));
   if (coordinator_ != nullptr) {
-    // Config-epoch recovery: re-install the last journaled config, as the
-    // one-tablet map of that epoch, with an already-expired lease, so a
-    // restarted ex-primary comes back fenced (it rejects Puts with
-    // kNotPrimary) until the coordinator speaks.
-    if (recovered_config->has_value()) {
-      tablets::TabletMap recovered = map_;
-      recovered.version = (*recovered_config)->epoch;
-      recovered.tablets.front().config = **recovered_config;
-      entry->node->InstallTabletMap(recovered, /*lease_expiry_us=*/1);
-    }
-    // Then adopt the live map (a newer version demotes a stale ex-primary
-    // to secondary; the same version just clears the expired lease).
+    // Recovery re-installed the journaled config fenced, so a restarted
+    // ex-primary rejects Puts with kNotPrimary until the coordinator speaks.
+    // Adopt the live map now (a newer version demotes a stale ex-primary to
+    // secondary; the same version just clears the expired lease).
     entry->node->InstallTabletMap(map_, /*lease_expiry_us=*/0);
   } else {
-    tablet->SetPrimary(site == primary_site_);
+    entry->node->FindTablet(kTableName, "")->SetPrimary(site == primary_site_);
   }
   entry->crashed = false;
   entry->crashed_at_us = -1;

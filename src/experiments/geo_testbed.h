@@ -224,13 +224,11 @@ class GeoTestbed {
   // One complete pull cycle of `entry`'s agent from `source`, in process.
   Status PullInProcess(NodeEntry& entry, NodeEntry& source);
 
-  // Gives the site's fresh node its replication agent and hosts its one
-  // tablet: in memory, or with a durable_root, journaled under
-  // `<durable_root>/<site>/` and recovered from whatever an earlier
-  // incarnation left there. Returns the config the journal recovered
-  // (nullopt in memory or when none was journaled).
-  Result<std::optional<reconfig::ConfigEpoch>> HostTablet(
-      NodeEntry& entry, storage::Tablet::Options options);
+  // Gives the site a fresh node with its admission, replication agent and
+  // one tablet: in memory, or with a durable_root, journaled under
+  // `<durable_root>/<site>/` and recovered (its journaled config
+  // re-installed fenced) from whatever an earlier incarnation left there.
+  Status BuildNode(NodeEntry& entry, bool is_primary);
 
   // --- Reconfiguration internals ---
   bool IsLive(const std::string& site);

@@ -1,12 +1,12 @@
 // The loopback-TCP deployment: the audit over the *deployment stack*
-// instead of the simulator. A durable primary with WAL group commit served
-// through TcpServer::StartAsync, an in-memory secondary fed by a
-// ThreadedPuller over a TcpChannel, and two PileusClient frontends whose
-// replicas are real sockets on loopback. A transport bug (a reply matched to
-// the wrong pipelined request, an ack released before its batch fsync, a
-// stale read served after a reconnect) then surfaces as a consistency
-// violation, not just a failed unit test. Time is real, so runs are seeded
-// but not bit-exact.
+// instead of the simulator. Two server::NodeHost nodes, each exactly as
+// `pileus_server` runs it: a durable primary with WAL group commit, and an
+// in-memory secondary that pulls from it over a TcpChannel. Two PileusClient
+// frontends reach them through real sockets on loopback. A transport bug (a
+// reply matched to the wrong pipelined request, an ack released before its
+// batch fsync, a stale read served after a reconnect) then surfaces as a
+// consistency violation, not just a failed unit test. Time is real, so runs
+// are seeded but not bit-exact.
 
 #include <sys/stat.h>
 
@@ -20,11 +20,7 @@
 #include "src/core/client.h"
 #include "src/experiments/deployment.h"
 #include "src/net/tcp.h"
-#include "src/persist/durable_tablet.h"
-#include "src/persist/group_commit.h"
-#include "src/proto/messages.h"
-#include "src/replication/replication_agent.h"
-#include "src/storage/storage_node.h"
+#include "src/server/node_host.h"
 
 namespace pileus::experiments {
 namespace {
@@ -39,58 +35,6 @@ constexpr const char* kSecondaryName = "US";
 constexpr MicrosecondCount kPullPeriodUs = MillisecondsToMicroseconds(20);
 // Ops between re-probes of both replicas from both frontends.
 constexpr uint64_t kProbeStride = 25;
-
-// The secondary site: the in-memory node, its client-facing server, and the
-// replication pull loop — everything kCrashRestart destroys and rebuilds.
-struct SecondarySite {
-  std::unique_ptr<storage::StorageNode> node;
-  std::unique_ptr<net::TcpChannel> pull_channel;  // To the primary.
-  std::unique_ptr<replication::ReplicationAgent> agent;
-  std::unique_ptr<replication::ThreadedPuller> puller;
-  std::unique_ptr<net::TcpServer> server;
-
-  ~SecondarySite() { Destroy(); }
-
-  void Destroy() {
-    if (server != nullptr) {
-      server->Stop();  // In-flight pipelined calls fail fast (kUnavailable).
-    }
-    server.reset();
-    puller.reset();  // Joins the pull thread.
-    agent.reset();
-    pull_channel.reset();
-    node.reset();  // Volatile state gone, like a process crash.
-  }
-};
-
-// Builds (or rebuilds) the secondary and starts serving on `serve_port`
-// (0 = ephemeral). A rebuilt node starts empty and runs one full blocking
-// catch-up pull BEFORE the server accepts, so it never serves reads while
-// missing history its advertised high timestamp implies it holds.
-Status BuildSecondary(uint16_t primary_port, uint16_t serve_port,
-                      SecondarySite* site) {
-  site->node = std::make_unique<storage::StorageNode>(
-      kSecondaryName, "tcp-testbed", RealClock::Instance());
-  storage::Tablet::Options tablet_options;  // Not primary.
-  PILEUS_RETURN_IF_ERROR(site->node->AddTablet(kTable, tablet_options));
-  site->pull_channel = std::make_unique<net::TcpChannel>(primary_port);
-  site->agent = std::make_unique<replication::ReplicationAgent>(
-      site->node.get(), replication::ReplicationAgent::Options{.table = kTable});
-  net::TcpChannel* channel = site->pull_channel.get();
-  const auto sync = [channel](const proto::SyncRequest& request) {
-    return replication::ToSyncReply(
-        channel->Call(request, SecondsToMicroseconds(10)));
-  };
-  (void)replication::BlockingPuller(site->agent.get(), sync).PullOnce();
-  site->puller = std::make_unique<replication::ThreadedPuller>(
-      site->agent.get(), sync, kPullPeriodUs);
-  site->server = std::make_unique<net::TcpServer>();
-  return site->server->Start(
-      serve_port,
-      [node = site->node.get()](const proto::Message& m) {
-        return node->Handle(m);
-      });
-}
 
 class TcpDeployment : public Deployment {
  public:
@@ -110,36 +54,18 @@ class TcpDeployment : public Deployment {
                     "durable_root");
     }
     Clock* clock = RealClock::Instance();
-    // Primary: a durable tablet with WAL group commit behind the async
-    // server path, exactly as `pileus_server --data_dir --group_commit` runs.
     primary_dir_ = options_.durable_root + "/primary";
     ::mkdir(primary_dir_.c_str(), 0755);  // Best effort; may exist.
-    persist::DurableTablet::Options durable_options;
-    durable_options.directory = primary_dir_;
-    durable_options.tablet.is_primary = true;
-    Result<std::unique_ptr<persist::DurableTablet>> opened =
-        persist::DurableTablet::Open(durable_options, clock);
-    PILEUS_RETURN_IF_ERROR(opened.status());
-    durable_ = std::move(opened).value();
-    primary_node_ = std::make_unique<storage::StorageNode>(
-        kPrimaryName, "tcp-testbed", clock);
-    PILEUS_RETURN_IF_ERROR(
-        primary_node_->AddTablet(kTable, durable_->shared_tablet()));
-    persist::GroupCommitConfig group_commit;
-    group_commit.enabled = true;
-    group_commit.max_delay_us = 500;  // Wall-clock runs are short; a lone
-                                      // write should not stall 2 ms per ack.
-    committer_ = persist::StartGroupCommit(primary_node_.get(), group_commit);
-    primary_server_ = std::make_unique<net::TcpServer>();
-    PILEUS_RETURN_IF_ERROR(primary_server_->StartAsync(
-        0, [node = primary_node_.get()](
-               const proto::Message& m,
-               std::function<void(proto::Message)> done) {
-          node->HandleAsync(m, std::move(done));
-        }));
-    PILEUS_RETURN_IF_ERROR(
-        BuildSecondary(primary_server_->port(), 0, &secondary_));
-    secondary_port_ = secondary_.server->port();
+    server::NodeHost::Options primary;
+    primary.table = kTable;
+    primary.name = kPrimaryName;
+    primary.data_dir = primary_dir_;
+    // Wall-clock runs are short; a lone write should not stall 2 ms per ack.
+    primary.group_commit = {.enabled = true, .max_delay_us = 500};
+    primary_ = std::make_unique<server::NodeHost>(std::move(primary));
+    PILEUS_RETURN_IF_ERROR(primary_->Start());
+    PILEUS_RETURN_IF_ERROR(StartSecondary(0));
+    secondary_port_ = secondary_->port();
 
     // Two frontends over their own sockets.
     cache::ClientCache::Options cache_options;
@@ -151,7 +77,7 @@ class TcpDeployment : public Deployment {
           core::Replica{kPrimaryName, true,
                         std::make_shared<core::ChannelConnection>(
                             std::make_shared<net::TcpChannel>(
-                                primary_server_->port()),
+                                primary_->port()),
                             clock)},
           core::Replica{kSecondaryName, false,
                         std::make_shared<core::ChannelConnection>(
@@ -174,10 +100,7 @@ class TcpDeployment : public Deployment {
     return {frontends_[0].get(), frontends_[1].get()};
   }
 
-  void Start() override {
-    secondary_.puller->PullNow();
-    ProbeAll();
-  }
+  void Start() override { ProbeAll(); }
 
   // The only fault Supports admits is crash-restart of a replica: the
   // secondary.
@@ -190,13 +113,12 @@ class TcpDeployment : public Deployment {
 
   void Apply(const FaultEvent& event, const std::string& /*node*/) override {
     if (event.kind == FaultEvent::Kind::kCrash) {
-      secondary_.Destroy();
+      secondary_.reset();  // Volatile state gone, like a process crash.
     } else if (event.kind == FaultEvent::Kind::kRestart) {
-      // Rebuild empty on the same port; BuildSecondary catches it up from
-      // the primary before accepting. A failure leaves it down and reads
-      // keep failing over to the primary for the rest of the run.
-      (void)BuildSecondary(primary_server_->port(), secondary_port_,
-                           &secondary_);
+      // Rebuild empty on the same port; the host catches it up from the
+      // primary before accepting. A failure leaves it down and reads keep
+      // failing over to the primary for the rest of the run.
+      (void)StartSecondary(secondary_port_);
     }
   }
 
@@ -208,16 +130,32 @@ class TcpDeployment : public Deployment {
   }
 
   Result<GroundTruth> Finish(ScenarioResult& /*result*/) override {
-    secondary_.Destroy();  // Stop pulls before freezing the ground truth.
-    committer_->Stop();    // Final batch sync; later acks sync inline.
+    secondary_.reset();  // Stop pulls before freezing the ground truth.
     GroundTruth truth;
     truth.versions =
-        durable_->tablet().ExportCommittedVersions(&truth.complete);
+        primary_->node()->ExportTableLog(kTable, &truth.complete);
     truth.wal_paths.push_back(primary_dir_ + "/wal.log");
     return truth;
   }
 
  private:
+  // Starts an empty secondary serving on `port` (0 = ephemeral). It runs one
+  // full catch-up pull BEFORE it listens, so it never serves reads while
+  // missing history its advertised high timestamp implies it holds.
+  Status StartSecondary(uint16_t port) {
+    server::NodeHost::Options secondary;
+    secondary.port = port;
+    secondary.table = kTable;
+    secondary.is_primary = false;
+    secondary.name = kSecondaryName;
+    secondary.primary_port = primary_->port();
+    secondary.pull_period_us = kPullPeriodUs;
+    auto host = std::make_unique<server::NodeHost>(std::move(secondary));
+    PILEUS_RETURN_IF_ERROR(host->Start());
+    secondary_ = std::move(host);
+    return Status::Ok();
+  }
+
   // Both replicas need latency estimates before node selection means
   // anything (an unmeasured node reports mean 0 and wins every tie-break).
   void ProbeAll() {
@@ -228,15 +166,11 @@ class TcpDeployment : public Deployment {
   }
 
   // Declaration order is teardown order, reversed: clients go first, then
-  // the secondary, then the primary's server before its committer, node and
-  // tablet.
+  // the secondary (null while crashed), then the primary.
   const ScenarioOptions& options_;
   std::string primary_dir_;
-  std::unique_ptr<persist::DurableTablet> durable_;
-  std::unique_ptr<storage::StorageNode> primary_node_;
-  std::unique_ptr<persist::GroupCommitter> committer_;
-  std::unique_ptr<net::TcpServer> primary_server_;
-  SecondarySite secondary_;
+  std::unique_ptr<server::NodeHost> primary_;
+  std::unique_ptr<server::NodeHost> secondary_;
   uint16_t secondary_port_ = 0;
   std::vector<std::unique_ptr<cache::ClientCache>> caches_;
   std::vector<std::unique_ptr<core::PileusClient>> frontends_;

@@ -10,9 +10,9 @@
 //                      current (a cheap not-modified poll).
 //
 // MaybeHandle returns nullopt for every other message type, so the service
-// composes as a wrapper around an existing handler: pileus_server chains it
-// in front of StorageNode::Handle with --aggregator, and the standalone
-// pileus_aggregator daemon uses it as its whole handler.
+// composes as a wrapper around an existing handler: server::NodeHost asks it
+// first with --aggregator, and the standalone pileus_aggregator daemon uses
+// it as its whole handler.
 
 #ifndef PILEUS_SRC_MONITORING_SERVICE_H_
 #define PILEUS_SRC_MONITORING_SERVICE_H_

@@ -262,6 +262,10 @@ class WalJournal final : public storage::TabletJournal {
       return child_wal.status();
     }
     PILEUS_RETURN_IF_ERROR(child_wal->Reset());
+    // The child runs under the config that covered it in the parent.
+    if (config_.has_value()) {
+      PILEUS_RETURN_IF_ERROR(child_wal->AppendConfig(*config_));
+    }
     PILEUS_RETURN_IF_ERROR(child_wal->Sync());
 
     PILEUS_RETURN_IF_ERROR(wal_.AppendSplit(split_key));
@@ -269,12 +273,12 @@ class WalJournal final : public storage::TabletJournal {
     split_keys_.emplace_back(split_key);
     return std::unique_ptr<storage::TabletJournal>(std::make_unique<WalJournal>(
         std::move(child), std::move(child_wal).value(),
-        std::vector<std::string>{}, std::nullopt));
+        std::vector<std::string>{}, config_));
   }
 
   Status Sync() override { return wal_.Sync(); }
 
-  Status Checkpoint(storage::Tablet& tablet) {
+  Status Checkpoint(storage::Tablet& tablet) override {
     if (options_.tombstone_gc_horizon_us > 0) {
       // Safe because the horizon (Options comment) exceeds replication lag:
       // every replica has long since synced past these tombstones.

@@ -1,0 +1,108 @@
+// The one way a storage node is assembled. RecoverTablets is the restart
+// path of every durable node, simulated or real; NodeHost is a node served
+// over TCP, as pileus_server and the loopback-TCP audit deployment run it.
+
+#ifndef PILEUS_SRC_SERVER_NODE_HOST_H_
+#define PILEUS_SRC_SERVER_NODE_HOST_H_
+
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/common/clock.h"
+#include "src/common/status.h"
+#include "src/monitoring/aggregator.h"
+#include "src/monitoring/service.h"
+#include "src/net/tcp.h"
+#include "src/persist/durable_tablet.h"
+#include "src/persist/group_commit.h"
+#include "src/replication/replication_agent.h"
+#include "src/storage/admission.h"
+#include "src/storage/storage_node.h"
+#include "src/telemetry/metrics.h"
+
+namespace pileus::server {
+
+// Opens the durable tablet in `options.directory` and every split child it
+// recorded, hosts each on `node`, and re-installs the placement they
+// journaled with an already-expired lease: one entry per tablet (its range
+// and last config), at the highest journaled epoch as the map version. So a
+// node deposed before it crashed comes back deposed, and one that led stays
+// fenced until a map install re-leases it (paper Section 6.2). Without any
+// journaled config nothing is installed and `options.tablet` sets the role.
+Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
+    storage::StorageNode* node, std::string_view table,
+    const persist::DurableTablet::Options& options, Clock* clock);
+
+class NodeHost {
+ public:
+  // One field per pileus_server flag (the flag name in the comment).
+  struct Options {
+    uint16_t port = 0;                 // --port (0 = ephemeral)
+    std::string table = "default";     // --table
+    bool is_primary = true;            // --role
+    std::string name = "node";         // --name
+    uint16_t primary_port = 0;         // --primary_port (secondaries)
+    MicrosecondCount pull_period_us =  // --pull_period_ms
+        SecondsToMicroseconds(60);
+    std::string data_dir;              // --data_dir (empty = in-memory)
+    bool fsync_every_write = false;    // --fsync_every_write
+    persist::GroupCommitConfig group_commit;  // --group_commit*
+    int loop_threads = 2;                     // --loop_threads
+    uint32_t pull_batch = 0;                  // --pull_batch
+    std::optional<storage::AdmissionOptions> admission;  // --admit_*
+    bool aggregator = false;                             // --aggregator
+    // Registry the node and its replication agent export to, and that a
+    // StatsRequest scrapes. Not owned; null = no telemetry.
+    telemetry::MetricsRegistry* metrics = nullptr;
+  };
+
+  explicit NodeHost(Options options);
+  ~NodeHost() { (void)Stop(); }
+
+  NodeHost(const NodeHost&) = delete;
+  NodeHost& operator=(const NodeHost&) = delete;
+
+  // Hosts the tablets (recovered from `data_dir`, or one in memory), enables
+  // admission and group commit and, for a secondary with a `primary_port`,
+  // pulls once to catch up (so it never serves a read its high timestamp
+  // does not cover) before the periodic pull starts. Listens last.
+  Status Start();
+
+  // Stops the puller, the server and the committer, in that order, then
+  // checkpoints every durable tablet and returns the first error. Does
+  // nothing unless Start succeeded: a node that failed to start (say, on a
+  // port another node holding the same data dir serves) leaves the files.
+  Status Stop();
+
+  storage::StorageNode* node() { return &node_; }
+  uint16_t port() const { return server_.port(); }
+  // The durable tablets Start recovered (empty in memory).
+  const std::vector<std::unique_ptr<persist::DurableTablet>>& durable_tablets()
+      const {
+    return durable_;
+  }
+  // Null without Options::aggregator.
+  monitoring::MonitorAggregator* aggregator() { return aggregator_.get(); }
+
+ private:
+  const Options options_;
+  // Declaration order is teardown order, reversed.
+  std::vector<std::unique_ptr<persist::DurableTablet>> durable_;
+  storage::StorageNode node_;
+  std::unique_ptr<persist::GroupCommitter> committer_;
+  std::unique_ptr<monitoring::MonitorAggregator> aggregator_;
+  std::unique_ptr<monitoring::AggregatorService> aggregator_service_;
+  std::unique_ptr<net::TcpChannel> pull_channel_;  // To the primary.
+  std::unique_ptr<replication::ReplicationAgent> agent_;
+  std::unique_ptr<replication::ThreadedPuller> puller_;
+  net::TcpServer server_;
+  bool running_ = false;
+};
+
+}  // namespace pileus::server
+
+#endif  // PILEUS_SRC_SERVER_NODE_HOST_H_

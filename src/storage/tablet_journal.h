@@ -48,6 +48,10 @@ class TabletJournal {
 
   // Forces everything recorded so far to stable storage.
   virtual Status Sync() = 0;
+
+  // Makes `tablet`'s whole state durable on its own, so recovery need not
+  // replay what was recorded before (a shutdown's last act).
+  virtual Status Checkpoint(Tablet& tablet) = 0;
 };
 
 }  // namespace pileus::storage

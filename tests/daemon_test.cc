@@ -2,9 +2,11 @@
 // pulling from it over loopback, in memory and durable. A write through a
 // TcpChannel must reach the secondary, and the daemons must shut down
 // cleanly; the durable primary must also admit, export its storage metrics
-// and recover every acked write after a restart. Under a sanitizer build the
-// children inherit the sanitizer, so a data race or memory error in the
-// daemon fails this test through their exit status.
+// and recover every acked write after a restart. A durable daemon killed
+// after a tablet-map install must come back in the role it journaled, and
+// fenced; flag combinations the daemon would ignore must be refused. Under a
+// sanitizer build the children inherit the sanitizer, so a data race or
+// memory error in the daemon fails this test through their exit status.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -15,11 +17,14 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/net/tcp.h"
+#include "src/tablets/tablet_map.h"
+#include "src/util/key_range.h"
 
 namespace pileus {
 namespace {
@@ -94,6 +99,19 @@ class ServerProcess {
   // SIGTERM, then the exit status (-1 when it had to be killed).
   int Stop() {
     ::kill(pid_, SIGTERM);
+    return Wait();
+  }
+
+  // A crash: SIGKILL, no shutdown checkpoint.
+  void Kill() {
+    ::kill(pid_, SIGKILL);
+    ::waitpid(pid_, nullptr, 0);
+    pid_ = -1;
+  }
+
+  // The exit status once the child exits (-1 when it does not within the
+  // deadline or dies of a signal).
+  int Wait() {
     const auto deadline = Clock::now() + std::chrono::seconds(30);
     int status = 0;
     while (Clock::now() < deadline) {
@@ -276,6 +294,185 @@ TEST(DaemonTest, DurableDaemonsAdmitReplicateAndRecover) {
   }
   EXPECT_EQ(restarted.Stop(), 0) << restarted.output();
   (void)::system(("rm -rf '" + root + "'").c_str());
+}
+
+// A fresh temp directory with a `primary` and a `secondary` data dir.
+std::string MakeDataDirs() {
+  char tmpl[] = "/tmp/pileus_daemon_XXXXXX";
+  if (::mkdtemp(tmpl) == nullptr) {
+    return "";
+  }
+  const std::string root = tmpl;
+  ::mkdir((root + "/primary").c_str(), 0755);
+  ::mkdir((root + "/secondary").c_str(), 0755);
+  return root;
+}
+
+proto::PutRequest PutOf(const std::string& key) {
+  proto::PutRequest put;
+  put.table = "default";
+  put.key = key;
+  put.value = "v-" + key;
+  return put;
+}
+
+// Installs a one-tablet map of version and epoch 1 that makes `primary` lead
+// the whole table among `members`, with no lease (the CLI's handoff map).
+void InstallMap(uint16_t port, const std::string& primary,
+                std::vector<std::string> members) {
+  proto::TabletMapRequest install;
+  install.table = "default";
+  install.install = true;
+  install.map.table = "default";
+  install.map.version = 1;
+  tablets::TabletInfo tablet;
+  tablet.range = KeyRange::All();
+  tablet.config.epoch = 1;
+  tablet.config.primary = primary;
+  tablet.config.members = std::move(members);
+  install.map.tablets.push_back(tablet);
+  net::TcpChannel channel(port);
+  Result<proto::Message> reply =
+      channel.Call(install, SecondsToMicroseconds(10));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  const auto* accepted = std::get_if<proto::TabletMapReply>(&reply.value());
+  ASSERT_NE(accepted, nullptr);
+  EXPECT_TRUE(accepted->accepted);
+}
+
+TEST(DaemonTest, RestartedExPrimaryStaysDemoted) {
+  const std::string root = MakeDataDirs();
+  ASSERT_FALSE(root.empty());
+  const std::vector<std::string> primary_flags = {
+      "--port", "0", "--role", "primary", "--name", "P",
+      "--data_dir", root + "/primary"};
+  auto primary = std::make_unique<ServerProcess>(primary_flags);
+  ASSERT_TRUE(primary->started());
+  const uint16_t primary_port = primary->WaitForPort();
+  ASSERT_GT(primary_port, 0) << primary->output();
+  ServerProcess secondary({"--port", "0", "--role", "secondary", "--name", "S",
+                           "--data_dir", root + "/secondary", "--primary_port",
+                           std::to_string(primary_port), "--pull_period_ms",
+                           "20"});
+  ASSERT_TRUE(secondary.started());
+  const uint16_t secondary_port = secondary.WaitForPort();
+  ASSERT_GT(secondary_port, 0) << secondary.output();
+
+  // Hand P's tablet to S: the source first, then the target.
+  InstallMap(primary_port, "S", {"P", "S"});
+  InstallMap(secondary_port, "S", {"P", "S"});
+  {
+    net::TcpChannel to_secondary(secondary_port);
+    Result<proto::Message> reply =
+        to_secondary.Call(PutOf("after-handoff"), SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply.value()));
+  }
+
+  // Crash P and restart it with the same flags, --role primary included.
+  primary->Kill();
+  primary = std::make_unique<ServerProcess>(primary_flags);
+  ASSERT_TRUE(primary->started());
+  const uint16_t restarted_port = primary->WaitForPort();
+  ASSERT_GT(restarted_port, 0) << primary->output();
+  {
+    net::TcpChannel to_restarted(restarted_port);
+    Result<proto::Message> reply =
+        to_restarted.Call(PutOf("split-brain"), SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    const auto* err = std::get_if<proto::ErrorReply>(&reply.value());
+    ASSERT_NE(err, nullptr) << "the restarted ex-primary acked a Put";
+    EXPECT_EQ(err->code, StatusCode::kNotPrimary);
+    EXPECT_EQ(err->primary_hint, "S");
+    EXPECT_EQ(err->config_epoch, 1u);
+  }
+  EXPECT_EQ(secondary.Stop(), 0) << secondary.output();
+  EXPECT_EQ(primary->Stop(), 0) << primary->output();
+  (void)::system(("rm -rf '" + root + "'").c_str());
+}
+
+TEST(DaemonTest, RestartedLeaderStaysFencedUntilReleased) {
+  const std::string root = MakeDataDirs();
+  ASSERT_FALSE(root.empty());
+  const std::vector<std::string> flags = {"--port", "0", "--name", "P",
+                                          "--data_dir", root + "/primary"};
+  auto node = std::make_unique<ServerProcess>(flags);
+  ASSERT_TRUE(node->started());
+  uint16_t port = node->WaitForPort();
+  ASSERT_GT(port, 0) << node->output();
+  InstallMap(port, "P", {"P"});
+  {
+    net::TcpChannel channel(port);
+    Result<proto::Message> reply =
+        channel.Call(PutOf("led"), SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply.value()));
+  }
+
+  node->Kill();
+  node = std::make_unique<ServerProcess>(flags);
+  ASSERT_TRUE(node->started());
+  port = node->WaitForPort();
+  ASSERT_GT(port, 0) << node->output();
+  {
+    // Its lease did not survive the crash: fenced until re-leased.
+    net::TcpChannel channel(port);
+    Result<proto::Message> reply =
+        channel.Call(PutOf("fenced"), SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    const auto* err = std::get_if<proto::ErrorReply>(&reply.value());
+    ASSERT_NE(err, nullptr) << "the restarted leader acked before a re-lease";
+    EXPECT_EQ(err->code, StatusCode::kNotPrimary);
+    EXPECT_EQ(err->primary_hint, "P");
+  }
+  InstallMap(port, "P", {"P"});  // Same version: a lease renewal.
+  {
+    net::TcpChannel channel(port);
+    Result<proto::Message> reply =
+        channel.Call(PutOf("re-leased"), SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply.value()));
+    reply = channel.Call(GetOf("led"), SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    const auto* get_reply = std::get_if<proto::GetReply>(&reply.value());
+    ASSERT_NE(get_reply, nullptr);
+    EXPECT_TRUE(get_reply->found);
+  }
+  EXPECT_EQ(node->Stop(), 0) << node->output();
+  (void)::system(("rm -rf '" + root + "'").c_str());
+}
+
+TEST(DaemonTest, FailedShutdownCheckpointExitsOne) {
+  const std::string root = MakeDataDirs();
+  ASSERT_FALSE(root.empty());
+  ServerProcess server({"--port", "0", "--data_dir", root + "/primary"});
+  ASSERT_TRUE(server.started());
+  const uint16_t port = server.WaitForPort();
+  ASSERT_GT(port, 0) << server.output();
+  {
+    net::TcpChannel channel(port);
+    Result<proto::Message> reply =
+        channel.Call(PutOf("k"), SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+  }
+  // The checkpoint has nowhere to go.
+  (void)::system(("rm -rf '" + root + "'").c_str());
+  EXPECT_EQ(server.Stop(), 1) << server.output();
+}
+
+TEST(DaemonTest, RejectsFlagCombinationsItWouldIgnore) {
+  const std::vector<std::vector<std::string>> ignored = {
+      {"--group_commit"},
+      {"--fsync_every_write"},
+      {"--role", "primary", "--primary_port", "7000"},
+  };
+  for (const std::vector<std::string>& flags : ignored) {
+    std::vector<std::string> args = {"--port", "0"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    ServerProcess server(args);
+    ASSERT_TRUE(server.started());
+    EXPECT_EQ(server.Wait(), 2) << flags.front();
+  }
 }
 
 }  // namespace

@@ -171,6 +171,7 @@ struct CountingJournal : storage::TabletJournal {
     ++syncs;
     return Status::Ok();
   }
+  Status Checkpoint(Tablet&) override { return Status::Ok(); }
 };
 
 TEST(ReplicationAgentTest, VersionedReplySyncsJournal) {
