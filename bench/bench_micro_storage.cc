@@ -1,7 +1,9 @@
 // Microbenchmarks of the storage substrate: tablet Put/Get, replication log
-// scans, multi-version snapshot reads, and the workload generator.
+// scans, multi-version snapshot reads, the heap a replicated version retains,
+// and the workload generator.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include "src/common/clock.h"
 #include "src/storage/tablet.h"
@@ -92,6 +94,41 @@ void BM_RangeScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * span);
 }
 BENCHMARK(BM_RangeScan)->Arg(10)->Arg(100)->Arg(1000);
+
+// Heap a secondary retains per replicated 1 KiB version: store chain, update
+// log, key index and the version itself. Measured as the growth of glibc's
+// allocated bytes (mallinfo2().uordblks) across range(0) single-version
+// pulls of distinct keys into a fresh tablet, and reported as the
+// heap_bytes_per_version counter.
+void BM_ReplicatedHeapPerVersion(benchmark::State& state) {
+  const int64_t versions = state.range(0);
+  const std::string value(1024, 'v');
+  ManualClock clock(1);
+  double retained_bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto tablet = std::make_unique<Tablet>(Tablet::Options{}, &clock);
+    const size_t before = mallinfo2().uordblks;
+    state.ResumeTiming();
+    for (int64_t i = 0; i < versions; ++i) {
+      proto::SyncReply reply;
+      proto::ObjectVersion& version = reply.versions.emplace_back();
+      version.key = workload::YcsbWorkload::KeyForIndex(i);
+      version.value = value;
+      version.timestamp = Timestamp{i + 1, 0};
+      reply.heartbeat = version.timestamp;
+      benchmark::DoNotOptimize(tablet->ApplySync(reply));
+    }
+    state.PauseTiming();
+    retained_bytes += static_cast<double>(mallinfo2().uordblks - before);
+    tablet.reset();
+    state.ResumeTiming();
+  }
+  state.counters["heap_bytes_per_version"] =
+      retained_bytes / static_cast<double>(state.iterations() * versions);
+  state.SetItemsProcessed(state.iterations() * versions);
+}
+BENCHMARK(BM_ReplicatedHeapPerVersion)->Arg(10000);
 
 void BM_ZipfianNext(benchmark::State& state) {
   workload::ScrambledZipfianChooser chooser(10000, 0.7);

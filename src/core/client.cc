@@ -505,9 +505,7 @@ struct PileusClient::RangeOp {
   }
 
   void RecordInSession(const Reply& reply) const {
-    for (const proto::ObjectVersion& item : reply.items) {
-      session.RecordGet(item.key, item.timestamp);
-    }
+    session.RecordScan(reply.items);
   }
 
   void FillRecord(OpRecord& record, const Reply& reply) const {

@@ -111,6 +111,29 @@ void Session::RecordGet(std::string_view key,
   max_read_ = MaxTimestamp(max_read_, version_timestamp);
 }
 
+void Session::RecordScan(std::span<const proto::ObjectVersion> items) {
+  // The entry of the previous item; end() until the first is placed.
+  auto previous = gets_.end();
+  for (const proto::ObjectVersion& item : items) {
+    // Where item.key sits: the entry after the previous one when the keys
+    // ascend with no recorded key between them, else a fresh lookup.
+    auto next = previous == gets_.end() ? previous : std::next(previous);
+    const bool in_order =
+        previous != gets_.end() && previous->first < item.key &&
+        (next == gets_.end() || item.key <= next->first);
+    if (!in_order) {
+      next = gets_.lower_bound(item.key);
+    }
+    if (next != gets_.end() && next->first == item.key) {
+      next->second = MaxTimestamp(next->second, item.timestamp);
+      previous = next;
+    } else {
+      previous = gets_.emplace_hint(next, item.key, item.timestamp);
+    }
+    max_read_ = MaxTimestamp(max_read_, item.timestamp);
+  }
+}
+
 std::string Session::Serialize() const {
   Encoder enc;
   enc.PutUint8(kSessionWireVersion);

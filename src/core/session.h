@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -29,6 +30,7 @@
 #include "src/common/timestamp.h"
 #include "src/core/consistency.h"
 #include "src/core/sla.h"
+#include "src/proto/messages.h"
 
 namespace pileus::core {
 
@@ -60,6 +62,11 @@ class Session {
   // Bookkeeping called by the client library after each operation.
   void RecordPut(std::string_view key, const Timestamp& timestamp);
   void RecordGet(std::string_view key, const Timestamp& version_timestamp);
+  // RecordGet for every item of a scan reply. Items normally come in
+  // ascending key order; then one lookup finds the first and the rest are
+  // placed by walking forward. An item out of order gets a fresh lookup, so
+  // the result never depends on the order.
+  void RecordScan(std::span<const proto::ObjectVersion> items);
 
   // Serialization: a session is pure client-side state (per-key put/get
   // timestamps plus the causal maxima), so it can be handed between

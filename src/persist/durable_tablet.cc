@@ -29,15 +29,15 @@ Status Errno(const char* what, const std::string& path) {
 // work; checkpoints written before it simply end after the timestamp, and
 // the decoder treats the range as optional). File: magic + fixed32 length +
 // fixed32 crc + payload, written to a temp file and renamed into place.
-std::string EncodeCheckpoint(const std::vector<proto::ObjectVersion>& versions,
+std::string EncodeCheckpoint(const std::vector<storage::VersionPtr>& versions,
                              const Timestamp& high, const KeyRange& range) {
   Encoder enc;
   enc.PutVarint64(versions.size());
-  for (const proto::ObjectVersion& v : versions) {
-    enc.PutLengthPrefixed(v.key);
-    enc.PutLengthPrefixed(v.value);
-    enc.PutTimestamp(v.timestamp);
-    enc.PutBool(v.is_tombstone);
+  for (const storage::VersionPtr& v : versions) {
+    enc.PutLengthPrefixed(v->key);
+    enc.PutLengthPrefixed(v->value);
+    enc.PutTimestamp(v->timestamp);
+    enc.PutBool(v->is_tombstone);
   }
   enc.PutTimestamp(high);
   enc.PutLengthPrefixed(range.begin);
@@ -209,9 +209,9 @@ class WalJournal final : public storage::TabletJournal {
 
   Status RecordVersions(
       storage::Tablet& tablet,
-      std::span<const proto::ObjectVersion> versions) override {
-    for (const proto::ObjectVersion& version : versions) {
-      PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(version));
+      std::span<const storage::VersionPtr> versions) override {
+    for (const storage::VersionPtr& version : versions) {
+      PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(*version));
     }
     return AfterAppend(tablet);
   }
@@ -244,17 +244,11 @@ class WalJournal final : public storage::TabletJournal {
       return Errno("mkdir", child.directory);
     }
     child.tablet.range = KeyRange{std::string(split_key), parent.range().end};
-    std::vector<proto::ObjectVersion> child_versions;
-    for (proto::ObjectVersion& v :
-         parent.store().LatestVersionsAfter(Timestamp::Zero())) {
-      if (v.key >= split_key) {
-        child_versions.push_back(std::move(v));
-      }
-    }
     PILEUS_RETURN_IF_ERROR(WriteFileAtomically(
         child.directory + "/checkpoint.db",
         FrameCheckpoint(EncodeCheckpoint(
-            child_versions, parent.high_timestamp(), child.tablet.range))));
+            parent.store().LatestVersionsAfter(Timestamp::Zero(), split_key),
+            parent.high_timestamp(), child.tablet.range))));
     // An orphan left by a crashed split may hold a stale log.
     Result<WriteAheadLog> child_wal =
         WriteAheadLog::Open(child.directory + "/wal.log");
@@ -381,8 +375,8 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
     recovery_options.range = loaded->range;
   }
   auto tablet = std::make_shared<storage::Tablet>(recovery_options, clock);
-  for (const proto::ObjectVersion& version : loaded->versions) {
-    (void)tablet->ApplyReplicatedPut(version);
+  for (proto::ObjectVersion& version : loaded->versions) {
+    (void)tablet->ApplyReplicatedPut(std::move(version));
   }
   const auto advance_to = [&tablet](const Timestamp& heartbeat) {
     proto::SyncReply heartbeat_only;

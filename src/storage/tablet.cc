@@ -44,12 +44,12 @@ proto::GetReply Tablet::HandleGet(std::string_view key) const {
   proto::GetReply reply;
   reply.high_timestamp = authoritative() ? CurrentHeartbeat() : high_timestamp_;
   reply.served_by_primary = authoritative();
-  if (auto version = store_.GetLatest(key)) {
+  if (VersionPtr version = store_.GetLatest(key)) {
     // A tombstone answers "not found", but its timestamp still flows back so
     // the caller can see the delete is at least as new as its own writes.
     reply.found = !version->is_tombstone;
     if (reply.found) {
-      reply.value = std::move(version->value);
+      reply.value = version->value;
     }
     reply.value_timestamp = version->timestamp;
   }
@@ -63,17 +63,18 @@ Result<proto::PutReply> Tablet::HandleDelete(std::string_view key) {
                   "Delete sent to non-primary tablet " +
                       options_.range.ToString());
   }
-  proto::ObjectVersion tombstone;
-  tombstone.key = std::string(key);
-  tombstone.timestamp = AllocateTimestamp();
-  tombstone.is_tombstone = true;
+  proto::ObjectVersion built;
+  built.key = std::string(key);
+  built.timestamp = AllocateTimestamp();
+  built.is_tombstone = true;
+  const VersionPtr tombstone = MakeVersion(std::move(built));
   store_.Apply(tombstone);
   update_log_.Append(tombstone);
-  high_timestamp_ = MaxTimestamp(high_timestamp_, tombstone.timestamp);
+  high_timestamp_ = MaxTimestamp(high_timestamp_, tombstone->timestamp);
   PILEUS_RETURN_IF_ERROR(Record({&tombstone, 1}));
 
   proto::PutReply reply;
-  reply.timestamp = tombstone.timestamp;
+  reply.timestamp = tombstone->timestamp;
   reply.high_timestamp = CurrentHeartbeat();
   return reply;
 }
@@ -97,17 +98,18 @@ Result<proto::PutReply> Tablet::HandlePut(std::string_view key,
     return Status(StatusCode::kNotPrimary,
                   "Put sent to non-primary tablet " + options_.range.ToString());
   }
-  proto::ObjectVersion version;
-  version.key = std::string(key);
-  version.value = std::string(value);
-  version.timestamp = AllocateTimestamp();
+  proto::ObjectVersion built;
+  built.key = std::string(key);
+  built.value = std::string(value);
+  built.timestamp = AllocateTimestamp();
+  const VersionPtr version = MakeVersion(std::move(built));
   store_.Apply(version);
   update_log_.Append(version);
-  high_timestamp_ = MaxTimestamp(high_timestamp_, version.timestamp);
+  high_timestamp_ = MaxTimestamp(high_timestamp_, version->timestamp);
   PILEUS_RETURN_IF_ERROR(Record({&version, 1}));
 
   proto::PutReply reply;
-  reply.timestamp = version.timestamp;
+  reply.timestamp = version->timestamp;
   reply.high_timestamp = CurrentHeartbeat();
   return reply;
 }
@@ -157,7 +159,9 @@ proto::SyncReply Tablet::HandleSync(const Timestamp& after,
     // Log truncated below `after`: fall back to a full-state transfer of all
     // latest versions newer than `after`. Correct because the receiver only
     // needs some prefix-consistent superset in timestamp order.
-    reply.versions = store_.LatestVersionsAfter(after);
+    for (const VersionPtr& version : store_.LatestVersionsAfter(after)) {
+      reply.versions.push_back(*version);
+    }
     reply.heartbeat = authoritative() ? CurrentHeartbeat() : high_timestamp_;
     return reply;
   }
@@ -175,10 +179,11 @@ proto::SyncReply Tablet::HandleSync(const Timestamp& after,
 
 Status Tablet::ApplySync(const proto::SyncReply& reply) {
   const Timestamp before = high_timestamp_;
-  for (const proto::ObjectVersion& version : reply.versions) {
-    if (version.timestamp <= before) {
+  for (const proto::ObjectVersion& pulled : reply.versions) {
+    if (pulled.timestamp <= before) {
       continue;  // Duplicate delivery.
     }
+    const VersionPtr version = MakeVersion(pulled);
     store_.Apply(version);
     update_log_.Append(version);
     PILEUS_RETURN_IF_ERROR(Record({&version, 1}));
@@ -194,12 +199,13 @@ Status Tablet::ApplySync(const proto::SyncReply& reply) {
   return Status::Ok();
 }
 
-Status Tablet::ApplyReplicatedPut(const proto::ObjectVersion& version) {
+Status Tablet::ApplyReplicatedPut(proto::ObjectVersion built) {
+  const VersionPtr version = MakeVersion(std::move(built));
   const bool applied = store_.Apply(version);
   if (applied) {
     update_log_.Append(version);
   }
-  high_timestamp_ = MaxTimestamp(high_timestamp_, version.timestamp);
+  high_timestamp_ = MaxTimestamp(high_timestamp_, version->timestamp);
   return applied ? Record({&version, 1}) : Status::Ok();
 }
 
@@ -230,7 +236,7 @@ Result<proto::CommitReply> Tablet::HandleCommit(
   // First-committer-wins write-write validation: abort if any written key has
   // a committed version newer than the transaction's snapshot.
   for (const proto::ObjectVersion& w : request.writes) {
-    if (auto latest = store_.GetLatest(w.key);
+    if (VersionPtr latest = store_.GetLatest(w.key);
         latest && latest->timestamp > request.snapshot) {
       reply.committed = false;
       reply.conflict_key = w.key;
@@ -239,7 +245,7 @@ Result<proto::CommitReply> Tablet::HandleCommit(
   }
   if (request.validate_reads) {
     for (const std::string& key : request.read_keys) {
-      if (auto latest = store_.GetLatest(key);
+      if (VersionPtr latest = store_.GetLatest(key);
           latest && latest->timestamp > request.snapshot) {
         reply.committed = false;
         reply.conflict_key = key;
@@ -252,11 +258,14 @@ Result<proto::CommitReply> Tablet::HandleCommit(
   // log keeps same-timestamp batches intact so replication delivers the
   // transaction as a unit.
   const Timestamp commit_ts = AllocateTimestamp();
-  std::vector<proto::ObjectVersion> versions = request.writes;
-  for (proto::ObjectVersion& version : versions) {
-    version.timestamp = commit_ts;
-    store_.Apply(version);
-    update_log_.Append(version);
+  std::vector<VersionPtr> versions;
+  versions.reserve(request.writes.size());
+  for (const proto::ObjectVersion& write : request.writes) {
+    proto::ObjectVersion built = write;
+    built.timestamp = commit_ts;
+    versions.push_back(MakeVersion(std::move(built)));
+    store_.Apply(versions.back());
+    update_log_.Append(versions.back());
   }
   high_timestamp_ = MaxTimestamp(high_timestamp_, commit_ts);
   PILEUS_RETURN_IF_ERROR(Record(versions));

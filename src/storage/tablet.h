@@ -119,8 +119,9 @@ class Tablet {
   // the high timestamp to the heartbeat. Fails only when the journal does.
   Status ApplySync(const proto::SyncReply& reply);
 
-  // Applies one already-timestamped write (synchronous replication fan-out).
-  Status ApplyReplicatedPut(const proto::ObjectVersion& version);
+  // Applies one already-timestamped write (synchronous replication fan-out,
+  // recovery replay).
+  Status ApplyReplicatedPut(proto::ObjectVersion version);
 
   // Drops update-log entries at or below `up_to`, bounding node memory for
   // long-running deployments. Replication pulls from before the compaction
@@ -162,7 +163,7 @@ class Tablet {
   Timestamp CurrentHeartbeat() const;
 
   // Journals versions this tablet just applied (no-op when in-memory).
-  Status Record(std::span<const proto::ObjectVersion> versions) {
+  Status Record(std::span<const VersionPtr> versions) {
     return journal_ == nullptr ? Status::Ok()
                                : journal_->RecordVersions(*this, versions);
   }

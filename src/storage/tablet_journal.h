@@ -18,6 +18,7 @@
 #include "src/common/status.h"
 #include "src/proto/messages.h"
 #include "src/reconfig/config_epoch.h"
+#include "src/storage/shared_version.h"
 
 namespace pileus::storage {
 
@@ -29,8 +30,8 @@ class TabletJournal {
 
   // `tablet` has applied `versions`. It is passed so the journal may
   // checkpoint it.
-  virtual Status RecordVersions(
-      Tablet& tablet, std::span<const proto::ObjectVersion> versions) = 0;
+  virtual Status RecordVersions(Tablet& tablet,
+                                std::span<const VersionPtr> versions) = 0;
 
   // A replication heartbeat advanced `tablet`'s high timestamp.
   virtual Status RecordHeartbeat(Tablet& tablet) = 0;

@@ -5,8 +5,9 @@
 
 namespace pileus::storage {
 
-void UpdateLog::Append(proto::ObjectVersion version) {
-  assert((entries_.empty() || entries_.back().timestamp <= version.timestamp) &&
+void UpdateLog::Append(VersionPtr version) {
+  assert((entries_.empty() ||
+          entries_.back()->timestamp <= version->timestamp) &&
          "update log requires non-decreasing timestamps");
   entries_.push_back(std::move(version));
 }
@@ -21,25 +22,25 @@ UpdateLog::ScanResult UpdateLog::Scan(const Timestamp& after,
   // Binary search for the first entry with timestamp > after.
   auto it = std::upper_bound(
       entries_.begin(), entries_.end(), after,
-      [](const Timestamp& ts, const proto::ObjectVersion& v) {
-        return ts < v.timestamp;
+      [](const Timestamp& ts, const VersionPtr& v) {
+        return ts < v->timestamp;
       });
   for (; it != entries_.end(); ++it) {
     if (max_versions != 0 && result.versions.size() >= max_versions) {
       // Do not split a same-timestamp run (e.g. one transactional commit):
       // keep going while the timestamp equals the last emitted one.
-      if (result.versions.back().timestamp != it->timestamp) {
+      if (result.versions.back().timestamp != (*it)->timestamp) {
         result.has_more = true;
         break;
       }
     }
-    result.versions.push_back(*it);
+    result.versions.push_back(**it);
   }
   return result;
 }
 
 void UpdateLog::TruncateThrough(const Timestamp& up_to) {
-  while (!entries_.empty() && entries_.front().timestamp <= up_to) {
+  while (!entries_.empty() && entries_.front()->timestamp <= up_to) {
     entries_.pop_front();
   }
   truncated_through_ = MaxTimestamp(truncated_through_, up_to);
@@ -48,9 +49,9 @@ void UpdateLog::TruncateThrough(const Timestamp& up_to) {
 UpdateLog UpdateLog::ExtractUpper(std::string_view split_key) {
   UpdateLog upper;
   upper.truncated_through_ = truncated_through_;
-  std::deque<proto::ObjectVersion> lower;
-  for (proto::ObjectVersion& v : entries_) {
-    if (v.key >= split_key) {
+  std::deque<VersionPtr> lower;
+  for (VersionPtr& v : entries_) {
+    if (v->key >= split_key) {
       upper.entries_.push_back(std::move(v));
     } else {
       lower.push_back(std::move(v));
@@ -64,11 +65,16 @@ std::vector<proto::ObjectVersion> UpdateLog::Export(bool* contiguous) const {
   if (contiguous != nullptr) {
     *contiguous = truncated_through_.IsZero();
   }
-  return {entries_.begin(), entries_.end()};
+  std::vector<proto::ObjectVersion> out;
+  out.reserve(entries_.size());
+  for (const VersionPtr& v : entries_) {
+    out.push_back(*v);
+  }
+  return out;
 }
 
 Timestamp UpdateLog::LastTimestamp() const {
-  return entries_.empty() ? Timestamp::Zero() : entries_.back().timestamp;
+  return entries_.empty() ? Timestamp::Zero() : entries_.back()->timestamp;
 }
 
 }  // namespace pileus::storage

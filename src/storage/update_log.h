@@ -7,6 +7,12 @@
 // truncated (checkpointing); scans that reach below the truncation point
 // report it so the node can fall back to a full-state transfer from the
 // versioned store.
+//
+// Entries are the same immutable objects the tablet's versioned store chains
+// hold (shared_version.h), so logging a version costs a pointer, not a copy.
+// An entry keeps its version alive after the store has pruned it from the
+// key's history. Scan and Export copy, because what they return leaves the
+// node.
 
 #ifndef PILEUS_SRC_STORAGE_UPDATE_LOG_H_
 #define PILEUS_SRC_STORAGE_UPDATE_LOG_H_
@@ -18,6 +24,7 @@
 
 #include "src/common/timestamp.h"
 #include "src/proto/messages.h"
+#include "src/storage/shared_version.h"
 
 namespace pileus::storage {
 
@@ -25,7 +32,7 @@ class UpdateLog {
  public:
   // Appends a version; timestamps must be non-decreasing (transactional
   // commits append several entries with one timestamp).
-  void Append(proto::ObjectVersion version);
+  void Append(VersionPtr version);
 
   struct ScanResult {
     std::vector<proto::ObjectVersion> versions;
@@ -59,13 +66,15 @@ class UpdateLog {
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+  // The newest entry; the log must not be empty.
+  const VersionPtr& back() const { return entries_.back(); }
   // Timestamp of the newest entry (Zero when empty).
   Timestamp LastTimestamp() const;
   // Everything at or below this timestamp has been truncated away.
   const Timestamp& truncation_point() const { return truncated_through_; }
 
  private:
-  std::deque<proto::ObjectVersion> entries_;
+  std::deque<VersionPtr> entries_;
   Timestamp truncated_through_ = Timestamp::Zero();
 };
 

@@ -17,38 +17,37 @@ uint64_t VersionBytes(const proto::ObjectVersion& v) {
 
 }  // namespace
 
-bool VersionedStore::Apply(const proto::ObjectVersion& version) {
-  auto it = chains_.find(version.key);
+bool VersionedStore::Apply(VersionPtr version) {
+  auto it = chains_.find(version->key);
   if (it == chains_.end()) {
+    bytes_ += VersionBytes(*version);
     Chain chain;
     chain.versions.push_back(version);
-    chains_.emplace(version.key, std::move(chain));
-    bytes_ += VersionBytes(version);
+    chains_.emplace(version->key, std::move(chain));
     return true;
   }
   Chain& chain = it->second;
-  const Timestamp& latest = chain.versions.front().timestamp;
-  if (version.timestamp < latest) {
+  const Timestamp& latest = chain.versions.front()->timestamp;
+  if (version->timestamp < latest) {
     return false;  // Duplicate or stale delivery.
   }
-  if (version.timestamp == latest) {
+  if (version->timestamp == latest) {
     return true;  // Exact duplicate; idempotent.
   }
-  chain.versions.insert(chain.versions.begin(), version);
-  bytes_ += VersionBytes(version);
+  bytes_ += VersionBytes(*version);
+  chain.versions.insert(chain.versions.begin(), std::move(version));
   if (chain.versions.size() > options_.history_limit) {
-    bytes_ -= VersionBytes(chain.versions.back());
+    bytes_ -= VersionBytes(*chain.versions.back());
     chain.versions.pop_back();
     chain.pruned = true;
   }
   return true;
 }
 
-std::optional<proto::ObjectVersion> VersionedStore::GetLatest(
-    std::string_view key) const {
+VersionPtr VersionedStore::GetLatest(std::string_view key) const {
   auto it = chains_.find(key);
   if (it == chains_.end()) {
-    return std::nullopt;
+    return nullptr;
   }
   return it->second.versions.front();
 }
@@ -63,10 +62,10 @@ VersionedStore::SnapshotResult VersionedStore::GetAt(
     return result;
   }
   const Chain& chain = it->second;
-  for (const proto::ObjectVersion& v : chain.versions) {
-    if (v.timestamp <= snapshot) {
+  for (const VersionPtr& v : chain.versions) {
+    if (v->timestamp <= snapshot) {
       result.found = true;
-      result.version = v;
+      result.version = *v;
       return result;
     }
   }
@@ -77,21 +76,21 @@ VersionedStore::SnapshotResult VersionedStore::GetAt(
   return result;
 }
 
-std::vector<proto::ObjectVersion> VersionedStore::LatestVersionsAfter(
-    const Timestamp& after) const {
-  std::vector<proto::ObjectVersion> out;
-  for (const auto& [key, chain] : chains_) {
-    const proto::ObjectVersion& latest = chain.versions.front();
-    if (latest.timestamp > after) {
+std::vector<VersionPtr> VersionedStore::LatestVersionsAfter(
+    const Timestamp& after, std::string_view from_key) const {
+  std::vector<VersionPtr> out;
+  for (auto it = chains_.lower_bound(from_key); it != chains_.end(); ++it) {
+    const VersionPtr& latest = it->second.versions.front();
+    if (latest->timestamp > after) {
       out.push_back(latest);
     }
   }
   std::sort(out.begin(), out.end(),
-            [](const proto::ObjectVersion& a, const proto::ObjectVersion& b) {
-              if (a.timestamp != b.timestamp) {
-                return a.timestamp < b.timestamp;
+            [](const VersionPtr& a, const VersionPtr& b) {
+              if (a->timestamp != b->timestamp) {
+                return a->timestamp < b->timestamp;
               }
-              return a.key < b.key;
+              return a->key < b->key;
             });
   return out;
 }
@@ -99,10 +98,10 @@ std::vector<proto::ObjectVersion> VersionedStore::LatestVersionsAfter(
 size_t VersionedStore::CollectTombstones(const Timestamp& horizon) {
   size_t collected = 0;
   for (auto it = chains_.begin(); it != chains_.end();) {
-    const proto::ObjectVersion& latest = it->second.versions.front();
+    const proto::ObjectVersion& latest = *it->second.versions.front();
     if (latest.is_tombstone && latest.timestamp < horizon) {
-      for (const proto::ObjectVersion& v : it->second.versions) {
-        bytes_ -= VersionBytes(v);
+      for (const VersionPtr& v : it->second.versions) {
+        bytes_ -= VersionBytes(*v);
       }
       it = chains_.erase(it);
       ++collected;
@@ -128,8 +127,8 @@ VersionedStore VersionedStore::ExtractUpper(std::string_view split_key) {
   VersionedStore upper(options_);
   auto it = chains_.lower_bound(split_key);
   while (it != chains_.end()) {
-    for (const proto::ObjectVersion& v : it->second.versions) {
-      const uint64_t sz = VersionBytes(v);
+    for (const VersionPtr& v : it->second.versions) {
+      const uint64_t sz = VersionBytes(*v);
       bytes_ -= sz;
       upper.bytes_ += sz;
     }
@@ -148,14 +147,15 @@ std::vector<proto::ObjectVersion> VersionedStore::ScanRange(
     if (!end.empty() && it->first >= end) {
       break;
     }
-    if (it->second.versions.front().is_tombstone) {
+    const proto::ObjectVersion& latest = *it->second.versions.front();
+    if (latest.is_tombstone) {
       continue;  // Deleted keys do not appear in scans.
     }
     if (limit != 0 && out.size() >= limit) {
       *truncated = true;
       break;
     }
-    out.push_back(it->second.versions.front());
+    out.push_back(latest);
   }
   return out;
 }

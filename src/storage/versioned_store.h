@@ -7,6 +7,11 @@
 // design. Versions arrive in non-decreasing timestamp order (primary ordering
 // + in-order replication), and re-applying an already-known version is a
 // harmless no-op so replication retries stay idempotent.
+//
+// Chains hold shared immutable versions (shared_version.h): the tablet's
+// update log points at the same objects, so a node keeps one copy of each
+// version. Readers inside the node (checkpoint, split) walk the pointers;
+// only what leaves the node (scan items, snapshot reads) is copied.
 
 #ifndef PILEUS_SRC_STORAGE_VERSIONED_STORE_H_
 #define PILEUS_SRC_STORAGE_VERSIONED_STORE_H_
@@ -20,6 +25,7 @@
 
 #include "src/common/timestamp.h"
 #include "src/proto/messages.h"
+#include "src/storage/shared_version.h"
 
 namespace pileus::storage {
 
@@ -36,10 +42,10 @@ class VersionedStore {
   // Inserts a version. Returns false (and ignores the write) if a strictly
   // newer version of the key is already present — replication delivers in
   // timestamp order, so this only happens on duplicate delivery.
-  bool Apply(const proto::ObjectVersion& version);
+  bool Apply(VersionPtr version);
 
-  // Latest version of `key`, if any.
-  std::optional<proto::ObjectVersion> GetLatest(std::string_view key) const;
+  // Latest version of `key`; null when the key is unknown.
+  VersionPtr GetLatest(std::string_view key) const;
 
   struct SnapshotResult {
     bool found = false;             // A version <= snapshot exists.
@@ -52,11 +58,12 @@ class VersionedStore {
   // case the result must not be trusted.
   SnapshotResult GetAt(std::string_view key, const Timestamp& snapshot) const;
 
-  // All latest versions with timestamp > after, in ascending timestamp order
-  // (ties broken by key). Used as the replication fallback when the update
-  // log has been truncated.
-  std::vector<proto::ObjectVersion> LatestVersionsAfter(
-      const Timestamp& after) const;
+  // The latest versions with timestamp > after and key >= from_key, in
+  // ascending timestamp order (ties broken by key). The replication fallback
+  // when the update log has been truncated, and the contents of a checkpoint
+  // (from_key = a split child's first key).
+  std::vector<VersionPtr> LatestVersionsAfter(
+      const Timestamp& after, std::string_view from_key = {}) const;
 
   // Latest versions with keys in [begin, end) in ascending key order, at
   // most `limit` (0 = unlimited). Sets *truncated when the limit cut the
@@ -94,7 +101,7 @@ class VersionedStore {
  private:
   struct Chain {
     // Newest first.
-    std::vector<proto::ObjectVersion> versions;
+    std::vector<VersionPtr> versions;
     // True once any version has been dropped due to the history limit.
     bool pruned = false;
   };

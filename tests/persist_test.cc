@@ -698,6 +698,81 @@ TEST_F(PersistTest, ChildThatSplitAgainReopensRecursively) {
   }
 }
 
+// What a checkpoint must carry: every latest version (tombstones included)
+// in timestamp order, the high timestamp and the range.
+struct TabletImage {
+  std::vector<proto::ObjectVersion> latest;
+  Timestamp high;
+  KeyRange range;
+};
+
+TabletImage ImageOf(const storage::Tablet& tablet) {
+  TabletImage image;
+  for (const storage::VersionPtr& version :
+       tablet.store().LatestVersionsAfter(Timestamp::Zero())) {
+    image.latest.push_back(*version);
+  }
+  image.high = tablet.high_timestamp();
+  image.range = tablet.range();
+  return image;
+}
+
+TEST_F(PersistTest, CheckpointedSplitReopensTheSameContentsAndRange) {
+  ManualClock clock(1000);
+  DurableTablet::Options options;
+  options.directory = dir_;
+  options.tablet.is_primary = true;
+  std::vector<TabletImage> images;
+  {
+    auto tablet = DurableTablet::Open(options, &clock);
+    ASSERT_TRUE(tablet.ok()) << tablet.status();
+    for (int i = 0; i < 12; ++i) {
+      clock.AdvanceMicros(5);
+      ASSERT_TRUE((*tablet)
+                      ->HandlePut("k" + std::to_string(10 + i),
+                                  std::string(i * 7, 'a' + i))
+                      .ok());
+    }
+    clock.AdvanceMicros(5);
+    ASSERT_TRUE((*tablet)->HandlePut("k12", "overwritten").ok());
+    ASSERT_TRUE((*tablet)->tablet().HandleDelete("k11").ok());
+    Result<std::unique_ptr<storage::Tablet>> upper =
+        (*tablet)->tablet().Split("k16");
+    ASSERT_TRUE(upper.ok()) << upper.status();
+    clock.AdvanceMicros(5);
+    ASSERT_TRUE((*tablet)->HandlePut("k13", "lower-after").ok());
+    ASSERT_TRUE((*upper)->HandlePut("k20", "upper-after").ok());
+    ASSERT_TRUE((*upper)->HandleDelete("k17").ok());
+
+    ASSERT_TRUE((*tablet)->Checkpoint().ok());
+    ASSERT_TRUE((*upper)->journal()->Checkpoint(**upper).ok());
+    images = {ImageOf((*tablet)->tablet()), ImageOf(**upper)};
+  }  // "Crash".
+
+  auto reopened = DurableTablet::OpenAll(options, &clock);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_EQ(reopened->size(), 2u);
+  for (size_t i = 0; i < images.size(); ++i) {
+    const DurableTablet& half = *(*reopened)[i];
+    EXPECT_EQ(half.recovery_info().wal_versions, 0u) << i;
+    EXPECT_EQ(half.recovery_info().checkpoint_versions,
+              images[i].latest.size())
+        << i;
+    const TabletImage image = ImageOf(half.tablet());
+    EXPECT_EQ(image.range, images[i].range) << i;
+    EXPECT_EQ(image.high, images[i].high) << i;
+    EXPECT_EQ(image.latest, images[i].latest) << i;
+  }
+  EXPECT_EQ(images[0].range, (KeyRange{"", "k16"}));
+  EXPECT_EQ(images[1].range, (KeyRange{"k16", ""}));
+  EXPECT_EQ(ReadFrom(*reopened, "k11"), "");
+  EXPECT_EQ(ReadFrom(*reopened, "k12"), "overwritten");
+  EXPECT_EQ(ReadFrom(*reopened, "k13"), "lower-after");
+  EXPECT_EQ(ReadFrom(*reopened, "k17"), "");
+  EXPECT_EQ(ReadFrom(*reopened, "k20"), "upper-after");
+  EXPECT_EQ(ReadFrom(*reopened, "k21"), std::string(77, 'l'));
+}
+
 // --- GroupCommitter unit tests ---
 //
 // The committer's contract (group_commit.h): an ack registered after its

@@ -156,7 +156,7 @@ TEST(ReplicationAgentTest, ErrorReplyFailsThePull) {
 struct CountingJournal : storage::TabletJournal {
   int syncs = 0;
   Status RecordVersions(Tablet&,
-                        std::span<const proto::ObjectVersion>) override {
+                        std::span<const storage::VersionPtr>) override {
     return Status::Ok();
   }
   Status RecordHeartbeat(Tablet&) override { return Status::Ok(); }

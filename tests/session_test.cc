@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/session.h"
 
 namespace pileus::core {
@@ -112,6 +115,67 @@ TEST_F(SessionTest, IntrospectionAccessors) {
   EXPECT_EQ(session_.max_read_timestamp(), (Timestamp{200, 0}));
   EXPECT_EQ(session_.tracked_put_keys(), 1u);
   EXPECT_EQ(session_.tracked_get_keys(), 1u);
+}
+
+proto::ObjectVersion Item(const std::string& key, int64_t ts) {
+  proto::ObjectVersion item;
+  item.key = key;
+  item.value = "v";
+  item.timestamp = Timestamp{ts, 0};
+  return item;
+}
+
+// RecordScan must leave exactly the state that one RecordGet per item
+// leaves. Both sessions are copies of one serialized session, so they share
+// an id and their serializations can be compared byte for byte.
+void ExpectScanMatchesGets(const Session& base,
+                           const std::vector<proto::ObjectVersion>& items) {
+  Result<Session> by_scan = Session::Deserialize(base.Serialize());
+  Result<Session> by_gets = Session::Deserialize(base.Serialize());
+  ASSERT_TRUE(by_scan.ok() && by_gets.ok());
+  by_scan->RecordScan(items);
+  for (const proto::ObjectVersion& item : items) {
+    by_gets->RecordGet(item.key, item.timestamp);
+  }
+  EXPECT_EQ(by_scan->Serialize(), by_gets->Serialize());
+  EXPECT_EQ(by_scan->tracked_get_keys(), by_gets->tracked_get_keys());
+  EXPECT_EQ(by_scan->max_read_timestamp(), by_gets->max_read_timestamp());
+  for (const proto::ObjectVersion& item : items) {
+    EXPECT_EQ(by_scan->LastGetTimestamp(item.key),
+              by_gets->LastGetTimestamp(item.key))
+        << item.key;
+  }
+}
+
+TEST_F(SessionTest, RecordScanIntoEmptySession) {
+  ExpectScanMatchesGets(session_, {Item("a", 10), Item("b", 30), Item("c", 20)});
+  ExpectScanMatchesGets(session_, {});
+}
+
+TEST_F(SessionTest, RecordScanInterleavesWithRecordedKeys) {
+  session_.RecordGet("b", Timestamp{50, 0});   // Newer than the scan's b.
+  session_.RecordGet("d", Timestamp{5, 0});    // Older than the scan's d.
+  session_.RecordGet("f", Timestamp{70, 0});   // Between two scanned keys.
+  session_.RecordGet("zz", Timestamp{80, 0});  // After the whole scan.
+  session_.RecordPut("c", Timestamp{90, 0});
+  ExpectScanMatchesGets(session_, {Item("a", 10), Item("b", 20), Item("c", 30),
+                                   Item("d", 40), Item("e", 10), Item("g", 60)});
+
+  session_.RecordScan(std::vector<proto::ObjectVersion>{Item("b", 20),
+                                                        Item("d", 40)});
+  EXPECT_EQ(session_.LastGetTimestamp("b"), (Timestamp{50, 0}));
+  EXPECT_EQ(session_.LastGetTimestamp("d"), (Timestamp{40, 0}));
+  EXPECT_EQ(session_.MinReadTimestamp(Guarantee::Monotonic(), "d", kNow),
+            (Timestamp{40, 0}));
+  EXPECT_EQ(session_.max_read_timestamp(), (Timestamp{80, 0}));
+}
+
+TEST_F(SessionTest, RecordScanHandlesOutOfOrderItems) {
+  session_.RecordGet("c", Timestamp{15, 0});
+  // Descending, a repeated key, and a jump back below recorded keys.
+  ExpectScanMatchesGets(session_, {Item("e", 10), Item("a", 40), Item("c", 20),
+                                   Item("c", 5), Item("b", 30), Item("d", 1),
+                                   Item("a", 50)});
 }
 
 TEST_F(SessionTest, SerializeRoundTripPreservesGuaranteeState) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/clock.h"
 #include "src/storage/tablet.h"
 
@@ -482,6 +486,125 @@ TEST(TabletTest, CommittedBatchReplicatesAsAUnit) {
   secondary.ApplySync(reply);
   EXPECT_TRUE(secondary.HandleGet("a").found);
   EXPECT_TRUE(secondary.HandleGet("c").found);
+}
+
+// --- One copy of each version per node ---
+
+// True when the store's latest version of `key` and the update log's newest
+// entry are one object.
+bool StoreHeadIsLogTail(Tablet& tablet, std::string_view key) {
+  const VersionPtr head = tablet.store().GetLatest(key);
+  return head != nullptr && !tablet.update_log().empty() &&
+         head.get() == tablet.update_log().back().get();
+}
+
+TEST(TabletTest, EveryMutationSharesOneVersionWithTheLog) {
+  ManualClock clock(1000);
+  Tablet primary(PrimaryOptions(), &clock);
+  ASSERT_TRUE(primary.HandlePut("k", "v1").ok());
+  EXPECT_TRUE(StoreHeadIsLogTail(primary, "k"));
+
+  clock.AdvanceMicros(5);
+  ASSERT_TRUE(primary.HandleDelete("k").ok());
+  EXPECT_TRUE(StoreHeadIsLogTail(primary, "k"));
+
+  clock.AdvanceMicros(5);
+  proto::CommitRequest request;
+  request.snapshot = primary.high_timestamp();
+  for (const char* key : {"a", "b"}) {
+    proto::ObjectVersion w;
+    w.key = key;
+    w.value = std::string("tx-") + key;
+    request.writes.push_back(w);
+  }
+  auto commit = primary.HandleCommit(request);
+  ASSERT_TRUE(commit.ok());
+  ASSERT_TRUE(commit->committed);
+  EXPECT_TRUE(StoreHeadIsLogTail(primary, "b"));
+
+  Tablet secondary(SecondaryOptions(), &clock);
+  ASSERT_TRUE(
+      secondary.ApplySync(primary.HandleSync(Timestamp::Zero(), 0)).ok());
+  EXPECT_TRUE(StoreHeadIsLogTail(secondary, "b"));
+  EXPECT_EQ(secondary.update_log().size(), 4u);
+
+  Tablet sync_replica(SecondaryOptions(), &clock);
+  proto::ObjectVersion forwarded;
+  forwarded.key = "s";
+  forwarded.value = "v";
+  forwarded.timestamp = Timestamp{2000, 0};
+  ASSERT_TRUE(sync_replica.ApplyReplicatedPut(forwarded).ok());
+  EXPECT_TRUE(StoreHeadIsLogTail(sync_replica, "s"));
+}
+
+TEST(TabletTest, LogServesVersionsTheStorePruned) {
+  ManualClock clock(1000);
+  Tablet::Options options = PrimaryOptions();
+  options.store.history_limit = 1;
+  Tablet primary(options, &clock);
+  auto first = primary.HandlePut("k", "v1");
+  ASSERT_TRUE(first.ok());
+  clock.AdvanceMicros(5);
+  ASSERT_TRUE(primary.HandlePut("k", "v2").ok());
+
+  // The store kept only v2 ...
+  EXPECT_FALSE(primary.HandleGetAt("k", first->timestamp).snapshot_available);
+  EXPECT_EQ(primary.ApproximateBytes(), 3u);  // "k" + "v2".
+  // ... yet the log still replicates both, in order.
+  auto scan = primary.update_log().Scan(Timestamp::Zero(), 0);
+  ASSERT_EQ(scan.versions.size(), 2u);
+  EXPECT_EQ(scan.versions[0].value, "v1");
+  EXPECT_EQ(scan.versions[1].value, "v2");
+  EXPECT_EQ(primary.HandleSync(Timestamp::Zero(), 0).versions.size(), 2u);
+}
+
+TEST(TabletTest, CompactingTheLogLeavesStoreReadsIntact) {
+  ManualClock clock(1000);
+  Tablet primary(PrimaryOptions(), &clock);
+  std::vector<Timestamp> stamps;
+  for (const char* value : {"a1", "a2", "a3"}) {
+    clock.AdvanceMicros(5);
+    auto put = primary.HandlePut("a", value);
+    ASSERT_TRUE(put.ok());
+    stamps.push_back(put->timestamp);
+  }
+  clock.AdvanceMicros(5);
+  ASSERT_TRUE(primary.HandlePut("b", "b1").ok());
+
+  primary.update_log().TruncateThrough(stamps[1]);
+  EXPECT_EQ(primary.update_log().size(), 2u);
+  EXPECT_EQ(primary.HandleGet("a").value, "a3");
+  EXPECT_EQ(primary.HandleGetAt("a", stamps[0]).value, "a1");
+
+  primary.CompactLog(primary.high_timestamp());
+  EXPECT_TRUE(primary.update_log().empty());
+  EXPECT_EQ(primary.HandleGet("a").value, "a3");
+  EXPECT_EQ(primary.HandleGet("b").value, "b1");
+  EXPECT_EQ(primary.HandleGetAt("a", stamps[1]).value, "a2");
+  EXPECT_EQ(primary.HandleRange("", "", 0).items.size(), 2u);
+}
+
+TEST(TabletTest, SplitMovesSharedVersionsAndKeepsBytes) {
+  ManualClock clock(1000);
+  Tablet lower(PrimaryOptions(), &clock);
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"a", "1"}, {"p", "22"}, {"x", "333"}, {"b", "4444"}, {"p", "5"},
+           {"y", "66"}}) {
+    clock.AdvanceMicros(5);
+    ASSERT_TRUE(lower.HandlePut(key, value).ok());
+  }
+  const uint64_t before = lower.ApproximateBytes();
+  const VersionPtr p_head = lower.store().GetLatest("p");
+
+  Result<std::unique_ptr<Tablet>> upper = lower.Split("m");
+  ASSERT_TRUE(upper.ok()) << upper.status();
+  EXPECT_EQ(lower.ApproximateBytes() + (*upper)->ApproximateBytes(), before);
+  EXPECT_EQ((*upper)->store().GetLatest("p").get(), p_head.get());
+  EXPECT_TRUE(StoreHeadIsLogTail(lower, "b"));
+  EXPECT_TRUE(StoreHeadIsLogTail(**upper, "y"));
+  EXPECT_EQ(lower.update_log().size(), 2u);
+  EXPECT_EQ((*upper)->update_log().size(), 4u);
 }
 
 }  // namespace

@@ -7,13 +7,12 @@
 namespace pileus::storage {
 namespace {
 
-proto::ObjectVersion V(const std::string& key, int64_t ts,
-                       uint32_t seq = 0) {
+VersionPtr V(const std::string& key, int64_t ts, uint32_t seq = 0) {
   proto::ObjectVersion version;
   version.key = key;
   version.value = "v@" + std::to_string(ts);
   version.timestamp = Timestamp{ts, seq};
-  return version;
+  return MakeVersion(std::move(version));
 }
 
 TEST(UpdateLogTest, EmptyLog) {
@@ -127,6 +126,53 @@ TEST(UpdateLogTest, SequenceNumbersOrderWithinMicrosecond) {
   auto scan = log.Scan(Timestamp{10, 1}, 0);
   ASSERT_EQ(scan.versions.size(), 1u);
   EXPECT_EQ(scan.versions[0].key, "c");
+}
+
+// --- Shared versions (one copy per node) ---
+
+TEST(UpdateLogTest, AppendKeepsTheVersionItWasGiven) {
+  UpdateLog log;
+  const VersionPtr a = V("a", 10);
+  log.Append(a);
+  EXPECT_EQ(log.back().get(), a.get());
+  // Scan copies: what it returns leaves the node.
+  auto scan = log.Scan(Timestamp::Zero(), 0);
+  ASSERT_EQ(scan.versions.size(), 1u);
+  EXPECT_EQ(scan.versions[0], *a);
+  EXPECT_EQ(a.use_count(), 2);
+}
+
+TEST(UpdateLogTest, TruncationReleasesOnlyTheLogsReference) {
+  UpdateLog log;
+  // `held` plays the versioned store's part.
+  const VersionPtr held = V("a", 10);
+  log.Append(held);
+  log.Append(V("b", 20));
+  log.TruncateThrough(Timestamp{20, 0});
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(held->value, "v@10");
+}
+
+TEST(UpdateLogTest, ExtractUpperMovesEntriesInOrder) {
+  UpdateLog log;
+  log.Append(V("a", 10));
+  log.Append(V("x", 20));
+  log.Append(V("b", 30));
+  log.Append(V("y", 40));
+  log.TruncateThrough(Timestamp{5, 0});
+  const VersionPtr y = log.back();
+
+  UpdateLog upper = log.ExtractUpper("m");
+  EXPECT_EQ(log.size(), 2u);
+  ASSERT_EQ(upper.size(), 2u);
+  EXPECT_EQ(upper.back().get(), y.get());  // Moved, not copied.
+  EXPECT_EQ(log.back()->key, "b");
+  EXPECT_EQ(upper.truncation_point(), (Timestamp{5, 0}));
+  auto scan = upper.Scan(Timestamp{5, 0}, 0);
+  ASSERT_EQ(scan.versions.size(), 2u);
+  EXPECT_EQ(scan.versions[0].key, "x");
+  EXPECT_EQ(scan.versions[1].key, "y");
 }
 
 }  // namespace

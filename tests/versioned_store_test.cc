@@ -7,18 +7,19 @@
 namespace pileus::storage {
 namespace {
 
-proto::ObjectVersion V(const std::string& key, const std::string& value,
-                       int64_t ts, uint32_t seq = 0) {
+VersionPtr V(const std::string& key, const std::string& value, int64_t ts,
+             uint32_t seq = 0, bool is_tombstone = false) {
   proto::ObjectVersion version;
   version.key = key;
   version.value = value;
   version.timestamp = Timestamp{ts, seq};
-  return version;
+  version.is_tombstone = is_tombstone;
+  return MakeVersion(std::move(version));
 }
 
 TEST(VersionedStoreTest, GetLatestOnEmptyStore) {
   VersionedStore store;
-  EXPECT_FALSE(store.GetLatest("missing").has_value());
+  EXPECT_EQ(store.GetLatest("missing"), nullptr);
   EXPECT_EQ(store.key_count(), 0u);
 }
 
@@ -26,7 +27,7 @@ TEST(VersionedStoreTest, ApplyAndGetLatest) {
   VersionedStore store;
   EXPECT_TRUE(store.Apply(V("k", "v1", 10)));
   auto latest = store.GetLatest("k");
-  ASSERT_TRUE(latest.has_value());
+  ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->value, "v1");
   EXPECT_EQ(latest->timestamp, (Timestamp{10, 0}));
 }
@@ -120,9 +121,9 @@ TEST(VersionedStoreTest, LatestVersionsAfterSortsByTimestamp) {
 
   auto versions = store.LatestVersionsAfter(Timestamp{5, 0});
   ASSERT_EQ(versions.size(), 3u);
-  EXPECT_EQ(versions[0].key, "a");
-  EXPECT_EQ(versions[1].key, "c");
-  EXPECT_EQ(versions[2].key, "b");
+  EXPECT_EQ(versions[0]->key, "a");
+  EXPECT_EQ(versions[1]->key, "c");
+  EXPECT_EQ(versions[2]->key, "b");
 }
 
 TEST(VersionedStoreTest, LatestVersionsAfterFiltersByTimestamp) {
@@ -131,7 +132,7 @@ TEST(VersionedStoreTest, LatestVersionsAfterFiltersByTimestamp) {
   store.Apply(V("b", "vb", 30));
   auto versions = store.LatestVersionsAfter(Timestamp{10, 0});
   ASSERT_EQ(versions.size(), 1u);
-  EXPECT_EQ(versions[0].key, "b");
+  EXPECT_EQ(versions[0]->key, "b");
 }
 
 TEST(VersionedStoreTest, LatestVersionsAfterTieBreaksByKey) {
@@ -140,8 +141,8 @@ TEST(VersionedStoreTest, LatestVersionsAfterTieBreaksByKey) {
   store.Apply(V("a", "v", 10));
   auto versions = store.LatestVersionsAfter(Timestamp::Zero());
   ASSERT_EQ(versions.size(), 2u);
-  EXPECT_EQ(versions[0].key, "a");
-  EXPECT_EQ(versions[1].key, "z");
+  EXPECT_EQ(versions[0]->key, "a");
+  EXPECT_EQ(versions[1]->key, "z");
 }
 
 TEST(VersionedStoreTest, ScanRangeReturnsKeyOrder) {
@@ -202,29 +203,23 @@ TEST(VersionedStoreTest, ScanRangeReturnsLatestVersions) {
 TEST(VersionedStoreTest, CollectTombstonesDropsOnlyOldDeletes) {
   VersionedStore store;
   store.Apply(V("live", "v", 10));
-  proto::ObjectVersion old_tombstone = V("old-dead", "", 20);
-  old_tombstone.is_tombstone = true;
-  store.Apply(old_tombstone);
-  proto::ObjectVersion fresh_tombstone = V("fresh-dead", "", 90);
-  fresh_tombstone.is_tombstone = true;
-  store.Apply(fresh_tombstone);
+  store.Apply(V("old-dead", "", 20, 0, /*is_tombstone=*/true));
+  store.Apply(V("fresh-dead", "", 90, 0, /*is_tombstone=*/true));
 
   EXPECT_EQ(store.CollectTombstones(Timestamp{50, 0}), 1u);
   EXPECT_EQ(store.key_count(), 2u);
-  EXPECT_FALSE(store.GetLatest("old-dead").has_value());  // Collected.
-  ASSERT_TRUE(store.GetLatest("fresh-dead").has_value());  // Kept.
+  EXPECT_EQ(store.GetLatest("old-dead"), nullptr);  // Collected.
+  ASSERT_NE(store.GetLatest("fresh-dead"), nullptr);  // Kept.
   EXPECT_TRUE(store.GetLatest("fresh-dead")->is_tombstone);
-  EXPECT_TRUE(store.GetLatest("live").has_value());
+  EXPECT_NE(store.GetLatest("live"), nullptr);
 }
 
 TEST(VersionedStoreTest, CollectedTombstoneStillReadsNotFound) {
   VersionedStore store;
   store.Apply(V("k", "v", 10));
-  proto::ObjectVersion tombstone = V("k", "", 20);
-  tombstone.is_tombstone = true;
-  store.Apply(tombstone);
+  store.Apply(V("k", "", 20, 0, /*is_tombstone=*/true));
   store.CollectTombstones(Timestamp{100, 0});
-  EXPECT_FALSE(store.GetLatest("k").has_value());
+  EXPECT_EQ(store.GetLatest("k"), nullptr);
   bool truncated = false;
   EXPECT_TRUE(store.ScanRange("", "", 0, &truncated).empty());
 }
@@ -236,6 +231,66 @@ TEST(VersionedStoreTest, ManyKeysIndependentChains) {
   }
   EXPECT_EQ(store.key_count(), 1000u);
   EXPECT_EQ(store.GetLatest("key500")->timestamp, (Timestamp{600, 0}));
+}
+
+// --- Shared versions (one copy per node) ---
+
+TEST(VersionedStoreTest, ApplyKeepsTheVersionItWasGiven) {
+  VersionedStore store;
+  const VersionPtr v1 = V("k", "v1", 10);
+  store.Apply(v1);
+  EXPECT_EQ(store.GetLatest("k").get(), v1.get());
+  // An exact duplicate is a no-op: the chain keeps the first object.
+  store.Apply(V("k", "v1", 10));
+  EXPECT_EQ(store.GetLatest("k").get(), v1.get());
+}
+
+TEST(VersionedStoreTest, PrunedVersionLivesOnWhileSharedElsewhere) {
+  VersionedStore::Options options;
+  options.history_limit = 1;
+  VersionedStore store(options);
+  // `held` plays the update log's part: it points at the same object.
+  const VersionPtr held = V("k", "old", 10);
+  store.Apply(held);
+  store.Apply(V("k", "new", 20));  // Prunes "old" from the chain.
+  EXPECT_EQ(store.GetLatest("k")->value, "new");
+  EXPECT_EQ(store.ApproximateBytes(), 4u);  // "k" + "new" only.
+  EXPECT_EQ(held->value, "old");
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+TEST(VersionedStoreTest, LatestVersionsAfterFromKeySkipsLowerKeys) {
+  VersionedStore store;
+  store.Apply(V("a", "va", 40));
+  store.Apply(V("m", "vm", 30));
+  store.Apply(V("z", "vz", 10));
+  store.Apply(V("q", "vq", 20));
+  auto versions = store.LatestVersionsAfter(Timestamp::Zero(), "m");
+  ASSERT_EQ(versions.size(), 3u);
+  EXPECT_EQ(versions[0]->key, "z");  // Timestamp order, not key order.
+  EXPECT_EQ(versions[1]->key, "q");
+  EXPECT_EQ(versions[2]->key, "m");  // from_key is inclusive.
+  EXPECT_EQ(versions[2].get(), store.GetLatest("m").get());
+  EXPECT_TRUE(store.LatestVersionsAfter(Timestamp{15, 0}, "zz").empty());
+}
+
+TEST(VersionedStoreTest, ExtractUpperMovesChainsAndBytes) {
+  VersionedStore store;
+  store.Apply(V("a", "1", 10));
+  store.Apply(V("n", "22", 20));
+  store.Apply(V("n", "333", 30));
+  store.Apply(V("z", "4444", 40));
+  const uint64_t before = store.ApproximateBytes();
+  const VersionPtr n_head = store.GetLatest("n");
+
+  VersionedStore upper = store.ExtractUpper("m");
+  EXPECT_EQ(store.ApproximateBytes() + upper.ApproximateBytes(), before);
+  EXPECT_EQ(store.ApproximateBytes(), 2u);  // "a" + "1".
+  EXPECT_EQ(store.key_count(), 1u);
+  EXPECT_EQ(upper.key_count(), 2u);
+  EXPECT_EQ(upper.GetLatest("n").get(), n_head.get());  // Moved, not copied.
+  EXPECT_EQ(upper.GetAt("n", Timestamp{25, 0}).version.value, "22");
+  EXPECT_EQ(store.GetLatest("n"), nullptr);
 }
 
 }  // namespace
