@@ -5,13 +5,17 @@
 // thread-per-connection transport by a wide margin, because a storage node
 // that burns a thread per client cannot host the paper's many-tenant SLAs.
 //
-// Three measurements against the same in-memory storage node (Get on a
+// Four measurements against the same in-memory storage node (Get on a
 // preloaded keyspace — a realistic cheap op, so the transport dominates):
 //   1. Closed-loop baseline: N blocking client threads, one LegacyTcpChannel
 //      each, against the LegacyTcpServer (thread per connection).
 //   2. Closed-loop pipelined: C channels x D in-flight async calls against
 //      the epoll TcpServer; completions re-issue from the event loop.
-//   3. Open-loop at 50% of measured capacity: fixed-rate issue, latency
+//   3. Closed-loop synchronous: 1, 16 and 64 threads making blocking
+//      TcpChannel::Calls on one shared channel against the epoll TcpServer
+//      (the path every PileusClient op, pull and probe takes), plus one
+//      caller with this process's threads pinned to one CPU.
+//   4. Open-loop at 50% of measured capacity: fixed-rate issue, latency
 //      distribution of completions. Client and server share one loop thread
 //      so the tail reflects transport queueing, not OS run-queue delay from
 //      oversubscribing a small machine.
@@ -19,11 +23,16 @@
 // Self-checks (exit non-zero on failure; enforced by CI's smoke run):
 //   1. pipelined throughput at 64 in-flight >= 3x the 64-thread baseline,
 //   2. open-loop p99 <= max(2x p50, p50 + 250us) at 50% load (the absolute
-//      slack keeps sub-ms medians from flaking on scheduler jitter).
+//      slack keeps sub-ms medians from flaking on scheduler jitter),
+//   3. no transport errors, and every synchronous row opened no more
+//      connections than it had caller threads (the channel reuses one idle
+//      connection per concurrent caller; a churning idle list fails this).
 //
 // Writes BENCH_throughput.json (cwd) with every sweep point so the numbers
 // are trackable across commits. PILEUS_BENCH_SMOKE=1 shrinks durations; the
 // self-checks hold in both modes.
+
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -42,6 +51,7 @@
 #include "src/net/tcp.h"
 #include "src/proto/messages.h"
 #include "src/storage/storage_node.h"
+#include "src/telemetry/metrics.h"
 #include "src/util/histogram.h"
 
 using namespace pileus;  // NOLINT
@@ -74,12 +84,18 @@ struct LoadResult {
   uint64_t errors = 0;
   int64_t p50_us = 0;
   int64_t p99_us = 0;
+  uint64_t connects = 0;  // Synchronous rows: connections the channel opened.
 };
 
-// --- 1. Closed loop over the legacy thread-per-connection transport ---
+// --- 1. Closed loops of blocking Calls ---
+//
+// N threads, each waiting for its reply before the next Call; thread t calls
+// on `channels[t % channels.size()]`. The legacy baseline gives every thread
+// a LegacyTcpChannel of its own; the synchronous rows share one TcpChannel.
 
-LoadResult RunLegacyClosedLoop(uint16_t port, int threads,
-                               MicrosecondCount duration_us) {
+LoadResult RunBlockingClosedLoop(
+    const std::vector<std::unique_ptr<net::Channel>>& channels, int threads,
+    MicrosecondCount duration_us) {
   std::mutex mu;
   Histogram latency;
   std::atomic<uint64_t> ops{0};
@@ -89,13 +105,14 @@ LoadResult RunLegacyClosedLoop(uint16_t port, int threads,
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([port, t, deadline, &mu, &latency, &ops, &errors] {
-      net::LegacyTcpChannel channel(port);
+    net::Channel* channel = channels[t % channels.size()].get();
+    workers.emplace_back([channel, t, deadline, &mu, &latency, &ops,
+                          &errors] {
       int i = t;
       while (RealClock::Instance()->NowMicros() < deadline) {
         const MicrosecondCount op_start = RealClock::Instance()->NowMicros();
         Result<proto::Message> reply =
-            channel.Call(MakeGet(i++), SecondsToMicroseconds(10));
+            channel->Call(MakeGet(i++), SecondsToMicroseconds(10));
         if (reply.ok()) {
           ops.fetch_add(1, std::memory_order_relaxed);
           std::lock_guard<std::mutex> lock(mu);
@@ -118,6 +135,40 @@ LoadResult RunLegacyClosedLoop(uint16_t port, int threads,
   result.p50_us = latency.Quantile(0.50);
   result.p99_us = latency.Quantile(0.99);
   return result;
+}
+
+// Synchronous TcpChannel::Call from `threads` callers sharing one channel,
+// counting the connections the channel opens (it keeps one per concurrent
+// caller, so a churning idle list shows up as connects > threads).
+LoadResult RunSyncClosedLoop(uint16_t port, int threads,
+                             MicrosecondCount duration_us) {
+  telemetry::Counter* connects =
+      telemetry::MetricsRegistry::Default().GetCounter(
+          "pileus_net_tcp_connects_total");
+  const uint64_t connects_before = connects->Value();
+  std::vector<std::unique_ptr<net::Channel>> channels;
+  channels.push_back(std::make_unique<net::TcpChannel>(port));
+  LoadResult result = RunBlockingClosedLoop(channels, threads, duration_us);
+  result.connects = connects->Value() - connects_before;
+  return result;
+}
+
+// Restricts the calling thread to the highest CPU it may use, returning its
+// previous mask; threads it starts afterwards inherit the restriction.
+cpu_set_t PinToOneCpu() {
+  cpu_set_t previous;
+  CPU_ZERO(&previous);
+  (void)sched_getaffinity(0, sizeof(previous), &previous);
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+    if (CPU_ISSET(cpu, &previous)) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      (void)sched_setaffinity(0, sizeof(one), &one);
+      break;
+    }
+  }
+  return previous;
 }
 
 // --- 2. Closed loop, pipelined, over the epoll transport ---
@@ -388,7 +439,12 @@ int main() {
       std::fprintf(stderr, "FAIL: %s\n", st.ToString().c_str());
       return 1;
     }
-    LoadResult r = RunLegacyClosedLoop(server.port(), threads, duration_us);
+    std::vector<std::unique_ptr<net::Channel>> channels;
+    for (int t = 0; t < threads; ++t) {
+      channels.push_back(
+          std::make_unique<net::LegacyTcpChannel>(server.port()));
+    }
+    LoadResult r = RunBlockingClosedLoop(channels, threads, duration_us);
     server.Stop();
     char label[64];
     std::snprintf(label, sizeof(label), "legacy closed %d threads", threads);
@@ -400,6 +456,12 @@ int main() {
   const std::pair<int, int> pipelined_configs[] = {
       {1, 1}, {1, 8}, {4, 16}, {8, 8}};
   std::vector<std::pair<std::pair<int, int>, LoadResult>> pipelined_results;
+  struct SyncRow {
+    int threads;
+    bool one_cpu;
+    LoadResult result;
+  };
+  std::vector<SyncRow> sync_results;
   {
     net::TcpServer server;
     if (Status st = server.Start(0, handler, {.loop_threads = 2});
@@ -416,7 +478,34 @@ int main() {
       PrintResult(label, r);
       pipelined_results.emplace_back(std::make_pair(channels, depth), r);
     }
+    for (const int threads : {1, 16, 64}) {
+      LoadResult r = RunSyncClosedLoop(server.port(), threads, duration_us);
+      char label[64];
+      std::snprintf(label, sizeof(label), "sync closed %d threads", threads);
+      PrintResult(label, r);
+      sync_results.push_back({threads, false, r});
+    }
     server.Stop();
+  }
+
+  // --- One synchronous caller, server and client on one CPU ---
+  //
+  // Only this process's own threads are pinned: the main thread narrows its
+  // affinity, the server loops and the caller it starts inherit it, and the
+  // main thread's mask is restored afterwards.
+  {
+    const cpu_set_t previous = PinToOneCpu();
+    net::TcpServer server;
+    if (Status st = server.Start(0, handler, {.loop_threads = 2});
+        !st.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    LoadResult r = RunSyncClosedLoop(server.port(), 1, duration_us);
+    server.Stop();
+    (void)sched_setaffinity(0, sizeof(previous), &previous);
+    PrintResult("sync closed 1 thread, 1 cpu", r);
+    sync_results.push_back({1, true, r});
   }
 
   // --- Open loop at 50% of measured capacity ---
@@ -463,6 +552,14 @@ int main() {
       2 * std::max<int64_t>(open_loop.p50_us, 1), open_loop.p50_us + 250);
   const bool check_tail = open_loop.p99_us <= tail_bound;
   const bool check_errors = epoll64.errors == 0 && open_loop.errors == 0;
+  bool check_sync_errors = true;
+  bool check_sync_connects = true;
+  for (const SyncRow& row : sync_results) {
+    check_sync_errors = check_sync_errors && row.result.errors == 0;
+    check_sync_connects =
+        check_sync_connects &&
+        row.result.connects <= static_cast<uint64_t>(row.threads);
+  }
   std::printf("speedup at 64 in-flight: %.2fx (floor 3x)  %s\n", speedup,
               check_speedup ? "OK" : "FAIL");
   std::printf("open-loop tail: p99=%lld us vs bound %lld us "
@@ -473,6 +570,9 @@ int main() {
   if (!check_errors) {
     std::printf("FAIL: transport errors during measurement\n");
   }
+  std::printf("synchronous calls: %s errors, connects <= caller threads %s\n",
+              check_sync_errors ? "no" : "FAIL:",
+              check_sync_connects ? "OK" : "FAIL");
 
   // --- BENCH_throughput.json ---
   FILE* json = std::fopen("BENCH_throughput.json", "w");
@@ -504,6 +604,20 @@ int main() {
                    static_cast<long long>(r.p99_us),
                    static_cast<unsigned long long>(r.errors));
     }
+    std::fprintf(json, "\n  ],\n  \"sync_closed_loop\": [");
+    for (size_t i = 0; i < sync_results.size(); ++i) {
+      const SyncRow& row = sync_results[i];
+      std::fprintf(json,
+                   "%s\n    {\"threads\": %d, \"one_cpu\": %s, "
+                   "\"ops_per_sec\": %.0f, \"p50_us\": %lld, "
+                   "\"p99_us\": %lld, \"errors\": %llu, \"connects\": %llu}",
+                   i == 0 ? "" : ",", row.threads,
+                   row.one_cpu ? "true" : "false", row.result.ops_per_sec,
+                   static_cast<long long>(row.result.p50_us),
+                   static_cast<long long>(row.result.p99_us),
+                   static_cast<unsigned long long>(row.result.errors),
+                   static_cast<unsigned long long>(row.result.connects));
+    }
     std::fprintf(json,
                  "\n  ],\n  \"single_loop_capacity_ops_per_sec\": %.0f,\n"
                  "  \"open_loop\": {\"target_ops_per_sec\": %.0f, "
@@ -516,13 +630,19 @@ int main() {
     std::fprintf(json,
                  "  \"speedup_at_64_in_flight\": %.2f,\n  \"checks\": "
                  "{\"speedup_floor_3x\": %s, \"open_loop_p99_within_2x_p50\": "
-                 "%s, \"no_errors\": %s}\n}\n",
+                 "%s, \"no_errors\": %s, \"sync_no_errors\": %s, "
+                 "\"sync_connects_within_callers\": %s}\n}\n",
                  speedup, check_speedup ? "true" : "false",
                  check_tail ? "true" : "false",
-                 check_errors ? "true" : "false");
+                 check_errors ? "true" : "false",
+                 check_sync_errors ? "true" : "false",
+                 check_sync_connects ? "true" : "false");
     std::fclose(json);
     std::printf("wrote BENCH_throughput.json\n");
   }
 
-  return (check_speedup && check_tail && check_errors) ? 0 : 1;
+  return (check_speedup && check_tail && check_errors && check_sync_errors &&
+          check_sync_connects)
+             ? 0
+             : 1;
 }

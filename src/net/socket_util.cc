@@ -46,36 +46,31 @@ Status Errno(const char* what) {
                 std::string(what) + ": " + strerror(errno));
 }
 
-// Waits for readability with an absolute deadline (monotonic clock);
-// deadline_us <= 0 means wait forever.
-Status WaitReadable(int fd, MicrosecondCount deadline_us) {
+}  // namespace
+
+Status WaitReady(int fd, short events, MicrosecondCount deadline_us) {
+  struct pollfd pfd = {fd, events, 0};
   while (true) {
-    int timeout_ms = -1;
+    struct timespec timeout = {};
     if (deadline_us > 0) {
-      const MicrosecondCount now = RealClock::Instance()->NowMicros();
-      if (now >= deadline_us) {
-        return Status(StatusCode::kTimeout, "read deadline exceeded");
+      const MicrosecondCount left =
+          deadline_us - RealClock::Instance()->NowMicros();
+      if (left <= 0) {
+        return Status(StatusCode::kTimeout, "deadline exceeded");
       }
-      timeout_ms = static_cast<int>((deadline_us - now) / 1000) + 1;
+      timeout.tv_sec = left / 1000000;
+      timeout.tv_nsec = (left % 1000000) * 1000;
     }
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, timeout_ms);
+    const int rc =
+        ::ppoll(&pfd, 1, deadline_us > 0 ? &timeout : nullptr, nullptr);
     if (rc > 0) {
       return Status::Ok();
     }
-    if (rc == 0) {
-      return Status(StatusCode::kTimeout, "read deadline exceeded");
-    }
-    if (errno != EINTR) {
-      return Errno("poll");
+    if (rc < 0 && errno != EINTR) {
+      return Errno("ppoll");
     }
   }
 }
-
-}  // namespace
 
 void UniqueFd::Reset() {
   if (fd_ >= 0) {
@@ -169,7 +164,7 @@ Status ReadFull(int fd, void* buf, size_t len, MicrosecondCount timeout_us) {
   char* out = static_cast<char*>(buf);
   size_t done = 0;
   while (done < len) {
-    PILEUS_RETURN_IF_ERROR(WaitReadable(fd, deadline));
+    PILEUS_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline));
     const ssize_t n = ::read(fd, out + done, len - done);
     if (n > 0) {
       done += static_cast<size_t>(n);
@@ -186,21 +181,23 @@ Status ReadFull(int fd, void* buf, size_t len, MicrosecondCount timeout_us) {
   return Status::Ok();
 }
 
-Status WriteFull(int fd, const void* buf, size_t len) {
+Status WriteFull(int fd, const void* buf, size_t len,
+                 MicrosecondCount deadline_us) {
   const char* in = static_cast<const char*>(buf);
   size_t done = 0;
   while (done < len) {
     // MSG_NOSIGNAL: writing to a peer-closed socket must surface as EPIPE
     // (mapped to kUnavailable below), not kill the process with SIGPIPE.
-    const ssize_t n = ::send(fd, in + done, len - done, MSG_NOSIGNAL);
+    // MSG_DONTWAIT: a full socket buffer is waited out under the deadline.
+    const ssize_t n =
+        ::send(fd, in + done, len - done, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       done += static_cast<size_t>(n);
-      continue;
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      PILEUS_RETURN_IF_ERROR(WaitReady(fd, POLLOUT, deadline_us));
+    } else if (n == 0 || errno != EINTR) {
+      return Errno("write");
     }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;
-    }
-    return Errno("write");
   }
   return Status::Ok();
 }

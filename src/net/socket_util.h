@@ -50,12 +50,18 @@ Result<UniqueFd> ListenTcp(uint16_t port, uint16_t* bound_port);
 // Connects to 127.0.0.1:port with the given timeout.
 Result<UniqueFd> ConnectTcp(uint16_t port, MicrosecondCount timeout_us);
 
+// Waits until `fd` is ready for poll(2) `events` or has an error to report;
+// kTimeout once the absolute RealClock `deadline_us` passes (0 = never).
+Status WaitReady(int fd, short events, MicrosecondCount deadline_us);
+
 // Reads exactly `len` bytes; kUnavailable on EOF, kTimeout on deadline.
 // timeout_us == 0 means wait forever.
 Status ReadFull(int fd, void* buf, size_t len, MicrosecondCount timeout_us);
 
-// Writes all `len` bytes, retrying on EINTR/short writes.
-Status WriteFull(int fd, const void* buf, size_t len);
+// Writes all `len` bytes, retrying on EINTR/short writes and waiting for
+// buffer space until the absolute `deadline_us` (0 = never).
+Status WriteFull(int fd, const void* buf, size_t len,
+                 MicrosecondCount deadline_us = 0);
 
 // Length-prefixed frame I/O: 4-byte little-endian length + payload.
 // Frames above `max_frame` bytes are rejected as corruption.

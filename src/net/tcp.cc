@@ -4,14 +4,15 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <thread>
 #include <utility>
 
@@ -127,7 +128,7 @@ bool DrainSocketInto(int fd, FrameParser* parser) {
 }
 
 // Writes as much of the frame deque as the socket accepts, coalescing queued
-// frames into single writev calls. `*head` tracks the partially-written
+// frames into single gathered writes. `*head` tracks the partially-written
 // prefix of out->front(). Returns kOk with *blocked=true on EAGAIN.
 Status WritevQueue(int fd, std::deque<std::string>* out, size_t* head,
                    size_t* queued_bytes, bool* blocked) {
@@ -145,7 +146,12 @@ Status WritevQueue(int fd, std::deque<std::string>* out, size_t* head,
       ++iovcnt;
       skip = 0;
     }
-    const ssize_t n = ::writev(fd, iov, iovcnt);
+    // MSG_NOSIGNAL: a peer that closed must surface as EPIPE, not kill the
+    // process with SIGPIPE.
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iovcnt);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -154,7 +160,7 @@ Status WritevQueue(int fd, std::deque<std::string>* out, size_t* head,
         *blocked = true;
         return Status::Ok();
       }
-      return Errno("writev");
+      return Errno("sendmsg");
     }
     Tcp().writev_calls->Increment();
     Tcp().bytes_sent->Increment(static_cast<uint64_t>(n));
@@ -259,7 +265,13 @@ Status FrameParser::Next(std::optional<Frame>* out) {
   frame.message_bytes.assign(buffer_, consumed_ + 12, len - 8);
   consumed_ += 4 + static_cast<size_t>(len);
   if (consumed_ == buffer_.size()) {
-    buffer_.clear();
+    // Give back a buffer one big frame grew, or a connection that once
+    // carried one keeps its size for good.
+    if (buffer_.capacity() > kReadChunk) {
+      std::string().swap(buffer_);
+    } else {
+      buffer_.clear();
+    }
     consumed_ = 0;
   } else if (consumed_ > kReadChunk && consumed_ * 2 >= buffer_.size()) {
     buffer_.erase(0, consumed_);
@@ -606,34 +618,48 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
   // From the shared client pool (never destroyed) or caller-pinned, in which
   // case the caller keeps it alive past the channel.
   EventLoop* const loop;
+  std::atomic<uint64_t> next_id{1};
 
   std::mutex mu;
+  // The multiplexed connection CallAsync pipelines on, driven by `loop`.
   UniqueFd fd;
   bool closed = false;  // Channel destroyed.
   bool ever_connected = false;
-  uint64_t next_id = 1;
   FrameParser parser{kMaxFrameBytes};
   std::unordered_map<uint64_t, AsyncCallback> pending;
   std::deque<std::string> out;
   size_t out_head = 0;
   bool want_write = false;
+  // Connections no synchronous Call is using. A Call owns one for its whole
+  // round trip, so the list holds the peak number of concurrent callers.
+  std::vector<UniqueFd> idle;
+
+  // Opens a connection, counted in the transport metrics; `reconnect` marks
+  // one that replaces a connection that failed.
+  Result<UniqueFd> Connect(MicrosecondCount timeout_us, bool reconnect) {
+    Result<UniqueFd> conn = ConnectTcp(
+        port, timeout_us > 0 ? timeout_us : kDefaultConnectTimeoutUs);
+    if (!conn.ok()) {
+      Tcp().connect_errors->Increment();
+      return conn;
+    }
+    Tcp().connects->Increment();
+    if (reconnect) {
+      Tcp().reconnects->Increment();
+    }
+    return conn;
+  }
 
   Status EnsureConnectedLocked(MicrosecondCount timeout_us) {
     if (fd.valid()) {
       return Status::Ok();
     }
-    Result<UniqueFd> conn = ConnectTcp(
-        port, timeout_us > 0 ? timeout_us : kDefaultConnectTimeoutUs);
+    Result<UniqueFd> conn = Connect(timeout_us, ever_connected);
     if (!conn.ok()) {
-      Tcp().connect_errors->Increment();
       return conn.status();
     }
     UniqueFd sock = std::move(conn).value();
     SetNonBlocking(sock.get());
-    Tcp().connects->Increment();
-    if (ever_connected) {
-      Tcp().reconnects->Increment();
-    }
     ever_connected = true;
     parser.Reset();
     out.clear();
@@ -760,6 +786,74 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
         Status(StatusCode::kTimeout, "call deadline exceeded")));
   }
 
+  // One synchronous round trip on a connection of the caller's own, idle or
+  // new: the calling thread writes the frame and reads the reply. Only a
+  // clean reply returns the connection to the idle list, so a late reply to
+  // a timed-out call dies with its closed connection.
+  Result<proto::Message> RoundTrip(const std::string& frame, uint64_t id,
+                                   MicrosecondCount deadline_us,
+                                   bool reconnect) {
+    UniqueFd conn;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!idle.empty()) {
+        conn = std::move(idle.back());
+        idle.pop_back();
+      }
+    }
+    if (!conn.valid()) {
+      const MicrosecondCount left =
+          deadline_us > 0
+              ? std::max<MicrosecondCount>(
+                    1, deadline_us - RealClock::Instance()->NowMicros())
+              : 0;
+      Result<UniqueFd> opened = Connect(left, reconnect);
+      if (!opened.ok()) {
+        return opened.status();
+      }
+      conn = std::move(opened).value();
+    }
+    PILEUS_RETURN_IF_ERROR(
+        WriteFull(conn.get(), frame.data(), frame.size(), deadline_us));
+    Tcp().bytes_sent->Increment(frame.size());
+    Tcp().frames_sent->Increment();
+    FrameParser reply_parser;
+    std::optional<FrameParser::Frame> reply;
+    char buf[kReadChunk];
+    while (true) {
+      PILEUS_RETURN_IF_ERROR(reply_parser.Next(&reply));
+      if (reply.has_value()) {
+        break;
+      }
+      PILEUS_RETURN_IF_ERROR(WaitReady(conn.get(), POLLIN, deadline_us));
+      const ssize_t n = ::recv(conn.get(), buf, sizeof(buf), MSG_DONTWAIT);
+      if (n > 0) {
+        Tcp().bytes_received->Increment(static_cast<uint64_t>(n));
+        reply_parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
+      } else if (n == 0) {
+        return Status(StatusCode::kUnavailable, "connection closed by peer");
+      } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+        return Errno("recv");
+      }
+    }
+    Tcp().frames_received->Increment();
+    if (reply->request_id != id || reply_parser.buffered_bytes() != 0) {
+      return Status(StatusCode::kCorruption, "reply does not match the call");
+    }
+    Result<proto::Message> message = proto::DecodeMessage(reply->message_bytes);
+    if (message.ok()) {
+      std::lock_guard<std::mutex> lock(mu);
+      idle.push_back(std::move(conn));
+    }
+    return message;
+  }
+
+  // Closes every idle connection: they share the fate of one that failed.
+  void DropIdle() {
+    std::lock_guard<std::mutex> lock(mu);
+    idle.clear();
+  }
+
   size_t InFlight() {
     std::lock_guard<std::mutex> lock(mu);
     return pending.size();
@@ -777,6 +871,7 @@ TcpChannel::~TcpChannel() {
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     state_->closed = true;
+    state_->idle.clear();
     state_->FailAllLocked(
         Status(StatusCode::kCancelled, "channel destroyed"), &done);
   }
@@ -787,13 +882,12 @@ TcpChannel::~TcpChannel() {
 
 size_t TcpChannel::in_flight() const { return state_->InFlight(); }
 
-uint64_t TcpChannel::Send(const proto::Message& request,
-                          MicrosecondCount timeout_us,
-                          AsyncCallback callback) {
+void TcpChannel::CallAsync(const proto::Message& request,
+                           MicrosecondCount timeout_us,
+                           AsyncCallback callback) {
   State* const state = state_.get();
   std::vector<State::Completion> done;
-  uint64_t id = 0;
-  bool sent = false;
+  uint64_t sent_id = 0;
   {
     std::lock_guard<std::mutex> lock(state->mu);
     if (state->closed) {
@@ -808,7 +902,8 @@ uint64_t TcpChannel::Send(const proto::Message& request,
         done.emplace_back(std::move(callback),
                           Result<proto::Message>(status));
       } else {
-        id = state->next_id++;
+        const uint64_t id =
+            state->next_id.fetch_add(1, std::memory_order_relaxed);
         state->pending.emplace(id, std::move(callback));
         state->out.push_back(EncodeWireFrame(id, request));
         status = state->FlushLocked();
@@ -816,7 +911,7 @@ uint64_t TcpChannel::Send(const proto::Message& request,
           state->FailAllLocked(
               Status(StatusCode::kUnavailable, status.message()), &done);
         } else {
-          sent = true;
+          sent_id = id;
         }
       }
     }
@@ -824,17 +919,10 @@ uint64_t TcpChannel::Send(const proto::Message& request,
   for (auto& [cb, result] : done) {
     cb(std::move(result));
   }
-  return sent ? id : 0;
-}
-
-void TcpChannel::CallAsync(const proto::Message& request,
-                           MicrosecondCount timeout_us,
-                           AsyncCallback callback) {
-  const uint64_t id = Send(request, timeout_us, std::move(callback));
-  if (id != 0 && timeout_us > 0) {
-    std::shared_ptr<State> state = state_;
-    state->loop->RunAfter(timeout_us,
-                          [state, id] { state->HandleTimeout(id); });
+  if (sent_id != 0 && timeout_us > 0) {
+    state->loop->RunAfter(timeout_us, [shared = state_, sent_id] {
+      shared->HandleTimeout(sent_id);
+    });
   }
 }
 
@@ -843,67 +931,30 @@ Result<proto::Message> TcpChannel::Call(const proto::Message& request,
   if (artificial_delay_us_ > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(artificial_delay_us_));
   }
-  const MicrosecondCount start_us = RealClock::Instance()->NowMicros();
-  Status last(StatusCode::kUnavailable, "tcp call never attempted");
-  // One retry, mirroring the original transport: a server restart between
-  // calls leaves a dead socket whose first use fails kUnavailable; the frame
-  // never reached the new server, so a resend on a fresh connection is safe.
-  // Timeouts are not resent — after silence the request may still be live.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    MicrosecondCount remaining = timeout_us;
-    if (timeout_us > 0) {
-      remaining = timeout_us - (RealClock::Instance()->NowMicros() - start_us);
-      if (remaining <= 0) {
-        return attempt == 0
-                   ? Status(StatusCode::kTimeout, "call deadline exceeded")
-                   : last;
-      }
+  const MicrosecondCount deadline_us =
+      timeout_us > 0 ? RealClock::Instance()->NowMicros() + timeout_us : 0;
+  const uint64_t id = state_->next_id.fetch_add(1, std::memory_order_relaxed);
+  const std::string frame = EncodeWireFrame(id, request);
+  Result<proto::Message> result =
+      state_->RoundTrip(frame, id, deadline_us, /*reconnect=*/false);
+  // One retry, mirroring the original transport: a server restart leaves
+  // dead sockets whose first use fails kUnavailable; the frame never reached
+  // the new server, so a resend on a fresh connection is safe. Timeouts are
+  // not resent: after silence the request may still be live.
+  if (!result.ok() && result.status().code() == StatusCode::kUnavailable) {
+    state_->DropIdle();
+    if (deadline_us == 0 || RealClock::Instance()->NowMicros() < deadline_us) {
+      Tcp().call_errors->Increment();
+      result = state_->RoundTrip(frame, id, deadline_us, /*reconnect=*/true);
     }
-    struct Waiter {
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      Result<proto::Message> result{Status::Ok()};
-    };
-    auto waiter = std::make_shared<Waiter>();
-    const uint64_t id =
-        Send(request, remaining, [waiter](Result<proto::Message> result) {
-          std::lock_guard<std::mutex> lock(waiter->mu);
-          waiter->result = std::move(result);
-          waiter->done = true;
-          waiter->cv.notify_one();
-        });
-    // The caller waits out its own deadline instead of arming a loop timer:
-    // no eventfd wakeup of the reactor and no timer left in its heap per
-    // call. At expiry HandleTimeout completes the call with kTimeout unless
-    // the reply already claimed it, in which case its completion is on the
-    // way; either way the callback runs exactly once and the wait below
-    // ends.
-    std::unique_lock<std::mutex> lock(waiter->mu);
-    if (id != 0 && remaining > 0 &&
-        !waiter->cv.wait_for(lock, std::chrono::microseconds(remaining),
-                             [&waiter] { return waiter->done; })) {
-      lock.unlock();
-      state_->HandleTimeout(id);
-      lock.lock();
-    }
-    waiter->cv.wait(lock, [&waiter] { return waiter->done; });
-    Result<proto::Message> result = std::move(waiter->result);
-    lock.unlock();
-    if (result.ok()) {
-      if (artificial_delay_us_ > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(artificial_delay_us_));
-      }
-      return result;
-    }
-    if (result.status().code() == StatusCode::kUnavailable) {
-      last = result.status();
-      continue;  // Retry once on a fresh connection.
-    }
-    return result;  // kTimeout, kCorruption, ...: not retryable here.
   }
-  return last;
+  if (!result.ok()) {
+    Tcp().call_errors->Increment();
+  } else if (artificial_delay_us_ > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(artificial_delay_us_));
+  }
+  return result;
 }
 
 }  // namespace pileus::net

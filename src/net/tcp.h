@@ -12,13 +12,15 @@
 //    connection live on loop threads with nonblocking sockets.
 //  - Parse, handle, and reply are decoupled: frames are parsed on the loop
 //    thread, handed to the handler, and replies are appended to a
-//    per-connection write queue flushed with writev so pipelined replies
-//    coalesce into single syscalls. An AsyncHandler may complete on another
-//    thread entirely (WAL group commit acks ride this path).
-//  - TcpChannel::CallAsync sends without blocking and invokes a completion
-//    callback on a shared client event loop, with a loop timer for its
-//    deadline. The synchronous Channel::Call shares the send and reply path
-//    but waits out its deadline on the caller's thread.
+//    per-connection write queue flushed with one gathered sendmsg so
+//    pipelined replies coalesce into single syscalls. An AsyncHandler may
+//    complete on another thread entirely (WAL group commit acks ride this
+//    path).
+//  - TcpChannel::CallAsync sends without blocking on one multiplexed
+//    connection and invokes a completion callback on a shared client event
+//    loop, with a loop timer for its deadline. The synchronous Channel::Call
+//    never touches the loop: the calling thread takes a connection of its
+//    own, writes the frame and reads the reply itself.
 
 #ifndef PILEUS_SRC_NET_TCP_H_
 #define PILEUS_SRC_NET_TCP_H_
@@ -92,6 +94,9 @@ class FrameParser {
   }
 
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  // Bytes the parser keeps allocated (tests: a consumed big frame's buffer
+  // is given back).
+  size_t buffer_capacity() const { return buffer_.capacity(); }
 
  private:
   const size_t max_frame_;
@@ -166,20 +171,23 @@ class TcpServer {
 
 // --- Client ---
 
-// Channel over one TCP connection with request pipelining: any number of
-// calls may be in flight; replies are matched to callers by request id and
-// may complete out of order. The connection is established lazily and
-// re-established after errors. On disconnect every in-flight call fails
-// fast with kUnavailable. An optional artificial one-way delay emulates WAN
-// latency over loopback for the examples (applied on the synchronous path).
+// Channel to one TCP server. CallAsync pipelines on one multiplexed
+// connection: any number of calls may be in flight; replies are matched to
+// callers by request id and may complete out of order; on disconnect every
+// in-flight call fails fast with kUnavailable. A synchronous Call runs its
+// whole round trip on the calling thread, over a connection it holds alone
+// for that call, so it is not ordered behind async calls in flight.
+// Connections are established lazily and re-established after errors. An
+// optional artificial one-way delay emulates WAN latency over loopback for
+// the examples (applied on the synchronous path).
 class TcpChannel : public Channel {
  public:
   using AsyncCallback = std::function<void(Result<proto::Message>)>;
 
-  // `loop` pins the channel to a specific event loop instead of the shared
-  // client pool; it must outlive the channel (and stay running for async
-  // completions to fire). The synchronous Call must then never be invoked
-  // from that loop's thread — it would wait on itself.
+  // `loop` pins the channel's async connection to a specific event loop
+  // instead of the shared client pool; it must outlive the channel (and stay
+  // running for async completions to fire). Call works from any thread,
+  // that loop's own included.
   explicit TcpChannel(uint16_t port,
                       MicrosecondCount artificial_one_way_delay_us = 0,
                       EventLoop* loop = nullptr);
@@ -188,10 +196,12 @@ class TcpChannel : public Channel {
   TcpChannel(const TcpChannel&) = delete;
   TcpChannel& operator=(const TcpChannel&) = delete;
 
-  // Synchronous call: sends like CallAsync but waits out its own deadline
-  // on the caller's thread, so no loop timer is armed per call. Retries once
-  // on a fresh connection when the failure is kUnavailable and deadline
-  // budget remains (a server restart mid-stream recovers transparently).
+  // Synchronous call on an idle connection of the channel, or a new one
+  // when every connection is busy; the idle list keeps as many connections
+  // as callers were ever concurrent. A timed-out call closes its connection.
+  // On kUnavailable every idle connection is closed too, and the call is
+  // retried once on a fresh connection while deadline budget remains (a
+  // server restart mid-stream recovers transparently).
   Result<proto::Message> Call(const proto::Message& request,
                               MicrosecondCount timeout_us) override;
 
@@ -204,17 +214,12 @@ class TcpChannel : public Channel {
   void CallAsync(const proto::Message& request, MicrosecondCount timeout_us,
                  AsyncCallback callback);
 
-  // Calls currently awaiting replies (tests / backpressure heuristics).
+  // Async calls currently awaiting replies (tests / backpressure
+  // heuristics).
   size_t in_flight() const;
 
  private:
   struct State;
-
-  // Registers `callback` under a fresh request id and writes the frame;
-  // arms no deadline. Returns the id, or 0 if the frame was not sent — the
-  // callback has then already run with the failure.
-  uint64_t Send(const proto::Message& request, MicrosecondCount timeout_us,
-                AsyncCallback callback);
 
   std::shared_ptr<State> state_;
   const MicrosecondCount artificial_delay_us_;

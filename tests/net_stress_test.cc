@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "src/common/clock.h"
 #include "src/net/tcp.h"
+#include "src/telemetry/metrics.h"
 
 namespace pileus::net {
 namespace {
@@ -31,6 +33,10 @@ proto::Message Echo(const proto::Message& request) {
   proto::ErrorReply err;
   err.code = StatusCode::kInvalidArgument;
   return err;
+}
+
+uint64_t TcpCounter(const char* name) {
+  return telemetry::MetricsRegistry::Default().GetCounter(name)->Value();
 }
 
 // One client worker: issues `total` pipelined Gets keeping up to `depth` in
@@ -221,6 +227,139 @@ TEST(NetStressTest, SharedChannelMixedSyncAndAsyncCallers) {
   EXPECT_EQ(async_done.load(), async_expected);
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(channel.in_flight(), 0u);
+}
+
+TEST(NetStressTest, SynchronousCallersOnOneChannelReuseTheirConnections) {
+  // Each synchronous Call runs its round trip on a connection it holds
+  // alone, then returns it to the channel's idle list: 16 threads sharing
+  // one channel each get their own echo, and the channel never opens more
+  // connections than there were concurrent callers.
+  TcpServer server;
+  ASSERT_TRUE(server.Start(0, Echo).ok());
+  TcpChannel channel(server.port());
+
+  constexpr int kThreads = 16;
+  constexpr int kCallsEach = 500;
+  const uint64_t connects_before =
+      TcpCounter("pileus_net_tcp_connects_total");
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCallsEach; ++i) {
+        proto::GetRequest request;
+        request.key = std::to_string(t) + ":" + std::to_string(i);
+        Result<proto::Message> reply =
+            channel.Call(request, SecondsToMicroseconds(30));
+        if (!reply.ok() ||
+            std::get<proto::GetReply>(reply.value()).value !=
+                "echo:" + request.key) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server.requests_handled(),
+            static_cast<uint64_t>(kThreads * kCallsEach));
+  EXPECT_LE(TcpCounter("pileus_net_tcp_connects_total") - connects_before,
+            static_cast<uint64_t>(kThreads));
+}
+
+TEST(NetStressTest, ServerRestartDropsEveryIdleConnection) {
+  // Four concurrent calls leave four idle connections. After the server
+  // restarts on the same port, the next call fails once on a dead idle
+  // connection and succeeds on its retry; that failure closed the other
+  // three idle connections, so the three calls after it need no retry.
+  struct Parked {
+    std::mutex mu;
+    std::vector<std::pair<proto::Message, std::function<void(proto::Message)>>>
+        waiting;
+  };
+  constexpr int kCallers = 4;
+  auto parked = std::make_shared<Parked>();
+  auto server = std::make_unique<TcpServer>();
+  ASSERT_TRUE(server
+                  ->StartAsync(0,
+                               [parked](const proto::Message& request,
+                                        std::function<void(proto::Message)>
+                                            done) {
+                                 // Hold the replies until all four callers
+                                 // are in, so each holds its own connection.
+                                 std::lock_guard<std::mutex> lock(parked->mu);
+                                 parked->waiting.emplace_back(request,
+                                                              std::move(done));
+                                 if (parked->waiting.size() == kCallers) {
+                                   for (auto& [req, reply] : parked->waiting) {
+                                     reply(Echo(req));
+                                   }
+                                   parked->waiting.clear();
+                                 }
+                               })
+                  .ok());
+  const uint16_t port = server->port();
+  TcpChannel channel(port);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&, t] {
+      proto::GetRequest request;
+      request.key = "warm" + std::to_string(t);
+      if (!channel.Call(request, SecondsToMicroseconds(10)).ok()) {
+        ++failures;
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+
+  server->Stop();
+  server.reset();
+  TcpServer revived;
+  ASSERT_TRUE(revived.Start(port, Echo).ok());
+
+  for (int i = 0; i < kCallers; ++i) {
+    const uint64_t retries_before =
+        TcpCounter("pileus_net_tcp_reconnects_total");
+    proto::GetRequest request;
+    request.key = "after" + std::to_string(i);
+    Result<proto::Message> reply =
+        channel.Call(request, SecondsToMicroseconds(10));
+    ASSERT_TRUE(reply.ok()) << i << ": " << reply.status();
+    EXPECT_EQ(std::get<proto::GetReply>(reply.value()).value,
+              "echo:" + request.key);
+    EXPECT_EQ(TcpCounter("pileus_net_tcp_reconnects_total") - retries_before,
+              i == 0 ? 1u : 0u)
+        << "call " << i;
+  }
+}
+
+TEST(NetStressTest, SynchronousCallOnThePinnedLoopThreadCompletes) {
+  // A synchronous Call never waits on the channel's event loop, so it may
+  // run on that loop's own thread.
+  TcpServer server;
+  ASSERT_TRUE(server.Start(0, Echo).ok());
+  EventLoop loop;
+  ASSERT_TRUE(loop.Start().ok());
+  TcpChannel channel(server.port(), 0, &loop);
+  std::promise<Result<proto::Message>> promise;
+  std::future<Result<proto::Message>> future = promise.get_future();
+  loop.RunInLoop([&channel, &promise] {
+    proto::GetRequest request;
+    request.key = "on-loop";
+    promise.set_value(channel.Call(request, SecondsToMicroseconds(10)));
+  });
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(20)),
+            std::future_status::ready);
+  Result<proto::Message> reply = future.get();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(std::get<proto::GetReply>(reply.value()).value, "echo:on-loop");
+  loop.Stop();
 }
 
 TEST(NetStressTest, StopWithDeferredRepliesInFlightDropsNoCallback) {

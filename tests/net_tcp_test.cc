@@ -6,8 +6,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -197,8 +199,8 @@ TEST(TcpTest, SlowHandlerHitsClientDeadline) {
 TEST(TcpTest, SynchronousCallTimeoutLeavesNoStaleReply) {
   // A synchronous Call waits out its own deadline. When it expires the call
   // must come back kTimeout with nothing left in flight, and the late reply
-  // — released just ahead of the next call's reply, on the same connection —
-  // must be discarded by id rather than handed to the next caller.
+  // — released just ahead of the next call's reply; the late reply dies
+  // with the closed connection — must never be handed to the next caller.
   struct Parked {
     std::mutex mu;
     std::function<void(proto::Message)> done;
@@ -255,6 +257,21 @@ TEST(TcpTest, ArtificialDelayEmulatesWan) {
   ASSERT_TRUE(channel.Call(proto::GetRequest{}, 0).ok());
   EXPECT_GE(RealClock::Instance()->NowMicros() - start,
             MillisecondsToMicroseconds(40));
+}
+
+TEST(TcpTest, FrameParserGivesBackABigFramesBuffer) {
+  // One big frame must not pin its buffer for the life of the connection.
+  proto::PutRequest put;
+  put.key = "big";
+  put.value.assign(10 * 1024 * 1024, 'x');
+  FrameParser parser;
+  parser.Feed(EncodeWireFrame(7, put));
+  std::optional<FrameParser::Frame> frame;
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->request_id, 7u);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+  EXPECT_LE(parser.buffer_capacity(), 64u * 1024);
 }
 
 // --- Pipelining: the multiplexing guarantees CallAsync documents ---
@@ -437,6 +454,48 @@ TEST(TcpPipelineTest, LateReplyAfterTimeoutIsDiscarded) {
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(std::get<proto::GetReply>(reply.value()).value, "echo:fresh");
   EXPECT_EQ(log.done.size(), 1u);  // The timed-out call never fired again.
+}
+
+TEST(TcpPipelineTest, WriteToAStoppedServerFailsWithoutSigpipe) {
+  // The channel's loop is kept busy, so it cannot see the stopped server
+  // close the connection. The first CallAsync after the stop writes into
+  // the closed connection and draws a reset; the second write then fails
+  // with EPIPE. That must come back as kUnavailable for every call, not as
+  // a SIGPIPE that kills the process.
+  TcpServer server;
+  ASSERT_TRUE(server.Start(0, Echo).ok());
+  EventLoop loop;
+  ASSERT_TRUE(loop.Start().ok());
+  TcpChannel channel(server.port(), 0, &loop);
+  CompletionLog log;
+  channel.CallAsync(proto::GetRequest{}, SecondsToMicroseconds(10),
+                    [&log](Result<proto::Message> reply) {
+                      log.Record("connect", std::move(reply));
+                    });
+  ASSERT_TRUE(log.WaitFor(1, SecondsToMicroseconds(5)));
+  ASSERT_TRUE(log.done[0].second.ok()) << log.done[0].second.status();
+
+  std::promise<void> busy;
+  loop.RunInLoop([&busy] {
+    busy.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  });
+  busy.get_future().wait();
+  server.Stop();
+  for (const char* tag : {"first", "second"}) {
+    channel.CallAsync(proto::GetRequest{}, SecondsToMicroseconds(10),
+                      [&log, tag](Result<proto::Message> reply) {
+                        log.Record(tag, std::move(reply));
+                      });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_TRUE(log.WaitFor(3, SecondsToMicroseconds(5)));
+  for (size_t i = 1; i < log.done.size(); ++i) {
+    EXPECT_EQ(log.done[i].second.status().code(), StatusCode::kUnavailable)
+        << log.done[i].first;
+  }
+  EXPECT_EQ(channel.in_flight(), 0u);
+  loop.Stop();
 }
 
 TEST(TcpPipelineTest, PipelinedWritesToStorageNodeApplyInOrder) {
