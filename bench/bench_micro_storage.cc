@@ -1,11 +1,12 @@
 // Microbenchmarks of the storage substrate: tablet Put/Get, replication log
-// scans, multi-version snapshot reads, the heap a replicated version retains,
-// and the workload generator.
+// scans, multi-version snapshot reads, a storage node serving a 50-item scan,
+// the heap a replicated version retains, and the workload generator.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
 #include "src/common/clock.h"
+#include "src/storage/storage_node.h"
 #include "src/storage/tablet.h"
 #include "src/workload/ycsb.h"
 #include "src/workload/zipf.h"
@@ -94,6 +95,28 @@ void BM_RangeScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * span);
 }
 BENCHMARK(BM_RangeScan)->Arg(10)->Arg(100)->Arg(1000);
+
+// A scan as a storage node serves it, the stage e2ebench's scan workload
+// reports as storage.handle_us_p50.range: StorageNode::Handle of a
+// RangeRequest with limit 50 over 10k keys of 100 B values, admission,
+// routing and the reply's 50 copied items included.
+void BM_NodeRange(benchmark::State& state) {
+  ManualClock clock(1);
+  StorageNode node("bench", "local", &clock);
+  (void)node.AddTablet("t", MakePrimaryTablet(&clock, 10000));
+  proto::Message request = proto::RangeRequest{};
+  auto& range = std::get<proto::RangeRequest>(request);
+  range.table = "t";
+  range.limit = 50;
+  int64_t start = 0;
+  for (auto _ : state) {
+    range.begin = workload::YcsbWorkload::KeyForIndex(start % 9000);
+    benchmark::DoNotOptimize(node.Handle(request));
+    start += 37;
+  }
+  state.SetItemsProcessed(state.iterations() * 50);
+}
+BENCHMARK(BM_NodeRange);
 
 // Heap a secondary retains per replicated 1 KiB version: store chain, update
 // log, key index and the version itself. Measured as the growth of glibc's

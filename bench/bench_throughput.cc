@@ -14,7 +14,9 @@
 //   3. Closed-loop synchronous: 1, 16 and 64 threads making blocking
 //      TcpChannel::Calls on one shared channel against the epoll TcpServer
 //      (the path every PileusClient op, pull and probe takes), plus one
-//      caller with this process's threads pinned to one CPU.
+//      caller with this process's threads pinned to one CPU, once with
+//      Gets and once with 50-item Range scans of 100 B values (a second
+//      table), whose ~6 KB replies weigh the codec and the CRC.
 //   4. Open-loop at 50% of measured capacity: fixed-rate issue, latency
 //      distribution of completions. Client and server share one loop thread
 //      so the tail reflects transport queueing, not OS run-queue delay from
@@ -26,7 +28,8 @@
 //      slack keeps sub-ms medians from flaking on scheduler jitter),
 //   3. no transport errors, and every synchronous row opened no more
 //      connections than it had caller threads (the channel reuses one idle
-//      connection per concurrent caller; a churning idle list fails this).
+//      connection per concurrent caller; a churning idle list fails this),
+//   4. every synchronous Range reply carried 50 items.
 //
 // Writes BENCH_throughput.json (cwd) with every sweep point so the numbers
 // are trackable across commits. PILEUS_BENCH_SMOKE=1 shrinks durations; the
@@ -60,6 +63,11 @@ namespace {
 
 constexpr const char* kTable = "bench";
 constexpr int kKeyCount = 512;
+// The Range row's table: kRangeKeyCount keys of 100 B values, scanned 50 at a
+// time from a start key that leaves at least 50 keys after it.
+constexpr const char* kRangeTable = "bench_range";
+constexpr int kRangeKeyCount = 1000;
+constexpr uint32_t kRangeLimit = 50;
 
 bool SmokeMode() {
   const char* value = std::getenv("PILEUS_BENCH_SMOKE");
@@ -78,6 +86,32 @@ proto::GetRequest MakeGet(int i) {
   return get;
 }
 
+std::string RangeKey(int i) {
+  char key[16];
+  std::snprintf(key, sizeof(key), "r%05d", i);
+  return key;
+}
+
+proto::Message MakeRange(int i) {
+  proto::RangeRequest range;
+  range.table = kRangeTable;
+  range.begin = RangeKey(i % (kRangeKeyCount - static_cast<int>(kRangeLimit)));
+  range.limit = kRangeLimit;
+  return range;
+}
+
+// A synchronous row's request maker, and the test a reply must pass to
+// count as an op rather than an error.
+using MakeRequest = proto::Message (*)(int);
+using CheckReply = bool (*)(const proto::Message&);
+
+proto::Message MakeGetMessage(int i) { return MakeGet(i); }
+bool AnyReply(const proto::Message&) { return true; }
+bool FullRangeReply(const proto::Message& reply) {
+  const auto* range = std::get_if<proto::RangeReply>(&reply);
+  return range != nullptr && range->items.size() == kRangeLimit;
+}
+
 struct LoadResult {
   double ops_per_sec = 0;
   uint64_t ops = 0;
@@ -92,10 +126,12 @@ struct LoadResult {
 // N threads, each waiting for its reply before the next Call; thread t calls
 // on `channels[t % channels.size()]`. The legacy baseline gives every thread
 // a LegacyTcpChannel of its own; the synchronous rows share one TcpChannel.
+// A reply that fails `check` counts as an error.
 
 LoadResult RunBlockingClosedLoop(
     const std::vector<std::unique_ptr<net::Channel>>& channels, int threads,
-    MicrosecondCount duration_us) {
+    MicrosecondCount duration_us, MakeRequest make = &MakeGetMessage,
+    CheckReply check = &AnyReply) {
   std::mutex mu;
   Histogram latency;
   std::atomic<uint64_t> ops{0};
@@ -106,14 +142,14 @@ LoadResult RunBlockingClosedLoop(
   workers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
     net::Channel* channel = channels[t % channels.size()].get();
-    workers.emplace_back([channel, t, deadline, &mu, &latency, &ops,
-                          &errors] {
+    workers.emplace_back([channel, t, deadline, make, check, &mu, &latency,
+                          &ops, &errors] {
       int i = t;
       while (RealClock::Instance()->NowMicros() < deadline) {
         const MicrosecondCount op_start = RealClock::Instance()->NowMicros();
         Result<proto::Message> reply =
-            channel->Call(MakeGet(i++), SecondsToMicroseconds(10));
-        if (reply.ok()) {
+            channel->Call(make(i++), SecondsToMicroseconds(10));
+        if (reply.ok() && check(reply.value())) {
           ops.fetch_add(1, std::memory_order_relaxed);
           std::lock_guard<std::mutex> lock(mu);
           latency.Record(RealClock::Instance()->NowMicros() - op_start);
@@ -141,14 +177,17 @@ LoadResult RunBlockingClosedLoop(
 // counting the connections the channel opens (it keeps one per concurrent
 // caller, so a churning idle list shows up as connects > threads).
 LoadResult RunSyncClosedLoop(uint16_t port, int threads,
-                             MicrosecondCount duration_us) {
+                             MicrosecondCount duration_us,
+                             MakeRequest make = &MakeGetMessage,
+                             CheckReply check = &AnyReply) {
   telemetry::Counter* connects =
       telemetry::MetricsRegistry::Default().GetCounter(
           "pileus_net_tcp_connects_total");
   const uint64_t connects_before = connects->Value();
   std::vector<std::unique_ptr<net::Channel>> channels;
   channels.push_back(std::make_unique<net::TcpChannel>(port));
-  LoadResult result = RunBlockingClosedLoop(channels, threads, duration_us);
+  LoadResult result =
+      RunBlockingClosedLoop(channels, threads, duration_us, make, check);
   result.connects = connects->Value() - connects_before;
   return result;
 }
@@ -421,6 +460,19 @@ int main() {
     put.value = "value-" + std::to_string(i);
     node.Handle(put);
   }
+  storage::Tablet::Options range_options;
+  range_options.is_primary = true;
+  if (Status st = node.AddTablet(kRangeTable, range_options); !st.ok()) {
+    std::fprintf(stderr, "FAIL: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  for (int i = 0; i < kRangeKeyCount; ++i) {
+    proto::PutRequest put;
+    put.table = kRangeTable;
+    put.key = RangeKey(i);
+    put.value.assign(100, 'v');
+    node.Handle(put);
+  }
   net::Handler handler = [&node](const proto::Message& m) {
     return node.Handle(m);
   };
@@ -492,7 +544,9 @@ int main() {
   //
   // Only this process's own threads are pinned: the main thread narrows its
   // affinity, the server loops and the caller it starts inherit it, and the
-  // main thread's mask is restored afterwards.
+  // main thread's mask is restored afterwards. Gets first, then 50-item
+  // Range scans.
+  LoadResult sync_range;
   {
     const cpu_set_t previous = PinToOneCpu();
     net::TcpServer server;
@@ -502,10 +556,13 @@ int main() {
       return 1;
     }
     LoadResult r = RunSyncClosedLoop(server.port(), 1, duration_us);
+    sync_range = RunSyncClosedLoop(server.port(), 1, duration_us, &MakeRange,
+                                   &FullRangeReply);
     server.Stop();
     (void)sched_setaffinity(0, sizeof(previous), &previous);
     PrintResult("sync closed 1 thread, 1 cpu", r);
     sync_results.push_back({1, true, r});
+    PrintResult("sync range-50 1 thread, 1 cpu", sync_range);
   }
 
   // --- Open loop at 50% of measured capacity ---
@@ -570,9 +627,14 @@ int main() {
   if (!check_errors) {
     std::printf("FAIL: transport errors during measurement\n");
   }
+  const bool check_range =
+      sync_range.errors == 0 && sync_range.ops > 0 && sync_range.connects <= 1;
   std::printf("synchronous calls: %s errors, connects <= caller threads %s\n",
               check_sync_errors ? "no" : "FAIL:",
               check_sync_connects ? "OK" : "FAIL");
+  std::printf("synchronous range: %s\n",
+              check_range ? "every reply carried 50 items, one connection OK"
+                          : "FAIL: errors, short replies or extra connects");
 
   // --- BENCH_throughput.json ---
   FILE* json = std::fopen("BENCH_throughput.json", "w");
@@ -619,6 +681,17 @@ int main() {
                    static_cast<unsigned long long>(row.result.connects));
     }
     std::fprintf(json,
+                 "\n  ],\n  \"sync_range_closed_loop\": [\n    "
+                 "{\"threads\": 1, \"one_cpu\": true, "
+                 "\"items_per_reply\": %u, \"value_bytes\": 100, "
+                 "\"ops_per_sec\": %.0f, \"p50_us\": %lld, "
+                 "\"p99_us\": %lld, \"errors\": %llu, \"connects\": %llu}",
+                 kRangeLimit, sync_range.ops_per_sec,
+                 static_cast<long long>(sync_range.p50_us),
+                 static_cast<long long>(sync_range.p99_us),
+                 static_cast<unsigned long long>(sync_range.errors),
+                 static_cast<unsigned long long>(sync_range.connects));
+    std::fprintf(json,
                  "\n  ],\n  \"single_loop_capacity_ops_per_sec\": %.0f,\n"
                  "  \"open_loop\": {\"target_ops_per_sec\": %.0f, "
                  "\"achieved_ops_per_sec\": %.0f, \"p50_us\": %lld, "
@@ -631,18 +704,20 @@ int main() {
                  "  \"speedup_at_64_in_flight\": %.2f,\n  \"checks\": "
                  "{\"speedup_floor_3x\": %s, \"open_loop_p99_within_2x_p50\": "
                  "%s, \"no_errors\": %s, \"sync_no_errors\": %s, "
-                 "\"sync_connects_within_callers\": %s}\n}\n",
+                 "\"sync_connects_within_callers\": %s, "
+                 "\"sync_range_full_replies\": %s}\n}\n",
                  speedup, check_speedup ? "true" : "false",
                  check_tail ? "true" : "false",
                  check_errors ? "true" : "false",
                  check_sync_errors ? "true" : "false",
-                 check_sync_connects ? "true" : "false");
+                 check_sync_connects ? "true" : "false",
+                 check_range ? "true" : "false");
     std::fclose(json);
     std::printf("wrote BENCH_throughput.json\n");
   }
 
   return (check_speedup && check_tail && check_errors && check_sync_errors &&
-          check_sync_connects)
+          check_sync_connects && check_range)
              ? 0
              : 1;
 }

@@ -193,7 +193,7 @@ std::string EncodeWithRequestId(uint64_t request_id,
   std::string payload;
   payload.reserve(8 + 64);
   AppendLe64(&payload, request_id);
-  payload += proto::EncodeMessage(message);
+  proto::AppendMessage(message, &payload);
   return payload;
 }
 
@@ -214,12 +214,17 @@ Status SplitRequestId(std::string_view frame, uint64_t* request_id,
 
 std::string EncodeWireFrame(uint64_t request_id,
                             const proto::Message& message) {
-  const std::string encoded = proto::EncodeMessage(message);
+  // One buffer: a length placeholder and the id, the message appended in
+  // place after them, then the length patched in.
   std::string frame;
-  frame.reserve(4 + 8 + encoded.size());
-  AppendLe32(&frame, static_cast<uint32_t>(8 + encoded.size()));
+  frame.reserve(4 + 8 + 64);
+  AppendLe32(&frame, 0);
   AppendLe64(&frame, request_id);
-  frame += encoded;
+  proto::AppendMessage(message, &frame);
+  const auto length = static_cast<uint32_t>(frame.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<char>(length >> (8 * i));
+  }
   return frame;
 }
 

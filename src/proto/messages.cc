@@ -617,18 +617,22 @@ std::string_view MessageTypeName(MessageType type) {
   return "Unknown";
 }
 
-std::string EncodeMessage(const Message& message) {
-  Encoder enc;
+void AppendMessage(const Message& message, std::string* out) {
+  const size_t start = out->size();
+  Encoder enc(std::move(*out));
   enc.PutUint8(static_cast<uint8_t>(TypeOf(message)));
   enc.PutUint8(kWireVersion);
   std::visit([&enc](const auto& m) { EncodeBody(enc, m); }, message);
-  // CRC-32 trailer over everything above; a flipped byte anywhere in the
-  // frame (type, version, or body) fails the check on decode.
-  std::string out = enc.Release();
-  const uint32_t crc = Crc32(out);
-  Encoder trailer;
-  trailer.PutFixed32(crc);
-  out += trailer.buffer();
+  // CRC-32 trailer over everything this call appended; a flipped byte
+  // anywhere in the message (type, version, or body) fails the check on
+  // decode.
+  enc.PutFixed32(Crc32(std::string_view(enc.buffer()).substr(start)));
+  *out = enc.Release();
+}
+
+std::string EncodeMessage(const Message& message) {
+  std::string out;
+  AppendMessage(message, &out);
   return out;
 }
 
@@ -646,12 +650,12 @@ Result<Message> DecodeMessage(std::string_view bytes) {
     }
   }
   Decoder dec(body);
-  uint8_t type_byte;
+  uint8_t type_byte = 0;
   Status st = dec.GetUint8(&type_byte);
   if (!st.ok()) {
     return st;
   }
-  uint8_t version;
+  uint8_t version = 0;
   st = dec.GetUint8(&version);
   if (!st.ok()) {
     return st;

@@ -349,8 +349,13 @@ bool IsDataPathRequest(const Message& message);
 // The rejection an overloaded node answers a shed request with.
 Message MakeOverloadedReply(uint32_t retry_after_ms);
 
-// Serializes `message` (type tag + version + body) into a byte string.
+// Serializes `message` (type tag + version + body + CRC-32 trailer) into a
+// byte string.
 std::string EncodeMessage(const Message& message);
+
+// Appends the bytes EncodeMessage returns to `out`, after whatever it already
+// holds (a frame header), without an intermediate copy.
+void AppendMessage(const Message& message, std::string* out);
 
 // Parses a byte string produced by EncodeMessage.
 Result<Message> DecodeMessage(std::string_view bytes);

@@ -907,8 +907,12 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
       reply.served_by_primary =
           reply.served_by_primary && part.served_by_primary;
       reply.truncated = reply.truncated || part.truncated;
-      for (proto::ObjectVersion& item : part.items) {
-        reply.items.push_back(std::move(item));
+      if (reply.items.empty()) {
+        reply.items = std::move(part.items);
+      } else {
+        reply.items.insert(reply.items.end(),
+                           std::make_move_iterator(part.items.begin()),
+                           std::make_move_iterator(part.items.end()));
       }
     }
     if (reply.high_timestamp == Timestamp::Max()) {

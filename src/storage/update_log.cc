@@ -74,7 +74,10 @@ std::vector<proto::ObjectVersion> UpdateLog::Export(bool* contiguous) const {
 }
 
 Timestamp UpdateLog::LastTimestamp() const {
-  return entries_.empty() ? Timestamp::Zero() : entries_.back()->timestamp;
+  // A log truncated down to nothing still covers its truncation point.
+  return MaxTimestamp(
+      entries_.empty() ? Timestamp::Zero() : entries_.back()->timestamp,
+      truncated_through_);
 }
 
 }  // namespace pileus::storage

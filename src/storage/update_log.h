@@ -68,7 +68,9 @@ class UpdateLog {
   bool empty() const { return entries_.empty(); }
   // The newest entry; the log must not be empty.
   const VersionPtr& back() const { return entries_.back(); }
-  // Timestamp of the newest entry (Zero when empty).
+  // Timestamp of the newest update the log has covered: its newest entry,
+  // or the truncation point when that is later (a checkpoint compacts the
+  // whole log). Zero for a log that never held anything.
   Timestamp LastTimestamp() const;
   // Everything at or below this timestamp has been truncated away.
   const Timestamp& truncation_point() const { return truncated_through_; }

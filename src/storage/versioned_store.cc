@@ -142,6 +142,9 @@ std::vector<proto::ObjectVersion> VersionedStore::ScanRange(
     std::string_view begin, std::string_view end, uint32_t limit,
     bool* truncated) const {
   std::vector<proto::ObjectVersion> out;
+  if (limit != 0) {
+    out.reserve(std::min<size_t>(limit, chains_.size()));
+  }
   *truncated = false;
   for (auto it = chains_.lower_bound(begin); it != chains_.end(); ++it) {
     if (!end.empty() && it->first >= end) {

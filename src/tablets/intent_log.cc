@@ -43,7 +43,7 @@ void EncodeTabletIntent(Encoder& enc, const TabletIntent& intent) {
 }
 
 Status DecodeTabletIntent(Decoder& dec, TabletIntent* intent) {
-  uint8_t phase;
+  uint8_t phase = 0;
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&intent->intent_id));
   PILEUS_RETURN_IF_ERROR(dec.GetUint8(&phase));
   if (phase < static_cast<uint8_t>(IntentPhase::kSplitPrepare) ||

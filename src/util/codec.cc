@@ -16,30 +16,6 @@ void Encoder::PutFixed64(uint64_t v) {
   PutFixed32(static_cast<uint32_t>(v >> 32));
 }
 
-void Encoder::PutVarint64(uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<char>(v));
-}
-
-void Encoder::PutVarintSigned64(int64_t v) {
-  const uint64_t zz =
-      (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  PutVarint64(zz);
-}
-
-void Encoder::PutLengthPrefixed(std::string_view bytes) {
-  PutVarint64(bytes.size());
-  buf_.append(bytes.data(), bytes.size());
-}
-
-void Encoder::PutTimestamp(const Timestamp& ts) {
-  PutVarintSigned64(ts.physical_us);
-  PutVarint64(ts.sequence);
-}
-
 void Encoder::PutDouble(double v) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));
@@ -50,15 +26,6 @@ void Encoder::PutDouble(double v) {
 Status Decoder::Truncated(const char* what) {
   return Status(StatusCode::kCorruption,
                 std::string("truncated input decoding ") + what);
-}
-
-Status Decoder::GetUint8(uint8_t* out) {
-  if (data_.size() < 1) {
-    return Truncated("uint8");
-  }
-  *out = static_cast<uint8_t>(data_[0]);
-  data_.remove_prefix(1);
-  return Status::Ok();
 }
 
 Status Decoder::GetFixed32(uint32_t* out) {
@@ -81,7 +48,7 @@ Status Decoder::GetFixed64(uint64_t* out) {
   return Status::Ok();
 }
 
-Status Decoder::GetVarint64(uint64_t* out) {
+Status Decoder::GetVarint64Slow(uint64_t* out) {
   uint64_t result = 0;
   int shift = 0;
   while (!data_.empty()) {
@@ -101,49 +68,6 @@ Status Decoder::GetVarint64(uint64_t* out) {
     }
   }
   return Truncated("varint64");
-}
-
-Status Decoder::GetVarintSigned64(int64_t* out) {
-  uint64_t zz;
-  PILEUS_RETURN_IF_ERROR(GetVarint64(&zz));
-  *out = static_cast<int64_t>(zz >> 1) ^ -static_cast<int64_t>(zz & 1);
-  return Status::Ok();
-}
-
-Status Decoder::GetLengthPrefixed(std::string_view* out) {
-  uint64_t len;
-  PILEUS_RETURN_IF_ERROR(GetVarint64(&len));
-  if (data_.size() < len) {
-    return Truncated("length-prefixed bytes");
-  }
-  *out = data_.substr(0, len);
-  data_.remove_prefix(len);
-  return Status::Ok();
-}
-
-Status Decoder::GetLengthPrefixedString(std::string* out) {
-  std::string_view view;
-  PILEUS_RETURN_IF_ERROR(GetLengthPrefixed(&view));
-  out->assign(view.data(), view.size());
-  return Status::Ok();
-}
-
-Status Decoder::GetTimestamp(Timestamp* out) {
-  PILEUS_RETURN_IF_ERROR(GetVarintSigned64(&out->physical_us));
-  uint64_t seq;
-  PILEUS_RETURN_IF_ERROR(GetVarint64(&seq));
-  if (seq > UINT32_MAX) {
-    return Status(StatusCode::kCorruption, "timestamp sequence overflow");
-  }
-  out->sequence = static_cast<uint32_t>(seq);
-  return Status::Ok();
-}
-
-Status Decoder::GetBool(bool* out) {
-  uint8_t v;
-  PILEUS_RETURN_IF_ERROR(GetUint8(&v));
-  *out = (v != 0);
-  return Status::Ok();
 }
 
 Status Decoder::GetDouble(double* out) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/net/tcp.h"
 #include "src/proto/messages.h"
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
@@ -396,14 +397,245 @@ TEST(MessagesTest, WrongWireVersionRejected) {
   EXPECT_EQ(DecodeMessage(bytes).status().code(), StatusCode::kCorruption);
 }
 
+// Fixed messages whose wire frames are pinned byte for byte below. Keys,
+// values, timestamps and flags vary per item; the timestamps need multi-byte
+// varints, and some values hold bytes >= 0x80.
+ObjectVersion GoldenItem(int i) {
+  ObjectVersion v;
+  v.key = "user" + std::to_string(100000 + i);
+  for (int j = 0; j < 16; ++j) {
+    v.value.push_back(static_cast<char>((i * 37 + j * 11) & 0xff));
+  }
+  v.timestamp = Timestamp{1'700'000'000'000'000 + i * 1'013,
+                          static_cast<uint32_t>(i * 300)};
+  v.is_tombstone = i % 17 == 5;
+  return v;
+}
+
+RangeReply GoldenRangeReply() {
+  RangeReply reply;
+  for (int i = 0; i < 50; ++i) {
+    reply.items.push_back(GoldenItem(i));
+  }
+  reply.truncated = true;
+  reply.high_timestamp = Timestamp{1'700'000'000'100'000, 70'000};
+  reply.served_by_primary = true;
+  reply.config_epoch = 300;
+  reply.primary_hint = "primary-eu";
+  reply.queue_delay_us = 1'234;
+  return reply;
+}
+
+SyncReply GoldenSyncReply() {
+  SyncReply reply;
+  for (int i = 50; i < 100; ++i) {
+    reply.versions.push_back(GoldenItem(i));
+  }
+  reply.heartbeat = Timestamp{1'700'000'000'200'000, 9};
+  reply.has_more = true;
+  reply.config_epoch = 300;
+  reply.primary_hint = "primary-eu";
+  return reply;
+}
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char ch : bytes) {
+    const auto byte = static_cast<unsigned char>(ch);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Whole wire frames (length, request id, message, CRC-32 trailer) of the
+// golden messages, as written by wire version 7.
+// 1996 bytes, CRC-32 of the whole frame 6baf7a96
+constexpr const char* kGoldenRangeFrame =
+    "c807000007000000000000000f07320a7573657231303030303010000b16212c37424d58"
+    "636e79848f9aa58080f2818389850600000a757365723130303030311025303b46515c67"
+    "727d88939ea9b4bfcaea8ff28183898506ac02000a75736572313030303032104a55606b"
+    "76818c97a2adb8c3ced9e4efd49ff28183898506d804000a75736572313030303033106f"
+    "7a85909ba6b1bcc7d2dde8f3fe0914beaff281838985068407000a757365723130303030"
+    "3410949faab5c0cbd6e1ecf7020d18232e39a8bff28183898506b009000a757365723130"
+    "3030303510b9c4cfdae5f0fb06111c27323d48535e92cff28183898506dc0b010a757365"
+    "7231303030303610dee9f4ff0a15202b36414c57626d7883fcdef28183898506880e000a"
+    "7573657231303030303710030e19242f3a45505b66717c87929da8e6eef28183898506b4"
+    "10000a757365723130303030381028333e49545f6a75808b96a1acb7c2cdd0fef2818389"
+    "8506e012000a75736572313030303039104d58636e79848f9aa5b0bbc6d1dce7f2ba8ef3"
+    "81838985068c15000a7573657231303030313010727d88939ea9b4bfcad5e0ebf6010c17"
+    "a49ef38183898506b817000a757365723130303031311097a2adb8c3ced9e4effa05101b"
+    "26313c8eaef38183898506e419000a7573657231303030313210bcc7d2dde8f3fe09141f"
+    "2a35404b5661f8bdf38183898506901c000a7573657231303030313310e1ecf7020d1823"
+    "2e39444f5a65707b86e2cdf38183898506bc1e000a757365723130303031341006111c27"
+    "323d48535e69747f8a95a0abccddf38183898506e820000a75736572313030303135102b"
+    "36414c57626d78838e99a4afbac5d0b6edf381838985069423000a757365723130303031"
+    "3610505b66717c87929da8b3bec9d4dfeaf5a0fdf38183898506c025000a757365723130"
+    "303031371075808b96a1acb7c2cdd8e3eef9040f1a8a8df48183898506ec27000a757365"
+    "72313030303138109aa5b0bbc6d1dce7f2fd08131e29343ff49cf48183898506982a000a"
+    "7573657231303030313910bfcad5e0ebf6010c17222d38434e5964deacf48183898506c4"
+    "2c000a7573657231303030323010e4effa05101b26313c47525d68737e89c8bcf4818389"
+    "8506f02e000a757365723130303032311009141f2a35404b56616c77828d98a3aeb2ccf4"
+    "81838985069c31000a75736572313030303232102e39444f5a65707b86919ca7b2bdc8d3"
+    "9cdcf48183898506c833010a7573657231303030323310535e69747f8a95a0abb6c1ccd7"
+    "e2edf886ecf48183898506f435000a757365723130303032341078838e99a4afbac5d0db"
+    "e6f1fc07121df0fbf48183898506a038000a75736572313030303235109da8b3bec9d4df"
+    "eaf5000b16212c3742da8bf58183898506cc3a000a7573657231303030323610c2cdd8e3"
+    "eef9040f1a25303b46515c67c49bf58183898506f83c000a7573657231303030323710e7"
+    "f2fd08131e29343f4a55606b76818caeabf58183898506a43f000a757365723130303032"
+    "38100c17222d38434e59646f7a85909ba6b198bbf58183898506d041000a757365723130"
+    "3030323910313c47525d68737e89949faab5c0cbd682cbf58183898506fc43000a757365"
+    "723130303033301056616c77828d98a3aeb9c4cfdae5f0fbecdaf58183898506a846000a"
+    "75736572313030303331107b86919ca7b2bdc8d3dee9f4ff0a1520d6eaf58183898506d4"
+    "48000a7573657231303030333210a0abb6c1ccd7e2edf8030e19242f3a45c0faf5818389"
+    "8506804b000a7573657231303030333310c5d0dbe6f1fc07121d28333e49545f6aaa8af6"
+    "8183898506ac4d000a7573657231303030333410eaf5000b16212c37424d58636e79848f"
+    "949af68183898506d84f000a75736572313030303335100f1a25303b46515c67727d8893"
+    "9ea9b4fea9f681838985068452000a7573657231303030333610343f4a55606b76818c97"
+    "a2adb8c3ced9e8b9f68183898506b054000a757365723130303033371059646f7a85909b"
+    "a6b1bcc7d2dde8f3fed2c9f68183898506dc56000a75736572313030303338107e89949f"
+    "aab5c0cbd6e1ecf7020d1823bcd9f681838985068859000a7573657231303030333910a3"
+    "aeb9c4cfdae5f0fb06111c27323d48a6e9f68183898506b45b010a757365723130303034"
+    "3010c8d3dee9f4ff0a15202b36414c57626d90f9f68183898506e05d000a757365723130"
+    "3030343110edf8030e19242f3a45505b66717c8792fa88f781838985068c60000a757365"
+    "7231303030343210121d28333e49545f6a75808b96a1acb7e498f78183898506b862000a"
+    "757365723130303034331037424d58636e79848f9aa5b0bbc6d1dccea8f78183898506e4"
+    "64000a75736572313030303434105c67727d88939ea9b4bfcad5e0ebf601b8b8f7818389"
+    "85069067000a7573657231303030343510818c97a2adb8c3ced9e4effa05101b26a2c8f7"
+    "8183898506bc69000a7573657231303030343610a6b1bcc7d2dde8f3fe09141f2a35404b"
+    "8cd8f78183898506e86b000a7573657231303030343710cbd6e1ecf7020d18232e39444f"
+    "5a6570f6e7f78183898506946e000a7573657231303030343810f0fb06111c27323d4853"
+    "5e69747f8a95e0f7f78183898506c070000a757365723130303034391015202b36414c57"
+    "626d78838e99a4afbaca87f88183898506ec720001c09afe8183898506f0a20401ac020a"
+    "7072696d6172792d6575d209b0c0eb69";
+// 2037 bytes, CRC-32 of the whole frame 0932b727
+constexpr const char* kGoldenSyncFrame =
+    "f107000008000000000000000807320a75736572313030303530103a45505b66717c8792"
+    "9da8b3bec9d4dfb497f881838985069875000a75736572313030303531105f6a75808b96"
+    "a1acb7c2cdd8e3eef9049ea7f88183898506c477000a7573657231303030353210848f9a"
+    "a5b0bbc6d1dce7f2fd08131e2988b7f88183898506f079000a7573657231303030353310"
+    "a9b4bfcad5e0ebf6010c17222d38434ef2c6f881838985069c7c000a7573657231303030"
+    "353410ced9e4effa05101b26313c47525d6873dcd6f88183898506c87e000a7573657231"
+    "303030353510f3fe09141f2a35404b56616c77828d98c6e6f88183898506f48001000a75"
+    "7365723130303035361018232e39444f5a65707b86919ca7b2bdb0f6f88183898506a083"
+    "01010a75736572313030303537103d48535e69747f8a95a0abb6c1ccd7e29a86f9818389"
+    "8506cc8501000a7573657231303030353810626d78838e99a4afbac5d0dbe6f1fc078496"
+    "f98183898506f88701000a757365723130303035391087929da8b3bec9d4dfeaf5000b16"
+    "212ceea5f98183898506a48a01000a7573657231303030363010acb7c2cdd8e3eef9040f"
+    "1a25303b4651d8b5f98183898506d08c01000a7573657231303030363110d1dce7f2fd08"
+    "131e29343f4a55606b76c2c5f98183898506fc8e01000a7573657231303030363210f601"
+    "0c17222d38434e59646f7a85909bacd5f98183898506a89101000a757365723130303036"
+    "33101b26313c47525d68737e89949faab5c096e5f98183898506d49301000a7573657231"
+    "303030363410404b56616c77828d98a3aeb9c4cfdae580f5f98183898506809601000a75"
+    "7365723130303036351065707b86919ca7b2bdc8d3dee9f4ff0aea84fa8183898506ac98"
+    "01000a75736572313030303636108a95a0abb6c1ccd7e2edf8030e19242fd494fa818389"
+    "8506d89a01000a7573657231303030363710afbac5d0dbe6f1fc07121d28333e4954bea4"
+    "fa8183898506849d01000a7573657231303030363810d4dfeaf5000b16212c37424d5863"
+    "6e79a8b4fa8183898506b09f01000a7573657231303030363910f9040f1a25303b46515c"
+    "67727d88939e92c4fa8183898506dca101000a75736572313030303730101e29343f4a55"
+    "606b76818c97a2adb8c3fcd3fa818389850688a401000a7573657231303030373110434e"
+    "59646f7a85909ba6b1bcc7d2dde8e6e3fa8183898506b4a601000a757365723130303037"
+    "321068737e89949faab5c0cbd6e1ecf7020dd0f3fa8183898506e0a801000a7573657231"
+    "3030303733108d98a3aeb9c4cfdae5f0fb06111c2732ba83fb81838985068cab01010a75"
+    "73657231303030373410b2bdc8d3dee9f4ff0a15202b36414c57a493fb8183898506b8ad"
+    "01000a7573657231303030373510d7e2edf8030e19242f3a45505b66717c8ea3fb818389"
+    "8506e4af01000a7573657231303030373610fc07121d28333e49545f6a75808b96a1f8b2"
+    "fb818389850690b201000a7573657231303030373710212c37424d58636e79848f9aa5b0"
+    "bbc6e2c2fb8183898506bcb401000a757365723130303037381046515c67727d88939ea9"
+    "b4bfcad5e0ebccd2fb8183898506e8b601000a75736572313030303739106b76818c97a2"
+    "adb8c3ced9e4effa0510b6e2fb818389850694b901000a7573657231303030383010909b"
+    "a6b1bcc7d2dde8f3fe09141f2a35a0f2fb8183898506c0bb01000a757365723130303038"
+    "3110b5c0cbd6e1ecf7020d18232e39444f5a8a82fc8183898506ecbd01000a7573657231"
+    "303030383210dae5f0fb06111c27323d48535e69747ff491fc818389850698c001000a75"
+    "73657231303030383310ff0a15202b36414c57626d78838e99a4dea1fc8183898506c4c2"
+    "01000a7573657231303030383410242f3a45505b66717c87929da8b3bec9c8b1fc818389"
+    "8506f0c401000a757365723130303038351049545f6a75808b96a1acb7c2cdd8e3eeb2c1"
+    "fc81838985069cc701000a75736572313030303836106e79848f9aa5b0bbc6d1dce7f2fd"
+    "08139cd1fc8183898506c8c901000a7573657231303030383710939ea9b4bfcad5e0ebf6"
+    "010c17222d3886e1fc8183898506f4cb01000a7573657231303030383810b8c3ced9e4ef"
+    "fa05101b26313c47525df0f0fc8183898506a0ce01000a7573657231303030383910dde8"
+    "f3fe09141f2a35404b56616c7782da80fd8183898506ccd001000a757365723130303039"
+    "3010020d18232e39444f5a65707b86919ca7c490fd8183898506f8d201010a7573657231"
+    "30303039311027323d48535e69747f8a95a0abb6c1ccaea0fd8183898506a4d501000a75"
+    "736572313030303932104c57626d78838e99a4afbac5d0dbe6f198b0fd8183898506d0d7"
+    "01000a7573657231303030393310717c87929da8b3bec9d4dfeaf5000b1682c0fd818389"
+    "8506fcd901000a757365723130303039341096a1acb7c2cdd8e3eef9040f1a25303beccf"
+    "fd8183898506a8dc01000a7573657231303030393510bbc6d1dce7f2fd08131e29343f4a"
+    "5560d6dffd8183898506d4de01000a7573657231303030393610e0ebf6010c17222d3843"
+    "4e59646f7a85c0effd818389850680e101000a757365723130303039371005101b26313c"
+    "47525d68737e89949faaaafffd8183898506ace301000a75736572313030303938102a35"
+    "404b56616c77828d98a3aeb9c4cf948ffe8183898506d8e501000a757365723130303039"
+    "39104f5a65707b86919ca7b2bdc8d3dee9f4fe9efe818389850684e8010080b58a828389"
+    "85060901ac020a7072696d6172792d6575d1a43af6";
+
+// The wire format is frozen at version 7: any change to the field codec, the
+// CRC or the frame layout moves these bytes and must bump kWireVersion.
+TEST(MessagesTest, WireFramesMatchPinnedBytes) {
+  EXPECT_EQ(ToHex(net::EncodeWireFrame(7, Message(GoldenRangeReply()))),
+            kGoldenRangeFrame);
+  EXPECT_EQ(ToHex(net::EncodeWireFrame(8, Message(GoldenSyncReply()))),
+            kGoldenSyncFrame);
+
+  // And the pinned bytes decode to the same messages.
+  const std::string range_frame = FromHex(kGoldenRangeFrame);
+  Result<Message> range =
+      DecodeMessage(std::string_view(range_frame).substr(12));
+  ASSERT_TRUE(range.ok()) << range.status();
+  const RangeReply want_range = GoldenRangeReply();
+  const auto& got_range = std::get<RangeReply>(range.value());
+  EXPECT_EQ(got_range.items, want_range.items);
+  EXPECT_TRUE(got_range.truncated);
+  EXPECT_EQ(got_range.high_timestamp, want_range.high_timestamp);
+  EXPECT_TRUE(got_range.served_by_primary);
+  EXPECT_EQ(got_range.config_epoch, want_range.config_epoch);
+  EXPECT_EQ(got_range.primary_hint, want_range.primary_hint);
+  EXPECT_EQ(got_range.queue_delay_us, want_range.queue_delay_us);
+
+  const std::string sync_frame = FromHex(kGoldenSyncFrame);
+  Result<Message> sync = DecodeMessage(std::string_view(sync_frame).substr(12));
+  ASSERT_TRUE(sync.ok()) << sync.status();
+  const SyncReply want_sync = GoldenSyncReply();
+  const auto& got_sync = std::get<SyncReply>(sync.value());
+  EXPECT_EQ(got_sync.versions, want_sync.versions);
+  EXPECT_EQ(got_sync.heartbeat, want_sync.heartbeat);
+  EXPECT_TRUE(got_sync.has_more);
+  EXPECT_EQ(got_sync.config_epoch, want_sync.config_epoch);
+  EXPECT_EQ(got_sync.primary_hint, want_sync.primary_hint);
+}
+
 TEST(MessagesTest, TruncatedBodyRejected) {
   GetReply reply;
   reply.found = true;
   reply.value = "some value bytes";
-  const std::string bytes = EncodeMessage(Message(reply));
-  for (size_t cut = 2; cut < bytes.size(); cut += 3) {
-    EXPECT_FALSE(DecodeMessage(bytes.substr(0, cut)).ok())
-        << "cut at " << cut;
+  for (const Message& message :
+       {Message(reply), Message(GoldenRangeReply()),
+        Message(GoldenSyncReply())}) {
+    const std::string bytes = EncodeMessage(message);
+    const size_t body_size = bytes.size() - 4;
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      // Cut as it stands: the trailer no longer matches.
+      EXPECT_FALSE(DecodeMessage(bytes.substr(0, cut)).ok())
+          << "cut at " << cut;
+      if (cut < body_size) {
+        // The cut body under a valid trailer: the field decoders themselves
+        // must notice that it ends early.
+        Encoder resealed;
+        resealed.PutFixed32(Crc32(std::string_view(bytes).substr(0, cut)));
+        EXPECT_FALSE(
+            DecodeMessage(bytes.substr(0, cut) + resealed.buffer()).ok())
+            << "resealed cut at " << cut;
+      }
+    }
   }
 }
 

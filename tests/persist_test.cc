@@ -101,8 +101,8 @@ TEST(Crc32Test, SeedContinuation) {
   EXPECT_EQ(split, whole);
 }
 
-// Byte-at-a-time CRC-32 with the table built inline: the reference the
-// sliced implementation must match bit for bit.
+// Byte-at-a-time CRC-32 with the table built inline: the reference both the
+// carry-less and the sliced implementation must match bit for bit.
 uint32_t ReferenceCrc32(std::string_view data, uint32_t seed = 0) {
   uint32_t table[256];
   for (uint32_t i = 0; i < 256; ++i) {
@@ -127,32 +127,45 @@ std::string RandomBytes(std::mt19937_64* rng, size_t size) {
   return bytes;
 }
 
-TEST(Crc32Test, MatchesByteAtATimeReference) {
+// Runs `crc` against the reference over every length 0-300 at every start
+// offset 0-15 (the carry-less kernel loads 16 bytes at a time, the tables 8;
+// lengths cross the kernel's 64-byte threshold and its 16-byte tail split),
+// with a nonzero seed on half of them, then over random buffers up to
+// 64 KiB and one of 1 MiB.
+void ExpectMatchesReference(uint32_t (*crc)(std::string_view, uint32_t)) {
   std::mt19937_64 rng(14);
-  // Every length 0-300 at every start offset 0-7 (alignment and the
-  // eight-byte tail split), with a nonzero seed on half of them.
-  const std::string buffer = RandomBytes(&rng, 308);
-  for (size_t offset = 0; offset < 8; ++offset) {
+  const std::string buffer = RandomBytes(&rng, 316);
+  for (size_t offset = 0; offset < 16; ++offset) {
     for (size_t length = 0; length <= 300; ++length) {
       const std::string_view view(buffer.data() + offset, length);
       const uint32_t seed = length % 2 == 0 ? 0u : 0x9e3779b9u;
-      ASSERT_EQ(Crc32(view, seed), ReferenceCrc32(view, seed))
+      ASSERT_EQ(crc(view, seed), ReferenceCrc32(view, seed))
           << "offset " << offset << " length " << length;
     }
   }
-  // Random buffers up to 64 KiB.
   for (int round = 0; round < 64; ++round) {
     const std::string data = RandomBytes(&rng, rng() % (64 * 1024 + 1));
-    ASSERT_EQ(Crc32(data), ReferenceCrc32(data)) << "size " << data.size();
+    ASSERT_EQ(crc(data, 0), ReferenceCrc32(data)) << "size " << data.size();
   }
-  // One 1 MiB buffer.
   const std::string big = RandomBytes(&rng, 1 << 20);
-  EXPECT_EQ(Crc32(big), ReferenceCrc32(big));
+  EXPECT_EQ(crc(big, 0), ReferenceCrc32(big));
+}
+
+TEST(Crc32Test, MatchesByteAtATimeReference) {
+  ExpectMatchesReference(&Crc32);
+}
+
+// The slicing-by-8 fallback, which CPUs without PCLMULQDQ take for every
+// length: checked directly, so hosts that have the instruction cover it too.
+TEST(Crc32Test, TablePathMatchesByteAtATimeReference) {
+  ExpectMatchesReference(&pileus::internal::Crc32Table);
 }
 
 TEST(Crc32Test, ChainedSeedsMatchOneShotAtEverySplit) {
+  // 200 bytes: the splits put either piece on each side of the carry-less
+  // kernel's 64-byte threshold and its 16-byte steps.
   std::mt19937_64 rng(40);
-  const std::string data = RandomBytes(&rng, 40);
+  const std::string data = RandomBytes(&rng, 200);
   const uint32_t whole = Crc32(data);
   EXPECT_EQ(whole, ReferenceCrc32(data));
   for (size_t split = 0; split <= data.size(); ++split) {

@@ -277,6 +277,30 @@ TEST_P(StorageNodeTest, ConfigQueryReportsDurableTimestamp) {
   EXPECT_EQ(map_reply->durable_timestamp, put_reply->timestamp);
 }
 
+// A checkpoint compacts the tablet's whole update log; the durable timestamp
+// that ranks promotion candidates must not fall to Zero with it.
+TEST_P(StorageNodeTest, DurableTimestampSurvivesLogCompaction) {
+  proto::PutRequest put;
+  put.table = "t";
+  put.key = "k";
+  put.value = "v";
+  ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
+  const auto durable_timestamp = [this] {
+    proto::TabletMapRequest query;
+    query.table = "t";
+    proto::Message reply = node_.Handle(query);
+    const auto* map_reply = std::get_if<proto::TabletMapReply>(&reply);
+    return map_reply != nullptr ? map_reply->durable_timestamp
+                                : Timestamp::Zero();
+  };
+  const Timestamp before = durable_timestamp();
+  ASSERT_NE(before, Timestamp::Zero());
+  Tablet* tablet = node_.FindTablet("t", "k");
+  tablet->CompactLog(tablet->high_timestamp());
+  ASSERT_TRUE(tablet->update_log().empty());
+  EXPECT_EQ(durable_timestamp(), before);
+}
+
 TEST_P(StorageNodeTest, ProbeStampedOnlyFromOneTabletMap) {
   ASSERT_TRUE(node_.InstallTabletMap(MapWithPrimary(4, "node-1")));
   proto::ProbeRequest probe;

@@ -118,6 +118,22 @@ TEST(UpdateLogTest, LastTimestampTracksAppends) {
   EXPECT_EQ(log.LastTimestamp(), (Timestamp{20, 5}));
 }
 
+// A checkpoint truncates the whole log; its tail is still the newest update
+// the log covered, not Zero.
+TEST(UpdateLogTest, LastTimestampSurvivesTruncation) {
+  UpdateLog log;
+  log.Append(V("a", 10));
+  log.Append(V("b", 20, 5));
+  log.TruncateThrough(Timestamp{20, 5});
+  ASSERT_TRUE(log.empty());
+  EXPECT_EQ(log.LastTimestamp(), (Timestamp{20, 5}));
+  // Truncated past the newest entry (a heartbeat-advanced high timestamp).
+  log.TruncateThrough(Timestamp{30, 0});
+  EXPECT_EQ(log.LastTimestamp(), (Timestamp{30, 0}));
+  log.Append(V("c", 40));
+  EXPECT_EQ(log.LastTimestamp(), (Timestamp{40, 0}));
+}
+
 TEST(UpdateLogTest, SequenceNumbersOrderWithinMicrosecond) {
   UpdateLog log;
   log.Append(V("a", 10, 0));
