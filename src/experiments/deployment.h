@@ -58,6 +58,8 @@ struct GroundTruth {
   std::vector<proto::ObjectVersion> versions;  // Committed order.
   bool complete = true;  // False when part of the order could not be read.
   // WALs whose every entry must appear in `versions` (checked when complete).
+  // The tablet fleet lists every tablet's, retired and migrated copies and
+  // split children included, so each journaled version must be committed.
   std::vector<std::string> wal_paths;
 };
 

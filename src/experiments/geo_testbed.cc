@@ -1,7 +1,5 @@
 #include "src/experiments/geo_testbed.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cassert>
 
@@ -421,16 +419,9 @@ Status GeoTestbed::BuildNode(NodeEntry& entry, bool is_primary) {
   }
   // Durability lets CrashNode/RestartNode model real crash-recovery instead
   // of pretending volatile state survives.
-  persist::DurableTablet::Options durable;
-  durable.directory = options_.durable_root + "/" + entry.site;
-  ::mkdir(options_.durable_root.c_str(), 0755);  // Best effort; may exist.
-  ::mkdir(durable.directory.c_str(), 0755);
-  durable.tablet = std::move(options);
-  // The simulated disk keeps every record: a checkpoint would compact the
-  // update log the replication pulls read from.
-  durable.checkpoint_threshold_bytes = 0;
-  return server::RecoverTablets(entry.node.get(), kTableName, durable,
-                                env_.clock())
+  return server::OpenDurableNode(entry.node.get(), kTableName,
+                                 options_.durable_root + "/" + entry.site,
+                                 std::move(options), env_.clock())
       .status();
 }
 

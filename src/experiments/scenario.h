@@ -119,6 +119,8 @@ struct ScenarioResult {
   uint64_t final_map_version = 0;
   uint64_t coordinator_kills = 0;
   uint64_t coordinator_recoveries = 0;
+  // Tablet fleet: versions restarted nodes replayed from their tablet WALs.
+  uint64_t restart_wal_versions = 0;
 
   bool ok() const {
     return setup.ok() && report.ok() && lost_acked_writes == 0;

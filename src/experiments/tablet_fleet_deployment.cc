@@ -9,19 +9,22 @@
 // standby recovers from the intent log. Afterwards the per-tablet committed
 // logs, exported from each range's final primary, merge into one ground
 // truth. Everything runs on a ManualClock, so a seed reproduces bit-for-bit.
+//
+// In the crash-restart scenario each node keeps every tablet it hosts as a
+// DurableTablet under its data root, and a restart reopens that root.
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <utility>
-#include <variant>
 
 #include "src/cache/client_cache.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
 #include "src/core/sharded_client.h"
 #include "src/experiments/deployment.h"
-#include "src/persist/wal.h"
+#include "src/server/node_host.h"
 #include "src/workload/ycsb.h"
 #include "src/sim/fault_injector.h"
 #include "src/storage/storage_node.h"
@@ -44,20 +47,18 @@ constexpr uint64_t kChurnPeriodOps = 40;
 constexpr uint64_t kCoordinatorDownOps = 30;
 
 // One storage node "process": the node object is volatile state (destroyed
-// on crash), the WAL is its disk.
+// on crash); in a crash-restart run its data root is its disk.
 struct NodeSlot {
   std::string name;
   std::unique_ptr<storage::StorageNode> node;
-  persist::WriteAheadLog wal;  // Open only for kCrashRestart runs.
-  bool unreachable = false;    // Partitioned away from everyone.
+  bool unreachable = false;  // Partitioned away from everyone.
   bool crashed = false;
 };
 
 // Direct call into a slot's node, advancing the shared manual clock by the
 // RTT. A crashed or partitioned slot answers kUnavailable after the same
-// delay (the caller's timeout experience is immaterial to the audit). Acked
-// writes are journaled to the slot's WAL before the ack leaves, like a
-// durable server would.
+// delay (the caller's timeout experience is immaterial to the audit). A
+// durable node's tablets journal each write before the node acks it.
 class ChurnConnection : public core::NodeConnection {
  public:
   ChurnConnection(NodeSlot* slot, ManualClock* clock)
@@ -71,36 +72,10 @@ class ChurnConnection : public core::NodeConnection {
           Status(StatusCode::kUnavailable, "node " + slot_->name + " is down"),
           kRttUs);
     }
-    proto::Message reply = slot_->node->Handle(request);
-    JournalAckedWrite(request, reply);
-    return core::TimedReply(std::move(reply), kRttUs);
+    return core::TimedReply(slot_->node->Handle(request), kRttUs);
   }
 
  private:
-  void JournalAckedWrite(const proto::Message& request,
-                         const proto::Message& reply) {
-    if (!slot_->wal.is_open()) {
-      return;
-    }
-    const auto* ack = std::get_if<proto::PutReply>(&reply);
-    if (ack == nullptr) {
-      return;
-    }
-    proto::ObjectVersion version;
-    if (const auto* put = std::get_if<proto::PutRequest>(&request)) {
-      version.key = put->key;
-      version.value = put->value;
-    } else if (const auto* del = std::get_if<proto::DeleteRequest>(&request)) {
-      version.key = del->key;
-      version.is_tombstone = true;
-    } else {
-      return;
-    }
-    version.timestamp = ack->timestamp;
-    (void)slot_->wal.AppendVersion(version);
-    (void)slot_->wal.Sync();
-  }
-
   NodeSlot* slot_;      // Not owned; outlives the connection.
   ManualClock* clock_;  // Not owned.
 };
@@ -118,19 +93,11 @@ class TabletFleetDeployment : public Deployment {
   }
 
   Status Build(core::OpObserver* observer) override {
-    const bool durable = options_.scenario == FaultScenario::kCrashRestart;
     slots_.reserve(kNodeCount);
     for (int i = 0; i < kNodeCount; ++i) {
       auto slot = std::make_unique<NodeSlot>();
       slot->name = "n" + std::to_string(i + 1);
-      slot->node = std::make_unique<storage::StorageNode>(slot->name,
-                                                          slot->name, &clock_);
-      if (durable) {
-        Result<persist::WriteAheadLog> wal = persist::WriteAheadLog::Open(
-            options_.durable_root + "/" + slot->name + ".wal");
-        PILEUS_RETURN_IF_ERROR(wal.status());
-        slot->wal = std::move(wal).value();
-      }
+      PILEUS_RETURN_IF_ERROR(StartNode(*slot).status());
       slots_.push_back(std::move(slot));
     }
 
@@ -285,53 +252,36 @@ class TabletFleetDeployment : public Deployment {
     HealAll();
     // Ground truth: each range's committed log, exported from its final
     // primary, merged into one ascending-timestamp sequence. A key lives in
-    // exactly one tablet at a time, so per-key order is exact.
+    // exactly one tablet at a time, so per-key order is exact. A primary's
+    // tablets may be finer than the map's ranges (children of a split
+    // abandoned at recovery) or coarser (an unsplit copy on a healed
+    // member), so its export is cut to the keys the map gives it.
     GroundTruth truth;
-    for (const tablets::TabletInfo& info : coordinator_->map().tablets) {
-      NodeSlot* slot = FindSlot(info.config.primary);
-      if (slot == nullptr || slot->node == nullptr) {
-        truth.complete = false;
-        continue;
-      }
-      storage::StorageNode* node = slot->node.get();
-      const KeyRange range = info.range;
+    const tablets::TabletMap& map = coordinator_->map();
+    for (auto& slot : slots_) {
       bool contiguous = true;
-      // The node's tablets may be finer than the map's range (children of a
-      // split abandoned at recovery) or coarser (an unsplit copy on a healed
-      // member), so union every overlapping tablet's log and keep only the
-      // range's own keys.
-      std::vector<proto::ObjectVersion> piece = node->WithLock(
-          [&]() -> std::vector<proto::ObjectVersion> {
-            std::vector<proto::ObjectVersion> merged;
-            for (storage::Tablet* tablet :
-                 node->TabletsForTable(kChurnTable)) {
-              if (!tablet->range().Overlaps(range)) {
-                continue;
-              }
-              bool tablet_contiguous = true;
-              std::vector<proto::ObjectVersion> exported =
-                  tablet->ExportCommittedVersions(&tablet_contiguous);
-              contiguous = contiguous && tablet_contiguous;
-              for (proto::ObjectVersion& version : exported) {
-                if (range.Contains(version.key)) {
-                  merged.push_back(std::move(version));
-                }
-              }
-            }
-            return merged;
-          });
+      for (proto::ObjectVersion& version :
+           slot->node->ExportTableLog(kChurnTable, &contiguous)) {
+        const tablets::TabletInfo* owner = map.OwnerOf(version.key);
+        if (owner != nullptr && owner->config.primary == slot->name) {
+          truth.versions.push_back(std::move(version));
+        }
+      }
       truth.complete = truth.complete && contiguous;
-      truth.versions.insert(truth.versions.end(), piece.begin(), piece.end());
     }
     std::stable_sort(truth.versions.begin(), truth.versions.end(),
                      [](const proto::ObjectVersion& a,
                         const proto::ObjectVersion& b) {
                        return a.timestamp < b.timestamp;
                      });
-    for (auto& slot : slots_) {
-      if (slot->wal.is_open()) {
-        truth.wal_paths.push_back(slot->wal.path());
+    if (durable()) {  // Every tablet WAL the nodes wrote (deployment.h).
+      for (const auto& file : std::filesystem::recursive_directory_iterator(
+               options_.durable_root)) {
+        if (file.path().filename() == "wal.log") {
+          truth.wal_paths.push_back(file.path().string());
+        }
       }
+      std::ranges::sort(truth.wal_paths);
     }
 
     result.splits = coordinator_->splits();
@@ -342,10 +292,28 @@ class TabletFleetDeployment : public Deployment {
     result.final_map_version = coordinator_->map().version;
     result.coordinator_kills = coordinator_kills_;
     result.coordinator_recoveries = coordinator_recoveries_;
+    result.restart_wal_versions = restart_wal_versions_;
     return truth;
   }
 
  private:
+  bool durable() const {
+    return options_.scenario == FaultScenario::kCrashRestart;
+  }
+
+  // A new node process for `slot`; a durable one reopens its data root.
+  Result<std::vector<std::unique_ptr<persist::DurableTablet>>> StartNode(
+      NodeSlot& slot) {
+    slot.node =
+        std::make_unique<storage::StorageNode>(slot.name, slot.name, &clock_);
+    if (!durable()) {
+      return std::vector<std::unique_ptr<persist::DurableTablet>>{};
+    }
+    return server::OpenDurableNode(slot.node.get(), kChurnTable,
+                                   options_.durable_root + "/" + slot.name,
+                                   std::nullopt, &clock_);
+  }
+
   tablets::TabletInfo MakeEntry(KeyRange range, const std::string& primary) {
     tablets::TabletInfo info;
     info.range = std::move(range);
@@ -431,51 +399,32 @@ class TabletFleetDeployment : public Deployment {
   }
 
   void Crash(NodeSlot& slot) {
-    // Volatile state dies with the process; the WAL is the disk. The
+    // Volatile state dies with the process; the data root is the disk. The
     // coordinator's reachability hook keeps it from touching the dead node.
     slot.crashed = true;
     slot.node.reset();
   }
 
   Status Restart(NodeSlot& slot) {
-    slot.node =
-        std::make_unique<storage::StorageNode>(slot.name, slot.name, &clock_);
-    // Recreate the tablets the current map assigns this node, as plain
-    // secondaries first — promotion after replay seeds each timestamp
-    // allocator above everything recovered.
-    for (const tablets::TabletInfo& info : coordinator_->map().tablets) {
-      if (info.config.primary != slot.name) {
-        continue;
+    // The node reopens its tablets as secondaries; adopting the live map
+    // promotes its primaries above everything recovered.
+    Result<std::vector<std::unique_ptr<persist::DurableTablet>>> recovered =
+        StartNode(slot);
+    PILEUS_RETURN_IF_ERROR(recovered.status());
+    const tablets::TabletMap& map = coordinator_->map();
+    for (const auto& tablet : *recovered) {
+      restart_wal_versions_ += tablet->recovery_info().wal_versions;
+      // A copy the live map gives to another node (say, a migration source
+      // a killed coordinator never removed) is not served again.
+      const KeyRange& range = tablet->tablet().range();
+      const tablets::TabletInfo* owner = map.OwnerOf(range.begin);
+      if (owner == nullptr || owner->config.primary != slot.name) {
+        PILEUS_RETURN_IF_ERROR(slot.node->RemoveTablet(kChurnTable, range));
       }
-      storage::Tablet::Options tablet_options;
-      tablet_options.range = info.range;
-      tablet_options.is_primary = false;
-      PILEUS_RETURN_IF_ERROR(
-          slot.node->AddTablet(kChurnTable, tablet_options));
     }
-    if (slot.wal.is_open()) {
-      storage::StorageNode* node = slot.node.get();
-      Result<persist::WriteAheadLog::ReplayStats> replayed =
-          persist::WriteAheadLog::Replay(
-              slot.wal.path(),
-              [node](const proto::ObjectVersion& version) {
-                // Keys of ranges this node no longer owns (migrated away
-                // before the crash) have no tablet here: skip them. The
-                // high-timestamp guard drops re-journaled duplicates from a
-                // range that migrated away and back.
-                storage::Tablet* tablet =
-                    node->FindTablet(kChurnTable, version.key);
-                if (tablet != nullptr &&
-                    tablet->high_timestamp() < version.timestamp) {
-                  tablet->ApplyReplicatedPut(version);
-                }
-              },
-              [](const Timestamp&) {}, [](const reconfig::ConfigEpoch&) {});
-      PILEUS_RETURN_IF_ERROR(replayed.status());
-    }
-    // Adopt the live map (promoting this node's primaries) and rejoin the
-    // control plane; the replaced member gets a fresh TabletManager.
-    slot.node->InstallTabletMap(coordinator_->map());
+    // Adopt the live map and rejoin the control plane; the replaced member
+    // gets a fresh TabletManager.
+    slot.node->InstallTabletMap(map);
     slot.crashed = false;
     coordinator_->RegisterNode(slot.node.get());
     return Status::Ok();
@@ -489,38 +438,6 @@ class TabletFleetDeployment : public Deployment {
       slot->unreachable = false;
     }
     (void)coordinator_->PublishMap();
-  }
-
-  // After a successful migration the target's copy is the only one, but its
-  // catch-up arrived via direct Sync pulls that bypassed the connection's
-  // journaling. Persist the transferred history so a later crash of the
-  // target cannot lose pre-migration acked writes.
-  void JournalTabletExport(const std::string& node_name,
-                           const std::string& range_begin) {
-    NodeSlot* slot = FindSlot(node_name);
-    if (slot == nullptr || !slot->wal.is_open() || slot->node == nullptr) {
-      return;
-    }
-    storage::StorageNode* node = slot->node.get();
-    std::vector<proto::ObjectVersion> versions = node->WithLock(
-        [&]() -> std::vector<proto::ObjectVersion> {
-          const storage::Tablet* tablet =
-              node->FindTablet(kChurnTable, range_begin);
-          if (tablet == nullptr) {
-            return {};
-          }
-          return tablet->ExportCommittedVersions(nullptr);
-        });
-    for (const proto::ObjectVersion& version : versions) {
-      (void)slot->wal.AppendVersion(version);
-    }
-    (void)slot->wal.Sync();
-  }
-
-  void Migrate(const std::string& range_begin, const std::string& to) {
-    if (coordinator_->ExecuteMigration(range_begin, to).ok()) {
-      JournalTabletExport(to, range_begin);
-    }
   }
 
   // A live node the coordinator and the client can reach.
@@ -607,12 +524,12 @@ class TabletFleetDeployment : public Deployment {
           const std::string begin = info.range.begin;  // Migrating edits map.
           migrate_cursor_ =
               (migrate_cursor_ + probe + 1) % map.tablets.size();
-          Migrate(begin, to);
+          (void)coordinator_->ExecuteMigration(begin, to);
           break;
         }
         break;
       }
-      case 2: {  // One planner round, executed through the journaling hook.
+      case 2: {  // One planner round.
         std::vector<tablets::TabletLoad> loads = coordinator_->SampleLoads();
         for (tablets::TabletLoad& load : loads) {
           if (load.size_bytes <=
@@ -634,7 +551,8 @@ class TabletFleetDeployment : public Deployment {
           if (action.kind == tablets::RebalanceAction::Kind::kSplit) {
             (void)coordinator_->ExecuteSplit(action.split_key);
           } else {
-            Migrate(action.range.begin, action.to);
+            (void)coordinator_->ExecuteMigration(action.range.begin,
+                                                 action.to);
           }
         }
         break;
@@ -661,6 +579,7 @@ class TabletFleetDeployment : public Deployment {
   uint64_t coordinator_down_until_ = 0;
   uint64_t coordinator_kills_ = 0;
   uint64_t coordinator_recoveries_ = 0;
+  uint64_t restart_wal_versions_ = 0;
 };
 
 }  // namespace

@@ -194,6 +194,48 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
   return data;
 }
 
+bool Exists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+// The n-th tablet directory of a data root: the root, then tablet-<n>. One
+// holds a tablet once it holds a wal.log.
+std::string TabletDirectory(const std::string& root, int n) {
+  return n == 0 ? root : root + "/tablet-" + std::to_string(n);
+}
+
+// Makes `directory` (when missing) and writes its first checkpoint: what a
+// tablet directory holds before its log records anything.
+Status MakeTabletDirectory(const std::string& directory,
+                           const std::vector<storage::VersionPtr>& versions,
+                           const Timestamp& high, const KeyRange& range) {
+  if (::mkdir(directory.c_str(), 0755) != 0 && errno != EEXIST) {
+    return Errno("mkdir", directory);
+  }
+  return WriteFileAtomically(
+      directory + "/checkpoint.db",
+      FrameCheckpoint(EncodeCheckpoint(versions, high, range)));
+}
+
+// The history of `parent`'s keys at or above `split_key`, oldest first: the
+// latest version of each key a checkpoint compacted out of the update log,
+// then the log's entries, which replica pulls and the audit read.
+std::vector<storage::VersionPtr> UpperHistory(const storage::Tablet& parent,
+                                              std::string_view split_key) {
+  std::vector<storage::VersionPtr> history =
+      parent.store().LatestVersionsAfter(Timestamp::Zero(), split_key);
+  std::erase_if(history, [&](const storage::VersionPtr& latest) {
+    return latest->timestamp > parent.update_log().truncation_point();
+  });
+  for (const storage::VersionPtr& entry : parent.update_log().entries()) {
+    if (entry->key >= split_key) {
+      history.push_back(entry);
+    }
+  }
+  return history;
+}
+
 }  // namespace
 
 // The WAL-plus-checkpoint journal of one tablet directory.
@@ -228,7 +270,7 @@ class WalJournal final : public storage::TabletJournal {
   }
 
   // Crash ordering: no acked write is ever lost.
-  //   1. The child's checkpoint (every version at or above the key, plus the
+  //   1. The child's checkpoint (the history at or above the key, plus the
   //      parent's high timestamp) is written and fsynced into child-<n>.
   //   2. Only then is a split record appended to this WAL and synced.
   // A crash before step 2 leaves the parent owning its full range and the
@@ -240,15 +282,10 @@ class WalJournal final : public storage::TabletJournal {
     DurableTablet::Options child = options_;
     child.directory =
         options_.directory + "/child-" + std::to_string(split_keys_.size());
-    if (::mkdir(child.directory.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Errno("mkdir", child.directory);
-    }
     child.tablet.range = KeyRange{std::string(split_key), parent.range().end};
-    PILEUS_RETURN_IF_ERROR(WriteFileAtomically(
-        child.directory + "/checkpoint.db",
-        FrameCheckpoint(EncodeCheckpoint(
-            parent.store().LatestVersionsAfter(Timestamp::Zero(), split_key),
-            parent.high_timestamp(), child.tablet.range))));
+    PILEUS_RETURN_IF_ERROR(MakeTabletDirectory(
+        child.directory, UpperHistory(parent, split_key),
+        parent.high_timestamp(), child.tablet.range));
     // An orphan left by a crashed split may hold a stale log.
     Result<WriteAheadLog> child_wal =
         WriteAheadLog::Open(child.directory + "/wal.log");
@@ -292,6 +329,11 @@ class WalJournal final : public storage::TabletJournal {
     // fall back to a full-state transfer).
     tablet.CompactLog(tablet.high_timestamp());
     return Status::Ok();
+  }
+
+  // The checkpoint and log stay; the marker is renamed into place.
+  Status Retire() override {
+    return WriteFileAtomically(options_.directory + "/retired", "");
   }
 
   const WriteAheadLog& wal() const { return wal_; }
@@ -351,6 +393,26 @@ class WalJournal final : public storage::TabletJournal {
   std::vector<std::string> split_keys_;
   std::optional<reconfig::ConfigEpoch> config_;
 };
+
+storage::StorageNode::TabletFactory DurableTablet::Factory(Options options,
+                                                          Clock* clock) {
+  return [options = std::move(options), clock](storage::Tablet::Options tablet)
+             -> Result<std::shared_ptr<storage::Tablet>> {
+    int n = 0;
+    while (Exists(TabletDirectory(options.directory, n) + "/wal.log")) {
+      ++n;
+    }
+    Options created = options;
+    created.directory = TabletDirectory(options.directory, n);
+    created.tablet = std::move(tablet);
+    PILEUS_RETURN_IF_ERROR(MakeTabletDirectory(
+        created.directory, {}, Timestamp::Zero(), created.tablet.range));
+    Result<std::unique_ptr<DurableTablet>> made =
+        Open(std::move(created), clock);
+    PILEUS_RETURN_IF_ERROR(made.status());
+    return (*made)->shared_tablet();
+  };
+}
 
 Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
                                                            Clock* clock) {
@@ -436,6 +498,10 @@ Result<std::vector<std::unique_ptr<DurableTablet>>> DurableTablet::OpenAll(
   // Breadth-first: each replayed split record names a child directory, and
   // children can have split again.
   std::vector<std::string> directories = {options.directory};
+  for (int n = 1; Exists(TabletDirectory(options.directory, n) + "/wal.log");
+       ++n) {
+    directories.push_back(TabletDirectory(options.directory, n));
+  }
   for (size_t i = 0; i < directories.size(); ++i) {
     options.directory = directories[i];
     Result<std::unique_ptr<DurableTablet>> tablet = Open(options, clock);
@@ -448,7 +514,9 @@ Result<std::vector<std::unique_ptr<DurableTablet>>> DurableTablet::OpenAll(
          ++n) {
       directories.push_back(directories[i] + "/child-" + std::to_string(n));
     }
-    opened.push_back(std::move(tablet).value());
+    if (!Exists(directories[i] + "/retired")) {  // Its children may live.
+      opened.push_back(std::move(tablet).value());
+    }
   }
   return opened;
 }

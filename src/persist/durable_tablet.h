@@ -18,6 +18,10 @@
 //   wal.log       - records since that snapshot
 //   child-<n>/    - the upper half split off by this tablet's n-th split,
 //                   itself a durable tablet directory
+//   retired       - present once the tablet's node gave it up (migrated
+//                   away, or a migration to it rolled back)
+// A node's data root is the directory of its first tablet; each tablet the
+// node creates later gets tablet-<n>/ (n = 1, 2, ...) beside it.
 
 #ifndef PILEUS_SRC_PERSIST_DURABLE_TABLET_H_
 #define PILEUS_SRC_PERSIST_DURABLE_TABLET_H_
@@ -30,6 +34,7 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/persist/wal.h"
+#include "src/storage/storage_node.h"
 #include "src/storage/tablet.h"
 
 namespace pileus::persist {
@@ -72,9 +77,16 @@ class DurableTablet {
   static Result<std::unique_ptr<DurableTablet>> Open(Options options,
                                                      Clock* clock);
 
-  // Opens the tablet in `options.directory` and, recursively, every split
-  // child its WAL records, root first: a node's whole data directory.
-  // Children inherit `options` but take their range from their checkpoint.
+  // A durable node's tablet factory: each tablet it makes is new, in the
+  // first directory of the data root `options.directory` that holds none,
+  // with a first checkpoint that records its range.
+  static storage::StorageNode::TabletFactory Factory(Options options,
+                                                     Clock* clock);
+
+  // Opens every tablet of the data root `options.directory`: its own, each
+  // tablet-<n>, and recursively every split child their WALs record, but
+  // no retired one. All inherit `options` but take their range from their
+  // checkpoint when it records one.
   static Result<std::vector<std::unique_ptr<DurableTablet>>> OpenAll(
       Options options, Clock* clock);
 

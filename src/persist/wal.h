@@ -44,8 +44,6 @@ class WriteAheadLog {
   // Opens (creating if needed) the log at `path` for appending.
   static Result<WriteAheadLog> Open(const std::string& path);
 
-  bool is_open() const { return log_.is_open(); }
-
   // Appends one record; data reaches the kernel but is not fsynced until
   // Sync() (group-commit friendly).
   Status AppendVersion(const proto::ObjectVersion& version);
@@ -69,7 +67,6 @@ class WriteAheadLog {
   void Close();
 
   uint64_t bytes_written() const { return log_.bytes_written(); }
-  const std::string& path() const { return log_.path(); }
 
   // --- Recovery ---
 

@@ -1,6 +1,7 @@
 #include "src/server/node_host.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -11,11 +12,13 @@ namespace pileus::server {
 Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
     storage::StorageNode* node, std::string_view table,
     const persist::DurableTablet::Options& options, Clock* clock) {
+  node->SetTabletFactory(persist::DurableTablet::Factory(options, clock));
   Result<std::vector<std::unique_ptr<persist::DurableTablet>>> opened =
       persist::DurableTablet::OpenAll(options, clock);
   PILEUS_RETURN_IF_ERROR(opened.status());
   tablets::TabletMap placement;
   placement.table = std::string(table);
+  std::vector<KeyRange> ranges;
   for (const auto& tablet : *opened) {
     PILEUS_RETURN_IF_ERROR(node->AddTablet(table, tablet->shared_tablet()));
     tablets::TabletInfo entry;
@@ -23,10 +26,13 @@ Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
     entry.config =
         tablet->recovery_info().config.value_or(reconfig::ConfigEpoch{});
     placement.version = std::max(placement.version, entry.config.epoch);
+    ranges.push_back(entry.range);
     placement.tablets.push_back(std::move(entry));
   }
-  if (placement.version == 0) {
-    return opened;  // Nothing journaled: the caller's role stands.
+  if (placement.version == 0 || !RangesCoverKeySpace(std::move(ranges))) {
+    // Nothing journaled, or only part of the table (a tablet-fleet node,
+    // whose driver installs the live map): the caller's role stands.
+    return opened;
   }
   std::ranges::sort(placement.tablets, {}, [](const tablets::TabletInfo& t) {
     return t.range.begin;
@@ -37,6 +43,25 @@ Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
                       placement.ToString());
   }
   return opened;
+}
+
+Result<std::vector<std::unique_ptr<persist::DurableTablet>>> OpenDurableNode(
+    storage::StorageNode* node, std::string_view table,
+    const std::string& root, std::optional<storage::Tablet::Options> first,
+    Clock* clock) {
+  std::error_code error;
+  std::filesystem::create_directories(root, error);
+  persist::DurableTablet::Options options;
+  options.directory = root;
+  options.tablet = first.value_or(storage::Tablet::Options{});
+  // Replication pulls and the audit's committed order read the update logs,
+  // which a checkpoint compacts (ROADMAP item 3).
+  options.checkpoint_threshold_bytes = 0;
+  if (!first.has_value() && std::filesystem::is_empty(root, error)) {
+    node->SetTabletFactory(persist::DurableTablet::Factory(options, clock));
+    return std::vector<std::unique_ptr<persist::DurableTablet>>{};
+  }
+  return RecoverTablets(node, table, options, clock);
 }
 
 NodeHost::NodeHost(Options options)

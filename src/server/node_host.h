@@ -26,16 +26,27 @@
 
 namespace pileus::server {
 
-// Opens the durable tablet in `options.directory` and every split child it
-// recorded, hosts each on `node`, and re-installs the placement they
+// Opens every tablet of the data root `options.directory` (creating the
+// root's own tablet from `options.tablet` when it holds none; see
+// durable_tablet.h), hosts each on `node`, and makes each tablet `node`
+// creates later a DurableTablet there too. Re-installs the placement they
 // journaled with an already-expired lease: one entry per tablet (its range
 // and last config), at the highest journaled epoch as the map version. So a
 // node deposed before it crashed comes back deposed, and one that led stays
 // fenced until a map install re-leases it (paper Section 6.2). Without any
-// journaled config nothing is installed and `options.tablet` sets the role.
+// journaled config, or for tablets covering part of the table only, nothing
+// is installed and `options.tablet` sets the role.
 Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
     storage::StorageNode* node, std::string_view table,
     const persist::DurableTablet::Options& options, Clock* clock);
+
+// A durable node of GeoTestbed or the tablet fleet: RecoverTablets on
+// `root` (made when missing), with checkpoints off. A fresh root starts with
+// `first`, or, without it, with no tablet until AddTablet.
+Result<std::vector<std::unique_ptr<persist::DurableTablet>>> OpenDurableNode(
+    storage::StorageNode* node, std::string_view table,
+    const std::string& root, std::optional<storage::Tablet::Options> first,
+    Clock* clock);
 
 class NodeHost {
  public:

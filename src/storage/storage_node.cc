@@ -67,7 +67,17 @@ StorageNode::StorageNode(std::string name, std::string site, Clock* clock)
 
 Status StorageNode::AddTablet(std::string_view table,
                               Tablet::Options options) {
-  return AddTablet(table, std::make_shared<Tablet>(std::move(options), clock_));
+  if (!tablet_factory_) {
+    return AddTablet(table,
+                     std::make_shared<Tablet>(std::move(options), clock_));
+  }
+  Result<std::shared_ptr<Tablet>> made = tablet_factory_(std::move(options));
+  PILEUS_RETURN_IF_ERROR(made.status());
+  const Status added = AddTablet(table, *made);
+  if (!added.ok() && (*made)->journal() != nullptr) {
+    (void)(*made)->journal()->Retire();  // A restart must not host it.
+  }
+  return added;
 }
 
 Status StorageNode::AddTablet(std::string_view table,
@@ -284,6 +294,9 @@ Status StorageNode::RemoveTablet(std::string_view table,
   }
   for (auto t = it->second.begin(); t != it->second.end(); ++t) {
     if ((*t)->range() == range) {
+      if ((*t)->journal() != nullptr) {
+        PILEUS_RETURN_IF_ERROR((*t)->journal()->Retire());
+      }
       it->second.erase(t);
       if (it->second.empty()) {
         tablets_.erase(it);
@@ -464,7 +477,7 @@ std::vector<proto::ObjectVersion> StorageNode::ExportTableLog(
     for (const auto& tablet : it->second) {
       bool tablet_contiguous = true;
       std::vector<proto::ObjectVersion> part =
-          tablet->ExportCommittedVersions(&tablet_contiguous);
+          tablet->update_log().Export(&tablet_contiguous);
       all_contiguous = all_contiguous && tablet_contiguous;
       if (merged.empty()) {
         merged = std::move(part);

@@ -42,11 +42,21 @@ class StorageNode {
   const std::string& name() const { return name_; }
   const std::string& site() const { return site_; }
 
-  // Registers a tablet. Ranges of one table must not overlap on one node.
+  // Creates and hosts a tablet: in memory, or with the tablet factory when
+  // one is set. Ranges of one table must not overlap on one node.
   Status AddTablet(std::string_view table, Tablet::Options options);
   // Hosts an already built tablet (e.g. one recovered from disk); the node
   // shares its ownership with the caller.
   Status AddTablet(std::string_view table, std::shared_ptr<Tablet> tablet);
+
+  // How a durable node creates tablets (server::RecoverTablets sets it
+  // before the node serves). AddTablet calls it outside the request lock,
+  // so tablets are created one at a time, as the coordinator does.
+  using TabletFactory =
+      std::function<Result<std::shared_ptr<Tablet>>(Tablet::Options)>;
+  void SetTabletFactory(TabletFactory factory) {
+    tablet_factory_ = std::move(factory);
+  }
 
   // --- Dynamic tablets (DESIGN.md Section 14) ---
 
@@ -74,7 +84,8 @@ class StorageNode {
   Status SplitTablet(std::string_view table, std::string_view split_key);
 
   // Removes the hosted tablet with exactly this range (migration source
-  // cleanup after the handoff drained).
+  // cleanup after the handoff drained, or a rolled-back target's copy),
+  // retiring a journaled one first; if that fails, the node keeps it.
   Status RemoveTablet(std::string_view table, const KeyRange& range);
 
   // Per-tablet load snapshot for the rebalancer and the CLI.
@@ -271,6 +282,7 @@ class StorageNode {
   Instruments instruments_;
   std::unique_ptr<AdmissionController> admission_;
   AckAfterSync ack_after_sync_;  // Empty: mutation acks are not deferred.
+  TabletFactory tablet_factory_;  // Empty: AddTablet creates in memory.
 };
 
 }  // namespace pileus::storage

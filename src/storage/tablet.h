@@ -54,6 +54,7 @@ class Tablet {
   Clock* clock() const { return clock_; }
   const VersionedStore& store() const { return store_; }
   UpdateLog& update_log() { return update_log_; }
+  const UpdateLog& update_log() const { return update_log_; }
 
   // Reconfiguration (Section 6.2): promote/demote this copy. Promotion seeds
   // the timestamp allocator above everything already seen so update
@@ -128,14 +129,6 @@ class Tablet {
   // point transparently fall back to a full-state transfer (HandleSync).
   void CompactLog(const Timestamp& up_to) {
     update_log_.TruncateThrough(up_to);
-  }
-
-  // Audit ground truth: every committed version still in this tablet's
-  // update log, ascending. `contiguous` (when non-null) is set to false if
-  // CompactLog dropped older entries.
-  std::vector<proto::ObjectVersion> ExportCommittedVersions(
-      bool* contiguous = nullptr) const {
-    return update_log_.Export(contiguous);
   }
 
   // Garbage-collects tombstones older than `horizon`; see

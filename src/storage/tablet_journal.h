@@ -3,10 +3,10 @@
 // A tablet with a journal records every state change it makes, right after
 // making it in memory: the versions it applies (accepted Puts, Deletes and
 // commits, and replicated versions), the high timestamp a replication
-// heartbeat moved it to, the tablet-map config its node accepted, and its
-// splits. How a record becomes durable is the journal's business (the WAL
-// and checkpoints of src/persist); the tablet only sees a Status. A tablet
-// without a journal is in-memory.
+// heartbeat moved it to, the tablet-map config its node accepted, its
+// splits, and its retirement. How a record becomes durable is the journal's
+// business (the WAL and checkpoints of src/persist); the tablet only sees a
+// Status. A tablet without a journal is in-memory.
 
 #ifndef PILEUS_SRC_STORAGE_TABLET_JOURNAL_H_
 #define PILEUS_SRC_STORAGE_TABLET_JOURNAL_H_
@@ -53,6 +53,10 @@ class TabletJournal {
   // Makes `tablet`'s whole state durable on its own, so recovery need not
   // replay what was recorded before (a shutdown's last act).
   virtual Status Checkpoint(Tablet& tablet) = 0;
+
+  // The tablet left its node (migrated away, or a migration to it rolled
+  // back): a restart must not host it again, but its record stays.
+  virtual Status Retire() = 0;
 };
 
 }  // namespace pileus::storage

@@ -65,6 +65,8 @@ class UpdateLog {
   UpdateLog ExtractUpper(std::string_view split_key);
 
   size_t size() const { return entries_.size(); }
+  // Every entry, oldest first.
+  const std::deque<VersionPtr>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   // The newest entry; the log must not be empty.
   const VersionPtr& back() const { return entries_.back(); }

@@ -2,6 +2,9 @@
 // SLA-driven routing, latency injection, reconfiguration, and determinism.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
+
+#include <string>
 
 #include "src/core/sla.h"
 #include "src/experiments/comparison.h"
@@ -550,6 +553,45 @@ TEST(GeoTestbedTest, AutoFailoverPromotesSyncMemberOnPrimaryCrash) {
   put.value = "v";
   EXPECT_TRUE(std::holds_alternative<proto::PutReply>(
       testbed.primary_node()->Handle(put)));
+}
+
+// A checkpoint compacts a sync member's update log, yet the member still
+// reports its real durable timestamp, so it outranks an asynchronous member
+// that missed the latest writes (ROADMAP item 3). The coordinator starts
+// after the checkpoint, so nothing it learned before can mask the ranking.
+TEST(GeoTestbedTest, CheckpointedSyncMemberWinsPromotionOverLaggingOne) {
+  char root[] = "/tmp/pileus_geo_failover.XXXXXX";
+  ASSERT_NE(::mkdtemp(root), nullptr);
+  GeoTestbedOptions options = FastGeoOptions();
+  options.sync_replica_count = 2;  // England primary + US sync.
+  options.enable_failover = true;
+  options.durable_root = root;
+  GeoTestbed testbed(options);
+  PreloadKeys(testbed, 20);  // Every member holds the preload.
+
+  // Writes only the sync member applies: replication never runs, so India
+  // lags behind them.
+  auto client = testbed.MakeClient(kUs, core::PileusClient::Options{});
+  core::Session session =
+      client->client().BeginSession(core::ShoppingCartSla()).value();
+  for (const std::string key : {"a", "b", "c"}) {
+    ASSERT_TRUE(client->client().Put(session, key, "v").ok());
+  }
+  storage::Tablet* us = testbed.node(kUs)->FindTablet(kTableName, "");
+  ASSERT_TRUE(us->journal()->Checkpoint(*us).ok());
+  ASSERT_TRUE(us->update_log().empty());
+  EXPECT_LT(testbed.node(kIndia)->HighTimestamp(kTableName, "a"),
+            us->high_timestamp());
+
+  testbed.StartReconfiguration();
+  testbed.CrashNode(kEngland);
+  testbed.env().RunFor(SecondsToMicroseconds(5));
+  ASSERT_GE(testbed.failovers(), 1u);
+  EXPECT_EQ(testbed.primary_site(), kUs);
+  EXPECT_TRUE(testbed.primary_node()->FindTablet(kTableName, "")
+                  ->HandleGet("c")
+                  .found);
+  (void)::system(("rm -rf '" + std::string(root) + "'").c_str());
 }
 
 TEST(GeoTestbedTest, RestartedExPrimaryRejoinsFencedAsSecondary) {

@@ -172,6 +172,7 @@ struct CountingJournal : storage::TabletJournal {
     return Status::Ok();
   }
   Status Checkpoint(Tablet&) override { return Status::Ok(); }
+  Status Retire() override { return Status::Ok(); }
 };
 
 TEST(ReplicationAgentTest, VersionedReplySyncsJournal) {

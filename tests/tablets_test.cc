@@ -3,8 +3,9 @@
 // rebalance planner, map installation and kWrongTablet fencing on storage
 // nodes, the coordinator's split and live-migration protocols including
 // rollback, the durable intent log, coordinator crash recovery (a
-// crash-point torture matrix over every phase boundary), and lease-based
-// coordinator failover.
+// crash-point torture matrix over every phase boundary, with in-memory and
+// with durable nodes), the directory lifecycle of durable nodes' tablets,
+// and lease-based coordinator failover.
 
 #include <fcntl.h>
 #include <stdlib.h>
@@ -23,6 +24,7 @@
 
 #include "src/common/clock.h"
 #include "src/proto/messages.h"
+#include "src/server/node_host.h"
 #include "src/sim/fault_injector.h"
 #include "src/storage/storage_node.h"
 #include "src/tablets/coordinator.h"
@@ -50,6 +52,19 @@ TabletInfo MakeInfo(std::string begin, std::string end, uint64_t epoch,
   info.config.primary = std::move(primary);
   info.config.members = std::move(members);
   return info;
+}
+
+bool Exists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+std::vector<KeyRange> HostedRanges(const storage::StorageNode& node) {
+  std::vector<KeyRange> ranges;
+  for (const auto& stat : node.LocalTabletStats(kTable)) {
+    ranges.push_back(stat.range);
+  }
+  return ranges;
 }
 
 TabletMap TwoTabletMap() {
@@ -793,13 +808,36 @@ class DurableCoordinatorTest : public ::testing::Test {
   }
 
   // Fresh fleet: alpha hosts the whole keyspace as primary, beta is empty.
+  // With durable_nodes_, each node keeps its tablets under its own root.
   void FreshNodes() {
     alpha_ = std::make_unique<storage::StorageNode>("alpha", "dc1", &clock_);
     beta_ = std::make_unique<storage::StorageNode>("beta", "dc1", &clock_);
+    if (durable_nodes_) {
+      ++fleet_;
+      for (const std::string name : {"alpha", "beta"}) {
+        ASSERT_TRUE(server::OpenDurableNode(&NodeNamed(name), kTable,
+                                            Root(name), std::nullopt, &clock_)
+                        .ok());
+      }
+    }
     storage::Tablet::Options options;
     options.range = KeyRange::All();
     options.is_primary = true;
     ASSERT_TRUE(alpha_->AddTablet(kTable, options).ok());
+  }
+
+  // The current fleet's data root of `node`.
+  std::string Root(const std::string& node) const {
+    return dir_ + "/fleet" + std::to_string(fleet_) + "/" + node;
+  }
+
+  // The ranges a restart of durable `node` would host again.
+  std::vector<KeyRange> ReopenedRanges(const std::string& node) {
+    storage::StorageNode reopened(node, "dc1", &clock_);
+    const auto recovered = server::OpenDurableNode(
+        &reopened, kTable, Root(node), std::nullopt, &clock_);
+    EXPECT_TRUE(recovered.ok()) << recovered.status();
+    return HostedRanges(reopened);
   }
 
   TabletCoordinator::Options DurableOptions(const std::string& log_path) {
@@ -879,16 +917,36 @@ class DurableCoordinatorTest : public ::testing::Test {
           << "range " << info.range.ToString() << " is still fenced on "
           << info.config.primary;
     }
+    if (!durable_nodes_) {
+      return;
+    }
+    // Each node's directories follow its tablets: a restart would host
+    // exactly what the node hosts now.
+    for (const std::string name : {"alpha", "beta"}) {
+      EXPECT_EQ(ReopenedRanges(name), HostedRanges(NodeNamed(name))) << name;
+    }
   }
+
+  void RunSplitCrashMatrix();
+  void RunMigrationCrashMatrix();
 
   ManualClock clock_;
   sim::FaultInjector injector_;
   std::string dir_;
+  bool durable_nodes_ = false;
+  int fleet_ = 0;  // FreshNodes calls so far, with durable_nodes_.
   std::unique_ptr<storage::StorageNode> alpha_;
   std::unique_ptr<storage::StorageNode> beta_;
 };
 
-TEST_F(DurableCoordinatorTest, SplitCrashMatrixRecoversEverywhere) {
+// The same protocols with durable nodes: each tablet lives in a directory
+// under its node's data root, which migrations create and retire.
+class DurableNodeCoordinatorTest : public DurableCoordinatorTest {
+ protected:
+  DurableNodeCoordinatorTest() { durable_nodes_ = true; }
+};
+
+void DurableCoordinatorTest::RunSplitCrashMatrix() {
   int index = 0;
   for (const std::string& point : TabletCoordinator::SplitCrashPoints()) {
     SCOPED_TRACE(point);
@@ -920,6 +978,14 @@ TEST_F(DurableCoordinatorTest, SplitCrashMatrixRecoversEverywhere) {
     EXPECT_GT(coordinator->coordinator_epoch(), epoch_before);
     ExpectConverged(*coordinator, keys);
   }
+}
+
+TEST_F(DurableCoordinatorTest, SplitCrashMatrixRecoversEverywhere) {
+  RunSplitCrashMatrix();
+}
+
+TEST_F(DurableNodeCoordinatorTest, SplitCrashMatrixRecoversEverywhere) {
+  RunSplitCrashMatrix();
 }
 
 // Recovery while the split's primary is partitioned away: the standby must
@@ -972,7 +1038,7 @@ TEST_F(DurableCoordinatorTest, SplitIntentWithPartitionedPrimaryIsAbandoned) {
   ExpectConverged(*coordinator, keys);
 }
 
-TEST_F(DurableCoordinatorTest, MigrationCrashMatrixRecoversEverywhere) {
+void DurableCoordinatorTest::RunMigrationCrashMatrix() {
   int index = 0;
   for (const std::string& point : TabletCoordinator::MigrationCrashPoints()) {
     SCOPED_TRACE(point);
@@ -1030,6 +1096,108 @@ TEST_F(DurableCoordinatorTest, MigrationCrashMatrixRecoversEverywhere) {
       EXPECT_EQ(coordinator->map().version, 3u);
     }
   }
+}
+
+TEST_F(DurableCoordinatorTest, MigrationCrashMatrixRecoversEverywhere) {
+  RunMigrationCrashMatrix();
+}
+
+TEST_F(DurableNodeCoordinatorTest, MigrationCrashMatrixRecoversEverywhere) {
+  RunMigrationCrashMatrix();
+}
+
+TEST_F(DurableNodeCoordinatorTest, CommittedMigrationRetiresTheSource) {
+  FreshNodes();
+  std::unique_ptr<TabletCoordinator> coordinator =
+      RecoverCoordinator(dir_ + "/commit.log");
+  ASSERT_NE(coordinator, nullptr);
+  ASSERT_TRUE(coordinator->CompleteRecovery().ok());
+  PutKey(*alpha_, "apple");
+
+  ASSERT_TRUE(coordinator->ExecuteMigration("", "beta").ok());
+  // The source's directory stays, with its log, but a restart skips it.
+  EXPECT_TRUE(Exists(Root("alpha") + "/retired"));
+  EXPECT_TRUE(Exists(Root("alpha") + "/wal.log"));
+  EXPECT_TRUE(ReopenedRanges("alpha").empty());
+  EXPECT_FALSE(Exists(Root("beta") + "/retired"));
+  EXPECT_EQ(ReopenedRanges("beta"), std::vector<KeyRange>{KeyRange::All()});
+}
+
+// A migration that cannot go forward rolls back: the target's copy is
+// retired, the source's directory is not.
+TEST_F(DurableNodeCoordinatorTest, RollbackRetiresTheTarget) {
+  FreshNodes();
+  const std::string log_path = dir_ + "/rollback.log";
+  std::unique_ptr<TabletCoordinator> coordinator =
+      RecoverCoordinator(log_path);
+  ASSERT_NE(coordinator, nullptr);
+  ASSERT_TRUE(coordinator->CompleteRecovery().ok());
+  PutKey(*alpha_, "apple");
+  injector_.ArmCrashPoint("tablets.migration.after_fence");
+  ASSERT_EQ(coordinator->ExecuteMigration("", "beta").code(),
+            StatusCode::kCancelled);
+  coordinator.reset();
+  ASSERT_TRUE(Exists(Root("beta") + "/wal.log"));
+
+  // The standby finds the target unreachable and rolls the cutover back.
+  TabletCoordinator::Options options = DurableOptions(log_path);
+  options.reachable = [](const std::string& name) { return name != "beta"; };
+  Result<std::unique_ptr<TabletCoordinator>> standby =
+      TabletCoordinator::Recover(SeedMap(), &clock_, options);
+  ASSERT_TRUE(standby.ok()) << standby.status().message();
+  (*standby)->RegisterNode(alpha_.get());
+  (*standby)->RegisterNode(beta_.get());
+  ASSERT_TRUE((*standby)->CompleteRecovery().ok());
+  EXPECT_EQ((*standby)->map().tablets[0].config.primary, "alpha");
+
+  EXPECT_TRUE(Exists(Root("beta") + "/retired"));
+  EXPECT_TRUE(ReopenedRanges("beta").empty());
+  EXPECT_FALSE(Exists(Root("alpha") + "/retired"));
+  EXPECT_EQ(ReopenedRanges("alpha"), std::vector<KeyRange>{KeyRange::All()});
+}
+
+TEST_F(DurableNodeCoordinatorTest, AbortedPrepareRetiresTheTarget) {
+  FreshNodes();
+  const std::string log_path = dir_ + "/abort.log";
+  std::unique_ptr<TabletCoordinator> coordinator =
+      RecoverCoordinator(log_path);
+  ASSERT_NE(coordinator, nullptr);
+  ASSERT_TRUE(coordinator->CompleteRecovery().ok());
+  PutKey(*alpha_, "apple");
+  injector_.ArmCrashPoint("tablets.migration.after_catchup");
+  ASSERT_EQ(coordinator->ExecuteMigration("", "beta").code(),
+            StatusCode::kCancelled);
+  coordinator.reset();
+  ASSERT_EQ(HostedRanges(*beta_), std::vector<KeyRange>{KeyRange::All()});
+
+  coordinator = RecoverCoordinator(log_path);  // AbortMigrationPrepare.
+  ASSERT_NE(coordinator, nullptr);
+  ASSERT_TRUE(coordinator->CompleteRecovery().ok());
+  EXPECT_TRUE(HostedRanges(*beta_).empty());
+  EXPECT_TRUE(Exists(Root("beta") + "/retired"));
+  EXPECT_TRUE(ReopenedRanges("beta").empty());
+  EXPECT_EQ(ReopenedRanges("alpha"), std::vector<KeyRange>{KeyRange::All()});
+}
+
+TEST_F(DurableNodeCoordinatorTest, SplitChildThatMigratedAwayIsNotReopened) {
+  FreshNodes();
+  std::unique_ptr<TabletCoordinator> coordinator =
+      RecoverCoordinator(dir_ + "/split_move.log");
+  ASSERT_NE(coordinator, nullptr);
+  ASSERT_TRUE(coordinator->CompleteRecovery().ok());
+  for (const std::string key : {"apple", "zebra"}) {
+    PutKey(*alpha_, key);
+  }
+  ASSERT_TRUE(coordinator->ExecuteSplit("m").ok());
+  ASSERT_TRUE(coordinator->ExecuteMigration("m", "beta").ok());
+
+  const std::string child = Root("alpha") + "/child-0";
+  EXPECT_TRUE(Exists(child + "/retired"));
+  EXPECT_TRUE(Exists(child + "/wal.log"));
+  const KeyRange lower{"", "m"};
+  const KeyRange upper{"m", ""};
+  EXPECT_EQ(ReopenedRanges("alpha"), std::vector<KeyRange>{lower});
+  EXPECT_EQ(ReopenedRanges("beta"), std::vector<KeyRange>{upper});
 }
 
 TEST_F(DurableCoordinatorTest, ReplayedCompletedRollbackIsANoOp) {
