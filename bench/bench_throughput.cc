@@ -449,7 +449,9 @@ int main() {
   // One in-memory storage node serves both transports, so the handler cost
   // is identical and the delta is purely transport execution model.
   storage::StorageNode node("bench-node", "local", RealClock::Instance());
-  if (Status st = node.AddTablet(kTable, {.is_primary = true}); !st.ok()) {
+  storage::Tablet::Options primary;
+  primary.is_primary = true;
+  if (Status st = node.AddTablet(kTable, primary); !st.ok()) {
     std::fprintf(stderr, "FAIL: %s\n", st.ToString().c_str());
     return 1;
   }

@@ -498,9 +498,9 @@ struct PileusClient::RangeOp {
   // timestamp (scans exclude tombstones, so items are live).
   void Admit(cache::ClientCache& cache, const std::string& table,
              const Reply& reply) const {
-    for (const proto::ObjectVersion& item : reply.items) {
-      cache.Admit(table, item.key, item.value, item.timestamp,
-                  item.is_tombstone, reply.high_timestamp);
+    for (const proto::VersionPtr& item : reply.items) {
+      cache.Admit(table, item->key, item->value, item->timestamp,
+                  item->is_tombstone, reply.high_timestamp);
     }
   }
 
@@ -509,7 +509,10 @@ struct PileusClient::RangeOp {
   }
 
   void FillRecord(OpRecord& record, const Reply& reply) const {
-    record.items = reply.items;
+    record.items.reserve(reply.items.size());
+    for (const proto::VersionPtr& item : reply.items) {
+      record.items.push_back(*item);
+    }
     record.high_timestamp = reply.high_timestamp;
   }
 

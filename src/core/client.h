@@ -116,7 +116,8 @@ struct PutResult {
 };
 
 struct RangeResult {
-  std::vector<proto::ObjectVersion> items;  // Ascending key order.
+  // Ascending key order; shares the reply's versions (read-only).
+  proto::VersionList items;
   bool truncated = false;
   GetOutcome outcome;
 };

@@ -111,10 +111,11 @@ void Session::RecordGet(std::string_view key,
   max_read_ = MaxTimestamp(max_read_, version_timestamp);
 }
 
-void Session::RecordScan(std::span<const proto::ObjectVersion> items) {
+void Session::RecordScan(std::span<const proto::VersionPtr> items) {
   // The entry of the previous item; end() until the first is placed.
   auto previous = gets_.end();
-  for (const proto::ObjectVersion& item : items) {
+  for (const proto::VersionPtr& shared : items) {
+    const proto::ObjectVersion& item = *shared;
     // Where item.key sits: the entry after the previous one when the keys
     // ascend with no recorded key between them, else a fresh lookup.
     auto next = previous == gets_.end() ? previous : std::next(previous);

@@ -66,7 +66,7 @@ class Session {
   // ascending key order; then one lookup finds the first and the rest are
   // placed by walking forward. An item out of order gets a fresh lookup, so
   // the result never depends on the order.
-  void RecordScan(std::span<const proto::ObjectVersion> items);
+  void RecordScan(std::span<const proto::VersionPtr> items);
 
   // Serialization: a session is pure client-side state (per-key put/get
   // timestamps plus the causal maxima), so it can be handed between

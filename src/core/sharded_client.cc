@@ -1,6 +1,7 @@
 #include "src/core/sharded_client.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <variant>
 
@@ -294,9 +295,9 @@ Result<RangeResult> ShardedClient::GetRange(Session& session,
     if (!piece.ok()) {
       return piece.status();
     }
-    for (proto::ObjectVersion& item : piece->items) {
-      combined.items.push_back(std::move(item));
-    }
+    combined.items.insert(combined.items.end(),
+                          std::make_move_iterator(piece->items.begin()),
+                          std::make_move_iterator(piece->items.end()));
     combined.truncated = combined.truncated || piece->truncated;
     const GetOutcome& outcome = piece->outcome;
     if (first) {

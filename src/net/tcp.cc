@@ -191,7 +191,6 @@ Status WritevQueue(int fd, std::deque<std::string>* out, size_t* head,
 std::string EncodeWithRequestId(uint64_t request_id,
                                 const proto::Message& message) {
   std::string payload;
-  payload.reserve(8 + 64);
   AppendLe64(&payload, request_id);
   proto::AppendMessage(message, &payload);
   return payload;
@@ -214,10 +213,10 @@ Status SplitRequestId(std::string_view frame, uint64_t* request_id,
 
 std::string EncodeWireFrame(uint64_t request_id,
                             const proto::Message& message) {
-  // One buffer: a length placeholder and the id, the message appended in
-  // place after them, then the length patched in.
+  // One buffer: a length placeholder and the id (inside the string's own
+  // small buffer), the message appended in place after them, AppendMessage
+  // allocating once for all of it, then the length patched in.
   std::string frame;
-  frame.reserve(4 + 8 + 64);
   AppendLe32(&frame, 0);
   AppendLe64(&frame, request_id);
   proto::AppendMessage(message, &frame);
@@ -228,10 +227,30 @@ std::string EncodeWireFrame(uint64_t request_id,
   return frame;
 }
 
+void FrameParser::Compact() {
+  if (consumed_ == 0) {
+    return;
+  }
+  if (consumed_ == buffer_.size()) {
+    // Give back a buffer one big frame grew, or a connection that once
+    // carried one keeps its size for good.
+    if (buffer_.capacity() > kReadChunk) {
+      std::string().swap(buffer_);
+    } else {
+      buffer_.clear();
+    }
+    consumed_ = 0;
+  } else if (consumed_ > kReadChunk && consumed_ * 2 >= buffer_.size()) {
+    buffer_.erase(0, consumed_);
+    consumed_ = 0;
+  }
+}
+
 void FrameParser::Feed(std::string_view bytes) {
   if (!failed_.ok()) {
     return;  // Stream already unrecoverable; drop everything.
   }
+  Compact();
   buffer_.append(bytes.data(), bytes.size());
 }
 
@@ -240,6 +259,7 @@ Status FrameParser::Next(std::optional<Frame>* out) {
   if (!failed_.ok()) {
     return failed_;
   }
+  Compact();
   const size_t avail = buffer_.size() - consumed_;
   if (avail < 4) {
     return Status::Ok();
@@ -267,22 +287,10 @@ Status FrameParser::Next(std::optional<Frame>* out) {
     id |= static_cast<uint64_t>(p[4 + i]) << (8 * i);
   }
   frame.request_id = id;
-  frame.message_bytes.assign(buffer_, consumed_ + 12, len - 8);
+  frame.message_bytes =
+      std::string_view(buffer_).substr(consumed_ + 12, len - 8);
   consumed_ += 4 + static_cast<size_t>(len);
-  if (consumed_ == buffer_.size()) {
-    // Give back a buffer one big frame grew, or a connection that once
-    // carried one keeps its size for good.
-    if (buffer_.capacity() > kReadChunk) {
-      std::string().swap(buffer_);
-    } else {
-      buffer_.clear();
-    }
-    consumed_ = 0;
-  } else if (consumed_ > kReadChunk && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  *out = std::move(frame);
+  *out = frame;
   return Status::Ok();
 }
 
@@ -320,7 +328,8 @@ struct TcpServer::Connection
   bool flush_scheduled = false;
 
   void OnEvent(uint32_t events) {
-    std::vector<FrameParser::Frame> frames;
+    // Each request is decoded from the parser's view before the next Next.
+    std::vector<std::pair<uint64_t, Result<proto::Message>>> requests;
     bool tear = false;
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -346,19 +355,19 @@ struct TcpServer::Connection
           if (!frame.has_value()) {
             break;
           }
-          frames.push_back(std::move(*frame));
+          requests.emplace_back(frame->request_id,
+                                proto::DecodeMessage(frame->message_bytes));
         }
         if (!alive) {
           tear = true;
         }
       }
     }
-    for (FrameParser::Frame& frame : frames) {
+    for (auto& [request_id, request] : requests) {
+      const uint64_t id = request_id;
       Tcp().frames_received->Increment();
       Tcp().server_requests->Increment();
       server->requests_handled_.fetch_add(1, std::memory_order_relaxed);
-      Result<proto::Message> request = proto::DecodeMessage(frame.message_bytes);
-      const uint64_t id = frame.request_id;
       if (!request.ok()) {
         SendReply(id, DecodeErrorReply(request.status()));
         continue;

@@ -67,14 +67,17 @@ std::string EncodeWireFrame(uint64_t request_id, const proto::Message& message);
 
 // Incremental parser for the multiplexed stream. Feed bytes as they arrive
 // (partial reads, split length prefixes — any fragmentation is fine); Next()
-// yields complete frames in order. Corruption (an absurd or runt length) is
-// sticky: the stream cannot be resynchronized and the connection must be
-// torn down.
+// yields complete frames in order, as views into the parser's buffer, so a
+// frame is decoded where it was received, without a copy. Corruption (an
+// absurd or runt length) is sticky: the stream cannot be resynchronized and
+// the connection must be torn down.
 class FrameParser {
  public:
   struct Frame {
     uint64_t request_id = 0;
-    std::string message_bytes;  // Encoded proto::Message.
+    // The encoded proto::Message, inside the parser's buffer: valid until the
+    // next Feed, Next or Reset.
+    std::string_view message_bytes;
   };
 
   explicit FrameParser(size_t max_frame = kMaxFrameBytes)
@@ -84,6 +87,7 @@ class FrameParser {
 
   // Fills `out` with the next complete frame, or nullopt when more bytes are
   // needed. Returns kCorruption (sticky) on an invalid length prefix.
+  // Invalidates the previous frame's view.
   Status Next(std::optional<Frame>* out);
 
   // Discards buffered bytes and clears a sticky failure (new connection).
@@ -95,10 +99,14 @@ class FrameParser {
 
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
   // Bytes the parser keeps allocated (tests: a consumed big frame's buffer
-  // is given back).
+  // is given back by the next Feed or Next).
   size_t buffer_capacity() const { return buffer_.capacity(); }
 
  private:
+  // Drops the bytes of frames already handed out. Runs at the start of Feed
+  // and Next, the calls that end the last frame's view.
+  void Compact();
+
   const size_t max_frame_;
   std::string buffer_;
   size_t consumed_ = 0;

@@ -48,6 +48,59 @@ Status DecodeUint32(Decoder& dec, uint32_t* out, const char* what) {
   return Status::Ok();
 }
 
+size_t VarintBytes(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) {
+    ++n;
+  }
+  return n;
+}
+
+// What AppendMessage adds besides a message's strings and versions: the type
+// and version bytes, the CRC, and the fixed fields at their widest.
+constexpr size_t kFixedFieldsBytes = 64;
+
+// A version's two length-prefixed strings, its timestamp at its widest
+// (10 + 5 bytes) and its tombstone flag.
+size_t VersionSizeBound(const ObjectVersion& v) {
+  return VarintBytes(v.key.size()) + v.key.size() +
+         VarintBytes(v.value.size()) + v.value.size() + 16;
+}
+
+// How many bytes AppendMessage will append, read from the lengths of the
+// strings a message carries, so a frame's buffer is allocated once instead of
+// doubling up from a small reserve. Upper bounds for scan and pull replies; a
+// short guess for small messages, which at worst regrow once.
+size_t EncodedSizeHint(const RangeReply& m) {
+  size_t n = kFixedFieldsBytes + m.primary_hint.size();
+  for (const VersionPtr& v : m.items) {
+    n += VersionSizeBound(*v);
+  }
+  return n;
+}
+
+size_t EncodedSizeHint(const SyncReply& m) {
+  size_t n = kFixedFieldsBytes + m.primary_hint.size();
+  for (const ObjectVersion& v : m.versions) {
+    n += VersionSizeBound(v);
+  }
+  return n;
+}
+
+size_t EncodedSizeHint(const GetReply& m) {
+  return kFixedFieldsBytes + m.value.size() + m.primary_hint.size();
+}
+
+size_t EncodedSizeHint(const PutRequest& m) {
+  return kFixedFieldsBytes + m.table.size() + m.key.size() + m.value.size() +
+         m.tenant.size();
+}
+
+template <typename T>
+size_t EncodedSizeHint(const T&) {
+  return kFixedFieldsBytes;
+}
+
 void EncodeObjectVersion(Encoder& enc, const ObjectVersion& v) {
   enc.PutLengthPrefixed(v.key);
   enc.PutLengthPrefixed(v.value);
@@ -176,8 +229,8 @@ void EncodeBody(Encoder& enc, const RangeRequest& m) {
 
 void EncodeBody(Encoder& enc, const RangeReply& m) {
   enc.PutVarint64(m.items.size());
-  for (const ObjectVersion& v : m.items) {
-    EncodeObjectVersion(enc, v);
+  for (const VersionPtr& v : m.items) {
+    EncodeObjectVersion(enc, *v);
   }
   enc.PutBool(m.truncated);
   enc.PutTimestamp(m.high_timestamp);
@@ -391,9 +444,17 @@ Status DecodeBody(Decoder& dec, RangeReply* m) {
   if (count > dec.remaining()) {
     return Status(StatusCode::kCorruption, "range reply count too big");
   }
-  m->items.resize(count);
-  for (ObjectVersion& v : m->items) {
-    PILEUS_RETURN_IF_ERROR(DecodeObjectVersion(dec, &v));
+  if (count == 0) {
+    m->items.clear();
+  } else {
+    // One block holds every item and the list aliases into it, so a decoded
+    // reply allocates per item only what the item's strings need.
+    auto block = std::make_shared<ObjectVersion[]>(count);
+    m->items.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      PILEUS_RETURN_IF_ERROR(DecodeObjectVersion(dec, &block[i]));
+      m->items.emplace_back(block, &block[i]);
+    }
   }
   PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->truncated));
   PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&m->high_timestamp));
@@ -619,6 +680,9 @@ std::string_view MessageTypeName(MessageType type) {
 
 void AppendMessage(const Message& message, std::string* out) {
   const size_t start = out->size();
+  out->reserve(start + std::visit(
+                           [](const auto& m) { return EncodedSizeHint(m); },
+                           message));
   Encoder enc(std::move(*out));
   enc.PutUint8(static_cast<uint8_t>(TypeOf(message)));
   enc.PutUint8(kWireVersion);

@@ -24,8 +24,11 @@
 #ifndef PILEUS_SRC_PROTO_MESSAGES_H_
 #define PILEUS_SRC_PROTO_MESSAGES_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -77,6 +80,29 @@ struct ObjectVersion {
   bool is_tombstone = false;
 
   bool operator==(const ObjectVersion&) const = default;
+};
+
+// One committed version shared, immutable, between a node's store, its
+// update log and the scan replies it builds (DESIGN.md "One copy of each
+// version per node"). Nothing mutates a version once it is shared, so any
+// number of holders may read it on any thread.
+using VersionPtr = std::shared_ptr<const ObjectVersion>;
+
+inline VersionPtr MakeVersion(ObjectVersion version) {
+  return std::make_shared<const ObjectVersion>(std::move(version));
+}
+
+// A scan's items: shared versions, compared by content, not by address, so
+// a decoded reply equals the node-built one it came from.
+struct VersionList : std::vector<VersionPtr> {
+  using std::vector<VersionPtr>::vector;
+
+  friend bool operator==(const VersionList& a, const VersionList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const VersionPtr& x, const VersionPtr& y) {
+                        return x == y || (x && y && *x == *y);
+                      });
+  }
 };
 
 struct GetRequest {
@@ -239,7 +265,9 @@ struct RangeRequest {
 };
 
 struct RangeReply {
-  std::vector<ObjectVersion> items;  // Latest versions, ascending key order.
+  // Latest versions, ascending key order. A node's reply shares its store's
+  // versions; a decoded reply's items alias one block per reply.
+  VersionList items;
   bool truncated = false;            // The limit cut the scan short.
   // Staleness bound for the *whole* scan: the minimum high timestamp across
   // the tablets that served it.

@@ -896,7 +896,9 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     }
     // Tablets are sorted by range begin, so concatenating their per-tablet
     // scans yields global key order. The reply's high timestamp is the
-    // minimum across the tablets that contributed (conservative bound).
+    // minimum across the tablets that contributed (conservative bound). The
+    // items are the stores' own versions: a reference count each under the
+    // lock, and the transport encodes them once the lock is released.
     proto::RangeReply reply;
     reply.high_timestamp = Timestamp::Max();
     reply.served_by_primary = true;

@@ -100,7 +100,9 @@ class StorageNode {
   std::vector<LocalTabletStat> LocalTabletStats(std::string_view table) const;
 
   // Generic dispatch: takes any request message, returns the matching reply
-  // (or ErrorReply). This is what transports invoke.
+  // (or ErrorReply). This is what transports invoke. A RangeReply's items
+  // are the store's immutable versions, taken under the node lock without
+  // copying; the caller encodes them after Handle returns.
   proto::Message Handle(const proto::Message& request);
 
   // Asynchronous dispatch for the event-driven transport: `done` runs

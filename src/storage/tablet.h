@@ -98,7 +98,9 @@ class Tablet {
   proto::GetReply HandleGet(std::string_view key) const;
 
   // Range scan within this tablet's key range; the reply's high timestamp
-  // bounds the staleness of the whole result.
+  // bounds the staleness of the whole result. Its items are the store's own
+  // immutable versions, so the reply may be encoded after the node lock is
+  // released.
   proto::RangeReply HandleRange(std::string_view begin, std::string_view end,
                                 uint32_t limit) const;
 

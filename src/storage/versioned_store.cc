@@ -138,10 +138,11 @@ VersionedStore VersionedStore::ExtractUpper(std::string_view split_key) {
   return upper;
 }
 
-std::vector<proto::ObjectVersion> VersionedStore::ScanRange(
-    std::string_view begin, std::string_view end, uint32_t limit,
-    bool* truncated) const {
-  std::vector<proto::ObjectVersion> out;
+proto::VersionList VersionedStore::ScanRange(std::string_view begin,
+                                             std::string_view end,
+                                             uint32_t limit,
+                                             bool* truncated) const {
+  proto::VersionList out;
   if (limit != 0) {
     out.reserve(std::min<size_t>(limit, chains_.size()));
   }
@@ -150,8 +151,8 @@ std::vector<proto::ObjectVersion> VersionedStore::ScanRange(
     if (!end.empty() && it->first >= end) {
       break;
     }
-    const proto::ObjectVersion& latest = *it->second.versions.front();
-    if (latest.is_tombstone) {
+    const VersionPtr& latest = it->second.versions.front();
+    if (latest->is_tombstone) {
       continue;  // Deleted keys do not appear in scans.
     }
     if (limit != 0 && out.size() >= limit) {

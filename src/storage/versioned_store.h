@@ -10,8 +10,8 @@
 //
 // Chains hold shared immutable versions (shared_version.h): the tablet's
 // update log points at the same objects, so a node keeps one copy of each
-// version. Readers inside the node (checkpoint, split) walk the pointers;
-// only what leaves the node (scan items, snapshot reads) is copied.
+// version. Readers inside the node (checkpoint, split) and scan replies take
+// the pointers; only snapshot reads copy.
 
 #ifndef PILEUS_SRC_STORAGE_VERSIONED_STORE_H_
 #define PILEUS_SRC_STORAGE_VERSIONED_STORE_H_
@@ -66,12 +66,10 @@ class VersionedStore {
       const Timestamp& after, std::string_view from_key = {}) const;
 
   // Latest versions with keys in [begin, end) in ascending key order, at
-  // most `limit` (0 = unlimited). Sets *truncated when the limit cut the
-  // scan short.
-  std::vector<proto::ObjectVersion> ScanRange(std::string_view begin,
-                                              std::string_view end,
-                                              uint32_t limit,
-                                              bool* truncated) const;
+  // most `limit` (0 = unlimited): the chain heads themselves, one reference
+  // count each, no copy. Sets *truncated when the limit cut the scan short.
+  proto::VersionList ScanRange(std::string_view begin, std::string_view end,
+                               uint32_t limit, bool* truncated) const;
 
   // Drops keys whose latest version is a tombstone older than `horizon`.
   // Returns the number of keys collected. SAFETY: the horizon must exceed

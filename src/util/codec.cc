@@ -41,7 +41,8 @@ Status Decoder::GetFixed32(uint32_t* out) {
 }
 
 Status Decoder::GetFixed64(uint64_t* out) {
-  uint32_t lo, hi;
+  uint32_t lo = 0;
+  uint32_t hi = 0;
   PILEUS_RETURN_IF_ERROR(GetFixed32(&lo));
   PILEUS_RETURN_IF_ERROR(GetFixed32(&hi));
   *out = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);

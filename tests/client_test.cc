@@ -67,7 +67,7 @@ TimedReply RangeReplyWith(MicrosecondCount rtt, Timestamp high,
     v.key = key;
     v.value = "v:" + key;
     v.timestamp = high;
-    reply.items.push_back(std::move(v));
+    reply.items.push_back(proto::MakeVersion(std::move(v)));
   }
   reply.high_timestamp = high;
   reply.served_by_primary = from_primary;
@@ -429,7 +429,7 @@ TEST_F(ClientTest, GetRangeDeliversItemsAndOutcome) {
   Result<RangeResult> result = client_->GetRange(session, "a", "z", 0);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->items.size(), 3u);
-  EXPECT_EQ(result->items[2].key, "c");
+  EXPECT_EQ(result->items[2]->key, "c");
   EXPECT_EQ(result->outcome.met_rank, 0);
   EXPECT_EQ(result->outcome.node_name, "near");
   // The scan fed per-key monotonic state.

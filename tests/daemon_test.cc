@@ -211,6 +211,14 @@ TEST(DaemonTest, DurableDaemonsAdmitReplicateAndRecover) {
     ASSERT_TRUE(primary.started());
     const uint16_t primary_port = primary.WaitForPort();
     ASSERT_GT(primary_port, 0) << primary.output();
+    // A first start on an empty directory recovers nothing, and says so.
+    EXPECT_NE(primary.output().find(
+                  "created 1 tablet(s) in the empty data directory " +
+                  primary_dir + "\n"),
+              std::string::npos)
+        << primary.output();
+    EXPECT_EQ(primary.output().find("recovered"), std::string::npos)
+        << primary.output();
     ServerProcess secondary({"--port", "0", "--role", "secondary",
                              "--data_dir", secondary_dir, "--primary_port",
                              std::to_string(primary_port), "--pull_period_ms",
@@ -280,6 +288,12 @@ TEST(DaemonTest, DurableDaemonsAdmitReplicateAndRecover) {
   ASSERT_TRUE(restarted.started());
   const uint16_t port = restarted.WaitForPort();
   ASSERT_GT(port, 0) << restarted.output();
+  // The clean shutdown checkpointed every acked write.
+  EXPECT_NE(restarted.output().find("recovered 1 tablet(s): " +
+                                    std::to_string(kWrites) +
+                                    " checkpoint + 0 WAL versions\n"),
+            std::string::npos)
+      << restarted.output();
   {
     net::TcpChannel channel(port);
     for (int i = 0; i < kWrites; ++i) {

@@ -337,7 +337,7 @@ TEST(GeoTestbedTest, RangeScanOverSimTestbed) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->items.size(), 10u);
   EXPECT_EQ(result->outcome.met_rank, 0);
-  EXPECT_EQ(result->items.front().key,
+  EXPECT_EQ(result->items.front()->key,
             workload::YcsbWorkload::KeyForIndex(10));
 }
 

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/clock.h"
 #include "src/net/tcp.h"
 #include "src/proto/messages.h"
+#include "src/storage/storage_node.h"
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
 
@@ -253,7 +255,7 @@ TEST(MessagesTest, RangeRoundTrip) {
     v.key = "k" + std::to_string(i);
     v.value = "v";
     v.timestamp = Timestamp{100 + i, 0};
-    reply.items.push_back(v);
+    reply.items.push_back(MakeVersion(v));
   }
   reply.truncated = true;
   reply.high_timestamp = Timestamp{200, 0};
@@ -415,7 +417,7 @@ ObjectVersion GoldenItem(int i) {
 RangeReply GoldenRangeReply() {
   RangeReply reply;
   for (int i = 0; i < 50; ++i) {
-    reply.items.push_back(GoldenItem(i));
+    reply.items.push_back(MakeVersion(GoldenItem(i)));
   }
   reply.truncated = true;
   reply.high_timestamp = Timestamp{1'700'000'000'100'000, 70'000};
@@ -611,6 +613,45 @@ TEST(MessagesTest, WireFramesMatchPinnedBytes) {
   EXPECT_TRUE(got_sync.has_more);
   EXPECT_EQ(got_sync.config_epoch, want_sync.config_epoch);
   EXPECT_EQ(got_sync.primary_hint, want_sync.primary_hint);
+}
+
+// A node's scan reply shares its store's versions; on the wire it must be
+// indistinguishable from a reply that owns copies of the same data.
+TEST(MessagesTest, NodeBuiltRangeReplyEncodesLikeAHandBuiltOne) {
+  ManualClock clock(1'700'000'000'000'000);
+  storage::StorageNode node("node", "site", &clock);
+  storage::Tablet::Options primary;
+  primary.is_primary = true;
+  ASSERT_TRUE(node.AddTablet("t", primary).ok());
+
+  RangeReply hand_built;
+  for (int i = 0; i < 50; ++i) {
+    ObjectVersion item = GoldenItem(i);
+    PutRequest put;
+    put.table = "t";
+    put.key = item.key;
+    put.value = item.value;
+    clock.AdvanceMicros(1'013);
+    const Message put_reply = node.Handle(put);
+    ASSERT_TRUE(std::holds_alternative<PutReply>(put_reply));
+    item.timestamp = std::get<PutReply>(put_reply).timestamp;
+    item.is_tombstone = false;
+    hand_built.items.push_back(MakeVersion(std::move(item)));
+  }
+  RangeRequest request;
+  request.table = "t";
+  request.limit = 40;
+  const Message reply = node.Handle(request);
+  ASSERT_TRUE(std::holds_alternative<RangeReply>(reply));
+  const RangeReply& node_built = std::get<RangeReply>(reply);
+
+  hand_built.items.resize(40);
+  hand_built.truncated = true;
+  hand_built.high_timestamp = node_built.high_timestamp;
+  hand_built.served_by_primary = true;
+  EXPECT_EQ(node_built.items, hand_built.items);
+  EXPECT_EQ(net::EncodeWireFrame(7, reply),
+            net::EncodeWireFrame(7, Message(hand_built)));
 }
 
 TEST(MessagesTest, TruncatedBodyRejected) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -260,7 +261,9 @@ TEST(TcpTest, ArtificialDelayEmulatesWan) {
 }
 
 TEST(TcpTest, FrameParserGivesBackABigFramesBuffer) {
-  // One big frame must not pin its buffer for the life of the connection.
+  // One big frame must not pin its buffer for the life of the connection:
+  // the Next that finds the stream drained (every reader drains) gives it
+  // back, once the frame's view has ended.
   proto::PutRequest put;
   put.key = "big";
   put.value.assign(10 * 1024 * 1024, 'x');
@@ -271,7 +274,77 @@ TEST(TcpTest, FrameParserGivesBackABigFramesBuffer) {
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->request_id, 7u);
   EXPECT_EQ(parser.buffered_bytes(), 0u);
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  EXPECT_FALSE(frame.has_value());
   EXPECT_LE(parser.buffer_capacity(), 64u * 1024);
+}
+
+// A 50-item scan reply of about 6 KB, the frame the parser carries most.
+proto::RangeReply ScanReply(int salt) {
+  proto::RangeReply reply;
+  for (int i = 0; i < 50; ++i) {
+    proto::ObjectVersion item;
+    item.key = "user" + std::to_string(100000 + salt * 100 + i);
+    item.value.assign(100, static_cast<char>('a' + (salt + i) % 26));
+    item.timestamp = Timestamp{1'000'000 + i, static_cast<uint32_t>(salt)};
+    reply.items.push_back(proto::MakeVersion(std::move(item)));
+  }
+  reply.truncated = true;
+  reply.high_timestamp = Timestamp{2'000'000, 0};
+  return reply;
+}
+
+TEST(TcpTest, FrameParserViewOfAFrameSplitAcrossManyFeeds) {
+  const proto::Message message = ScanReply(1);
+  const std::string wire = EncodeWireFrame(41, message);
+  FrameParser parser;
+  std::optional<FrameParser::Frame> frame;
+  // Odd-sized pieces: the length prefix, the id and the body all split.
+  for (size_t offset = 0; offset < wire.size(); offset += 7) {
+    ASSERT_TRUE(parser.Next(&frame).ok());
+    ASSERT_FALSE(frame.has_value()) << "early frame at " << offset;
+    parser.Feed(std::string_view(wire).substr(offset, 7));
+  }
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->request_id, 41u);
+  EXPECT_EQ(frame->message_bytes, proto::EncodeMessage(message));
+  Result<proto::Message> decoded = proto::DecodeMessage(frame->message_bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(std::get<proto::RangeReply>(decoded.value()).items,
+            std::get<proto::RangeReply>(message).items);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+}
+
+TEST(TcpTest, FrameParserViewsOfFramesDeliveredInOneFeed) {
+  // Over 64 KB of frames, so Next compacts the buffer between views.
+  std::vector<proto::Message> messages;
+  std::string wire;
+  for (int i = 0; i < 20; ++i) {
+    messages.push_back(ScanReply(i));
+    wire += EncodeWireFrame(100 + i, messages.back());
+  }
+  proto::GetRequest small;
+  small.key = "after the scans";
+  messages.push_back(small);
+  wire += EncodeWireFrame(120, small);
+
+  FrameParser parser;
+  parser.Feed(wire);
+  for (size_t i = 0; i < messages.size(); ++i) {
+    std::optional<FrameParser::Frame> frame;
+    ASSERT_TRUE(parser.Next(&frame).ok());
+    ASSERT_TRUE(frame.has_value()) << "frame " << i;
+    EXPECT_EQ(frame->request_id, 100 + i);
+    // Each view is read before the next Next, as every reader does.
+    EXPECT_EQ(frame->message_bytes, proto::EncodeMessage(messages[i]))
+        << "frame " << i;
+    EXPECT_TRUE(proto::DecodeMessage(frame->message_bytes).ok());
+  }
+  std::optional<FrameParser::Frame> frame;
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  EXPECT_FALSE(frame.has_value());
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
 }
 
 // --- Pipelining: the multiplexing guarantees CallAsync documents ---
@@ -545,6 +618,61 @@ TEST(TcpPipelineTest, PipelinedWritesToStorageNodeApplyInOrder) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(std::get<proto::GetReply>(got.value()).value,
             "v" + std::to_string(kWrites - 1));
+}
+
+TEST(TcpTest, ScansShareVersionsThatConcurrentWritesReplace) {
+  // A scan reply holds the store's own versions and the server encodes it
+  // after the node lock is released, while writes keep replacing (and, with
+  // a one-version history, pruning) those versions. Every reply must still
+  // carry whole, correctly keyed items (TSan checks the sharing).
+  storage::StorageNode node("n", "s", RealClock::Instance());
+  storage::Tablet::Options options;
+  options.is_primary = true;
+  options.store.history_limit = 1;
+  ASSERT_TRUE(node.AddTablet("t", options).ok());
+  constexpr int kKeys = 20;
+  const auto write = [&node](int key, int round) {
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = "k" + std::to_string(100 + key);
+    put.value = put.key + ":" + std::to_string(round);
+    put.value.resize(100, '.');
+    return std::holds_alternative<proto::PutReply>(node.Handle(put));
+  };
+  for (int key = 0; key < kKeys; ++key) {
+    ASSERT_TRUE(write(key, 0));
+  }
+  TcpServer server;
+  ASSERT_TRUE(server
+                  .Start(0,
+                         [&](const proto::Message& request) {
+                           return node.Handle(request);
+                         })
+                  .ok());
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int round = 1; !stop.load(); ++round) {
+      for (int key = 0; key < kKeys; ++key) {
+        (void)write(key, round);
+      }
+    }
+  });
+  TcpChannel channel(server.port());
+  proto::RangeRequest scan;
+  scan.table = "t";
+  for (int i = 0; i < 200; ++i) {
+    Result<proto::Message> reply = channel.Call(scan, SecondsToMicroseconds(5));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    const auto& range = std::get<proto::RangeReply>(reply.value());
+    ASSERT_EQ(range.items.size(), static_cast<size_t>(kKeys));
+    for (const proto::VersionPtr& item : range.items) {
+      EXPECT_EQ(item->value.size(), 100u);
+      EXPECT_EQ(item->value.rfind(item->key + ":", 0), 0u) << item->value;
+    }
+  }
+  stop.store(true);
+  writer.join();
 }
 
 TEST(TcpTest, ServesRealStorageNode) {

@@ -117,33 +117,33 @@ TEST_F(SessionTest, IntrospectionAccessors) {
   EXPECT_EQ(session_.tracked_get_keys(), 1u);
 }
 
-proto::ObjectVersion Item(const std::string& key, int64_t ts) {
+proto::VersionPtr Item(const std::string& key, int64_t ts) {
   proto::ObjectVersion item;
   item.key = key;
   item.value = "v";
   item.timestamp = Timestamp{ts, 0};
-  return item;
+  return proto::MakeVersion(std::move(item));
 }
 
 // RecordScan must leave exactly the state that one RecordGet per item
 // leaves. Both sessions are copies of one serialized session, so they share
 // an id and their serializations can be compared byte for byte.
 void ExpectScanMatchesGets(const Session& base,
-                           const std::vector<proto::ObjectVersion>& items) {
+                           const proto::VersionList& items) {
   Result<Session> by_scan = Session::Deserialize(base.Serialize());
   Result<Session> by_gets = Session::Deserialize(base.Serialize());
   ASSERT_TRUE(by_scan.ok() && by_gets.ok());
   by_scan->RecordScan(items);
-  for (const proto::ObjectVersion& item : items) {
-    by_gets->RecordGet(item.key, item.timestamp);
+  for (const proto::VersionPtr& item : items) {
+    by_gets->RecordGet(item->key, item->timestamp);
   }
   EXPECT_EQ(by_scan->Serialize(), by_gets->Serialize());
   EXPECT_EQ(by_scan->tracked_get_keys(), by_gets->tracked_get_keys());
   EXPECT_EQ(by_scan->max_read_timestamp(), by_gets->max_read_timestamp());
-  for (const proto::ObjectVersion& item : items) {
-    EXPECT_EQ(by_scan->LastGetTimestamp(item.key),
-              by_gets->LastGetTimestamp(item.key))
-        << item.key;
+  for (const proto::VersionPtr& item : items) {
+    EXPECT_EQ(by_scan->LastGetTimestamp(item->key),
+              by_gets->LastGetTimestamp(item->key))
+        << item->key;
   }
 }
 
@@ -161,8 +161,7 @@ TEST_F(SessionTest, RecordScanInterleavesWithRecordedKeys) {
   ExpectScanMatchesGets(session_, {Item("a", 10), Item("b", 20), Item("c", 30),
                                    Item("d", 40), Item("e", 10), Item("g", 60)});
 
-  session_.RecordScan(std::vector<proto::ObjectVersion>{Item("b", 20),
-                                                        Item("d", 40)});
+  session_.RecordScan(proto::VersionList{Item("b", 20), Item("d", 40)});
   EXPECT_EQ(session_.LastGetTimestamp("b"), (Timestamp{50, 0}));
   EXPECT_EQ(session_.LastGetTimestamp("d"), (Timestamp{40, 0}));
   EXPECT_EQ(session_.MinReadTimestamp(Guarantee::Monotonic(), "d", kNow),

@@ -229,10 +229,10 @@ TEST_F(ShardedClientTest, RangeScanSpansShards) {
   Result<RangeResult> result = client_->GetRange(session, "", "", 0);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->items.size(), 4u);
-  EXPECT_EQ(result->items[0].key, "apple");
-  EXPECT_EQ(result->items[1].key, "kiwi");
-  EXPECT_EQ(result->items[2].key, "mango");  // Crossed the "m" boundary.
-  EXPECT_EQ(result->items[3].key, "zebra");
+  EXPECT_EQ(result->items[0]->key, "apple");
+  EXPECT_EQ(result->items[1]->key, "kiwi");
+  EXPECT_EQ(result->items[2]->key, "mango");  // Crossed the "m" boundary.
+  EXPECT_EQ(result->items[3]->key, "zebra");
   EXPECT_EQ(result->outcome.met_rank, 0);  // RMW on both shards' primaries.
   EXPECT_GE(result->outcome.messages_sent, 2);
 }
@@ -246,8 +246,8 @@ TEST_F(ShardedClientTest, RangeScanRespectsBoundsAndLimit) {
   Result<RangeResult> bounded = client_->GetRange(session, "b", "p", 0);
   ASSERT_TRUE(bounded.ok());
   ASSERT_EQ(bounded->items.size(), 2u);  // b, n.
-  EXPECT_EQ(bounded->items[0].key, "b");
-  EXPECT_EQ(bounded->items[1].key, "n");
+  EXPECT_EQ(bounded->items[0]->key, "b");
+  EXPECT_EQ(bounded->items[1]->key, "n");
 
   Result<RangeResult> limited = client_->GetRange(session, "", "", 3);
   ASSERT_TRUE(limited.ok());
@@ -263,7 +263,7 @@ TEST_F(ShardedClientTest, RangeScanWithinOneShard) {
   Result<RangeResult> result = client_->GetRange(session, "a", "c", 0);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->items.size(), 1u);
-  EXPECT_EQ(result->items[0].key, "apple");
+  EXPECT_EQ(result->items[0]->key, "apple");
   // Only the low shard was consulted.
   EXPECT_EQ(result->outcome.messages_sent, 1);
 }
@@ -510,7 +510,7 @@ TEST_F(DynamicShardedClientTest, ScanAcrossGapIsUnavailable) {
   const Result<RangeResult> covered = client_->GetRange(session, "", "m", 0);
   ASSERT_TRUE(covered.ok()) << covered.status();
   ASSERT_EQ(covered->items.size(), 1u);
-  EXPECT_EQ(covered->items[0].key, "apple");
+  EXPECT_EQ(covered->items[0]->key, "apple");
 }
 
 TEST_F(DynamicShardedClientTest, ScanRefreshesAfterMigration) {
@@ -543,8 +543,8 @@ TEST_F(DynamicShardedClientTest, ScanRefreshesAfterMigration) {
   const Result<RangeResult> scan = client_->GetRange(session, "", "", 0);
   ASSERT_TRUE(scan.ok()) << scan.status();
   ASSERT_EQ(scan->items.size(), 2u);
-  EXPECT_EQ(scan->items[0].key, "apple");
-  EXPECT_EQ(scan->items[1].key, "zebra");
+  EXPECT_EQ(scan->items[0]->key, "apple");
+  EXPECT_EQ(scan->items[1]->key, "zebra");
   EXPECT_EQ(client_->map_version(), 2u);
   EXPECT_EQ(client_->map_refreshes(), 1u);
 }

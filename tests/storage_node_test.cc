@@ -448,7 +448,7 @@ TEST_P(StorageNodeTest, RangeScanAcrossMultipleTablets) {
   ASSERT_NE(rr, nullptr);
   EXPECT_EQ(rr->items.size(), 12u);
   for (size_t i = 1; i < rr->items.size(); ++i) {
-    EXPECT_LT(rr->items[i - 1].key, rr->items[i].key);  // Global key order.
+    EXPECT_LT(rr->items[i - 1]->key, rr->items[i]->key);  // Global key order.
   }
   EXPECT_TRUE(rr->served_by_primary);
   EXPECT_GT(rr->high_timestamp, Timestamp::Zero());
@@ -479,6 +479,46 @@ TEST_P(StorageNodeTest, RangeScanLimitAcrossTablets) {
   ASSERT_NE(rr, nullptr);
   EXPECT_EQ(rr->items.size(), 5u);
   EXPECT_TRUE(rr->truncated);
+}
+
+TEST_P(StorageNodeTest, RangeReplySharesTheStoresVersions) {
+  for (int i = 0; i < 60; ++i) {
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = "user" + std::to_string(100000 + i);
+    put.value.assign(100, static_cast<char>('a' + i % 26));
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
+  }
+  proto::RangeRequest range;
+  range.table = "t";
+  range.limit = 50;
+  const proto::Message reply = node_.Handle(range);
+  const auto* rr = std::get_if<proto::RangeReply>(&reply);
+  ASSERT_NE(rr, nullptr);
+  ASSERT_EQ(rr->items.size(), 50u);
+  // Each item is the store's chain head itself, not a copy of it.
+  const VersionedStore& store = node_.FindTablet("t", "")->store();
+  for (const proto::VersionPtr& item : rr->items) {
+    EXPECT_EQ(item.get(), store.GetLatest(item->key).get()) << item->key;
+  }
+
+  // Later writes make new versions and leave the shared ones alone: enough
+  // of them that the first item's version leaves the store's history, and
+  // the reply built before them still encodes to the same bytes.
+  const std::string before = proto::EncodeMessage(reply);
+  const proto::VersionPtr first = rr->items.front();
+  for (int i = 0; i < 10; ++i) {
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = first->key;
+    put.value = "rewritten " + std::to_string(i);
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
+  }
+  EXPECT_NE(store.GetLatest(first->key).get(), first.get());
+  EXPECT_EQ(first->value, std::string(100, 'a'));
+  EXPECT_EQ(proto::EncodeMessage(reply), before);
 }
 
 TEST_P(StorageNodeTest, RangeScanUnknownTable) {

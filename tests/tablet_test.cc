@@ -280,8 +280,8 @@ TEST(TabletTest, DeletedKeysSkippedInRangeScans) {
   (void)tablet.HandleDelete("b");
   const auto range = tablet.HandleRange("", "", 0);
   ASSERT_EQ(range.items.size(), 2u);
-  EXPECT_EQ(range.items[0].key, "a");
-  EXPECT_EQ(range.items[1].key, "c");
+  EXPECT_EQ(range.items[0]->key, "a");
+  EXPECT_EQ(range.items[1]->key, "c");
 }
 
 TEST(TabletTest, SnapshotReadsSeePreDeleteValue) {

@@ -156,8 +156,8 @@ TEST(VersionedStoreTest, ScanRangeReturnsKeyOrder) {
   auto items = store.ScanRange("", "", 0, &truncated);
   ASSERT_EQ(items.size(), 4u);
   EXPECT_FALSE(truncated);
-  EXPECT_EQ(items[0].key, "alpha");
-  EXPECT_EQ(items[3].key, "delta");
+  EXPECT_EQ(items[0]->key, "alpha");
+  EXPECT_EQ(items[3]->key, "delta");
 }
 
 TEST(VersionedStoreTest, ScanRangeHonorsBounds) {
@@ -168,8 +168,8 @@ TEST(VersionedStoreTest, ScanRangeHonorsBounds) {
   bool truncated = false;
   auto items = store.ScanRange("b", "d", 0, &truncated);
   ASSERT_EQ(items.size(), 2u);
-  EXPECT_EQ(items[0].key, "b");  // Inclusive begin.
-  EXPECT_EQ(items[1].key, "c");  // Exclusive end.
+  EXPECT_EQ(items[0]->key, "b");  // Inclusive begin.
+  EXPECT_EQ(items[1]->key, "c");  // Exclusive end.
 
   items = store.ScanRange("c", "", 0, &truncated);
   ASSERT_EQ(items.size(), 3u);  // c, d, e: unbounded end.
@@ -197,7 +197,7 @@ TEST(VersionedStoreTest, ScanRangeReturnsLatestVersions) {
   bool truncated = false;
   auto items = store.ScanRange("", "", 0, &truncated);
   ASSERT_EQ(items.size(), 1u);
-  EXPECT_EQ(items[0].value, "new");
+  EXPECT_EQ(items[0]->value, "new");
 }
 
 TEST(VersionedStoreTest, CollectTombstonesDropsOnlyOldDeletes) {

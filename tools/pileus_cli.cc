@@ -416,9 +416,9 @@ int main(int argc, char** argv) {
       return Fail(reply.status());
     }
     const auto& range = std::get<proto::RangeReply>(reply.value());
-    for (const proto::ObjectVersion& v : range.items) {
-      std::printf("%-24s %s  (ts %s)\n", v.key.c_str(), v.value.c_str(),
-                  v.timestamp.ToString().c_str());
+    for (const proto::VersionPtr& v : range.items) {
+      std::printf("%-24s %s  (ts %s)\n", v->key.c_str(), v->value.c_str(),
+                  v->timestamp.ToString().c_str());
     }
     std::printf("-- %zu items%s, node high=%s%s\n", range.items.size(),
                 range.truncated ? " (truncated at 100)" : "",

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -138,12 +139,20 @@ int main(int argc, char** argv) {
   // `pileus_cli stats` scrapes this registry over the regular port.
   options.metrics = &telemetry::MetricsRegistry::Default();
 
+  // An empty data directory is a first start: nothing is recovered from it.
+  std::error_code dir_error;
+  const bool first_start =
+      !data_dir.empty() && std::filesystem::is_empty(data_dir, dir_error);
+
   server::NodeHost host(std::move(options));
   if (Status st = host.Start(); !st.ok()) {
     std::fprintf(stderr, "failed to start: %s\n", st.ToString().c_str());
     return 1;
   }
-  if (!host.durable_tablets().empty()) {
+  if (first_start) {
+    std::printf("created %zu tablet(s) in the empty data directory %s\n",
+                host.durable_tablets().size(), data_dir.c_str());
+  } else if (!host.durable_tablets().empty()) {
     // Split children included (DESIGN.md Section 14).
     uint64_t checkpoint_versions = 0;
     uint64_t wal_versions = 0;
