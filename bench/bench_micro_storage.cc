@@ -1,6 +1,6 @@
 // Microbenchmarks of the storage substrate: tablet Put/Get, replication log
-// scans, multi-version snapshot reads, a storage node serving a 50-item scan,
-// the heap a replicated version retains, and the workload generator.
+// scans, a storage node serving a 50-item scan, the heap a replicated
+// version retains, and the workload generator.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
@@ -55,18 +55,6 @@ void BM_TabletGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TabletGet);
-
-void BM_TabletGetAt(benchmark::State& state) {
-  ManualClock clock(1);
-  auto tablet = MakePrimaryTablet(&clock, 10000);
-  const Timestamp snapshot{clock.NowMicros() / 2, 0};
-  int64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tablet->HandleGetAt(
-        workload::YcsbWorkload::KeyForIndex(i++ % 10000), snapshot));
-  }
-}
-BENCHMARK(BM_TabletGetAt);
 
 void BM_SyncScan(benchmark::State& state) {
   ManualClock clock(1);

@@ -201,8 +201,8 @@ AuditReport ConsistencyChecker::Check(const History& history) const {
   // order, so update timestamps must never move backwards - a promoted
   // primary assigning a timestamp at or below an earlier epoch's commits
   // would rewrite history - and no two commits may share a key@timestamp
-  // (same-timestamp entries are legal only within a transactional batch,
-  // which touches each key once).
+  // (same-timestamp entries are legal only across split tablets of one
+  // node, which assign timestamps independently to disjoint keys).
   if (complete) {
     std::set<std::tuple<std::string_view, int64_t, uint32_t>> seen;
     for (size_t i = 0; i < history.ground_truth.size(); ++i) {

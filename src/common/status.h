@@ -27,7 +27,7 @@ enum class StatusCode : int {
   kUnavailable = 5,       // No subSLA could be met (paper Section 3.3).
   kWrongNode = 6,         // Request sent to a node that does not own the key.
   kNotPrimary = 7,        // Put or strong read sent to a non-primary node.
-  kConflict = 8,          // Transaction write-write conflict at commit.
+  kConflict = 8,          // Conflicting concurrent update.
   kCorruption = 9,        // Wire decoding or checksum failure.
   kInternal = 10,         // Invariant violation; indicates a bug.
   kCancelled = 11,        // Operation aborted by the caller.

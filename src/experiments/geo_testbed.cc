@@ -413,7 +413,6 @@ Status GeoTestbed::BuildNode(NodeEntry& entry, bool is_primary) {
   options.is_sync_replica =
       (options_.sync_replica_count >= 2 && entry.site == kUs) ||
       (options_.sync_replica_count >= 3 && entry.site == kIndia);
-  options.store = options_.store;
   if (options_.durable_root.empty()) {
     return entry.node->AddTablet(kTableName, std::move(options));
   }
@@ -825,40 +824,25 @@ proto::Message GeoTestbed::Serve(NodeEntry& entry,
       },
       reply);
 
-  // Section 6.4: with multiple sync replicas, a Put (or transactional
-  // commit) at the primary is acked only after every sync replica applied
-  // it. The client-visible extra delay is the slowest replica's round trip.
+  // Section 6.4: with multiple sync replicas, a Put or Delete at the
+  // primary is acked only after every sync replica applied it. The
+  // client-visible extra delay is the slowest replica's round trip.
   if (options_.sync_replica_count <= 1 || entry.site != primary_site_) {
     return reply;
   }
-  std::vector<proto::ObjectVersion> accepted_writes;
-  if (const auto* put = std::get_if<proto::PutRequest>(&request)) {
-    if (const auto* put_reply = std::get_if<proto::PutReply>(&reply)) {
-      proto::ObjectVersion version;
-      version.key = put->key;
-      version.value = put->value;
-      version.timestamp = put_reply->timestamp;
-      accepted_writes.push_back(std::move(version));
-    }
-  } else if (const auto* del = std::get_if<proto::DeleteRequest>(&request)) {
-    if (const auto* put_reply = std::get_if<proto::PutReply>(&reply)) {
-      proto::ObjectVersion tombstone;
-      tombstone.key = del->key;
-      tombstone.timestamp = put_reply->timestamp;
-      tombstone.is_tombstone = true;
-      accepted_writes.push_back(std::move(tombstone));
-    }
-  } else if (const auto* commit = std::get_if<proto::CommitRequest>(&request)) {
-    if (const auto* commit_reply = std::get_if<proto::CommitReply>(&reply);
-        commit_reply != nullptr && commit_reply->committed) {
-      for (const proto::ObjectVersion& w : commit->writes) {
-        proto::ObjectVersion version = w;
-        version.timestamp = commit_reply->commit_timestamp;
-        accepted_writes.push_back(std::move(version));
-      }
-    }
+  const auto* put_reply = std::get_if<proto::PutReply>(&reply);
+  if (put_reply == nullptr) {
+    return reply;
   }
-  if (accepted_writes.empty()) {
+  proto::ObjectVersion accepted;
+  accepted.timestamp = put_reply->timestamp;
+  if (const auto* put = std::get_if<proto::PutRequest>(&request)) {
+    accepted.key = put->key;
+    accepted.value = put->value;
+  } else if (const auto* del = std::get_if<proto::DeleteRequest>(&request)) {
+    accepted.key = del->key;
+    accepted.is_tombstone = true;
+  } else {
     return reply;
   }
   auto& latency = env_.latency_model();
@@ -871,9 +855,7 @@ proto::Message GeoTestbed::Serve(NodeEntry& entry,
     if (tablet == nullptr || !tablet->is_sync_replica()) {
       continue;
     }
-    for (const proto::ObjectVersion& version : accepted_writes) {
-      (void)tablet->ApplyReplicatedPut(version);
-    }
+    (void)tablet->ApplyReplicatedPut(accepted);
     const MicrosecondCount rtt =
         latency.SampleOneWay(entry.site_id, other.site_id, env_.rng()) +
         latency.SampleOneWay(other.site_id, entry.site_id, env_.rng());

@@ -51,7 +51,6 @@ struct GeoTestbedOptions {
   // paper's evaluated prototype); 2 adds the US as a synchronous replica;
   // 3 adds India too. Puts are acked only after every sync replica applied.
   int sync_replica_count = 1;
-  storage::VersionedStore::Options store;
   // When non-empty, every storage node's tablet is durable: it journals its
   // state changes to `<durable_root>/<site>/wal.log` (created on demand),
   // and CrashNode / RestartNode model a real process crash: volatile state

@@ -132,7 +132,7 @@ class TabletFleetDeployment : public Deployment {
     }
 
     tablets::Rebalancer::Options policy;
-    policy.split_threshold_bytes = 2048;
+    policy.split_threshold_bytes = 1024;
     rebalancer_ = std::make_unique<tablets::Rebalancer>(policy);
 
     if (options_.client_cache) {

@@ -249,12 +249,9 @@ class WalJournal final : public storage::TabletJournal {
         split_keys_(std::move(split_keys)),
         config_(std::move(config)) {}
 
-  Status RecordVersions(
-      storage::Tablet& tablet,
-      std::span<const storage::VersionPtr> versions) override {
-    for (const storage::VersionPtr& version : versions) {
-      PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(*version));
-    }
+  Status RecordVersion(storage::Tablet& tablet,
+                       const storage::VersionPtr& version) override {
+    PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(*version));
     return AfterAppend(tablet);
   }
 

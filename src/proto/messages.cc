@@ -183,39 +183,6 @@ void EncodeBody(Encoder& enc, const SyncReply& m) {
   enc.PutLengthPrefixed(m.primary_hint);
 }
 
-void EncodeBody(Encoder& enc, const GetAtRequest& m) {
-  enc.PutLengthPrefixed(m.table);
-  enc.PutLengthPrefixed(m.key);
-  enc.PutTimestamp(m.snapshot);
-}
-
-void EncodeBody(Encoder& enc, const GetAtReply& m) {
-  enc.PutBool(m.found);
-  enc.PutLengthPrefixed(m.value);
-  enc.PutTimestamp(m.value_timestamp);
-  enc.PutBool(m.snapshot_available);
-}
-
-void EncodeBody(Encoder& enc, const CommitRequest& m) {
-  enc.PutLengthPrefixed(m.table);
-  enc.PutTimestamp(m.snapshot);
-  enc.PutVarint64(m.read_keys.size());
-  for (const std::string& k : m.read_keys) {
-    enc.PutLengthPrefixed(k);
-  }
-  enc.PutVarint64(m.writes.size());
-  for (const ObjectVersion& v : m.writes) {
-    EncodeObjectVersion(enc, v);
-  }
-  enc.PutBool(m.validate_reads);
-}
-
-void EncodeBody(Encoder& enc, const CommitReply& m) {
-  enc.PutBool(m.committed);
-  enc.PutTimestamp(m.commit_timestamp);
-  enc.PutLengthPrefixed(m.conflict_key);
-}
-
 void EncodeBody(Encoder& enc, const RangeRequest& m) {
   enc.PutLengthPrefixed(m.table);
   enc.PutLengthPrefixed(m.begin);
@@ -378,49 +345,6 @@ Status DecodeBody(Decoder& dec, SyncReply* m) {
   return dec.GetLengthPrefixedString(&m->primary_hint);
 }
 
-Status DecodeBody(Decoder& dec, GetAtRequest* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->table));
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->key));
-  return dec.GetTimestamp(&m->snapshot);
-}
-
-Status DecodeBody(Decoder& dec, GetAtReply* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->found));
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->value));
-  PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&m->value_timestamp));
-  return dec.GetBool(&m->snapshot_available);
-}
-
-Status DecodeBody(Decoder& dec, CommitRequest* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->table));
-  PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&m->snapshot));
-  uint64_t reads;
-  PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&reads));
-  if (reads > dec.remaining()) {
-    return Status(StatusCode::kCorruption, "commit read count too big");
-  }
-  m->read_keys.resize(reads);
-  for (std::string& k : m->read_keys) {
-    PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&k));
-  }
-  uint64_t writes;
-  PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&writes));
-  if (writes > dec.remaining()) {
-    return Status(StatusCode::kCorruption, "commit write count too big");
-  }
-  m->writes.resize(writes);
-  for (ObjectVersion& v : m->writes) {
-    PILEUS_RETURN_IF_ERROR(DecodeObjectVersion(dec, &v));
-  }
-  return dec.GetBool(&m->validate_reads);
-}
-
-Status DecodeBody(Decoder& dec, CommitReply* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->committed));
-  PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&m->commit_timestamp));
-  return dec.GetLengthPrefixedString(&m->conflict_key);
-}
-
 Status DecodeBody(Decoder& dec, RangeRequest* m) {
   PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->table));
   PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->begin));
@@ -569,14 +493,6 @@ MessageType TypeOf(const Message& message) {
           return MessageType::kSyncRequest;
         } else if constexpr (std::is_same_v<T, SyncReply>) {
           return MessageType::kSyncReply;
-        } else if constexpr (std::is_same_v<T, GetAtRequest>) {
-          return MessageType::kGetAtRequest;
-        } else if constexpr (std::is_same_v<T, GetAtReply>) {
-          return MessageType::kGetAtReply;
-        } else if constexpr (std::is_same_v<T, CommitRequest>) {
-          return MessageType::kCommitRequest;
-        } else if constexpr (std::is_same_v<T, CommitReply>) {
-          return MessageType::kCommitReply;
         } else if constexpr (std::is_same_v<T, RangeRequest>) {
           return MessageType::kRangeRequest;
         } else if constexpr (std::is_same_v<T, RangeReply>) {
@@ -607,11 +523,9 @@ MessageType TypeOf(const Message& message) {
 bool IsDataPathRequest(const Message& message) {
   switch (TypeOf(message)) {
     case MessageType::kGetRequest:
-    case MessageType::kGetAtRequest:
     case MessageType::kRangeRequest:
     case MessageType::kPutRequest:
     case MessageType::kDeleteRequest:
-    case MessageType::kCommitRequest:
       return true;
     default:
       return false;
@@ -644,14 +558,6 @@ std::string_view MessageTypeName(MessageType type) {
       return "SyncRequest";
     case MessageType::kSyncReply:
       return "SyncReply";
-    case MessageType::kGetAtRequest:
-      return "GetAtRequest";
-    case MessageType::kGetAtReply:
-      return "GetAtReply";
-    case MessageType::kCommitRequest:
-      return "CommitRequest";
-    case MessageType::kCommitReply:
-      return "CommitReply";
     case MessageType::kErrorReply:
       return "ErrorReply";
     case MessageType::kRangeRequest:
@@ -744,14 +650,6 @@ Result<Message> DecodeMessage(std::string_view bytes) {
       return DecodeInto<SyncRequest>(dec);
     case MessageType::kSyncReply:
       return DecodeInto<SyncReply>(dec);
-    case MessageType::kGetAtRequest:
-      return DecodeInto<GetAtRequest>(dec);
-    case MessageType::kGetAtReply:
-      return DecodeInto<GetAtReply>(dec);
-    case MessageType::kCommitRequest:
-      return DecodeInto<CommitRequest>(dec);
-    case MessageType::kCommitReply:
-      return DecodeInto<CommitReply>(dec);
     case MessageType::kErrorReply:
       return DecodeInto<ErrorReply>(dec);
     case MessageType::kRangeRequest:

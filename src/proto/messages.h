@@ -13,10 +13,6 @@
 //   Sync   - replication pull: "send versions with timestamps above X, in
 //            timestamp order"; an empty reply still advances the secondary's
 //            high timestamp via the heartbeat field (Section 4.3).
-//   GetAt  - snapshot read at a given timestamp (transactions, tech report
-//            [38]); served from the node's bounded version history.
-//   Commit - atomic multi-key transactional commit with write-write conflict
-//            validation against the snapshot timestamp.
 //
 // Messages are encoded with src/util/codec.h; every message starts with a
 // format version byte so the wire format can evolve.
@@ -50,10 +46,8 @@ enum class MessageType : uint8_t {
   kProbeReply = 6,
   kSyncRequest = 7,
   kSyncReply = 8,
-  kGetAtRequest = 9,
-  kGetAtReply = 10,
-  kCommitRequest = 11,
-  kCommitReply = 12,
+  // 9 to 12 are retired: they carried the snapshot-transaction extension's
+  // snapshot reads and commits. Decoders reject them.
   kErrorReply = 13,
   kRangeRequest = 14,
   kRangeReply = 15,
@@ -197,34 +191,6 @@ struct SyncReply {
   std::string primary_hint;   // That tablet's primary.
 };
 
-struct GetAtRequest {
-  std::string table;
-  std::string key;
-  Timestamp snapshot;  // Return the latest version with timestamp <= snapshot.
-};
-
-struct GetAtReply {
-  bool found = false;
-  std::string value;
-  Timestamp value_timestamp;
-  // False when the node's history no longer reaches back to the snapshot.
-  bool snapshot_available = true;
-};
-
-struct CommitRequest {
-  std::string table;
-  Timestamp snapshot;                   // Transaction snapshot timestamp.
-  std::vector<std::string> read_keys;   // For optional read validation.
-  std::vector<ObjectVersion> writes;    // Timestamps ignored on input.
-  bool validate_reads = false;
-};
-
-struct CommitReply {
-  bool committed = false;
-  Timestamp commit_timestamp;           // Timestamp of all writes if committed.
-  std::string conflict_key;             // First conflicting key if aborted.
-};
-
 struct ErrorReply {
   StatusCode code = StatusCode::kInternal;
   std::string message;
@@ -358,8 +324,7 @@ struct TabletMapReply {
 
 using Message =
     std::variant<GetRequest, GetReply, PutRequest, PutReply, ProbeRequest,
-                 ProbeReply, SyncRequest, SyncReply, GetAtRequest, GetAtReply,
-                 CommitRequest, CommitReply, ErrorReply, RangeRequest,
+                 ProbeReply, SyncRequest, SyncReply, ErrorReply, RangeRequest,
                  RangeReply, DeleteRequest, StatsRequest, StatsReply,
                  MonitorReport, DigestSubscribe, DigestPush, TabletMapRequest,
                  TabletMapReply>;
@@ -367,10 +332,10 @@ using Message =
 MessageType TypeOf(const Message& message);
 std::string_view MessageTypeName(MessageType type);
 
-// True for request types admission control governs (Get / GetAt / Range /
-// Put / Delete / Commit). Control traffic — probes, sync pulls, map
-// installs, stats — is exempt, so monitoring and replication keep working
-// while a node sheds load. Fault-injecting transports use this to decide
+// True for request types admission control governs (Get / Range / Put /
+// Delete). Control traffic — probes, sync pulls, map installs, stats — is
+// exempt, so monitoring and replication keep working while a node sheds
+// load. Fault-injecting transports use this to decide
 // which messages an overload rule may shed (DESIGN.md Section 11).
 bool IsDataPathRequest(const Message& message);
 

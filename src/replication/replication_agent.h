@@ -49,9 +49,9 @@ class ReplicationAgent {
     // every pull a ranged one (migration catch-up), and only the hosted
     // tablets that lie inside the range are read and advanced.
     KeyRange range = KeyRange::All();
-    // Cap on versions per sync round trip (0 = unlimited). The update log
-    // never splits a same-timestamp (transactional) batch, so the actual
-    // count may slightly exceed this.
+    // Cap on versions per sync round trip (0 = unlimited). A pull never
+    // splits a run of equal timestamps, so the actual count may slightly
+    // exceed this.
     uint32_t max_versions_per_pull = 0;
   };
 

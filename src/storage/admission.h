@@ -47,7 +47,7 @@ namespace pileus::storage {
 enum class AdmitClass {
   kRead = 0,        // Eventual/intermediate-guarantee read; shed first.
   kStrongRead = 1,  // Authoritative read; protected until near-full.
-  kWrite = 2,       // Put/Delete/Commit; shed only at a full queue.
+  kWrite = 2,       // Put/Delete; shed only at a full queue.
 };
 
 std::string_view AdmitClassName(AdmitClass cls);

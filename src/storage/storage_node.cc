@@ -34,8 +34,8 @@ std::string_view TableOf(const proto::Message& request) {
 }
 
 // The key whose tablet a request's reply speaks for: the key itself, a
-// scan's first key, a ranged pull's first key, a commit's first write.
-// nullopt for keyless requests (probes, whole-table pulls).
+// scan's first key, a ranged pull's first key. nullopt for keyless requests
+// (probes, whole-table pulls).
 std::optional<std::string_view> KeyOf(const proto::Message& request) {
   if (const auto* range = std::get_if<proto::RangeRequest>(&request)) {
     return range->begin;
@@ -43,11 +43,6 @@ std::optional<std::string_view> KeyOf(const proto::Message& request) {
   if (const auto* sync = std::get_if<proto::SyncRequest>(&request)) {
     return sync->has_range ? std::optional<std::string_view>(sync->range_begin)
                            : std::nullopt;
-  }
-  if (const auto* commit = std::get_if<proto::CommitRequest>(&request)) {
-    return commit->writes.empty()
-               ? std::nullopt
-               : std::optional<std::string_view>(commit->writes.front().key);
   }
   return std::visit(
       [](const auto& m) -> std::optional<std::string_view> {
@@ -521,8 +516,6 @@ void StorageNode::EnableTelemetry(telemetry::MetricsRegistry* registry) {
   instruments_.ranges = counter("pileus_storage_ranges_total");
   instruments_.probes = counter("pileus_storage_probes_total");
   instruments_.syncs = counter("pileus_storage_syncs_total");
-  instruments_.snapshot_gets = counter("pileus_storage_snapshot_gets_total");
-  instruments_.commits = counter("pileus_storage_commits_total");
   instruments_.other = counter("pileus_storage_other_requests_total");
   instruments_.errors = counter("pileus_storage_errors_total");
   instruments_.not_primary = counter("pileus_storage_not_primary_total");
@@ -590,11 +583,6 @@ void StorageNode::CountRequestLocked(const proto::Message& request,
   } else if (std::holds_alternative<proto::SyncRequest>(request)) {
     instruments_.syncs->Increment();
     write_path = true;
-  } else if (std::holds_alternative<proto::GetAtRequest>(request)) {
-    instruments_.snapshot_gets->Increment();
-  } else if (std::holds_alternative<proto::CommitRequest>(request)) {
-    instruments_.commits->Increment();
-    write_path = true;
   } else {
     instruments_.other->Increment();
   }
@@ -652,11 +640,6 @@ std::optional<proto::Message> StorageNode::AdmitLocked(
         range->tenant.empty() ? std::string_view(range->table) : range->tenant;
     utility = range->utility_micros / 1e6;
     deadline_us = range->deadline_us;
-  } else if (const auto* get_at = std::get_if<proto::GetAtRequest>(&request)) {
-    // Snapshot reads belong to transactions; treat them as full-utility
-    // reads under the table's default bucket.
-    cls = AdmitClass::kRead;
-    tenant = get_at->table;
   } else if (const auto* put = std::get_if<proto::PutRequest>(&request)) {
     cls = AdmitClass::kWrite;
     tenant = put->tenant.empty() ? std::string_view(put->table) : put->tenant;
@@ -664,9 +647,6 @@ std::optional<proto::Message> StorageNode::AdmitLocked(
   } else if (const auto* del = std::get_if<proto::DeleteRequest>(&request)) {
     cls = AdmitClass::kWrite;
     tenant = del->table;
-  } else if (const auto* commit = std::get_if<proto::CommitRequest>(&request)) {
-    cls = AdmitClass::kWrite;
-    tenant = commit->table;
   } else {
     return std::nullopt;  // Control plane: never admitted, never shed.
   }
@@ -786,8 +766,7 @@ void StorageNode::HandleAsync(const proto::Message& request,
                               std::function<void(proto::Message)> done) {
   proto::Message reply = Handle(request);
   const bool mutation = std::holds_alternative<proto::PutRequest>(request) ||
-                        std::holds_alternative<proto::DeleteRequest>(request) ||
-                        std::holds_alternative<proto::CommitRequest>(request);
+                        std::holds_alternative<proto::DeleteRequest>(request);
   if (!ack_after_sync_ || !mutation ||
       std::holds_alternative<proto::ErrorReply>(reply)) {
     done(std::move(reply));
@@ -960,23 +939,8 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
   if (const auto* sync = std::get_if<proto::SyncRequest>(&request)) {
     return HandleSyncLocked(*sync);
   }
-  if (const auto* get_at = std::get_if<proto::GetAtRequest>(&request)) {
-    if (auto fence = CheckTabletRoutingLocked(get_at->table, get_at->key,
-                                              /*write=*/false)) {
-      return std::move(*fence);
-    }
-    const Tablet* tablet = FindTablet(get_at->table, get_at->key);
-    if (tablet == nullptr) {
-      return MakeError(StatusCode::kWrongNode,
-                       "node " + name_ + " has no tablet for key");
-    }
-    return tablet->HandleGetAt(get_at->key, get_at->snapshot);
-  }
   if (const auto* tablet_map = std::get_if<proto::TabletMapRequest>(&request)) {
     return HandleTabletMapLocked(*tablet_map);
-  }
-  if (const auto* commit = std::get_if<proto::CommitRequest>(&request)) {
-    return HandleCommitLocked(*commit);
   }
   return MakeError(StatusCode::kInvalidArgument,
                    "node received a non-request message");
@@ -1041,52 +1005,23 @@ proto::Message StorageNode::HandleSyncLocked(
                    });
   if (request.max_versions != 0 &&
       merged.versions.size() > request.max_versions) {
-    // Claim completeness only up to the last version actually sent.
-    merged.versions.resize(request.max_versions);
-    merged.has_more = true;
-    merged.heartbeat = merged.versions.back().timestamp;
+    // Claim completeness only up to the last version actually sent, and,
+    // as UpdateLog::Scan does, never cut a run of equal timestamps: split
+    // tablets can assign one timestamp twice, and the receiver pulls after
+    // the heartbeat, so the rest of a cut run would never arrive.
+    size_t keep = request.max_versions;
+    while (keep < merged.versions.size() &&
+           merged.versions[keep].timestamp ==
+               merged.versions[keep - 1].timestamp) {
+      ++keep;
+    }
+    if (keep < merged.versions.size()) {
+      merged.versions.resize(keep);
+      merged.has_more = true;
+      merged.heartbeat = merged.versions.back().timestamp;
+    }
   }
   return merged;
-}
-
-proto::Message StorageNode::HandleCommitLocked(
-    const proto::CommitRequest& request) {
-  if (request.writes.empty()) {
-    proto::CommitReply reply;
-    reply.committed = true;
-    return reply;  // Read-only transactions commit trivially.
-  }
-  if (auto fence = CheckTabletRoutingLocked(
-          request.table, request.writes.front().key, /*write=*/true)) {
-    return std::move(*fence);
-  }
-  Tablet* tablet = FindTablet(request.table, request.writes.front().key);
-  if (tablet == nullptr) {
-    return MakeError(StatusCode::kWrongNode,
-                     "node " + name_ + " has no tablet for commit");
-  }
-  // A commit is atomic within one tablet (one update timestamp, one
-  // journal), so every write and every read it validates must stay in that
-  // tablet; multi-tablet transactions are out of scope, as in the paper's
-  // prototype.
-  const auto outside = [tablet](std::string_view key) {
-    return !tablet->range().Contains(key);
-  };
-  if (std::any_of(request.writes.begin(), request.writes.end(),
-                  [&](const proto::ObjectVersion& w) {
-                    return outside(w.key);
-                  }) ||
-      (request.validate_reads &&
-       std::any_of(request.read_keys.begin(), request.read_keys.end(),
-                   outside))) {
-    return MakeError(StatusCode::kInvalidArgument,
-                     "transaction spans tablets");
-  }
-  Result<proto::CommitReply> reply = tablet->HandleCommit(request);
-  if (!reply.ok()) {
-    return MakeError(reply.status());
-  }
-  return std::move(reply).value();
 }
 
 }  // namespace pileus::storage

@@ -108,7 +108,7 @@ class StorageNode {
   // Asynchronous dispatch for the event-driven transport: `done` runs
   // exactly once, inline for reads, errors and every request when acks are
   // not deferred, and otherwise from the barrier's thread once a
-  // successful Put, Delete or Commit is durable (DESIGN.md Section 13).
+  // successful Put or Delete is durable (DESIGN.md Section 13).
   // `done` must be safe to call from another thread.
   void HandleAsync(const proto::Message& request,
                    std::function<void(proto::Message)> done);
@@ -204,7 +204,6 @@ class StorageNode {
 
   proto::Message HandleLocked(const proto::Message& request);
   proto::Message HandleSyncLocked(const proto::SyncRequest& request);
-  proto::Message HandleCommitLocked(const proto::CommitRequest& request);
   proto::Message HandleTabletMapLocked(const proto::TabletMapRequest& request);
   Status SplitTabletLocked(std::string_view table, std::string_view split_key);
   bool InstallTabletMapLocked(const tablets::TabletMap& map,
@@ -247,8 +246,6 @@ class StorageNode {
     telemetry::Counter* ranges = nullptr;
     telemetry::Counter* probes = nullptr;
     telemetry::Counter* syncs = nullptr;
-    telemetry::Counter* snapshot_gets = nullptr;
-    telemetry::Counter* commits = nullptr;
     telemetry::Counter* other = nullptr;
     telemetry::Counter* errors = nullptr;
     telemetry::Counter* not_primary = nullptr;

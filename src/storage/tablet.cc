@@ -6,7 +6,7 @@
 namespace pileus::storage {
 
 Tablet::Tablet(Options options, Clock* clock)
-    : options_(std::move(options)), clock_(clock), store_(options_.store) {
+    : options_(std::move(options)), clock_(clock) {
   assert(clock_ != nullptr);
 }
 
@@ -71,7 +71,7 @@ Result<proto::PutReply> Tablet::HandleDelete(std::string_view key) {
   store_.Apply(tombstone);
   update_log_.Append(tombstone);
   high_timestamp_ = MaxTimestamp(high_timestamp_, tombstone->timestamp);
-  PILEUS_RETURN_IF_ERROR(Record({&tombstone, 1}));
+  PILEUS_RETURN_IF_ERROR(Record(tombstone));
 
   proto::PutReply reply;
   reply.timestamp = tombstone->timestamp;
@@ -106,7 +106,7 @@ Result<proto::PutReply> Tablet::HandlePut(std::string_view key,
   store_.Apply(version);
   update_log_.Append(version);
   high_timestamp_ = MaxTimestamp(high_timestamp_, version->timestamp);
-  PILEUS_RETURN_IF_ERROR(Record({&version, 1}));
+  PILEUS_RETURN_IF_ERROR(Record(version));
 
   proto::PutReply reply;
   reply.timestamp = version->timestamp;
@@ -186,7 +186,7 @@ Status Tablet::ApplySync(const proto::SyncReply& reply) {
     const VersionPtr version = MakeVersion(pulled);
     store_.Apply(version);
     update_log_.Append(version);
-    PILEUS_RETURN_IF_ERROR(Record({&version, 1}));
+    PILEUS_RETURN_IF_ERROR(Record(version));
   }
   high_timestamp_ = MaxTimestamp(high_timestamp_, reply.heartbeat);
   if (!reply.versions.empty()) {
@@ -206,73 +206,7 @@ Status Tablet::ApplyReplicatedPut(proto::ObjectVersion built) {
     update_log_.Append(version);
   }
   high_timestamp_ = MaxTimestamp(high_timestamp_, version->timestamp);
-  return applied ? Record({&version, 1}) : Status::Ok();
-}
-
-proto::GetAtReply Tablet::HandleGetAt(std::string_view key,
-                                      const Timestamp& snapshot) const {
-  ++ops_total_;
-  proto::GetAtReply reply;
-  VersionedStore::SnapshotResult result = store_.GetAt(key, snapshot);
-  reply.found = result.found && !result.version.is_tombstone;
-  reply.snapshot_available = result.snapshot_available;
-  if (reply.found) {
-    reply.value = std::move(result.version.value);
-  }
-  if (result.found) {
-    reply.value_timestamp = result.version.timestamp;
-  }
-  return reply;
-}
-
-Result<proto::CommitReply> Tablet::HandleCommit(
-    const proto::CommitRequest& request) {
-  ++ops_total_;
-  if (!options_.is_primary) {
-    return Status(StatusCode::kNotPrimary, "Commit sent to non-primary tablet");
-  }
-  proto::CommitReply reply;
-
-  // First-committer-wins write-write validation: abort if any written key has
-  // a committed version newer than the transaction's snapshot.
-  for (const proto::ObjectVersion& w : request.writes) {
-    if (VersionPtr latest = store_.GetLatest(w.key);
-        latest && latest->timestamp > request.snapshot) {
-      reply.committed = false;
-      reply.conflict_key = w.key;
-      return reply;
-    }
-  }
-  if (request.validate_reads) {
-    for (const std::string& key : request.read_keys) {
-      if (VersionPtr latest = store_.GetLatest(key);
-          latest && latest->timestamp > request.snapshot) {
-        reply.committed = false;
-        reply.conflict_key = key;
-        return reply;
-      }
-    }
-  }
-
-  // All writes commit atomically with a single update timestamp; the update
-  // log keeps same-timestamp batches intact so replication delivers the
-  // transaction as a unit.
-  const Timestamp commit_ts = AllocateTimestamp();
-  std::vector<VersionPtr> versions;
-  versions.reserve(request.writes.size());
-  for (const proto::ObjectVersion& write : request.writes) {
-    proto::ObjectVersion built = write;
-    built.timestamp = commit_ts;
-    versions.push_back(MakeVersion(std::move(built)));
-    store_.Apply(versions.back());
-    update_log_.Append(versions.back());
-  }
-  high_timestamp_ = MaxTimestamp(high_timestamp_, commit_ts);
-  PILEUS_RETURN_IF_ERROR(Record(versions));
-
-  reply.committed = true;
-  reply.commit_timestamp = commit_ts;
-  return reply;
+  return applied ? Record(version) : Status::Ok();
 }
 
 }  // namespace pileus::storage

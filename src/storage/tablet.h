@@ -39,7 +39,6 @@ class Tablet {
     // (Section 6.4 multi-site Puts). Implies nothing about Put acceptance;
     // Puts still enter through the primary, which forwards synchronously.
     bool is_sync_replica = false;
-    VersionedStore::Options store;
   };
 
   Tablet(Options options, Clock* clock);
@@ -139,14 +138,6 @@ class Tablet {
     return store_.CollectTombstones(horizon);
   }
 
-  proto::GetAtReply HandleGetAt(std::string_view key,
-                                const Timestamp& snapshot) const;
-
-  // Primary only: snapshot-isolation commit. Write-write conflicts (any
-  // written key with a committed version newer than the snapshot) abort;
-  // optionally read keys are validated the same way (serializability check).
-  Result<proto::CommitReply> HandleCommit(const proto::CommitRequest& request);
-
  private:
   // Strictly increasing update timestamps (Section 4.2): physical time from
   // the clock, sequence number for same-microsecond Puts.
@@ -157,10 +148,10 @@ class Tablet {
   // timestamp.
   Timestamp CurrentHeartbeat() const;
 
-  // Journals versions this tablet just applied (no-op when in-memory).
-  Status Record(std::span<const VersionPtr> versions) {
+  // Journals a version this tablet just applied (no-op when in-memory).
+  Status Record(const VersionPtr& version) {
     return journal_ == nullptr ? Status::Ok()
-                               : journal_->RecordVersions(*this, versions);
+                               : journal_->RecordVersion(*this, version);
   }
 
   Options options_;

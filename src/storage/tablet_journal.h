@@ -1,10 +1,10 @@
 // The durability hook of a tablet (DESIGN.md Section 13).
 //
 // A tablet with a journal records every state change it makes, right after
-// making it in memory: the versions it applies (accepted Puts, Deletes and
-// commits, and replicated versions), the high timestamp a replication
-// heartbeat moved it to, the tablet-map config its node accepted, its
-// splits, and its retirement. How a record becomes durable is the journal's
+// making it in memory: the versions it applies (accepted Puts and Deletes,
+// and replicated versions), the high timestamp a replication heartbeat moved
+// it to, the tablet-map config its node accepted, its splits, and its
+// retirement. How a record becomes durable is the journal's
 // business (the WAL and checkpoints of src/persist); the tablet only sees a
 // Status. A tablet without a journal is in-memory.
 
@@ -12,7 +12,6 @@
 #define PILEUS_SRC_STORAGE_TABLET_JOURNAL_H_
 
 #include <memory>
-#include <span>
 #include <string_view>
 
 #include "src/common/status.h"
@@ -28,10 +27,9 @@ class TabletJournal {
  public:
   virtual ~TabletJournal() = default;
 
-  // `tablet` has applied `versions`. It is passed so the journal may
+  // `tablet` has applied `version`. It is passed so the journal may
   // checkpoint it.
-  virtual Status RecordVersions(Tablet& tablet,
-                                std::span<const VersionPtr> versions) = 0;
+  virtual Status RecordVersion(Tablet& tablet, const VersionPtr& version) = 0;
 
   // A replication heartbeat advanced `tablet`'s high timestamp.
   virtual Status RecordHeartbeat(Tablet& tablet) = 0;

@@ -27,8 +27,8 @@ UpdateLog::ScanResult UpdateLog::Scan(const Timestamp& after,
       });
   for (; it != entries_.end(); ++it) {
     if (max_versions != 0 && result.versions.size() >= max_versions) {
-      // Do not split a same-timestamp run (e.g. one transactional commit):
-      // keep going while the timestamp equals the last emitted one.
+      // Do not split a same-timestamp run: keep going while the timestamp
+      // equals the last emitted one.
       if (result.versions.back().timestamp != (*it)->timestamp) {
         result.has_more = true;
         break;

@@ -8,11 +8,10 @@
 // report it so the node can fall back to a full-state transfer from the
 // versioned store.
 //
-// Entries are the same immutable objects the tablet's versioned store chains
-// hold (shared_version.h), so logging a version costs a pointer, not a copy.
-// An entry keeps its version alive after the store has pruned it from the
-// key's history. Scan and Export copy, because what they return leaves the
-// node.
+// Entries are the same immutable objects the tablet's versioned store holds
+// (shared_version.h), so logging a version costs a pointer, not a copy. An
+// entry keeps its version alive after the store has replaced it with a newer
+// one. Scan and Export copy, because what they return leaves the node.
 
 #ifndef PILEUS_SRC_STORAGE_UPDATE_LOG_H_
 #define PILEUS_SRC_STORAGE_UPDATE_LOG_H_
@@ -30,8 +29,8 @@ namespace pileus::storage {
 
 class UpdateLog {
  public:
-  // Appends a version; timestamps must be non-decreasing (transactional
-  // commits append several entries with one timestamp).
+  // Appends a version; timestamps must be non-decreasing (a replica of two
+  // split tablets may log several entries with one timestamp).
   void Append(VersionPtr version);
 
   struct ScanResult {
@@ -44,7 +43,10 @@ class UpdateLog {
 
   // Versions with timestamp > after, ascending, at most `max_versions`
   // (0 = unlimited). Never splits a run of equal timestamps across the
-  // `has_more` boundary — a transactional batch is delivered atomically.
+  // `has_more` boundary: the receiver advances to the last timestamp it
+  // gets, so the rest of a cut run would never be pulled. Split tablets on
+  // one node can assign the same timestamp, and a replica of both logs the
+  // run in one tablet.
   ScanResult Scan(const Timestamp& after, uint32_t max_versions) const;
 
   // Drops entries with timestamp <= up_to. Subsequent scans starting below

@@ -1,13 +1,8 @@
 #include "src/storage/versioned_store.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace pileus::storage {
-
-VersionedStore::VersionedStore(Options options) : options_(options) {
-  assert(options_.history_limit >= 1);
-}
 
 namespace {
 
@@ -18,71 +13,40 @@ uint64_t VersionBytes(const proto::ObjectVersion& v) {
 }  // namespace
 
 bool VersionedStore::Apply(VersionPtr version) {
-  auto it = chains_.find(version->key);
-  if (it == chains_.end()) {
+  auto it = versions_.find(version->key);
+  if (it == versions_.end()) {
     bytes_ += VersionBytes(*version);
-    Chain chain;
-    chain.versions.push_back(version);
-    chains_.emplace(version->key, std::move(chain));
+    versions_.emplace(version->key, std::move(version));
     return true;
   }
-  Chain& chain = it->second;
-  const Timestamp& latest = chain.versions.front()->timestamp;
-  if (version->timestamp < latest) {
+  VersionPtr& latest = it->second;
+  if (version->timestamp < latest->timestamp) {
     return false;  // Duplicate or stale delivery.
   }
-  if (version->timestamp == latest) {
+  if (version->timestamp == latest->timestamp) {
     return true;  // Exact duplicate; idempotent.
   }
   bytes_ += VersionBytes(*version);
-  chain.versions.insert(chain.versions.begin(), std::move(version));
-  if (chain.versions.size() > options_.history_limit) {
-    bytes_ -= VersionBytes(*chain.versions.back());
-    chain.versions.pop_back();
-    chain.pruned = true;
-  }
+  bytes_ -= VersionBytes(*latest);
+  latest = std::move(version);
   return true;
 }
 
 VersionPtr VersionedStore::GetLatest(std::string_view key) const {
-  auto it = chains_.find(key);
-  if (it == chains_.end()) {
+  auto it = versions_.find(key);
+  if (it == versions_.end()) {
     return nullptr;
   }
-  return it->second.versions.front();
-}
-
-VersionedStore::SnapshotResult VersionedStore::GetAt(
-    std::string_view key, const Timestamp& snapshot) const {
-  SnapshotResult result;
-  auto it = chains_.find(key);
-  if (it == chains_.end()) {
-    // Key never written (as far as this node knows): found=false but the
-    // snapshot is answerable.
-    return result;
-  }
-  const Chain& chain = it->second;
-  for (const VersionPtr& v : chain.versions) {
-    if (v->timestamp <= snapshot) {
-      result.found = true;
-      result.version = *v;
-      return result;
-    }
-  }
-  // Every retained version is newer than the snapshot. If versions were
-  // pruned, an older one might have matched; otherwise the key simply did not
-  // exist at the snapshot.
-  result.snapshot_available = !chain.pruned;
-  return result;
+  return it->second;
 }
 
 std::vector<VersionPtr> VersionedStore::LatestVersionsAfter(
     const Timestamp& after, std::string_view from_key) const {
   std::vector<VersionPtr> out;
-  for (auto it = chains_.lower_bound(from_key); it != chains_.end(); ++it) {
-    const VersionPtr& latest = it->second.versions.front();
-    if (latest->timestamp > after) {
-      out.push_back(latest);
+  for (auto it = versions_.lower_bound(from_key); it != versions_.end();
+       ++it) {
+    if (it->second->timestamp > after) {
+      out.push_back(it->second);
     }
   }
   std::sort(out.begin(), out.end(),
@@ -97,13 +61,11 @@ std::vector<VersionPtr> VersionedStore::LatestVersionsAfter(
 
 size_t VersionedStore::CollectTombstones(const Timestamp& horizon) {
   size_t collected = 0;
-  for (auto it = chains_.begin(); it != chains_.end();) {
-    const proto::ObjectVersion& latest = *it->second.versions.front();
+  for (auto it = versions_.begin(); it != versions_.end();) {
+    const proto::ObjectVersion& latest = *it->second;
     if (latest.is_tombstone && latest.timestamp < horizon) {
-      for (const VersionPtr& v : it->second.versions) {
-        bytes_ -= VersionBytes(*v);
-      }
-      it = chains_.erase(it);
+      bytes_ -= VersionBytes(latest);
+      it = versions_.erase(it);
       ++collected;
     } else {
       ++it;
@@ -113,27 +75,24 @@ size_t VersionedStore::CollectTombstones(const Timestamp& horizon) {
 }
 
 std::optional<std::string> VersionedStore::MedianKey() const {
-  if (chains_.size() < 2) {
+  if (versions_.size() < 2) {
     return std::nullopt;
   }
-  auto mid = std::next(chains_.begin(), chains_.size() / 2);
-  if (mid->first == chains_.begin()->first) {
+  auto mid = std::next(versions_.begin(), versions_.size() / 2);
+  if (mid->first == versions_.begin()->first) {
     return std::nullopt;
   }
   return mid->first;
 }
 
 VersionedStore VersionedStore::ExtractUpper(std::string_view split_key) {
-  VersionedStore upper(options_);
-  auto it = chains_.lower_bound(split_key);
-  while (it != chains_.end()) {
-    for (const VersionPtr& v : it->second.versions) {
-      const uint64_t sz = VersionBytes(*v);
-      bytes_ -= sz;
-      upper.bytes_ += sz;
-    }
-    auto node = chains_.extract(it++);
-    upper.chains_.insert(std::move(node));
+  VersionedStore upper;
+  auto it = versions_.lower_bound(split_key);
+  while (it != versions_.end()) {
+    const uint64_t sz = VersionBytes(*it->second);
+    bytes_ -= sz;
+    upper.bytes_ += sz;
+    upper.versions_.insert(versions_.extract(it++));
   }
   return upper;
 }
@@ -144,14 +103,14 @@ proto::VersionList VersionedStore::ScanRange(std::string_view begin,
                                              bool* truncated) const {
   proto::VersionList out;
   if (limit != 0) {
-    out.reserve(std::min<size_t>(limit, chains_.size()));
+    out.reserve(std::min<size_t>(limit, versions_.size()));
   }
   *truncated = false;
-  for (auto it = chains_.lower_bound(begin); it != chains_.end(); ++it) {
+  for (auto it = versions_.lower_bound(begin); it != versions_.end(); ++it) {
     if (!end.empty() && it->first >= end) {
       break;
     }
-    const VersionPtr& latest = it->second.versions.front();
+    const VersionPtr& latest = it->second;
     if (latest->is_tombstone) {
       continue;  // Deleted keys do not appear in scans.
     }

@@ -1,17 +1,13 @@
-// In-memory multi-version object store for one tablet.
+// In-memory object store for one tablet: the latest version of each key, as
+// in the paper's prototype (Section 4.3). Versions arrive in non-decreasing
+// timestamp order (primary ordering + in-order replication), and re-applying
+// an already-known version is a harmless no-op so replication retries stay
+// idempotent.
 //
-// The paper's prototype keeps a single version per object (Section 4.3); this
-// store generalizes that to a short bounded version chain per key so the
-// transactional extension (snapshot reads at a timestamp, tech report [38])
-// can be served. With history_limit = 1 it degenerates to exactly the paper's
-// design. Versions arrive in non-decreasing timestamp order (primary ordering
-// + in-order replication), and re-applying an already-known version is a
-// harmless no-op so replication retries stay idempotent.
-//
-// Chains hold shared immutable versions (shared_version.h): the tablet's
+// The store holds shared immutable versions (shared_version.h): the tablet's
 // update log points at the same objects, so a node keeps one copy of each
 // version. Readers inside the node (checkpoint, split) and scan replies take
-// the pointers; only snapshot reads copy.
+// the pointers without copying.
 
 #ifndef PILEUS_SRC_STORAGE_VERSIONED_STORE_H_
 #define PILEUS_SRC_STORAGE_VERSIONED_STORE_H_
@@ -31,14 +27,6 @@ namespace pileus::storage {
 
 class VersionedStore {
  public:
-  struct Options {
-    // Number of versions retained per key (>= 1).
-    size_t history_limit = 8;
-  };
-
-  VersionedStore() : VersionedStore(Options{}) {}
-  explicit VersionedStore(Options options);
-
   // Inserts a version. Returns false (and ignores the write) if a strictly
   // newer version of the key is already present — replication delivers in
   // timestamp order, so this only happens on duplicate delivery.
@@ -46,17 +34,6 @@ class VersionedStore {
 
   // Latest version of `key`; null when the key is unknown.
   VersionPtr GetLatest(std::string_view key) const;
-
-  struct SnapshotResult {
-    bool found = false;             // A version <= snapshot exists.
-    bool snapshot_available = true; // History still reaches the snapshot.
-    proto::ObjectVersion version;
-  };
-
-  // Latest version with timestamp <= snapshot. snapshot_available is false
-  // when older versions of the key were pruned past the snapshot, in which
-  // case the result must not be trusted.
-  SnapshotResult GetAt(std::string_view key, const Timestamp& snapshot) const;
 
   // The latest versions with timestamp > after and key >= from_key, in
   // ascending timestamp order (ties broken by key). The replication fallback
@@ -66,7 +43,7 @@ class VersionedStore {
       const Timestamp& after, std::string_view from_key = {}) const;
 
   // Latest versions with keys in [begin, end) in ascending key order, at
-  // most `limit` (0 = unlimited): the chain heads themselves, one reference
+  // most `limit` (0 = unlimited): the stored versions themselves, one reference
   // count each, no copy. Sets *truncated when the limit cut the scan short.
   proto::VersionList ScanRange(std::string_view begin, std::string_view end,
                                uint32_t limit, bool* truncated) const;
@@ -79,9 +56,9 @@ class VersionedStore {
   // generous margin (see DurableTablet::Options::tombstone_gc_horizon_us).
   size_t CollectTombstones(const Timestamp& horizon);
 
-  size_t key_count() const { return chains_.size(); }
+  size_t key_count() const { return versions_.size(); }
 
-  // Retained user bytes (key + value over every retained version), maintained
+  // Retained user bytes (key + value of each key's version), maintained
   // incrementally so it is O(1) to read. Drives split thresholds and the
   // pileus_tablet_bytes gauge.
   uint64_t ApproximateBytes() const { return bytes_; }
@@ -91,21 +68,13 @@ class VersionedStore {
   // middle key equals the first key (nothing strictly interior to split at).
   std::optional<std::string> MedianKey() const;
 
-  // Moves every chain with key >= split_key into a new store with the same
-  // options; this store keeps the lower half. The split side of a tablet
+  // Moves every key >= split_key into a new store; this store keeps the
+  // lower half. The split side of a tablet
   // split (DESIGN.md Section 14).
   VersionedStore ExtractUpper(std::string_view split_key);
 
  private:
-  struct Chain {
-    // Newest first.
-    std::vector<VersionPtr> versions;
-    // True once any version has been dropped due to the history limit.
-    bool pruned = false;
-  };
-
-  Options options_;
-  std::map<std::string, Chain, std::less<>> chains_;
+  std::map<std::string, VersionPtr, std::less<>> versions_;
   uint64_t bytes_ = 0;
 };
 

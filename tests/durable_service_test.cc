@@ -17,6 +17,7 @@
 #include "src/common/clock.h"
 #include "src/persist/durable_service.h"
 #include "src/persist/wal.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::persist {
 namespace {
@@ -107,57 +108,6 @@ TEST_F(DurableServiceTest, WrongTableRejected) {
   const auto* err = std::get_if<proto::ErrorReply>(&reply);
   ASSERT_NE(err, nullptr);
   EXPECT_EQ(err->code, StatusCode::kWrongNode);
-}
-
-TEST_F(DurableServiceTest, CommitDispatchAndRecovery) {
-  {
-    auto tablet = OpenTablet();
-    DurableStorageService service("t", tablet.get());
-    proto::CommitRequest commit;
-    commit.table = "t";
-    for (const char* key : {"x", "y"}) {
-      proto::ObjectVersion w;
-      w.key = key;
-      w.value = "tx";
-      commit.writes.push_back(w);
-    }
-    proto::Message reply = service.Handle(commit);
-    const auto* cr = std::get_if<proto::CommitReply>(&reply);
-    ASSERT_NE(cr, nullptr);
-    EXPECT_TRUE(cr->committed);
-  }
-  // Restart: transactional writes survived.
-  auto tablet = OpenTablet();
-  DurableStorageService service("t", tablet.get());
-  proto::GetRequest get;
-  get.table = "t";
-  get.key = "x";
-  proto::Message reply = service.Handle(get);
-  EXPECT_TRUE(std::get<proto::GetReply>(reply).found);
-}
-
-TEST_F(DurableServiceTest, GetAtDispatch) {
-  auto tablet = OpenTablet();
-  DurableStorageService service("t", tablet.get());
-  proto::PutRequest put;
-  put.table = "t";
-  put.key = "k";
-  put.value = "v1";
-  (void)service.Handle(put);
-  const Timestamp first = tablet->tablet().high_timestamp();
-  clock_.AdvanceMicros(10);
-  put.value = "v2";
-  (void)service.Handle(put);
-
-  proto::GetAtRequest get_at;
-  get_at.table = "t";
-  get_at.key = "k";
-  get_at.snapshot = first;
-  proto::Message reply = service.Handle(get_at);
-  const auto* ar = std::get_if<proto::GetAtReply>(&reply);
-  ASSERT_NE(ar, nullptr);
-  EXPECT_TRUE(ar->found);
-  EXPECT_EQ(ar->value, "v1");
 }
 
 TEST_F(DurableServiceTest, RangeDispatch) {
@@ -263,8 +213,8 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
       clock_.AdvanceMicros(1);
       proto::PutRequest put;
       put.table = "t";
-      put.key = "a" + std::to_string(i);
-      put.value = "av" + std::to_string(i);
+      put.key = NumberedKey("a", i);
+      put.value = NumberedKey("av", i);
       service.HandleAsync(put, [&acked](proto::Message reply) {
         EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply));
         ++acked;
@@ -281,8 +231,8 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
       clock_.AdvanceMicros(1);
       proto::PutRequest put;
       put.table = "t";
-      put.key = "u" + std::to_string(i);
-      put.value = "uv" + std::to_string(i);
+      put.key = NumberedKey("u", i);
+      put.value = NumberedKey("uv", i);
       service.HandleAsync(put, [&late_acks](proto::Message) { ++late_acks; });
     }
     final_bytes = tablet->wal().bytes_written();
@@ -328,21 +278,21 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
     for (size_t i = 0; i < journal.value().size(); ++i) {
       const int n = static_cast<int>(i);
       const std::string expected_key =
-          n < kAcked ? "a" + std::to_string(n)
-                     : "u" + std::to_string(n - kAcked);
+          n < kAcked ? NumberedKey("a", n)
+                     : NumberedKey("u", n - kAcked);
       EXPECT_EQ(journal.value()[i].key, expected_key) << "cut=" << cut;
     }
 
     auto reopened = OpenTablet();
     for (int i = 0; i < kAcked; ++i) {
-      const proto::GetReply got = reopened->HandleGet("a" + std::to_string(i));
+      const proto::GetReply got = reopened->HandleGet(NumberedKey("a", i));
       EXPECT_TRUE(got.found) << "acked write a" << i << " lost at cut=" << cut;
-      EXPECT_EQ(got.value, "av" + std::to_string(i));
+      EXPECT_EQ(got.value, NumberedKey("av", i));
     }
     for (int i = 0; i < kUnacked; ++i) {
-      const proto::GetReply got = reopened->HandleGet("u" + std::to_string(i));
+      const proto::GetReply got = reopened->HandleGet(NumberedKey("u", i));
       if (got.found) {
-        EXPECT_EQ(got.value, "uv" + std::to_string(i)) << "cut=" << cut;
+        EXPECT_EQ(got.value, NumberedKey("uv", i)) << "cut=" << cut;
       }
     }
     EXPECT_EQ(reopened->recovery_info().wal_versions, journal.value().size());
@@ -365,8 +315,8 @@ TEST_F(DurableServiceTest, GroupCommitAmortizesSyncsAcrossAckedWrites) {
     clock_.AdvanceMicros(1);
     proto::PutRequest put;
     put.table = "t";
-    put.key = "k" + std::to_string(i);
-    put.value = "v" + std::to_string(i);
+    put.key = NumberedKey("k", i);
+    put.value = NumberedKey("v", i);
     service.HandleAsync(put, [&acked](proto::Message reply) {
       EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply));
       ++acked;
@@ -388,8 +338,8 @@ TEST_F(DurableServiceTest, GroupCommitAmortizesSyncsAcrossAckedWrites) {
   ASSERT_TRUE(journal.ok()) << journal.status();
   ASSERT_EQ(journal.value().size(), static_cast<size_t>(kWrites));
   for (int i = 0; i < kWrites; ++i) {
-    EXPECT_EQ(journal.value()[i].key, "k" + std::to_string(i));
-    EXPECT_EQ(journal.value()[i].value, "v" + std::to_string(i));
+    EXPECT_EQ(journal.value()[i].key, NumberedKey("k", i));
+    EXPECT_EQ(journal.value()[i].value, NumberedKey("v", i));
   }
 }
 
@@ -409,7 +359,7 @@ TEST_F(DurableServiceTest, SyncHandleBlocksUntilDurableUnderGroupCommit) {
       clock_.AdvanceMicros(1);
       proto::PutRequest put;
       put.table = "t";
-      put.key = "k" + std::to_string(i);
+      put.key = NumberedKey("k", i);
       put.value = "v";
       proto::Message reply = service.Handle(put);
       ASSERT_TRUE(std::holds_alternative<proto::PutReply>(reply));
@@ -422,7 +372,7 @@ TEST_F(DurableServiceTest, SyncHandleBlocksUntilDurableUnderGroupCommit) {
   auto reopened = OpenTablet();
   EXPECT_EQ(reopened->recovery_info().wal_versions, 6u);
   for (int i = 0; i < 6; ++i) {
-    EXPECT_TRUE(reopened->HandleGet("k" + std::to_string(i)).found);
+    EXPECT_TRUE(reopened->HandleGet(NumberedKey("k", i)).found);
   }
 }
 

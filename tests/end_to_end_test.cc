@@ -12,7 +12,6 @@
 #include "src/net/tcp.h"
 #include "src/replication/replication_agent.h"
 #include "src/storage/storage_node.h"
-#include "src/txn/transaction.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus {
@@ -93,7 +92,7 @@ TEST(EndToEndInProcTest, ProberKeepsMonitorFresh) {
 }
 
 TEST(EndToEndTcpTest, FullStackOverSockets) {
-  // One primary storage node served over TCP; client + transactions on top.
+  // One primary storage node served over TCP; the client on top.
   StorageNode node("primary", "dc1", RealClock::Instance());
   Tablet::Options tablet_options;
   tablet_options.is_primary = true;
@@ -120,20 +119,6 @@ TEST(EndToEndTcpTest, FullStackOverSockets) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->value, "v-over-tcp");
   EXPECT_EQ(got->outcome.met_rank, 0);
-
-  // Transactions across the same socket.
-  txn::TransactionFactory factory(&client);
-  txn::Transaction txn = std::move(factory.Begin(session)).value();
-  ASSERT_TRUE(txn.Put("a", "1").ok());
-  ASSERT_TRUE(txn.Put("b", "2").ok());
-  Result<txn::CommitInfo> commit = txn.Commit();
-  ASSERT_TRUE(commit.ok());
-  EXPECT_EQ(commit->writes_applied, 2);
-
-  Result<core::GetResult> a = client.Get(session, "a");
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->value, "1");
-  EXPECT_EQ(a->timestamp, commit->commit_timestamp);
   server.Stop();
 }
 

@@ -76,14 +76,11 @@ TEST(FuzzTest, DecodeMessageSurvivesMutatedValidMessages) {
     }
     sync.heartbeat = Timestamp{200, 0};
     corpus.push_back(proto::EncodeMessage(sync));
-    proto::CommitRequest commit;
-    commit.table = "t";
-    commit.read_keys = {"a", "b"};
-    proto::ObjectVersion w;
-    w.key = "c";
-    w.value = "val";
-    commit.writes.push_back(w);
-    corpus.push_back(proto::EncodeMessage(commit));
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = "c";
+    put.value = "val";
+    corpus.push_back(proto::EncodeMessage(put));
   }
 
   for (int round = 0; round < 20000; ++round) {

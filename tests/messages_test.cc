@@ -197,47 +197,6 @@ TEST(MessagesTest, EmptySyncReplyRoundTrip) {
   EXPECT_FALSE(out.has_more);
 }
 
-TEST(MessagesTest, GetAtRoundTrip) {
-  GetAtRequest req;
-  req.table = "t";
-  req.key = "k";
-  req.snapshot = Timestamp{42, 0};
-  EXPECT_EQ(RoundTrip(req).snapshot, req.snapshot);
-
-  GetAtReply reply;
-  reply.found = true;
-  reply.value = "v";
-  reply.value_timestamp = Timestamp{41, 0};
-  reply.snapshot_available = false;
-  const GetAtReply out = RoundTrip(reply);
-  EXPECT_TRUE(out.found);
-  EXPECT_FALSE(out.snapshot_available);
-}
-
-TEST(MessagesTest, CommitRoundTrip) {
-  CommitRequest req;
-  req.table = "t";
-  req.snapshot = Timestamp{10, 0};
-  req.read_keys = {"a", "b"};
-  ObjectVersion w;
-  w.key = "c";
-  w.value = "v";
-  req.writes.push_back(w);
-  req.validate_reads = true;
-  const CommitRequest out = RoundTrip(req);
-  EXPECT_EQ(out.read_keys, req.read_keys);
-  ASSERT_EQ(out.writes.size(), 1u);
-  EXPECT_EQ(out.writes[0].key, "c");
-  EXPECT_TRUE(out.validate_reads);
-
-  CommitReply reply;
-  reply.committed = false;
-  reply.conflict_key = "c";
-  const CommitReply out_reply = RoundTrip(reply);
-  EXPECT_FALSE(out_reply.committed);
-  EXPECT_EQ(out_reply.conflict_key, "c");
-}
-
 TEST(MessagesTest, RangeRoundTrip) {
   RangeRequest req;
   req.table = "t";
@@ -343,19 +302,23 @@ TEST(MessagesTest, TabletMapLeaseAndDurableTimestampRoundTrip) {
 }
 
 TEST(MessagesTest, RetiredConfigTagRejected) {
-  // Tag 19 carried the table-wide config install, retired in wire v7. A
-  // well-formed frame (valid version and checksum) with that tag must still
-  // fail to decode rather than alias another message.
-  std::string bytes = EncodeMessage(Message(ProbeRequest{}));
-  bytes.resize(bytes.size() - 4);  // Drop the CRC trailer.
-  bytes[0] = '\x13';                // 19.
-  Encoder trailer;
-  trailer.PutFixed32(Crc32(bytes));
-  bytes += trailer.buffer();
-  const Result<Message> decoded = DecodeMessage(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(MessageTypeName(static_cast<MessageType>(19)), "Unknown");
+  // Tag 19 carried the table-wide config install, retired in wire v7, and
+  // tags 9 to 12 the snapshot-transaction extension's snapshot reads and
+  // commits. A well-formed frame (valid version and checksum) with such a
+  // tag must still fail to decode rather than alias another message.
+  for (const uint8_t tag : {19, 9, 10, 11, 12}) {
+    SCOPED_TRACE(static_cast<int>(tag));
+    std::string bytes = EncodeMessage(Message(ProbeRequest{}));
+    bytes.resize(bytes.size() - 4);  // Drop the CRC trailer.
+    bytes[0] = static_cast<char>(tag);
+    Encoder trailer;
+    trailer.PutFixed32(Crc32(bytes));
+    bytes += trailer.buffer();
+    const Result<Message> decoded = DecodeMessage(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(MessageTypeName(static_cast<MessageType>(tag)), "Unknown");
+  }
 }
 
 TEST(MessagesTest, TypeOfMatchesAlternative) {
@@ -366,7 +329,7 @@ TEST(MessagesTest, TypeOfMatchesAlternative) {
 
 TEST(MessagesTest, MessageTypeNamesAreDistinct) {
   EXPECT_EQ(MessageTypeName(MessageType::kGetRequest), "GetRequest");
-  EXPECT_EQ(MessageTypeName(MessageType::kCommitReply), "CommitReply");
+  EXPECT_EQ(MessageTypeName(MessageType::kTabletMapReply), "TabletMapReply");
 }
 
 // --- Malformed input ---

@@ -17,6 +17,7 @@
 #include "src/common/clock.h"
 #include "src/net/tcp.h"
 #include "src/storage/storage_node.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::net {
 namespace {
@@ -65,12 +66,12 @@ TEST(TcpTest, ManySequentialCallsOnOneConnection) {
   TcpChannel channel(server.port());
   for (int i = 0; i < 200; ++i) {
     proto::GetRequest request;
-    request.key = "k" + std::to_string(i);
+    request.key = NumberedKey("k", i);
     Result<proto::Message> reply =
         channel.Call(request, SecondsToMicroseconds(5));
     ASSERT_TRUE(reply.ok()) << i;
     EXPECT_EQ(std::get<proto::GetReply>(reply.value()).value,
-              "echo:k" + std::to_string(i));
+              NumberedKey("echo:k", i));
   }
   EXPECT_EQ(server.requests_handled(), 200u);
 }
@@ -284,7 +285,7 @@ proto::RangeReply ScanReply(int salt) {
   proto::RangeReply reply;
   for (int i = 0; i < 50; ++i) {
     proto::ObjectVersion item;
-    item.key = "user" + std::to_string(100000 + salt * 100 + i);
+    item.key = NumberedKey("user", 100000 + salt * 100 + i);
     item.value.assign(100, static_cast<char>('a' + (salt + i) % 26));
     item.timestamp = Timestamp{1'000'000 + i, static_cast<uint32_t>(salt)};
     reply.items.push_back(proto::MakeVersion(std::move(item)));
@@ -404,7 +405,7 @@ TEST(TcpPipelineTest, OutOfOrderRepliesMapToTheRightRequest) {
   CompletionLog log;
   for (int i = 0; i < kCalls; ++i) {
     proto::GetRequest request;
-    request.key = "k" + std::to_string(i);
+    request.key = NumberedKey("k", i);
     channel.CallAsync(request, SecondsToMicroseconds(10),
                       [&log, key = request.key](Result<proto::Message> reply) {
                         log.Record(key, std::move(reply));
@@ -417,7 +418,7 @@ TEST(TcpPipelineTest, OutOfOrderRepliesMapToTheRightRequest) {
     EXPECT_EQ(std::get<proto::GetReply>(reply.value()).value, "echo:" + key);
   }
   // ...and the completions genuinely arrived out of issue order.
-  EXPECT_EQ(log.done.front().first, "k" + std::to_string(kCalls - 1));
+  EXPECT_EQ(log.done.front().first, NumberedKey("k", kCalls - 1));
   EXPECT_EQ(log.done.back().first, "k0");
 }
 
@@ -590,11 +591,11 @@ TEST(TcpPipelineTest, PipelinedWritesToStorageNodeApplyInOrder) {
 
   constexpr int kWrites = 100;
   CompletionLog log;
+  proto::PutRequest put;
+  put.table = "t";
+  put.key = "k";
   for (int i = 0; i < kWrites; ++i) {
-    proto::PutRequest put;
-    put.table = "t";
-    put.key = "k";
-    put.value = "v" + std::to_string(i);
+    put.value = NumberedKey("v", i);
     channel.CallAsync(put, SecondsToMicroseconds(10),
                       [&log, tag = put.value](Result<proto::Message> reply) {
                         log.Record(tag, std::move(reply));
@@ -617,24 +618,23 @@ TEST(TcpPipelineTest, PipelinedWritesToStorageNodeApplyInOrder) {
   Result<proto::Message> got = channel.Call(get, SecondsToMicroseconds(5));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(std::get<proto::GetReply>(got.value()).value,
-            "v" + std::to_string(kWrites - 1));
+            NumberedKey("v", kWrites - 1));
 }
 
 TEST(TcpTest, ScansShareVersionsThatConcurrentWritesReplace) {
   // A scan reply holds the store's own versions and the server encodes it
-  // after the node lock is released, while writes keep replacing (and, with
-  // a one-version history, pruning) those versions. Every reply must still
-  // carry whole, correctly keyed items (TSan checks the sharing).
+  // after the node lock is released, while writes keep replacing those
+  // versions in the store. Every reply must still carry whole, correctly
+  // keyed items (TSan checks the sharing).
   storage::StorageNode node("n", "s", RealClock::Instance());
   storage::Tablet::Options options;
   options.is_primary = true;
-  options.store.history_limit = 1;
   ASSERT_TRUE(node.AddTablet("t", options).ok());
   constexpr int kKeys = 20;
   const auto write = [&node](int key, int round) {
     proto::PutRequest put;
     put.table = "t";
-    put.key = "k" + std::to_string(100 + key);
+    put.key = NumberedKey("k", 100 + key);
     put.value = put.key + ":" + std::to_string(round);
     put.value.resize(100, '.');
     return std::holds_alternative<proto::PutReply>(node.Handle(put));

@@ -22,6 +22,7 @@
 #include "src/persist/group_commit.h"
 #include "src/persist/wal.h"
 #include "src/util/crc32.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::persist {
 namespace {
@@ -189,8 +190,8 @@ TEST_F(PersistTest, AppendReplayRoundTrip) {
     auto wal = WriteAheadLog::Open(WalPath());
     ASSERT_TRUE(wal.ok());
     for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(wal->AppendVersion(V("key" + std::to_string(i),
-                                       "value" + std::to_string(i),
+      ASSERT_TRUE(wal->AppendVersion(V(NumberedKey("key", i),
+                                       NumberedKey("value", i),
                                        1000 + i))
                       .ok());
     }
@@ -285,7 +286,7 @@ TEST_F(PersistTest, TornTailIsDiscardedNotFatal) {
   {
     auto wal = WriteAheadLog::Open(WalPath());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(wal->AppendVersion(V("k" + std::to_string(i), "v", i)).ok());
+      ASSERT_TRUE(wal->AppendVersion(V(NumberedKey("k", i), "v", i)).ok());
     }
   }
   // Chop a few bytes off the end: a crash mid-append.
@@ -305,7 +306,7 @@ TEST_F(PersistTest, EverySuffixTruncationRecoversAPrefix) {
   {
     auto wal = WriteAheadLog::Open(WalPath());
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(wal->AppendVersion(V("k" + std::to_string(i), "v", i)).ok());
+      ASSERT_TRUE(wal->AppendVersion(V(NumberedKey("k", i), "v", i)).ok());
     }
   }
   const off_t full = FileSize(WalPath());
@@ -324,7 +325,7 @@ TEST_F(PersistTest, MidLogCorruptionIsReported) {
     auto wal = WriteAheadLog::Open(WalPath());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(
-          wal->AppendVersion(V("k" + std::to_string(i), "vvvv", i)).ok());
+          wal->AppendVersion(V(NumberedKey("k", i), "vvvv", i)).ok());
     }
   }
   // Flip a payload byte in the middle of the file.
@@ -359,8 +360,8 @@ TEST_F(PersistTest, DurableTabletSurvivesReopen) {
     ASSERT_TRUE(tablet.ok()) << tablet.status();
     for (int i = 0; i < 50; ++i) {
       clock.AdvanceMicros(5);
-      auto reply = (*tablet)->HandlePut("k" + std::to_string(i),
-                                        "v" + std::to_string(i));
+      auto reply = (*tablet)->HandlePut(NumberedKey("k", i),
+                                        NumberedKey("v", i));
       ASSERT_TRUE(reply.ok());
       last_put = reply->timestamp;
     }
@@ -370,9 +371,9 @@ TEST_F(PersistTest, DurableTabletSurvivesReopen) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->recovery_info().wal_versions, 50u);
   for (int i = 0; i < 50; ++i) {
-    const auto reply = (*reopened)->HandleGet("k" + std::to_string(i));
+    const auto reply = (*reopened)->HandleGet(NumberedKey("k", i));
     ASSERT_TRUE(reply.found) << i;
-    EXPECT_EQ(reply.value, "v" + std::to_string(i));
+    EXPECT_EQ(reply.value, NumberedKey("v", i));
   }
   EXPECT_GE((*reopened)->tablet().high_timestamp(), last_put);
 
@@ -395,13 +396,13 @@ TEST_F(PersistTest, CheckpointPlusWalRecovery) {
     ASSERT_TRUE(tablet.ok());
     for (int i = 0; i < 20; ++i) {
       clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)->HandlePut("pre" + std::to_string(i), "x").ok());
+      ASSERT_TRUE((*tablet)->HandlePut(NumberedKey("pre", i), "x").ok());
     }
     ASSERT_TRUE((*tablet)->Checkpoint().ok());
     EXPECT_EQ((*tablet)->wal().bytes_written(), 0u);
     for (int i = 0; i < 10; ++i) {
       clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)->HandlePut("post" + std::to_string(i), "y").ok());
+      ASSERT_TRUE((*tablet)->HandlePut(NumberedKey("post", i), "y").ok());
     }
   }
 
@@ -422,7 +423,7 @@ TEST_F(PersistTest, TornWalTailAfterCrashStillRecovers) {
     auto tablet = DurableTablet::Open(options, &clock);
     for (int i = 0; i < 10; ++i) {
       clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)->HandlePut("k" + std::to_string(i), "v").ok());
+      ASSERT_TRUE((*tablet)->HandlePut(NumberedKey("k", i), "v").ok());
     }
   }
   TruncateFile(dir_ + "/wal.log", FileSize(dir_ + "/wal.log") - 2);
@@ -447,7 +448,7 @@ TEST_F(PersistTest, ReplicatedStateIsJournaled) {
   storage::Tablet primary(primary_options, &clock);
   for (int i = 0; i < 15; ++i) {
     clock.AdvanceMicros(5);
-    (void)primary.HandlePut("k" + std::to_string(i), "v");
+    (void)primary.HandlePut(NumberedKey("k", i), "v");
   }
 
   Timestamp high_after_sync;
@@ -479,38 +480,11 @@ TEST_F(PersistTest, AutoCheckpointTriggersOnThreshold) {
   const std::string value(128, 'v');
   for (int i = 0; i < 100; ++i) {
     clock.AdvanceMicros(5);
-    ASSERT_TRUE((*tablet)->HandlePut("k" + std::to_string(i), value).ok());
+    ASSERT_TRUE((*tablet)->HandlePut(NumberedKey("k", i), value).ok());
   }
   // The WAL was truncated at least once.
   EXPECT_LT((*tablet)->wal().bytes_written(), 100 * (128 + 32));
   EXPECT_EQ(FileSize(dir_ + "/checkpoint.db") > 0, true);
-}
-
-TEST_F(PersistTest, CommitIsJournaled) {
-  ManualClock clock(1000);
-  DurableTablet::Options options;
-  options.directory = dir_;
-  options.tablet.is_primary = true;
-  {
-    auto tablet = DurableTablet::Open(options, &clock);
-    proto::CommitRequest request;
-    request.snapshot = Timestamp::Zero();
-    for (const char* key : {"a", "b"}) {
-      proto::ObjectVersion w;
-      w.key = key;
-      w.value = "tx";
-      request.writes.push_back(w);
-    }
-    auto reply = (*tablet)->tablet().HandleCommit(request);
-    ASSERT_TRUE(reply.ok());
-    ASSERT_TRUE(reply->committed);
-  }
-  auto reopened = DurableTablet::Open(options, &clock);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_TRUE((*reopened)->HandleGet("a").found);
-  EXPECT_TRUE((*reopened)->HandleGet("b").found);
-  EXPECT_EQ((*reopened)->HandleGet("a").value_timestamp,
-            (*reopened)->HandleGet("b").value_timestamp);
 }
 
 TEST_F(PersistTest, DeletesSurviveRecovery) {
@@ -575,7 +549,7 @@ TEST_F(PersistTest, CorruptCheckpointIsRejected) {
     auto tablet = DurableTablet::Open(options, &clock);
     for (int i = 0; i < 5; ++i) {
       clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)->HandlePut("k" + std::to_string(i), "v").ok());
+      ASSERT_TRUE((*tablet)->HandlePut(NumberedKey("k", i), "v").ok());
     }
     ASSERT_TRUE((*tablet)->Checkpoint().ok());
   }
@@ -742,7 +716,7 @@ TEST_F(PersistTest, CheckpointedSplitReopensTheSameContentsAndRange) {
     for (int i = 0; i < 12; ++i) {
       clock.AdvanceMicros(5);
       ASSERT_TRUE((*tablet)
-                      ->HandlePut("k" + std::to_string(10 + i),
+                      ->HandlePut(NumberedKey("k", 10 + i),
                                   std::string(i * 7, 'a' + i))
                       .ok());
     }

@@ -14,6 +14,7 @@
 #include "src/storage/storage_node.h"
 #include "src/storage/tablet.h"
 #include "src/storage/tablet_journal.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::replication {
 namespace {
@@ -47,7 +48,7 @@ struct Fixture {
   }
   void PutMany(int n) {
     for (int i = 0; i < n; ++i) {
-      Put("k" + std::to_string(i));
+      Put(NumberedKey("k", i));
     }
   }
 
@@ -155,8 +156,7 @@ TEST(ReplicationAgentTest, ErrorReplyFailsThePull) {
 // Counts Sync() calls; records nothing.
 struct CountingJournal : storage::TabletJournal {
   int syncs = 0;
-  Status RecordVersions(Tablet&,
-                        std::span<const storage::VersionPtr>) override {
+  Status RecordVersion(Tablet&, const storage::VersionPtr&) override {
     return Status::Ok();
   }
   Status RecordHeartbeat(Tablet&) override { return Status::Ok(); }
@@ -273,7 +273,7 @@ TEST(BlockingPullerTest, DeliversInTimestampOrderPrefix) {
   ASSERT_TRUE(BlockingPuller(&agent, fx.SyncFn()).PullOnce().ok());
   const Tablet* tablet = fx.secondary.FindTablet("t", "");
   for (int i = 0; i < 50; ++i) {
-    const auto reply = tablet->HandleGet("k" + std::to_string(i));
+    const auto reply = tablet->HandleGet(NumberedKey("k", i));
     ASSERT_TRUE(reply.found) << i;
     EXPECT_LE(reply.value_timestamp, tablet->high_timestamp());
   }
@@ -338,7 +338,7 @@ TEST(ThreadedPullerTest, ThreadedPullRacesNoReads) {
     proto::GetRequest get;
     get.table = "t";
     for (int i = 0; !done.load(); ++i) {
-      get.key = "k" + std::to_string(i % 20);
+      get.key = NumberedKey("k", i % 20);
       (void)fx.secondary.Handle(get);
     }
   });

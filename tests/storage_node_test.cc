@@ -8,10 +8,12 @@
 #include <sys/stat.h>
 
 #include <string>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/persist/durable_tablet.h"
 #include "src/storage/storage_node.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::storage {
 namespace {
@@ -374,54 +376,6 @@ TEST_P(StorageNodeTest, SyncDispatch) {
   EXPECT_EQ(sync_reply->versions.size(), 1u);
 }
 
-TEST_P(StorageNodeTest, GetAtDispatch) {
-  proto::PutRequest put;
-  put.table = "t";
-  put.key = "k";
-  put.value = "v";
-  (void)node_.Handle(put);
-
-  proto::GetAtRequest get_at;
-  get_at.table = "t";
-  get_at.key = "k";
-  get_at.snapshot = Timestamp::Max();
-  proto::Message reply = node_.Handle(get_at);
-  const auto* at_reply = std::get_if<proto::GetAtReply>(&reply);
-  ASSERT_NE(at_reply, nullptr);
-  EXPECT_TRUE(at_reply->found);
-}
-
-TEST_P(StorageNodeTest, ReadOnlyCommitTriviallySucceeds) {
-  proto::CommitRequest commit;
-  commit.table = "t";
-  proto::Message reply = node_.Handle(commit);
-  const auto* commit_reply = std::get_if<proto::CommitReply>(&reply);
-  ASSERT_NE(commit_reply, nullptr);
-  EXPECT_TRUE(commit_reply->committed);
-}
-
-TEST_P(StorageNodeTest, CrossTabletCommitRejected) {
-  ManualClock clock(1);
-  StorageNode node("n", "s", &clock);
-  for (const auto& range : SplitKeySpaceEvenly(2)) {
-    Tablet::Options options;
-    options.range = range;
-    options.is_primary = true;
-    ASSERT_TRUE(AddTablet(node, &clock, "t", options).ok());
-  }
-  proto::CommitRequest commit;
-  commit.table = "t";
-  proto::ObjectVersion low;
-  low.key = "A-low-half";  // Byte 0x41: below the 0x80 split.
-  proto::ObjectVersion high;
-  high.key = "\xF0-high-half";  // Byte 0xF0: above the split.
-  commit.writes = {low, high};
-  proto::Message reply = node.Handle(commit);
-  const auto* err = std::get_if<proto::ErrorReply>(&reply);
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->code, StatusCode::kInvalidArgument);
-}
-
 TEST_P(StorageNodeTest, RangeScanAcrossMultipleTablets) {
   ManualClock clock(1);
   StorageNode node("n", "s", &clock);
@@ -436,7 +390,7 @@ TEST_P(StorageNodeTest, RangeScanAcrossMultipleTablets) {
     proto::PutRequest put;
     put.table = "t";
     put.key = std::string(1, static_cast<char>(c));
-    put.value = "v" + std::to_string(c);
+    put.value = NumberedKey("v", c);
     clock.AdvanceMicros(1);
     ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node.Handle(put)));
   }
@@ -485,7 +439,7 @@ TEST_P(StorageNodeTest, RangeReplySharesTheStoresVersions) {
   for (int i = 0; i < 60; ++i) {
     proto::PutRequest put;
     put.table = "t";
-    put.key = "user" + std::to_string(100000 + i);
+    put.key = NumberedKey("user", 100000 + i);
     put.value.assign(100, static_cast<char>('a' + i % 26));
     clock_.AdvanceMicros(1);
     ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
@@ -512,7 +466,7 @@ TEST_P(StorageNodeTest, RangeReplySharesTheStoresVersions) {
     proto::PutRequest put;
     put.table = "t";
     put.key = first->key;
-    put.value = "rewritten " + std::to_string(i);
+    put.value = NumberedKey("rewritten ", i);
     clock_.AdvanceMicros(1);
     ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
   }
@@ -612,33 +566,42 @@ TEST_P(StorageNodeTest, WholeTablePullCoversEverySplitTablet) {
   EXPECT_TRUE(batch->has_more);
 }
 
-// A serializable commit validates its reads in the tablet it commits to;
-// a read key in another tablet cannot be validated there, so the commit is
-// rejected rather than committed over a changed read.
-TEST_P(StorageNodeTest, CommitValidatingAReadInAnotherTabletRejected) {
+// Split tablets on one node can assign one timestamp twice. A batched pull
+// that ends inside such a run must take the whole run: the receiver pulls
+// after the reply's heartbeat next, so a cut run would lose its rest.
+TEST_P(StorageNodeTest, BatchedPullNeverCutsASameTimestampRun) {
   ASSERT_TRUE(node_.SplitTablet("t", "m").ok());
-  clock_.AdvanceMicros(1);
-  const Timestamp snapshot{clock_.NowMicros(), 0};
-  clock_.AdvanceMicros(1);
-  proto::PutRequest put;
-  put.table = "t";
-  put.key = "x";
-  put.value = "changed-after-the-snapshot";
-  ASSERT_TRUE(std::holds_alternative<proto::PutReply>(node_.Handle(put)));
+  Timestamp written[2];
+  const char* keys[2] = {"a", "x"};
+  for (int i = 0; i < 2; ++i) {
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = keys[i];
+    put.value = "v";
+    proto::Message reply = node_.Handle(put);
+    ASSERT_TRUE(std::holds_alternative<proto::PutReply>(reply));
+    written[i] = std::get<proto::PutReply>(reply).timestamp;
+  }
+  ASSERT_EQ(written[0], written[1]);
+  clock_.AdvanceMicros(10);
 
-  proto::CommitRequest commit;
-  commit.table = "t";
-  commit.snapshot = snapshot;
-  commit.validate_reads = true;
-  commit.read_keys = {"x"};
-  proto::ObjectVersion write;
-  write.key = "b";
-  write.value = "v";
-  commit.writes = {write};
-  proto::Message reply = node_.Handle(commit);
-  const auto* err = std::get_if<proto::ErrorReply>(&reply);
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->code, StatusCode::kInvalidArgument);
+  proto::SyncRequest pull;
+  pull.table = "t";
+  pull.max_versions = 1;
+  std::vector<std::string> received;
+  for (int round = 0; round < 4; ++round) {
+    proto::Message reply = node_.Handle(pull);
+    const auto* batch = std::get_if<proto::SyncReply>(&reply);
+    ASSERT_NE(batch, nullptr);
+    for (const proto::ObjectVersion& version : batch->versions) {
+      received.push_back(version.key);
+    }
+    if (!batch->has_more) {
+      break;
+    }
+    pull.after = batch->heartbeat;
+  }
+  EXPECT_EQ(received, (std::vector<std::string>{"a", "x"}));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the tablet: timestamp assignment, request handlers, replication
-// apply, heartbeats, role changes, and transactional commit.
+// apply, heartbeats, role changes, splits, and version sharing.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "src/common/clock.h"
 #include "src/storage/tablet.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::storage {
 namespace {
@@ -35,7 +36,7 @@ TEST(TabletTest, SameMicrosecondPutsGetIncreasingSequence) {
   Tablet tablet(PrimaryOptions(), &clock);
   Timestamp last = Timestamp::Zero();
   for (int i = 0; i < 100; ++i) {
-    auto reply = tablet.HandlePut("k" + std::to_string(i), "v");
+    auto reply = tablet.HandlePut(NumberedKey("k", i), "v");
     ASSERT_TRUE(reply.ok());
     EXPECT_GT(reply->timestamp, last);
     last = reply->timestamp;
@@ -108,7 +109,7 @@ TEST(TabletTest, SyncDeliversUpdatesInOrder) {
 
   for (int i = 0; i < 20; ++i) {
     clock.AdvanceMicros(5);
-    (void)primary.HandlePut("k" + std::to_string(i), "v");
+    (void)primary.HandlePut(NumberedKey("k", i), "v");
   }
   auto reply = primary.HandleSync(secondary.high_timestamp(), 0);
   EXPECT_EQ(reply.versions.size(), 20u);
@@ -162,7 +163,7 @@ TEST(TabletTest, ChainedSyncThroughSecondary) {
 
   for (int i = 0; i < 5; ++i) {
     clock.AdvanceMicros(3);
-    (void)primary.HandlePut("k" + std::to_string(i), "v");
+    (void)primary.HandlePut(NumberedKey("k", i), "v");
   }
   mid.ApplySync(primary.HandleSync(mid.high_timestamp(), 0));
   leaf.ApplySync(mid.HandleSync(leaf.high_timestamp(), 0));
@@ -176,7 +177,7 @@ TEST(TabletTest, SyncAfterLogTruncationFallsBackToFullState) {
   Tablet primary(PrimaryOptions(), &clock);
   for (int i = 0; i < 10; ++i) {
     clock.AdvanceMicros(3);
-    (void)primary.HandlePut("k" + std::to_string(i), "v");
+    (void)primary.HandlePut(NumberedKey("k", i), "v");
   }
   primary.update_log().TruncateThrough(Timestamp{1015, 0});
 
@@ -284,28 +285,12 @@ TEST(TabletTest, DeletedKeysSkippedInRangeScans) {
   EXPECT_EQ(range.items[1]->key, "c");
 }
 
-TEST(TabletTest, SnapshotReadsSeePreDeleteValue) {
-  ManualClock clock(1000);
-  Tablet tablet(PrimaryOptions(), &clock);
-  const Timestamp put_ts = tablet.HandlePut("k", "v")->timestamp;
-  clock.AdvanceMicros(10);
-  (void)tablet.HandleDelete("k");
-
-  // At the pre-delete snapshot the value exists; at the latest it does not.
-  auto before = tablet.HandleGetAt("k", put_ts);
-  EXPECT_TRUE(before.found);
-  EXPECT_EQ(before.value, "v");
-  auto after = tablet.HandleGetAt("k", Timestamp::Max());
-  EXPECT_FALSE(after.found);
-  EXPECT_TRUE(after.snapshot_available);
-}
-
 TEST(TabletTest, CompactLogPreservesSyncCorrectness) {
   ManualClock clock(1000);
   Tablet primary(PrimaryOptions(), &clock);
   for (int i = 0; i < 10; ++i) {
     clock.AdvanceMicros(5);
-    (void)primary.HandlePut("k" + std::to_string(i), "v");
+    (void)primary.HandlePut(NumberedKey("k", i), "v");
   }
   const Timestamp mid = primary.update_log()
                             .Scan(Timestamp::Zero(), 5)
@@ -319,7 +304,7 @@ TEST(TabletTest, CompactLogPreservesSyncCorrectness) {
   Tablet fresh(SecondaryOptions(), &clock);
   fresh.ApplySync(primary.HandleSync(Timestamp::Zero(), 0));
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(fresh.HandleGet("k" + std::to_string(i)).found) << i;
+    EXPECT_TRUE(fresh.HandleGet(NumberedKey("k", i)).found) << i;
   }
 
   // An up-to-date secondary keeps pulling incrementally.
@@ -360,134 +345,6 @@ TEST(TabletTest, ClockSkewShiftsBoundedStalenessByTheOffset) {
                        0}));
 }
 
-TEST(TabletTest, GetAtServesSnapshots) {
-  ManualClock clock(1000);
-  Tablet tablet(PrimaryOptions(), &clock);
-  const Timestamp t1 = tablet.HandlePut("k", "v1")->timestamp;
-  clock.AdvanceMicros(10);
-  (void)tablet.HandlePut("k", "v2");
-
-  auto reply = tablet.HandleGetAt("k", t1);
-  EXPECT_TRUE(reply.found);
-  EXPECT_TRUE(reply.snapshot_available);
-  EXPECT_EQ(reply.value, "v1");
-}
-
-// --- Transactional commit ---
-
-TEST(TabletTest, CommitAppliesAllWritesAtomically) {
-  ManualClock clock(1000);
-  Tablet tablet(PrimaryOptions(), &clock);
-
-  proto::CommitRequest request;
-  request.snapshot = Timestamp::Zero();
-  for (const char* key : {"a", "b", "c"}) {
-    proto::ObjectVersion w;
-    w.key = key;
-    w.value = std::string("tx-") + key;
-    request.writes.push_back(w);
-  }
-  auto reply = tablet.HandleCommit(request);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_TRUE(reply->committed);
-  for (const char* key : {"a", "b", "c"}) {
-    auto get = tablet.HandleGet(key);
-    EXPECT_TRUE(get.found);
-    EXPECT_EQ(get.value_timestamp, reply->commit_timestamp);
-  }
-}
-
-TEST(TabletTest, CommitDetectsWriteWriteConflict) {
-  ManualClock clock(1000);
-  Tablet tablet(PrimaryOptions(), &clock);
-  const Timestamp snapshot{clock.NowMicros(), 0};
-  clock.AdvanceMicros(10);
-  (void)tablet.HandlePut("a", "concurrent");  // After the snapshot.
-
-  proto::CommitRequest request;
-  request.snapshot = snapshot;
-  proto::ObjectVersion w;
-  w.key = "a";
-  w.value = "tx";
-  request.writes.push_back(w);
-
-  auto reply = tablet.HandleCommit(request);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_FALSE(reply->committed);
-  EXPECT_EQ(reply->conflict_key, "a");
-  EXPECT_EQ(tablet.HandleGet("a").value, "concurrent");
-}
-
-TEST(TabletTest, CommitValidatesReadsWhenAsked) {
-  ManualClock clock(1000);
-  Tablet tablet(PrimaryOptions(), &clock);
-  const Timestamp snapshot{clock.NowMicros(), 0};
-  clock.AdvanceMicros(10);
-  (void)tablet.HandlePut("r", "changed");
-
-  proto::CommitRequest request;
-  request.snapshot = snapshot;
-  request.read_keys.push_back("r");
-  proto::ObjectVersion w;
-  w.key = "w";
-  w.value = "tx";
-  request.writes.push_back(w);
-
-  request.validate_reads = false;
-  auto no_validate = tablet.HandleCommit(request);
-  ASSERT_TRUE(no_validate.ok());
-  EXPECT_TRUE(no_validate->committed);  // Snapshot isolation allows it.
-
-  // Second transaction with a fresh snapshot (so its write key is clean),
-  // whose read key is then overwritten: read validation must reject it.
-  clock.AdvanceMicros(10);
-  proto::CommitRequest second = request;
-  second.snapshot = Timestamp{clock.NowMicros(), 0};
-  second.writes[0].key = "w2";
-  clock.AdvanceMicros(10);
-  (void)tablet.HandlePut("r", "changed again");
-  second.validate_reads = true;
-  auto validate = tablet.HandleCommit(second);
-  ASSERT_TRUE(validate.ok());
-  EXPECT_FALSE(validate->committed);  // Serializability check rejects it.
-  EXPECT_EQ(validate->conflict_key, "r");
-}
-
-TEST(TabletTest, CommitRejectedAtSecondary) {
-  ManualClock clock(1000);
-  Tablet tablet(SecondaryOptions(), &clock);
-  proto::CommitRequest request;
-  proto::ObjectVersion w;
-  w.key = "a";
-  request.writes.push_back(w);
-  auto reply = tablet.HandleCommit(request);
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), StatusCode::kNotPrimary);
-}
-
-TEST(TabletTest, CommittedBatchReplicatesAsAUnit) {
-  ManualClock clock(1000);
-  Tablet primary(PrimaryOptions(), &clock);
-  Tablet secondary(SecondaryOptions(), &clock);
-
-  proto::CommitRequest request;
-  request.snapshot = Timestamp::Zero();
-  for (const char* key : {"a", "b", "c"}) {
-    proto::ObjectVersion w;
-    w.key = key;
-    w.value = "tx";
-    request.writes.push_back(w);
-  }
-  ASSERT_TRUE(primary.HandleCommit(request)->committed);
-
-  // Even with max_versions = 1, the same-timestamp batch arrives whole.
-  auto reply = primary.HandleSync(Timestamp::Zero(), 1);
-  EXPECT_EQ(reply.versions.size(), 3u);
-  secondary.ApplySync(reply);
-  EXPECT_TRUE(secondary.HandleGet("a").found);
-  EXPECT_TRUE(secondary.HandleGet("c").found);
-}
-
 // --- One copy of each version per node ---
 
 // True when the store's latest version of `key` and the update log's newest
@@ -508,25 +365,11 @@ TEST(TabletTest, EveryMutationSharesOneVersionWithTheLog) {
   ASSERT_TRUE(primary.HandleDelete("k").ok());
   EXPECT_TRUE(StoreHeadIsLogTail(primary, "k"));
 
-  clock.AdvanceMicros(5);
-  proto::CommitRequest request;
-  request.snapshot = primary.high_timestamp();
-  for (const char* key : {"a", "b"}) {
-    proto::ObjectVersion w;
-    w.key = key;
-    w.value = std::string("tx-") + key;
-    request.writes.push_back(w);
-  }
-  auto commit = primary.HandleCommit(request);
-  ASSERT_TRUE(commit.ok());
-  ASSERT_TRUE(commit->committed);
-  EXPECT_TRUE(StoreHeadIsLogTail(primary, "b"));
-
   Tablet secondary(SecondaryOptions(), &clock);
   ASSERT_TRUE(
       secondary.ApplySync(primary.HandleSync(Timestamp::Zero(), 0)).ok());
-  EXPECT_TRUE(StoreHeadIsLogTail(secondary, "b"));
-  EXPECT_EQ(secondary.update_log().size(), 4u);
+  EXPECT_TRUE(StoreHeadIsLogTail(secondary, "k"));
+  EXPECT_EQ(secondary.update_log().size(), 2u);
 
   Tablet sync_replica(SecondaryOptions(), &clock);
   proto::ObjectVersion forwarded;
@@ -539,16 +382,13 @@ TEST(TabletTest, EveryMutationSharesOneVersionWithTheLog) {
 
 TEST(TabletTest, LogServesVersionsTheStorePruned) {
   ManualClock clock(1000);
-  Tablet::Options options = PrimaryOptions();
-  options.store.history_limit = 1;
-  Tablet primary(options, &clock);
-  auto first = primary.HandlePut("k", "v1");
-  ASSERT_TRUE(first.ok());
+  Tablet primary(PrimaryOptions(), &clock);
+  ASSERT_TRUE(primary.HandlePut("k", "v1").ok());
   clock.AdvanceMicros(5);
   ASSERT_TRUE(primary.HandlePut("k", "v2").ok());
 
   // The store kept only v2 ...
-  EXPECT_FALSE(primary.HandleGetAt("k", first->timestamp).snapshot_available);
+  EXPECT_EQ(primary.store().GetLatest("k")->value, "v2");
   EXPECT_EQ(primary.ApproximateBytes(), 3u);  // "k" + "v2".
   // ... yet the log still replicates both, in order.
   auto scan = primary.update_log().Scan(Timestamp::Zero(), 0);
@@ -574,13 +414,11 @@ TEST(TabletTest, CompactingTheLogLeavesStoreReadsIntact) {
   primary.update_log().TruncateThrough(stamps[1]);
   EXPECT_EQ(primary.update_log().size(), 2u);
   EXPECT_EQ(primary.HandleGet("a").value, "a3");
-  EXPECT_EQ(primary.HandleGetAt("a", stamps[0]).value, "a1");
 
   primary.CompactLog(primary.high_timestamp());
   EXPECT_TRUE(primary.update_log().empty());
   EXPECT_EQ(primary.HandleGet("a").value, "a3");
   EXPECT_EQ(primary.HandleGet("b").value, "b1");
-  EXPECT_EQ(primary.HandleGetAt("a", stamps[1]).value, "a2");
   EXPECT_EQ(primary.HandleRange("", "", 0).items.size(), 2u);
 }
 

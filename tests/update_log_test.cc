@@ -65,7 +65,7 @@ TEST(UpdateLogTest, MaxVersionsSetsHasMore) {
 TEST(UpdateLogTest, SameTimestampBatchNeverSplit) {
   UpdateLog log;
   log.Append(V("a", 10));
-  // A transactional commit: three writes at one timestamp.
+  // Three writes at one timestamp, as a replica of split tablets logs them.
   log.Append(V("x", 20));
   log.Append(V("y", 20));
   log.Append(V("z", 20));

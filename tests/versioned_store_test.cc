@@ -1,8 +1,9 @@
-// Tests for the multi-version tablet store.
+// Tests for the tablet store.
 
 #include <gtest/gtest.h>
 
 #include "src/storage/versioned_store.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::storage {
 namespace {
@@ -51,66 +52,6 @@ TEST(VersionedStoreTest, DuplicateApplyIsIdempotent) {
   store.Apply(V("k", "v1", 10));
   EXPECT_TRUE(store.Apply(V("k", "v1", 10)));
   EXPECT_EQ(store.GetLatest("k")->value, "v1");
-}
-
-TEST(VersionedStoreTest, GetAtFindsHistoricalVersion) {
-  VersionedStore store;
-  store.Apply(V("k", "v1", 10));
-  store.Apply(V("k", "v2", 20));
-  store.Apply(V("k", "v3", 30));
-
-  auto result = store.GetAt("k", Timestamp{25, 0});
-  EXPECT_TRUE(result.found);
-  EXPECT_TRUE(result.snapshot_available);
-  EXPECT_EQ(result.version.value, "v2");
-
-  result = store.GetAt("k", Timestamp{30, 0});  // Inclusive.
-  EXPECT_EQ(result.version.value, "v3");
-}
-
-TEST(VersionedStoreTest, GetAtBeforeFirstVersion) {
-  VersionedStore store;
-  store.Apply(V("k", "v1", 10));
-  auto result = store.GetAt("k", Timestamp{5, 0});
-  EXPECT_FALSE(result.found);
-  // Nothing was pruned, so the snapshot is still answerable: the key simply
-  // did not exist then.
-  EXPECT_TRUE(result.snapshot_available);
-}
-
-TEST(VersionedStoreTest, GetAtUnknownKey) {
-  VersionedStore store;
-  auto result = store.GetAt("missing", Timestamp{100, 0});
-  EXPECT_FALSE(result.found);
-  EXPECT_TRUE(result.snapshot_available);
-}
-
-TEST(VersionedStoreTest, HistoryLimitPrunesAndMarksUnavailable) {
-  VersionedStore::Options options;
-  options.history_limit = 2;
-  VersionedStore store(options);
-  store.Apply(V("k", "v1", 10));
-  store.Apply(V("k", "v2", 20));
-  store.Apply(V("k", "v3", 30));  // Prunes v1.
-
-  EXPECT_EQ(store.GetLatest("k")->value, "v3");
-  // v2 still reachable.
-  EXPECT_EQ(store.GetAt("k", Timestamp{20, 0}).version.value, "v2");
-  // Snapshot at 15 needed v1, which was pruned.
-  auto result = store.GetAt("k", Timestamp{15, 0});
-  EXPECT_FALSE(result.found);
-  EXPECT_FALSE(result.snapshot_available);
-}
-
-TEST(VersionedStoreTest, HistoryLimitOneMatchesPaperPrototype) {
-  VersionedStore::Options options;
-  options.history_limit = 1;
-  VersionedStore store(options);
-  store.Apply(V("k", "v1", 10));
-  store.Apply(V("k", "v2", 20));
-  EXPECT_EQ(store.GetLatest("k")->value, "v2");
-  auto result = store.GetAt("k", Timestamp{15, 0});
-  EXPECT_FALSE(result.snapshot_available);
 }
 
 TEST(VersionedStoreTest, LatestVersionsAfterSortsByTimestamp) {
@@ -178,7 +119,7 @@ TEST(VersionedStoreTest, ScanRangeHonorsBounds) {
 TEST(VersionedStoreTest, ScanRangeLimitTruncates) {
   VersionedStore store;
   for (int i = 0; i < 10; ++i) {
-    store.Apply(V("k" + std::to_string(i), "v", 10 + i));
+    store.Apply(V(NumberedKey("k", i), "v", 10 + i));
   }
   bool truncated = false;
   auto items = store.ScanRange("", "", 3, &truncated);
@@ -227,7 +168,7 @@ TEST(VersionedStoreTest, CollectedTombstoneStillReadsNotFound) {
 TEST(VersionedStoreTest, ManyKeysIndependentChains) {
   VersionedStore store;
   for (int i = 0; i < 1000; ++i) {
-    store.Apply(V("key" + std::to_string(i), "v", 100 + i));
+    store.Apply(V(NumberedKey("key", i), "v", 100 + i));
   }
   EXPECT_EQ(store.key_count(), 1000u);
   EXPECT_EQ(store.GetLatest("key500")->timestamp, (Timestamp{600, 0}));
@@ -240,19 +181,17 @@ TEST(VersionedStoreTest, ApplyKeepsTheVersionItWasGiven) {
   const VersionPtr v1 = V("k", "v1", 10);
   store.Apply(v1);
   EXPECT_EQ(store.GetLatest("k").get(), v1.get());
-  // An exact duplicate is a no-op: the chain keeps the first object.
+  // An exact duplicate is a no-op: the store keeps the first object.
   store.Apply(V("k", "v1", 10));
   EXPECT_EQ(store.GetLatest("k").get(), v1.get());
 }
 
 TEST(VersionedStoreTest, PrunedVersionLivesOnWhileSharedElsewhere) {
-  VersionedStore::Options options;
-  options.history_limit = 1;
-  VersionedStore store(options);
+  VersionedStore store;
   // `held` plays the update log's part: it points at the same object.
   const VersionPtr held = V("k", "old", 10);
   store.Apply(held);
-  store.Apply(V("k", "new", 20));  // Prunes "old" from the chain.
+  store.Apply(V("k", "new", 20));  // Replaces "old" in the store.
   EXPECT_EQ(store.GetLatest("k")->value, "new");
   EXPECT_EQ(store.ApproximateBytes(), 4u);  // "k" + "new" only.
   EXPECT_EQ(held->value, "old");
@@ -289,7 +228,6 @@ TEST(VersionedStoreTest, ExtractUpperMovesChainsAndBytes) {
   EXPECT_EQ(store.key_count(), 1u);
   EXPECT_EQ(upper.key_count(), 2u);
   EXPECT_EQ(upper.GetLatest("n").get(), n_head.get());  // Moved, not copied.
-  EXPECT_EQ(upper.GetAt("n", Timestamp{25, 0}).version.value, "22");
   EXPECT_EQ(store.GetLatest("n"), nullptr);
 }
 
