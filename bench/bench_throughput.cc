@@ -1,29 +1,30 @@
 // bench_throughput: transport throughput and latency over real loopback TCP.
 //
-// ROADMAP item 2: the event-driven multiplexed transport (epoll reactor,
-// request pipelining, writev reply coalescing) must beat the original
-// thread-per-connection transport by a wide margin, because a storage node
-// that burns a thread per client cannot host the paper's many-tenant SLAs.
+// The epoll TcpServer multiplexes every connection on a few loop threads;
+// a TcpChannel either pipelines async calls on one connection (request ids,
+// writev reply coalescing) or runs a synchronous Call on a connection the
+// calling thread holds for the round trip. Pipelining must pay for itself:
+// 64 calls in flight on 8 connections have to beat 64 threads making
+// synchronous Calls by a clear margin.
 //
-// Four measurements against the same in-memory storage node (Get on a
+// Three measurements against the same in-memory storage node (Get on a
 // preloaded keyspace — a realistic cheap op, so the transport dominates):
-//   1. Closed-loop baseline: N blocking client threads, one LegacyTcpChannel
-//      each, against the LegacyTcpServer (thread per connection).
-//   2. Closed-loop pipelined: C channels x D in-flight async calls against
-//      the epoll TcpServer; completions re-issue from the event loop.
-//   3. Closed-loop synchronous: 1, 16 and 64 threads making blocking
-//      TcpChannel::Calls on one shared channel against the epoll TcpServer
+//   1. Closed-loop pipelined: C channels x D in-flight async calls against
+//      the TcpServer; completions re-issue from the event loop.
+//   2. Closed-loop synchronous: 1, 16 and 64 threads making blocking
+//      TcpChannel::Calls on one shared channel against the TcpServer
 //      (the path every PileusClient op, pull and probe takes), plus one
 //      caller with this process's threads pinned to one CPU, once with
 //      Gets and once with 50-item Range scans of 100 B values (a second
 //      table), whose ~6 KB replies weigh the codec and the CRC.
-//   4. Open-loop at 50% of measured capacity: fixed-rate issue, latency
+//   3. Open-loop at 50% of measured capacity: fixed-rate issue, latency
 //      distribution of completions. Client and server share one loop thread
 //      so the tail reflects transport queueing, not OS run-queue delay from
 //      oversubscribing a small machine.
 //
 // Self-checks (exit non-zero on failure; enforced by CI's smoke run):
-//   1. pipelined throughput at 64 in-flight >= 3x the 64-thread baseline,
+//   1. pipelined throughput at 64 in flight (8 channels x 8 deep) >= 1.5x
+//      the synchronous row of 64 threads on one channel, from the same run,
 //   2. open-loop p99 <= max(2x p50, p50 + 250us) at 50% load (the absolute
 //      slack keeps sub-ms medians from flaking on scheduler jitter),
 //   3. no transport errors, and every synchronous row opened no more
@@ -50,7 +51,6 @@
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/net/legacy_tcp.h"
 #include "src/net/tcp.h"
 #include "src/proto/messages.h"
 #include "src/storage/storage_node.h"
@@ -79,10 +79,18 @@ MicrosecondCount MeasureDuration() {
                      : SecondsToMicroseconds(3);
 }
 
+// "k<i mod kKeyCount>", built by appending: GCC 12 reports a false
+// -Wrestrict overlap for `"k" + std::to_string(i)` in optimized builds.
+std::string GetKey(int i) {
+  std::string key("k");
+  key += std::to_string(i % kKeyCount);
+  return key;
+}
+
 proto::GetRequest MakeGet(int i) {
   proto::GetRequest get;
   get.table = kTable;
-  get.key = "k" + std::to_string(i % kKeyCount);
+  get.key = GetKey(i);
   return get;
 }
 
@@ -123,15 +131,12 @@ struct LoadResult {
 
 // --- 1. Closed loops of blocking Calls ---
 //
-// N threads, each waiting for its reply before the next Call; thread t calls
-// on `channels[t % channels.size()]`. The legacy baseline gives every thread
-// a LegacyTcpChannel of its own; the synchronous rows share one TcpChannel.
-// A reply that fails `check` counts as an error.
+// N threads sharing one channel, each waiting for its reply before the next
+// Call. A reply that fails `check` counts as an error.
 
-LoadResult RunBlockingClosedLoop(
-    const std::vector<std::unique_ptr<net::Channel>>& channels, int threads,
-    MicrosecondCount duration_us, MakeRequest make = &MakeGetMessage,
-    CheckReply check = &AnyReply) {
+LoadResult RunBlockingClosedLoop(net::Channel* channel, int threads,
+                                 MicrosecondCount duration_us,
+                                 MakeRequest make, CheckReply check) {
   std::mutex mu;
   Histogram latency;
   std::atomic<uint64_t> ops{0};
@@ -141,7 +146,6 @@ LoadResult RunBlockingClosedLoop(
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
-    net::Channel* channel = channels[t % channels.size()].get();
     workers.emplace_back([channel, t, deadline, make, check, &mu, &latency,
                           &ops, &errors] {
       int i = t;
@@ -184,10 +188,9 @@ LoadResult RunSyncClosedLoop(uint16_t port, int threads,
       telemetry::MetricsRegistry::Default().GetCounter(
           "pileus_net_tcp_connects_total");
   const uint64_t connects_before = connects->Value();
-  std::vector<std::unique_ptr<net::Channel>> channels;
-  channels.push_back(std::make_unique<net::TcpChannel>(port));
+  net::TcpChannel channel(port);
   LoadResult result =
-      RunBlockingClosedLoop(channels, threads, duration_us, make, check);
+      RunBlockingClosedLoop(&channel, threads, duration_us, make, check);
   result.connects = connects->Value() - connects_before;
   return result;
 }
@@ -210,7 +213,7 @@ cpu_set_t PinToOneCpu() {
   return previous;
 }
 
-// --- 2. Closed loop, pipelined, over the epoll transport ---
+// --- 2. Closed loop, pipelined ---
 
 LoadResult RunPipelinedClosedLoop(uint16_t port, int channels, int depth,
                                   MicrosecondCount duration_us,
@@ -292,7 +295,7 @@ LoadResult RunPipelinedClosedLoop(uint16_t port, int channels, int depth,
   return result;
 }
 
-// --- 3. Open loop at a fixed rate over the epoll transport ---
+// --- 3. Open loop at a fixed rate ---
 //
 // The load generator is K virtual clients living ON the event loop: each
 // issues a pipelined batch of kOpenLoopBatch requests on its period via a
@@ -446,8 +449,8 @@ void PrintResult(const char* label, const LoadResult& r) {
 }  // namespace
 
 int main() {
-  // One in-memory storage node serves both transports, so the handler cost
-  // is identical and the delta is purely transport execution model.
+  // One in-memory storage node serves every row, so the handler cost is
+  // identical and the rows differ only in how the calls are made.
   storage::StorageNode node("bench-node", "local", RealClock::Instance());
   storage::Tablet::Options primary;
   primary.is_primary = true;
@@ -458,7 +461,7 @@ int main() {
   for (int i = 0; i < kKeyCount; ++i) {
     proto::PutRequest put;
     put.table = kTable;
-    put.key = "k" + std::to_string(i);
+    put.key = GetKey(i);
     put.value = "value-" + std::to_string(i);
     node.Handle(put);
   }
@@ -484,29 +487,7 @@ int main() {
               SmokeMode() ? "smoke" : "full",
               static_cast<double>(duration_us) / 1e6);
 
-  // --- Legacy transport sweep (thread per connection) ---
-  const int legacy_threads[] = {1, 16, 64};
-  std::vector<std::pair<int, LoadResult>> legacy_results;
-  for (const int threads : legacy_threads) {
-    net::LegacyTcpServer server;
-    if (Status st = server.Start(0, handler); !st.ok()) {
-      std::fprintf(stderr, "FAIL: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::vector<std::unique_ptr<net::Channel>> channels;
-    for (int t = 0; t < threads; ++t) {
-      channels.push_back(
-          std::make_unique<net::LegacyTcpChannel>(server.port()));
-    }
-    LoadResult r = RunBlockingClosedLoop(channels, threads, duration_us);
-    server.Stop();
-    char label[64];
-    std::snprintf(label, sizeof(label), "legacy closed %d threads", threads);
-    PrintResult(label, r);
-    legacy_results.emplace_back(threads, r);
-  }
-
-  // --- Epoll transport sweep (channels x pipeline depth) ---
+  // --- Pipelined sweep (channels x pipeline depth), then synchronous rows ---
   const std::pair<int, int> pipelined_configs[] = {
       {1, 1}, {1, 8}, {4, 16}, {8, 8}};
   std::vector<std::pair<std::pair<int, int>, LoadResult>> pipelined_results;
@@ -516,6 +497,7 @@ int main() {
     LoadResult result;
   };
   std::vector<SyncRow> sync_results;
+  LoadResult sync64;  // The gate's denominator: 64 threads on one channel.
   {
     net::TcpServer server;
     if (Status st = server.Start(0, handler, {.loop_threads = 2});
@@ -538,6 +520,9 @@ int main() {
       std::snprintf(label, sizeof(label), "sync closed %d threads", threads);
       PrintResult(label, r);
       sync_results.push_back({threads, false, r});
+      if (threads == 64) {
+        sync64 = r;
+      }
     }
     server.Stop();
   }
@@ -598,12 +583,10 @@ int main() {
   }
 
   // --- Self-checks ---
-  const LoadResult& legacy64 = legacy_results.back().second;   // 64 threads.
   const LoadResult& epoll64 = pipelined_results.back().second;  // 8x8 = 64.
-  const double speedup =
-      legacy64.ops_per_sec > 0 ? epoll64.ops_per_sec / legacy64.ops_per_sec
-                               : 0;
-  const bool check_speedup = speedup >= 3.0;
+  const double pipelined_over_sync =
+      sync64.ops_per_sec > 0 ? epoll64.ops_per_sec / sync64.ops_per_sec : 0;
+  const bool check_pipelined = pipelined_over_sync >= 1.5;
   // 250 us of absolute slack on top of the 2x multiplier: at a p50 of
   // ~150 us the multiplier alone sits inside scheduler-jitter noise, and a
   // shared CI runner must not flake the check while the tail stays sub-ms.
@@ -619,8 +602,8 @@ int main() {
         check_sync_connects &&
         row.result.connects <= static_cast<uint64_t>(row.threads);
   }
-  std::printf("speedup at 64 in-flight: %.2fx (floor 3x)  %s\n", speedup,
-              check_speedup ? "OK" : "FAIL");
+  std::printf("pipelined over sync at 64 in flight: %.2fx (floor 1.5x)  %s\n",
+              pipelined_over_sync, check_pipelined ? "OK" : "FAIL");
   std::printf("open-loop tail: p99=%lld us vs bound %lld us "
               "(max(2x p50, p50+250))  %s\n",
               static_cast<long long>(open_loop.p99_us),
@@ -644,18 +627,7 @@ int main() {
     std::fprintf(json, "{\n  \"mode\": \"%s\",\n  \"duration_s\": %.2f,\n",
                  SmokeMode() ? "smoke" : "full",
                  static_cast<double>(duration_us) / 1e6);
-    std::fprintf(json, "  \"legacy_closed_loop\": [");
-    for (size_t i = 0; i < legacy_results.size(); ++i) {
-      const auto& [threads, r] = legacy_results[i];
-      std::fprintf(json,
-                   "%s\n    {\"threads\": %d, \"ops_per_sec\": %.0f, "
-                   "\"p50_us\": %lld, \"p99_us\": %lld, \"errors\": %llu}",
-                   i == 0 ? "" : ",", threads, r.ops_per_sec,
-                   static_cast<long long>(r.p50_us),
-                   static_cast<long long>(r.p99_us),
-                   static_cast<unsigned long long>(r.errors));
-    }
-    std::fprintf(json, "\n  ],\n  \"epoll_closed_loop\": [");
+    std::fprintf(json, "  \"epoll_closed_loop\": [");
     for (size_t i = 0; i < pipelined_results.size(); ++i) {
       const auto& [config, r] = pipelined_results[i];
       std::fprintf(json,
@@ -703,12 +675,13 @@ int main() {
                  static_cast<long long>(open_loop.p99_us),
                  static_cast<unsigned long long>(open_loop.errors));
     std::fprintf(json,
-                 "  \"speedup_at_64_in_flight\": %.2f,\n  \"checks\": "
-                 "{\"speedup_floor_3x\": %s, \"open_loop_p99_within_2x_p50\": "
+                 "  \"pipelined_over_sync_at_64\": %.2f,\n  \"checks\": "
+                 "{\"pipelined_over_sync_floor_1_5x\": %s, "
+                 "\"open_loop_p99_within_2x_p50\": "
                  "%s, \"no_errors\": %s, \"sync_no_errors\": %s, "
                  "\"sync_connects_within_callers\": %s, "
                  "\"sync_range_full_replies\": %s}\n}\n",
-                 speedup, check_speedup ? "true" : "false",
+                 pipelined_over_sync, check_pipelined ? "true" : "false",
                  check_tail ? "true" : "false",
                  check_errors ? "true" : "false",
                  check_sync_errors ? "true" : "false",
@@ -718,7 +691,7 @@ int main() {
     std::printf("wrote BENCH_throughput.json\n");
   }
 
-  return (check_speedup && check_tail && check_errors && check_sync_errors &&
+  return (check_pipelined && check_tail && check_errors && check_sync_errors &&
           check_sync_connects && check_range)
              ? 0
              : 1;

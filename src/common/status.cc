@@ -8,8 +8,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "OK";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
-    case StatusCode::kAlreadyExists:
-      return "ALREADY_EXISTS";
     case StatusCode::kInvalidArgument:
       return "INVALID_ARGUMENT";
     case StatusCode::kTimeout:
@@ -20,22 +18,24 @@ std::string_view StatusCodeName(StatusCode code) {
       return "WRONG_NODE";
     case StatusCode::kNotPrimary:
       return "NOT_PRIMARY";
-    case StatusCode::kConflict:
-      return "CONFLICT";
     case StatusCode::kCorruption:
       return "CORRUPTION";
     case StatusCode::kInternal:
       return "INTERNAL";
     case StatusCode::kCancelled:
       return "CANCELLED";
-    case StatusCode::kOutOfRange:
-      return "OUT_OF_RANGE";
     case StatusCode::kOverloaded:
       return "OVERLOADED";
     case StatusCode::kWrongTablet:
       return "WRONG_TABLET";
   }
   return "UNKNOWN";
+}
+
+bool IsStatusCode(uint64_t value) {
+  // The switch above names every enumerator and nothing else.
+  return value <= static_cast<uint64_t>(kMaxStatusCode) &&
+         StatusCodeName(static_cast<StatusCode>(value)) != "UNKNOWN";
 }
 
 std::string Status::ToString() const {

@@ -10,6 +10,7 @@
 #define PILEUS_SRC_COMMON_STATUS_H_
 
 #include <cassert>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -18,20 +19,20 @@
 
 namespace pileus {
 
+// The numbers are wire values (ErrorReply): a code keeps its number, and the
+// retired 2, 8 and 12 stay unassigned, so a peer that still sends one gets
+// kCorruption instead of another code's meaning.
 enum class StatusCode : int {
   kOk = 0,
   kNotFound = 1,          // Key or table does not exist.
-  kAlreadyExists = 2,     // Table creation collided with an existing name.
   kInvalidArgument = 3,   // Malformed request, SLA, or configuration.
   kTimeout = 4,           // An RPC or Get deadline expired.
   kUnavailable = 5,       // No subSLA could be met (paper Section 3.3).
   kWrongNode = 6,         // Request sent to a node that does not own the key.
   kNotPrimary = 7,        // Put or strong read sent to a non-primary node.
-  kConflict = 8,          // Conflicting concurrent update.
   kCorruption = 9,        // Wire decoding or checksum failure.
   kInternal = 10,         // Invariant violation; indicates a bug.
   kCancelled = 11,        // Operation aborted by the caller.
-  kOutOfRange = 12,       // Key outside every tablet's key range.
   kOverloaded = 13,       // Admission control shed the request; retry later.
   kWrongTablet = 14,      // Key's tablet lives elsewhere; refresh the tablet
                           // map (the rejection carries the owner as a hint).
@@ -40,8 +41,13 @@ enum class StatusCode : int {
 // Largest valid StatusCode value; wire decoders reject anything above it.
 inline constexpr StatusCode kMaxStatusCode = StatusCode::kWrongTablet;
 
-// Human-readable name of a status code ("OK", "NOT_FOUND", ...).
+// Human-readable name of a status code ("OK", "NOT_FOUND", ...); "UNKNOWN"
+// for a value that is no StatusCode.
 std::string_view StatusCodeName(StatusCode code);
+
+// Whether a wire value names a StatusCode: false above kMaxStatusCode and
+// for the retired 2, 8 and 12.
+bool IsStatusCode(uint64_t value);
 
 // A success-or-error value. Cheap to copy on the success path (no message
 // allocation); error paths carry a context string.

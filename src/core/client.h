@@ -265,14 +265,6 @@ class PileusClient {
   const TableView& table() const { return table_; }
   const Options& options() const { return options_; }
 
-  // Where writes currently go. Starts at TableView::primary_index and moves
-  // when a reply piggybacks a newer config epoch naming another replica as
-  // primary (Section 6.2); kNotPrimary rejections redirect the same way.
-  int current_primary_index() const { return current_primary_index_; }
-  // Newest config epoch this client has acted on (0 until the first
-  // configured reply).
-  uint64_t applied_config_epoch() const { return applied_config_epoch_; }
-
   uint64_t gets_issued() const {
     return gets_issued_.load(std::memory_order_relaxed);
   }
@@ -424,8 +416,13 @@ class PileusClient {
   RetryBudget* retry_budget_;  // own_ or Options::shared_retry_budget.
   std::vector<ReplicaView> replica_views_;
   Random rng_;
-  // Epoch-aware primary tracking (Section 6.2); see current_primary_index().
+  // Epoch-aware primary tracking (Section 6.2). Where writes currently go:
+  // starts at TableView::primary_index and moves when a reply piggybacks a
+  // newer config epoch naming another replica as primary; kNotPrimary
+  // rejections redirect the same way.
   int current_primary_index_ = -1;
+  // Newest config epoch this client has acted on (0 until the first
+  // configured reply).
   uint64_t applied_config_epoch_ = 0;
   Instruments instruments_;
   std::atomic<uint64_t> gets_issued_{0};

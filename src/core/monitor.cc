@@ -281,7 +281,6 @@ bool Monitor::InstallDigest(const monitoring::ConditionDigest& digest) {
   }
   const MicrosecondCount now = clock_->NowMicros();
   digest_version_ = digest.version;
-  digest_installed_at_us_ = now;
   ++digests_installed_;
   for (const monitoring::NodeCondition& cond : digest.nodes) {
     NodeState& state = StateFor(cond.node);
@@ -304,14 +303,6 @@ bool Monitor::InstallDigest(const monitoring::ConditionDigest& digest) {
 uint64_t Monitor::digest_version() const {
   std::lock_guard<std::mutex> lock(mu_);
   return digest_version_;
-}
-
-MicrosecondCount Monitor::digest_age_us() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (digest_installed_at_us_ < 0) {
-    return -1;
-  }
-  return clock_->NowMicros() - digest_installed_at_us_;
 }
 
 uint64_t Monitor::state_version() const {

@@ -141,10 +141,8 @@ class Monitor {
   // contact: probe suppression is driven by prior freshness alone.
   bool InstallDigest(const monitoring::ConditionDigest& digest);
 
-  // Version of the installed digest (0 = never installed) and its age
-  // (-1 = never installed).
+  // Version of the installed digest (0 = never installed).
   uint64_t digest_version() const;
-  MicrosecondCount digest_age_us() const;
 
   // This monitor's condition report for the aggregator: one NodeCondition
   // per node with *local* evidence (prior-only knowledge is excluded so
@@ -333,7 +331,6 @@ class Monitor {
   uint64_t state_version_ = 0;
   // Fleet-prior state (DESIGN.md Section 12).
   uint64_t digest_version_ = 0;
-  MicrosecondCount digest_installed_at_us_ = -1;
   uint64_t digests_installed_ = 0;
   // Mutable: counted from the const NeedsProbe query path.
   mutable uint64_t probes_suppressed_ = 0;

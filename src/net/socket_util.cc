@@ -10,36 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-
-#include "src/telemetry/metrics.h"
-
 namespace pileus::net {
 
 namespace {
-
-// Transport-level accounting in the process-wide registry: sockets have no
-// natural injection point, so the bytes/frames moved by every TCP channel
-// and server in the process aggregate here.
-struct FrameMetrics {
-  telemetry::Counter* bytes_sent;
-  telemetry::Counter* bytes_received;
-  telemetry::Counter* frames_sent;
-  telemetry::Counter* frames_received;
-
-  FrameMetrics() {
-    telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Default();
-    bytes_sent = registry.GetCounter("pileus_net_bytes_sent_total");
-    bytes_received = registry.GetCounter("pileus_net_bytes_received_total");
-    frames_sent = registry.GetCounter("pileus_net_frames_sent_total");
-    frames_received = registry.GetCounter("pileus_net_frames_received_total");
-  }
-};
-
-FrameMetrics& Frames() {
-  static FrameMetrics* metrics = new FrameMetrics();
-  return *metrics;
-}
 
 Status Errno(const char* what) {
   return Status(StatusCode::kUnavailable,
@@ -158,29 +131,6 @@ Result<UniqueFd> ConnectTcp(uint16_t port, MicrosecondCount timeout_us) {
   return fd;
 }
 
-Status ReadFull(int fd, void* buf, size_t len, MicrosecondCount timeout_us) {
-  const MicrosecondCount deadline =
-      timeout_us > 0 ? RealClock::Instance()->NowMicros() + timeout_us : 0;
-  char* out = static_cast<char*>(buf);
-  size_t done = 0;
-  while (done < len) {
-    PILEUS_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline));
-    const ssize_t n = ::read(fd, out + done, len - done);
-    if (n > 0) {
-      done += static_cast<size_t>(n);
-      continue;
-    }
-    if (n == 0) {
-      return Status(StatusCode::kUnavailable, "connection closed by peer");
-    }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-      continue;
-    }
-    return Errno("read");
-  }
-  return Status::Ok();
-}
-
 Status WriteFull(int fd, const void* buf, size_t len,
                  MicrosecondCount deadline_us) {
   const char* in = static_cast<const char*>(buf);
@@ -200,46 +150,6 @@ Status WriteFull(int fd, const void* buf, size_t len,
     }
   }
   return Status::Ok();
-}
-
-Status WriteFrame(int fd, std::string_view payload) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  char header[4];
-  header[0] = static_cast<char>(len);
-  header[1] = static_cast<char>(len >> 8);
-  header[2] = static_cast<char>(len >> 16);
-  header[3] = static_cast<char>(len >> 24);
-  PILEUS_RETURN_IF_ERROR(WriteFull(fd, header, sizeof(header)));
-  PILEUS_RETURN_IF_ERROR(WriteFull(fd, payload.data(), payload.size()));
-  Frames().frames_sent->Increment();
-  Frames().bytes_sent->Increment(sizeof(header) + payload.size());
-  return Status::Ok();
-}
-
-Result<std::string> ReadFrame(int fd, MicrosecondCount timeout_us,
-                              size_t max_frame,
-                              MicrosecondCount body_timeout_us) {
-  unsigned char header[4];
-  Status st = ReadFull(fd, header, sizeof(header), timeout_us);
-  if (!st.ok()) {
-    return st;
-  }
-  const uint32_t len = static_cast<uint32_t>(header[0]) |
-                       (static_cast<uint32_t>(header[1]) << 8) |
-                       (static_cast<uint32_t>(header[2]) << 16) |
-                       (static_cast<uint32_t>(header[3]) << 24);
-  if (len > max_frame) {
-    return Status(StatusCode::kCorruption, "oversized frame");
-  }
-  std::string payload(len, '\0');
-  st = ReadFull(fd, payload.data(), len,
-                body_timeout_us > 0 ? body_timeout_us : timeout_us);
-  if (!st.ok()) {
-    return st;
-  }
-  Frames().frames_received->Increment();
-  Frames().bytes_received->Increment(sizeof(header) + payload.size());
-  return payload;
 }
 
 }  // namespace pileus::net

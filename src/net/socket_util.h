@@ -1,11 +1,11 @@
-// POSIX socket helpers: EINTR-safe full reads/writes and loopback TCP setup.
+// POSIX socket helpers: loopback TCP setup, readiness waits and EINTR-safe
+// full writes.
 
 #ifndef PILEUS_SRC_NET_SOCKET_UTIL_H_
 #define PILEUS_SRC_NET_SOCKET_UTIL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
@@ -54,27 +54,10 @@ Result<UniqueFd> ConnectTcp(uint16_t port, MicrosecondCount timeout_us);
 // kTimeout once the absolute RealClock `deadline_us` passes (0 = never).
 Status WaitReady(int fd, short events, MicrosecondCount deadline_us);
 
-// Reads exactly `len` bytes; kUnavailable on EOF, kTimeout on deadline.
-// timeout_us == 0 means wait forever.
-Status ReadFull(int fd, void* buf, size_t len, MicrosecondCount timeout_us);
-
 // Writes all `len` bytes, retrying on EINTR/short writes and waiting for
 // buffer space until the absolute `deadline_us` (0 = never).
 Status WriteFull(int fd, const void* buf, size_t len,
                  MicrosecondCount deadline_us = 0);
-
-// Length-prefixed frame I/O: 4-byte little-endian length + payload.
-// Frames above `max_frame` bytes are rejected as corruption.
-//
-// `timeout_us` bounds the wait for the frame to *start* (the header), so a
-// server can poll an idle connection cheaply. Once a header has arrived the
-// body is read under `body_timeout_us` (0 = inherit timeout_us): a slow
-// sender mid-frame must not be mistaken for an idle connection, or the
-// stream desynchronizes.
-Status WriteFrame(int fd, std::string_view payload);
-Result<std::string> ReadFrame(int fd, MicrosecondCount timeout_us,
-                              size_t max_frame = 64 * 1024 * 1024,
-                              MicrosecondCount body_timeout_us = 0);
 
 }  // namespace pileus::net
 

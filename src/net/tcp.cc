@@ -30,10 +30,9 @@ constexpr size_t kReadChunk = 64 * 1024;
 constexpr int kMaxIov = 64;
 constexpr MicrosecondCount kDefaultConnectTimeoutUs = 5 * 1000 * 1000;
 
-// Process-wide TCP transport counters. Bytes/frames share names with the
-// framing layer in socket_util.cc (the registry hands back the same counter
-// for the same name), so totals stay meaningful whichever transport moved
-// them; writev_calls vs frames_sent exposes the reply-coalescing factor.
+// Process-wide TCP transport counters, summed over every channel and server
+// in the process; writev_calls vs frames_sent exposes the reply-coalescing
+// factor.
 struct TcpMetrics {
   telemetry::Counter* connects;
   telemetry::Counter* reconnects;
@@ -187,29 +186,6 @@ Status WritevQueue(int fd, std::deque<std::string>* out, size_t* head,
 }  // namespace
 
 // --- Codec ---
-
-std::string EncodeWithRequestId(uint64_t request_id,
-                                const proto::Message& message) {
-  std::string payload;
-  AppendLe64(&payload, request_id);
-  proto::AppendMessage(message, &payload);
-  return payload;
-}
-
-Status SplitRequestId(std::string_view frame, uint64_t* request_id,
-                      std::string_view* message_bytes) {
-  if (frame.size() < 8) {
-    return Status(StatusCode::kCorruption, "frame shorter than request id");
-  }
-  uint64_t id = 0;
-  for (int i = 0; i < 8; ++i) {
-    id |= static_cast<uint64_t>(static_cast<unsigned char>(frame[i]))
-          << (8 * i);
-  }
-  *request_id = id;
-  *message_bytes = frame.substr(8);
-  return Status::Ok();
-}
 
 std::string EncodeWireFrame(uint64_t request_id,
                             const proto::Message& message) {
@@ -570,11 +546,6 @@ void TcpServer::Stop() {
     loops_.reset();  // Lingering connections keep the pool alive if needed.
   }
   listen_fd_.Reset();
-}
-
-size_t TcpServer::active_connections() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return connections_.size();
 }
 
 void TcpServer::OnAcceptable() {
@@ -951,9 +922,8 @@ Result<proto::Message> TcpChannel::Call(const proto::Message& request,
   const std::string frame = EncodeWireFrame(id, request);
   Result<proto::Message> result =
       state_->RoundTrip(frame, id, deadline_us, /*reconnect=*/false);
-  // One retry, mirroring the original transport: a server restart leaves
-  // dead sockets whose first use fails kUnavailable; the frame never reached
-  // the new server, so a resend on a fresh connection is safe. Timeouts are
+  // One retry: a server restart leaves dead sockets whose first use fails
+  // kUnavailable; the frame never reached the new server, so a resend on a fresh connection is safe. Timeouts are
   // not resent: after silence the request may still be live.
   if (!result.ok() && result.status().code() == StatusCode::kUnavailable) {
     state_->DropIdle();

@@ -1,11 +1,10 @@
 // TCP transport: an epoll-based multiplexed server and a pipelining Channel.
 //
 // Wire format per frame: 4-byte little-endian length, then an 8-byte
-// little-endian request id, then the encoded proto::Message (the same format
-// the original thread-per-connection transport used, see legacy_tcp.h — the
-// two interoperate). The request id is the multiplexing key: a client may
-// have many requests in flight on one connection and replies may complete in
-// any order; each reply frame echoes the id of the request it answers.
+// little-endian request id, then the encoded proto::Message. The request id
+// is the multiplexing key: a client may have many requests in flight on one
+// connection and replies may complete in any order; each reply frame echoes
+// the id of the request it answers.
 //
 // Execution model (DESIGN.md "Async transport & group commit"):
 //  - TcpServer runs a small EventLoopPool; the listener and every accepted
@@ -42,8 +41,7 @@
 
 namespace pileus::net {
 
-// Frames above this are rejected as corruption (matches the old transport's
-// ReadFrame default).
+// Frames whose length prefix exceeds this are rejected as corruption.
 inline constexpr size_t kMaxFrameBytes = 64 * 1024 * 1024;
 
 // Server-side handler that may complete asynchronously: call `done` exactly
@@ -54,14 +52,6 @@ using AsyncHandler = std::function<void(
 
 // --- Multiplexed frame codec ---
 
-// Builds the id+message payload (WITHOUT the 4-byte length prefix; pair with
-// WriteFrame) for one request or reply.
-std::string EncodeWithRequestId(uint64_t request_id,
-                                const proto::Message& message);
-// Splits a frame payload into the request id and the encoded message bytes;
-// kCorruption when shorter than the 8-byte id.
-Status SplitRequestId(std::string_view frame, uint64_t* request_id,
-                      std::string_view* message_bytes);
 // Builds a complete on-wire frame: 4-byte LE length + id + encoded message.
 std::string EncodeWireFrame(uint64_t request_id, const proto::Message& message);
 
@@ -148,7 +138,6 @@ class TcpServer {
   uint64_t requests_handled() const {
     return requests_handled_.load(std::memory_order_relaxed);
   }
-  size_t active_connections() const;
 
   // The server's reactor pool; valid between Start and Stop. Lets an
   // in-process client share the server's loop threads (single-threaded
@@ -173,7 +162,7 @@ class TcpServer {
   std::atomic<uint64_t> requests_handled_{0};
   std::atomic<uint64_t> next_connection_key_{1};
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> connections_;
 };
 

@@ -404,7 +404,7 @@ Status DecodeBody(Decoder& dec, StatsReply* m) {
 Status DecodeBody(Decoder& dec, ErrorReply* m) {
   uint64_t code;
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&code));
-  if (code > static_cast<uint64_t>(kMaxStatusCode)) {
+  if (!IsStatusCode(code)) {
     return Status(StatusCode::kCorruption, "unknown status code");
   }
   m->code = static_cast<StatusCode>(code);

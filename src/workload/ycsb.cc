@@ -34,7 +34,10 @@ Operation YcsbWorkload::Next() {
   op.key = KeyForIndex(chooser_->Next(rng_));
   if (!op.is_get) {
     // Distinct values so staleness is observable; padded to value_size.
-    op.value = "v" + std::to_string(++value_counter_);
+    // Appended, not `"v" + std::to_string(...)`: GCC 12 reports a false
+    // -Wrestrict overlap for that in optimized builds.
+    op.value.push_back('v');
+    op.value += std::to_string(++value_counter_);
     if (static_cast<int>(op.value.size()) < options_.value_size) {
       op.value.resize(options_.value_size, 'x');
     }

@@ -10,6 +10,7 @@
 #include "src/cache/client_cache.h"
 #include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::cache {
 namespace {
@@ -189,14 +190,14 @@ TEST(ClientCacheTest, ShardedCacheKeepsGlobalCounts) {
   options.capacity_bytes = size_t{1} << 20;
   ClientCache cache(options);
   for (int i = 0; i < 100; ++i) {
-    cache.Admit("t", "k" + std::to_string(i), "v", Ts(i + 1), false,
+    cache.Admit("t", NumberedKey("k", i), "v", Ts(i + 1), false,
                 Ts(i + 1));
   }
   const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.admissions, 100u);
   EXPECT_EQ(stats.entries, 100u);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(cache.Lookup("t", "k" + std::to_string(i)).has_value());
+    EXPECT_TRUE(cache.Lookup("t", NumberedKey("k", i)).has_value());
   }
   EXPECT_EQ(cache.Stats().hits, 100u);
 }

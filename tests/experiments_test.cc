@@ -16,6 +16,7 @@
 #include "src/experiments/tables.h"
 #include "src/experiments/scenario.h"
 #include "src/workload/ycsb.h"
+#include "tests/numbered_key.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus::experiments {
@@ -201,7 +202,8 @@ TEST(TabletChurnTest, RestartedMigrationTargetRecoversItsOwnTablets) {
       const std::string key = workload::YcsbWorkload::KeyForIndex(
           op % static_cast<uint64_t>(options.key_count));
       Result<core::PutResult> put =
-          client->Put(*session, key, "v" + std::to_string(op));
+          client->Put(*session, key,
+                      NumberedKey("v", static_cast<int64_t>(op)));
       if (put.ok()) {
         acked.emplace(key, put->timestamp);
       }

@@ -239,6 +239,19 @@ TEST(MessagesTest, ErrorReplyRoundTrip) {
   EXPECT_EQ(out.primary_hint, "US");
 }
 
+TEST(MessagesTest, ErrorReplyWithRetiredCodeRejected) {
+  // 2, 8 and 12 are the wire values of deleted status codes; like a value
+  // above kMaxStatusCode, they must not decode into an unnamed StatusCode.
+  for (const int code : {2, 8, 12, static_cast<int>(kMaxStatusCode) + 1}) {
+    SCOPED_TRACE(code);
+    ErrorReply err;
+    err.code = static_cast<StatusCode>(code);
+    const Result<Message> decoded = DecodeMessage(EncodeMessage(Message(err)));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
+}
+
 TEST(MessagesTest, ConfigPiggybackRoundTrips) {
   // Every reply that can carry the Section 6.2 piggyback preserves it.
   GetReply get;

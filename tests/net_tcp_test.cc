@@ -17,6 +17,7 @@
 #include "src/common/clock.h"
 #include "src/net/tcp.h"
 #include "src/storage/storage_node.h"
+#include "src/telemetry/metrics.h"
 #include "tests/numbered_key.h"
 
 namespace pileus::net {
@@ -420,6 +421,74 @@ TEST(TcpPipelineTest, OutOfOrderRepliesMapToTheRightRequest) {
   // ...and the completions genuinely arrived out of issue order.
   EXPECT_EQ(log.done.front().first, NumberedKey("k", kCalls - 1));
   EXPECT_EQ(log.done.back().first, "k0");
+}
+
+TEST(TcpPipelineTest, ByteAndFrameCountersSeeBothEndsOfEveryCall) {
+  // Client and server share this process, so every frame is counted once
+  // where it is sent and once where it is received, whichever path carried
+  // it: synchronous Calls, pipelined CallAsyncs and the server's replies.
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Default();
+  telemetry::Counter* const frames_sent =
+      registry.GetCounter("pileus_net_frames_sent_total");
+  telemetry::Counter* const frames_received =
+      registry.GetCounter("pileus_net_frames_received_total");
+  telemetry::Counter* const bytes_sent =
+      registry.GetCounter("pileus_net_bytes_sent_total");
+  telemetry::Counter* const bytes_received =
+      registry.GetCounter("pileus_net_bytes_received_total");
+  const uint64_t frames_sent_before = frames_sent->Value();
+  const uint64_t frames_received_before = frames_received->Value();
+  const uint64_t bytes_sent_before = bytes_sent->Value();
+  const uint64_t bytes_received_before = bytes_received->Value();
+
+  TcpServer server;
+  ASSERT_TRUE(server.Start(0, Echo).ok());
+  TcpChannel channel(server.port());
+  proto::GetRequest request;
+  request.table = "t";
+  request.key = "k";
+  constexpr int kSyncCalls = 20;
+  constexpr int kAsyncCalls = 30;
+  for (int i = 0; i < kSyncCalls; ++i) {
+    ASSERT_TRUE(channel.Call(request, SecondsToMicroseconds(5)).ok()) << i;
+  }
+  CompletionLog log;
+  for (int i = 0; i < kAsyncCalls; ++i) {
+    channel.CallAsync(request, SecondsToMicroseconds(10),
+                      [&log](Result<proto::Message> reply) {
+                        log.Record("", std::move(reply));
+                      });
+  }
+  ASSERT_TRUE(log.WaitFor(kAsyncCalls, SecondsToMicroseconds(15)));
+  for (const auto& [tag, reply] : log.done) {
+    ASSERT_TRUE(reply.ok()) << reply.status();
+  }
+
+  // A server counts a reply once its send returns, which may be after the
+  // caller has read it: wait for the counters to settle.
+  const uint64_t frames = 2 * (kSyncCalls + kAsyncCalls);
+  const auto settled = [&] {
+    return frames_sent->Value() - frames_sent_before >= frames &&
+           frames_received->Value() - frames_received_before >= frames &&
+           bytes_sent->Value() - bytes_sent_before ==
+               bytes_received->Value() - bytes_received_before;
+  };
+  const MicrosecondCount deadline =
+      RealClock::Instance()->NowMicros() + SecondsToMicroseconds(5);
+  while (!settled() && RealClock::Instance()->NowMicros() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(frames_sent->Value() - frames_sent_before, frames);
+  EXPECT_EQ(frames_received->Value() - frames_received_before, frames);
+  // Every call moved one request frame and one reply frame, each of a fixed
+  // size, and the bytes counted on both ends agree.
+  const uint64_t bytes_per_call =
+      EncodeWireFrame(0, request).size() +
+      EncodeWireFrame(0, Echo(request)).size();
+  EXPECT_EQ(bytes_sent->Value() - bytes_sent_before,
+            (kSyncCalls + kAsyncCalls) * bytes_per_call);
+  EXPECT_EQ(bytes_received->Value() - bytes_received_before,
+            (kSyncCalls + kAsyncCalls) * bytes_per_call);
 }
 
 TEST(TcpPipelineTest, DisconnectFailsInFlightCallsFast) {

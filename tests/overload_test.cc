@@ -20,6 +20,7 @@
 #include "src/persist/durable_tablet.h"
 #include "src/sim/fault_injector.h"
 #include "src/storage/admission.h"
+#include "tests/numbered_key.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus {
@@ -371,7 +372,7 @@ TEST_P(OverloadEndToEndTest, WritesSurviveSheddingWithRetryBudget) {
 
   int acked = 0;
   for (int i = 0; i < 40; ++i) {
-    if (client->Put(*session, "k" + std::to_string(i), "v").ok()) {
+    if (client->Put(*session, NumberedKey("k", i), "v").ok()) {
       ++acked;
     }
   }

@@ -20,6 +20,7 @@
 #include "src/experiments/geo_testbed.h"
 #include "src/experiments/runner.h"
 #include "src/workload/ycsb.h"
+#include "tests/numbered_key.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus::experiments {
@@ -227,8 +228,9 @@ TEST(PrefixConsistencyProperty, SecondariesAlwaysHoldAPrefix) {
   for (int round = 0; round < 50; ++round) {
     // A burst of writes...
     for (int i = 0; i < 20; ++i) {
-      const std::string key = "k" + std::to_string(rng.NextUint64(30));
-      auto reply = primary->HandlePut(key, "v" + std::to_string(round));
+      const std::string key =
+          NumberedKey("k", static_cast<int64_t>(rng.NextUint64(30)));
+      auto reply = primary->HandlePut(key, NumberedKey("v", round));
       ASSERT_TRUE(reply.ok());
       put_order.emplace_back(key, reply->timestamp);
     }

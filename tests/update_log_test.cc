@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/storage/update_log.h"
+#include "tests/numbered_key.h"
 
 namespace pileus::storage {
 namespace {
@@ -41,7 +42,7 @@ TEST(UpdateLogTest, ScanReturnsStrictlyAfter) {
 TEST(UpdateLogTest, ScanFromZeroReturnsEverything) {
   UpdateLog log;
   for (int i = 1; i <= 100; ++i) {
-    log.Append(V("k" + std::to_string(i), i * 10));
+    log.Append(V(NumberedKey("k", i), i * 10));
   }
   auto scan = log.Scan(Timestamp::Zero(), 0);
   EXPECT_EQ(scan.versions.size(), 100u);
