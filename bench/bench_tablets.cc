@@ -38,6 +38,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -276,14 +277,10 @@ bool ProbePut(storage::StorageNode* node, const std::string& key,
 // resume the cutover. The whole down window is probed: writes to the
 // migrating range must fail (no split brain), writes to every other range
 // must keep landing.
-KillPhaseResult RunCoordinatorKillPhase(bool smoke) {
+// The coordinator's intent log lives in `dir`.
+KillPhaseResult RunCoordinatorKillPhaseIn(const std::string& dir, bool smoke) {
   KillPhaseResult result;
-  char tmpl[] = "/tmp/pileus_bench_tablets.XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) {
-    std::fprintf(stderr, "coordinator kill: mkdtemp failed\n");
-    return result;
-  }
-  const std::string log_path = std::string(tmpl) + "/coordinator.intents";
+  const std::string log_path = dir + "/coordinator.intents";
   World world = BuildWorld(log_path, kLeaseUs);
 
   // Seed data so the cutover drain has records to pull.
@@ -412,6 +409,24 @@ KillPhaseResult RunCoordinatorKillPhase(bool smoke) {
                  static_cast<long long>(result.unavailability_us),
                  static_cast<long long>(kLeaseUs + kDrainBudgetUs));
     result.ok = false;
+  }
+  return result;
+}
+
+// Runs the kill phase in a fresh temporary directory, removed when the phase
+// passes and kept (its path printed) for triage when it fails.
+KillPhaseResult RunCoordinatorKillPhase(bool smoke) {
+  char dir[] = "/tmp/pileus_bench_tablets.XXXXXX";
+  if (::mkdtemp(dir) == nullptr) {
+    std::fprintf(stderr, "coordinator kill: mkdtemp failed\n");
+    return KillPhaseResult{};
+  }
+  const KillPhaseResult result = RunCoordinatorKillPhaseIn(dir, smoke);
+  if (result.ok) {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
+  } else {
+    std::fprintf(stderr, "coordinator kill: intent log kept in %s\n", dir);
   }
   return result;
 }

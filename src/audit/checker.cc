@@ -339,7 +339,7 @@ AuditReport ConsistencyChecker::Check(const History& history) const {
                 add(ViolationType::kStaleStrongRead, i, kNoRelatedOp,
                     "strong claim served by a non-authoritative node '" +
                         op.node + "'");
-              } else if (options_.strong_against_commit_order && complete) {
+              } else if (complete) {
                 // Every commit of the key that finished before the read
                 // began must be reflected (commit timestamps are primary
                 // clock time, the history's time base).

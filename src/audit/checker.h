@@ -102,24 +102,13 @@ struct AuditReport {
   std::string ToString() const;
 };
 
+// Strong claims are verified against the commit order: a strong read must
+// reflect every commit of its key that finished before the read began. This
+// is exact because every deployment the audit runs records its history on
+// the primary's clock, the clock that stamps the commits.
 class ConsistencyChecker {
  public:
-  struct Options {
-    // Verify strong claims against the commit order: a strong read must
-    // reflect every commit of its key that finished before the read began.
-    // Exact when the primary's clock is the history's time base (the
-    // simulator); disable for wall-clock deployments with clock skew, where
-    // only the authoritative-copy part of strong is checkable.
-    bool strong_against_commit_order = true;
-  };
-
-  ConsistencyChecker() = default;
-  explicit ConsistencyChecker(Options options) : options_(options) {}
-
   AuditReport Check(const History& history) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace pileus::audit

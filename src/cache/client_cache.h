@@ -72,14 +72,14 @@ class ClientCache {
     size_t capacity_bytes = size_t{8} << 20;
     // Lock shards; rounded up to at least 1.
     int shard_count = 8;
-    // Modelled latency of a cache hit, fed into SelectTarget as the
-    // pseudo-replica's expected latency. Zero is honest for an in-process
-    // map; a non-zero value lets experiments model slower local tiers.
-    int64_t serve_latency_us = 0;
     // Optional registry for pileus_cache_* counters/gauges; Stats() works
     // without one.
     telemetry::MetricsRegistry* metrics = nullptr;
   };
+
+  // Modelled latency of a cache hit, fed into SelectTarget as the
+  // pseudo-replica's expected latency: zero is honest for an in-process map.
+  static constexpr int64_t kServeLatencyUs = 0;
 
   // One cached assertion about a key. For is_tombstone entries the value is
   // empty and timestamp may be Zero (key never existed at or below
@@ -113,7 +113,6 @@ class ClientCache {
   void Clear();
 
   CacheStats Stats() const;
-  const Options& options() const { return options_; }
 
  private:
   struct Shard {

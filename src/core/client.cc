@@ -69,7 +69,6 @@ PileusClient::PileusClient(TableView table, const Clock* clock,
       own_monitor_(clock, options_.monitor),
       monitor_(options_.shared_monitor != nullptr ? options_.shared_monitor
                                                    : &own_monitor_),
-      own_retry_budget_(options_.retry_budget),
       retry_budget_(options_.shared_retry_budget != nullptr
                         ? options_.shared_retry_budget
                         : &own_retry_budget_),
@@ -638,7 +637,7 @@ Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
     CacheView cache_view;
     if (cached.has_value()) {
       cache_view.high_timestamp = cached->high_timestamp;
-      cache_view.latency_us = options_.cache->options().serve_latency_us;
+      cache_view.latency_us = cache::ClientCache::kServeLatencyUs;
     }
     const SelectionResult sel = SelectTarget(
         sla, replica_views_, cached.has_value() ? &cache_view : nullptr,
@@ -700,14 +699,11 @@ Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
   // lowest RTT. `rtt_us` is the latency the application saw for that call,
   // failed attempts before it included. ---
   bool overload_seen = false;
-  int retry_after_ms = -1;
   int winner = -1;
   int winner_met = -1;
   const auto judge = [&](size_t i, MicrosecondCount rtt_us) {
-    const int hint = AbsorbReplyEvidence(targets[i], replies[i]);
-    if (hint >= 0) {
+    if (AbsorbReplyEvidence(targets[i], replies[i]) >= 0) {
       overload_seen = true;
-      retry_after_ms = std::max(retry_after_ms, hint);
     }
     replies[i].rtt_us = rtt_us;
     if (!replies[i].reply.ok()) {
@@ -779,25 +775,6 @@ Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
         break;
       }
     }
-  }
-
-  // --- Fallback at the primary (Section 5.4 discussion): no subSLA was met
-  // and the primary has not been called yet ---
-  if (options_.fallback_to_primary_retry && winner_met < 0 &&
-      std::find(targets.begin(), targets.end(), current_primary_index_) ==
-          targets.end()) {
-    // A retry_after hint is honored when the wait still fits inside the
-    // deadline: arriving after the primary's queue drained beats arriving
-    // during the drain and being shed again.
-    const MicrosecondCount remaining =
-        deadline_us - (clock_->NowMicros() - start_us);
-    if (remaining > 0 && retry_after_ms > 0 && options_.sleep_fn) {
-      const MicrosecondCount wait = JitteredBackoff(0, retry_after_ms);
-      if (wait < remaining) {
-        options_.sleep_fn(wait);
-      }
-    }
-    retry(current_primary_index_);
   }
 
   if (winner >= 0) {
@@ -936,7 +913,7 @@ Result<PutResult> PileusClient::DoWrite(const proto::Message& request,
     options_.trace_sink->OnTrace(event);
   };
   const int max_attempts = std::max(1, options_.put_max_attempts);
-  MicrosecondCount backoff = options_.put_backoff_initial_us;
+  MicrosecondCount backoff = kPutBackoffInitialUs;
   Status last(StatusCode::kUnavailable, "write never attempted");
   bool skip_backoff = false;
   int pending_retry_after_ms = 0;
@@ -960,9 +937,9 @@ Result<PutResult> PileusClient::DoWrite(const proto::Message& request,
           options_.sleep_fn(wait);
         }
         backoff = std::min(
-            options_.put_backoff_max_us,
+            kPutBackoffMaxUs,
             static_cast<MicrosecondCount>(static_cast<double>(backoff) *
-                                          options_.put_backoff_multiplier));
+                                          kPutBackoffMultiplier));
       }
     }
     skip_backoff = false;
@@ -982,7 +959,7 @@ Result<PutResult> PileusClient::DoWrite(const proto::Message& request,
     // Every attempt feeds the monitor: transport failures count against the
     // primary's PNodeUp / circuit breaker, successes repair them.
     const int hint = AbsorbReplyEvidence(current_primary_index_, timed,
-                                         options_.record_put_latency);
+                                         /*record_latency=*/false);
     if (!timed.reply.ok()) {
       last = timed.reply.status();
       PILEUS_LOG(kDebug) << op_name << " attempt " << attempt << "/"
@@ -1115,7 +1092,7 @@ Status PileusClient::ProbeNode(int replica_index) {
   proto::ProbeRequest request;
   request.table = table_.table_name;
   TimedReply timed = table_.replicas[replica_index].connection->Call(
-      request, options_.probe_timeout_us);
+      request, kProbeTimeoutUs);
   ++messages_sent_;
   AbsorbReplyEvidence(replica_index, timed);
   if (instruments_.probes != nullptr) {

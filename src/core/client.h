@@ -98,9 +98,8 @@ struct GetOutcome {
   int messages_sent = 1;      // 1 + fan-out extras + retries; 0 on cache
                               // serve.
   bool retried = false;       // The result came from a retry: another
-                              // replica after the target failed, the
-                              // fallback at the primary, or the degraded
-                              // cache serve.
+                              // replica after the target failed, or the
+                              // degraded cache serve.
 };
 
 struct GetResult {
@@ -131,10 +130,6 @@ class PileusClient {
     // Section 6.3: fan a Get or GetRange out to up to this many tied
     // candidates.
     int parallel_fanout = 1;
-    // When no reply satisfies a subSLA and deadline budget remains, retry a
-    // read at the primary (the strategy Section 5.4 says the authors
-    // considered), unless the primary was already called.
-    bool fallback_to_primary_retry = false;
     // Availability (Section 3.3): when the targeted node fails outright
     // (unreachable / error), try the remaining replicas while deadline
     // budget remains, so "data will be returned as long as some replica can
@@ -142,7 +137,6 @@ class PileusClient {
     // strategies stay faithful to their single-node behavior.
     bool retry_other_replicas_on_failure = true;
     MicrosecondCount put_timeout_us = SecondsToMicroseconds(10);
-    MicrosecondCount probe_timeout_us = SecondsToMicroseconds(5);
     // Write-path resilience: a Put/Delete whose attempt fails at the
     // transport level (unreachable, reset, timeout, corrupt reply) or is
     // answered with an ErrorReply carrying kUnavailable is retried against
@@ -150,21 +144,11 @@ class PileusClient {
     // the storage layer only in the last-writer-wins sense, so retries are
     // bounded and semantic errors (bad table, internal faults) never retry.
     int put_max_attempts = 3;
-    // Exponential backoff between attempts: the n-th wait is
-    //   min(max, initial * multiplier^(n-1)) * jitter, jitter ~ U[0.5, 1.0].
-    MicrosecondCount put_backoff_initial_us = 50'000;
-    double put_backoff_multiplier = 2.0;
-    MicrosecondCount put_backoff_max_us = SecondsToMicroseconds(2);
     // How the client waits out a backoff. Wall-clock deployments pass a real
     // sleep; the simulation passes a SimEnvironment::RunFor adapter so
     // virtual time (and with it replication / recovery) advances between
     // attempts. nullptr = no wait, retry immediately.
     std::function<void(MicrosecondCount)> sleep_fn;
-    // Feed Put round-trip times into the latency windows that drive Get
-    // routing. Off by default: with multi-site synchronous Puts (Section
-    // 6.4) a Put's RTT includes the sync fan-out and badly overstates the
-    // node's Get latency. Puts always contribute high-timestamp evidence.
-    bool record_put_latency = false;
     // Section 6.1 extension: "clients could share monitoring information
     // with other clients in the same datacenter". When set, this client
     // reads and feeds the shared monitor (not owned; must outlive the
@@ -193,11 +177,9 @@ class PileusClient {
     // client's remaining deadline, and reads carry the targeted subSLA's
     // utility, so the server can shed the least valuable work first.
     std::string tenant;
-    // Retry-budget knobs (see RetryBudget). All retry traffic — Get
-    // availability retries, fallback reads, write retries, and kNotPrimary
-    // redirects — draws from one budget refilled only by successes, so a
-    // brown-out cannot turn this client into a retry storm.
-    RetryBudget::Options retry_budget;
+    // All retry traffic — Get availability retries, write retries, and
+    // kNotPrimary redirects — draws from one RetryBudget refilled only by
+    // successes, so a brown-out cannot turn this client into a retry storm.
     // When set, retries draw from this budget instead of a private one (not
     // owned; must outlive the client; internally synchronized). Share one
     // instance across a tenant's clients for a per-tenant bound.
@@ -216,6 +198,14 @@ class PileusClient {
     cache::ClientCache* cache = nullptr;
     uint64_t seed = 42;
   };
+
+  // Deadline of an active probe (ProbeNode).
+  static constexpr MicrosecondCount kProbeTimeoutUs = SecondsToMicroseconds(5);
+  // Exponential backoff between write attempts: the n-th wait is
+  //   min(max, initial * multiplier^(n-1)) * jitter, jitter ~ U[0.5, 1.0].
+  static constexpr MicrosecondCount kPutBackoffInitialUs = 50'000;
+  static constexpr double kPutBackoffMultiplier = 2.0;
+  static constexpr MicrosecondCount kPutBackoffMaxUs = SecondsToMicroseconds(2);
 
   // `fanout` may be null when parallel_fanout == 1; it is not owned.
   PileusClient(TableView table, const Clock* clock);
@@ -297,9 +287,9 @@ class PileusClient {
   // The one read protocol behind Get and GetRange (DESIGN.md Section 1):
   // select the subSLA and node (Figure 8), serve from the cache when it
   // wins, send (fanned out per Section 6.3), judge every reply (Figure 9),
-  // retry other replicas when nothing usable came back, retry at the
-  // primary when no subSLA was met, and serve a degraded cache entry under
-  // overload. Every replica is called at most once per op.
+  // retry other replicas when nothing usable came back, and serve a
+  // degraded cache entry under overload. Every replica is called at most
+  // once per op.
   template <typename Op>
   Result<typename Op::Result> Read(const Sla& sla, const Op& op);
   // Read's one success finish: session and budget updates, counters, trace
@@ -322,7 +312,10 @@ class PileusClient {
   // Records latency/high-timestamp evidence from one reply into the monitor,
   // including overload rejections (backoff window + retry_after hint) and
   // piggybacked queue delays. Returns the reply's kOverloaded retry_after_ms
-  // hint, or -1 when the reply was not an overload rejection.
+  // hint, or -1 when the reply was not an overload rejection. Write replies
+  // pass record_latency = false: with multi-site synchronous Puts (Section
+  // 6.4) a Put's RTT includes the sync fan-out and badly overstates the
+  // node's Get latency. Puts always contribute high-timestamp evidence.
   int AbsorbReplyEvidence(int node_index, const TimedReply& timed,
                           bool record_latency = true);
 

@@ -83,17 +83,15 @@ void Monitor::RecordFailure(std::string_view node) {
   state.last_contact_us = now;
   ++state.total_samples;
   ++state_version_;
-  if (options_.breaker_failure_threshold > 0) {
-    ++state.consecutive_failures;
-    const bool was_open = state.breaker_open_until_us != 0;
-    // Trip on reaching the threshold, and re-arm the full cooldown when a
-    // half-open probation probe fails again.
-    if (state.consecutive_failures >= options_.breaker_failure_threshold) {
-      if (!was_open) {
-        ++breaker_trips_;
-      }
-      state.breaker_open_until_us = now + options_.breaker_cooldown_us;
+  ++state.consecutive_failures;
+  const bool was_open = state.breaker_open_until_us != 0;
+  // Trip on reaching the threshold, and re-arm the full cooldown when a
+  // half-open probation probe fails again.
+  if (state.consecutive_failures >= kBreakerFailureThreshold) {
+    if (!was_open) {
+      ++breaker_trips_;
     }
+    state.breaker_open_until_us = now + kBreakerCooldownUs;
   }
 }
 
@@ -102,9 +100,8 @@ void Monitor::RecordOverload(std::string_view node,
   std::lock_guard<std::mutex> lock(mu_);
   NodeState& state = StateFor(node);
   const MicrosecondCount now = clock_->NowMicros();
-  const MicrosecondCount backoff = retry_after_us > 0
-                                       ? retry_after_us
-                                       : options_.default_overload_backoff_us;
+  const MicrosecondCount backoff =
+      retry_after_us > 0 ? retry_after_us : kDefaultOverloadBackoffUs;
   state.overloaded_until_us = std::max(state.overloaded_until_us, now + backoff);
   // The node answered (with a rejection), so this is contact — the prober
   // need not also hammer it — but deliberately not a breaker-closing
@@ -118,10 +115,9 @@ void Monitor::RecordQueueDelay(std::string_view node,
                                MicrosecondCount delay_us) {
   std::lock_guard<std::mutex> lock(mu_);
   NodeState& state = StateFor(node);
-  const double alpha = options_.queue_delay_alpha;
   state.queue_delay_ewma_us =
-      alpha * static_cast<double>(delay_us) +
-      (1.0 - alpha) * state.queue_delay_ewma_us;
+      kQueueDelayAlpha * static_cast<double>(delay_us) +
+      (1.0 - kQueueDelayAlpha) * state.queue_delay_ewma_us;
   state.has_queue_delay = true;
   ++state_version_;
 }
@@ -138,7 +134,7 @@ double Monitor::POverload(std::string_view node, double utility) const {
     return 1.0;
   }
   const double u = std::clamp(utility, 0.0, 1.0);
-  return options_.overload_penalty + (1.0 - options_.overload_penalty) * u;
+  return kOverloadPenalty + (1.0 - kOverloadPenalty) * u;
 }
 
 MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
@@ -156,7 +152,7 @@ MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
   if (k <= 0.0) {
     return 0;
   }
-  const double confidence = k / options_.prior_strength;  // In (0, 1].
+  const double confidence = k / kPriorStrength;  // In (0, 1].
   return static_cast<MicrosecondCount>(
       confidence * static_cast<double>(state->prior.queue_delay_us));
 }
@@ -177,17 +173,16 @@ Monitor::BreakerState Monitor::Breaker(std::string_view node) const {
 
 double Monitor::PriorWeightLocked(const NodeState& state,
                                   MicrosecondCount now_us) const {
-  if (!state.has_prior || state.prior_installed_at_us < 0 ||
-      options_.prior_ttl_us <= 0) {
+  if (!state.has_prior || state.prior_installed_at_us < 0) {
     return 0.0;
   }
   const MicrosecondCount age = now_us - state.prior_installed_at_us;
-  if (age >= options_.prior_ttl_us) {
+  if (age >= kPriorTtlUs) {
     return 0.0;
   }
   const double fresh =
-      1.0 - static_cast<double>(age) / static_cast<double>(options_.prior_ttl_us);
-  return options_.prior_strength * fresh;
+      1.0 - static_cast<double>(age) / static_cast<double>(kPriorTtlUs);
+  return kPriorStrength * fresh;
 }
 
 double Monitor::PriorFractionBelow(const monitoring::NodeCondition& prior,
@@ -240,7 +235,7 @@ double Monitor::PNodeUp(std::string_view node) const {
   if (m <= 0.0) {
     // Only the prior speaks; as it ages, drift back to the optimistic 1.0
     // default so a stale "node down" verdict cannot shadow it forever.
-    const double confidence = k / options_.prior_strength;
+    const double confidence = k / kPriorStrength;
     return confidence * p_prior + (1.0 - confidence) * 1.0;
   }
   return (m * p_local + k * p_prior) / (m + k);
@@ -251,7 +246,7 @@ double Monitor::PNodeLat(std::string_view node,
   std::lock_guard<std::mutex> lock(mu_);
   const NodeState* state = FindState(node);
   if (state == nullptr) {
-    return options_.unknown_latency_estimate;
+    return kUnknownLatencyEstimate;
   }
   const MicrosecondCount now = clock_->NowMicros();
   const double n = static_cast<double>(state->latencies.SampleCount(now));
@@ -263,14 +258,14 @@ double Monitor::PNodeLat(std::string_view node,
   }
   if (k <= 0.0) {
     return state->latencies.FractionBelow(now, latency_us,
-                                          options_.unknown_latency_estimate);
+                                          kUnknownLatencyEstimate);
   }
   const double f_prior = PriorFractionBelow(state->prior, latency_us);
   if (n <= 0.0) {
     return f_prior;
   }
   const double f_local = state->latencies.FractionBelow(
-      now, latency_us, options_.unknown_latency_estimate);
+      now, latency_us, kUnknownLatencyEstimate);
   return (n * f_local + k * f_prior) / (n + k);
 }
 
@@ -360,14 +355,9 @@ Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
   Timestamp high = state->high_timestamp;
   if (options_.predict_high_timestamp && state->high_observed_at_us >= 0) {
     // Extrapolate: the node's high timestamp has (probably) kept advancing
-    // since we last heard from it. Scaled by prediction_rate so deployments
-    // can be more or less aggressive; 1.0 assumes the node keeps perfect pace
-    // with wall time (true for an idle primary's heartbeats).
-    const MicrosecondCount elapsed =
-        clock_->NowMicros() - state->high_observed_at_us;
-    high.physical_us +=
-        static_cast<MicrosecondCount>(options_.prediction_rate *
-                                      static_cast<double>(elapsed));
+    // since we last heard from it, at the pace of wall time (true for an
+    // idle primary's heartbeats).
+    high.physical_us += clock_->NowMicros() - state->high_observed_at_us;
   }
   return high;
 }
@@ -436,7 +426,7 @@ bool Monitor::NeedsProbe(std::string_view node) const {
   // trip. Once the prior outgrows the suppression window, probing resumes
   // even if digests keep arriving with unchanged content.
   if (state->has_prior && state->prior_installed_at_us >= 0 &&
-      now - state->prior_installed_at_us < options_.prior_probe_suppress_us) {
+      now - state->prior_installed_at_us < kPriorProbeSuppressUs) {
     const bool due = state->last_contact_us < 0 ||
                      now - state->last_contact_us >= options_.probe_interval_us;
     if (due) {

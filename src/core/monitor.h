@@ -16,7 +16,7 @@
 // The optional high-timestamp predictor implements the Section 6.1 extension
 // ("clients could potentially predict a node's high timestamp"): it
 // extrapolates the observed high timestamp forward by the time elapsed since
-// the observation, scaled by a confidence rate.
+// the observation.
 //
 // Thread safety: fully synchronized. The monitor is the one piece of client
 // state shared between the application thread and a background prober
@@ -45,51 +45,53 @@ class Monitor {
     SlidingWindow::Options latency_window;
     // A node unvisited for this long should be probed.
     MicrosecondCount probe_interval_us = SecondsToMicroseconds(10);
-    // PNodeLat for a node with no samples: optimistic so new nodes get tried.
-    double unknown_latency_estimate = 1.0;
-    // Section 6.1 extension: extrapolate high timestamps between syncs.
+    // Section 6.1 extension: extrapolate high timestamps between syncs,
+    // crediting all elapsed wall time (the node keeps pace with wall time,
+    // as an idle primary's heartbeats do).
     bool predict_high_timestamp = false;
-    // Fraction of elapsed wall time credited to the predicted high timestamp.
-    double prediction_rate = 1.0;
-    // Per-replica circuit breaker: this many *consecutive* transport
-    // failures open the breaker (0 disables it). While open, PNodeUp reports
-    // 0 and NeedsProbe stays false, so selection deprioritizes the replica
-    // and probes stop hammering it. After the cooldown the breaker is
-    // half-open: exactly the probation probes run (NeedsProbe true again)
-    // and the next success closes it; the next failure re-opens it for
-    // another full cooldown.
-    int breaker_failure_threshold = 3;
-    MicrosecondCount breaker_cooldown_us = SecondsToMicroseconds(5);
-    // Overload evidence (DESIGN.md Section 11). While a node is inside the
-    // backoff window of a kOverloaded rejection, non-authoritative subSLA
-    // utilities are scaled by POverload(): a rank with utility u keeps
-    //   overload_penalty + (1 - overload_penalty) * min(1, u)
-    // of its expected utility, so low-utility reads re-route to other
-    // replicas (or the cache) first while strong and high-utility reads
-    // stick with the node the server protects anyway.
-    double overload_penalty = 0.2;
-    // Backoff window applied when a rejection carries no retry_after hint.
-    MicrosecondCount default_overload_backoff_us =
-        100 * kMicrosecondsPerMillisecond;
-    // EWMA smoothing factor for server-reported queue delays.
-    double queue_delay_alpha = 0.3;
-    // --- Fleet priors (DESIGN.md Section 12, paper Section 6.1) ---
-    // A pushed ConditionDigest seeds each covered node with a prior worth
-    // this many pseudo-samples when fresh. Local evidence wins as it
-    // accumulates: the blend weight of the prior is
-    //   k = prior_strength * max(0, 1 - prior_age / prior_ttl_us)
-    // against n real windowed samples, i.e. local/prior = n/(n+k).
-    double prior_strength = 8.0;
-    // A prior decays to zero influence once it is this old (the priors
-    // themselves have bounded staleness; a dead aggregator fades out).
-    MicrosecondCount prior_ttl_us = SecondsToMicroseconds(60);
-    // Probe suppression: while a node's prior is younger than this,
-    // NeedsProbe reports false (the fleet already measured the node), so
-    // probers skip the redundant round trip. Once the prior outgrows the
-    // window, normal probing resumes - stale priors re-trigger probes.
-    // Half-open circuit breakers always probe regardless.
-    MicrosecondCount prior_probe_suppress_us = SecondsToMicroseconds(15);
   };
+
+  // PNodeLat for a node with no samples: optimistic so new nodes get tried.
+  static constexpr double kUnknownLatencyEstimate = 1.0;
+  // Per-replica circuit breaker: this many *consecutive* transport failures
+  // open the breaker. While open, PNodeUp reports 0 and NeedsProbe stays
+  // false, so selection deprioritizes the replica and probes stop hammering
+  // it. After the cooldown the breaker is half-open: exactly the probation
+  // probes run (NeedsProbe true again) and the next success closes it; the
+  // next failure re-opens it for another full cooldown.
+  static constexpr int kBreakerFailureThreshold = 3;
+  static constexpr MicrosecondCount kBreakerCooldownUs =
+      SecondsToMicroseconds(5);
+  // Overload evidence (DESIGN.md Section 11). While a node is inside the
+  // backoff window of a kOverloaded rejection, non-authoritative subSLA
+  // utilities are scaled by POverload(): a rank with utility u keeps
+  //   kOverloadPenalty + (1 - kOverloadPenalty) * min(1, u)
+  // of its expected utility, so low-utility reads re-route to other replicas
+  // (or the cache) first while strong and high-utility reads stick with the
+  // node the server protects anyway.
+  static constexpr double kOverloadPenalty = 0.2;
+  // Backoff window applied when a rejection carries no retry_after hint.
+  static constexpr MicrosecondCount kDefaultOverloadBackoffUs =
+      100 * kMicrosecondsPerMillisecond;
+  // EWMA smoothing factor for server-reported queue delays.
+  static constexpr double kQueueDelayAlpha = 0.3;
+  // --- Fleet priors (DESIGN.md Section 12, paper Section 6.1) ---
+  // A pushed ConditionDigest seeds each covered node with a prior worth
+  // this many pseudo-samples when fresh. Local evidence wins as it
+  // accumulates: the blend weight of the prior is
+  //   k = kPriorStrength * max(0, 1 - prior_age / kPriorTtlUs)
+  // against n real windowed samples, i.e. local/prior = n/(n+k).
+  static constexpr double kPriorStrength = 8.0;
+  // A prior decays to zero influence once it is this old (the priors
+  // themselves have bounded staleness; a dead aggregator fades out).
+  static constexpr MicrosecondCount kPriorTtlUs = SecondsToMicroseconds(60);
+  // Probe suppression: while a node's prior is younger than this, NeedsProbe
+  // reports false (the fleet already measured the node), so probers skip
+  // the redundant round trip. Once the prior outgrows the window, normal
+  // probing resumes - stale priors re-trigger probes. Half-open circuit
+  // breakers always probe regardless.
+  static constexpr MicrosecondCount kPriorProbeSuppressUs =
+      SecondsToMicroseconds(15);
 
   enum class BreakerState {
     kClosed = 0,    // Healthy: requests flow normally.
@@ -121,7 +123,7 @@ class Monitor {
 
   // Overload evidence (DESIGN.md Section 11). A kOverloaded rejection puts
   // the node in a backoff window of `retry_after_us` (the reply's hint; 0
-  // falls back to default_overload_backoff_us) during which IsOverloaded()
+  // falls back to kDefaultOverloadBackoffUs) during which IsOverloaded()
   // is true and POverload() discounts non-authoritative utilities. The node
   // answered, so this neither trips the breaker nor dents PNodeUp.
   void RecordOverload(std::string_view node, MicrosecondCount retry_after_us);
@@ -136,7 +138,7 @@ class Monitor {
   // digest.version: a stale or already-installed version is ignored (and
   // false returned). Per covered node the digest seeds the latency /
   // reachability / queue-delay estimates (blended against local samples;
-  // see Options::prior_strength) and advances the known high timestamp,
+  // see kPriorStrength) and advances the known high timestamp,
   // which is safe because high timestamps only grow. Never counts as
   // contact: probe suppression is driven by prior freshness alone.
   bool InstallDigest(const monitoring::ConditionDigest& digest);
@@ -296,7 +298,7 @@ class Monitor {
     uint64_t total_samples = 0;
     // Fleet prior for this node (DESIGN.md Section 12): the last installed
     // digest's condition and when it arrived (-1 = none). Blending weight
-    // decays with age; see Options::prior_strength / prior_ttl_us.
+    // decays with age; see kPriorStrength / kPriorTtlUs.
     bool has_prior = false;
     monitoring::NodeCondition prior;
     MicrosecondCount prior_installed_at_us = -1;
@@ -309,7 +311,7 @@ class Monitor {
                              MicrosecondCount now_us) const;
 
   // Pseudo-sample count the node's prior is worth at `now_us`: zero when
-  // absent or past prior_ttl_us, Options::prior_strength when brand new.
+  // absent or past kPriorTtlUs, kPriorStrength when brand new.
   double PriorWeightLocked(const NodeState& state,
                            MicrosecondCount now_us) const;
   // The prior's latency CDF evaluated at `latency_us`: piecewise-linear

@@ -6,12 +6,12 @@
 // stacks do (and unlike a plain attempt counter, it bounds it *across*
 // operations): retries spend from a token bucket that only successful
 // operations refill, so a client whose requests mostly succeed retries
-// freely, while one facing a brown-out runs dry after `capacity` extra
+// freely, while one facing a brown-out runs dry after kCapacity extra
 // attempts and stops contributing to the storm until successes resume.
 //
-// Every retry path draws from the same budget — availability retries and
-// fallback reads on the Get path, transport/kUnavailable/kOverloaded retries
-// AND kNotPrimary redirects on the write path — so the total extra traffic a
+// Every retry path draws from the same budget — availability retries on the
+// Get path, transport/kUnavailable/kOverloaded retries AND kNotPrimary
+// redirects on the write path — so the total extra traffic a
 // client can generate is bounded no matter which failure mode it hits.
 //
 // Thread safety: fully synchronized, so one budget can be shared by every
@@ -29,17 +29,11 @@ namespace pileus::core {
 
 class RetryBudget {
  public:
-  struct Options {
-    // Maximum retries available after a run of successes (bucket capacity).
-    double capacity = 10.0;
-    // Tokens returned per successful operation. 0.1 means sustained retry
-    // traffic is at most ~10% of sustained success traffic.
-    double refill_per_success = 0.1;
-  };
-
-  RetryBudget() : RetryBudget(Options{}) {}
-  explicit RetryBudget(Options options)
-      : options_(options), tokens_(options.capacity) {}
+  // Maximum retries available after a run of successes (bucket capacity).
+  static constexpr double kCapacity = 10.0;
+  // Tokens returned per successful operation. 0.1 means sustained retry
+  // traffic is at most ~10% of sustained success traffic.
+  static constexpr double kRefillPerSuccess = 0.1;
 
   // Takes one retry token. False (and no state change beyond the denial
   // counter) when the budget is exhausted: the caller must not retry.
@@ -57,7 +51,7 @@ class RetryBudget {
   // token, capped at capacity.
   void RecordSuccess() {
     std::lock_guard<std::mutex> lock(mu_);
-    tokens_ = std::min(options_.capacity, tokens_ + options_.refill_per_success);
+    tokens_ = std::min(kCapacity, tokens_ + kRefillPerSuccess);
   }
 
   double tokens() const {
@@ -71,12 +65,9 @@ class RetryBudget {
     return denied_;
   }
 
-  const Options& options() const { return options_; }
-
  private:
-  Options options_;
   mutable std::mutex mu_;
-  double tokens_;
+  double tokens_ = kCapacity;
   uint64_t denied_ = 0;
 };
 

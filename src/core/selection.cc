@@ -97,20 +97,19 @@ SelectionResult SelectTarget(const Sla& sla,
     return result;
   }
 
-  // Replicas behind an open circuit breaker are excluded up front: their
-  // PNodeUp is 0, so they can only ever tie at utility 0, and a zero-utility
-  // retry should go to a replica that might answer. If *every* breaker is
-  // open there is no better option, so the filter is waived.
+  // Replicas behind an open circuit breaker (see Monitor::Breaker) are
+  // excluded up front: their PNodeUp is 0, so they can only ever tie at
+  // utility 0, and a zero-utility read - total outage under a strict SLA -
+  // should start at a replica that might answer. If *every* breaker is open
+  // there is no better option, so the filter is waived.
   std::vector<char> eligible(replicas.size(), 1);
-  if (options.avoid_open_breaker) {
-    bool any_eligible = false;
-    for (size_t i = 0; i < replicas.size(); ++i) {
-      eligible[i] = monitor.BreakerOpen(replicas[i].name) ? 0 : 1;
-      any_eligible = any_eligible || eligible[i] != 0;
-    }
-    if (!any_eligible) {
-      std::fill(eligible.begin(), eligible.end(), 1);
-    }
+  bool any_eligible = false;
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    eligible[i] = monitor.BreakerOpen(replicas[i].name) ? 0 : 1;
+    any_eligible = any_eligible || eligible[i] != 0;
+  }
+  if (!any_eligible) {
+    std::fill(eligible.begin(), eligible.end(), 1);
   }
 
   // Figure 8: maxutil starts below any achievable utility so the first pair

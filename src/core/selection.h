@@ -58,14 +58,6 @@ struct SelectionOptions {
   // Section 6.3) for parallel-Get fan-out. 0 = exact ties only. Does not
   // affect which single node is chosen.
   double candidate_epsilon = 0.0;
-  // Skip replicas whose circuit breaker is open (see Monitor::Breaker).
-  // An open breaker already forces PNodeUp to 0, so such a node can never
-  // win on utility; this flag additionally keeps it out of the candidate
-  // set when *every* utility is zero (total outage under a strict SLA), so
-  // availability retries start at a replica that might actually answer.
-  // When all replicas have open breakers the filter is waived - someone has
-  // to be asked.
-  bool avoid_open_breaker = true;
 };
 
 struct SelectionResult {

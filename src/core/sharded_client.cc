@@ -28,8 +28,7 @@ Result<std::unique_ptr<ShardedClient>> ShardedClient::Create(
   } else {
     // One budget across refreshes AND the per-shard clients' own retry
     // paths, so the total retry amplification stays bounded per client.
-    client->own_refresh_budget_ =
-        std::make_unique<RetryBudget>(options.retry_budget);
+    client->own_refresh_budget_ = std::make_unique<RetryBudget>();
     client->refresh_budget_ = client->own_refresh_budget_.get();
     client->client_options_.shared_retry_budget = client->refresh_budget_;
   }

@@ -20,7 +20,7 @@ RunStats RunStrategyCell(const std::string& site,
   testbed_options.seed =
       options.seed * 1000003 + static_cast<uint64_t>(strategy) * 101;
   GeoTestbed testbed(testbed_options);
-  PreloadKeys(testbed, options.total_keys_preload);
+  PreloadKeys(testbed, kComparisonKeysPreload);
   testbed.StartReplication();
 
   core::PileusClient::Options client_options = options.client;

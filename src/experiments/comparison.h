@@ -24,9 +24,10 @@ struct ComparisonOptions {
   GeoTestbedOptions testbed;
   // Extra client options applied on top of the strategy (fan-out, monitor...).
   core::PileusClient::Options client;
-  // Objects preloaded at the primary before the run.
-  int total_keys_preload = 10000;
 };
+
+// Objects preloaded at the primary before each comparison run.
+inline constexpr int kComparisonKeysPreload = 10000;
 
 // Runs one (site, strategy) cell on a fresh testbed and returns its stats.
 RunStats RunStrategyCell(const std::string& site,

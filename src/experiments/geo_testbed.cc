@@ -298,7 +298,7 @@ void GeoClient::StartProbing() {
           // A dropped or request-corrupted probe is pure silence: the
           // failure evidence lands only when the probe deadline expires.
           if (to_server.drop || to_server.corrupt || to_client.drop) {
-            const MicrosecondCount wait = client->options().probe_timeout_us;
+            const MicrosecondCount wait = core::PileusClient::kProbeTimeoutUs;
             env.ScheduleAfter(wait, [client, alive, name, wait] {
               if (alive.expired()) {
                 return;
@@ -462,8 +462,9 @@ bool GeoTestbed::IsLive(const std::string& site) {
 }
 
 MicrosecondCount GeoTestbed::LeaseDuration() const {
-  return options_.enable_failover ? coordinator_->options().lease_duration_us()
-                                  : 0;
+  return options_.enable_failover
+             ? reconfig::FailoverCoordinator::kLeaseDurationUs
+             : 0;
 }
 
 std::optional<proto::TabletMapReply> GeoTestbed::InstallOnNode(
@@ -503,11 +504,10 @@ void GeoTestbed::StartReconfiguration() {
     if (options_.sync_replica_count >= 3) {
       config.sync_members.push_back(kIndia);
     }
-    reconfig::FailoverCoordinator::Options copts;
-    copts.heartbeat_period_us = options_.failover_heartbeat_period_us;
-    copts.missed_heartbeats_to_fail = options_.missed_heartbeats_to_fail;
-    copts.sync_member_target = static_cast<int>(config.sync_members.size());
-    coordinator_ = std::make_unique<reconfig::FailoverCoordinator>(copts);
+    coordinator_ = std::make_unique<reconfig::FailoverCoordinator>(
+        reconfig::FailoverCoordinator::Options{
+            .sync_member_target =
+                static_cast<int>(config.sync_members.size())});
     for (NodeEntry& entry : nodes_) {
       InstallOnNode(entry, map_);
     }
@@ -522,8 +522,9 @@ void GeoTestbed::StartReconfiguration() {
   }
   if (options_.enable_failover && !heartbeat_task_.active()) {
     heartbeat_task_ = env_.SchedulePeriodic(
-        options_.failover_heartbeat_period_us,
-        options_.failover_heartbeat_period_us, [this] { RunHeartbeatRound(); });
+        reconfig::FailoverCoordinator::kHeartbeatPeriodUs,
+        reconfig::FailoverCoordinator::kHeartbeatPeriodUs,
+        [this] { RunHeartbeatRound(); });
   }
 }
 

@@ -58,14 +58,12 @@ struct GeoTestbedOptions {
   // replication catches it up.
   std::string durable_root;
   // Live failover (Section 6.2). When true, StartReconfiguration also runs a
-  // lease-based coordinator as virtual-time heartbeat events: a primary that
-  // misses missed_heartbeats_to_fail consecutive heartbeats is declared dead
+  // lease-based coordinator as virtual-time heartbeat events (every
+  // reconfig::FailoverCoordinator::kHeartbeatPeriodUs): a primary that
+  // misses kMissedHeartbeatsToFail consecutive heartbeats is declared dead
   // (by which point its write lease has expired) and the reachable member
   // with the highest durable timestamp is promoted in a new config epoch.
   bool enable_failover = false;
-  MicrosecondCount failover_heartbeat_period_us =
-      MillisecondsToMicroseconds(500);
-  int missed_heartbeats_to_fail = 3;
   // Optional: exports pileus_reconfig_* metrics (epoch gauge, failover
   // counter, crash-to-promotion latency histogram). Not owned.
   telemetry::MetricsRegistry* metrics = nullptr;

@@ -179,7 +179,7 @@ class SimDeployment : public Deployment {
       for (int i = 0;
            i < 100 && testbed_->IsNodeCrashed(testbed_->primary_site()); ++i) {
         testbed_->env().RunFor(
-            testbed_->options().failover_heartbeat_period_us);
+            reconfig::FailoverCoordinator::kHeartbeatPeriodUs);
       }
     }
     result.failovers = testbed_->failovers();

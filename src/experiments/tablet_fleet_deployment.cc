@@ -532,8 +532,7 @@ class TabletFleetDeployment : public Deployment {
       case 2: {  // One planner round.
         std::vector<tablets::TabletLoad> loads = coordinator_->SampleLoads();
         for (tablets::TabletLoad& load : loads) {
-          if (load.size_bytes <=
-              rebalancer_->options().split_threshold_bytes) {
+          if (!rebalancer_->OverSplitThreshold(load)) {
             continue;
           }
           if (std::optional<std::string> median = MedianKey(load)) {

@@ -45,7 +45,7 @@ void MonitorAggregator::PruneLocked(MicrosecondCount now_us) {
   for (auto node = nodes_.begin(); node != nodes_.end();) {
     auto& by_reporter = node->second.by_reporter;
     for (auto entry = by_reporter.begin(); entry != by_reporter.end();) {
-      if (now_us - entry->second.received_at_us >= options_.entry_ttl_us) {
+      if (now_us - entry->second.received_at_us >= kEntryTtlUs) {
         entry = by_reporter.erase(entry);
       } else {
         ++entry;
@@ -77,20 +77,18 @@ ConditionDigest MonitorAggregator::Digest() const {
     double p_up = 0.0, queue_delay = 0.0;
     for (const auto& [reporter, entry] : state.by_reporter) {
       const MicrosecondCount age = now - entry.received_at_us;
-      if (age >= options_.entry_ttl_us) {
+      if (age >= kEntryTtlUs) {
         continue;  // Expired since the last Ingest pruned.
       }
-      const double decay = std::exp2(
-          -static_cast<double>(age) /
-          static_cast<double>(std::max<MicrosecondCount>(1,
-                                                         options_.half_life_us)));
+      const double decay = std::exp2(-static_cast<double>(age) /
+                                     static_cast<double>(kHalfLifeUs));
       const NodeCondition& c = entry.condition;
       const double w = decay * static_cast<double>(std::max<uint64_t>(
                                    1, c.sample_count));
       cond_weight += w;
       p_up += w * c.p_up;
       queue_delay += w * static_cast<double>(c.queue_delay_us);
-      if (c.overloaded && age <= options_.half_life_us) {
+      if (c.overloaded && age <= kHalfLifeUs) {
         merged.overloaded = true;
       }
       if (c.sample_count > 0) {

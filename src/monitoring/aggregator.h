@@ -9,7 +9,7 @@
 //
 // Merge policy, per node:
 //   - the latest condition from each reporter is retained, weighted by its
-//     sample count and decayed by its age (half-life Options::half_life_us),
+//     sample count and decayed by its age (half-life kHalfLifeUs),
 //     so a reporter that went quiet fades out instead of pinning the view;
 //   - latency percentiles merge as a weighted average over reporters that
 //     actually have latency samples (approximate, but monotone in the
@@ -44,18 +44,13 @@ namespace pileus::monitoring {
 
 class MonitorAggregator {
  public:
-  struct Options {
-    // A reporter's entry for a node is dropped once it is this old; a node
-    // with no live entries disappears from the digest entirely.
-    MicrosecondCount entry_ttl_us = SecondsToMicroseconds(120);
-    // Entry weight halves every half-life: weight = samples * 2^(-age/hl).
-    MicrosecondCount half_life_us = SecondsToMicroseconds(30);
-  };
+  // A reporter's entry for a node is dropped once it is this old; a node
+  // with no live entries disappears from the digest entirely.
+  static constexpr MicrosecondCount kEntryTtlUs = SecondsToMicroseconds(120);
+  // Entry weight halves every half-life: weight = samples * 2^(-age/hl).
+  static constexpr MicrosecondCount kHalfLifeUs = SecondsToMicroseconds(30);
 
-  explicit MonitorAggregator(const Clock* clock)
-      : MonitorAggregator(clock, Options{}) {}
-  MonitorAggregator(const Clock* clock, Options options)
-      : clock_(clock), options_(options) {}
+  explicit MonitorAggregator(const Clock* clock) : clock_(clock) {}
 
   // Merges one report. `seq` must strictly grow per reporter: a stale or
   // duplicate seq is rejected (returns false) and leaves the state
@@ -85,8 +80,6 @@ class MonitorAggregator {
     return nodes_.size();
   }
 
-  const Options& options() const { return options_; }
-
  private:
   // One reporter's latest word on one node, re-anchored to our clock.
   struct ReporterEntry {
@@ -101,7 +94,6 @@ class MonitorAggregator {
   void PruneLocked(MicrosecondCount now_us);
 
   const Clock* clock_;  // Not owned.
-  Options options_;
   mutable std::mutex mu_;
   std::map<std::string, uint64_t, std::less<>> reporter_seq_;
   std::map<std::string, NodeState, std::less<>> nodes_;

@@ -275,15 +275,12 @@ Status FrameParser::Next(std::optional<Frame>* out) {
 struct TcpServer::Connection
     : std::enable_shared_from_this<TcpServer::Connection> {
   Connection(TcpServer* owner, std::shared_ptr<EventLoopPool> loop_pool,
-             EventLoop* event_loop, uint64_t conn_key, UniqueFd sock,
-             const Options& opts)
+             EventLoop* event_loop, uint64_t conn_key, UniqueFd sock)
       : server(owner),
         pool(std::move(loop_pool)),
         loop(event_loop),
         key(conn_key),
-        options(opts),
-        fd(std::move(sock)),
-        parser(opts.max_frame_bytes) {}
+        fd(std::move(sock)) {}
 
   TcpServer* const server;  // Valid while the loops run; Stop() joins first.
   // Keeps the loop object alive so a reply completing after Stop() can
@@ -291,7 +288,6 @@ struct TcpServer::Connection
   const std::shared_ptr<EventLoopPool> pool;
   EventLoop* const loop;
   const uint64_t key;
-  const Options options;
 
   std::mutex mu;
   UniqueFd fd;
@@ -372,7 +368,7 @@ struct TcpServer::Connection
       }
       out.push_back(EncodeWireFrame(request_id, reply));
       out_bytes += out.back().size();
-      if (out_bytes > options.max_write_queue_bytes) {
+      if (out_bytes > kMaxWriteQueueBytes) {
         after = After::kTear;  // Peer stopped draining; cut it off.
       } else if (!flush_scheduled) {
         flush_scheduled = true;
@@ -568,8 +564,8 @@ void TcpServer::AdoptConnection(UniqueFd fd) {
   EventLoop* loop = loops_->Next();
   const uint64_t key =
       next_connection_key_.fetch_add(1, std::memory_order_relaxed);
-  auto conn = std::make_shared<Connection>(this, loops_, loop, key,
-                                           std::move(fd), options_);
+  auto conn =
+      std::make_shared<Connection>(this, loops_, loop, key, std::move(fd));
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_.load(std::memory_order_acquire)) {

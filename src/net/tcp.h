@@ -110,11 +110,11 @@ class TcpServer {
   struct Options {
     // Reactor threads; connections are spread across them round-robin.
     int loop_threads = 2;
-    size_t max_frame_bytes = kMaxFrameBytes;
-    // A peer that stops draining replies past this many queued bytes is cut
-    // off (prevents unbounded buffering under pipelined load).
-    size_t max_write_queue_bytes = 256 * 1024 * 1024;
   };
+
+  // A peer that stops draining replies past this many queued bytes is cut
+  // off (prevents unbounded buffering under pipelined load).
+  static constexpr size_t kMaxWriteQueueBytes = 256 * 1024 * 1024;
 
   TcpServer() = default;
   ~TcpServer() { Stop(); }

@@ -307,14 +307,12 @@ class WalJournal final : public storage::TabletJournal {
   Status Sync() override { return wal_.Sync(); }
 
   Status Checkpoint(storage::Tablet& tablet) override {
-    if (options_.tombstone_gc_horizon_us > 0) {
-      // Safe because the horizon (Options comment) exceeds replication lag:
-      // every replica has long since synced past these tombstones.
-      const Timestamp horizon{tablet.high_timestamp().physical_us -
-                                  options_.tombstone_gc_horizon_us,
-                              0};
-      (void)tablet.CollectTombstones(horizon);
-    }
+    // Safe because the horizon exceeds replication lag: every replica has
+    // long since synced past these tombstones.
+    (void)tablet.CollectTombstones(
+        Timestamp{tablet.high_timestamp().physical_us -
+                      DurableTablet::kTombstoneGcHorizonUs,
+                  0});
     PILEUS_RETURN_IF_ERROR(WriteFileAtomically(
         options_.directory + "/checkpoint.db",
         FrameCheckpoint(EncodeCheckpoint(

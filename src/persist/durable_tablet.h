@@ -51,12 +51,14 @@ class DurableTablet {
     bool sync_every_append = false;
     // Auto-checkpoint once the WAL exceeds this many bytes (0 = never).
     uint64_t checkpoint_threshold_bytes = 8 * 1024 * 1024;
-    // Tombstones older than this are garbage-collected at checkpoint time
-    // (0 = never). Must exceed the deployment's maximum replication lag; a
-    // replica that has not synced past a collected tombstone would keep the
-    // stale live value forever.
-    MicrosecondCount tombstone_gc_horizon_us = SecondsToMicroseconds(86400);
   };
+
+  // Tombstones older than this are garbage-collected at checkpoint time.
+  // Must exceed the deployment's maximum replication lag; a replica that has
+  // not synced past a collected tombstone would keep the stale live value
+  // forever.
+  static constexpr MicrosecondCount kTombstoneGcHorizonUs =
+      SecondsToMicroseconds(86400);
 
   struct RecoveryInfo {
     uint64_t checkpoint_versions = 0;

@@ -85,10 +85,10 @@ void GroupCommitter::Loop() {
     }
     // Batch window: collect more acks until the batch fills or the oldest
     // waiter has waited max_delay_us.
-    if (!stopping_ && options_.max_delay_us > 0) {
+    if (!stopping_ && config_.max_delay_us > 0) {
       const MicrosecondCount deadline =
-          first_enqueue_us_ + options_.max_delay_us;
-      while (!stopping_ && queue_.size() < options_.max_batch) {
+          first_enqueue_us_ + config_.max_delay_us;
+      while (!stopping_ && queue_.size() < config_.max_batch) {
         const MicrosecondCount now = RealClock::Instance()->NowMicros();
         if (now >= deadline) {
           break;
@@ -117,8 +117,7 @@ std::unique_ptr<GroupCommitter> StartGroupCommit(
     return nullptr;
   }
   auto committer = std::make_unique<GroupCommitter>(
-      [node] { return node->SyncJournals(); },
-      GroupCommitter::Options{config.max_batch, config.max_delay_us});
+      [node] { return node->SyncJournals(); }, config);
   if (const Status status = committer->Start(); !status.ok()) {
     PILEUS_LOG(kError) << "group committer failed to start, falling back to "
                           "inline sync: "

@@ -37,20 +37,16 @@ namespace pileus::persist {
 
 // Group-commit knobs (namespace scope so call sites can brace-initialize).
 struct GroupCommitConfig {
+  // Whether StartGroupCommit starts a committer at all.
   bool enabled = false;
+  // Sync as soon as this many acks are waiting...
   size_t max_batch = 64;
+  // ...or once the oldest waiting ack is this old.
   MicrosecondCount max_delay_us = 2000;
 };
 
 class GroupCommitter {
  public:
-  struct Options {
-    // Sync as soon as this many acks are waiting...
-    size_t max_batch = 64;
-    // ...or once the oldest waiting ack is this old.
-    MicrosecondCount max_delay_us = 2000;
-  };
-
   // Performs the actual durability barrier (e.g. every journal's Sync()
   // under the node lock). Runs on the committer thread only.
   using SyncFn = std::function<Status()>;
@@ -58,8 +54,10 @@ class GroupCommitter {
   // must not call back into the committer.
   using AckFn = std::function<void(const Status&)>;
 
-  GroupCommitter(SyncFn sync, Options options)
-      : sync_(std::move(sync)), options_(options) {}
+  // Batches by config.max_batch and config.max_delay_us; `enabled` is the
+  // caller's (StartGroupCommit's) business.
+  GroupCommitter(SyncFn sync, GroupCommitConfig config)
+      : sync_(std::move(sync)), config_(config) {}
   ~GroupCommitter() { Stop(); }
 
   GroupCommitter(const GroupCommitter&) = delete;
@@ -83,7 +81,7 @@ class GroupCommitter {
   void Loop();
 
   const SyncFn sync_;
-  const Options options_;
+  const GroupCommitConfig config_;
 
   std::thread thread_;
   std::mutex mu_;

@@ -34,8 +34,7 @@ std::optional<tablets::TabletMap> FailoverCoordinator::MaybePlanFailover(
     const ConfigEpoch& config = tablet.config;
     auto primary_health = health_.find(config.primary);
     if (primary_health == health_.end() ||
-        primary_health->second.consecutive_misses <
-            options_.missed_heartbeats_to_fail) {
+        primary_health->second.consecutive_misses < kMissedHeartbeatsToFail) {
       continue;
     }
     // Promotion choice: the reachable member with the highest durable update

@@ -4,10 +4,10 @@
 // edits, the way tablets::Rebalancer proposes splits and moves: it owns no
 // configuration, only heartbeat evidence. Some driver (the deterministic
 // simulator's heartbeat events, or a timer thread under a real transport)
-// re-installs the current map on each member every heartbeat_period — the
+// re-installs the current map on each member every kHeartbeatPeriodUs — the
 // install renews the primary's write lease — and feeds the outcome back
 // through OnHeartbeatAck / OnHeartbeatMiss. A primary that misses
-// missed_heartbeats_to_fail consecutive heartbeats is declared dead, and by
+// kMissedHeartbeatsToFail consecutive heartbeats is declared dead, and by
 // then its lease — granted for exactly that long — has already expired, so
 // the old primary has fenced itself even if it is merely partitioned from
 // the coordinator rather than crashed. Only after that does
@@ -38,25 +38,23 @@ namespace pileus::reconfig {
 
 class FailoverCoordinator {
  public:
+  static constexpr MicrosecondCount kHeartbeatPeriodUs =
+      MillisecondsToMicroseconds(500);
+  // Consecutive missed heartbeats before the primary is declared dead.
+  static constexpr int kMissedHeartbeatsToFail = 3;
+  // The write lease granted to the primary on every acked heartbeat. By
+  // construction it expires exactly when the coordinator would declare the
+  // primary dead, so promotion never overlaps a live lease.
+  static constexpr MicrosecondCount kLeaseDurationUs =
+      kHeartbeatPeriodUs * kMissedHeartbeatsToFail;
+
   struct Options {
-    MicrosecondCount heartbeat_period_us = MillisecondsToMicroseconds(500);
-    // Consecutive missed heartbeats before the primary is declared dead.
-    int missed_heartbeats_to_fail = 3;
     // How many sync members (besides the primary) each new config should
     // designate when the old one had any, membership permitting.
     int sync_member_target = 1;
-
-    // The write lease granted to the primary on every acked heartbeat. By
-    // construction it expires exactly when the coordinator would declare the
-    // primary dead, so promotion never overlaps a live lease.
-    MicrosecondCount lease_duration_us() const {
-      return heartbeat_period_us * missed_heartbeats_to_fail;
-    }
   };
 
   explicit FailoverCoordinator(Options options) : options_(options) {}
-
-  const Options& options() const { return options_; }
 
   // --- Heartbeat evidence (one call per member per round) ---
 
@@ -70,7 +68,7 @@ class FailoverCoordinator {
   void OnHeartbeatMiss(const std::string& node, MicrosecondCount now_us);
 
   // The next map once some tablet's primary has missed
-  // missed_heartbeats_to_fail consecutive heartbeats: each tablet it led
+  // kMissedHeartbeatsToFail consecutive heartbeats: each tablet it led
   // gets epoch+1 and, as primary, the promotable member (reachable, has
   // reported a durable timestamp) with the highest durable timestamp. The
   // map version advances by one. Returns nullopt while every primary looks

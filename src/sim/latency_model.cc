@@ -49,10 +49,6 @@ MicrosecondCount LatencyModel::SampleOneWay(SiteId a, SiteId b,
   if (options_.jitter_sigma > 0.0) {
     one_way *= std::exp(options_.jitter_sigma * rng.NextGaussian());
   }
-  if (options_.spike_probability > 0.0 &&
-      rng.NextBool(options_.spike_probability)) {
-    one_way *= options_.spike_multiplier;
-  }
   return std::max<MicrosecondCount>(1, static_cast<MicrosecondCount>(one_way));
 }
 

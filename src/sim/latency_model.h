@@ -35,10 +35,6 @@ class LatencyModel {
     // the time, matching the paper's Table 2 (the US client met the 150 ms
     // subSLA 99.4% of the time against a ~147 ms primary RTT).
     double jitter_sigma = 0.012;
-    // Probability that a message hits a transient spike, and its multiplier.
-    // Off by default; the failure-injection ablations turn it on.
-    double spike_probability = 0.0;
-    double spike_multiplier = 3.0;
   };
 
   LatencyModel() : LatencyModel(Options{}) {}

@@ -59,8 +59,8 @@ uint32_t AdmissionController::RetryAfterLocked(const Bucket& bucket,
   const double seconds = excess / options_.tenant_ops_per_sec;
   const double ms = std::ceil(seconds * 1000.0);
   const double clamped =
-      std::clamp(ms, static_cast<double>(options_.min_retry_after_ms),
-                 static_cast<double>(options_.max_retry_after_ms));
+      std::clamp(ms, static_cast<double>(kMinRetryAfterMs),
+                 static_cast<double>(kMaxRetryAfterMs));
   return static_cast<uint32_t>(clamped);
 }
 
@@ -85,15 +85,13 @@ AdmitDecision AdmissionController::Admit(std::string_view tenant,
   double threshold = 1.0;
   switch (cls) {
     case AdmitClass::kRead: {
-      const double reference = std::max(1e-9, options_.utility_reference);
-      const double scaled = std::clamp(utility / reference, 0.0, 1.0);
-      threshold = options_.shed_reads_start +
-                  (options_.shed_strong_reads_at - options_.shed_reads_start) *
-                      scaled;
+      const double scaled = std::clamp(utility / kUtilityReference, 0.0, 1.0);
+      threshold = kShedReadsStart +
+                  (kShedStrongReadsAt - kShedReadsStart) * scaled;
       break;
     }
     case AdmitClass::kStrongRead:
-      threshold = options_.shed_strong_reads_at;
+      threshold = kShedStrongReadsAt;
       break;
     case AdmitClass::kWrite:
       threshold = 1.0;

@@ -62,20 +62,6 @@ struct AdmissionOptions {
   // full when the debt reaches this many operations; queue delay at the
   // bound is tenant_max_queue_ops / tenant_ops_per_sec seconds.
   double tenant_max_queue_ops = 32;
-  // Pressure (backlog / max queue) at which the lowest-utility read is shed.
-  // A read with utility u (relative to utility_reference) is shed when
-  // pressure >= shed_reads_start + (shed_strong_reads_at - shed_reads_start)
-  // * min(1, u / utility_reference), so higher-utility reads survive deeper
-  // into the overload.
-  double shed_reads_start = 0.5;
-  // Pressure at which even strong reads are shed. Writes are never shed by
-  // pressure, only by a full queue.
-  double shed_strong_reads_at = 0.9;
-  // Utility treated as "full utility" when scaling read shed thresholds.
-  double utility_reference = 1.0;
-  // Bounds for the retry_after_ms hint carried on rejections.
-  uint32_t min_retry_after_ms = 5;
-  uint32_t max_retry_after_ms = 2000;
 
   bool enabled() const { return tenant_ops_per_sec > 0; }
 };
@@ -96,6 +82,21 @@ struct AdmitDecision {
 
 class AdmissionController {
  public:
+  // Pressure (backlog / max queue) at which the lowest-utility read is shed.
+  // A read with utility u (relative to kUtilityReference) is shed when
+  // pressure >= kShedReadsStart + (kShedStrongReadsAt - kShedReadsStart)
+  // * min(1, u / kUtilityReference), so higher-utility reads survive deeper
+  // into the overload.
+  static constexpr double kShedReadsStart = 0.5;
+  // Pressure at which even strong reads are shed. Writes are never shed by
+  // pressure, only by a full queue.
+  static constexpr double kShedStrongReadsAt = 0.9;
+  // Utility treated as "full utility" when scaling read shed thresholds.
+  static constexpr double kUtilityReference = 1.0;
+  // Bounds for the retry_after_ms hint carried on rejections.
+  static constexpr uint32_t kMinRetryAfterMs = 5;
+  static constexpr uint32_t kMaxRetryAfterMs = 2000;
+
   explicit AdmissionController(AdmissionOptions options);
 
   // Decides one request. `utility` is the client-reported utility of the

@@ -627,7 +627,7 @@ std::optional<proto::Message> StorageNode::AdmitLocked(
     const proto::Message& request, AdmitDecision* decision) {
   AdmitClass cls;
   std::string_view tenant;
-  double utility = admission_->options().utility_reference;
+  double utility = AdmissionController::kUtilityReference;
   MicrosecondCount deadline_us = 0;
   if (const auto* get = std::get_if<proto::GetRequest>(&request)) {
     cls = get->strong_read ? AdmitClass::kStrongRead : AdmitClass::kRead;

@@ -53,7 +53,7 @@ class VersionedStore {
   // the maximum replication lag - a replica that has not synced past the
   // tombstone when it is collected would keep (and serve) the stale live
   // value forever. Deployments tie this to the checkpoint cadence with a
-  // generous margin (see DurableTablet::Options::tombstone_gc_horizon_us).
+  // generous margin (see DurableTablet::kTombstoneGcHorizonUs).
   size_t CollectTombstones(const Timestamp& horizon);
 
   size_t key_count() const { return versions_.size(); }

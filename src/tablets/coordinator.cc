@@ -181,8 +181,7 @@ const std::vector<std::string>& TabletCoordinator::MigrationCrashPoints() {
 void TabletCoordinator::RegisterNode(storage::StorageNode* node) {
   Member member;
   member.node = node;
-  member.manager =
-      std::make_unique<TabletManager>(node, options_.manager, clock_);
+  member.manager = std::make_unique<TabletManager>(node, clock_);
   members_[node->name()] = std::move(member);
 }
 
@@ -351,7 +350,7 @@ Status TabletCoordinator::CatchUp(storage::StorageNode* source,
   replication::ReplicationAgent agent(
       target, {.table = map_.table,
                .range = range,
-               .max_versions_per_pull = options_.catchup_batch});
+               .max_versions_per_pull = kCatchupBatch});
   // Pre-cutover catch-up stops after `max_rounds` even when the source
   // still reports more: it keeps taking writes, so a never-converging pull
   // is expected under heavy load. The caller fences the source and drains
@@ -441,8 +440,8 @@ Status TabletCoordinator::ExecuteMigration(std::string_view range_begin,
     tablet_options.is_primary = false;
     PILEUS_RETURN_IF_ERROR(target->node->AddTablet(map_.table, tablet_options));
   }
-  Status caught_up = CatchUp(source->node, target->node, range,
-                             options_.max_catchup_rounds);
+  Status caught_up =
+      CatchUp(source->node, target->node, range, kMaxCatchupRounds);
   if (!caught_up.ok()) {
     if (!target_hosts) {
       (void)target->node->RemoveTablet(map_.table, range);
@@ -704,13 +703,8 @@ std::vector<RebalanceAction> TabletCoordinator::RunRebalanceRound(
   std::vector<TabletLoad> loads = SampleLoads();
 
   // Attach split pivots for tablets over the planner's thresholds.
-  const Rebalancer::Options& policy = rebalancer.options();
   for (TabletLoad& load : loads) {
-    const bool over_size = policy.split_threshold_bytes > 0 &&
-                           load.size_bytes > policy.split_threshold_bytes;
-    const bool over_ops = policy.split_threshold_ops_per_sec > 0 &&
-                          load.ops_per_sec > policy.split_threshold_ops_per_sec;
-    if (!over_size && !over_ops) {
+    if (!rebalancer.OverSplitThreshold(load)) {
       continue;
     }
     Member* primary = FindMember(load.primary);

@@ -69,13 +69,6 @@ class TabletCoordinator {
     // Reachability oracle consulted before touching a node; null = always
     // reachable. The churn runner wires this to its partition model.
     std::function<bool(const std::string& node)> reachable;
-    // Versions per catch-up pull and the cap on pre-cutover rounds (the
-    // final post-fence drain is not capped: the source is fenced, so the
-    // remainder is finite).
-    uint32_t catchup_batch = 512;
-    int max_catchup_rounds = 256;
-    // Split thresholds handed to each registered node's TabletManager.
-    TabletManager::Options manager;
 
     // --- Durable control plane (DESIGN.md Section 15) ---
 
@@ -94,6 +87,12 @@ class TabletCoordinator {
     // durability path fires "persist.intent_log.after_sync".
     sim::FaultInjector* fault_injector = nullptr;
   };
+
+  // Versions per catch-up pull and the cap on pre-cutover rounds (the final
+  // post-fence drain is not capped: the source is fenced, so the remainder
+  // is finite).
+  static constexpr uint32_t kCatchupBatch = 512;
+  static constexpr int kMaxCatchupRounds = 256;
 
   // `initial` must validate; its version is bumped to at least 1. In-memory
   // only — use Recover() for the durable, failover-capable coordinator.

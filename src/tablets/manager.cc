@@ -1,6 +1,5 @@
 #include "src/tablets/manager.h"
 
-#include <optional>
 #include <utility>
 
 namespace pileus::tablets {
@@ -42,40 +41,6 @@ std::vector<TabletManager::TabletStat> TabletManager::Sample(
     stats.push_back(std::move(stat));
   }
   return stats;
-}
-
-std::vector<TabletManager::SplitProposal> TabletManager::SplitCandidates(
-    std::string_view table) {
-  std::vector<SplitProposal> proposals;
-  for (const TabletStat& stat : Sample(table)) {
-    if (!stat.is_primary) {
-      continue;  // Only the primary copy proposes; one proposer per tablet.
-    }
-    const bool over_size = options_.split_threshold_bytes > 0 &&
-                           stat.size_bytes > options_.split_threshold_bytes;
-    const bool over_ops =
-        options_.split_threshold_ops_per_sec > 0 &&
-        stat.ops_per_sec > options_.split_threshold_ops_per_sec;
-    if (!over_size && !over_ops) {
-      continue;
-    }
-    const std::optional<std::string> median = node_->WithLock(
-        [&]() -> std::optional<std::string> {
-          const storage::Tablet* tablet =
-              node_->FindTablet(table, stat.range.begin);
-          return tablet == nullptr ? std::nullopt : tablet->MedianKey();
-        });
-    if (!median.has_value()) {
-      continue;  // Too few keys to halve; splitting would be pointless.
-    }
-    SplitProposal proposal;
-    proposal.range = stat.range;
-    proposal.split_key = *median;
-    proposal.size_bytes = stat.size_bytes;
-    proposal.ops_per_sec = stat.ops_per_sec;
-    proposals.push_back(std::move(proposal));
-  }
-  return proposals;
 }
 
 }  // namespace pileus::tablets

@@ -2,12 +2,12 @@
 // (DESIGN.md Section 14).
 //
 // The storage node owns the mechanics — hosting tablets, installing maps,
-// fencing misrouted requests — under its request mutex. The manager layers
-// the *policy* on top: it samples per-tablet load (turning the node's
-// cumulative op counters into ops/s between samples) and evaluates the
-// split thresholds, producing proposals for the coordinator to execute.
-// It never mutates the node itself; splits and map publication stay with
-// the coordinator so there is exactly one writer of the tablet map.
+// fencing misrouted requests — under its request mutex. The manager samples
+// per-tablet load, turning the node's cumulative op counters into ops/s
+// between samples; the coordinator's Rebalancer turns those samples into
+// splits and moves. It never mutates the node itself; splits and map
+// publication stay with the coordinator so there is exactly one writer of
+// the tablet map.
 
 #ifndef PILEUS_SRC_TABLETS_MANAGER_H_
 #define PILEUS_SRC_TABLETS_MANAGER_H_
@@ -27,19 +27,9 @@ namespace pileus::tablets {
 
 class TabletManager {
  public:
-  struct Options {
-    // A tablet is split-eligible once it exceeds either threshold
-    // (0 disables that dimension).
-    uint64_t split_threshold_bytes = 64ull * 1024 * 1024;
-    uint64_t split_threshold_ops_per_sec = 0;
-  };
-
   // `node` is not owned and must outlive the manager.
-  TabletManager(storage::StorageNode* node, Options options, Clock* clock)
-      : node_(node), options_(options), clock_(clock) {}
-
-  storage::StorageNode* node() { return node_; }
-  const Options& options() const { return options_; }
+  TabletManager(storage::StorageNode* node, Clock* clock)
+      : node_(node), clock_(clock) {}
 
   struct TabletStat {
     KeyRange range;
@@ -57,17 +47,6 @@ class TabletManager {
   // near-zero interval.
   std::vector<TabletStat> Sample(std::string_view table);
 
-  struct SplitProposal {
-    KeyRange range;
-    std::string split_key;
-    uint64_t size_bytes = 0;
-    uint64_t ops_per_sec = 0;
-  };
-
-  // Tablets this node hosts as primary that exceed a split threshold AND
-  // have a usable median pivot. Uses the rates from the latest Sample().
-  std::vector<SplitProposal> SplitCandidates(std::string_view table);
-
  private:
   struct Baseline {
     uint64_t ops_total = 0;
@@ -76,7 +55,6 @@ class TabletManager {
   };
 
   storage::StorageNode* node_;  // Not owned.
-  Options options_;
   Clock* clock_;  // Not owned.
   // (table, range begin) -> previous sample, for rate derivation.
   std::map<std::pair<std::string, std::string>, Baseline> baselines_;

@@ -13,28 +13,28 @@ std::string RebalanceAction::ToString() const {
   return "move " + range.ToString() + " from " + from + " to " + to;
 }
 
+bool Rebalancer::OverSplitThreshold(const TabletLoad& load) const {
+  const bool over_size = options_.split_threshold_bytes > 0 &&
+                         load.size_bytes > options_.split_threshold_bytes;
+  const bool over_ops = options_.split_threshold_ops_per_sec > 0 &&
+                        load.ops_per_sec > options_.split_threshold_ops_per_sec;
+  return over_size || over_ops;
+}
+
 std::vector<RebalanceAction> Rebalancer::Plan(
     const std::vector<TabletLoad>& loads,
     const std::vector<std::string>& nodes) const {
   std::vector<RebalanceAction> actions;
   const auto budget_left = [&] {
-    return options_.max_actions_per_round <= 0 ||
-           static_cast<int>(actions.size()) < options_.max_actions_per_round;
+    return static_cast<int>(actions.size()) < kMaxActionsPerRound;
   };
 
   // --- Splits first: cheap, local, and they create the movable units the
   // next round's moves need. Hottest tablets split first.
   std::vector<const TabletLoad*> split_candidates;
   for (const TabletLoad& load : loads) {
-    if (load.split_key.empty() || !load.range.IsSplittable(load.split_key)) {
-      continue;
-    }
-    const bool over_size = options_.split_threshold_bytes > 0 &&
-                           load.size_bytes > options_.split_threshold_bytes;
-    const bool over_ops =
-        options_.split_threshold_ops_per_sec > 0 &&
-        load.ops_per_sec > options_.split_threshold_ops_per_sec;
-    if (over_size || over_ops) {
+    if (!load.split_key.empty() && load.range.IsSplittable(load.split_key) &&
+        OverSplitThreshold(load)) {
       split_candidates.push_back(&load);
     }
   }
@@ -56,14 +56,12 @@ std::vector<RebalanceAction> Rebalancer::Plan(
     actions.push_back(std::move(action));
   }
 
-  // --- Moves: compare per-node primary load (ops/s; bytes break ties).
+  // --- Moves: compare per-node primary load (ops/s).
   if (nodes.size() < 2) {
     return actions;
   }
   struct NodeLoad {
     uint64_t ops = 0;
-    uint64_t bytes = 0;
-    int tablets = 0;
   };
   std::map<std::string, NodeLoad> per_node;
   for (const std::string& node : nodes) {
@@ -81,8 +79,6 @@ std::vector<RebalanceAction> Rebalancer::Plan(
       continue;  // Primary not in the eligible set (e.g. draining).
     }
     it->second.ops += load.ops_per_sec;
-    it->second.bytes += load.size_bytes;
-    ++it->second.tablets;
   }
 
   uint64_t total_ops = 0;
@@ -113,10 +109,6 @@ std::vector<RebalanceAction> Rebalancer::Plan(
         mean_ops * std::max(1.0, options_.imbalance_ratio)) {
       break;  // Spread within tolerance; migration not worth its cost.
     }
-    if (options_.min_tablets_per_node > 0 &&
-        hot.tablets <= options_.min_tablets_per_node) {
-      break;
-    }
     // Move the hot node's busiest tablet that (a) is not mid-split and
     // (b) does not overshoot: after the move the destination must stay
     // below the source's current load, or we would just swap the hotspot.
@@ -143,9 +135,7 @@ std::vector<RebalanceAction> Rebalancer::Plan(
     actions.push_back(action);
     busy.insert(pick->range.begin);  // One action per range per round.
     hot.ops -= pick->ops_per_sec;
-    --hot.tablets;
     per_node.at(*coolest).ops += pick->ops_per_sec;
-    ++per_node.at(*coolest).tablets;
   }
   return actions;
 }

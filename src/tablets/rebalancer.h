@@ -44,26 +44,26 @@ class Rebalancer {
  public:
   struct Options {
     // Split once a tablet exceeds either threshold (0 disables that
-    // dimension). These normally mirror TabletManager::Options so the
-    // planner and the per-node proposers agree.
+    // dimension).
     uint64_t split_threshold_bytes = 64ull * 1024 * 1024;
     uint64_t split_threshold_ops_per_sec = 0;
     // Move only when the hottest node carries more than this multiple of
     // the mean node load (hysteresis against migration ping-pong).
     double imbalance_ratio = 1.5;
-    // Never plan a move that would leave fewer than this many tablets on
-    // the source (a node's last tablet stays put unless it is draining).
-    int min_tablets_per_node = 0;
-    // Cap on planned actions per round; churn is applied incrementally so
-    // each round's observations reflect the previous round's effects.
-    int max_actions_per_round = 2;
   };
+
+  // Cap on planned actions per round; churn is applied incrementally so
+  // each round's observations reflect the previous round's effects.
+  static constexpr int kMaxActionsPerRound = 2;
 
   explicit Rebalancer(Options options) : options_(options) {}
 
-  const Options& options() const { return options_; }
+  // True when the tablet's load exceeds a split threshold. The coordinator
+  // looks up a split pivot only for these tablets, and Plan splits exactly
+  // these (when a pivot was found).
+  bool OverSplitThreshold(const TabletLoad& load) const;
 
-  // Plans at most max_actions_per_round actions. `nodes` lists every node
+  // Plans at most kMaxActionsPerRound actions. `nodes` lists every node
   // eligible to receive tablets (including ones currently holding none —
   // that is how an empty node gets filled). Splits are planned before
   // moves: halving a hot tablet is cheaper than copying it, and the next

@@ -533,7 +533,7 @@ TEST(GeoTestbedTest, AutoFailoverPromotesSyncMemberOnPrimaryCrash) {
   ASSERT_TRUE(client->client().Put(session, "acked", "v").ok());
 
   testbed.CrashNode(kEngland);
-  // Detection needs missed_heartbeats_to_fail (3) periods of 500 ms; give
+  // Detection needs kMissedHeartbeatsToFail (3) periods of 500 ms; give
   // the coordinator a few extra rounds.
   testbed.env().RunFor(SecondsToMicroseconds(5));
 

@@ -10,7 +10,6 @@ namespace {
 LatencyModel::Options NoJitter() {
   LatencyModel::Options options;
   options.jitter_sigma = 0.0;
-  options.spike_probability = 0.0;
   return options;
 }
 
@@ -75,7 +74,6 @@ TEST(LatencyModelTest, SampleOneWayIsHalfRttWithoutJitter) {
 TEST(LatencyModelTest, JitterStaysTight) {
   LatencyModel::Options options;
   options.jitter_sigma = 0.01;
-  options.spike_probability = 0.0;
   LatencyModel model(options);
   const SiteId a = model.AddSite("A");
   const SiteId b = model.AddSite("B");
@@ -86,19 +84,6 @@ TEST(LatencyModelTest, JitterStaysTight) {
     EXPECT_GT(sample, 45000);  // Within ~10% of the 50 ms one-way.
     EXPECT_LT(sample, 55000);
   }
-}
-
-TEST(LatencyModelTest, SpikesMultiplyLatency) {
-  LatencyModel::Options options;
-  options.jitter_sigma = 0.0;
-  options.spike_probability = 1.0;  // Every sample spikes.
-  options.spike_multiplier = 4.0;
-  LatencyModel model(options);
-  const SiteId a = model.AddSite("A");
-  const SiteId b = model.AddSite("B");
-  model.SetRtt(a, b, 10000);
-  Random rng(3);
-  EXPECT_EQ(model.SampleOneWay(a, b, rng), 20000);
 }
 
 TEST(LatencyModelTest, SampleNeverBelowOneMicrosecond) {

@@ -5,16 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <variant>
 
 #include "src/core/client.h"
+#include "src/core/monitor.h"
 #include "src/monitoring/aggregator.h"
 #include "src/monitoring/digest.h"
-#include "src/monitoring/pump.h"
 #include "src/monitoring/service.h"
 #include "src/net/inproc.h"
 #include "src/proto/messages.h"
@@ -28,7 +26,6 @@ using core::PileusClient;
 using core::Session;
 using core::Sla;
 using monitoring::AggregatorService;
-using monitoring::DigestPump;
 using monitoring::MonitorAggregator;
 using testbed::InProcCluster;
 
@@ -50,6 +47,27 @@ Sla SplitSla() {
 // exactly like a dead process.
 void RegisterAggregator(InProcCluster& cluster, AggregatorService* service) {
   cluster.network().RegisterEndpoint("aggregator", service->Wrap(nullptr));
+}
+
+// One subscribe round trip over `channel`: installs the pushed digest, if
+// any, as `monitor`'s fleet prior.
+Status Subscribe(net::Channel& channel, core::Monitor& monitor) {
+  proto::DigestSubscribe subscribe;
+  subscribe.table = "t";
+  subscribe.have_version = monitor.digest_version();
+  Result<proto::Message> reply =
+      channel.Call(subscribe, SecondsToMicroseconds(5));
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  const auto* push = std::get_if<proto::DigestPush>(&reply.value());
+  if (push == nullptr) {
+    return Status(StatusCode::kInternal, "expected a DigestPush");
+  }
+  if (push->has_digest) {
+    monitor.InstallDigest(push->digest);
+  }
+  return Status::Ok();
 }
 
 // Warm a client the way a deployment would: probe every replica a few times
@@ -130,13 +148,7 @@ TEST(MonitoringPlaneTest, ColdClientRanksCorrectlyWithZeroProbes) {
   // A brand-new client subscribes before its first operation.
   auto cold = cluster.MakeClient(PileusClient::Options{});
   auto channel = cluster.network().Connect("aggregator", 100);
-  DigestPump::Options pump_options;
-  pump_options.reporter = "cold";
-  pump_options.table = "t";
-  pump_options.send_reports = false;
-  DigestPump pump(&cold->monitor(), channel.get(), pump_options);
-  ASSERT_TRUE(pump.PumpOnce().ok());
-  pump.Stop();
+  ASSERT_TRUE(Subscribe(*channel, cold->monitor()).ok());
   EXPECT_GE(cold->monitor().digest_version(), 1u);
 
   // The fresh prior suppresses probing entirely...
@@ -165,32 +177,6 @@ TEST(MonitoringPlaneTest, ColdClientRanksCorrectlyWithZeroProbes) {
   EXPECT_EQ(blank_result->outcome.target_rank, 0);
 }
 
-TEST(MonitoringPlaneTest, PumpReportsLocalEvidenceAndInstallsDigest) {
-  InProcCluster cluster;
-  auto warm = cluster.MakeClient(PileusClient::Options{});
-  WarmUp(*warm);
-
-  MonitorAggregator aggregator(RealClock::Instance());
-  AggregatorService service(&aggregator);
-  RegisterAggregator(cluster, &service);
-  auto channel = cluster.network().Connect("aggregator", 100);
-
-  DigestPump::Options pump_options;
-  pump_options.reporter = "warm";
-  pump_options.table = "t";
-  DigestPump pump(&warm->monitor(), channel.get(), pump_options);
-  ASSERT_TRUE(pump.PumpOnce().ok());
-  pump.Stop();
-
-  EXPECT_GE(pump.reports_sent(), 1u);
-  EXPECT_GE(pump.digests_installed(), 1u);
-  EXPECT_GE(aggregator.reports_ingested(), 1u);
-  EXPECT_EQ(aggregator.node_count(), 2u);
-  // The pushed-back digest installed as this client's own prior.
-  EXPECT_GE(warm->monitor().digest_version(), 1u);
-  EXPECT_EQ(warm->monitor().digests_installed(), 1u);
-}
-
 TEST(MonitoringPlaneTest, AggregatorCrashFallsBackToLocalProbing) {
   InProcCluster cluster;
   auto warm = cluster.MakeClient(PileusClient::Options{});
@@ -205,36 +191,30 @@ TEST(MonitoringPlaneTest, AggregatorCrashFallsBackToLocalProbing) {
   ASSERT_TRUE(aggregator.Ingest("warm", warm->monitor().state_version(),
                                 warm->monitor().BuildReportConditions()));
 
-  // The cold client runs with a deliberately short prior lifetime so the
-  // crash fallback happens inside the test instead of over 15 wall seconds.
+  // The cold client's monitor runs on a manual clock, so the prior can age
+  // past Monitor::kPriorProbeSuppressUs without waiting 15 wall seconds.
+  ManualClock monitor_clock(SecondsToMicroseconds(1000));
+  core::Monitor cold_monitor(&monitor_clock);
   PileusClient::Options cold_options;
-  cold_options.monitor.prior_ttl_us = 500 * kMs;
-  cold_options.monitor.prior_probe_suppress_us = 150 * kMs;
+  cold_options.shared_monitor = &cold_monitor;
   auto cold = cluster.MakeClient(cold_options);
   auto channel = cluster.network().Connect("aggregator", 100);
-  DigestPump::Options pump_options;
-  pump_options.reporter = "cold";
-  pump_options.table = "t";
-  pump_options.send_reports = false;
-  DigestPump pump(&cold->monitor(), channel.get(), pump_options);
-  ASSERT_TRUE(pump.PumpOnce().ok());
+  ASSERT_TRUE(Subscribe(*channel, cold->monitor()).ok());
 
   // Prior installed; probing suppressed while it is fresh.
   EXPECT_FALSE(cold->monitor().NeedsProbe("Local"));
 
-  // Aggregator dies. Pump rounds fail but are survived: counted, no crash,
-  // and the monitor keeps its last digest.
+  // Aggregator dies. Subscribe rounds fail but are survived: the monitor
+  // keeps its last digest.
   cluster.network().Unregister("aggregator");
-  EXPECT_FALSE(pump.PumpOnce().ok());
-  EXPECT_GE(pump.failures(), 1u);
-  pump.Stop();
+  EXPECT_FALSE(Subscribe(*channel, cold->monitor()).ok());
   uint64_t version_before = cold->monitor().digest_version();
   EXPECT_GE(version_before, 1u);
 
   // Once the orphaned prior outgrows the suppression window, the normal
   // self-probing path resumes and the client keeps operating on fresh
   // local evidence.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  monitor_clock.AdvanceMicros(core::Monitor::kPriorProbeSuppressUs);
   EXPECT_TRUE(cold->monitor().NeedsProbe("Local"));
   ASSERT_TRUE(cold->ProbeNode(0).ok());
   ASSERT_TRUE(cold->ProbeNode(1).ok());

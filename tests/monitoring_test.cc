@@ -106,7 +106,7 @@ TEST_F(AggregatorTest, ZeroSampleReportsCarryNoLatencyEvidence) {
 TEST_F(AggregatorTest, OldEntriesDecayAgainstFreshOnes) {
   ASSERT_TRUE(aggregator_.Ingest("a", 1, {MakeCondition("n1", 10, 4000)}));
   // Two half-lives later a fresh equal-sample report carries 4x the weight.
-  clock_.AdvanceMicros(2 * aggregator_.options().half_life_us);
+  clock_.AdvanceMicros(2 * MonitorAggregator::kHalfLifeUs);
   ASSERT_TRUE(aggregator_.Ingest("b", 1, {MakeCondition("n1", 10, 8000)}));
   const ConditionDigest digest = aggregator_.Digest();
   // (0.25*4000 + 1.0*8000) / 1.25 = 7200.
@@ -116,7 +116,7 @@ TEST_F(AggregatorTest, OldEntriesDecayAgainstFreshOnes) {
 
 TEST_F(AggregatorTest, ExpiredEntriesArePruned) {
   ASSERT_TRUE(aggregator_.Ingest("a", 1, {MakeCondition("n1", 10, 4000)}));
-  clock_.AdvanceMicros(aggregator_.options().entry_ttl_us + 1);
+  clock_.AdvanceMicros(MonitorAggregator::kEntryTtlUs + 1);
   ASSERT_TRUE(aggregator_.Ingest("b", 1, {MakeCondition("n2", 10, 8000)}));
   const ConditionDigest digest = aggregator_.Digest();
   ASSERT_EQ(digest.nodes.size(), 1u);
@@ -149,7 +149,7 @@ TEST_F(AggregatorTest, OverloadedIsStickyForOneHalfLife) {
   cond.overloaded = true;
   ASSERT_TRUE(aggregator_.Ingest("a", 1, {cond}));
   EXPECT_TRUE(aggregator_.Digest().nodes[0].overloaded);
-  clock_.AdvanceMicros(aggregator_.options().half_life_us + 1);
+  clock_.AdvanceMicros(MonitorAggregator::kHalfLifeUs + 1);
   EXPECT_FALSE(aggregator_.Digest().nodes[0].overloaded);
 }
 

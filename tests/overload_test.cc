@@ -113,7 +113,7 @@ TEST(AdmissionControllerTest, UtilityWeightedSheddingOrder) {
 TEST(AdmissionControllerTest, StrongReadsShedOnlyNearFull) {
   AdmissionController controller(SmallBucket());
   const MicrosecondCount now = 1'000'000;
-  // Pressure ~0.95: above shed_strong_reads_at (0.9).
+  // Pressure ~0.95: above kShedStrongReadsAt (0.9).
   DriveBacklog(controller, "t", 19, now);
   const AdmitDecision strong =
       controller.Admit("t", AdmitClass::kStrongRead, 1.0, 0, now);
@@ -176,41 +176,44 @@ TEST(AdmissionControllerTest, DisabledAdmitsEverything) {
 }
 
 TEST(RetryBudgetTest, BoundsRetriesAndRefillsOnSuccess) {
-  core::RetryBudget::Options options;
-  options.capacity = 3;
-  options.refill_per_success = 0.5;
-  core::RetryBudget budget(options);
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_TRUE(budget.TryAcquire());
+  // A fresh budget holds kCapacity (10) retries.
+  core::RetryBudget budget;
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(budget.TryAcquire());
+  }
   // Empty: the retry storm is capped.
   EXPECT_FALSE(budget.TryAcquire());
   EXPECT_EQ(budget.denied(), 1u);
-  // Two successes earn one retry token back.
-  budget.RecordSuccess();
+  // Each success earns kRefillPerSuccess (0.1) of a token back: five are
+  // not enough for a retry, eleven are (ten sum to just under 1.0 in
+  // binary floating point).
+  for (int i = 0; i < 5; ++i) {
+    budget.RecordSuccess();
+  }
+  EXPECT_NEAR(budget.tokens(), 5 * core::RetryBudget::kRefillPerSuccess, 1e-9);
   EXPECT_FALSE(budget.TryAcquire());
-  budget.RecordSuccess();
+  for (int i = 0; i < 6; ++i) {
+    budget.RecordSuccess();
+  }
   EXPECT_TRUE(budget.TryAcquire());
   EXPECT_EQ(budget.denied(), 2u);
 }
 
 TEST(RetryBudgetTest, RefillCapsAtCapacity) {
-  core::RetryBudget::Options options;
-  options.capacity = 2;
-  options.refill_per_success = 1.0;
-  core::RetryBudget budget(options);
+  core::RetryBudget budget;
+  ASSERT_TRUE(budget.TryAcquire());
+  ASSERT_TRUE(budget.TryAcquire());
   for (int i = 0; i < 100; ++i) {
     budget.RecordSuccess();
   }
-  EXPECT_DOUBLE_EQ(budget.tokens(), 2.0);
+  EXPECT_DOUBLE_EQ(budget.tokens(), core::RetryBudget::kCapacity);
 }
 
 TEST(MonitorOverloadTest, OverloadWindowAndPenalty) {
   ManualClock clock;
   clock.AdvanceMicros(1'000'000);
-  core::Monitor::Options options;
-  options.overload_penalty = 0.2;
-  core::Monitor monitor(&clock, options);
+  core::Monitor monitor(&clock);
+  constexpr double kPenalty = core::Monitor::kOverloadPenalty;
 
   EXPECT_FALSE(monitor.IsOverloaded("n"));
   EXPECT_DOUBLE_EQ(monitor.POverload("n", 0.1), 1.0);
@@ -218,8 +221,9 @@ TEST(MonitorOverloadTest, OverloadWindowAndPenalty) {
   monitor.RecordOverload("n", 200'000);
   EXPECT_TRUE(monitor.IsOverloaded("n"));
   // Low-utility ranks are discounted hardest; utility 1.0 keeps full score.
-  EXPECT_NEAR(monitor.POverload("n", 0.0), 0.2, 1e-9);
-  EXPECT_NEAR(monitor.POverload("n", 0.5), 0.2 + 0.8 * 0.5, 1e-9);
+  EXPECT_NEAR(monitor.POverload("n", 0.0), kPenalty, 1e-9);
+  EXPECT_NEAR(monitor.POverload("n", 0.5), kPenalty + (1 - kPenalty) * 0.5,
+              1e-9);
   EXPECT_NEAR(monitor.POverload("n", 1.0), 1.0, 1e-9);
   EXPECT_EQ(monitor.overload_rejections(), 1u);
 
@@ -231,9 +235,7 @@ TEST(MonitorOverloadTest, OverloadWindowAndPenalty) {
 
 TEST(MonitorOverloadTest, QueueDelayEwma) {
   ManualClock clock;
-  core::Monitor::Options options;
-  options.queue_delay_alpha = 0.5;
-  core::Monitor monitor(&clock, options);
+  core::Monitor monitor(&clock);
   EXPECT_EQ(monitor.QueueDelayUs("n"), 0);
   monitor.RecordQueueDelay("n", 100'000);
   const MicrosecondCount first = monitor.QueueDelayUs("n");

@@ -772,16 +772,16 @@ TEST(GroupCommitTest, ManyAcksShareFewSyncs) {
   // in-progress barrier, so the next sync covers the whole backlog. 32 acks
   // must not cost anywhere near 32 syncs.
   std::atomic<int> sync_calls{0};
-  GroupCommitter::Options options;
-  options.max_batch = 64;
-  options.max_delay_us = 50'000;
+  GroupCommitConfig config;
+  config.max_batch = 64;
+  config.max_delay_us = 50'000;
   GroupCommitter committer(
       [&sync_calls] {
         ++sync_calls;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         return Status::Ok();
       },
-      options);
+      config);
   ASSERT_TRUE(committer.Start().ok());
 
   constexpr int kAcks = 32;
@@ -812,11 +812,11 @@ TEST(GroupCommitTest, SyncFailureIsReportedToEveryWaitingAck) {
   // If fdatasync fails, acking success would tell clients their writes are
   // durable when they are not. Every ack in the failed batch must see the
   // error.
-  GroupCommitter::Options options;
-  options.max_batch = 1000;
-  options.max_delay_us = SecondsToMicroseconds(10);
+  GroupCommitConfig config;
+  config.max_batch = 1000;
+  config.max_delay_us = SecondsToMicroseconds(10);
   GroupCommitter committer(
-      [] { return Status(StatusCode::kUnavailable, "disk gone"); }, options);
+      [] { return Status(StatusCode::kUnavailable, "disk gone"); }, config);
   ASSERT_TRUE(committer.Start().ok());
 
   std::mutex mu;
@@ -841,15 +841,15 @@ TEST(GroupCommitTest, StopReleasesPendingAcksAfterAFinalSync) {
   // one last covering sync and releases them, so a daemon draining its
   // request queue never strands a client reply.
   std::atomic<int> sync_calls{0};
-  GroupCommitter::Options options;
-  options.max_batch = 1000;
-  options.max_delay_us = SecondsToMicroseconds(10);  // Never fires on its own.
+  GroupCommitConfig config;
+  config.max_batch = 1000;
+  config.max_delay_us = SecondsToMicroseconds(10);  // Never fires on its own.
   GroupCommitter committer(
       [&sync_calls] {
         ++sync_calls;
         return Status::Ok();
       },
-      options);
+      config);
   ASSERT_TRUE(committer.Start().ok());
 
   std::atomic<int> released{0};
@@ -875,7 +875,7 @@ TEST(GroupCommitTest, AckWithoutRunningCommitterSyncsInline) {
         ++sync_calls;
         return Status::Ok();
       },
-      GroupCommitter::Options{});
+      GroupCommitConfig{});
 
   bool acked = false;
   committer.AckAfterSync([&acked](const Status& status) {

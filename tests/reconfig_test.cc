@@ -112,8 +112,6 @@ class CoordinatorTest : public ::testing::Test {
 
   static FailoverCoordinator::Options MakeOptions() {
     FailoverCoordinator::Options options;
-    options.heartbeat_period_us = MillisecondsToMicroseconds(500);
-    options.missed_heartbeats_to_fail = 3;
     options.sync_member_target = 1;
     return options;
   }
@@ -136,8 +134,9 @@ class CoordinatorTest : public ::testing::Test {
 };
 
 TEST_F(CoordinatorTest, LeaseDurationIsDetectionThreshold) {
-  EXPECT_EQ(MakeOptions().lease_duration_us(),
-            3 * MillisecondsToMicroseconds(500));
+  EXPECT_EQ(FailoverCoordinator::kLeaseDurationUs,
+            FailoverCoordinator::kMissedHeartbeatsToFail *
+                FailoverCoordinator::kHeartbeatPeriodUs);
 }
 
 TEST_F(CoordinatorTest, HealthyPrimaryProducesNoPlan) {

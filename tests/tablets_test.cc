@@ -148,7 +148,7 @@ TEST(TabletMapTest, CodecRoundTripPreservesEverything) {
   EXPECT_EQ(decoded, map);
 }
 
-// --- TabletManager: sampling and split proposals ---
+// --- TabletManager: load sampling ---
 
 class ManagerTest : public ::testing::Test {
  protected:
@@ -175,7 +175,7 @@ class ManagerTest : public ::testing::Test {
 };
 
 TEST_F(ManagerTest, FirstSampleHasNoRateBaseline) {
-  TabletManager manager(&node_, TabletManager::Options{}, &clock_);
+  TabletManager manager(&node_, &clock_);
   PutKeys(100);
   const std::vector<TabletManager::TabletStat> stats = manager.Sample(kTable);
   ASSERT_EQ(stats.size(), 1u);
@@ -185,7 +185,7 @@ TEST_F(ManagerTest, FirstSampleHasNoRateBaseline) {
 }
 
 TEST_F(ManagerTest, SecondSampleDerivesRateFromCounterDelta) {
-  TabletManager manager(&node_, TabletManager::Options{}, &clock_);
+  TabletManager manager(&node_, &clock_);
   (void)manager.Sample(kTable);  // Establish the baseline.
   PutKeys(100);
   clock_.AdvanceMicros(1'000'000 - 100 * 10);  // Exactly 1s since baseline.
@@ -195,7 +195,7 @@ TEST_F(ManagerTest, SecondSampleDerivesRateFromCounterDelta) {
 }
 
 TEST_F(ManagerTest, BackToBackSampleReusesPreviousRate) {
-  TabletManager manager(&node_, TabletManager::Options{}, &clock_);
+  TabletManager manager(&node_, &clock_);
   (void)manager.Sample(kTable);
   PutKeys(50);
   clock_.AdvanceMicros(1'000'000 - 50 * 10);
@@ -204,35 +204,6 @@ TEST_F(ManagerTest, BackToBackSampleReusesPreviousRate) {
   // A re-sample < 1ms later must not divide the tiny delta by ~0.
   const std::vector<TabletManager::TabletStat> again = manager.Sample(kTable);
   EXPECT_EQ(again[0].ops_per_sec, rate);
-}
-
-TEST_F(ManagerTest, SplitCandidatesRequireThresholdAndPivot) {
-  TabletManager::Options options;
-  options.split_threshold_bytes = 0;
-  options.split_threshold_ops_per_sec = 10;
-  TabletManager manager(&node_, options, &clock_);
-  (void)manager.Sample(kTable);
-  PutKeys(100);
-  clock_.AdvanceMicros(1'000'000 - 100 * 10);
-  (void)manager.Sample(kTable);
-
-  const std::vector<TabletManager::SplitProposal> proposals =
-      manager.SplitCandidates(kTable);
-  ASSERT_EQ(proposals.size(), 1u);
-  EXPECT_FALSE(proposals[0].split_key.empty());
-  EXPECT_TRUE(proposals[0].range.IsSplittable(proposals[0].split_key));
-}
-
-TEST_F(ManagerTest, ColdTabletProposesNoSplit) {
-  TabletManager::Options options;
-  options.split_threshold_bytes = 0;
-  options.split_threshold_ops_per_sec = 1'000'000;
-  TabletManager manager(&node_, options, &clock_);
-  (void)manager.Sample(kTable);
-  PutKeys(20);
-  clock_.AdvanceMicros(1'000'000);
-  (void)manager.Sample(kTable);
-  EXPECT_TRUE(manager.SplitCandidates(kTable).empty());
 }
 
 // --- Rebalancer: pure planning policy ---
@@ -253,7 +224,6 @@ TEST(RebalancerTest, SplitsPlannedBeforeMoves) {
   options.split_threshold_bytes = 0;
   options.split_threshold_ops_per_sec = 100;
   options.imbalance_ratio = 1.2;
-  options.max_actions_per_round = 2;
   const Rebalancer rebalancer(options);
 
   // n1 is both over the split threshold and the hottest node.
@@ -338,14 +308,20 @@ TEST(RebalancerTest, ActionBudgetCapsTheRound) {
   Rebalancer::Options options;
   options.split_threshold_bytes = 0;
   options.split_threshold_ops_per_sec = 10;
-  options.max_actions_per_round = 1;
   const Rebalancer rebalancer(options);
+  // Three split candidates, but a round plans kMaxActionsPerRound (2).
   const std::vector<TabletLoad> loads = {
       MakeLoad("", "f", "n1", 500, "c"),
       MakeLoad("f", "m", "n1", 400, "h"),
       MakeLoad("m", "", "n2", 300, "r"),
   };
-  EXPECT_EQ(rebalancer.Plan(loads, {"n1", "n2"}).size(), 1u);
+  const std::vector<RebalanceAction> actions =
+      rebalancer.Plan(loads, {"n1", "n2"});
+  ASSERT_EQ(actions.size(),
+            static_cast<size_t>(Rebalancer::kMaxActionsPerRound));
+  // The hottest candidates go first.
+  EXPECT_EQ(actions[0].split_key, "c");
+  EXPECT_EQ(actions[1].split_key, "h");
 }
 
 // --- StorageNode: map installation and kWrongTablet fencing ---
@@ -616,6 +592,50 @@ TEST_F(CoordinatorTest, RebalanceRoundSplitsThenMovesUnderHotspot) {
         owner->config.primary == "alpha" ? *alpha_ : *beta_;
     EXPECT_EQ(GetValue(node, key), "v:" + key) << key;
   }
+}
+
+TEST_F(CoordinatorTest, RebalanceRoundLeavesAColdTabletWhole) {
+  (void)coordinator_->SampleLoads();
+  for (int i = 0; i < 20; ++i) {
+    PutKey(*alpha_, "key" + std::to_string(i));
+  }
+  clock_.AdvanceMicros(1'000'000);
+
+  // About 20 ops/s against a threshold of a million: no split, and moving
+  // the only tablet would just relocate the load.
+  Rebalancer::Options policy;
+  policy.split_threshold_bytes = 0;
+  policy.split_threshold_ops_per_sec = 1'000'000;
+  EXPECT_TRUE(coordinator_->RunRebalanceRound(Rebalancer(policy)).empty());
+  EXPECT_EQ(coordinator_->splits(), 0u);
+  EXPECT_EQ(coordinator_->map().tablets.size(), 1u);
+}
+
+TEST_F(CoordinatorTest, RebalanceRoundSplitsATabletOverTheSizeThreshold) {
+  // The tablet fleet's policy: split by size alone (no rate threshold).
+  Rebalancer::Options policy;
+  policy.split_threshold_bytes = 1024;
+  policy.split_threshold_ops_per_sec = 0;
+  const Rebalancer rebalancer(policy);
+
+  PutKey(*alpha_, "apple");
+  PutKey(*alpha_, "zebra");
+  ASSERT_LE(alpha_->LocalTabletStats(kTable)[0].size_bytes, 1024u);
+  EXPECT_TRUE(coordinator_->RunRebalanceRound(rebalancer).empty())
+      << "a tablet under the size threshold stays whole";
+
+  for (int i = 0; i < 120; ++i) {
+    PutKey(*alpha_, "key" + std::to_string(i));
+  }
+  ASSERT_GT(alpha_->LocalTabletStats(kTable)[0].size_bytes, 1024u);
+  const std::vector<RebalanceAction> actions =
+      coordinator_->RunRebalanceRound(rebalancer);
+  ASSERT_FALSE(actions.empty());
+  EXPECT_EQ(actions[0].kind, RebalanceAction::Kind::kSplit);
+  EXPECT_EQ(coordinator_->splits(), 1u);
+  ASSERT_EQ(coordinator_->map().tablets.size(), 2u);
+  EXPECT_EQ(coordinator_->map().tablets[0].range.end, actions[0].split_key);
+  EXPECT_TRUE(coordinator_->map().Validate().ok());
 }
 
 // --- IntentLog: codec, replay, torn tails (DESIGN.md Section 15) ---

@@ -15,11 +15,14 @@
 //   pileus_audit --scenarios tablet-churn   # a splitting, migrating fleet
 //
 // Exits 2 on a scenario or option the chosen deployment does not support,
-// and 1 when any run reports a violation or a lost acked write.
+// and 1 when any run reports a violation or a lost acked write. Without
+// --durable_root the runs' WALs go to a fresh temporary directory, removed
+// when every run passed and kept for triage otherwise.
 
 #include <stdlib.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -75,7 +78,8 @@ int Run(int argc, char** argv) {
   flags.DefineInt("ops", 600, "client operations per run");
   flags.DefineInt("keys", 100, "distinct keys in the workload");
   flags.DefineString("durable_root", "",
-                     "directory for per-run WALs (default: a fresh temp dir)");
+                     "directory for per-run WALs (default: a fresh temp "
+                     "dir, removed when every run passes)");
   flags.DefineBool("cache", false,
                    "give each frontend a consistency-aware client cache so "
                    "the checker audits cache-served reads");
@@ -173,7 +177,8 @@ int Run(int argc, char** argv) {
   }
 
   std::string durable_root = flags.GetString("durable_root");
-  if (durable_root.empty()) {
+  const bool own_root = durable_root.empty();
+  if (own_root) {
     char tmpl[] = "/tmp/pileus_audit.XXXXXX";
     if (::mkdtemp(tmpl) == nullptr) {
       std::fprintf(stderr, "mkdtemp failed\n");
@@ -195,12 +200,19 @@ int Run(int argc, char** argv) {
       std::printf("%s\n", result.Summary().c_str());
       if (!result.ok()) {
         ++failures;
+        std::printf("    run directory: %s\n", options.durable_root.c_str());
         PrintFailure(result);
       }
     }
   }
   std::printf("%llu runs, %d with violations\n",
               static_cast<unsigned long long>(runs), failures);
+  if (own_root && failures == 0) {
+    std::error_code ignored;
+    std::filesystem::remove_all(durable_root, ignored);
+  } else if (own_root) {
+    std::printf("kept %s for triage\n", durable_root.c_str());
+  }
   return failures == 0 ? 0 : 1;
 }
 

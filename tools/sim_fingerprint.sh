@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# Prints one SHA-256 digest per simulator output, so two builds can be shown
+# to behave identically:
+#
+#   tools/sim_fingerprint.sh BUILD_DIR
+#
+# It runs, from a fresh temporary directory, the 16 simulator benches with
+# PILEUS_BENCH_SMOKE=1 (their output, plus the BENCH_tablets.json and
+# BENCH_coldstart.json files they write) and the three simulator audit sweeps
+# CI runs (plain, --cache and --aggregator). All of them run on virtual time
+# with seeded random streams, so the digests are deterministic. Compare a
+# parent build with a change's build on one machine: the C library's maths
+# may round differently elsewhere.
+#
+# Prints "sha256  name" lines; exits 1 when any bench or sweep fails and 2 on
+# bad usage.
+
+set -u
+
+if [ "$#" -ne 1 ]; then
+  echo "usage: $0 BUILD_DIR" >&2
+  exit 2
+fi
+build=$(cd "$1" && pwd) || exit 2
+work=$(mktemp -d) || exit 2
+trap 'rm -rf "$work"' EXIT
+cd "$work" || exit 2
+
+benches="
+  bench_ablation_monitoring
+  bench_ablation_multi_primary
+  bench_ablation_parallel_get
+  bench_ablation_reconfiguration
+  bench_ablation_replication_period
+  bench_ablation_tiebreak
+  bench_availability
+  bench_cache
+  bench_fig3_consistency_latency
+  bench_fig11_shopping_cart
+  bench_fig12_password
+  bench_fig13_adaptation
+  bench_fig14_utility_sensitivity
+  bench_overload
+  bench_tablets
+  bench_web_sla
+"
+
+status=0
+for bench in $benches; do
+  if ! PILEUS_BENCH_SMOKE=1 "$build/bench/$bench" > "$bench.out" 2>&1; then
+    echo "FAIL: $bench (output in $bench.out)" >&2
+    status=1
+  fi
+done
+
+# The sweeps take CI's arguments (.github/workflows/ci.yml, audit-sweep).
+audit() {
+  local name=$1
+  shift
+  if ! "$build/tools/pileus_audit" --num_seeds 8 "$@" > "$name.out" 2>&1; then
+    echo "FAIL: $name" >&2
+    status=1
+  fi
+}
+audit audit_sim --scenarios \
+  none,partition,drops,gray,crash-restart,handoff,failover,overload,tablet-churn,tablet-churn-kill
+audit audit_cache --cache --scenarios \
+  none,partition,crash-restart,failover,overload,tablet-churn,tablet-churn-kill
+audit audit_aggregator --aggregator --scenarios \
+  none,partition,crash-restart,failover,overload
+
+sha256sum -- *.out BENCH_*.json
+exit "$status"
