@@ -6,7 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/core/monitor.h"
@@ -15,6 +17,8 @@
 #include "src/core/sla.h"
 #include "src/proto/messages.h"
 #include "src/util/crc32.h"
+#include "src/workload/ycsb.h"
+#include "src/workload/zipf.h"
 
 namespace {
 
@@ -104,6 +108,58 @@ void BM_MonitorRecordLatency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonitorRecordLatency)->Arg(50)->Arg(4096);
+
+// What the client does with each served reply: one RecordReply on a full
+// window of state.range(0) samples (its latency sample evicts the oldest).
+void BM_MonitorRecordReply(benchmark::State& state) {
+  ManualClock clock(SecondsToMicroseconds(1000));
+  Monitor::Options options;
+  options.latency_window.max_samples = static_cast<size_t>(state.range(0));
+  Monitor monitor(&clock, options);
+  int64_t i = 0;
+  for (; i < state.range(0); ++i) {
+    monitor.RecordReply("node-0", 1000 + i % 500, Timestamp{i, 0}, 0);
+  }
+  for (auto _ : state) {
+    clock.AdvanceMicros(100);
+    monitor.RecordReply("node-0", 1000 + i % 500, Timestamp{i, 0}, i % 50);
+    ++i;
+  }
+}
+BENCHMARK(BM_MonitorRecordReply)->Arg(50)->Arg(4096);
+
+// One e2ebench scan session: 400 scans of 50 consecutive YCSB keys (of
+// 10000), each starting at a scrambled-zipfian key (theta 0.7), recorded
+// into a fresh session. One iteration is the whole session, its teardown
+// included.
+void BM_SessionRecordScan(benchmark::State& state) {
+  constexpr uint64_t kKeys = 10000;
+  constexpr uint64_t kItems = 50;
+  constexpr int kScans = 400;
+  workload::ScrambledZipfianChooser chooser(kKeys, 0.7);
+  Random rng(1);
+  std::vector<proto::VersionList> scans(kScans);
+  int64_t physical = 1;
+  for (proto::VersionList& scan : scans) {
+    const uint64_t start = std::min(chooser.Next(rng), kKeys - kItems);
+    for (uint64_t k = start; k < start + kItems; ++k) {
+      proto::ObjectVersion item;
+      item.key = workload::YcsbWorkload::KeyForIndex(k);
+      item.value.assign(100, 'v');
+      item.timestamp = Timestamp{physical++, 0};
+      scan.push_back(proto::MakeVersion(std::move(item)));
+    }
+  }
+  for (auto _ : state) {
+    Session session(ShoppingCartSla());
+    for (const proto::VersionList& scan : scans) {
+      session.RecordScan(scan);
+    }
+    benchmark::DoNotOptimize(session.tracked_get_keys());
+  }
+  state.SetItemsProcessed(state.iterations() * kScans * kItems);
+}
+BENCHMARK(BM_SessionRecordScan)->Unit(benchmark::kMicrosecond);
 
 void BM_MonitorPNodeLat(benchmark::State& state) {
   ManualClock clock(SecondsToMicroseconds(1000));

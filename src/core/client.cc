@@ -311,16 +311,40 @@ int PileusClient::AbsorbReplyEvidence(int node_index, const TimedReply& timed,
   const std::string& name = table_.replicas[node_index].name;
   // Latency evidence is useful even for timeouts (the sample equals the
   // deadline, pushing PNodeLat down for thresholds below it).
-  if (record_latency) {
-    monitor_->RecordLatency(name, timed.rtt_us);
-  }
+  const std::optional<MicrosecondCount> rtt_us =
+      record_latency ? std::optional<MicrosecondCount>(timed.rtt_us)
+                     : std::nullopt;
   if (!timed.reply.ok()) {
     // Transport-level failure (unreachable, reset, deadline with no answer).
+    if (rtt_us.has_value()) {
+      monitor_->RecordLatency(name, *rtt_us);
+    }
     monitor_->RecordFailure(name);
     return -1;
   }
   const proto::Message& message = timed.reply.value();
   NoteReplyConfig(message);
+  // A served reply: all its evidence goes to the monitor in one call.
+  const auto absorb = [&](const auto& reply) {
+    monitor_->RecordReply(name, rtt_us, reply.high_timestamp,
+                          reply.queue_delay_us);
+    return -1;
+  };
+  if (const auto* get = std::get_if<proto::GetReply>(&message)) {
+    return absorb(*get);
+  }
+  if (const auto* range = std::get_if<proto::RangeReply>(&message)) {
+    return absorb(*range);
+  }
+  if (const auto* put = std::get_if<proto::PutReply>(&message)) {
+    return absorb(*put);
+  }
+  if (const auto* probe = std::get_if<proto::ProbeReply>(&message)) {
+    return absorb(*probe);
+  }
+  if (rtt_us.has_value()) {
+    monitor_->RecordLatency(name, *rtt_us);
+  }
   if (const auto* err = std::get_if<proto::ErrorReply>(&message)) {
     if (err->code == StatusCode::kOverloaded) {
       // The node is up but shedding: start its backoff window so selection
@@ -337,25 +361,10 @@ int PileusClient::AbsorbReplyEvidence(int node_index, const TimedReply& timed,
     // The node answered, so it is up - unless it reported itself unavailable.
     if (err->code == StatusCode::kUnavailable) {
       monitor_->RecordFailure(name);
-    } else {
-      monitor_->RecordSuccess(name);
+      return -1;
     }
-    return -1;
   }
   monitor_->RecordSuccess(name);
-  if (const auto* get = std::get_if<proto::GetReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, get->high_timestamp);
-    monitor_->RecordQueueDelay(name, get->queue_delay_us);
-  } else if (const auto* put = std::get_if<proto::PutReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, put->high_timestamp);
-    monitor_->RecordQueueDelay(name, put->queue_delay_us);
-  } else if (const auto* probe = std::get_if<proto::ProbeReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, probe->high_timestamp);
-    monitor_->RecordQueueDelay(name, probe->queue_delay_us);
-  } else if (const auto* range = std::get_if<proto::RangeReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, range->high_timestamp);
-    monitor_->RecordQueueDelay(name, range->queue_delay_us);
-  }
   return -1;
 }
 

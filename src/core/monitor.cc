@@ -19,29 +19,36 @@ const Monitor::NodeState* Monitor::FindState(std::string_view node) const {
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
-void Monitor::RecordLatency(std::string_view node, MicrosecondCount rtt_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  const MicrosecondCount now = clock_->NowMicros();
-  state.latencies.Record(now, rtt_us);
-  state.last_contact_us = now;
+void Monitor::RecordLatencyLocked(NodeState& state, MicrosecondCount now_us,
+                                  MicrosecondCount rtt_us) {
+  state.latencies.Record(now_us, rtt_us);
+  state.last_contact_us = now_us;
   ++state.total_samples;
   ++samples_recorded_;
+  ++state_version_;
+}
+
+void Monitor::RecordLatency(std::string_view node, MicrosecondCount rtt_us) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordLatencyLocked(StateFor(node), clock_->NowMicros(), rtt_us);
+}
+
+void Monitor::RecordHighTimestampLocked(NodeState& state,
+                                        MicrosecondCount now_us,
+                                        const Timestamp& high) {
+  // High timestamps only move forward; keep the max ever observed.
+  if (high > state.high_timestamp) {
+    state.high_timestamp = high;
+    state.high_observed_at_us = now_us;
+  }
+  state.last_contact_us = now_us;
   ++state_version_;
 }
 
 void Monitor::RecordHighTimestamp(std::string_view node,
                                   const Timestamp& high) {
   std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  const MicrosecondCount now = clock_->NowMicros();
-  // High timestamps only move forward; keep the max ever observed.
-  if (high > state.high_timestamp) {
-    state.high_timestamp = high;
-    state.high_observed_at_us = now;
-  }
-  state.last_contact_us = now;
-  ++state_version_;
+  RecordHighTimestampLocked(StateFor(node), clock_->NowMicros(), high);
 }
 
 void Monitor::RecordConfig(uint64_t epoch, std::string_view primary) {
@@ -61,16 +68,19 @@ Monitor::ConfigView Monitor::CurrentConfig() const {
   return ConfigView{config_epoch_, config_primary_};
 }
 
-void Monitor::RecordSuccess(std::string_view node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  state.outcomes.Record(clock_->NowMicros(), 1);
+void Monitor::RecordSuccessLocked(NodeState& state, MicrosecondCount now_us) {
+  state.outcomes.Record(now_us, 1);
   // Any answer closes the breaker: a half-open probation probe succeeded, or
   // the node recovered on its own before the cooldown ended.
   state.consecutive_failures = 0;
   state.breaker_open_until_us = 0;
   ++state.total_samples;
   ++state_version_;
+}
+
+void Monitor::RecordSuccess(std::string_view node) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordSuccessLocked(StateFor(node), clock_->NowMicros());
 }
 
 void Monitor::RecordFailure(std::string_view node) {
@@ -111,10 +121,8 @@ void Monitor::RecordOverload(std::string_view node,
   ++state_version_;
 }
 
-void Monitor::RecordQueueDelay(std::string_view node,
-                               MicrosecondCount delay_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
+void Monitor::RecordQueueDelayLocked(NodeState& state,
+                                     MicrosecondCount delay_us) {
   state.queue_delay_ewma_us =
       kQueueDelayAlpha * static_cast<double>(delay_us) +
       (1.0 - kQueueDelayAlpha) * state.queue_delay_ewma_us;
@@ -122,24 +130,47 @@ void Monitor::RecordQueueDelay(std::string_view node,
   ++state_version_;
 }
 
-bool Monitor::IsOverloaded(std::string_view node) const {
+void Monitor::RecordQueueDelay(std::string_view node,
+                               MicrosecondCount delay_us) {
   std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
-  return state != nullptr &&
-         clock_->NowMicros() < state->overloaded_until_us;
+  RecordQueueDelayLocked(StateFor(node), delay_us);
 }
 
-double Monitor::POverload(std::string_view node, double utility) const {
-  if (!IsOverloaded(node)) {
+void Monitor::RecordReply(std::string_view node,
+                          std::optional<MicrosecondCount> rtt_us,
+                          const Timestamp& high,
+                          MicrosecondCount queue_delay_us) {
+  std::lock_guard<std::mutex> lock(mu_);
+  NodeState& state = StateFor(node);
+  const MicrosecondCount now = clock_->NowMicros();
+  if (rtt_us.has_value()) {
+    RecordLatencyLocked(state, now, *rtt_us);
+  }
+  RecordSuccessLocked(state, now);
+  RecordHighTimestampLocked(state, now, high);
+  RecordQueueDelayLocked(state, queue_delay_us);
+}
+
+bool Monitor::OverloadedLocked(const NodeState* state,
+                               MicrosecondCount now_us) {
+  return state != nullptr && now_us < state->overloaded_until_us;
+}
+
+bool Monitor::IsOverloaded(std::string_view node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return OverloadedLocked(FindState(node), clock_->NowMicros());
+}
+
+double Monitor::OverloadFactor(bool overloaded, double utility) {
+  if (!overloaded) {
     return 1.0;
   }
   const double u = std::clamp(utility, 0.0, 1.0);
   return kOverloadPenalty + (1.0 - kOverloadPenalty) * u;
 }
 
-MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+MicrosecondCount Monitor::QueueDelayLocked(const NodeState* state,
+                                           MicrosecondCount now_us) const {
   if (state == nullptr) {
     return 0;
   }
@@ -148,13 +179,18 @@ MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
   }
   // No local evidence: use the fleet prior's queue delay, scaled down as the
   // prior ages so a dead aggregator's last digest fades to "no pressure".
-  const double k = PriorWeightLocked(*state, clock_->NowMicros());
+  const double k = PriorWeightLocked(*state, now_us);
   if (k <= 0.0) {
     return 0;
   }
   const double confidence = k / kPriorStrength;  // In (0, 1].
   return static_cast<MicrosecondCount>(
       confidence * static_cast<double>(state->prior.queue_delay_us));
+}
+
+MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return QueueDelayLocked(FindState(node), clock_->NowMicros());
 }
 
 Monitor::BreakerState Monitor::BreakerLocked(const NodeState* state,
@@ -210,13 +246,11 @@ double Monitor::PriorFractionBelow(const monitoring::NodeCondition& prior,
   return std::min(1.0, 0.99 + 0.01 * (l - p99) / std::max(1.0, p99));
 }
 
-double Monitor::PNodeUp(std::string_view node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+double Monitor::PNodeUpLocked(const NodeState* state,
+                              MicrosecondCount now) const {
   if (state == nullptr) {
     return 1.0;
   }
-  const MicrosecondCount now = clock_->NowMicros();
   // An open breaker overrides the windowed estimate: the node is known-bad
   // until the cooldown expires, however good its older samples look.
   if (BreakerLocked(state, now) == BreakerState::kOpen) {
@@ -241,14 +275,16 @@ double Monitor::PNodeUp(std::string_view node) const {
   return (m * p_local + k * p_prior) / (m + k);
 }
 
-double Monitor::PNodeLat(std::string_view node,
-                         MicrosecondCount latency_us) const {
+double Monitor::PNodeUp(std::string_view node) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+  return PNodeUpLocked(FindState(node), clock_->NowMicros());
+}
+
+double Monitor::PNodeLatLocked(const NodeState* state, MicrosecondCount now,
+                               MicrosecondCount latency_us) const {
   if (state == nullptr) {
     return kUnknownLatencyEstimate;
   }
-  const MicrosecondCount now = clock_->NowMicros();
   const double n = static_cast<double>(state->latencies.SampleCount(now));
   // A prior with sample_count == 0 carries no latency evidence (a node seen
   // by the fleet only via server self-reports): blend nothing from it.
@@ -267,6 +303,33 @@ double Monitor::PNodeLat(std::string_view node,
   const double f_local = state->latencies.FractionBelow(
       now, latency_us, kUnknownLatencyEstimate);
   return (n * f_local + k * f_prior) / (n + k);
+}
+
+double Monitor::PNodeLat(std::string_view node,
+                         MicrosecondCount latency_us) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return PNodeLatLocked(FindState(node), clock_->NowMicros(), latency_us);
+}
+
+Monitor::NodeEstimate Monitor::Estimate(std::string_view node,
+                                        std::span<const SubSla> subslas,
+                                        std::span<double> p_lat) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const NodeState* state = FindState(node);
+  const MicrosecondCount now = clock_->NowMicros();
+  NodeEstimate estimate;
+  estimate.breaker_open = BreakerLocked(state, now) == BreakerState::kOpen;
+  estimate.high_timestamp = KnownHighTimestampLocked(state, now);
+  estimate.queue_delay_us = QueueDelayLocked(state, now);
+  estimate.p_up = PNodeUpLocked(state, now);
+  estimate.overloaded = OverloadedLocked(state, now);
+  estimate.mean_latency_us = MeanLatencyLocked(state, now);
+  for (size_t i = 0; i < subslas.size(); ++i) {
+    const MicrosecondCount budget = std::max<MicrosecondCount>(
+        0, subslas[i].latency_us - estimate.queue_delay_us);
+    p_lat[i] = PNodeLatLocked(state, now, budget);
+  }
+  return estimate;
 }
 
 bool Monitor::InstallDigest(const monitoring::ConditionDigest& digest) {
@@ -346,9 +409,8 @@ double Monitor::PNodeCons(std::string_view node,
   return KnownHighTimestamp(node) >= min_read_timestamp ? 1.0 : 0.0;
 }
 
-Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+Timestamp Monitor::KnownHighTimestampLocked(const NodeState* state,
+                                            MicrosecondCount now_us) const {
   if (state == nullptr) {
     return Timestamp::Zero();
   }
@@ -357,18 +419,24 @@ Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
     // Extrapolate: the node's high timestamp has (probably) kept advancing
     // since we last heard from it, at the pace of wall time (true for an
     // idle primary's heartbeats).
-    high.physical_us += clock_->NowMicros() - state->high_observed_at_us;
+    high.physical_us += now_us - state->high_observed_at_us;
   }
   return high;
 }
 
+Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return KnownHighTimestampLocked(FindState(node), clock_->NowMicros());
+}
+
+MicrosecondCount Monitor::MeanLatencyLocked(const NodeState* state,
+                                            MicrosecondCount now_us) {
+  return state == nullptr ? 0 : state->latencies.Mean(now_us);
+}
+
 MicrosecondCount Monitor::MeanLatency(std::string_view node) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
-  if (state == nullptr) {
-    return 0;
-  }
-  return state->latencies.Mean(clock_->NowMicros());
+  return MeanLatencyLocked(FindState(node), clock_->NowMicros());
 }
 
 std::vector<Monitor::NodeSnapshot> Monitor::Snapshot() const {

@@ -28,12 +28,15 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/timestamp.h"
+#include "src/core/sla.h"
 #include "src/monitoring/digest.h"
 #include "src/util/sliding_window.h"
 
@@ -132,6 +135,15 @@ class Monitor {
   // EWMA that selection subtracts from each rank's latency budget.
   void RecordQueueDelay(std::string_view node, MicrosecondCount delay_us);
 
+  // Everything a served reply tells the monitor, under one lock and one
+  // clock reading: RecordLatency (skipped when `rtt_us` is empty),
+  // RecordSuccess, RecordHighTimestamp and RecordQueueDelay, in that order.
+  // Leaves the same state, state_version() and samples_recorded() as the
+  // four calls.
+  void RecordReply(std::string_view node,
+                   std::optional<MicrosecondCount> rtt_us,
+                   const Timestamp& high, MicrosecondCount queue_delay_us);
+
   // --- Fleet priors (DESIGN.md Section 12) ---
 
   // Installs a pushed fleet digest as this monitor's prior. Monotonic in
@@ -183,7 +195,10 @@ class Monitor {
 
   // Utility multiplier the degradation ladder applies to a non-authoritative
   // subSLA with utility `utility` at this node: 1.0 when not overloaded.
-  double POverload(std::string_view node, double utility) const;
+  double POverload(std::string_view node, double utility) const {
+    return OverloadFactor(IsOverloaded(node), utility);
+  }
+  static double OverloadFactor(bool overloaded, double utility);
 
   // Smoothed server-reported queue delay; 0 for unknown nodes.
   MicrosecondCount QueueDelayUs(std::string_view node) const;
@@ -195,6 +210,27 @@ class Monitor {
 
   // Mean windowed RTT; 0 when no samples (treated as "unknown, assume near").
   MicrosecondCount MeanLatency(std::string_view node) const;
+
+  // Everything selection (Figure 8) reads about one node, taken under one
+  // lock at one clock reading. Each field is what the getter named beside it
+  // returns at that instant.
+  struct NodeEstimate {
+    bool breaker_open = false;                     // BreakerOpen
+    Timestamp high_timestamp = Timestamp::Zero();  // KnownHighTimestamp
+    MicrosecondCount queue_delay_us = 0;           // QueueDelayUs
+    double p_up = 1.0;                             // PNodeUp
+    bool overloaded = false;                       // IsOverloaded
+    MicrosecondCount mean_latency_us = 0;          // MeanLatency
+  };
+
+  // The node's NodeEstimate, plus in `p_lat[i]` (p_lat.size() ==
+  // subslas.size()) PNodeLat at subslas[i]'s latency budget: its latency
+  // bound less the queue delay, floored at 0. Server-side queueing eats
+  // into the budget: a node whose admission queue is already worth 40 ms
+  // cannot meet a 50 ms rank unless its RTTs fit in the remaining 10 ms.
+  NodeEstimate Estimate(std::string_view node,
+                        std::span<const SubSla> subslas,
+                        std::span<double> p_lat) const;
 
   // True when the node has not been contacted within probe_interval, or the
   // node's breaker is half-open (probation probe wanted). False while the
@@ -307,8 +343,29 @@ class Monitor {
         : latencies(window), outcomes(window) {}
   };
 
+  // The Record* and estimate bodies, for a caller holding mu_. Each public
+  // Record* or getter is one lock around one of these (RecordReply and
+  // Estimate around several), so no formula exists twice.
+  void RecordLatencyLocked(NodeState& state, MicrosecondCount now_us,
+                           MicrosecondCount rtt_us);
+  void RecordSuccessLocked(NodeState& state, MicrosecondCount now_us);
+  void RecordHighTimestampLocked(NodeState& state, MicrosecondCount now_us,
+                                 const Timestamp& high);
+  void RecordQueueDelayLocked(NodeState& state, MicrosecondCount delay_us);
+  // The getters take a null state for a node the monitor has never seen.
   BreakerState BreakerLocked(const NodeState* state,
                              MicrosecondCount now_us) const;
+  double PNodeLatLocked(const NodeState* state, MicrosecondCount now_us,
+                        MicrosecondCount latency_us) const;
+  double PNodeUpLocked(const NodeState* state, MicrosecondCount now_us) const;
+  MicrosecondCount QueueDelayLocked(const NodeState* state,
+                                    MicrosecondCount now_us) const;
+  Timestamp KnownHighTimestampLocked(const NodeState* state,
+                                     MicrosecondCount now_us) const;
+  static bool OverloadedLocked(const NodeState* state,
+                               MicrosecondCount now_us);
+  static MicrosecondCount MeanLatencyLocked(const NodeState* state,
+                                            MicrosecondCount now_us);
 
   // Pseudo-sample count the node's prior is worth at `now_us`: zero when
   // absent or past kPriorTtlUs, kPriorStrength when brand new.

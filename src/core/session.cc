@@ -14,8 +14,8 @@ namespace {
 // after the causal maxima.
 constexpr uint8_t kSessionWireVersion = 3;
 
-void EncodeTimestampMap(
-    Encoder& enc, const std::map<std::string, Timestamp, std::less<>>& map) {
+template <typename Map>
+void EncodeTimestampMap(Encoder& enc, const Map& map) {
   enc.PutVarint64(map.size());
   for (const auto& [key, timestamp] : map) {
     enc.PutLengthPrefixed(key);
@@ -23,8 +23,8 @@ void EncodeTimestampMap(
   }
 }
 
-Status DecodeTimestampMap(Decoder& dec,
-                          std::map<std::string, Timestamp, std::less<>>* map) {
+template <typename Map>
+Status DecodeTimestampMap(Decoder& dec, Map* map) {
   uint64_t count = 0;
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&count));
   if (count > dec.remaining()) {
@@ -35,12 +35,33 @@ Status DecodeTimestampMap(Decoder& dec,
     Timestamp timestamp;
     PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&key));
     PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&timestamp));
-    (*map)[std::move(key)] = timestamp;
+    // A key listed twice keeps its last timestamp.
+    auto it = map->lower_bound(std::string_view(key));
+    if (it != map->end() && it->first == std::string_view(key)) {
+      it->second = timestamp;
+    } else {
+      map->emplace_hint(it, key, timestamp);
+    }
   }
   return Status::Ok();
 }
 
 }  // namespace
+
+Session::Session(const Session& other)
+    : default_sla_(other.default_sla_),
+      id_(other.id_),
+      keys_(std::make_unique<KeyMaps>(*other.keys_)),
+      max_read_(other.max_read_),
+      max_write_(other.max_write_),
+      cache_floor_(other.cache_floor_) {}
+
+Session& Session::operator=(const Session& other) {
+  if (this != &other) {
+    *this = Session(other);
+  }
+  return *this;
+}
 
 uint64_t Session::NextId() {
   static std::atomic<uint64_t> next_id{1};
@@ -93,43 +114,49 @@ Timestamp Session::MinReadTimestampForScan(const Guarantee& guarantee,
   return Timestamp::Zero();
 }
 
-void Session::RecordPut(std::string_view key, const Timestamp& timestamp) {
-  auto [it, inserted] = puts_.try_emplace(std::string(key), timestamp);
-  if (!inserted) {
+Session::TimestampMap::iterator Session::Raise(TimestampMap& map,
+                                               std::string_view key,
+                                               const Timestamp& timestamp) {
+  auto it = map.lower_bound(key);
+  if (it != map.end() && it->first == key) {
     it->second = MaxTimestamp(it->second, timestamp);
+    return it;
   }
+  return map.emplace_hint(it, key, timestamp);
+}
+
+void Session::RecordPut(std::string_view key, const Timestamp& timestamp) {
+  Raise(keys_->puts, key, timestamp);
   max_write_ = MaxTimestamp(max_write_, timestamp);
 }
 
 void Session::RecordGet(std::string_view key,
                         const Timestamp& version_timestamp) {
-  auto [it, inserted] =
-      gets_.try_emplace(std::string(key), version_timestamp);
-  if (!inserted) {
-    it->second = MaxTimestamp(it->second, version_timestamp);
-  }
+  Raise(keys_->gets, key, version_timestamp);
   max_read_ = MaxTimestamp(max_read_, version_timestamp);
 }
 
 void Session::RecordScan(std::span<const proto::VersionPtr> items) {
+  TimestampMap& gets = keys_->gets;
   // The entry of the previous item; end() until the first is placed.
-  auto previous = gets_.end();
+  auto previous = gets.end();
   for (const proto::VersionPtr& shared : items) {
     const proto::ObjectVersion& item = *shared;
-    // Where item.key sits: the entry after the previous one when the keys
+    const std::string_view key = item.key;
+    // Where the key sits: the entry after the previous one when the keys
     // ascend with no recorded key between them, else a fresh lookup.
-    auto next = previous == gets_.end() ? previous : std::next(previous);
+    auto next = previous == gets.end() ? previous : std::next(previous);
     const bool in_order =
-        previous != gets_.end() && previous->first < item.key &&
-        (next == gets_.end() || item.key <= next->first);
+        previous != gets.end() && previous->first < key &&
+        (next == gets.end() || key <= next->first);
     if (!in_order) {
-      next = gets_.lower_bound(item.key);
+      next = gets.lower_bound(key);
     }
-    if (next != gets_.end() && next->first == item.key) {
+    if (next != gets.end() && next->first == key) {
       next->second = MaxTimestamp(next->second, item.timestamp);
       previous = next;
     } else {
-      previous = gets_.emplace_hint(next, item.key, item.timestamp);
+      previous = gets.emplace_hint(next, key, item.timestamp);
     }
     max_read_ = MaxTimestamp(max_read_, item.timestamp);
   }
@@ -147,8 +174,8 @@ std::string Session::Serialize() const {
     enc.PutVarintSigned64(sub.latency_us);
     enc.PutDouble(sub.utility);
   }
-  EncodeTimestampMap(enc, puts_);
-  EncodeTimestampMap(enc, gets_);
+  EncodeTimestampMap(enc, keys_->puts);
+  EncodeTimestampMap(enc, keys_->gets);
   enc.PutTimestamp(max_read_);
   enc.PutTimestamp(max_write_);
   enc.PutTimestamp(cache_floor_);
@@ -191,8 +218,8 @@ Result<Session> Session::Deserialize(std::string_view bytes) {
 
   Session session(std::move(sla));
   session.id_ = id;
-  PILEUS_RETURN_IF_ERROR(DecodeTimestampMap(dec, &session.puts_));
-  PILEUS_RETURN_IF_ERROR(DecodeTimestampMap(dec, &session.gets_));
+  PILEUS_RETURN_IF_ERROR(DecodeTimestampMap(dec, &session.keys_->puts));
+  PILEUS_RETURN_IF_ERROR(DecodeTimestampMap(dec, &session.keys_->gets));
   PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&session.max_read_));
   PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&session.max_write_));
   PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&session.cache_floor_));
@@ -210,13 +237,13 @@ Result<Session> Session::Deserialize(std::string_view bytes) {
 }
 
 Timestamp Session::LastPutTimestamp(std::string_view key) const {
-  auto it = puts_.find(key);
-  return it == puts_.end() ? Timestamp::Zero() : it->second;
+  auto it = keys_->puts.find(key);
+  return it == keys_->puts.end() ? Timestamp::Zero() : it->second;
 }
 
 Timestamp Session::LastGetTimestamp(std::string_view key) const {
-  auto it = gets_.find(key);
-  return it == gets_.end() ? Timestamp::Zero() : it->second;
+  auto it = keys_->gets.find(key);
+  return it == keys_->gets.end() ? Timestamp::Zero() : it->second;
 }
 
 }  // namespace pileus::core

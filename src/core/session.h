@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <string_view>
@@ -37,6 +39,14 @@ namespace pileus::core {
 class Session {
  public:
   explicit Session(Sla default_sla) : default_sla_(std::move(default_sla)) {}
+
+  // A copy is deep: the two sessions share no state afterwards. A move hands
+  // over the per-key maps whole; the moved-from session may only be
+  // destroyed or assigned to.
+  Session(const Session& other);
+  Session& operator=(const Session& other);
+  Session(Session&&) noexcept = default;
+  Session& operator=(Session&&) noexcept = default;
 
   const Sla& default_sla() const { return default_sla_; }
 
@@ -92,18 +102,36 @@ class Session {
   Timestamp LastGetTimestamp(std::string_view key) const;
   const Timestamp& max_read_timestamp() const { return max_read_; }
   const Timestamp& max_write_timestamp() const { return max_write_; }
-  size_t tracked_put_keys() const { return puts_.size(); }
-  size_t tracked_get_keys() const { return gets_.size(); }
+  size_t tracked_put_keys() const { return keys_->puts.size(); }
+  size_t tracked_get_keys() const { return keys_->gets.size(); }
 
  private:
+  using TimestampMap =
+      std::pmr::map<std::pmr::string, Timestamp, std::less<>>;
+  // The per-key maps. Nothing is ever erased from them, so their nodes and
+  // keys come from one arena that is freed whole with the session: a new key
+  // costs a pointer bump instead of a heap allocation or two.
+  struct KeyMaps {
+    KeyMaps() = default;
+    KeyMaps(const KeyMaps& other)
+        : puts(other.puts, &arena), gets(other.gets, &arena) {}
+    KeyMaps& operator=(const KeyMaps&) = delete;
+
+    std::pmr::monotonic_buffer_resource arena;
+    // Update timestamps of this session's Puts, per key.
+    TimestampMap puts{&arena};
+    // Timestamps of the latest version returned to this session, per key.
+    TimestampMap gets{&arena};
+  };
+
   static uint64_t NextId();
+  // Raises `key`'s entry to `timestamp` (inserting it if new); returns it.
+  static TimestampMap::iterator Raise(TimestampMap& map, std::string_view key,
+                                      const Timestamp& timestamp);
 
   Sla default_sla_;
   uint64_t id_ = NextId();
-  // Update timestamps of this session's Puts, per key.
-  std::map<std::string, Timestamp, std::less<>> puts_;
-  // Timestamps of the latest version returned to this session, per key.
-  std::map<std::string, Timestamp, std::less<>> gets_;
+  std::unique_ptr<KeyMaps> keys_ = std::make_unique<KeyMaps>();
   Timestamp max_read_ = Timestamp::Zero();
   Timestamp max_write_ = Timestamp::Zero();
   Timestamp cache_floor_ = Timestamp::Zero();

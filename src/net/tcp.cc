@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -27,6 +28,9 @@ namespace {
 // level-triggered epoll re-fires if more bytes are waiting.
 constexpr int kMaxReadsPerEvent = 16;
 constexpr size_t kReadChunk = 64 * 1024;
+// Least room a read asks the parser for: a connection's buffer starts at this
+// size and doubles only while the frames it carries outgrow it.
+constexpr size_t kMinReadRoom = 1024;
 constexpr int kMaxIov = 64;
 constexpr MicrosecondCount kDefaultConnectTimeoutUs = 5 * 1000 * 1000;
 
@@ -98,16 +102,16 @@ proto::Message DecodeErrorReply(const Status& status) {
   return err;
 }
 
-// Reads until EAGAIN (bounded), feeding the parser. Returns false when the
-// connection is dead (EOF or a hard error).
+// Reads until EAGAIN (bounded), straight into the parser's buffer. Returns
+// false when the connection is dead (EOF or a hard error).
 bool DrainSocketInto(int fd, FrameParser* parser) {
-  char buf[kReadChunk];
   for (int i = 0; i < kMaxReadsPerEvent; ++i) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    const std::span<char> room = parser->PrepareAppend(kMinReadRoom);
+    const ssize_t n = ::recv(fd, room.data(), room.size(), 0);
     if (n > 0) {
       Tcp().bytes_received->Increment(static_cast<uint64_t>(n));
-      parser->Feed(std::string_view(buf, static_cast<size_t>(n)));
-      if (static_cast<size_t>(n) < sizeof(buf)) {
+      parser->CommitAppend(static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < room.size()) {
         return true;  // Socket drained.
       }
       continue;
@@ -203,22 +207,60 @@ std::string EncodeWireFrame(uint64_t request_id,
   return frame;
 }
 
+void FrameParser::Reset() {
+  // Give back a buffer one big frame grew, or a connection that once carried
+  // one keeps its size for good.
+  if (capacity_ > kReadChunk) {
+    buffer_.reset();
+    capacity_ = 0;
+  }
+  size_ = 0;
+  consumed_ = 0;
+  failed_ = Status::Ok();
+}
+
 void FrameParser::Compact() {
   if (consumed_ == 0) {
     return;
   }
-  if (consumed_ == buffer_.size()) {
-    // Give back a buffer one big frame grew, or a connection that once
-    // carried one keeps its size for good.
-    if (buffer_.capacity() > kReadChunk) {
-      std::string().swap(buffer_);
+  if (consumed_ == size_) {
+    Reset();  // Only reached with no sticky failure to clear.
+  } else if (consumed_ > kReadChunk && consumed_ * 2 >= size_) {
+    std::memmove(buffer_.get(), buffer_.get() + consumed_, size_ - consumed_);
+    size_ -= consumed_;
+    consumed_ = 0;
+  }
+}
+
+std::span<char> FrameParser::PrepareAppend(size_t min_bytes) {
+  if (!failed_.ok()) {
+    size_ = 0;  // Whatever arrives is dropped; keep only the room.
+    consumed_ = 0;
+  }
+  Compact();
+  if (capacity_ - size_ < min_bytes) {
+    const size_t live = size_ - consumed_;
+    if (capacity_ - live >= min_bytes) {
+      // Enough room once the handed-out bytes before the live ones go.
+      std::memmove(buffer_.get(), buffer_.get() + consumed_, live);
     } else {
-      buffer_.clear();
+      const size_t capacity = std::max(live + min_bytes, 2 * capacity_);
+      auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+      if (live > 0) {
+        std::memcpy(grown.get(), buffer_.get() + consumed_, live);
+      }
+      buffer_ = std::move(grown);
+      capacity_ = capacity;
     }
+    size_ = live;
     consumed_ = 0;
-  } else if (consumed_ > kReadChunk && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
+  }
+  return std::span<char>(buffer_.get() + size_, capacity_ - size_);
+}
+
+void FrameParser::CommitAppend(size_t bytes) {
+  if (failed_.ok()) {
+    size_ += bytes;
   }
 }
 
@@ -226,8 +268,11 @@ void FrameParser::Feed(std::string_view bytes) {
   if (!failed_.ok()) {
     return;  // Stream already unrecoverable; drop everything.
   }
-  Compact();
-  buffer_.append(bytes.data(), bytes.size());
+  if (bytes.empty()) {
+    return;
+  }
+  std::memcpy(PrepareAppend(bytes.size()).data(), bytes.data(), bytes.size());
+  CommitAppend(bytes.size());
 }
 
 Status FrameParser::Next(std::optional<Frame>* out) {
@@ -236,12 +281,12 @@ Status FrameParser::Next(std::optional<Frame>* out) {
     return failed_;
   }
   Compact();
-  const size_t avail = buffer_.size() - consumed_;
+  const size_t avail = size_ - consumed_;
   if (avail < 4) {
     return Status::Ok();
   }
   const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(buffer_.data() + consumed_);
+      reinterpret_cast<const unsigned char*>(buffer_.get() + consumed_);
   const uint32_t len = static_cast<uint32_t>(p[0]) |
                        (static_cast<uint32_t>(p[1]) << 8) |
                        (static_cast<uint32_t>(p[2]) << 16) |
@@ -263,8 +308,8 @@ Status FrameParser::Next(std::optional<Frame>* out) {
     id |= static_cast<uint64_t>(p[4 + i]) << (8 * i);
   }
   frame.request_id = id;
-  frame.message_bytes =
-      std::string_view(buffer_).substr(consumed_ + 12, len - 8);
+  frame.message_bytes = std::string_view(
+      buffer_.get() + consumed_ + 12, static_cast<size_t>(len) - 8);
   consumed_ += 4 + static_cast<size_t>(len);
   *out = frame;
   return Status::Ok();
@@ -611,9 +656,16 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
   std::deque<std::string> out;
   size_t out_head = 0;
   bool want_write = false;
+  // A connection for synchronous calls, with the parser its replies are
+  // received into: the parser stays with the connection, so its buffer is
+  // allocated once, not once per call.
+  struct SyncConnection {
+    UniqueFd fd;
+    FrameParser parser{kMaxFrameBytes};
+  };
   // Connections no synchronous Call is using. A Call owns one for its whole
   // round trip, so the list holds the peak number of concurrent callers.
-  std::vector<UniqueFd> idle;
+  std::vector<SyncConnection> idle;
 
   // Opens a connection, counted in the transport metrics; `reconnect` marks
   // one that replaces a connection that failed.
@@ -774,7 +826,7 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
   Result<proto::Message> RoundTrip(const std::string& frame, uint64_t id,
                                    MicrosecondCount deadline_us,
                                    bool reconnect) {
-    UniqueFd conn;
+    SyncConnection conn;
     {
       std::lock_guard<std::mutex> lock(mu);
       if (!idle.empty()) {
@@ -782,7 +834,7 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
         idle.pop_back();
       }
     }
-    if (!conn.valid()) {
+    if (!conn.fd.valid()) {
       const MicrosecondCount left =
           deadline_us > 0
               ? std::max<MicrosecondCount>(
@@ -792,25 +844,28 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
       if (!opened.ok()) {
         return opened.status();
       }
-      conn = std::move(opened).value();
+      conn.fd = std::move(opened).value();
     }
     PILEUS_RETURN_IF_ERROR(
-        WriteFull(conn.get(), frame.data(), frame.size(), deadline_us));
+        WriteFull(conn.fd.get(), frame.data(), frame.size(), deadline_us));
     Tcp().bytes_sent->Increment(frame.size());
     Tcp().frames_sent->Increment();
-    FrameParser reply_parser;
+    // An idle connection's parser is empty: only a clean reply that left no
+    // byte behind returned it to the list.
+    FrameParser& reply_parser = conn.parser;
     std::optional<FrameParser::Frame> reply;
-    char buf[kReadChunk];
     while (true) {
       PILEUS_RETURN_IF_ERROR(reply_parser.Next(&reply));
       if (reply.has_value()) {
         break;
       }
-      PILEUS_RETURN_IF_ERROR(WaitReady(conn.get(), POLLIN, deadline_us));
-      const ssize_t n = ::recv(conn.get(), buf, sizeof(buf), MSG_DONTWAIT);
+      PILEUS_RETURN_IF_ERROR(WaitReady(conn.fd.get(), POLLIN, deadline_us));
+      const std::span<char> room = reply_parser.PrepareAppend(kMinReadRoom);
+      const ssize_t n =
+          ::recv(conn.fd.get(), room.data(), room.size(), MSG_DONTWAIT);
       if (n > 0) {
         Tcp().bytes_received->Increment(static_cast<uint64_t>(n));
-        reply_parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
+        reply_parser.CommitAppend(static_cast<size_t>(n));
       } else if (n == 0) {
         return Status(StatusCode::kUnavailable, "connection closed by peer");
       } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
@@ -823,6 +878,9 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
     }
     Result<proto::Message> message = proto::DecodeMessage(reply->message_bytes);
     if (message.ok()) {
+      // An idle connection keeps a buffer of at most 64 KiB: a big reply's
+      // goes now, not at the connection's next call.
+      reply_parser.Reset();
       std::lock_guard<std::mutex> lock(mu);
       idle.push_back(std::move(conn));
     }

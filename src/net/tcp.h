@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,11 +57,12 @@ using AsyncHandler = std::function<void(
 std::string EncodeWireFrame(uint64_t request_id, const proto::Message& message);
 
 // Incremental parser for the multiplexed stream. Feed bytes as they arrive
-// (partial reads, split length prefixes — any fragmentation is fine); Next()
-// yields complete frames in order, as views into the parser's buffer, so a
-// frame is decoded where it was received, without a copy. Corruption (an
-// absurd or runt length) is sticky: the stream cannot be resynchronized and
-// the connection must be torn down.
+// (partial reads, split length prefixes — any fragmentation is fine), or
+// receive them straight into the parser's buffer with PrepareAppend and
+// CommitAppend; Next() yields complete frames in order, as views into the
+// parser's buffer, so a frame is decoded where it was received, without a
+// copy. Corruption (an absurd or runt length) is sticky: the stream cannot be
+// resynchronized and the connection must be torn down.
 class FrameParser {
  public:
   struct Frame {
@@ -75,30 +77,40 @@ class FrameParser {
 
   void Feed(std::string_view bytes);
 
+  // The free room at the end of the buffer, at least `min_bytes` of it, for
+  // a read (recv) to fill in place; CommitAppend(n) then adds the first n
+  // bytes written there to the stream. The buffer grows only when the room
+  // is short of `min_bytes`, so it settles at the size of the frames the
+  // stream carries. Ends the last frame's view, like Feed. After a
+  // corruption the room is still valid, but what is committed is dropped.
+  std::span<char> PrepareAppend(size_t min_bytes);
+  void CommitAppend(size_t bytes);
+
   // Fills `out` with the next complete frame, or nullopt when more bytes are
   // needed. Returns kCorruption (sticky) on an invalid length prefix.
   // Invalidates the previous frame's view.
   Status Next(std::optional<Frame>* out);
 
-  // Discards buffered bytes and clears a sticky failure (new connection).
-  void Reset() {
-    buffer_.clear();
-    consumed_ = 0;
-    failed_ = Status::Ok();
-  }
+  // Discards buffered bytes and clears a sticky failure (new connection, or
+  // a connection going idle). Gives back a buffer a big frame grew.
+  void Reset();
 
-  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  size_t buffered_bytes() const { return size_ - consumed_; }
   // Bytes the parser keeps allocated (tests: a consumed big frame's buffer
   // is given back by the next Feed or Next).
-  size_t buffer_capacity() const { return buffer_.capacity(); }
+  size_t buffer_capacity() const { return capacity_; }
 
  private:
-  // Drops the bytes of frames already handed out. Runs at the start of Feed
-  // and Next, the calls that end the last frame's view.
+  // Drops the bytes of frames already handed out. Runs at the start of Feed,
+  // PrepareAppend and Next, the calls that end the last frame's view.
   void Compact();
 
-  const size_t max_frame_;
-  std::string buffer_;
+  size_t max_frame_;
+  // buffer_[consumed_, size_) holds the bytes not yet handed out as frames;
+  // buffer_ has room for capacity_ bytes, not initialized past size_.
+  std::unique_ptr<char[]> buffer_;
+  size_t capacity_ = 0;
+  size_t size_ = 0;
   size_t consumed_ = 0;
   Status failed_ = Status::Ok();
 };

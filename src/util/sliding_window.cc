@@ -7,13 +7,36 @@ namespace pileus {
 void SlidingWindow::Record(MicrosecondCount now_us,
                            MicrosecondCount value_us) {
   EvictExpired(now_us);
+  if (options_.max_samples > 0 && samples_.size() == options_.max_samples) {
+    ReplaceOldest(now_us, value_us);
+    return;
+  }
   samples_.push_back(Sample{now_us, value_us});
   sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value_us),
                  value_us);
   // Sums of microsecond latencies over <=4096 samples cannot overflow int64.
   sum_ += value_us;
-  while (samples_.size() > options_.max_samples) {
-    PopOldest();
+}
+
+void SlidingWindow::ReplaceOldest(MicrosecondCount now_us,
+                                  MicrosecondCount value_us) {
+  const MicrosecondCount old = samples_.front().value_us;
+  samples_.pop_front();
+  samples_.push_back(Sample{now_us, value_us});
+  sum_ += value_us - old;
+  // A sorted vector is fixed by the multiset it holds, so the old value may
+  // leave from whichever of its copies lies nearest the new value's slot:
+  // only the values strictly between the two move, one slot each. Equal
+  // values (a full 0/1 outcomes window in steady state) move nothing.
+  if (value_us > old) {
+    const auto from = std::upper_bound(sorted_.begin(), sorted_.end(), old) - 1;
+    const auto to = std::lower_bound(from, sorted_.end(), value_us);
+    *(std::move(from + 1, to, from)) = value_us;
+  } else if (value_us < old) {
+    const auto to = std::upper_bound(sorted_.begin(), sorted_.end(), value_us);
+    const auto from = std::lower_bound(to, sorted_.end(), old);
+    std::move_backward(to, from, from + 1);
+    *to = value_us;
   }
 }
 

@@ -6,8 +6,9 @@
 // mean and quantiles. Every windowed sample counts equally. The client queries
 // the window on every Get, so beside the arrival-ordered samples it keeps a
 // sorted copy of their values and a running sum: FractionBelow is a binary
-// search, Mean and Quantile are O(1), and Record pays one sorted insert (a
-// memmove bounded by max_samples).
+// search, Mean and Quantile are O(1). Record pays one sorted insert until the
+// window holds max_samples; from then on the oldest value leaves as the new
+// one arrives, and only the values between the two shift by one slot.
 
 #ifndef PILEUS_SRC_UTIL_SLIDING_WINDOW_H_
 #define PILEUS_SRC_UTIL_SLIDING_WINDOW_H_
@@ -66,6 +67,8 @@ class SlidingWindow {
   void EvictExpired(MicrosecondCount now_us) const;
   // Drops the oldest sample from the arrival order and the index.
   void PopOldest() const;
+  // Record into a full window: the new sample takes the oldest one's place.
+  void ReplaceOldest(MicrosecondCount now_us, MicrosecondCount value_us);
 
   Options options_;
   // Mutable so read-side queries can lazily evict expired samples. samples_

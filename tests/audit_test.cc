@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,17 +22,13 @@
 #include "src/experiments/scenario.h"
 #include "src/telemetry/trace.h"
 #include "src/workload/ycsb.h"
+#include "tests/scoped_temp_dir.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus::experiments {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/pileus_audit_test.XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr) << "mkdtemp failed";
-  return dir == nullptr ? "" : dir;
-}
+constexpr std::string_view kTempPrefix = "pileus_audit_test.";
 
 TEST(FaultScenarioTest, NamesRoundTrip) {
   for (const FaultScenario scenario : AllFaultScenarios()) {
@@ -55,7 +50,8 @@ TEST(AuditScenarioTest, CleanRunsAcrossSeedsAndScenarios) {
       options.scenario = scenario;
       options.total_ops = 300;
       options.key_count = 50;
-      options.durable_root = MakeTempDir();
+      const ScopedTempDir dir(kTempPrefix);
+      options.durable_root = dir.path();
       const ScenarioResult result = RunAuditScenario(options);
       EXPECT_TRUE(result.ok())
           << result.Summary() << "\n" << result.report.ToString();
@@ -75,7 +71,8 @@ TEST(AuditScenarioTest, CrashRestartRecoversFromWalAndStaysClean) {
   options.seed = 5;
   options.scenario = FaultScenario::kCrashRestart;
   options.total_ops = 400;
-  options.durable_root = MakeTempDir();
+  const ScopedTempDir dir(kTempPrefix);
+  options.durable_root = dir.path();
   const ScenarioResult result = RunAuditScenario(options);
   EXPECT_TRUE(result.ok())
       << result.Summary() << "\n" << result.report.ToString();
@@ -92,7 +89,8 @@ TEST(AuditScenarioTest, FailoverSweepPromotesAndStaysClean) {
     options.scenario = FaultScenario::kFailover;
     options.total_ops = 400;
     options.key_count = 50;
-    options.durable_root = MakeTempDir();
+    const ScopedTempDir dir(kTempPrefix);
+    options.durable_root = dir.path();
     const ScenarioResult result = RunAuditScenario(options);
     EXPECT_TRUE(result.ok())
         << result.Summary() << "\n" << result.report.ToString();
@@ -120,7 +118,8 @@ TEST(AuditScenarioTest, AggregatorPrimedSweepStaysCleanThroughItsDeath) {
       options.total_ops = 300;
       options.key_count = 50;
       options.enable_aggregator = true;
-      options.durable_root = MakeTempDir();
+      const ScopedTempDir dir(kTempPrefix);
+      options.durable_root = dir.path();
       const ScenarioResult result = RunAuditScenario(options);
       EXPECT_TRUE(result.ok())
           << result.Summary() << "\n" << result.report.ToString();
@@ -140,9 +139,11 @@ TEST(AuditScenarioTest, SameSeedIsReproducible) {
     options.seed = 9;
     options.scenario = FaultScenario::kPartition;
     options.total_ops = 200;
-    options.durable_root = MakeTempDir();
+    const ScopedTempDir first_dir(kTempPrefix);
+    const ScopedTempDir second_dir(kTempPrefix);
+    options.durable_root = first_dir.path();
     const ScenarioResult first = RunAuditScenario(options);
-    options.durable_root = MakeTempDir();
+    options.durable_root = second_dir.path();
     const ScenarioResult second = RunAuditScenario(options);
     ASSERT_TRUE(first.setup.ok()) << first.Summary();
     EXPECT_EQ(first.Summary(), second.Summary());
@@ -200,7 +201,8 @@ TEST(AuditScenarioTest, InvalidSlaOrUnsupportedOptionsFailSetup) {
   bad[5].scenario = FaultScenario::kHandoff;
   bad[6].coordinator_kill = true;  // On the sim.
   for (size_t i = 0; i < bad.size(); ++i) {
-    bad[i].durable_root = MakeTempDir();
+    const ScopedTempDir dir(kTempPrefix);
+    bad[i].durable_root = dir.path();
     EXPECT_EQ(Supports(bad[i]).ok(), i < 3) << i;
     const ScenarioResult result = RunAuditScenario(bad[i]);
     EXPECT_FALSE(result.setup.ok()) << result.Summary();
@@ -243,7 +245,8 @@ TEST_P(DeploymentScenarioTest, AuditsClean) {
   options.seed = 7;
   options.total_ops = 200;
   options.key_count = 40;
-  options.durable_root = MakeTempDir();
+  const ScopedTempDir dir(kTempPrefix);
+  options.durable_root = dir.path();
   const ScenarioResult result = RunAuditScenario(options);
   // TCP runs on wall-clock time, so only the verdict is stable there.
   EXPECT_TRUE(result.ok())
@@ -389,7 +392,8 @@ TEST(AuditCacheTest, CacheEnabledSweepsStayClean) {
       options.total_ops = 300;
       options.key_count = 50;
       options.client_cache = true;
-      options.durable_root = MakeTempDir();
+      const ScopedTempDir dir(kTempPrefix);
+      options.durable_root = dir.path();
       const ScenarioResult result = RunAuditScenario(options);
       EXPECT_TRUE(result.ok())
           << result.Summary() << "\n" << result.report.ToString();

@@ -11,6 +11,7 @@
 #include "src/core/client.h"
 #include "src/core/monitor.h"
 #include "src/core/prober.h"
+#include "src/core/selection.h"
 #include "src/net/inproc.h"
 #include "src/storage/storage_node.h"
 
@@ -113,6 +114,56 @@ TEST(ConcurrencyTest, MonitorSharedBetweenThreads) {
     t.join();
   }
   EXPECT_GT(monitor.samples_recorded(), 100u);
+}
+
+// Two clients sharing one monitor, as the end-to-end benchmark's do: each
+// thread absorbs replies (one RecordReply each) and selects targets (one
+// Estimate per replica) against the same monitor. Under TSan this is the
+// referee for the one-lock reply and estimate paths; everywhere it checks
+// that no reply's evidence is lost.
+TEST(ConcurrencyTest, SharedMonitorRepliesAndSelectionsRace) {
+  core::Monitor monitor(RealClock::Instance());
+  const std::vector<core::ReplicaView> replicas = {
+      {"primary", true}, {"near", false}, {"far", false}};
+  const core::Sla sla = core::Sla()
+                            .Add(core::Guarantee::ReadMyWrites(), 2 * kMs, 1.0)
+                            .Add(core::Guarantee::Monotonic(), 5 * kMs, 0.7)
+                            .Add(core::Guarantee::Eventual(), 50 * kMs, 0.3);
+  constexpr int kRepliesEach = 4000;
+  std::vector<std::thread> threads;
+  std::atomic<int> bad_selections{0};
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(7 + t);
+      core::Session session(sla);
+      const core::MinReadTimestampFn floor = [&](const core::Guarantee& g) {
+        return session.MinReadTimestamp(g, "k", 0);
+      };
+      core::SelectionOptions options;
+      for (int i = 0; i < kRepliesEach; ++i) {
+        const core::SelectionResult selected = core::SelectTarget(
+            sla, replicas, nullptr, floor, monitor, options, &rng);
+        if (selected.node_index < 0 || selected.target_rank < 0) {
+          ++bad_selections;
+        }
+        const core::ReplicaView& node =
+            replicas[selected.node_index < 0 ? 0 : selected.node_index];
+        const Timestamp high{static_cast<int64_t>(rng.NextUint64(1 << 20)), 0};
+        monitor.RecordReply(
+            node.name,
+            static_cast<MicrosecondCount>(500 + rng.NextUint64(6000)), high,
+            static_cast<MicrosecondCount>(rng.NextUint64(300)));
+        session.RecordGet("k", high);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(bad_selections.load(), 0);
+  // Each reply is one latency sample and four evidence bumps.
+  EXPECT_EQ(monitor.samples_recorded(), 2u * kRepliesEach);
+  EXPECT_EQ(monitor.state_version(), 8u * kRepliesEach);
 }
 
 TEST(ConcurrencyTest, ClientWithBackgroundProberUnderLoad) {

@@ -3,7 +3,6 @@
 // coordinator-kill and crash-restart modes.
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <set>
 #include <string>
@@ -17,6 +16,7 @@
 #include "src/experiments/scenario.h"
 #include "src/workload/ycsb.h"
 #include "tests/numbered_key.h"
+#include "tests/scoped_temp_dir.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus::experiments {
@@ -156,15 +156,15 @@ TEST(ComparisonTest, BreakdownTableMentionsEveryRank) {
 // (DESIGN.md Section 15). The audit bar is the usual one — zero violations,
 // zero lost acked writes — and every kill must be followed by a recovery.
 TEST(TabletChurnTest, CoordinatorKillRecoversWithZeroLoss) {
-  char tmpl[] = "/tmp/pileus_churn_kill.XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const ScopedTempDir dir("pileus_churn_kill.");
+  ASSERT_FALSE(dir.path().empty());
   ScenarioOptions options;
   options.deployment = DeploymentKind::kTabletFleet;
   options.seed = 3;
   options.total_ops = 400;
   options.key_count = 120;
   options.coordinator_kill = true;
-  options.durable_root = tmpl;
+  options.durable_root = dir.path();
   const ScenarioResult result = RunAuditScenario(options);
   ASSERT_TRUE(result.setup.ok()) << result.setup;
   EXPECT_TRUE(result.ok()) << result.Summary();
@@ -180,13 +180,13 @@ TEST(TabletChurnTest, CoordinatorKillRecoversWithZeroLoss) {
 // data root (there is no other copy of its writes), and no acked write may
 // be missing from the committed order.
 TEST(TabletChurnTest, RestartedMigrationTargetRecoversItsOwnTablets) {
-  char root[] = "/tmp/pileus_churn_restart.XXXXXX";
-  ASSERT_NE(::mkdtemp(root), nullptr);
+  const ScopedTempDir root("pileus_churn_restart.");
+  ASSERT_FALSE(root.path().empty());
   ScenarioOptions options;
   options.deployment = DeploymentKind::kTabletFleet;
   options.scenario = FaultScenario::kCrashRestart;
   options.key_count = 60;
-  options.durable_root = root;
+  options.durable_root = root.path();
   std::unique_ptr<Deployment> fleet = MakeTabletFleetDeployment(options);
   ASSERT_TRUE(fleet->Build(nullptr).ok());
   core::ShardedClient* client =
@@ -243,7 +243,6 @@ TEST(TabletChurnTest, RestartedMigrationTargetRecoversItsOwnTablets) {
   for (const std::string& path : truth->wal_paths) {
     EXPECT_TRUE(path.ends_with("/wal.log")) << path;
   }
-  (void)::system(("rm -rf '" + std::string(root) + "'").c_str());
 }
 
 TEST(TabletChurnTest, CoordinatorKillRequiresDurableRoot) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "src/common/random.h"
@@ -16,6 +15,7 @@
 #include "src/proto/messages.h"
 #include "src/sim/fault_injector.h"
 #include "src/storage/storage_node.h"
+#include "tests/scoped_temp_dir.h"
 
 namespace pileus {
 namespace {
@@ -380,10 +380,10 @@ TEST(FaultGeoTest, CorruptedRepliesFailCleanAndGetRetriesElsewhere) {
 }
 
 TEST(FaultGeoTest, CrashLosesVolatileStateAndWalRestoresIt) {
-  char wal_dir[] = "/tmp/pileus_fault_wal_XXXXXX";
-  ASSERT_NE(::mkdtemp(wal_dir), nullptr);
+  const ScopedTempDir wal_dir("pileus_fault_wal_");
+  ASSERT_FALSE(wal_dir.path().empty());
   GeoTestbedOptions options = FastOptions();
-  options.durable_root = wal_dir;
+  options.durable_root = wal_dir.path();
   GeoTestbed testbed(options);
   testbed.StartReplication();
 

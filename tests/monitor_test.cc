@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/clock.h"
+#include "src/common/random.h"
 #include "src/core/monitor.h"
 
 namespace pileus::core {
@@ -441,6 +444,137 @@ TEST_F(MonitorTest, SnapshotReportsPriorFields) {
   EXPECT_EQ(snapshot[0].total_samples, 1u);
   EXPECT_TRUE(snapshot[0].has_prior);
   EXPECT_EQ(snapshot[0].prior_age_us, 2500);
+}
+
+// --- One lock per reply and per estimate ---
+
+// Every externally visible part of two monitors' views of `node` matches.
+void ExpectSameView(const Monitor& a, const Monitor& b,
+                    const std::string& node) {
+  ASSERT_EQ(a.state_version(), b.state_version());
+  ASSERT_EQ(a.samples_recorded(), b.samples_recorded());
+  ASSERT_EQ(a.breaker_trips(), b.breaker_trips());
+  const std::vector<Monitor::NodeSnapshot> sa = a.Snapshot();
+  const std::vector<Monitor::NodeSnapshot> sb = b.Snapshot();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].node, sb[i].node);
+    EXPECT_EQ(sa[i].latency_samples, sb[i].latency_samples);
+    EXPECT_EQ(sa[i].mean_latency_us, sb[i].mean_latency_us);
+    EXPECT_EQ(sa[i].p50_latency_us, sb[i].p50_latency_us);
+    EXPECT_EQ(sa[i].p95_latency_us, sb[i].p95_latency_us);
+    EXPECT_EQ(sa[i].p99_latency_us, sb[i].p99_latency_us);
+    EXPECT_EQ(sa[i].high_timestamp, sb[i].high_timestamp);
+    EXPECT_EQ(sa[i].high_observed_at_us, sb[i].high_observed_at_us);
+    EXPECT_EQ(sa[i].last_contact_us, sb[i].last_contact_us);
+    EXPECT_EQ(sa[i].p_up, sb[i].p_up);
+    EXPECT_EQ(sa[i].breaker, sb[i].breaker);
+    EXPECT_EQ(sa[i].consecutive_failures, sb[i].consecutive_failures);
+    EXPECT_EQ(sa[i].overloaded, sb[i].overloaded);
+    EXPECT_EQ(sa[i].queue_delay_us, sb[i].queue_delay_us);
+    EXPECT_EQ(sa[i].total_samples, sb[i].total_samples);
+  }
+  EXPECT_EQ(a.PNodeUp(node), b.PNodeUp(node));
+  EXPECT_EQ(a.KnownHighTimestamp(node), b.KnownHighTimestamp(node));
+  EXPECT_EQ(a.QueueDelayUs(node), b.QueueDelayUs(node));
+  EXPECT_EQ(a.MeanLatency(node), b.MeanLatency(node));
+  EXPECT_EQ(a.NeedsProbe(node), b.NeedsProbe(node));
+  for (const MicrosecondCount latency : {0, 900, 1000, 1500, 5000, 20000}) {
+    EXPECT_EQ(a.PNodeLat(node, latency), b.PNodeLat(node, latency));
+  }
+}
+
+TEST_F(MonitorTest, RecordReplyMatchesTheFourSingleCalls) {
+  // `split` is fed the four single calls, `joint` one RecordReply, through a
+  // random history of replies (with and without a latency sample, as Puts
+  // record none), failures that trip and re-arm the breaker, and time.
+  Monitor split(&clock_);
+  Monitor joint(&clock_);
+  Random rng(7);
+  const std::string node = "n";
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(step);
+    const double op = rng.NextDouble();
+    if (op < 0.6) {
+      const MicrosecondCount rtt = 800 + rng.NextInt64InRange(0, 2000);
+      const Timestamp high{rng.NextInt64InRange(0, 100000),
+                           static_cast<uint32_t>(rng.NextUint64(3))};
+      const MicrosecondCount delay = rng.NextInt64InRange(0, 3000);
+      const bool with_latency = rng.NextBool(0.8);
+      if (with_latency) {
+        split.RecordLatency(node, rtt);
+      }
+      split.RecordSuccess(node);
+      split.RecordHighTimestamp(node, high);
+      split.RecordQueueDelay(node, delay);
+      joint.RecordReply(node,
+                        with_latency ? std::optional<MicrosecondCount>(rtt)
+                                     : std::nullopt,
+                        high, delay);
+    } else if (op < 0.75) {
+      split.RecordFailure(node);
+      joint.RecordFailure(node);
+    } else if (op < 0.8) {
+      split.RecordOverload(node, 0);
+      joint.RecordOverload(node, 0);
+    } else {
+      clock_.AdvanceMicros(rng.NextInt64InRange(0, SecondsToMicroseconds(3)));
+    }
+    ExpectSameView(split, joint, node);
+    if (HasFailure()) {
+      return;
+    }
+  }
+}
+
+TEST_F(MonitorTest, EstimateMatchesTheSingleGetters) {
+  Monitor::Options options;
+  options.predict_high_timestamp = true;
+  Monitor monitor(&clock_, options);
+  const Sla sla = Sla()
+                      .Add(Guarantee::ReadMyWrites(), 1000, 1.0)
+                      .Add(Guarantee::Eventual(), 3000, 0.5)
+                      .Add(Guarantee::Strong(), 100, 0.2);
+  std::vector<double> p_lat(sla.size());
+  const auto expect_matches = [&](const std::string& node) {
+    SCOPED_TRACE(node);
+    const Monitor::NodeEstimate estimate =
+        monitor.Estimate(node, sla.subslas(), p_lat);
+    EXPECT_EQ(estimate.breaker_open, monitor.BreakerOpen(node));
+    EXPECT_EQ(estimate.high_timestamp, monitor.KnownHighTimestamp(node));
+    EXPECT_EQ(estimate.queue_delay_us, monitor.QueueDelayUs(node));
+    EXPECT_EQ(estimate.p_up, monitor.PNodeUp(node));
+    EXPECT_EQ(estimate.overloaded, monitor.IsOverloaded(node));
+    EXPECT_EQ(estimate.mean_latency_us, monitor.MeanLatency(node));
+    for (size_t rank = 0; rank < sla.size(); ++rank) {
+      const MicrosecondCount budget = std::max<MicrosecondCount>(
+          0, sla[rank].latency_us - monitor.QueueDelayUs(node));
+      EXPECT_EQ(p_lat[rank], monitor.PNodeLat(node, budget)) << rank;
+    }
+  };
+  expect_matches("never-seen");
+  // Local evidence with a queue delay that eats the whole strong budget.
+  for (int i = 0; i < 10; ++i) {
+    monitor.RecordReply("local", 400 + 150 * i, Timestamp{5000, 0}, 600);
+  }
+  monitor.RecordFailure("local");
+  clock_.AdvanceMicros(250);
+  expect_matches("local");
+  // A fleet prior blended with two local samples, and an overload window.
+  monitoring::ConditionDigest digest = MakeDigest(1, "prior", 900);
+  digest.nodes[0].queue_delay_us = 300;
+  digest.nodes[0].p_up = 0.5;
+  ASSERT_TRUE(monitor.InstallDigest(digest));
+  monitor.RecordLatency("prior", 700);
+  monitor.RecordLatency("prior", 1900);
+  clock_.AdvanceMicros(SecondsToMicroseconds(5));
+  monitor.RecordOverload("prior", 0);
+  expect_matches("prior");
+  // An open breaker.
+  for (int i = 0; i < Monitor::kBreakerFailureThreshold; ++i) {
+    monitor.RecordFailure("down");
+  }
+  expect_matches("down");
 }
 
 }  // namespace

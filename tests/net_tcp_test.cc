@@ -5,11 +5,13 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -346,6 +348,69 @@ TEST(TcpTest, FrameParserViewsOfFramesDeliveredInOneFeed) {
   std::optional<FrameParser::Frame> frame;
   ASSERT_TRUE(parser.Next(&frame).ok());
   EXPECT_FALSE(frame.has_value());
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+}
+
+// The receive path writes into the parser's own buffer: PrepareAppend hands
+// out room, CommitAppend adds what was written. The buffer settles at the
+// frames' size and is reused frame after frame; a frame split across
+// receives still parses; a big frame's buffer is given back; corruption
+// stays sticky.
+TEST(TcpTest, FrameParserAppendRegionReceivesInPlace) {
+  const auto receive = [](FrameParser& parser, std::string_view bytes) {
+    const std::span<char> room = parser.PrepareAppend(bytes.size());
+    ASSERT_GE(room.size(), bytes.size());
+    std::memcpy(room.data(), bytes.data(), bytes.size());
+    parser.CommitAppend(bytes.size());
+  };
+  FrameParser parser;
+  std::optional<FrameParser::Frame> frame;
+  const proto::Message message = ScanReply(1);
+  const std::string wire = EncodeWireFrame(200, message);
+  size_t settled = 0;
+  for (int i = 0; i < 5; ++i) {
+    receive(parser, wire);
+    ASSERT_TRUE(parser.Next(&frame).ok());
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->request_id, 200u);
+    EXPECT_EQ(frame->message_bytes, proto::EncodeMessage(message));
+    EXPECT_EQ(parser.buffered_bytes(), 0u);
+    if (i == 0) {
+      settled = parser.buffer_capacity();
+      EXPECT_GE(settled, wire.size());
+    }
+    EXPECT_EQ(parser.buffer_capacity(), settled) << "frame " << i;
+  }
+
+  receive(parser, std::string_view(wire).substr(0, 5));
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  EXPECT_FALSE(frame.has_value());
+  receive(parser, std::string_view(wire).substr(5));
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->request_id, 200u);
+
+  proto::PutRequest put;
+  put.key = "big";
+  put.value.assign(200 * 1024, 'x');
+  const std::string big = EncodeWireFrame(301, put);
+  for (size_t offset = 0; offset < big.size(); offset += 4096) {
+    receive(parser, std::string_view(big).substr(offset, 4096));
+  }
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->request_id, 301u);
+  EXPECT_GT(parser.buffer_capacity(), 64u * 1024);
+  ASSERT_TRUE(parser.Next(&frame).ok());
+  EXPECT_FALSE(frame.has_value());
+  EXPECT_LE(parser.buffer_capacity(), 64u * 1024);
+
+  // A length prefix below the request id's 8 bytes is corruption, and it
+  // stays: later bytes are dropped and every Next repeats the error.
+  receive(parser, std::string_view("\x03\0\0\0abc", 7));
+  EXPECT_EQ(parser.Next(&frame).code(), StatusCode::kCorruption);
+  receive(parser, EncodeWireFrame(302, put));
+  EXPECT_EQ(parser.Next(&frame).code(), StatusCode::kCorruption);
   EXPECT_EQ(parser.buffered_bytes(), 0u);
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/clock.h"
 #include "src/core/selection.h"
 
@@ -338,6 +340,244 @@ TEST_F(SelectionTest, MatchesBruteForceOracleOnRandomStates) {
     // across subSLAs, so the *chosen node* may reach maxutil through a
     // different subSLA than the target - that is the paper's semantics.)
     ASSERT_GE(result.target_rank, 0);
+  }
+}
+
+// The per-(rank, replica) oracle, spelled out over the monitor's single
+// getters: PNodeCons * PNodeLat(budget) * PNodeUp * utility, budget = the
+// rank's latency less the queue delay, discounted by POverload for
+// non-authoritative ranks.
+double OracleUtility(const SubSla& sub, const ReplicaView& replica,
+                     const MinReadTimestampFn& floor, const Monitor& monitor) {
+  double p_cons;
+  if (sub.consistency.RequiresAuthoritative()) {
+    p_cons = replica.authoritative ? 1.0 : 0.0;
+  } else {
+    p_cons = replica.authoritative
+                 ? 1.0
+                 : monitor.PNodeCons(replica.name, floor(sub.consistency));
+  }
+  if (p_cons == 0.0) {
+    return 0.0;
+  }
+  const MicrosecondCount budget = std::max<MicrosecondCount>(
+      0, sub.latency_us - monitor.QueueDelayUs(replica.name));
+  double util = p_cons * monitor.PNodeLat(replica.name, budget) *
+                monitor.PNodeUp(replica.name) * sub.utility;
+  if (!sub.consistency.RequiresAuthoritative()) {
+    util *= monitor.POverload(replica.name, sub.utility);
+  }
+  return util;
+}
+
+// Figure 8 over the oracle, one getter call per question: breaker filter,
+// rank-major maximum with ties pooled, the tie-break, epsilon widening and
+// the candidate order.
+SelectionResult OracleSelect(const Sla& sla,
+                             const std::vector<ReplicaView>& replicas,
+                             const MinReadTimestampFn& floor,
+                             const Monitor& monitor,
+                             const SelectionOptions& options) {
+  SelectionResult result;
+  std::vector<bool> eligible(replicas.size());
+  bool any = false;
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    eligible[i] = !monitor.BreakerOpen(replicas[i].name);
+    any = any || eligible[i];
+  }
+  if (!any) {
+    std::fill(eligible.begin(), eligible.end(), true);
+  }
+  double maxutil = -1.0;
+  std::vector<double> best(replicas.size(), -1.0);
+  for (size_t rank = 0; rank < sla.size(); ++rank) {
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      if (!eligible[i]) {
+        continue;
+      }
+      const double util = OracleUtility(sla[rank], replicas[i], floor, monitor);
+      best[i] = std::max(best[i], util);
+      const int index = static_cast<int>(i);
+      if (util > maxutil) {
+        maxutil = util;
+        result.target_rank = static_cast<int>(rank);
+        result.candidates = {index};
+      } else if (util == maxutil &&
+                 std::find(result.candidates.begin(), result.candidates.end(),
+                           index) == result.candidates.end()) {
+        result.candidates.push_back(index);
+      }
+    }
+  }
+  result.expected_utility = std::max(maxutil, 0.0);
+  int chosen = result.candidates.front();
+  for (int candidate : result.candidates) {
+    const std::string& name = replicas[candidate].name;
+    const std::string& leader = replicas[chosen].name;
+    if (options.tie_break == TieBreak::kClosest
+            ? monitor.MeanLatency(name) < monitor.MeanLatency(leader)
+            : monitor.KnownHighTimestamp(name) >
+                  monitor.KnownHighTimestamp(leader)) {
+      chosen = candidate;
+    }
+  }
+  result.node_index = chosen;
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    const int index = static_cast<int>(i);
+    if (options.candidate_epsilon > 0.0 && eligible[i] &&
+        best[i] >= maxutil - options.candidate_epsilon &&
+        std::find(result.candidates.begin(), result.candidates.end(),
+                  index) == result.candidates.end()) {
+      result.candidates.push_back(index);
+    }
+  }
+  std::sort(result.candidates.begin(), result.candidates.end(),
+            [&](int a, int b) {
+              if (a == chosen || b == chosen) {
+                return a == chosen && b != chosen;
+              }
+              return monitor.MeanLatency(replicas[a].name) <
+                     monitor.MeanLatency(replicas[b].name);
+            });
+  return result;
+}
+
+// SelectTarget reads one monitor estimate per replica; the oracle asks the
+// single getters for every pair. They must agree exactly, in every input an
+// estimate carries: open breakers (one, or all), overload windows, queue
+// delays, fleet priors, predicted high timestamps, and SLAs of up to 11
+// ranks.
+TEST_F(SelectionTest, SelectTargetMatchesThePerPairOracle) {
+  Random rng(4242);
+  std::vector<ReplicaView> replicas = replicas_;
+  replicas.push_back(ReplicaView{"edge", false});
+  const auto random_sla = [&rng](size_t ranks) {
+    Sla sla;
+    double utility = 1.0;
+    for (size_t rank = 0; rank < ranks; ++rank) {
+      Guarantee guarantee = Guarantee::Eventual();
+      switch (rng.NextUint64(5)) {
+        case 0:
+          guarantee = Guarantee::Strong();
+          break;
+        case 1:
+          guarantee = Guarantee::ReadMyWrites();
+          break;
+        case 2:
+          guarantee = Guarantee::Monotonic();
+          break;
+        case 3:
+          guarantee = Guarantee::BoundedSeconds(
+              static_cast<int>(1 + rng.NextUint64(60)));
+          break;
+        default:
+          break;
+      }
+      sla.Add(guarantee,
+              MillisecondsToMicroseconds(
+                  static_cast<MicrosecondCount>(1 + rng.NextUint64(300))),
+              utility);
+      if (rng.NextBool(0.7)) {
+        utility *= rng.NextDouble();
+      }
+    }
+    return sla;
+  };
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE(trial);
+    Monitor::Options monitor_options;
+    monitor_options.predict_high_timestamp = rng.NextBool(0.5);
+    Monitor monitor(&clock_, monitor_options);
+    Session session(ShoppingCartSla());
+    if (rng.NextBool(0.3)) {
+      monitoring::ConditionDigest digest;
+      digest.version = 1;
+      for (const ReplicaView& replica : replicas) {
+        if (rng.NextBool(0.5)) {
+          monitoring::NodeCondition cond;
+          cond.node = replica.name;
+          cond.sample_count = rng.NextUint64(3);
+          cond.p50_latency_us = MillisecondsToMicroseconds(
+              static_cast<MicrosecondCount>(1 + rng.NextUint64(100)));
+          cond.p95_latency_us = cond.p50_latency_us * 2;
+          cond.p99_latency_us = cond.p50_latency_us * 3;
+          cond.p_up = rng.NextDouble();
+          cond.queue_delay_us = static_cast<MicrosecondCount>(
+              rng.NextUint64(MillisecondsToMicroseconds(20)));
+          cond.high_timestamp = Timestamp{
+              kNow - static_cast<MicrosecondCount>(
+                         rng.NextUint64(SecondsToMicroseconds(60))),
+              0};
+          cond.high_age_us = static_cast<MicrosecondCount>(
+              rng.NextUint64(SecondsToMicroseconds(5)));
+          digest.nodes.push_back(std::move(cond));
+        }
+      }
+      ASSERT_TRUE(monitor.InstallDigest(digest));
+    }
+    const bool all_down = rng.NextBool(0.05);
+    for (const ReplicaView& replica : replicas) {
+      // Few distinct latencies, so exact utility ties are common.
+      const int samples = static_cast<int>(rng.NextUint64(10));
+      for (int s = 0; s < samples; ++s) {
+        monitor.RecordReply(
+            replica.name,
+            MillisecondsToMicroseconds(
+                static_cast<MicrosecondCount>(1 + 50 * rng.NextUint64(6))),
+            Timestamp{kNow - static_cast<MicrosecondCount>(rng.NextUint64(
+                                 SecondsToMicroseconds(120))),
+                      0},
+            rng.NextBool(0.3)
+                ? static_cast<MicrosecondCount>(
+                      rng.NextUint64(MillisecondsToMicroseconds(30)))
+                : 0);
+      }
+      if (all_down || rng.NextBool(0.15)) {
+        for (int f = 0; f < Monitor::kBreakerFailureThreshold; ++f) {
+          monitor.RecordFailure(replica.name);
+        }
+      } else if (rng.NextBool(0.2)) {
+        monitor.RecordFailure(replica.name);
+      }
+      if (rng.NextBool(0.2)) {
+        monitor.RecordOverload(replica.name, 0);
+      }
+    }
+    if (rng.NextBool(0.5)) {
+      session.RecordPut("k", Timestamp{kNow - static_cast<MicrosecondCount>(
+                                                  rng.NextUint64(2000000)),
+                                       0});
+    }
+    if (rng.NextBool(0.5)) {
+      session.RecordGet("k", Timestamp{kNow - static_cast<MicrosecondCount>(
+                                                  rng.NextUint64(2000000)),
+                                       0});
+    }
+    clock_.AdvanceMicros(static_cast<MicrosecondCount>(
+        rng.NextUint64(SecondsToMicroseconds(2))));
+
+    const Sla sla = random_sla(1 + rng.NextUint64(11));
+    SelectionOptions options;
+    options.tie_break =
+        rng.NextBool(0.5) ? TieBreak::kClosest : TieBreak::kFreshest;
+    options.candidate_epsilon = rng.NextBool(0.3) ? 0.1 : 0.0;
+    const MinReadTimestampFn floor =
+        KeyFloor(session, "k", clock_.NowMicros());
+    const SelectionResult got =
+        SelectTarget(sla, replicas, nullptr, floor, monitor, options, &rng_);
+    const SelectionResult want =
+        OracleSelect(sla, replicas, floor, monitor, options);
+    ASSERT_EQ(got.target_rank, want.target_rank);
+    ASSERT_EQ(got.node_index, want.node_index);
+    ASSERT_EQ(got.expected_utility, want.expected_utility);
+    ASSERT_EQ(got.candidates, want.candidates);
+    for (size_t rank = 0; rank < sla.size(); ++rank) {
+      for (const ReplicaView& replica : replicas) {
+        ASSERT_EQ(ExpectedUtility(sla[rank], replica, floor, monitor),
+                  OracleUtility(sla[rank], replica, floor, monitor))
+            << "rank " << rank << " at " << replica.name;
+      }
+    }
   }
 }
 

@@ -205,6 +205,141 @@ TEST_F(SessionTest, SerializeRoundTripPreservesGuaranteeState) {
             session_.default_sla()[0].consistency);
 }
 
+TEST_F(SessionTest, CopyIsDeepAndIndependent) {
+  session_.RecordPut("cart", Timestamp{500, 0});
+  session_.RecordGet("news", Timestamp{700, 0});
+  Session copy = session_;
+  EXPECT_EQ(copy.id(), session_.id());
+  EXPECT_EQ(copy.Serialize(), session_.Serialize());
+
+  // Writes to one show in neither the other's maps nor its maxima.
+  copy.RecordPut("cart", Timestamp{900, 0});
+  copy.RecordPut("copy-only", Timestamp{950, 0});
+  session_.RecordGet("original-only-and-longer-than-sso", Timestamp{800, 0});
+  EXPECT_EQ(session_.LastPutTimestamp("cart"), (Timestamp{500, 0}));
+  EXPECT_EQ(session_.LastPutTimestamp("copy-only"), Timestamp::Zero());
+  EXPECT_EQ(session_.max_write_timestamp(), (Timestamp{500, 0}));
+  EXPECT_EQ(copy.LastPutTimestamp("cart"), (Timestamp{900, 0}));
+  EXPECT_EQ(copy.LastGetTimestamp("original-only-and-longer-than-sso"),
+            Timestamp::Zero());
+  EXPECT_EQ(copy.tracked_get_keys(), 1u);
+  EXPECT_EQ(session_.tracked_get_keys(), 2u);
+
+  // Copy assignment replaces the target's maps with a deep copy too, and
+  // the source outlives nothing the target reads.
+  Session assigned(PasswordCheckingSla());
+  assigned.RecordPut("stale", Timestamp{1, 0});
+  {
+    Session source = copy;
+    assigned = source;
+    source.RecordPut("later", Timestamp{2000, 0});
+  }
+  EXPECT_EQ(assigned.Serialize(), copy.Serialize());
+  EXPECT_EQ(assigned.LastPutTimestamp("stale"), Timestamp::Zero());
+  EXPECT_EQ(assigned.LastPutTimestamp("later"), Timestamp::Zero());
+}
+
+TEST_F(SessionTest, MovedSessionStillWorks) {
+  session_.RecordPut("cart", Timestamp{500, 0});
+  session_.RecordScan(proto::VersionList{Item("a", 10), Item("b", 30)});
+  const std::string before = session_.Serialize();
+  Session moved = std::move(session_);
+  EXPECT_EQ(moved.Serialize(), before);
+  moved.RecordScan(proto::VersionList{Item("b", 40), Item("c", 20)});
+  moved.RecordPut("cart", Timestamp{600, 0});
+  EXPECT_EQ(moved.LastGetTimestamp("b"), (Timestamp{40, 0}));
+  EXPECT_EQ(moved.LastPutTimestamp("cart"), (Timestamp{600, 0}));
+  EXPECT_EQ(moved.tracked_get_keys(), 3u);
+
+  // A moved-from session can be assigned to again and used.
+  session_ = std::move(moved);
+  session_.RecordGet("d", Timestamp{50, 0});
+  EXPECT_EQ(session_.tracked_get_keys(), 4u);
+  EXPECT_EQ(session_.max_read_timestamp(), (Timestamp{50, 0}));
+}
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Serialized bytes with the session id (the varint after the version byte)
+// taken out, so sessions built in this process compare with pinned bytes.
+std::string WithoutId(std::string_view bytes) {
+  size_t end = 1;
+  while (end < bytes.size() &&
+         (static_cast<unsigned char>(bytes[end]) & 0x80) != 0) {
+    ++end;
+  }
+  return std::string(bytes.substr(0, 1)) + std::string(bytes.substr(end + 1));
+}
+
+proto::VersionPtr Item(const std::string& key, int64_t ts, uint32_t logical) {
+  proto::ObjectVersion item;
+  item.key = key;
+  item.value = "v";
+  item.timestamp = Timestamp{ts, logical};
+  return proto::MakeVersion(std::move(item));
+}
+
+// The serialized form is a hand-off format between frontends, so its bytes
+// are pinned: a session of id 1 with a three-rank SLA, puts, gets and a scan
+// (kPinnedSession), and the same session resumed elsewhere and used again
+// (kPinnedResumed).
+constexpr std::string_view kPinnedSession =
+    "0301030300c0cf24000000000000f03f02808ece1c80b518000000000000e83f"
+    "050080897a000000000000d03f020161880e0006757365723132d00f02061f61"
+    "2d6b65792d6c6f6e6765722d7468616e2d7369787465656e2d6279746573d804"
+    "0001620a0006757365723130640006757365723131f80a040675736572313298"
+    "1100027a7ae01201e01201d00f020000";
+constexpr std::string_view kPinnedResumed =
+    "0301030300c0cf24000000000000f03f02808ece1c80b518000000000000e83f"
+    "050080897a000000000000d03f030161880e00016db8170306757365723132d0"
+    "0f02071f612d6b65792d6c6f6e6765722d7468616e2d7369787465656e2d6279"
+    "746573d8040001620a0006757365723130780106757365723131f80a04067573"
+    "6572313298110006757365723133a81400027a7ae01202a81400b81703e01201";
+
+TEST_F(SessionTest, SerializeMatchesPinnedBytes) {
+  Session session(Sla()
+                      .Add(Guarantee::ReadMyWrites(), 300000, 1.0)
+                      .Add(Guarantee::BoundedSeconds(30), 200000, 0.75)
+                      .Add(Guarantee::Eventual(), 1000000, 0.25));
+  session.RecordPut("user12", Timestamp{1000, 2});
+  session.RecordPut("a", Timestamp{900, 0});
+  session.RecordPut("user12", Timestamp{800, 9});
+  session.RecordGet("zz", Timestamp{1200, 1});
+  session.RecordGet("a-key-longer-than-sixteen-bytes", Timestamp{300, 0});
+  session.RecordScan(proto::VersionList{
+      Item("user10", 50, 0), Item("user11", 700, 4), Item("user12", 1100, 0),
+      Item("b", 5, 0)});
+  EXPECT_EQ(ToHex(WithoutId(session.Serialize())),
+            ToHex(WithoutId(FromHex(kPinnedSession))));
+
+  Result<Session> resumed = Session::Deserialize(FromHex(kPinnedSession));
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  resumed->RecordPut("m", Timestamp{1500, 3});
+  resumed->RecordGet("user11", Timestamp{650, 0});
+  resumed->RecordScan(proto::VersionList{Item("user13", 1300, 0),
+                                         Item("user10", 60, 1),
+                                         Item("zz", 1200, 2)});
+  EXPECT_EQ(ToHex(resumed->Serialize()), kPinnedResumed);
+}
+
 TEST_F(SessionTest, SerializeEmptySession) {
   Result<Session> restored = Session::Deserialize(session_.Serialize());
   ASSERT_TRUE(restored.ok());
