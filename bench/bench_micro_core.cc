@@ -71,8 +71,8 @@ void BM_SelectTarget(benchmark::State& state) {
       return fixture.session.MinReadTimestamp(guarantee, "key-1", now_us);
     };
     benchmark::DoNotOptimize(SelectTarget(fixture.sla, fixture.replicas,
-                                          nullptr, min_read, fixture.monitor,
-                                          options, &fixture.rng));
+                                          min_read, fixture.monitor, options,
+                                          &fixture.rng));
   }
 }
 // Args: replicas, latency samples per replica.

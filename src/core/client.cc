@@ -118,19 +118,10 @@ void PileusClient::InitInstruments() {
       rank_counter("pileus_client_sla_met_total", "8plus");
   instruments_.target_overflow =
       rank_counter("pileus_client_sla_target_total", "8plus");
-  instruments_.cache_served = counter("pileus_client_cache_served_total");
-  for (int rank = 0; rank < Instruments::kTrackedRanks; ++rank) {
-    instruments_.cache_served_by_rank[rank] = rank_counter(
-        "pileus_client_sla_cache_served_total", std::to_string(rank));
-  }
-  instruments_.cache_served_overflow =
-      rank_counter("pileus_client_sla_cache_served_total", "8plus");
   instruments_.overload_rejections =
       counter("pileus_client_overload_rejections_total");
   instruments_.retry_budget_denied =
       counter("pileus_client_retry_budget_denied_total");
-  instruments_.degraded_cache_served =
-      counter("pileus_client_degraded_cache_served_total");
   instruments_.get_latency_us = registry->GetHistogram(
       telemetry::WithLabels("pileus_client_get_latency_us", {{"table", table}}));
   instruments_.put_latency_us = registry->GetHistogram(
@@ -405,38 +396,6 @@ struct PileusClient::GetOp {
     return session.MinReadTimestamp(guarantee, key, now_us);
   }
 
-  // The reply a cached entry asserts (DESIGN.md "Client cache"). An entry
-  // is eligible only past the session's hand-off floor: a session resumed
-  // on this frontend must not trust cache state older than everything it
-  // had already observed elsewhere.
-  std::optional<Reply> LookupCache(cache::ClientCache& cache,
-                                   const std::string& table) const {
-    std::optional<cache::ClientCache::Entry> entry = cache.Lookup(table, key);
-    if (!entry.has_value() || entry->valid_through < session.cache_floor()) {
-      return std::nullopt;
-    }
-    Reply reply;
-    reply.found = !entry->is_tombstone;
-    reply.value = std::move(entry->value);
-    reply.value_timestamp = entry->timestamp;
-    reply.high_timestamp = entry->valid_through;
-    return reply;
-  }
-
-  // Read-through fill: the serving node's prefix proves its value (or
-  // absence) is the newest committed state of the key at or below the
-  // reply's high timestamp. A not-found reply is positive evidence of
-  // absence; its value timestamp carries the tombstone's update timestamp
-  // when the key was deleted (Zero when it never existed).
-  void Admit(cache::ClientCache& cache, const std::string& table,
-             const Reply& reply) const {
-    cache.Admit(table, key,
-                reply.found ? std::string_view(reply.value)
-                            : std::string_view(),
-                reply.value_timestamp, /*is_tombstone=*/!reply.found,
-                reply.high_timestamp);
-  }
-
   // Records the observed version - including a tombstone's timestamp on a
   // not-found reply - so monotonic reads can never "resurrect" a deleted
   // value from a staler replica later in the session.
@@ -493,23 +452,6 @@ struct PileusClient::RangeOp {
   Timestamp MinReadTimestamp(const Guarantee& guarantee,
                              MicrosecondCount now_us) const {
     return session.MinReadTimestampForScan(guarantee, now_us);
-  }
-
-  // Cache entries cover single keys, never a range: scans always go to the
-  // network.
-  std::optional<Reply> LookupCache(cache::ClientCache&,
-                                   const std::string&) const {
-    return std::nullopt;
-  }
-
-  // Each returned item is key-covering evidence bounded by the scan's high
-  // timestamp (scans exclude tombstones, so items are live).
-  void Admit(cache::ClientCache& cache, const std::string& table,
-             const Reply& reply) const {
-    for (const proto::VersionPtr& item : reply.items) {
-      cache.Admit(table, item->key, item->value, item->timestamp,
-                  item->is_tombstone, reply.high_timestamp);
-    }
   }
 
   void RecordInSession(const Reply& reply) const {
@@ -618,46 +560,14 @@ Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
 
   GetOutcome outcome;
   outcome.messages_sent = 0;
-  // A cache serve is judged at execution time like a network reply, and the
-  // audit checker later re-verifies it against the committed history.
-  const auto cache_meets_sla = [&](const Reply& reply) {
-    const MicrosecondCount rtt_us = clock_->NowMicros() - start_us;
-    const int met = met_rank(reply, rtt_us);
-    if (met < 0) {
-      return false;
-    }
-    outcome.met_rank = met;
-    outcome.utility = sla[met].utility;
-    outcome.rtt_us = rtt_us;
-    outcome.node_index = -1;
-    outcome.node_name = std::string(kCacheNodeName);
-    outcome.from_cache = true;
-    return true;
-  };
 
-  // --- Select (Figure 8), with the cache as a zero-RTT pseudo-replica ---
+  // --- Select (Figure 8) ---
   // `targets` lists every replica called, in call order: the op's tried-set.
   std::vector<int> targets;
   if (pileus) {
-    std::optional<Reply> cached;
-    if (options_.cache != nullptr) {
-      cached = op.LookupCache(*options_.cache, table_.table_name);
-    }
-    CacheView cache_view;
-    if (cached.has_value()) {
-      cache_view.high_timestamp = cached->high_timestamp;
-      cache_view.latency_us = cache::ClientCache::kServeLatencyUs;
-    }
     const SelectionResult sel = SelectTarget(
-        sla, replica_views_, cached.has_value() ? &cache_view : nullptr,
-        min_read, *monitor_, options_.selection, &rng_);
+        sla, replica_views_, min_read, *monitor_, options_.selection, &rng_);
     outcome.target_rank = sel.target_rank;
-    // --- Cache serve. When the claim selection promised no longer holds
-    // (e.g. a bounded floor advanced past valid_through between the two
-    // clock reads), fall through to the network choice. ---
-    if (sel.cache_selected && cache_meets_sla(*cached)) {
-      return FinishRead(op, sla, start_us, outcome, *cached);
-    }
     targets.push_back(sel.node_index);
     // Parallel reads (Section 6.3): fan out across additional candidates.
     for (int candidate : sel.candidates) {
@@ -703,17 +613,13 @@ Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
   messages_sent_ += targets.size();
   const size_t first_round = targets.size();
 
-  // --- Judge (Figure 9): every call feeds the monitor, every well-formed
-  // reply fills the cache, and the winner has the best met subSLA, then the
-  // lowest RTT. `rtt_us` is the latency the application saw for that call,
-  // failed attempts before it included. ---
-  bool overload_seen = false;
+  // --- Judge (Figure 9): every call feeds the monitor, and the winner has
+  // the best met subSLA, then the lowest RTT. `rtt_us` is the latency the
+  // application saw for that call, failed attempts before it included. ---
   int winner = -1;
   int winner_met = -1;
   const auto judge = [&](size_t i, MicrosecondCount rtt_us) {
-    if (AbsorbReplyEvidence(targets[i], replies[i]) >= 0) {
-      overload_seen = true;
-    }
+    AbsorbReplyEvidence(targets[i], replies[i]);
     replies[i].rtt_us = rtt_us;
     if (!replies[i].reply.ok()) {
       return;
@@ -721,9 +627,6 @@ Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
     const auto* reply = std::get_if<Reply>(&replies[i].reply.value());
     if (reply == nullptr) {
       return;  // ErrorReply (wrong node, overloaded, missing table, ...).
-    }
-    if (options_.cache != nullptr) {
-      op.Admit(*options_.cache, table_.table_name, *reply);
     }
     const int met = met_rank(*reply, rtt_us);
     if (winner < 0 || (met >= 0 && (winner_met < 0 || met < winner_met)) ||
@@ -798,19 +701,6 @@ Result<typename Op::Result> PileusClient::Read(const Sla& sla, const Op& op) {
     return FinishRead(op, sla, start_us, outcome, reply);
   }
 
-  // --- Degradation ladder's last rung (DESIGN.md Section 11): every
-  // network attempt failed and at least one node said kOverloaded. Serve
-  // from the cache at whatever (downgraded) rank the entry still meets with
-  // the full elapsed time, rather than surfacing failure. ---
-  if (overload_seen && pileus && options_.cache != nullptr) {
-    std::optional<Reply> entry =
-        op.LookupCache(*options_.cache, table_.table_name);
-    if (entry.has_value() && cache_meets_sla(*entry)) {
-      outcome.retried = true;
-      return FinishRead(op, sla, start_us, outcome, *entry);
-    }
-  }
-
   // --- Failure finish: nothing usable came back inside the deadline ---
   if (instruments_.get_errors != nullptr) {
     instruments_.get_errors->Increment();
@@ -832,28 +722,7 @@ typename Op::Result PileusClient::FinishRead(const Op& op, const Sla& sla,
                                              const GetOutcome& outcome,
                                              typename Op::Reply& reply) {
   op.RecordInSession(reply);
-  // A degraded cache serve is no evidence that the network recovered, so it
-  // does not refill the retry budget.
-  const bool degraded = outcome.from_cache && outcome.retried;
-  if (!degraded) {
-    retry_budget_->RecordSuccess();
-  }
-  if (outcome.from_cache) {
-    cache_serves_.fetch_add(1, std::memory_order_relaxed);
-    if (degraded) {
-      degraded_cache_serves_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.degraded_cache_served != nullptr) {
-        instruments_.degraded_cache_served->Increment();
-      }
-    }
-    if (instruments_.cache_served != nullptr) {
-      instruments_.cache_served->Increment();
-      (outcome.met_rank < Instruments::kTrackedRanks
-           ? instruments_.cache_served_by_rank[outcome.met_rank]
-           : instruments_.cache_served_overflow)
-          ->Increment();
-    }
-  }
+  retry_budget_->RecordSuccess();
   CountReadOutcome(outcome);
   EmitReadTrace(Op::kTraceOp, op.session, op.key, sla, outcome,
                 reply.high_timestamp, /*ok=*/true);
@@ -1028,20 +897,6 @@ Result<PutResult> PileusClient::DoWrite(const proto::Message& request,
     }
     session.RecordPut(key, put_reply->timestamp);
     retry_budget_->RecordSuccess();
-    if (options_.cache != nullptr) {
-      // Write-through with the assigned timestamp as its own bound. The
-      // ack's heartbeat high timestamp must NOT serve as valid_through:
-      // another client's write may commit between this assignment and the
-      // heartbeat read, and the ack says nothing about this key past the
-      // assignment itself.
-      const auto* put_request = std::get_if<proto::PutRequest>(&request);
-      options_.cache->Admit(
-          table_.table_name, key,
-          put_request != nullptr ? std::string_view(put_request->value)
-                                 : std::string_view(),
-          put_reply->timestamp,
-          /*is_tombstone=*/put_request == nullptr, put_reply->timestamp);
-    }
 
     if (instruments_.put_latency_us != nullptr) {
       instruments_.put_latency_us->Record(timed.rtt_us);

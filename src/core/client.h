@@ -34,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/cache/client_cache.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
@@ -78,11 +77,6 @@ enum class ReadStrategy {
 };
 std::string_view ReadStrategyName(ReadStrategy strategy);
 
-// Node name reported by Gets served from the client cache; no replica may
-// use it. The audit checker treats it like any other serving node (the
-// claims must still verify against the committed history).
-inline constexpr std::string_view kCacheNodeName = "client-cache";
-
 // The condition code a Get returns alongside its data (Section 3.3: "the
 // caller is informed of which subSLA was satisfied").
 struct GetOutcome {
@@ -90,16 +84,12 @@ struct GetOutcome {
   int met_rank = -1;        // SubSLA actually met; -1 if none.
   double utility = 0.0;     // Utility of the met subSLA (0 when none met).
   MicrosecondCount rtt_us = 0;
-  int node_index = -1;      // Replica that served the winning reply (-1 when
-                            // the cache did).
-  std::string node_name;    // kCacheNodeName when from_cache.
+  int node_index = -1;      // Replica that served the winning reply.
+  std::string node_name;    // That replica's name.
   bool from_primary = false;  // Authoritative data: strong-read quality.
-  bool from_cache = false;    // Served locally by the client cache.
-  int messages_sent = 1;      // 1 + fan-out extras + retries; 0 on cache
-                              // serve.
+  int messages_sent = 1;      // 1 + fan-out extras + retries.
   bool retried = false;       // The result came from a retry: another
-                              // replica after the target failed, or the
-                              // degraded cache serve.
+                              // replica after the target failed.
 };
 
 struct GetResult {
@@ -184,18 +174,6 @@ class PileusClient {
     // owned; must outlive the client; internally synchronized). Share one
     // instance across a tenant's clients for a per-tenant bound.
     RetryBudget* shared_retry_budget = nullptr;
-    // Consistency-aware client cache (DESIGN.md "Client cache"): when set,
-    // the cache joins SelectTarget as a zero-RTT pseudo-replica for Pileus
-    // Gets and is filled read-through from every Get/GetRange reply and
-    // write-through from every acked Put/Delete. It is also the degradation
-    // ladder's last rung (DESIGN.md Section 11): when every network attempt
-    // of a Get failed and an overload rejection was seen, the Get is served
-    // from the cache at whatever (downgraded) rank the entry still meets,
-    // judged by the same met-rank function as a network reply and audited
-    // like one. Not owned; must outlive the client. One cache may be shared
-    // by many clients and shards - the entries are table-scoped and the
-    // cache is internally synchronized.
-    cache::ClientCache* cache = nullptr;
     uint64_t seed = 42;
   };
 
@@ -264,32 +242,22 @@ class PileusClient {
   uint64_t messages_sent() const {
     return messages_sent_.load(std::memory_order_relaxed);
   }
-  // Gets answered locally by the client cache (a subset of gets_issued).
-  uint64_t cache_serves() const {
-    return cache_serves_.load(std::memory_order_relaxed);
-  }
   // kOverloaded rejections received across all operations.
   uint64_t overload_rejections() const {
     return overload_rejections_.load(std::memory_order_relaxed);
   }
-  // Gets served from the cache by the degradation ladder's last rung.
-  uint64_t degraded_cache_serves() const {
-    return degraded_cache_serves_.load(std::memory_order_relaxed);
-  }
 
  private:
   // Per-op adapters for Read: what differs between a point Get and a range
-  // scan (request fields, reply type, cache and session fills, result shape,
+  // scan (request fields, reply type, session fills, result shape,
   // trace and audit op kind). Defined in client.cc.
   struct GetOp;
   struct RangeOp;
 
   // The one read protocol behind Get and GetRange (DESIGN.md Section 1):
-  // select the subSLA and node (Figure 8), serve from the cache when it
-  // wins, send (fanned out per Section 6.3), judge every reply (Figure 9),
-  // retry other replicas when nothing usable came back, and serve a
-  // degraded cache entry under overload. Every replica is called at most
-  // once per op.
+  // select the subSLA and node (Figure 8), send (fanned out per Section
+  // 6.3), judge every reply (Figure 9), and retry other replicas when nothing
+  // usable came back. Every replica is called at most once per op.
   template <typename Op>
   Result<typename Op::Result> Read(const Sla& sla, const Op& op);
   // Read's one success finish: session and budget updates, counters, trace
@@ -338,8 +306,8 @@ class PileusClient {
 
   // Figure 9: the highest-ranked subSLA a reply satisfies, given its high
   // timestamp, whether an authoritative copy served it, and the RTT the
-  // application saw; -1 when none. One function judges every read claim:
-  // network replies of Gets and scans, and cache serves.
+  // application saw; -1 when none. One function judges every read claim,
+  // of Gets and scans alike.
   static int DetermineMetRank(const Sla& sla,
                               const MinReadTimestampFn& min_read_timestamp,
                               const Timestamp& high_timestamp,
@@ -369,16 +337,10 @@ class PileusClient {
     telemetry::Counter* met_overflow = nullptr;
     std::array<telemetry::Counter*, kTrackedRanks> target_by_rank{};
     telemetry::Counter* target_overflow = nullptr;
-    // Per-rank "served-from-cache" SLA accounting.
-    telemetry::Counter* cache_served = nullptr;
-    std::array<telemetry::Counter*, kTrackedRanks> cache_served_by_rank{};
-    telemetry::Counter* cache_served_overflow = nullptr;
     // Overload control (DESIGN.md Section 11): kOverloaded rejections
-    // received, retries denied by an exhausted budget, and Gets the
-    // degradation ladder served from the cache after the network failed.
+    // received and retries denied by an exhausted budget.
     telemetry::Counter* overload_rejections = nullptr;
     telemetry::Counter* retry_budget_denied = nullptr;
-    telemetry::Counter* degraded_cache_served = nullptr;
     telemetry::HistogramMetric* get_latency_us = nullptr;
     telemetry::HistogramMetric* put_latency_us = nullptr;
   };
@@ -421,9 +383,7 @@ class PileusClient {
   std::atomic<uint64_t> gets_issued_{0};
   std::atomic<uint64_t> puts_issued_{0};
   std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<uint64_t> cache_serves_{0};
   std::atomic<uint64_t> overload_rejections_{0};
-  std::atomic<uint64_t> degraded_cache_serves_{0};
 };
 
 }  // namespace pileus::core

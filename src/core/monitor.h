@@ -70,8 +70,8 @@ class Monitor {
   // utilities are scaled by POverload(): a rank with utility u keeps
   //   kOverloadPenalty + (1 - kOverloadPenalty) * min(1, u)
   // of its expected utility, so low-utility reads re-route to other replicas
-  // (or the cache) first while strong and high-utility reads stick with the
-  // node the server protects anyway.
+  // first while strong and high-utility reads stick with the node the server
+  // protects anyway.
   static constexpr double kOverloadPenalty = 0.2;
   // Backoff window applied when a rejection carries no retry_after hint.
   static constexpr MicrosecondCount kDefaultOverloadBackoffUs =

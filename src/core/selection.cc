@@ -33,9 +33,9 @@ double Utility(const SubSla& sub, bool authoritative, MinRead&& min_read,
   double util = p_cons * p_lat * estimate.p_up * sub.utility;
   // Degradation ladder (DESIGN.md Section 11): while the node is shedding,
   // non-authoritative ranks are discounted in proportion to how early the
-  // server would shed them, so low-utility reads re-route to secondaries or
-  // the cache first. Strong reads keep their full value — only an
-  // authoritative copy can serve them, and the server protects them longest.
+  // server would shed them, so low-utility reads re-route to secondaries
+  // first. Strong reads keep their full value — only an authoritative copy
+  // can serve them, and the server protects them longest.
   if (!sub.consistency.RequiresAuthoritative()) {
     util *= Monitor::OverloadFactor(estimate.overloaded, sub.utility);
   }
@@ -55,57 +55,13 @@ double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
       [&] { return min_read_timestamp(sub.consistency); }, estimate, p_lat);
 }
 
-double CacheExpectedUtility(const SubSla& sub, const CacheView& cached,
-                            const MinReadTimestampFn& min_read_timestamp) {
-  // Strong reads need an authoritative answer; a cached copy never is.
-  if (sub.consistency.RequiresAuthoritative()) {
-    return 0.0;
-  }
-  // Unlike a replica's monitored estimates, both factors are known facts:
-  // the entry invariant pins the cached staleness and the serve is local.
-  if (cached.high_timestamp < min_read_timestamp(sub.consistency)) {
-    return 0.0;
-  }
-  if (cached.latency_us > sub.latency_us) {
-    return 0.0;
-  }
-  return sub.utility;
-}
-
 SelectionResult SelectTarget(const Sla& sla,
                              const std::vector<ReplicaView>& replicas,
-                             const CacheView* cached,
                              const MinReadTimestampFn& min_read_timestamp,
                              const Monitor& monitor,
                              const SelectionOptions& options, Random* rng) {
   SelectionResult result;
-  if (sla.empty()) {
-    return result;
-  }
-
-  // The cache pseudo-replica's best utility and the earliest rank reaching
-  // it. Its per-rank utility is deterministic (0 or sub.utility), so a
-  // strict > keeps the highest-ranked winning subSLA, mirroring Figure 8.
-  double cache_util = 0.0;
-  int cache_rank = -1;
-  if (cached != nullptr) {
-    for (size_t rank = 0; rank < sla.size(); ++rank) {
-      const double util =
-          CacheExpectedUtility(sla[rank], *cached, min_read_timestamp);
-      if (util > cache_util) {
-        cache_util = util;
-        cache_rank = static_cast<int>(rank);
-      }
-    }
-  }
-
-  if (replicas.empty()) {
-    // Degenerate but well-defined: the cache is the only copy in reach.
-    if (cache_rank >= 0) {
-      result.cache_selected = true;
-      result.target_rank = cache_rank;
-      result.expected_utility = cache_util;
-    }
+  if (sla.empty() || replicas.empty()) {
     return result;
   }
 
@@ -241,19 +197,6 @@ SelectionResult SelectTarget(const Sla& sla,
               return views[a].estimate.mean_latency_us <
                      views[b].estimate.mean_latency_us;
             });
-
-  // Splice the cache pseudo-replica into the Figure 8 ordering: rank-major,
-  // cache first within each rank. It therefore wins an exact utility tie at
-  // its own (or an earlier) rank, but a replica that reached the same
-  // utility at an earlier rank keeps the target — "keep the earlier target
-  // on equality". The network choice above stays intact as the fallback.
-  if (cache_rank >= 0 &&
-      (cache_util > maxutil ||
-       (cache_util == maxutil && cache_rank <= result.target_rank))) {
-    result.cache_selected = true;
-    result.target_rank = cache_rank;
-    result.expected_utility = cache_util;
-  }
   return result;
 }
 

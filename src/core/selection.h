@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/clock.h"
 #include "src/common/random.h"
 #include "src/core/monitor.h"
 #include "src/core/session.h"
@@ -30,19 +29,6 @@ struct ReplicaView {
   std::string name;
   // Primary-site member (or synchronous replica): may serve strong reads.
   bool authoritative = false;
-};
-
-// What the selection algorithm needs to know about a cached copy of the key
-// being read (DESIGN.md "Client cache"). Unlike a ReplicaView, whose
-// staleness and latency are *estimated* by the Monitor, both are exactly
-// known here: the entry invariant guarantees the cached version is the
-// newest committed one at or below high_timestamp, and serving is local.
-// The cache is never authoritative, so strong subSLAs ignore it.
-struct CacheView {
-  // The cached entry's valid_through bound.
-  Timestamp high_timestamp;
-  // Modelled latency of serving from the cache (usually 0).
-  MicrosecondCount latency_us = 0;
 };
 
 enum class TieBreak {
@@ -64,12 +50,6 @@ struct SelectionResult {
   int target_rank = -1;           // Chosen subSLA (0-based).
   int node_index = -1;            // Chosen replica.
   double expected_utility = 0.0;  // maxutil from Figure 8.
-  // The client cache pseudo-replica won: serve locally. target_rank and
-  // expected_utility describe the cache's subSLA; node_index and candidates
-  // still describe the best *network* choice, which is the fallback if the
-  // local serve cannot honor the claim at execution time. The cache is
-  // never listed in candidates — parallel-Get fan-out is a network concept.
-  bool cache_selected = false;
   // All replicas that tied at maxutil, before tie-breaking (ascending index);
   // parallel Gets (Section 6.3) fan out across a prefix of these.
   std::vector<int> candidates;
@@ -86,23 +66,10 @@ double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
                        const MinReadTimestampFn& min_read_timestamp,
                        const Monitor& monitor);
 
-// Expected utility of serving `sub` from the cached copy. Deterministic
-// (0 or sub.utility): the cached staleness and serve latency are known, not
-// monitored estimates, and the cache is never up/down or authoritative.
-double CacheExpectedUtility(const SubSla& sub, const CacheView& cached,
-                            const MinReadTimestampFn& min_read_timestamp);
-
-// Figure 8, with the client cache as an extra zero-RTT pseudo-replica
-// (`cached` may be null: no usable entry for the key, or a range scan).
-// Returns target_rank/node_index of -1 only when `replicas` is empty and the
-// cache does not win. The iteration order is rank-major with the cache
-// considered *first* within each rank, so the cache wins exact ties at its
-// own rank ("keep the earlier target on equality") but never displaces a
-// replica that reached the same utility at an earlier rank. The cache never
-// joins `candidates` and is never widened in by candidate_epsilon.
+// Figure 8 over `replicas`. Returns target_rank/node_index of -1 only when
+// `sla` or `replicas` is empty.
 SelectionResult SelectTarget(const Sla& sla,
                              const std::vector<ReplicaView>& replicas,
-                             const CacheView* cached,
                              const MinReadTimestampFn& min_read_timestamp,
                              const Monitor& monitor,
                              const SelectionOptions& options, Random* rng);

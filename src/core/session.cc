@@ -10,9 +10,9 @@ namespace pileus::core {
 namespace {
 
 // Bumped when the serialized session layout changes. Version 2 added the
-// session id right after the version byte; version 3 added the cache floor
-// after the causal maxima.
-constexpr uint8_t kSessionWireVersion = 3;
+// session id right after the version byte; version 3 added a client-cache
+// floor after the causal maxima, and version 4 dropped it again.
+constexpr uint8_t kSessionWireVersion = 4;
 
 template <typename Map>
 void EncodeTimestampMap(Encoder& enc, const Map& map) {
@@ -53,8 +53,7 @@ Session::Session(const Session& other)
       id_(other.id_),
       keys_(std::make_unique<KeyMaps>(*other.keys_)),
       max_read_(other.max_read_),
-      max_write_(other.max_write_),
-      cache_floor_(other.cache_floor_) {}
+      max_write_(other.max_write_) {}
 
 Session& Session::operator=(const Session& other) {
   if (this != &other) {
@@ -178,7 +177,6 @@ std::string Session::Serialize() const {
   EncodeTimestampMap(enc, keys_->gets);
   enc.PutTimestamp(max_read_);
   enc.PutTimestamp(max_write_);
-  enc.PutTimestamp(cache_floor_);
   return enc.Release();
 }
 
@@ -222,17 +220,10 @@ Result<Session> Session::Deserialize(std::string_view bytes) {
   PILEUS_RETURN_IF_ERROR(DecodeTimestampMap(dec, &session.keys_->gets));
   PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&session.max_read_));
   PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&session.max_write_));
-  PILEUS_RETURN_IF_ERROR(dec.GetTimestamp(&session.cache_floor_));
   if (!dec.AtEnd()) {
     return Status(StatusCode::kCorruption,
                   "trailing bytes in serialized session");
   }
-  // Hand-off: the resuming frontend's cache was filled under other sessions'
-  // evidence, so only entries at least as fresh as everything this session
-  // has already observed may serve it (conservative; per-guarantee floors
-  // still apply on top).
-  session.RaiseCacheFloor(
-      MaxTimestamp(session.max_read_, session.max_write_));
   return session;
 }
 

@@ -86,17 +86,6 @@ class Session {
   std::string Serialize() const;
   static Result<Session> Deserialize(std::string_view bytes);
 
-  // Hand-off safety floor for the client cache (DESIGN.md "Client cache").
-  // A cached entry is eligible for this session only when its valid_through
-  // bound reaches this floor. Deserialize raises it to everything the
-  // session had read or written at hand-off time, so a session resumed on a
-  // different frontend conservatively ignores that frontend's older cache
-  // state instead of trusting per-guarantee floors alone.
-  const Timestamp& cache_floor() const { return cache_floor_; }
-  void RaiseCacheFloor(const Timestamp& floor) {
-    cache_floor_ = MaxTimestamp(cache_floor_, floor);
-  }
-
   // Introspection (tests, debugging).
   Timestamp LastPutTimestamp(std::string_view key) const;
   Timestamp LastGetTimestamp(std::string_view key) const;
@@ -134,7 +123,6 @@ class Session {
   std::unique_ptr<KeyMaps> keys_ = std::make_unique<KeyMaps>();
   Timestamp max_read_ = Timestamp::Zero();
   Timestamp max_write_ = Timestamp::Zero();
-  Timestamp cache_floor_ = Timestamp::Zero();
 };
 
 }  // namespace pileus::core

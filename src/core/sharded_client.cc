@@ -169,14 +169,6 @@ Result<Session> ShardedClient::BeginSession(const Sla& default_sla) const {
   return shards_.front().client->BeginSession(default_sla);
 }
 
-uint64_t ShardedClient::cache_serves() const {
-  uint64_t total = 0;
-  for (const OwnedShard& shard : shards_) {
-    total += shard.client->cache_serves();
-  }
-  return total;
-}
-
 ShardedClient::OwnedShard* ShardedClient::OwnedShardFor(std::string_view key) {
   // Shards are sorted by begin: the only candidate is the last shard whose
   // begin <= key. The map may have gaps, so the candidate may not contain

@@ -66,13 +66,11 @@ class ShardedClient {
 
   // Builds the routing table from `initial` (fetched from any storage node
   // via a TabletMapRequest, or seeded by the deployment). The map's ranges
-  // must not overlap but need not tile the keyspace. The options (including
-  // any Options::cache pointer) are handed to every per-tablet PileusClient,
-  // so one client cache spans all tablets: entries are table-scoped and
-  // tablet ranges are disjoint. Unless Options::shared_retry_budget is set,
-  // the per-tablet clients and the map refreshes share one retry budget. Not
-  // safe for concurrent operations: a refresh rebuilds the per-tablet
-  // clients in place.
+  // must not overlap but need not tile the keyspace. The options are handed
+  // to every per-tablet PileusClient. Unless Options::shared_retry_budget is
+  // set, the per-tablet clients and the map refreshes share one retry
+  // budget. Not safe for concurrent operations: a refresh rebuilds the
+  // per-tablet clients in place.
   static Result<std::unique_ptr<ShardedClient>> Create(
       tablets::TabletMap initial, const Clock* clock,
       PileusClient::Options options, RoutingOptions routing,
@@ -122,8 +120,6 @@ class ShardedClient {
 
   size_t shard_count() const { return shards_.size(); }
   PileusClient& shard_client(size_t index) { return *shards_[index].client; }
-  // Gets answered by the client cache, summed across shards.
-  uint64_t cache_serves() const;
   const KeyRange& shard_range(size_t index) const {
     return shards_[index].range;
   }

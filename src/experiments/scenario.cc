@@ -97,9 +97,6 @@ std::string ScenarioResult::Summary() const {
   if (handoffs > 0) {
     os << ", " << handoffs << " handoffs";
   }
-  if (cache_served > 0) {
-    os << ", " << cache_served << " cache-served";
-  }
   if (failovers > 0) {
     os << ", " << failovers << " failovers";
   }
@@ -469,10 +466,6 @@ ScenarioResult RunAuditScenario(const ScenarioOptions& options) {
     deployment->AfterOp();
   }
 
-  for (const Frontend& fe : frontends) {
-    result.cache_served +=
-        std::visit([](auto* client) { return client->cache_serves(); }, fe);
-  }
   Result<GroundTruth> truth = deployment->Finish(result);
   if (!truth.ok()) {
     result.setup = truth.status();

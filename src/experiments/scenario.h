@@ -68,11 +68,6 @@ struct ScenarioOptions {
   // otherwise. When set, the run also cross-checks the WALs against the
   // committed order.
   std::string durable_root;
-  // Give each frontend its own consistency-aware client cache, so
-  // cache-served reads enter the audited history and the checker verifies
-  // their claims like any network read (DESIGN.md "Client cache").
-  bool client_cache = false;
-  uint64_t cache_capacity_bytes = uint64_t{4} << 20;
   // Sim only: run a shared-monitoring aggregator (DESIGN.md Section 12)
   // that pushes fleet digests into both frontends' monitors, and kill it
   // halfway through the run, so the audit covers both the prior-driven
@@ -102,7 +97,6 @@ struct ScenarioResult {
   uint64_t ops_failed = 0;  // Op returned an error (fine under faults).
   uint64_t sessions = 0;
   uint64_t handoffs = 0;
-  uint64_t cache_served = 0;  // Gets answered by the frontends' caches.
   // Every Put/Delete a client saw succeed (preload included) must appear in
   // the committed order, whether or not that order is complete.
   uint64_t acked_writes = 0;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cache/client_cache.h"
 #include "src/experiments/deployment.h"
 #include "src/experiments/geo_testbed.h"
 #include "src/monitoring/aggregator.h"
@@ -60,18 +59,9 @@ class SimDeployment : public Deployment {
     if (geo.enable_failover) {
       testbed_->StartReconfiguration();
     }
-    // One cache per frontend, as in a real deployment: hand-off between
-    // frontends then genuinely crosses cache domains and exercises the
-    // session's hand-off floor.
-    cache::ClientCache::Options cache_options;
-    cache_options.capacity_bytes = options_.cache_capacity_bytes;
     for (const char* site : {kUs, kIndia}) {
       core::PileusClient::Options client_options;
       client_options.op_observer = observer;
-      if (options_.client_cache) {
-        caches_.push_back(std::make_unique<cache::ClientCache>(cache_options));
-        client_options.cache = caches_.back().get();
-      }
       frontends_.push_back(testbed_->MakeClient(site, client_options));
     }
     return Status::Ok();
@@ -196,7 +186,6 @@ class SimDeployment : public Deployment {
  private:
   const ScenarioOptions& options_;
   std::unique_ptr<GeoTestbed> testbed_;
-  std::vector<std::unique_ptr<cache::ClientCache>> caches_;
   std::vector<std::unique_ptr<GeoClient>> frontends_;
   std::optional<monitoring::MonitorAggregator> aggregator_;
   sim::PeriodicHandle aggregator_pump_;

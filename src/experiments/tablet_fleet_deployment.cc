@@ -19,7 +19,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/cache/client_cache.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
 #include "src/core/sharded_client.h"
@@ -135,15 +134,8 @@ class TabletFleetDeployment : public Deployment {
     policy.split_threshold_bytes = 1024;
     rebalancer_ = std::make_unique<tablets::Rebalancer>(policy);
 
-    if (options_.client_cache) {
-      cache::ClientCache::Options cache_options;
-      cache_options.capacity_bytes = options_.cache_capacity_bytes;
-      cache_ = std::make_unique<cache::ClientCache>(cache_options);
-    }
-
     core::PileusClient::Options client_options;
     client_options.op_observer = observer;
-    client_options.cache = cache_.get();
     client_options.seed = options_.seed;
     // Backoffs advance virtual time, like the simulator's RunFor adapter.
     client_options.sleep_fn = [this](MicrosecondCount us) {
@@ -564,7 +556,6 @@ class TabletFleetDeployment : public Deployment {
   std::vector<std::unique_ptr<NodeSlot>> slots_;
   std::unique_ptr<tablets::TabletCoordinator> coordinator_;
   std::unique_ptr<tablets::Rebalancer> rebalancer_;
-  std::unique_ptr<cache::ClientCache> cache_;
   std::unique_ptr<core::ShardedClient> client_;
   int churn_step_ = 0;
   size_t migrate_cursor_ = 0;

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/cache/client_cache.h"
 #include "src/common/clock.h"
 #include "src/core/client.h"
 #include "src/experiments/deployment.h"
@@ -68,8 +67,6 @@ class TcpDeployment : public Deployment {
     secondary_port_ = secondary_->port();
 
     // Two frontends over their own sockets.
-    cache::ClientCache::Options cache_options;
-    cache_options.capacity_bytes = options_.cache_capacity_bytes;
     for (int i = 0; i < 2; ++i) {
       core::TableView view;
       view.table_name = kTable;
@@ -86,10 +83,6 @@ class TcpDeployment : public Deployment {
       view.primary_index = 0;
       core::PileusClient::Options client_options;
       client_options.op_observer = observer;
-      if (options_.client_cache) {
-        caches_.push_back(std::make_unique<cache::ClientCache>(cache_options));
-        client_options.cache = caches_.back().get();
-      }
       frontends_.push_back(std::make_unique<core::PileusClient>(
           std::move(view), clock, client_options));
     }
@@ -172,7 +165,6 @@ class TcpDeployment : public Deployment {
   std::unique_ptr<server::NodeHost> primary_;
   std::unique_ptr<server::NodeHost> secondary_;
   uint16_t secondary_port_ = 0;
-  std::vector<std::unique_ptr<cache::ClientCache>> caches_;
   std::vector<std::unique_ptr<core::PileusClient>> frontends_;
 };
 

@@ -14,7 +14,6 @@
 
 #include "src/audit/checker.h"
 #include "src/audit/history.h"
-#include "src/cache/client_cache.h"
 #include "src/core/client.h"
 #include "src/core/sla.h"
 #include "src/experiments/geo_testbed.h"
@@ -368,103 +367,6 @@ TEST(AuditHandoffTest, SerializedHandoffKeepsOneSessionIdentity) {
   }
   // The moved session still carries read-my-writes state: the checker must
   // see one continuous session, not two.
-  bool contiguous = true;
-  recorder.SetGroundTruth(
-      testbed.primary_node()->ExportTableLog(kTableName, &contiguous),
-      contiguous);
-  const audit::AuditReport report =
-      audit::ConsistencyChecker().Check(recorder.Snapshot());
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
-TEST(AuditCacheTest, CacheEnabledSweepsStayClean) {
-  // Same scenarios as the plain sweep, but every frontend now owns a
-  // consistency-aware client cache, so the checker audits locally served
-  // reads (claimed subSLA + cached timestamp) like any network read.
-  uint64_t total_cache_served = 0;
-  for (const FaultScenario scenario :
-       {FaultScenario::kNone, FaultScenario::kPartition,
-        FaultScenario::kCrashRestart}) {
-    for (const uint64_t seed : {1u, 2u}) {
-      ScenarioOptions options;
-      options.seed = seed;
-      options.scenario = scenario;
-      options.total_ops = 300;
-      options.key_count = 50;
-      options.client_cache = true;
-      const ScopedTempDir dir(kTempPrefix);
-      options.durable_root = dir.path();
-      const ScenarioResult result = RunAuditScenario(options);
-      EXPECT_TRUE(result.ok())
-          << result.Summary() << "\n" << result.report.ToString();
-      EXPECT_GT(result.report.reads_checked, 0u) << result.Summary();
-      total_cache_served += result.cache_served;
-    }
-  }
-  // The cache must actually participate, not just sit there unused.
-  EXPECT_GT(total_cache_served, 0u);
-}
-
-TEST(AuditCacheTest, HandoffFloorsStaleCacheOnTheNewFrontend) {
-  // Regression for the hand-off rule: the receiving frontend's cache may
-  // hold entries that predate everything the moved session has seen, and
-  // must not serve them to it. Session::Deserialize floors the cache at
-  // max(max_read, max_write), which the client checks per entry.
-  GeoTestbed testbed(pileus::testbed::FastGeoOptions(21));
-  pileus::testbed::PreloadAndReplicate(testbed, 20);
-
-  audit::HistoryRecorder recorder;
-  cache::ClientCache us_cache;
-  cache::ClientCache india_cache;
-  core::PileusClient::Options us_options;
-  us_options.op_observer = &recorder;
-  us_options.cache = &us_cache;
-  core::PileusClient::Options india_options;
-  india_options.op_observer = &recorder;
-  india_options.cache = &india_cache;
-  auto us = testbed.MakeClient(kUs, us_options);
-  auto india = testbed.MakeClient(kIndia, india_options);
-  testbed.env().RunFor(SecondsToMicroseconds(2));
-
-  const core::Sla eventual =
-      core::Sla().Add(core::Guarantee::Eventual(), SecondsToMicroseconds(10),
-                      1.0);
-
-  // India's cache learns "h" does not exist (a negative entry).
-  core::Session scout = india->client().BeginSession(eventual).value();
-  Result<core::GetResult> absent = india->client().Get(scout, "h");
-  ASSERT_TRUE(absent.ok());
-  ASSERT_FALSE(absent->found);
-
-  // The session writes and reads "h" on the US frontend, then waits long
-  // enough for replication to carry the write everywhere.
-  core::Session session = us->client().BeginSession(eventual).value();
-  ASSERT_TRUE(us->client().Put(session, "h", "moved").ok());
-  ASSERT_TRUE(us->client().Get(session, "h").ok());
-  testbed.env().RunFor(SecondsToMicroseconds(30));
-
-  // A *fresh* session on India happily serves the stale negative entry —
-  // legal under eventual consistency with no history.
-  core::Session fresh = india->client().BeginSession(eventual).value();
-  Result<core::GetResult> stale_ok = india->client().Get(fresh, "h");
-  ASSERT_TRUE(stale_ok.ok());
-  EXPECT_TRUE(stale_ok->outcome.from_cache);
-  EXPECT_FALSE(stale_ok->found);
-
-  // The moved session must not see it: its cache floor (the hand-off
-  // write's timestamp) exceeds the entry's valid_through, so the Get goes
-  // to the network and finds the write.
-  Result<core::Session> moved =
-      core::Session::Deserialize(session.Serialize());
-  ASSERT_TRUE(moved.ok());
-  EXPECT_GE(moved->cache_floor(), session.LastPutTimestamp("h"));
-  Result<core::GetResult> after = india->client().Get(*moved, "h");
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after->outcome.from_cache);
-  ASSERT_TRUE(after->found);
-  EXPECT_EQ(after->value, "moved");
-
-  // The whole history — stale-but-legal serve included — audits clean.
   bool contiguous = true;
   recorder.SetGroundTruth(
       testbed.primary_node()->ExportTableLog(kTableName, &contiguous),

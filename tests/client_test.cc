@@ -805,235 +805,12 @@ TEST_P(ReadProtocolTest, ParallelFanoutCallsTiedCandidates) {
             result->outcome.node_name == "far" ? 1 * kMs : 5 * kMs);
 }
 
-// --- The consistency-aware client cache (DESIGN.md "Client cache") ---
-
-class ClientCacheTest : public ClientTest {
- protected:
-  Sla EventualSla() {
-    return Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 1.0);
-  }
-  Sla RmwSla() {
-    return Sla().Add(Guarantee::ReadMyWrites(), SecondsToMicroseconds(10),
-                     1.0);
-  }
-
-  cache::ClientCache cache_;
-};
-
-TEST_F(ClientCacheTest, ReadThroughFillThenLocalServe) {
+// The degradation ladder (DESIGN.md Section 11) ends at the failure finish:
+// when every replica sheds a Get, the client surfaces kUnavailable.
+TEST_F(ClientTest, OverloadedReplicasSurfaceUnavailable) {
+  telemetry::MetricsRegistry registry;
   PileusClient::Options options;
-  options.cache = &cache_;
-  Build(options,
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, Now(), Now());
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 300 * kMs, Now());
-  Session session = client_->BeginSession(EventualSla()).value();
-
-  // First Get fills the cache over the network.
-  Result<GetResult> first = client_->Get(session, "k");
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->outcome.from_cache);
-  EXPECT_EQ(near_->calls(), 1);
-
-  // Second Get of the same key serves locally: no network traffic.
-  Result<GetResult> second = client_->Get(session, "k");
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->outcome.from_cache);
-  EXPECT_EQ(second->value, "value");
-  EXPECT_EQ(second->timestamp, first->timestamp);
-  EXPECT_EQ(second->outcome.node_name, kCacheNodeName);
-  EXPECT_EQ(second->outcome.node_index, -1);
-  EXPECT_EQ(second->outcome.messages_sent, 0);
-  EXPECT_EQ(second->outcome.met_rank, 0);
-  EXPECT_DOUBLE_EQ(second->outcome.utility, 1.0);
-  EXPECT_EQ(near_->calls(), 1);
-  EXPECT_EQ(client_->cache_serves(), 1u);
-}
-
-TEST_F(ClientCacheTest, WriteThroughServesOwnWriteUnderReadMyWrites) {
-  const Timestamp put_ts{clock_.NowMicros(), 3};
-  PileusClient::Options options;
-  options.cache = &cache_;
-  Build(options,
-        [&](const proto::Message&, MicrosecondCount) {
-          return PutReplyWith(2 * kMs, put_ts);
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Session session = client_->BeginSession(RmwSla()).value();
-  ASSERT_TRUE(client_->Put(session, "k", "v").ok());
-
-  // The acked Put filled the cache with timestamp == valid_through == the
-  // assigned timestamp, which exactly meets the read-my-writes floor: the
-  // Get never touches the network (the fakes would error if asked).
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->outcome.from_cache);
-  EXPECT_EQ(result->value, "v");
-  EXPECT_EQ(result->timestamp, put_ts);
-  EXPECT_EQ(result->outcome.met_rank, 0);
-  EXPECT_EQ(primary_->calls(), 1);  // Just the Put.
-}
-
-TEST_F(ClientCacheTest, NotFoundReplyIsCachedAsTombstone) {
-  PileusClient::Options options;
-  options.cache = &cache_;
-  Build(options,
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [&](const proto::Message&, MicrosecondCount) {
-          proto::GetReply reply;
-          reply.found = false;
-          reply.value_timestamp = Timestamp::Zero();
-          reply.high_timestamp = Now();
-          return TimedReply(proto::Message(reply), 1 * kMs);
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 300 * kMs, Now());
-  Session session = client_->BeginSession(EventualSla()).value();
-
-  ASSERT_TRUE(client_->Get(session, "ghost").ok());
-  EXPECT_EQ(near_->calls(), 1);
-  // The negative entry answers the repeat locally.
-  Result<GetResult> again = client_->Get(session, "ghost");
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again->found);
-  EXPECT_TRUE(again->outcome.from_cache);
-  EXPECT_EQ(near_->calls(), 1);
-}
-
-TEST_F(ClientCacheTest, CacheServedGetEmitsAuditableOpRecord) {
-  struct Capture : OpObserver {
-    std::vector<OpRecord> records;
-    void OnOp(const OpRecord& record) override { records.push_back(record); }
-  } capture;
-  PileusClient::Options options;
-  options.cache = &cache_;
-  options.op_observer = &capture;
-  Build(options,
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, Now(), Now());
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 300 * kMs, Now());
-  Session session = client_->BeginSession(EventualSla()).value();
-  ASSERT_TRUE(client_->Get(session, "k").ok());
-  ASSERT_TRUE(client_->Get(session, "k").ok());
-
-  ASSERT_EQ(capture.records.size(), 2u);
-  const OpRecord& cached = capture.records[1];
-  EXPECT_EQ(cached.op, AuditOp::kGet);
-  EXPECT_TRUE(cached.ok);
-  EXPECT_EQ(cached.node, kCacheNodeName);
-  EXPECT_TRUE(cached.found);
-  EXPECT_EQ(cached.value, "value");
-  // The claim is fully auditable: the cached version plus its
-  // valid_through bound, and the subSLA the local serve met.
-  EXPECT_EQ(cached.value_timestamp, capture.records[0].value_timestamp);
-  EXPECT_EQ(cached.high_timestamp, capture.records[0].high_timestamp);
-  EXPECT_GE(cached.claimed_met_rank, 0);
-  EXPECT_FALSE(cached.from_primary);
-}
-
-TEST_F(ClientCacheTest, SessionFloorAboveEntrySendsGetBackToNetwork) {
-  PileusClient::Options options;
-  options.cache = &cache_;
-  Build(options,
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, Now(), Now());
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 300 * kMs, Now());
-  Session session = client_->BeginSession(RmwSla()).value();
-  ASSERT_TRUE(client_->Get(session, "k").ok());  // Fill (floor still Zero).
-  EXPECT_EQ(near_->calls(), 1);
-
-  // A newer write to the key raises the read-my-writes floor above the
-  // cached entry's valid_through: the cache cannot honor the guarantee, so
-  // the Get pays the round trip again (and refreshes the entry).
-  session.RecordPut("k", Timestamp{clock_.NowMicros() + 100, 0});
-  clock_.AdvanceMicros(200);
-  Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->outcome.from_cache);
-  EXPECT_EQ(near_->calls(), 2);
-}
-
-TEST_F(ClientCacheTest, HandoffFloorDropsEntriesFromBeforeTheMove) {
-  const Timestamp put_ts{clock_.NowMicros() + 500, 1};
-  PileusClient::Options options;
-  options.cache = &cache_;
-  Build(options,
-        [&](const proto::Message&, MicrosecondCount) {
-          return PutReplyWith(2 * kMs, put_ts);
-        },
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(1 * kMs, Now(), Now());
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 150 * kMs, Now());
-  Teach("near", 1 * kMs, Now());
-  Teach("far", 300 * kMs, Now());
-  Session session = client_->BeginSession(EventualSla()).value();
-
-  // Fill "a" read-through: its valid_through is the secondary's high
-  // timestamp, which predates the upcoming write.
-  ASSERT_TRUE(client_->Get(session, "a").ok());
-  clock_.AdvanceMicros(400);
-  ASSERT_TRUE(client_->Put(session, "b", "v").ok());
-
-  // Without a hand-off the entry still serves (eventual floor is Zero).
-  ASSERT_TRUE(client_->Get(session, "a")->outcome.from_cache);
-
-  // Serialized hand-off: Deserialize conservatively floors the cache at
-  // everything this session has seen or written, so the pre-move entry is
-  // no longer trusted and the Get goes back to the network.
-  Session moved = Session::Deserialize(session.Serialize()).value();
-  EXPECT_EQ(moved.cache_floor(), put_ts);
-  const int fills_before = near_->calls();
-  Result<GetResult> result = client_->Get(moved, "a");
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->outcome.from_cache);
-  EXPECT_EQ(near_->calls(), fills_before + 1);
-}
-
-TEST_F(ClientCacheTest, StrongSlaBypassesCache) {
-  PileusClient::Options options;
-  options.cache = &cache_;
-  Build(options,
-        [&](const proto::Message&, MicrosecondCount) {
-          return GetReplyWith(2 * kMs, Now(), Now(), true);
-        },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); },
-        [](const proto::Message&, MicrosecondCount) { return TimedReply(); });
-  Teach("primary", 2 * kMs, Now());
-  const Sla strong =
-      Sla().Add(Guarantee::Strong(), SecondsToMicroseconds(10), 1.0);
-  Session session = client_->BeginSession(strong).value();
-  ASSERT_TRUE(client_->Get(session, "k").ok());
-  Result<GetResult> again = client_->Get(session, "k");
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again->outcome.from_cache);
-  EXPECT_EQ(primary_->calls(), 2);  // Both reads hit the primary.
-}
-
-TEST_F(ClientCacheTest, OverloadedReplicasFallBackToDegradedCacheServe) {
-  // The degradation ladder's last rung: every replica sheds the Get, so it
-  // is served from a warm cache entry at the rank the entry still meets.
-  PileusClient::Options options;
-  options.cache = &cache_;
+  options.metrics = &registry;
   bool overloaded = false;
   const auto shed_or = [&](TimedReply reply) {
     return overloaded ? TimedReply(proto::MakeOverloadedReply(5), kMs)
@@ -1052,32 +829,32 @@ TEST_F(ClientCacheTest, OverloadedReplicasFallBackToDegradedCacheServe) {
   Teach("primary", 2 * kMs, Now());
   Teach("near", 1 * kMs, Now());
   Teach("far", 3 * kMs, Now());
-  // The strong tier needs the primary, so the cache never wins selection
-  // and every Get starts on the network.
   const Sla sla =
       Sla()
           .Add(Guarantee::Strong(), SecondsToMicroseconds(10), 1.0)
           .Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 0.5);
   Session session = client_->BeginSession(sla).value();
-  Result<GetResult> warm = client_->Get(session, "k");  // Fills the cache.
+  Result<GetResult> warm = client_->Get(session, "k");
   ASSERT_TRUE(warm.ok());
-  EXPECT_FALSE(warm->outcome.from_cache);
   EXPECT_EQ(warm->outcome.met_rank, 0);
+
+  telemetry::Counter* const get_errors =
+      registry.GetCounter(telemetry::WithLabels(
+          "pileus_client_get_errors_total", {{"table", "t"}}));
+  const uint64_t errors_before = get_errors->Value();
+  const uint64_t messages_before = client_->messages_sent();
+  const double tokens_before = client_->retry_budget().tokens();
 
   overloaded = true;
   Result<GetResult> result = client_->Get(session, "k");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->outcome.from_cache);
-  EXPECT_TRUE(result->outcome.retried);
-  EXPECT_EQ(result->outcome.target_rank, 0);
-  EXPECT_EQ(result->outcome.met_rank, 1);  // Downgraded to eventual.
-  EXPECT_DOUBLE_EQ(result->outcome.utility, 0.5);
-  EXPECT_EQ(result->outcome.node_name, kCacheNodeName);
-  EXPECT_EQ(result->outcome.messages_sent, 3);  // Each replica shed once.
-  EXPECT_EQ(result->value, "value");
-  EXPECT_EQ(client_->degraded_cache_serves(), 1u);
-  EXPECT_EQ(client_->cache_serves(), 1u);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  // The target and both availability retries: each replica shed once.
+  EXPECT_EQ(client_->messages_sent() - messages_before, 3u);
   EXPECT_EQ(client_->overload_rejections(), 3u);
+  EXPECT_EQ(get_errors->Value(), errors_before + 1);
+  // The two retries spent budget, and the failure refilled none of it.
+  EXPECT_DOUBLE_EQ(client_->retry_budget().tokens(), tokens_before - 2.0);
 }
 
 }  // namespace

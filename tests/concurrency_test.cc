@@ -142,7 +142,7 @@ TEST(ConcurrencyTest, SharedMonitorRepliesAndSelectionsRace) {
       core::SelectionOptions options;
       for (int i = 0; i < kRepliesEach; ++i) {
         const core::SelectionResult selected = core::SelectTarget(
-            sla, replicas, nullptr, floor, monitor, options, &rng);
+            sla, replicas, floor, monitor, options, &rng);
         if (selected.node_index < 0 || selected.target_rank < 0) {
           ++bad_selections;
         }

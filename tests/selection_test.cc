@@ -43,7 +43,7 @@ class SelectionTest : public ::testing::Test {
   }
 
   SelectionResult Select(const Sla& sla, std::string_view key = "k") {
-    return SelectTarget(sla, replicas_, nullptr,
+    return SelectTarget(sla, replicas_,
                         KeyFloor(session_, key, clock_.NowMicros()), monitor_,
                         options_, &rng_);
   }
@@ -58,7 +58,7 @@ class SelectionTest : public ::testing::Test {
 
 TEST_F(SelectionTest, EmptyReplicasYieldsInvalidResult) {
   const SelectionResult result =
-      SelectTarget(ShoppingCartSla(), {}, nullptr, KeyFloor(session_, "k", kNow),
+      SelectTarget(ShoppingCartSla(), {}, KeyFloor(session_, "k", kNow),
                    monitor_, options_, &rng_);
   EXPECT_EQ(result.target_rank, -1);
   EXPECT_EQ(result.node_index, -1);
@@ -315,8 +315,8 @@ TEST_F(SelectionTest, MatchesBruteForceOracleOnRandomStates) {
     const Sla& sla = slas[trial % 3];
     const MinReadTimestampFn floor =
         KeyFloor(session, "k", clock_.NowMicros());
-    const SelectionResult result = SelectTarget(sla, replicas_, nullptr, floor,
-                                                monitor, options_, &rng_);
+    const SelectionResult result =
+        SelectTarget(sla, replicas_, floor, monitor, options_, &rng_);
 
     double oracle_max = 0.0;
     for (size_t rank = 0; rank < sla.size(); ++rank) {
@@ -564,7 +564,7 @@ TEST_F(SelectionTest, SelectTargetMatchesThePerPairOracle) {
     const MinReadTimestampFn floor =
         KeyFloor(session, "k", clock_.NowMicros());
     const SelectionResult got =
-        SelectTarget(sla, replicas, nullptr, floor, monitor, options, &rng_);
+        SelectTarget(sla, replicas, floor, monitor, options, &rng_);
     const SelectionResult want =
         OracleSelect(sla, replicas, floor, monitor, options);
     ASSERT_EQ(got.target_rank, want.target_rank);
@@ -579,188 +579,6 @@ TEST_F(SelectionTest, SelectTargetMatchesThePerPairOracle) {
       }
     }
   }
-}
-
-// --- The client cache as a zero-RTT pseudo-replica ---
-
-class CacheSelectionTest : public SelectionTest {
- protected:
-  SelectionResult SelectWithCache(const Sla& sla, const CacheView& cached,
-                                  std::string_view key = "k") {
-    return SelectTarget(sla, replicas_, &cached,
-                        KeyFloor(session_, key, clock_.NowMicros()), monitor_,
-                        options_, &rng_);
-  }
-};
-
-TEST_F(CacheSelectionTest, CacheWinsExactTieAtSameRank) {
-  // Figure 8 keeps the earlier target on equality; within a rank the cache
-  // is considered first, so an exact tie at the same rank serves locally.
-  Teach("primary", MillisecondsToMicroseconds(150), Timestamp{100, 0});
-  Teach("near", MillisecondsToMicroseconds(1), Timestamp{100, 0});
-  Teach("far", MillisecondsToMicroseconds(300), Timestamp{100, 0});
-  const Sla sla =
-      Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 1.0);
-  const CacheView cached{Timestamp{50, 0}, 0};
-  const SelectionResult result = SelectWithCache(sla, cached);
-  EXPECT_TRUE(result.cache_selected);
-  EXPECT_EQ(result.target_rank, 0);
-  EXPECT_DOUBLE_EQ(result.expected_utility, 1.0);
-  // The network fallback is still computed and still excludes the cache.
-  EXPECT_EQ(result.node_index, 1);
-}
-
-TEST_F(CacheSelectionTest, CacheAtLaterRankLosesToEarlierRankReplica) {
-  // The cache's best subSLA is eventual (its entry predates the session's
-  // write), the primary satisfies read-my-writes at the same utility: the
-  // earlier-rank replica keeps the target.
-  session_.RecordPut("k", Timestamp{500, 0});
-  Teach("primary", MillisecondsToMicroseconds(1), Timestamp{600, 0});
-  Teach("near", MillisecondsToMicroseconds(5), Timestamp{400, 0});
-  Teach("far", MillisecondsToMicroseconds(5), Timestamp{400, 0});
-  const Sla sla = Sla()
-                      .Add(Guarantee::ReadMyWrites(),
-                           SecondsToMicroseconds(10), 1.0)
-                      .Add(Guarantee::Eventual(), SecondsToMicroseconds(10),
-                           1.0);
-  const CacheView cached{Timestamp{400, 0}, 0};  // Below the RMW floor.
-  const SelectionResult result = SelectWithCache(sla, cached);
-  EXPECT_FALSE(result.cache_selected);
-  EXPECT_EQ(result.target_rank, 0);
-  EXPECT_EQ(result.node_index, 0);
-}
-
-TEST_F(CacheSelectionTest, CacheBeatsReplicasWhenFresherThanFloor) {
-  // Only the cache clears the read-my-writes floor within the latency
-  // budget: the primary is too far, the secondaries too stale.
-  session_.RecordPut("k", Timestamp{500, 0});
-  Teach("primary", MillisecondsToMicroseconds(400), Timestamp{600, 0});
-  Teach("near", MillisecondsToMicroseconds(1), Timestamp{400, 0});
-  const Sla sla = Sla()
-                      .Add(Guarantee::ReadMyWrites(),
-                           MillisecondsToMicroseconds(100), 1.0)
-                      .Add(Guarantee::Eventual(),
-                           MillisecondsToMicroseconds(100), 0.5);
-  const CacheView cached{Timestamp{500, 0}, 0};
-  const SelectionResult result = SelectWithCache(sla, cached);
-  EXPECT_TRUE(result.cache_selected);
-  EXPECT_EQ(result.target_rank, 0);
-  EXPECT_DOUBLE_EQ(result.expected_utility, 1.0);
-}
-
-TEST_F(CacheSelectionTest, StrongIsNeverServedFromCache) {
-  Teach("primary", MillisecondsToMicroseconds(150), Timestamp{100, 0});
-  const Sla sla =
-      Sla().Add(Guarantee::Strong(), SecondsToMicroseconds(10), 1.0);
-  // Even an impossibly fresh entry: the cache is not authoritative.
-  const CacheView cached{Timestamp{kNow, 0}, 0};
-  const SelectionResult result = SelectWithCache(sla, cached);
-  EXPECT_FALSE(result.cache_selected);
-  EXPECT_EQ(result.node_index, 0);
-}
-
-TEST_F(CacheSelectionTest, SlowCacheTierLosesOnLatency) {
-  Teach("primary", MillisecondsToMicroseconds(150), Timestamp{100, 0});
-  Teach("near", MillisecondsToMicroseconds(1), Timestamp{100, 0});
-  Teach("far", MillisecondsToMicroseconds(300), Timestamp{100, 0});
-  const Sla sla =
-      Sla().Add(Guarantee::Eventual(), MillisecondsToMicroseconds(5), 1.0);
-  // A modelled local tier slower than the subSLA's latency budget.
-  const CacheView cached{Timestamp{100, 0}, MillisecondsToMicroseconds(10)};
-  const SelectionResult result = SelectWithCache(sla, cached);
-  EXPECT_FALSE(result.cache_selected);
-  EXPECT_EQ(result.node_index, 1);
-}
-
-TEST_F(CacheSelectionTest, CacheNeverJoinsCandidatesEvenWithEpsilon) {
-  // Parallel-Get fan-out is a network concept: with a wide epsilon the
-  // candidate list still holds only replica indices, cache win or not.
-  Teach("primary", MillisecondsToMicroseconds(10), Timestamp{100, 0});
-  Teach("near", MillisecondsToMicroseconds(10), Timestamp{100, 0});
-  Teach("far", MillisecondsToMicroseconds(10), Timestamp{100, 0});
-  options_.candidate_epsilon = 1.0;
-  const Sla sla =
-      Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 1.0);
-  const CacheView cached{Timestamp{100, 0}, 0};
-  const SelectionResult result = SelectWithCache(sla, cached);
-  EXPECT_TRUE(result.cache_selected);
-  EXPECT_EQ(result.candidates.size(), 3u);
-  for (const int index : result.candidates) {
-    EXPECT_GE(index, 0);
-    EXPECT_LT(index, 3);
-  }
-}
-
-TEST_F(CacheSelectionTest, FreshestTieBreakStillGovernsNetworkFallback) {
-  Teach("primary", MillisecondsToMicroseconds(10), Timestamp{100, 0});
-  Teach("near", MillisecondsToMicroseconds(10), Timestamp{300, 0});
-  Teach("far", MillisecondsToMicroseconds(10), Timestamp{200, 0});
-  options_.tie_break = TieBreak::kFreshest;
-  const Sla sla =
-      Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 1.0);
-  const CacheView cached{Timestamp{999, 0}, 0};
-  const SelectionResult result = SelectWithCache(sla, cached);
-  // The cache serves, but the fallback node is still the freshest replica —
-  // the pseudo-replica never participates in replica tie-breaking.
-  EXPECT_TRUE(result.cache_selected);
-  EXPECT_EQ(result.node_index, 1);
-}
-
-TEST_F(CacheSelectionTest, EmptyReplicaSetCanStillServeFromCache) {
-  replicas_.clear();
-  const Sla sla =
-      Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 1.0);
-  const CacheView cached{Timestamp{100, 0}, 0};
-  const SelectionResult result = SelectWithCache(sla, cached);
-  EXPECT_TRUE(result.cache_selected);
-  EXPECT_EQ(result.target_rank, 0);
-  EXPECT_EQ(result.node_index, -1);  // Nowhere to fall back to.
-}
-
-TEST_F(CacheSelectionTest, NullCacheMatchesPlainSelection) {
-  // A null cache view and a cached entry too slow for every subSLA leave the
-  // network choice exactly as it is without a cache.
-  Teach("primary", MillisecondsToMicroseconds(10), Timestamp{100, 0});
-  Teach("near", MillisecondsToMicroseconds(1), Timestamp{100, 0});
-  const Sla sla =
-      Sla().Add(Guarantee::Eventual(), SecondsToMicroseconds(10), 1.0);
-  const SelectionResult plain = Select(sla);
-  const SelectionResult useless = SelectWithCache(
-      sla, CacheView{Timestamp{100, 0}, SecondsToMicroseconds(11)});
-  EXPECT_FALSE(plain.cache_selected);
-  EXPECT_FALSE(useless.cache_selected);
-  EXPECT_EQ(useless.node_index, plain.node_index);
-  EXPECT_EQ(useless.target_rank, plain.target_rank);
-  EXPECT_DOUBLE_EQ(useless.expected_utility, plain.expected_utility);
-}
-
-TEST_F(CacheSelectionTest, CacheExpectedUtilityIsDeterministic) {
-  const auto floor_400 = [](const Guarantee&) { return Timestamp{400, 0}; };
-  const SubSla eventual{Guarantee::Eventual(), MillisecondsToMicroseconds(100),
-                        0.7};
-  const SubSla strong{Guarantee::Strong(), SecondsToMicroseconds(10), 1.0};
-  // Fresh enough + fast enough: full utility, no probabilities involved.
-  EXPECT_DOUBLE_EQ(
-      CacheExpectedUtility(eventual, CacheView{Timestamp{500, 0}, 0},
-                           floor_400),
-      0.7);
-  // Below the floor: zero.
-  EXPECT_DOUBLE_EQ(
-      CacheExpectedUtility(eventual, CacheView{Timestamp{300, 0}, 0},
-                           floor_400),
-      0.0);
-  // Slower than the subSLA's budget: zero.
-  EXPECT_DOUBLE_EQ(
-      CacheExpectedUtility(
-          eventual,
-          CacheView{Timestamp{500, 0}, MillisecondsToMicroseconds(200)},
-          floor_400),
-      0.0);
-  // Strong: always zero, regardless of freshness.
-  EXPECT_DOUBLE_EQ(
-      CacheExpectedUtility(strong, CacheView{Timestamp{500, 0}, 0},
-                           [](const Guarantee&) { return Timestamp::Zero(); }),
-      0.0);
 }
 
 }  // namespace

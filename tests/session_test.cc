@@ -302,17 +302,25 @@ proto::VersionPtr Item(const std::string& key, int64_t ts, uint32_t logical) {
 // (kPinnedSession), and the same session resumed elsewhere and used again
 // (kPinnedResumed).
 constexpr std::string_view kPinnedSession =
+    "0401030300c0cf24000000000000f03f02808ece1c80b518000000000000e83f"
+    "050080897a000000000000d03f020161880e0006757365723132d00f02061f61"
+    "2d6b65792d6c6f6e6765722d7468616e2d7369787465656e2d6279746573d804"
+    "0001620a0006757365723130640006757365723131f80a040675736572313298"
+    "1100027a7ae01201e01201d00f02";
+constexpr std::string_view kPinnedResumed =
+    "0401030300c0cf24000000000000f03f02808ece1c80b518000000000000e83f"
+    "050080897a000000000000d03f030161880e00016db8170306757365723132d0"
+    "0f02071f612d6b65792d6c6f6e6765722d7468616e2d7369787465656e2d6279"
+    "746573d8040001620a0006757365723130780106757365723131f80a04067573"
+    "6572313298110006757365723133a81400027a7ae01202a81400b81703";
+// kPinnedSession in wire version 3, which ended with a client-cache floor
+// timestamp (here Zero: "0000").
+constexpr std::string_view kPinnedSessionV3 =
     "0301030300c0cf24000000000000f03f02808ece1c80b518000000000000e83f"
     "050080897a000000000000d03f020161880e0006757365723132d00f02061f61"
     "2d6b65792d6c6f6e6765722d7468616e2d7369787465656e2d6279746573d804"
     "0001620a0006757365723130640006757365723131f80a040675736572313298"
     "1100027a7ae01201e01201d00f020000";
-constexpr std::string_view kPinnedResumed =
-    "0301030300c0cf24000000000000f03f02808ece1c80b518000000000000e83f"
-    "050080897a000000000000d03f030161880e00016db8170306757365723132d0"
-    "0f02071f612d6b65792d6c6f6e6765722d7468616e2d7369787465656e2d6279"
-    "746573d8040001620a0006757365723130780106757365723131f80a04067573"
-    "6572313298110006757365723133a81400027a7ae01202a81400b81703e01201";
 
 TEST_F(SessionTest, SerializeMatchesPinnedBytes) {
   Session session(Sla()
@@ -338,6 +346,11 @@ TEST_F(SessionTest, SerializeMatchesPinnedBytes) {
                                          Item("user10", 60, 1),
                                          Item("zz", 1200, 2)});
   EXPECT_EQ(ToHex(resumed->Serialize()), kPinnedResumed);
+
+  // Version 3 bytes are no longer accepted.
+  Result<Session> v3 = Session::Deserialize(FromHex(kPinnedSessionV3));
+  ASSERT_FALSE(v3.ok());
+  EXPECT_EQ(v3.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(SessionTest, SerializeEmptySession) {
@@ -360,34 +373,6 @@ TEST_F(SessionTest, DeserializeRejectsGarbage) {
   }
   // Trailing junk is rejected.
   EXPECT_FALSE(Session::Deserialize(full + "x").ok());
-}
-
-TEST_F(SessionTest, CacheFloorStartsAtZeroAndOnlyRises) {
-  EXPECT_EQ(session_.cache_floor(), Timestamp::Zero());
-  session_.RaiseCacheFloor(Timestamp{500, 0});
-  EXPECT_EQ(session_.cache_floor(), (Timestamp{500, 0}));
-  // Raising to something lower is a no-op: the floor is monotonic.
-  session_.RaiseCacheFloor(Timestamp{100, 0});
-  EXPECT_EQ(session_.cache_floor(), (Timestamp{500, 0}));
-}
-
-TEST_F(SessionTest, DeserializeRaisesCacheFloorToHandoffPoint) {
-  // A serialized hand-off moves the session to a frontend whose cache never
-  // saw this session's history: Deserialize must conservatively distrust
-  // any cached entry whose validity predates what the session has already
-  // read or written (DESIGN.md "Client cache").
-  session_.RecordPut("cart", Timestamp{500, 3});
-  session_.RecordGet("news", Timestamp{700, 1});
-  Result<Session> restored = Session::Deserialize(session_.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->cache_floor(), (Timestamp{700, 1}));
-
-  // The floor itself survives a second hop even if it exceeds the
-  // guarantee state (e.g. it was raised explicitly on the first frontend).
-  restored->RaiseCacheFloor(Timestamp{900, 0});
-  Result<Session> second_hop = Session::Deserialize(restored->Serialize());
-  ASSERT_TRUE(second_hop.ok());
-  EXPECT_EQ(second_hop->cache_floor(), (Timestamp{900, 0}));
 }
 
 TEST_F(SessionTest, BoundedSlaSurvivesSerialization) {

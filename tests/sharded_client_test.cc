@@ -291,31 +291,6 @@ TEST_F(ShardedClientTest, ManyShards) {
   }
 }
 
-TEST_F(ShardedClientTest, OneCacheSpansAllShards) {
-  // A single ClientCache handed to Create covers every per-range client:
-  // entries are table-scoped and the ranges are disjoint, so both shards'
-  // write-throughs land in (and serve from) the same cache.
-  cache::ClientCache cache;
-  PileusClient::Options options;
-  options.cache = &cache;
-  Build(options);
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  ASSERT_TRUE(client_->Put(session, "apple", "low").ok());
-  ASSERT_TRUE(client_->Put(session, "zebra", "high").ok());
-
-  Result<GetResult> low = client_->Get(session, "apple");
-  ASSERT_TRUE(low.ok());
-  EXPECT_TRUE(low->outcome.from_cache);
-  EXPECT_EQ(low->value, "low");
-  Result<GetResult> high = client_->Get(session, "zebra");
-  ASSERT_TRUE(high.ok());
-  EXPECT_TRUE(high->outcome.from_cache);
-  EXPECT_EQ(high->value, "high");
-
-  EXPECT_EQ(client_->cache_serves(), 2u);
-  EXPECT_EQ(cache.Stats().entries, 2u);
-}
-
 TEST_F(ShardedClientTest, FixedMapNeverQueriesTheMap) {
   // A fixed map covering only the lower range: neither an unrouteable key
   // nor a fenced operation may send a tablet-map query.

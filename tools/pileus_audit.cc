@@ -80,11 +80,6 @@ int Run(int argc, char** argv) {
   flags.DefineString("durable_root", "",
                      "directory for per-run WALs (default: a fresh temp "
                      "dir, removed when every run passes)");
-  flags.DefineBool("cache", false,
-                   "give each frontend a consistency-aware client cache so "
-                   "the checker audits cache-served reads");
-  flags.DefineInt("cache_bytes", 4 << 20,
-                  "per-frontend cache capacity in bytes (with --cache)");
   flags.DefineBool("aggregator", false,
                    "run a shared-monitoring aggregator alongside the "
                    "workload and kill it mid-run; priors and the fallback "
@@ -109,9 +104,6 @@ int Run(int argc, char** argv) {
   base.deployment = tcp ? DeploymentKind::kTcp : DeploymentKind::kSim;
   base.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
   base.key_count = static_cast<int>(flags.GetInt("keys"));
-  base.client_cache = flags.GetBool("cache");
-  base.cache_capacity_bytes =
-      static_cast<uint64_t>(flags.GetInt("cache_bytes"));
   base.enable_aggregator = flags.GetBool("aggregator");
 
   // Each entry: a run configuration and the directory name its WALs use.

@@ -15,8 +15,6 @@
 //                                          # split/migration intent (phase,
 //                                          # epoch, elapsed); no TCP needed
 //   pileus_cli --port 7000 bench 1000      # tiny put/get latency check
-//   pileus_cli --port 7000 --cache_bytes 1048576 bench 1000
-//                                          # ... with a client-side cache
 //
 // Talks the raw storage protocol over TCP and pretty-prints replies,
 // including the node's high timestamp so operators can eyeball staleness.
@@ -28,7 +26,6 @@
 #include <string>
 #include <thread>
 
-#include "src/cache/client_cache.h"
 #include "src/common/clock.h"
 #include "src/core/monitor.h"
 #include "src/net/tcp.h"
@@ -36,8 +33,6 @@
 #include "src/replication/replication_agent.h"
 #include "src/tablets/intent_log.h"
 #include "src/tablets/tablet_map.h"
-#include "src/telemetry/export.h"
-#include "src/telemetry/metrics.h"
 #include "src/util/histogram.h"
 #include "tools/flags.h"
 
@@ -293,10 +288,7 @@ int main(int argc, char** argv) {
   flags.DefineInt("probes", 5, "stats: probes used for the local node view");
   flags.DefineInt("pipeline", 0,
                   "bench: ops kept in flight on the channel (0 = serial "
-                  "synchronous loop; pipelined mode ignores --cache_bytes)");
-  flags.DefineInt("cache_bytes", 0,
-                  "bench: client-side cache capacity in bytes (0 = no cache); "
-                  "cache telemetry is printed in --format afterwards");
+                  "synchronous loop)");
   flags.DefineString("intent_log", "",
                      "tablets: read the durable coordinator state (committed "
                      "map, lease, in-flight intent) from this intent log "
@@ -762,19 +754,6 @@ int main(int argc, char** argv) {
       PrintLatencyLine("get us:", state->get_latency);
       return 0;
     }
-    // Optional client-side cache: writes fill it through (the Put ack's
-    // assigned timestamp bounds both the version and its validity), reads
-    // check it first and skip the round trip on a hit. Its counters live in
-    // a local registry rendered by the standard exporters below.
-    telemetry::MetricsRegistry registry;
-    std::unique_ptr<cache::ClientCache> client_cache;
-    if (flags.GetInt("cache_bytes") > 0) {
-      cache::ClientCache::Options cache_options;
-      cache_options.capacity_bytes =
-          static_cast<size_t>(flags.GetInt("cache_bytes"));
-      cache_options.metrics = &registry;
-      client_cache = std::make_unique<cache::ClientCache>(cache_options);
-    }
     Histogram put_latency, get_latency;
     for (long i = 0; i < n; ++i) {
       proto::PutRequest put;
@@ -787,18 +766,8 @@ int main(int argc, char** argv) {
         return Fail(put_reply.status());
       }
       put_latency.Record(RealClock::Instance()->NowMicros() - start);
-      if (client_cache != nullptr) {
-        const auto& acked = std::get<proto::PutReply>(put_reply.value());
-        client_cache->Admit(table, put.key, put.value, acked.timestamp,
-                            /*is_tombstone=*/false, acked.timestamp);
-      }
 
       start = RealClock::Instance()->NowMicros();
-      if (client_cache != nullptr &&
-          client_cache->Lookup(table, put.key).has_value()) {
-        get_latency.Record(RealClock::Instance()->NowMicros() - start);
-        continue;
-      }
       proto::GetRequest get;
       get.table = table;
       get.key = put.key;
@@ -807,21 +776,9 @@ int main(int argc, char** argv) {
         return Fail(get_reply.status());
       }
       get_latency.Record(RealClock::Instance()->NowMicros() - start);
-      if (client_cache != nullptr) {
-        const auto& got = std::get<proto::GetReply>(get_reply.value());
-        client_cache->Admit(table, get.key, got.found ? got.value : "",
-                            got.value_timestamp, /*is_tombstone=*/!got.found,
-                            got.high_timestamp);
-      }
     }
     PrintLatencyLine("put us:", put_latency);
     PrintLatencyLine("get us:", get_latency);
-    if (client_cache != nullptr) {
-      std::printf("client cache telemetry (%s):\n%s",
-                  flags.GetString("format").c_str(),
-                  telemetry::ExportAs(registry, flags.GetString("format"))
-                      .c_str());
-    }
     return 0;
   }
 

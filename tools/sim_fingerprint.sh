@@ -4,11 +4,11 @@
 #
 #   tools/sim_fingerprint.sh BUILD_DIR
 #
-# It runs, from a fresh temporary directory, the 16 simulator benches with
+# It runs, from a fresh temporary directory, the 15 simulator benches with
 # PILEUS_BENCH_SMOKE=1 (their output, plus the BENCH_tablets.json and
-# BENCH_coldstart.json files they write) and the three simulator audit sweeps
-# CI runs (plain, --cache and --aggregator). All of them run on virtual time
-# with seeded random streams, so the digests are deterministic. Compare a
+# BENCH_coldstart.json files they write) and the two simulator audit sweeps
+# CI runs (plain and --aggregator): 19 outputs. All of them run on virtual
+# time with seeded random streams, so the digests are deterministic. Compare a
 # parent build with a change's build on one machine: the C library's maths
 # may round differently elsewhere.
 #
@@ -34,7 +34,6 @@ benches="
   bench_ablation_replication_period
   bench_ablation_tiebreak
   bench_availability
-  bench_cache
   bench_fig3_consistency_latency
   bench_fig11_shopping_cart
   bench_fig12_password
@@ -64,8 +63,6 @@ audit() {
 }
 audit audit_sim --scenarios \
   none,partition,drops,gray,crash-restart,handoff,failover,overload,tablet-churn,tablet-churn-kill
-audit audit_cache --cache --scenarios \
-  none,partition,crash-restart,failover,overload,tablet-churn,tablet-churn-kill
 audit audit_aggregator --aggregator --scenarios \
   none,partition,crash-restart,failover,overload
 
