@@ -13,18 +13,20 @@
 // with a single-consistency SLA per row and prints the same table. Absolute
 // values track the RTT matrix; the shape (orders-of-magnitude spread, the
 // bounded(30) midpoints, read-my-writes' small premium over eventual) is the
-// reproduction target.
+// reproduction target. The bench checks that shape, as EXPERIMENTS.md
+// records it, and exits 1 with a FAIL line on a miss (CheckShape).
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/core/consistency.h"
 #include "src/experiments/geo_testbed.h"
 #include "src/experiments/runner.h"
 #include "src/experiments/tables.h"
-#include "src/monitoring/aggregator.h"
 #include "src/telemetry/metrics.h"
 #include "src/workload/ycsb.h"
 
@@ -43,108 +45,89 @@ bool SmokeMode() {
   return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
 }
 
-// --- Cold-start column (DESIGN.md Section 12) ---
+// --- Figure 3's shape, as EXPERIMENTS.md records it ---
 //
-// A brand-new client has an empty monitor: its optimistic "unknown nodes are
-// fast" estimate targets the strong subSLA at the far-away primary, misses
-// both latency bounds, and the first operation delivers zero utility. With a
-// fleet digest installed as a prior — and zero probes sent — the same client
-// ranks the SLA like a warmed-up one and takes the local eventual read.
-//
-// Per seeded trial: warm a probing client at the trial's site, feed its
-// monitor into an aggregator, then issue one Get each from two fresh clients
-// (digest installed vs nothing) and compare target ranks and first-op
-// utility. Self-checked: rank agreement with the warm client >= 90%, and the
-// prior-informed mean first-op utility must beat the no-prior baseline.
+// Each row runs its own seeds, so cells that should tie (strong and causal,
+// monotonic and eventual) differ by sampling noise; each check states its
+// slack. A weaker row may exceed the stronger row above it by kRiseSlackMs
+// plus kRiseSlackFraction of the stronger row's latency.
+constexpr double kRiseSlackMs = 0.5;
+constexpr double kRiseSlackFraction = 0.01;
+// England reads at the primary: kPrimaryMs +/- kPrimaryToleranceMs.
+constexpr double kPrimaryMs = 1.0;
+constexpr double kPrimaryToleranceMs = 0.5;
+// For the U.S. and India, whose eventual reads stay local.
+constexpr double kStrongOverEventual = 20.0;
+// Monotonic may differ from eventual by this many ms plus this fraction of
+// eventual.
+constexpr double kMonotonicToleranceMs = 0.5;
+constexpr double kMonotonicToleranceFraction = 0.02;
 
-struct ColdStartSiteStats {
-  uint64_t trials = 0;
-  double utility_prior_sum = 0.0;
-  double utility_noprior_sum = 0.0;
-};
-
-struct ColdStartResult {
-  uint64_t trials = 0;
-  uint64_t rank_agreements = 0;
-  double utility_prior_sum = 0.0;
-  double utility_noprior_sum = 0.0;
-  std::vector<ColdStartSiteStats> per_site;  // Parallel to the site list.
-};
-
-// The SLA the cold client ranks: strong within 100 ms (utility 1.0) vs
-// eventual within 200 ms (utility 0.5). Chosen so the primary's real RTT
-// from every non-England site breaks the strong bound: targeting it on
-// optimism costs the first op (from China the 307 ms round trip even breaks
-// the eventual bound), while the prior steers to the nearest replica.
-pileus::core::Sla ColdStartSla() {
-  return pileus::core::Sla()
-      .Add(Guarantee::Strong(), 100 * 1000, 1.0)
-      .Add(Guarantee::Eventual(), 200 * 1000, 0.5);
-}
-
-ColdStartResult RunColdStart(bool smoke, const std::vector<const char*>& sites,
-                             int preload_keys) {
-  ColdStartResult result;
-  result.per_site.resize(sites.size());
-  const uint64_t trials = smoke ? 8 : 40;
-  const pileus::core::Sla sla = ColdStartSla();
-  const std::string key = pileus::workload::YcsbWorkload::KeyForIndex(0);
-  for (uint64_t trial = 0; trial < trials; ++trial) {
-    const size_t site_index = trial % sites.size();
-    const char* site = sites[site_index];
-    GeoTestbedOptions testbed_options;
-    testbed_options.seed = 5000 + trial;
-    GeoTestbed testbed(testbed_options);
-    PreloadKeys(testbed, preload_keys);
-    testbed.StartReplication();
-
-    // Warm reference: a probing client that has measured the fleet.
-    auto warm = testbed.MakeClient(site, {});
-    warm->StartProbing();
-    testbed.env().RunFor(pileus::SecondsToMicroseconds(12));
-    warm->StopProbing();
-
-    // The fleet digest, built from the warm client's report alone (one
-    // reporter is the degenerate fleet; the merge path is identical).
-    pileus::monitoring::MonitorAggregator aggregator(testbed.env().clock());
-    pileus::core::Monitor& warm_monitor = warm->client().monitor();
-    aggregator.Ingest(site, warm_monitor.state_version(),
-                      warm_monitor.BuildReportConditions());
-    const pileus::monitoring::ConditionDigest digest = aggregator.Digest();
-
-    auto with_prior = testbed.MakeClient(site, {});
-    auto no_prior = testbed.MakeClient(site, {});
-    with_prior->client().monitor().InstallDigest(digest);
-
-    // One first-op Get per client; none of the three sends a probe here.
-    auto first_get = [&](GeoClient& frontend) -> pileus::core::GetOutcome {
-      auto session = frontend.client().BeginSession(sla);
-      if (!session.ok()) {
-        return {};
+// Prints one FAIL line per miss and returns the number of misses.
+// `ms[row][site]` is the mean Get latency of `rows[row]` at `sites[site]`.
+int CheckShape(
+    const std::vector<std::vector<double>>& ms,
+    const std::vector<std::pair<const char*, Guarantee>>& rows,
+    const std::vector<const char*>& sites) {
+  const auto row_of = [&rows](const char* name) {
+    size_t row = 0;
+    while (std::strcmp(rows[row].first, name) != 0) {
+      ++row;
+    }
+    return row;
+  };
+  const size_t strong = row_of("strong");
+  const size_t monotonic = row_of("monotonic");
+  const size_t eventual = row_of("eventual");
+  int misses = 0;
+  for (size_t site = 0; site < sites.size(); ++site) {
+    for (size_t row = 1; row < rows.size(); ++row) {
+      const double stronger = ms[row - 1][site];
+      const double slack = kRiseSlackMs + kRiseSlackFraction * stronger;
+      if (ms[row][site] > stronger + slack) {
+        std::printf("FAIL: %s: %s %.1f ms rises above %s %.1f ms "
+                    "(slack %.1f ms)\n", sites[site], rows[row].first,
+                    ms[row][site], rows[row - 1].first, stronger, slack);
+        ++misses;
       }
-      auto got = frontend.client().Get(*session, key);
-      return got.ok() ? got->outcome : pileus::core::GetOutcome{};
-    };
-    const pileus::core::GetOutcome warm_outcome = first_get(*warm);
-    const pileus::core::GetOutcome prior_outcome = first_get(*with_prior);
-    const pileus::core::GetOutcome noprior_outcome = first_get(*no_prior);
-
-    if (with_prior->probes_sent() != 0 || no_prior->probes_sent() != 0) {
-      std::printf("FAIL: cold-start client sent probes\n");
-      std::exit(1);
     }
-    ++result.trials;
-    if (prior_outcome.target_rank == warm_outcome.target_rank) {
-      ++result.rank_agreements;
+    const double tolerance = kMonotonicToleranceMs +
+                             kMonotonicToleranceFraction * ms[eventual][site];
+    if (std::fabs(ms[monotonic][site] - ms[eventual][site]) > tolerance) {
+      std::printf("FAIL: %s: monotonic %.1f ms differs from eventual %.1f ms "
+                  "by more than %.1f ms\n", sites[site], ms[monotonic][site],
+                  ms[eventual][site], tolerance);
+      ++misses;
     }
-    result.utility_prior_sum += prior_outcome.utility;
-    result.utility_noprior_sum += noprior_outcome.utility;
-    ColdStartSiteStats& site_stats = result.per_site[site_index];
-    ++site_stats.trials;
-    site_stats.utility_prior_sum += prior_outcome.utility;
-    site_stats.utility_noprior_sum += noprior_outcome.utility;
+    if (std::strcmp(sites[site], kEngland) == 0) {
+      for (size_t row = 0; row < rows.size(); ++row) {
+        if (std::fabs(ms[row][site] - kPrimaryMs) > kPrimaryToleranceMs) {
+          std::printf("FAIL: %s (primary): %s %.1f ms is not %.1f +/- %.1f "
+                      "ms\n", sites[site], rows[row].first, ms[row][site],
+                      kPrimaryMs, kPrimaryToleranceMs);
+          ++misses;
+        }
+      }
+    }
+    if ((std::strcmp(sites[site], kUs) == 0 ||
+         std::strcmp(sites[site], kIndia) == 0) &&
+        ms[strong][site] < kStrongOverEventual * ms[eventual][site]) {
+      std::printf("FAIL: %s: strong %.1f ms is under %.0fx eventual %.1f "
+                  "ms\n", sites[site], ms[strong][site], kStrongOverEventual,
+                  ms[eventual][site]);
+      ++misses;
+    }
   }
-  return result;
+  std::printf("Shape: no column rises from strong down to eventual (slack "
+              "%.1f ms + %.0f%%);\n"
+              "       England (primary) reads %.1f +/- %.1f ms in every row;\n"
+              "       strong >= %.0fx eventual for the U.S. and India;\n"
+              "       monotonic within %.1f ms + %.0f%% of eventual: %s\n",
+              kRiseSlackMs, 100.0 * kRiseSlackFraction, kPrimaryMs,
+              kPrimaryToleranceMs, kStrongOverEventual, kMonotonicToleranceMs,
+              100.0 * kMonotonicToleranceFraction,
+              misses == 0 ? "PASS" : "FAIL");
+  return misses;
 }
 
 }  // namespace
@@ -251,63 +234,5 @@ int main() {
               "                   bounded(30) 75/1/234/241, rmw 13/1/18/166,\n"
               "                   monotonic 1/1/1/160, eventual 1/1/1/160\n\n");
 
-  // --- Cold start: first-op utility with vs without a fleet digest ---
-  const ColdStartResult cold =
-      RunColdStart(smoke, kClientSites, smoke ? 200 : 1000);
-  const double agreement = cold.trials == 0
-                               ? 0.0
-                               : static_cast<double>(cold.rank_agreements) /
-                                     static_cast<double>(cold.trials);
-  const double mean_prior =
-      cold.trials == 0 ? 0.0
-                       : cold.utility_prior_sum /
-                             static_cast<double>(cold.trials);
-  const double mean_noprior =
-      cold.trials == 0 ? 0.0
-                       : cold.utility_noprior_sum /
-                             static_cast<double>(cold.trials);
-  std::printf("=== Cold start: zero-probe first op, fleet digest as prior "
-              "===%s\n", smoke ? " [smoke]" : "");
-  std::printf("  trials:                    %llu (sites round-robin)\n",
-              static_cast<unsigned long long>(cold.trials));
-  std::printf("  rank agreement vs warmed:  %.1f%%\n", 100.0 * agreement);
-  std::printf("  mean first-op utility:     %.3f with prior, %.3f without\n",
-              mean_prior, mean_noprior);
-  for (size_t i = 0; i < kClientSites.size(); ++i) {
-    const ColdStartSiteStats& s = cold.per_site[i];
-    if (s.trials == 0) {
-      continue;
-    }
-    std::printf("    %-10s %.3f with prior, %.3f without (%llu trials)\n",
-                kClientSites[i],
-                s.utility_prior_sum / static_cast<double>(s.trials),
-                s.utility_noprior_sum / static_cast<double>(s.trials),
-                static_cast<unsigned long long>(s.trials));
-  }
-
-  FILE* json = std::fopen("BENCH_coldstart.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\"trials\": %llu, \"rank_agreement\": %.4f, "
-                 "\"mean_first_op_utility_prior\": %.4f, "
-                 "\"mean_first_op_utility_noprior\": %.4f, "
-                 "\"smoke\": %s}\n",
-                 static_cast<unsigned long long>(cold.trials), agreement,
-                 mean_prior, mean_noprior, smoke ? "true" : "false");
-    std::fclose(json);
-  }
-
-  // Self-checks: the digest must make a cold client rank like a warmed one
-  // and lift first-op utility over the optimistic no-prior baseline.
-  if (agreement < 0.9) {
-    std::printf("FAIL: cold-start rank agreement %.1f%% below 90%%\n",
-                100.0 * agreement);
-    return 1;
-  }
-  if (mean_prior <= mean_noprior) {
-    std::printf("FAIL: prior did not improve first-op utility "
-                "(%.3f vs %.3f)\n", mean_prior, mean_noprior);
-    return 1;
-  }
-  return 0;
+  return CheckShape(latencies, kConsistencies, kClientSites) == 0 ? 0 : 1;
 }

@@ -25,7 +25,6 @@ void Monitor::RecordLatencyLocked(NodeState& state, MicrosecondCount now_us,
   state.last_contact_us = now_us;
   ++state.total_samples;
   ++samples_recorded_;
-  ++state_version_;
 }
 
 void Monitor::RecordLatency(std::string_view node, MicrosecondCount rtt_us) {
@@ -42,7 +41,6 @@ void Monitor::RecordHighTimestampLocked(NodeState& state,
     state.high_observed_at_us = now_us;
   }
   state.last_contact_us = now_us;
-  ++state_version_;
 }
 
 void Monitor::RecordHighTimestamp(std::string_view node,
@@ -75,7 +73,6 @@ void Monitor::RecordSuccessLocked(NodeState& state, MicrosecondCount now_us) {
   state.consecutive_failures = 0;
   state.breaker_open_until_us = 0;
   ++state.total_samples;
-  ++state_version_;
 }
 
 void Monitor::RecordSuccess(std::string_view node) {
@@ -92,7 +89,6 @@ void Monitor::RecordFailure(std::string_view node) {
   // checking for recovery at its normal cadence, not in a tight loop.
   state.last_contact_us = now;
   ++state.total_samples;
-  ++state_version_;
   ++state.consecutive_failures;
   const bool was_open = state.breaker_open_until_us != 0;
   // Trip on reaching the threshold, and re-arm the full cooldown when a
@@ -118,7 +114,6 @@ void Monitor::RecordOverload(std::string_view node,
   // success: a half-open breaker should wait for a served reply.
   state.last_contact_us = now;
   ++overload_rejections_;
-  ++state_version_;
 }
 
 void Monitor::RecordQueueDelayLocked(NodeState& state,
@@ -127,7 +122,6 @@ void Monitor::RecordQueueDelayLocked(NodeState& state,
       kQueueDelayAlpha * static_cast<double>(delay_us) +
       (1.0 - kQueueDelayAlpha) * state.queue_delay_ewma_us;
   state.has_queue_delay = true;
-  ++state_version_;
 }
 
 void Monitor::RecordQueueDelay(std::string_view node,
@@ -169,28 +163,15 @@ double Monitor::OverloadFactor(bool overloaded, double utility) {
   return kOverloadPenalty + (1.0 - kOverloadPenalty) * u;
 }
 
-MicrosecondCount Monitor::QueueDelayLocked(const NodeState* state,
-                                           MicrosecondCount now_us) const {
-  if (state == nullptr) {
-    return 0;
-  }
-  if (state->has_queue_delay) {
-    return static_cast<MicrosecondCount>(state->queue_delay_ewma_us);
-  }
-  // No local evidence: use the fleet prior's queue delay, scaled down as the
-  // prior ages so a dead aggregator's last digest fades to "no pressure".
-  const double k = PriorWeightLocked(*state, now_us);
-  if (k <= 0.0) {
-    return 0;
-  }
-  const double confidence = k / kPriorStrength;  // In (0, 1].
-  return static_cast<MicrosecondCount>(
-      confidence * static_cast<double>(state->prior.queue_delay_us));
+MicrosecondCount Monitor::QueueDelayLocked(const NodeState* state) {
+  return state == nullptr || !state->has_queue_delay
+             ? 0
+             : static_cast<MicrosecondCount>(state->queue_delay_ewma_us);
 }
 
 MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return QueueDelayLocked(FindState(node), clock_->NowMicros());
+  return QueueDelayLocked(FindState(node));
 }
 
 Monitor::BreakerState Monitor::BreakerLocked(const NodeState* state,
@@ -207,45 +188,6 @@ Monitor::BreakerState Monitor::Breaker(std::string_view node) const {
   return BreakerLocked(FindState(node), clock_->NowMicros());
 }
 
-double Monitor::PriorWeightLocked(const NodeState& state,
-                                  MicrosecondCount now_us) const {
-  if (!state.has_prior || state.prior_installed_at_us < 0) {
-    return 0.0;
-  }
-  const MicrosecondCount age = now_us - state.prior_installed_at_us;
-  if (age >= kPriorTtlUs) {
-    return 0.0;
-  }
-  const double fresh =
-      1.0 - static_cast<double>(age) / static_cast<double>(kPriorTtlUs);
-  return kPriorStrength * fresh;
-}
-
-double Monitor::PriorFractionBelow(const monitoring::NodeCondition& prior,
-                                   MicrosecondCount latency_us) {
-  // Piecewise-linear CDF through (0, 0), (p50, .5), (p95, .95), (p99, .99).
-  // Equal or out-of-order percentiles (tiny fleets, constant latency)
-  // degenerate to steps rather than dividing by zero.
-  const double l = static_cast<double>(latency_us);
-  const double p50 = static_cast<double>(prior.p50_latency_us);
-  const double p95 = static_cast<double>(prior.p95_latency_us);
-  const double p99 = static_cast<double>(prior.p99_latency_us);
-  if (l <= 0.0) {
-    return 0.0;
-  }
-  if (l < p50) {
-    return 0.5 * l / p50;
-  }
-  if (l < p95) {
-    return p95 > p50 ? 0.5 + 0.45 * (l - p50) / (p95 - p50) : 0.5;
-  }
-  if (l < p99) {
-    return p99 > p95 ? 0.95 + 0.04 * (l - p95) / (p99 - p95) : 0.95;
-  }
-  // Past p99: approach 1.0 over another p99 of headroom.
-  return std::min(1.0, 0.99 + 0.01 * (l - p99) / std::max(1.0, p99));
-}
-
 double Monitor::PNodeUpLocked(const NodeState* state,
                               MicrosecondCount now) const {
   if (state == nullptr) {
@@ -258,21 +200,7 @@ double Monitor::PNodeUpLocked(const NodeState* state,
   }
   // Samples are 0 (failure) or 1 (success): the fraction strictly below 1 is
   // the failure rate. An empty window means no evidence: assume up.
-  const double m = static_cast<double>(state->outcomes.SampleCount(now));
-  const double p_local =
-      1.0 - state->outcomes.FractionBelow(now, 1, /*empty_estimate=*/0.0);
-  const double k = PriorWeightLocked(*state, now);
-  if (k <= 0.0) {
-    return m > 0.0 ? p_local : 1.0;
-  }
-  const double p_prior = state->prior.p_up;
-  if (m <= 0.0) {
-    // Only the prior speaks; as it ages, drift back to the optimistic 1.0
-    // default so a stale "node down" verdict cannot shadow it forever.
-    const double confidence = k / kPriorStrength;
-    return confidence * p_prior + (1.0 - confidence) * 1.0;
-  }
-  return (m * p_local + k * p_prior) / (m + k);
+  return 1.0 - state->outcomes.FractionBelow(now, 1, /*empty_estimate=*/0.0);
 }
 
 double Monitor::PNodeUp(std::string_view node) const {
@@ -285,24 +213,8 @@ double Monitor::PNodeLatLocked(const NodeState* state, MicrosecondCount now,
   if (state == nullptr) {
     return kUnknownLatencyEstimate;
   }
-  const double n = static_cast<double>(state->latencies.SampleCount(now));
-  // A prior with sample_count == 0 carries no latency evidence (a node seen
-  // by the fleet only via server self-reports): blend nothing from it.
-  double k = PriorWeightLocked(*state, now);
-  if (state->prior.sample_count == 0) {
-    k = 0.0;
-  }
-  if (k <= 0.0) {
-    return state->latencies.FractionBelow(now, latency_us,
-                                          kUnknownLatencyEstimate);
-  }
-  const double f_prior = PriorFractionBelow(state->prior, latency_us);
-  if (n <= 0.0) {
-    return f_prior;
-  }
-  const double f_local = state->latencies.FractionBelow(
-      now, latency_us, kUnknownLatencyEstimate);
-  return (n * f_local + k * f_prior) / (n + k);
+  return state->latencies.FractionBelow(now, latency_us,
+                                        kUnknownLatencyEstimate);
 }
 
 double Monitor::PNodeLat(std::string_view node,
@@ -320,7 +232,7 @@ Monitor::NodeEstimate Monitor::Estimate(std::string_view node,
   NodeEstimate estimate;
   estimate.breaker_open = BreakerLocked(state, now) == BreakerState::kOpen;
   estimate.high_timestamp = KnownHighTimestampLocked(state, now);
-  estimate.queue_delay_us = QueueDelayLocked(state, now);
+  estimate.queue_delay_us = QueueDelayLocked(state);
   estimate.p_up = PNodeUpLocked(state, now);
   estimate.overloaded = OverloadedLocked(state, now);
   estimate.mean_latency_us = MeanLatencyLocked(state, now);
@@ -330,78 +242,6 @@ Monitor::NodeEstimate Monitor::Estimate(std::string_view node,
     p_lat[i] = PNodeLatLocked(state, now, budget);
   }
   return estimate;
-}
-
-bool Monitor::InstallDigest(const monitoring::ConditionDigest& digest) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (digest.version <= digest_version_) {
-    return false;  // Stale or duplicate push.
-  }
-  const MicrosecondCount now = clock_->NowMicros();
-  digest_version_ = digest.version;
-  ++digests_installed_;
-  for (const monitoring::NodeCondition& cond : digest.nodes) {
-    NodeState& state = StateFor(cond.node);
-    state.has_prior = true;
-    state.prior = cond;
-    state.prior_installed_at_us = now;
-    // High timestamps are monotonic, so adopting the fleet's larger value is
-    // always safe and lets a cold client rank consistency without a probe.
-    if (cond.high_age_us >= 0 && cond.high_timestamp > state.high_timestamp) {
-      state.high_timestamp = cond.high_timestamp;
-      state.high_observed_at_us = std::max<MicrosecondCount>(
-          0, now - cond.high_age_us);
-    }
-    // Deliberately not touching last_contact_us: a prior is fleet hearsay,
-    // not contact. Probe suppression keys off prior freshness instead.
-  }
-  return true;
-}
-
-uint64_t Monitor::digest_version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return digest_version_;
-}
-
-uint64_t Monitor::state_version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_version_;
-}
-
-std::vector<monitoring::NodeCondition> Monitor::BuildReportConditions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const MicrosecondCount now = clock_->NowMicros();
-  std::vector<monitoring::NodeCondition> out;
-  out.reserve(nodes_.size());
-  for (const auto& [name, state] : nodes_) {
-    // Only nodes with local evidence: re-reporting prior-only knowledge
-    // would echo the aggregator's own digest back and self-reinforce.
-    if (state.total_samples == 0) {
-      continue;
-    }
-    monitoring::NodeCondition cond;
-    cond.node = name;
-    cond.sample_count = static_cast<uint64_t>(state.latencies.SampleCount(now));
-    cond.mean_latency_us = state.latencies.Mean(now);
-    cond.p50_latency_us = state.latencies.Quantile(now, 0.50);
-    cond.p95_latency_us = state.latencies.Quantile(now, 0.95);
-    cond.p99_latency_us = state.latencies.Quantile(now, 0.99);
-    cond.high_timestamp = state.high_timestamp;
-    cond.high_age_us = state.high_observed_at_us >= 0
-                           ? now - state.high_observed_at_us
-                           : -1;
-    cond.p_up = BreakerLocked(&state, now) == BreakerState::kOpen
-                    ? 0.0
-                    : 1.0 - state.outcomes.FractionBelow(
-                                now, 1, /*empty_estimate=*/0.0);
-    cond.queue_delay_us =
-        state.has_queue_delay
-            ? static_cast<MicrosecondCount>(state.queue_delay_ewma_us)
-            : 0;
-    cond.overloaded = now < state.overloaded_until_us;
-    out.push_back(std::move(cond));
-  }
-  return out;
 }
 
 double Monitor::PNodeCons(std::string_view node,
@@ -466,10 +306,6 @@ std::vector<Monitor::NodeSnapshot> Monitor::Snapshot() const {
     snap.queue_delay_us =
         static_cast<MicrosecondCount>(state.queue_delay_ewma_us);
     snap.total_samples = state.total_samples;
-    snap.has_prior = state.has_prior;
-    snap.prior_age_us = state.prior_installed_at_us >= 0
-                            ? now - state.prior_installed_at_us
-                            : -1;
     out.push_back(std::move(snap));
   }
   return out;
@@ -489,18 +325,6 @@ bool Monitor::NeedsProbe(std::string_view node) const {
       return true;  // Probation probe decides recovery.
     case BreakerState::kClosed:
       break;
-  }
-  // Fresh fleet prior: the fleet already measured this node, skip the round
-  // trip. Once the prior outgrows the suppression window, probing resumes
-  // even if digests keep arriving with unchanged content.
-  if (state->has_prior && state->prior_installed_at_us >= 0 &&
-      now - state->prior_installed_at_us < kPriorProbeSuppressUs) {
-    const bool due = state->last_contact_us < 0 ||
-                     now - state->last_contact_us >= options_.probe_interval_us;
-    if (due) {
-      ++probes_suppressed_;  // Count only probes that would have fired.
-    }
-    return false;
   }
   return now - state->last_contact_us >= options_.probe_interval_us;
 }

@@ -37,7 +37,6 @@
 #include "src/common/clock.h"
 #include "src/common/timestamp.h"
 #include "src/core/sla.h"
-#include "src/monitoring/digest.h"
 #include "src/util/sliding_window.h"
 
 namespace pileus::core {
@@ -78,23 +77,6 @@ class Monitor {
       100 * kMicrosecondsPerMillisecond;
   // EWMA smoothing factor for server-reported queue delays.
   static constexpr double kQueueDelayAlpha = 0.3;
-  // --- Fleet priors (DESIGN.md Section 12, paper Section 6.1) ---
-  // A pushed ConditionDigest seeds each covered node with a prior worth
-  // this many pseudo-samples when fresh. Local evidence wins as it
-  // accumulates: the blend weight of the prior is
-  //   k = kPriorStrength * max(0, 1 - prior_age / kPriorTtlUs)
-  // against n real windowed samples, i.e. local/prior = n/(n+k).
-  static constexpr double kPriorStrength = 8.0;
-  // A prior decays to zero influence once it is this old (the priors
-  // themselves have bounded staleness; a dead aggregator fades out).
-  static constexpr MicrosecondCount kPriorTtlUs = SecondsToMicroseconds(60);
-  // Probe suppression: while a node's prior is younger than this, NeedsProbe
-  // reports false (the fleet already measured the node), so probers skip
-  // the redundant round trip. Once the prior outgrows the window, normal
-  // probing resumes - stale priors re-trigger probes. Half-open circuit
-  // breakers always probe regardless.
-  static constexpr MicrosecondCount kPriorProbeSuppressUs =
-      SecondsToMicroseconds(15);
 
   enum class BreakerState {
     kClosed = 0,    // Healthy: requests flow normally.
@@ -138,38 +120,10 @@ class Monitor {
   // Everything a served reply tells the monitor, under one lock and one
   // clock reading: RecordLatency (skipped when `rtt_us` is empty),
   // RecordSuccess, RecordHighTimestamp and RecordQueueDelay, in that order.
-  // Leaves the same state, state_version() and samples_recorded() as the
-  // four calls.
+  // Leaves the same state and samples_recorded() as the four calls.
   void RecordReply(std::string_view node,
                    std::optional<MicrosecondCount> rtt_us,
                    const Timestamp& high, MicrosecondCount queue_delay_us);
-
-  // --- Fleet priors (DESIGN.md Section 12) ---
-
-  // Installs a pushed fleet digest as this monitor's prior. Monotonic in
-  // digest.version: a stale or already-installed version is ignored (and
-  // false returned). Per covered node the digest seeds the latency /
-  // reachability / queue-delay estimates (blended against local samples;
-  // see kPriorStrength) and advances the known high timestamp,
-  // which is safe because high timestamps only grow. Never counts as
-  // contact: probe suppression is driven by prior freshness alone.
-  bool InstallDigest(const monitoring::ConditionDigest& digest);
-
-  // Version of the installed digest (0 = never installed).
-  uint64_t digest_version() const;
-
-  // This monitor's condition report for the aggregator: one NodeCondition
-  // per node with *local* evidence (prior-only knowledge is excluded so
-  // pushed digests cannot echo back and self-reinforce). High-timestamp
-  // entries may reflect installed priors - harmless, since aggregation
-  // takes the max of a monotonic quantity.
-  std::vector<monitoring::NodeCondition> BuildReportConditions() const;
-
-  // Monotonic local-evidence version: bumps on every Record* call, never on
-  // InstallDigest. Reporters stamp it on MonitorReports as the sequence
-  // number, so the aggregator can reject duplicated or reordered reports
-  // (an unchanged version means "nothing new since my last report").
-  uint64_t state_version() const;
 
   // --- Probability estimates (Section 4.5) ---
 
@@ -272,13 +226,9 @@ class Monitor {
     // Overload-control view (DESIGN.md Section 11).
     bool overloaded = false;
     MicrosecondCount queue_delay_us = 0;
-    // Monotonic count of local samples ever recorded for this node
-    // (latency + reachability outcomes), unlike latency_samples which is
-    // windowed. Lets digest consumers order snapshots of the same node.
+    // Monotonic count of samples ever recorded for this node (latency +
+    // reachability outcomes), unlike latency_samples which is windowed.
     uint64_t total_samples = 0;
-    // Fleet-prior view (DESIGN.md Section 12).
-    bool has_prior = false;
-    MicrosecondCount prior_age_us = -1;
   };
 
   // One NodeSnapshot per known node, sorted by node name.
@@ -297,17 +247,6 @@ class Monitor {
   uint64_t overload_rejections() const {
     std::lock_guard<std::mutex> lock(mu_);
     return overload_rejections_;
-  }
-
-  uint64_t digests_installed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return digests_installed_;
-  }
-
-  // Probe round trips skipped because a fresh prior covered the node.
-  uint64_t probes_suppressed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return probes_suppressed_;
   }
 
   const Options& options() const { return options_; }
@@ -330,14 +269,8 @@ class Monitor {
     MicrosecondCount overloaded_until_us = 0;
     double queue_delay_ewma_us = 0.0;
     bool has_queue_delay = false;
-    // Monotonic count of local samples ever recorded (latency + outcomes).
+    // Monotonic count of samples ever recorded (latency + outcomes).
     uint64_t total_samples = 0;
-    // Fleet prior for this node (DESIGN.md Section 12): the last installed
-    // digest's condition and when it arrived (-1 = none). Blending weight
-    // decays with age; see kPriorStrength / kPriorTtlUs.
-    bool has_prior = false;
-    monitoring::NodeCondition prior;
-    MicrosecondCount prior_installed_at_us = -1;
 
     explicit NodeState(const SlidingWindow::Options& window)
         : latencies(window), outcomes(window) {}
@@ -358,23 +291,13 @@ class Monitor {
   double PNodeLatLocked(const NodeState* state, MicrosecondCount now_us,
                         MicrosecondCount latency_us) const;
   double PNodeUpLocked(const NodeState* state, MicrosecondCount now_us) const;
-  MicrosecondCount QueueDelayLocked(const NodeState* state,
-                                    MicrosecondCount now_us) const;
+  static MicrosecondCount QueueDelayLocked(const NodeState* state);
   Timestamp KnownHighTimestampLocked(const NodeState* state,
                                      MicrosecondCount now_us) const;
   static bool OverloadedLocked(const NodeState* state,
                                MicrosecondCount now_us);
   static MicrosecondCount MeanLatencyLocked(const NodeState* state,
                                             MicrosecondCount now_us);
-
-  // Pseudo-sample count the node's prior is worth at `now_us`: zero when
-  // absent or past kPriorTtlUs, kPriorStrength when brand new.
-  double PriorWeightLocked(const NodeState& state,
-                           MicrosecondCount now_us) const;
-  // The prior's latency CDF evaluated at `latency_us`: piecewise-linear
-  // through the digest's (p50, p95, p99) percentile points.
-  static double PriorFractionBelow(const monitoring::NodeCondition& prior,
-                                   MicrosecondCount latency_us);
 
   NodeState& StateFor(std::string_view node);
   const NodeState* FindState(std::string_view node) const;
@@ -386,13 +309,6 @@ class Monitor {
   uint64_t samples_recorded_ = 0;
   uint64_t breaker_trips_ = 0;
   uint64_t overload_rejections_ = 0;
-  // Local-evidence version (see state_version()).
-  uint64_t state_version_ = 0;
-  // Fleet-prior state (DESIGN.md Section 12).
-  uint64_t digest_version_ = 0;
-  uint64_t digests_installed_ = 0;
-  // Mutable: counted from the const NeedsProbe query path.
-  mutable uint64_t probes_suppressed_ = 0;
   // Newest config epoch/primary seen on any reply (0/empty = never).
   uint64_t config_epoch_ = 0;
   std::string config_primary_;

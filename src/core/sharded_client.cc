@@ -7,6 +7,13 @@
 
 namespace pileus::core {
 
+namespace {
+
+// Deadline for one node's answer to a refresh's tablet-map query.
+constexpr MicrosecondCount kMapRefreshTimeoutUs = SecondsToMicroseconds(5);
+
+}  // namespace
+
 Result<std::unique_ptr<ShardedClient>> ShardedClient::Create(
     tablets::TabletMap initial, const Clock* clock,
     PileusClient::Options options, RoutingOptions routing,
@@ -142,8 +149,7 @@ Status ShardedClient::FetchTabletMap() {
   // first connected node that answers.
   Status last(StatusCode::kUnavailable, "no node answered the map query");
   for (auto& [name, connection] : connections_) {
-    TimedReply timed =
-        connection->Call(request, routing_.refresh_timeout_us);
+    TimedReply timed = connection->Call(request, kMapRefreshTimeoutUs);
     if (!timed.reply.ok()) {
       last = timed.reply.status();
       continue;

@@ -61,7 +61,6 @@ class ShardedClient {
     // retry budget. 0 fixes the map: no operation ever queries for a newer
     // one.
     int max_map_refresh_attempts = 2;
-    MicrosecondCount refresh_timeout_us = SecondsToMicroseconds(5);
   };
 
   // Builds the routing table from `initial` (fetched from any storage node

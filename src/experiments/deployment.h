@@ -89,11 +89,11 @@ class Deployment {
   virtual Result<GroundTruth> Finish(ScenarioResult& result) = 0;
 };
 
-// Ok when `options` asks for one of `scenarios`, and for the aggregator or a
-// coordinator kill only where `name` offers them.
+// Ok when `options` asks for one of `scenarios`, and for a coordinator kill
+// only where `name` offers it.
 Status CheckSupport(const ScenarioOptions& options, std::string_view name,
                     const std::vector<FaultScenario>& scenarios,
-                    bool aggregator, bool coordinator_kill);
+                    bool coordinator_kill);
 
 std::unique_ptr<Deployment> MakeSimDeployment(const ScenarioOptions& options);
 std::unique_ptr<Deployment> MakeTcpDeployment(const ScenarioOptions& options);

@@ -124,7 +124,7 @@ std::string ScenarioResult::Summary() const {
 
 Status CheckSupport(const ScenarioOptions& options, std::string_view name,
                     const std::vector<FaultScenario>& scenarios,
-                    bool aggregator, bool coordinator_kill) {
+                    bool coordinator_kill) {
   const auto unsupported = [name](std::string_view what) {
     return Status(StatusCode::kInvalidArgument,
                   std::string(name) + " does not support " + std::string(what));
@@ -133,9 +133,6 @@ Status CheckSupport(const ScenarioOptions& options, std::string_view name,
       scenarios.end()) {
     return unsupported("scenario '" +
                        std::string(FaultScenarioName(options.scenario)) + "'");
-  }
-  if (options.enable_aggregator && !aggregator) {
-    return unsupported("the monitoring aggregator");
   }
   if (options.coordinator_kill && !coordinator_kill) {
     return unsupported("coordinator kills");

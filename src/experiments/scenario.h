@@ -68,11 +68,6 @@ struct ScenarioOptions {
   // otherwise. When set, the run also cross-checks the WALs against the
   // committed order.
   std::string durable_root;
-  // Sim only: run a shared-monitoring aggregator (DESIGN.md Section 12)
-  // that pushes fleet digests into both frontends' monitors, and kill it
-  // halfway through the run, so the audit covers both the prior-driven
-  // phase and the fall-back-to-self-probing phase.
-  bool enable_aggregator = false;
   // Tablet fleet only: run the coordinator durably and kill it mid-operation
   // at rotating protocol crash points; a standby recovers from the intent
   // log (DESIGN.md Section 15).
@@ -124,7 +119,7 @@ struct ScenarioResult {
 };
 
 // Ok when the chosen deployment can run `options` as asked: the scenario and
-// the aggregator / coordinator-kill knobs. RunAuditScenario checks this
+// the coordinator-kill knob. RunAuditScenario checks this
 // first and fails setup on an unsupported combination.
 Status Supports(const ScenarioOptions& options);
 

@@ -3,13 +3,11 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/experiments/deployment.h"
 #include "src/experiments/geo_testbed.h"
-#include "src/monitoring/aggregator.h"
 #include "src/storage/admission.h"
 
 namespace pileus::experiments {
@@ -17,7 +15,6 @@ namespace {
 
 // Fast pulls so staleness stays small relative to virtual run time.
 constexpr MicrosecondCount kReplicationPeriodUs = SecondsToMicroseconds(10);
-constexpr MicrosecondCount kAggregatorPeriodUs = SecondsToMicroseconds(5);
 constexpr MicrosecondCount kThinkUs = MillisecondsToMicroseconds(5);
 // The storage sites (China hosts clients only).
 constexpr std::array<const char*, 3> kStorageSites = {kUs, kEngland, kIndia};
@@ -28,7 +25,7 @@ class SimDeployment : public Deployment {
 
   Status Supports(const ScenarioOptions& options) const override {
     return CheckSupport(options, "the sim deployment", AllFaultScenarios(),
-                        /*aggregator=*/true, /*coordinator_kill=*/false);
+                        /*coordinator_kill=*/false);
   }
 
   Status Build(core::OpObserver* observer) override {
@@ -75,24 +72,6 @@ class SimDeployment : public Deployment {
     testbed_->StartReplication();
     for (auto& fe : frontends_) {
       fe->StartProbing();
-    }
-    if (options_.enable_aggregator) {
-      // A periodic event plays the control plane: each frontend reports its
-      // monitor's local conditions, the aggregator merges them, and the fleet
-      // digest is pushed back into both monitors as a selection prior.
-      aggregator_.emplace(testbed_->env().clock());
-      aggregator_pump_ = testbed_->env().SchedulePeriodic(
-          kAggregatorPeriodUs, kAggregatorPeriodUs, [this] {
-            for (auto& fe : frontends_) {
-              core::Monitor& monitor = fe->client().monitor();
-              aggregator_->Ingest(fe->site(), monitor.state_version(),
-                                  monitor.BuildReportConditions());
-            }
-            const monitoring::ConditionDigest digest = aggregator_->Digest();
-            for (auto& fe : frontends_) {
-              fe->client().monitor().InstallDigest(digest);
-            }
-          });
     }
     // Warm-up: a couple of replication rounds plus probe traffic, so
     // monitors hold real estimates before the recorded window starts.
@@ -145,16 +124,6 @@ class SimDeployment : public Deployment {
     }
   }
 
-  Status BeforeOp(uint64_t op) override {
-    if (options_.enable_aggregator && op == options_.total_ops / 2) {
-      // The aggregator dies mid-run: digests stop arriving, installed priors
-      // age past their TTL, and the monitors must carry selection on their
-      // own probing for the rest of the run without a single violation.
-      aggregator_pump_.Cancel();
-    }
-    return Status::Ok();
-  }
-
   void AfterOp() override { testbed_->env().RunFor(kThinkUs); }
 
   Result<GroundTruth> Finish(ScenarioResult& result) override {
@@ -187,8 +156,6 @@ class SimDeployment : public Deployment {
   const ScenarioOptions& options_;
   std::unique_ptr<GeoTestbed> testbed_;
   std::vector<std::unique_ptr<GeoClient>> frontends_;
-  std::optional<monitoring::MonitorAggregator> aggregator_;
-  sim::PeriodicHandle aggregator_pump_;
 };
 
 }  // namespace

@@ -88,7 +88,7 @@ class TabletFleetDeployment : public Deployment {
     return CheckSupport(options, "the tablet fleet",
                         {FaultScenario::kNone, FaultScenario::kPartition,
                          FaultScenario::kCrashRestart},
-                        /*aggregator=*/false, /*coordinator_kill=*/true);
+                        /*coordinator_kill=*/true);
   }
 
   Status Build(core::OpObserver* observer) override {

@@ -43,7 +43,7 @@ class TcpDeployment : public Deployment {
     return CheckSupport(options, "the tcp deployment",
                         {FaultScenario::kNone, FaultScenario::kCrashRestart,
                          FaultScenario::kHandoff},
-                        /*aggregator=*/false, /*coordinator_kill=*/false);
+                        /*coordinator_kill=*/false);
   }
 
   Status Build(core::OpObserver* observer) override {

@@ -15,12 +15,12 @@ namespace {
 // added the admission-control fields: tenant/deadline/utility context on
 // data-path requests, queue_delay_us on data-path replies, and the
 // retry_after_ms hint on ErrorReply (DESIGN.md Section 11). Version 5
-// added the shared-monitoring control plane messages: MonitorReport /
-// DigestSubscribe / DigestPush carrying fleet ConditionDigests (DESIGN.md
-// Section 12). Version 6 added the dynamic-tablet control plane: the
-// TabletMapRequest/TabletMapReply pair, the optional key-range filter on
-// SyncRequest (migration catch-up pulls), and the map_version hint on
-// ErrorReply for kWrongTablet fences (DESIGN.md Section 14). Version 7
+// added the fleet-monitoring messages, tags 21 to 23. They were retired
+// later without a bump, since no other message's bytes changed. Version 6
+// added the dynamic-tablet control plane: the TabletMapRequest /
+// TabletMapReply pair, the optional key-range filter on SyncRequest
+// (migration catch-up pulls), and the map_version hint on ErrorReply for
+// kWrongTablet fences (DESIGN.md Section 14). Version 7
 // retired the table-wide config install pair (tags 19/20): failover installs
 // tablet maps, so TabletMapRequest gained the write lease and TabletMapReply
 // the durable timestamp that ranks promotion candidates.
@@ -229,26 +229,6 @@ void EncodeBody(Encoder& enc, const ErrorReply& m) {
   enc.PutVarint64(m.map_version);
 }
 
-void EncodeBody(Encoder& enc, const MonitorReport& m) {
-  enc.PutLengthPrefixed(m.reporter);
-  enc.PutVarint64(m.seq);
-  enc.PutLengthPrefixed(m.table);
-  enc.PutVarint64(m.conditions.size());
-  for (const monitoring::NodeCondition& c : m.conditions) {
-    monitoring::EncodeNodeCondition(enc, c);
-  }
-}
-
-void EncodeBody(Encoder& enc, const DigestSubscribe& m) {
-  enc.PutLengthPrefixed(m.table);
-  enc.PutVarint64(m.have_version);
-}
-
-void EncodeBody(Encoder& enc, const DigestPush& m) {
-  enc.PutBool(m.has_digest);
-  monitoring::EncodeConditionDigest(enc, m.digest);
-}
-
 void EncodeBody(Encoder& enc, const TabletMapRequest& m) {
   enc.PutLengthPrefixed(m.table);
   enc.PutVarint64(m.have_version);
@@ -416,32 +396,6 @@ Status DecodeBody(Decoder& dec, ErrorReply* m) {
   return dec.GetVarint64(&m->map_version);
 }
 
-Status DecodeBody(Decoder& dec, MonitorReport* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->reporter));
-  PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&m->seq));
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->table));
-  uint64_t count;
-  PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&count));
-  if (count > dec.remaining()) {
-    return Status(StatusCode::kCorruption, "report condition count too big");
-  }
-  m->conditions.resize(count);
-  for (monitoring::NodeCondition& c : m->conditions) {
-    PILEUS_RETURN_IF_ERROR(monitoring::DecodeNodeCondition(dec, &c));
-  }
-  return Status::Ok();
-}
-
-Status DecodeBody(Decoder& dec, DigestSubscribe* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->table));
-  return dec.GetVarint64(&m->have_version);
-}
-
-Status DecodeBody(Decoder& dec, DigestPush* m) {
-  PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->has_digest));
-  return monitoring::DecodeConditionDigest(dec, &m->digest);
-}
-
 Status DecodeBody(Decoder& dec, TabletMapRequest* m) {
   PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->table));
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&m->have_version));
@@ -503,12 +457,6 @@ MessageType TypeOf(const Message& message) {
           return MessageType::kStatsRequest;
         } else if constexpr (std::is_same_v<T, StatsReply>) {
           return MessageType::kStatsReply;
-        } else if constexpr (std::is_same_v<T, MonitorReport>) {
-          return MessageType::kMonitorReport;
-        } else if constexpr (std::is_same_v<T, DigestSubscribe>) {
-          return MessageType::kDigestSubscribe;
-        } else if constexpr (std::is_same_v<T, DigestPush>) {
-          return MessageType::kDigestPush;
         } else if constexpr (std::is_same_v<T, TabletMapRequest>) {
           return MessageType::kTabletMapRequest;
         } else if constexpr (std::is_same_v<T, TabletMapReply>) {
@@ -570,12 +518,6 @@ std::string_view MessageTypeName(MessageType type) {
       return "StatsRequest";
     case MessageType::kStatsReply:
       return "StatsReply";
-    case MessageType::kMonitorReport:
-      return "MonitorReport";
-    case MessageType::kDigestSubscribe:
-      return "DigestSubscribe";
-    case MessageType::kDigestPush:
-      return "DigestPush";
     case MessageType::kTabletMapRequest:
       return "TabletMapRequest";
     case MessageType::kTabletMapReply:
@@ -662,12 +604,6 @@ Result<Message> DecodeMessage(std::string_view bytes) {
       return DecodeInto<StatsRequest>(dec);
     case MessageType::kStatsReply:
       return DecodeInto<StatsReply>(dec);
-    case MessageType::kMonitorReport:
-      return DecodeInto<MonitorReport>(dec);
-    case MessageType::kDigestSubscribe:
-      return DecodeInto<DigestSubscribe>(dec);
-    case MessageType::kDigestPush:
-      return DecodeInto<DigestPush>(dec);
     case MessageType::kTabletMapRequest:
       return DecodeInto<TabletMapRequest>(dec);
     case MessageType::kTabletMapReply:

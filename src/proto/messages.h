@@ -31,7 +31,6 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/common/timestamp.h"
-#include "src/monitoring/digest.h"
 #include "src/reconfig/config_epoch.h"
 #include "src/tablets/tablet_map.h"
 
@@ -55,10 +54,9 @@ enum class MessageType : uint8_t {
   kStatsRequest = 17,
   kStatsReply = 18,
   // 19 and 20 are retired: they carried the table-wide config install,
-  // which failover replaced with tablet-map installs. Decoders reject them.
-  kMonitorReport = 21,
-  kDigestSubscribe = 22,
-  kDigestPush = 23,
+  // which failover replaced with tablet-map installs. 21 to 23 are retired:
+  // they carried the fleet-monitoring aggregator's reports and digests
+  // (MonitorReport, DigestSubscribe, DigestPush). Decoders reject them.
   kTabletMapRequest = 24,
   kTabletMapReply = 25,
 };
@@ -256,34 +254,6 @@ struct StatsReply {
   std::string text;  // Rendered export in the requested format.
 };
 
-// Shared-monitoring control plane (DESIGN.md Section 12, paper Section 6.1).
-// A reporter (client Monitor or storage node) ships its per-node condition
-// summaries to an aggregator; `seq` is the reporter's monotonic state
-// version, so duplicated or reordered reports are rejected instead of
-// regressing the merged fleet view. Answered with a DigestPush.
-struct MonitorReport {
-  std::string reporter;
-  uint64_t seq = 0;
-  std::string table;
-  std::vector<monitoring::NodeCondition> conditions;
-};
-
-// Asks the aggregator for the fleet digest when it is newer than
-// `have_version`. Answered with a DigestPush (has_digest = false when the
-// subscriber is already current).
-struct DigestSubscribe {
-  std::string table;
-  uint64_t have_version = 0;
-};
-
-// The aggregator's versioned fleet view, pushed in answer to reports and
-// subscriptions. Clients install it as a selection prior
-// (core::Monitor::InstallDigest).
-struct DigestPush {
-  bool has_digest = false;
-  monitoring::ConditionDigest digest;
-};
-
 // Tablet-map control plane (DESIGN.md Section 14). Asks a storage node (or
 // the coordinator) for its installed tablet map when it is newer than
 // `have_version`; answered with a TabletMapReply. Control traffic: exempt
@@ -326,8 +296,7 @@ using Message =
     std::variant<GetRequest, GetReply, PutRequest, PutReply, ProbeRequest,
                  ProbeReply, SyncRequest, SyncReply, ErrorReply, RangeRequest,
                  RangeReply, DeleteRequest, StatsRequest, StatsReply,
-                 MonitorReport, DigestSubscribe, DigestPush, TabletMapRequest,
-                 TabletMapReply>;
+                 TabletMapRequest, TabletMapReply>;
 
 MessageType TypeOf(const Message& message);
 std::string_view MessageTypeName(MessageType type);

@@ -91,11 +91,6 @@ Status NodeHost::Start() {
     node_.EnableAdmission(*options_.admission);
   }
   committer_ = persist::StartGroupCommit(&node_, options_.group_commit);
-  if (options_.aggregator) {
-    aggregator_ = std::make_unique<monitoring::MonitorAggregator>(clock);
-    aggregator_service_ = std::make_unique<monitoring::AggregatorService>(
-        aggregator_.get(), options_.metrics);
-  }
   if (!options_.is_primary && options_.primary_port > 0) {
     agent_ = std::make_unique<replication::ReplicationAgent>(
         &node_, replication::ReplicationAgent::Options{
@@ -121,7 +116,7 @@ Status NodeHost::Start() {
   }
   net::TcpServer::Options server;
   server.loop_threads = options_.loop_threads;
-  // Stats and monitoring messages are answered here; the rest take the
+  // Stats requests are answered here; the rest take the
   // node's asynchronous path, where a group-commit ack waits for its fsync.
   const Status listening = server_.StartAsync(
       options_.port,
@@ -133,13 +128,6 @@ Status NodeHost::Start() {
               *options_.metrics,
               std::get<proto::StatsRequest>(request).format)});
           return;
-        }
-        if (aggregator_service_ != nullptr) {
-          if (std::optional<proto::Message> reply =
-                  aggregator_service_->MaybeHandle(request)) {
-            done(std::move(*reply));
-            return;
-          }
         }
         node_.HandleAsync(request, std::move(done));
       },

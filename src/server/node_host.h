@@ -14,8 +14,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
-#include "src/monitoring/aggregator.h"
-#include "src/monitoring/service.h"
 #include "src/net/tcp.h"
 #include "src/persist/durable_tablet.h"
 #include "src/persist/group_commit.h"
@@ -65,7 +63,6 @@ class NodeHost {
     int loop_threads = 2;                     // --loop_threads
     uint32_t pull_batch = 0;                  // --pull_batch
     std::optional<storage::AdmissionOptions> admission;  // --admit_*
-    bool aggregator = false;                             // --aggregator
     // Registry the node and its replication agent export to, and that a
     // StatsRequest scrapes. Not owned; null = no telemetry.
     telemetry::MetricsRegistry* metrics = nullptr;
@@ -96,8 +93,6 @@ class NodeHost {
       const {
     return durable_;
   }
-  // Null without Options::aggregator.
-  monitoring::MonitorAggregator* aggregator() { return aggregator_.get(); }
 
  private:
   const Options options_;
@@ -105,8 +100,6 @@ class NodeHost {
   std::vector<std::unique_ptr<persist::DurableTablet>> durable_;
   storage::StorageNode node_;
   std::unique_ptr<persist::GroupCommitter> committer_;
-  std::unique_ptr<monitoring::MonitorAggregator> aggregator_;
-  std::unique_ptr<monitoring::AggregatorService> aggregator_service_;
   std::unique_ptr<net::TcpChannel> pull_channel_;  // To the primary.
   std::unique_ptr<replication::ReplicationAgent> agent_;
   std::unique_ptr<replication::ThreadedPuller> puller_;

@@ -440,29 +440,6 @@ Timestamp StorageNode::HighTimestamp(std::string_view table,
   return tablet == nullptr ? Timestamp::Zero() : tablet->high_timestamp();
 }
 
-monitoring::NodeCondition StorageNode::SelfCondition(std::string_view table,
-                                                     std::string_view tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  monitoring::NodeCondition cond;
-  cond.node = name_;
-  auto it = tablets_.find(table);
-  if (it != tablets_.end() && !it->second.empty()) {
-    // Minimum high timestamp across the table's tablets, like a probe reply:
-    // the conservative bound a monitor can rely on for any key.
-    Timestamp high = Timestamp::Max();
-    for (const auto& tablet : it->second) {
-      high = std::min(high, tablet->high_timestamp());
-    }
-    cond.high_timestamp = high;
-    cond.high_age_us = 0;  // Measured this instant.
-  }
-  if (admission_ != nullptr) {
-    cond.queue_delay_us =
-        admission_->CurrentQueueDelay(tenant, clock_->NowMicros());
-  }
-  return cond;
-}
-
 std::vector<proto::ObjectVersion> StorageNode::ExportTableLog(
     std::string_view table, bool* contiguous) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -182,16 +182,6 @@ class StorageNode {
   // The active controller (nullptr when admission was never enabled).
   AdmissionController* admission() { return admission_.get(); }
 
-  // This node's own condition report for the shared-monitoring aggregator
-  // (DESIGN.md Section 12): high timestamp (minimum across `table`'s
-  // tablets, age 0 — it is measured right now) and the current admission
-  // queue delay of `tenant`'s bucket. sample_count stays 0: a node cannot
-  // measure its own round-trip latency, so the digest carries no latency
-  // evidence from self-reports. Returns an empty condition (node name only)
-  // when the node hosts no tablets of `table`.
-  monitoring::NodeCondition SelfCondition(std::string_view table,
-                                          std::string_view tenant = {});
-
  private:
   // A table's placement state: the installed map and the write lease of
   // whichever tablets the map makes this node lead.

@@ -11,7 +11,7 @@
 //
 // This header is codec-only (no proto or storage dependency) so the wire
 // messages (src/proto) can embed maps the same way they embed
-// monitoring::ConditionDigest and reconfig::ConfigEpoch.
+// reconfig::ConfigEpoch.
 
 #ifndef PILEUS_SRC_TABLETS_TABLET_MAP_H_
 #define PILEUS_SRC_TABLETS_TABLET_MAP_H_

@@ -315,11 +315,12 @@ TEST(MessagesTest, TabletMapLeaseAndDurableTimestampRoundTrip) {
 }
 
 TEST(MessagesTest, RetiredConfigTagRejected) {
-  // Tag 19 carried the table-wide config install, retired in wire v7, and
-  // tags 9 to 12 the snapshot-transaction extension's snapshot reads and
-  // commits. A well-formed frame (valid version and checksum) with such a
+  // Tags 19 and 20 carried the table-wide config install, retired in wire
+  // v7; tags 9 to 12 the snapshot-transaction extension's snapshot reads and
+  // commits; tags 21 to 23 the fleet-monitoring aggregator's reports and
+  // digests. A well-formed frame (valid version and checksum) with such a
   // tag must still fail to decode rather than alias another message.
-  for (const uint8_t tag : {19, 9, 10, 11, 12}) {
+  for (const uint8_t tag : {19, 20, 9, 10, 11, 12, 21, 22, 23}) {
     SCOPED_TRACE(static_cast<int>(tag));
     std::string bytes = EncodeMessage(Message(ProbeRequest{}));
     bytes.resize(bytes.size() - 4);  // Drop the CRC trailer.
@@ -662,80 +663,6 @@ TEST(MessagesTest, TrailingBytesRejected) {
   EXPECT_EQ(DecodeMessage(bytes).status().code(), StatusCode::kCorruption);
 }
 
-TEST(MessagesTest, MonitorReportRoundTrip) {
-  // Wire v5: the shared-monitoring control plane (DESIGN.md Section 12).
-  MonitorReport in;
-  in.reporter = "frontend-us";
-  in.seq = 42;
-  in.table = "orders";
-  monitoring::NodeCondition cond;
-  cond.node = "England";
-  cond.sample_count = 17;
-  cond.mean_latency_us = 1500;
-  cond.p50_latency_us = 1200;
-  cond.p95_latency_us = 4000;
-  cond.p99_latency_us = 9000;
-  cond.high_timestamp = Timestamp{123456, 7};
-  cond.high_age_us = 2500;
-  cond.p_up = 0.875;
-  cond.queue_delay_us = 300;
-  cond.overloaded = true;
-  in.conditions.push_back(cond);
-  monitoring::NodeCondition never_seen;
-  never_seen.node = "China";
-  never_seen.high_age_us = -1;  // Signed sentinel must survive the wire.
-  in.conditions.push_back(never_seen);
-  const MonitorReport out = RoundTrip(in);
-  EXPECT_EQ(out.reporter, "frontend-us");
-  EXPECT_EQ(out.seq, 42u);
-  EXPECT_EQ(out.table, "orders");
-  ASSERT_EQ(out.conditions.size(), 2u);
-  EXPECT_EQ(out.conditions[0], cond);
-  EXPECT_EQ(out.conditions[1].high_age_us, -1);
-}
-
-TEST(MessagesTest, DigestSubscribeRoundTrip) {
-  DigestSubscribe in;
-  in.table = "t";
-  in.have_version = 9;
-  const DigestSubscribe out = RoundTrip(in);
-  EXPECT_EQ(out.table, "t");
-  EXPECT_EQ(out.have_version, 9u);
-}
-
-TEST(MessagesTest, DigestPushRoundTrip) {
-  DigestPush in;
-  in.has_digest = true;
-  in.digest.version = 12;
-  in.digest.reports_merged = 3;
-  monitoring::NodeCondition cond;
-  cond.node = "n1";
-  cond.sample_count = 5;
-  cond.p50_latency_us = 700;
-  cond.p95_latency_us = 1400;
-  cond.p99_latency_us = 2100;
-  cond.p_up = 0.5;
-  in.digest.nodes.push_back(cond);
-  const DigestPush out = RoundTrip(in);
-  EXPECT_TRUE(out.has_digest);
-  EXPECT_EQ(out.digest, in.digest);
-}
-
-TEST(MessagesTest, EmptyDigestPushRoundTrip) {
-  DigestPush in;  // has_digest = false: "you are already current".
-  const DigestPush out = RoundTrip(in);
-  EXPECT_FALSE(out.has_digest);
-  EXPECT_EQ(out.digest.version, 0u);
-}
-
-TEST(MessagesTest, MonitoringMessagesAreControlTraffic) {
-  // Reports and digests must keep flowing while a node sheds load, exactly
-  // like probes and sync pulls.
-  EXPECT_FALSE(IsDataPathRequest(Message(MonitorReport{})));
-  EXPECT_FALSE(IsDataPathRequest(Message(DigestSubscribe{})));
-  EXPECT_FALSE(IsDataPathRequest(Message(DigestPush{})));
-}
-
 TEST(MessagesTest, TabletMapRequestRoundTrip) {
   // Wire v6: the dynamic-tablet map exchange (DESIGN.md Section 14).
   TabletMapRequest in;
@@ -815,37 +742,30 @@ TEST(MessagesTest, RangedSyncRoundTrip) {
   EXPECT_EQ(out.max_versions, 64u);
 }
 
-TEST(MessagesTest, AbsurdConditionCountRejected) {
-  // Hand-craft a MonitorReport claiming 2^40 conditions.
-  std::string bytes;
-  bytes.push_back(static_cast<char>(MessageType::kMonitorReport));
-  bytes.push_back('\x06');  // Wire version (must be current: a stale
-                            // version byte would trip the version check
-                            // before the count guard this test is about).
-  bytes.push_back('\x01');  // reporter = "r"
-  bytes.push_back('r');
-  bytes.push_back('\x01');  // seq = 1
-  bytes.push_back('\x01');  // table = "t"
-  bytes.push_back('t');
-  for (int i = 0; i < 5; ++i) {
-    bytes.push_back('\x80');
-  }
-  bytes.push_back('\x10');
-  EXPECT_FALSE(DecodeMessage(bytes).ok());
-}
-
 TEST(MessagesTest, AbsurdSyncCountRejected) {
-  // Hand-craft a SyncReply header claiming 2^40 versions.
-  std::string bytes;
-  bytes.push_back(static_cast<char>(MessageType::kSyncReply));
-  bytes.push_back('\x06');  // Wire version (current, so the count guard —
-                            // not the version check — does the rejecting).
-  // Varint for 2^40.
-  for (int i = 0; i < 5; ++i) {
-    bytes.push_back('\x80');
+  // Frames that claim 2^40 entries. The type and version bytes come from a
+  // real frame and the trailer is valid, so the decoder's count guard, not
+  // the checksum or the version check, is what must reject them.
+  const std::pair<Message, std::string_view> cases[] = {
+      {Message(SyncReply{}), "sync reply version count too big"},
+      {Message(RangeReply{}), "range reply count too big"},
+  };
+  for (const auto& [message, guard] : cases) {
+    SCOPED_TRACE(guard);
+    std::string bytes = EncodeMessage(message).substr(0, 2);
+    // Varint for 2^40.
+    for (int i = 0; i < 5; ++i) {
+      bytes.push_back('\x80');
+    }
+    bytes.push_back('\x10');
+    Encoder trailer;
+    trailer.PutFixed32(Crc32(bytes));
+    bytes += trailer.buffer();
+    const Result<Message> decoded = DecodeMessage(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(decoded.status().message(), guard);
   }
-  bytes.push_back('\x10');
-  EXPECT_FALSE(DecodeMessage(bytes).ok());
 }
 
 }  // namespace

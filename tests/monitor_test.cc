@@ -283,175 +283,11 @@ TEST_F(MonitorTest, NodesAreIndependent) {
   EXPECT_EQ(monitor_.KnownHighTimestamp("b"), Timestamp::Zero());
 }
 
-// --- Fleet priors (DESIGN.md Section 12) ---
-
-monitoring::ConditionDigest MakeDigest(uint64_t version,
-                                       const std::string& node,
-                                       MicrosecondCount p50_us,
-                                       uint64_t samples = 20,
-                                       double p_up = 1.0) {
-  monitoring::NodeCondition cond;
-  cond.node = node;
-  cond.sample_count = samples;
-  cond.mean_latency_us = p50_us;
-  cond.p50_latency_us = p50_us;
-  cond.p95_latency_us = p50_us * 2;
-  cond.p99_latency_us = p50_us * 3;
-  cond.p_up = p_up;
-  monitoring::ConditionDigest digest;
-  digest.version = version;
-  digest.reports_merged = 1;
-  digest.nodes.push_back(std::move(cond));
-  return digest;
-}
-
-TEST_F(MonitorTest, InstallDigestIsMonotonicInVersion) {
-  EXPECT_TRUE(monitor_.InstallDigest(MakeDigest(3, "n", 5000)));
-  EXPECT_EQ(monitor_.digest_version(), 3u);
-  EXPECT_FALSE(monitor_.InstallDigest(MakeDigest(3, "n", 9000)));
-  EXPECT_FALSE(monitor_.InstallDigest(MakeDigest(2, "n", 9000)));
-  EXPECT_TRUE(monitor_.InstallDigest(MakeDigest(4, "n", 9000)));
-  EXPECT_EQ(monitor_.digests_installed(), 2u);
-}
-
-TEST_F(MonitorTest, FreshPriorDrivesPNodeLatWithoutLocalSamples) {
-  // Prior p50 = 5 ms: half the windowed mass sits below 5 ms.
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 5000)));
-  EXPECT_DOUBLE_EQ(monitor_.PNodeLat("n", 5000), 0.5);
-  // Above the prior's p99 the estimate approaches 1.
-  EXPECT_GT(monitor_.PNodeLat("n", 16000), 0.98);
-  // Far below p50 it scales linearly toward 0.
-  EXPECT_NEAR(monitor_.PNodeLat("n", 500), 0.05, 1e-9);
-}
-
-TEST_F(MonitorTest, LocalSamplesOutweighPriorAsTheyAccumulate) {
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 100000)));
-  // Prior says slow (p50 = 100 ms); local reality is fast (all < 1 ms).
-  const double blind = monitor_.PNodeLat("n", 2000);
-  EXPECT_LT(blind, 0.05);
-  for (int i = 0; i < 100; ++i) {
-    monitor_.RecordLatency("n", 500);
-  }
-  // n = 100 local samples vs k <= 8 prior pseudo-samples: local wins.
-  EXPECT_GT(monitor_.PNodeLat("n", 2000), 0.9);
-}
-
-TEST_F(MonitorTest, PriorDecaysToNothingPastTtl) {
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 100000)));
-  EXPECT_LT(monitor_.PNodeLat("n", 2000), 0.05);
-  clock_.AdvanceMicros(Monitor::kPriorTtlUs);
-  // Expired prior: back to the optimistic unknown estimate.
-  EXPECT_DOUBLE_EQ(monitor_.PNodeLat("n", 2000), 1.0);
-}
-
-TEST_F(MonitorTest, PriorPUpBlendsAndFadesTowardOptimism) {
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 5000, 20, 0.0)));
-  // Fresh "node down" prior dominates...
-  EXPECT_LT(monitor_.PNodeUp("n"), 0.05);
-  // ...but drifts back toward the optimistic default as it ages.
-  clock_.AdvanceMicros(Monitor::kPriorTtlUs / 2);
-  EXPECT_NEAR(monitor_.PNodeUp("n"), 0.5, 0.05);
-  clock_.AdvanceMicros(Monitor::kPriorTtlUs / 2);
-  EXPECT_DOUBLE_EQ(monitor_.PNodeUp("n"), 1.0);
-}
-
-TEST_F(MonitorTest, ZeroSamplePriorCarriesNoLatencyEvidence) {
-  // A digest node seen only via server self-reports (sample_count 0) must
-  // not shape PNodeLat: percentiles without samples are meaningless.
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 0, /*samples=*/0)));
-  EXPECT_DOUBLE_EQ(monitor_.PNodeLat("n", 1000), 1.0);
-}
-
-TEST_F(MonitorTest, DigestAdvancesHighTimestampMonotonically) {
-  monitor_.RecordHighTimestamp("n", Timestamp{5000, 0});
-  monitoring::ConditionDigest digest = MakeDigest(1, "n", 5000);
-  digest.nodes[0].high_timestamp = Timestamp{4000, 0};
-  digest.nodes[0].high_age_us = 100;
-  // An older fleet high timestamp never rolls the local view back.
-  ASSERT_TRUE(monitor_.InstallDigest(digest));
-  EXPECT_EQ(monitor_.KnownHighTimestamp("n"), (Timestamp{5000, 0}));
-  digest = MakeDigest(2, "n", 5000);
-  digest.nodes[0].high_timestamp = Timestamp{9000, 0};
-  digest.nodes[0].high_age_us = 100;
-  ASSERT_TRUE(monitor_.InstallDigest(digest));
-  EXPECT_EQ(monitor_.KnownHighTimestamp("n"), (Timestamp{9000, 0}));
-}
-
-TEST_F(MonitorTest, FreshPriorSuppressesProbesThenStalenessResumes) {
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 5000)));
-  EXPECT_FALSE(monitor_.NeedsProbe("n"));
-  EXPECT_EQ(monitor_.probes_suppressed(), 1u);
-  // Past the suppression window the never-contacted node probes again.
-  clock_.AdvanceMicros(Monitor::kPriorProbeSuppressUs);
-  EXPECT_TRUE(monitor_.NeedsProbe("n"));
-}
-
-TEST_F(MonitorTest, HalfOpenBreakerProbesDespiteFreshPrior) {
-  for (int i = 0; i < Monitor::kBreakerFailureThreshold; ++i) {
-    monitor_.RecordFailure("n");
-  }
-  clock_.AdvanceMicros(Monitor::kBreakerCooldownUs);
-  ASSERT_EQ(monitor_.Breaker("n"), Monitor::BreakerState::kHalfOpen);
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 5000)));
-  // Probation probes are the only way the breaker closes; a prior must not
-  // silence them.
-  EXPECT_TRUE(monitor_.NeedsProbe("n"));
-}
-
-TEST_F(MonitorTest, StateVersionBumpsOnLocalEvidenceOnly) {
-  const uint64_t v0 = monitor_.state_version();
-  monitor_.RecordLatency("n", 100);
-  monitor_.RecordSuccess("n");
-  monitor_.RecordHighTimestamp("n", Timestamp{1, 0});
-  monitor_.RecordQueueDelay("n", 50);
-  EXPECT_EQ(monitor_.state_version(), v0 + 4);
-  // Installing a digest is not local evidence: reporters must not re-report
-  // (and the aggregator must not accept) unchanged state.
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 5000)));
-  EXPECT_EQ(monitor_.state_version(), v0 + 4);
-}
-
-TEST_F(MonitorTest, ReportConditionsExcludePriorOnlyNodes) {
-  monitor_.RecordLatency("local", 100);
-  monitor_.RecordSuccess("local");
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "hearsay", 5000)));
-  const std::vector<monitoring::NodeCondition> report =
-      monitor_.BuildReportConditions();
-  ASSERT_EQ(report.size(), 1u);
-  EXPECT_EQ(report[0].node, "local");
-  EXPECT_EQ(report[0].sample_count, 1u);
-}
-
-TEST_F(MonitorTest, QueueDelayFallsBackToPrior) {
-  monitoring::ConditionDigest digest = MakeDigest(1, "n", 5000);
-  digest.nodes[0].queue_delay_us = 4000;
-  ASSERT_TRUE(monitor_.InstallDigest(digest));
-  // Fresh prior: full reported delay. No local EWMA exists yet.
-  EXPECT_EQ(monitor_.QueueDelayUs("n"), 4000);
-  // Local reports override the prior entirely.
-  monitor_.RecordQueueDelay("n", 1000);
-  EXPECT_EQ(monitor_.QueueDelayUs("n"),
-            static_cast<MicrosecondCount>(
-                1000 * Monitor::kQueueDelayAlpha));
-}
-
-TEST_F(MonitorTest, SnapshotReportsPriorFields) {
-  monitor_.RecordLatency("n", 100);
-  ASSERT_TRUE(monitor_.InstallDigest(MakeDigest(1, "n", 5000)));
-  clock_.AdvanceMicros(2500);
-  const std::vector<Monitor::NodeSnapshot> snapshot = monitor_.Snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].total_samples, 1u);
-  EXPECT_TRUE(snapshot[0].has_prior);
-  EXPECT_EQ(snapshot[0].prior_age_us, 2500);
-}
-
 // --- One lock per reply and per estimate ---
 
 // Every externally visible part of two monitors' views of `node` matches.
 void ExpectSameView(const Monitor& a, const Monitor& b,
                     const std::string& node) {
-  ASSERT_EQ(a.state_version(), b.state_version());
   ASSERT_EQ(a.samples_recorded(), b.samples_recorded());
   ASSERT_EQ(a.breaker_trips(), b.breaker_trips());
   const std::vector<Monitor::NodeSnapshot> sa = a.Snapshot();
@@ -560,16 +396,12 @@ TEST_F(MonitorTest, EstimateMatchesTheSingleGetters) {
   monitor.RecordFailure("local");
   clock_.AdvanceMicros(250);
   expect_matches("local");
-  // A fleet prior blended with two local samples, and an overload window.
-  monitoring::ConditionDigest digest = MakeDigest(1, "prior", 900);
-  digest.nodes[0].queue_delay_us = 300;
-  digest.nodes[0].p_up = 0.5;
-  ASSERT_TRUE(monitor.InstallDigest(digest));
-  monitor.RecordLatency("prior", 700);
-  monitor.RecordLatency("prior", 1900);
+  // Two local samples, and an overload window.
+  monitor.RecordLatency("overloaded", 700);
+  monitor.RecordLatency("overloaded", 1900);
   clock_.AdvanceMicros(SecondsToMicroseconds(5));
-  monitor.RecordOverload("prior", 0);
-  expect_matches("prior");
+  monitor.RecordOverload("overloaded", 0);
+  expect_matches("overloaded");
   // An open breaker.
   for (int i = 0; i < Monitor::kBreakerFailureThreshold; ++i) {
     monitor.RecordFailure("down");

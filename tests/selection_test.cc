@@ -445,8 +445,7 @@ SelectionResult OracleSelect(const Sla& sla,
 // SelectTarget reads one monitor estimate per replica; the oracle asks the
 // single getters for every pair. They must agree exactly, in every input an
 // estimate carries: open breakers (one, or all), overload windows, queue
-// delays, fleet priors, predicted high timestamps, and SLAs of up to 11
-// ranks.
+// delays, predicted high timestamps, and SLAs of up to 11 ranks.
 TEST_F(SelectionTest, SelectTargetMatchesThePerPairOracle) {
   Random rng(4242);
   std::vector<ReplicaView> replicas = replicas_;
@@ -489,32 +488,6 @@ TEST_F(SelectionTest, SelectTargetMatchesThePerPairOracle) {
     monitor_options.predict_high_timestamp = rng.NextBool(0.5);
     Monitor monitor(&clock_, monitor_options);
     Session session(ShoppingCartSla());
-    if (rng.NextBool(0.3)) {
-      monitoring::ConditionDigest digest;
-      digest.version = 1;
-      for (const ReplicaView& replica : replicas) {
-        if (rng.NextBool(0.5)) {
-          monitoring::NodeCondition cond;
-          cond.node = replica.name;
-          cond.sample_count = rng.NextUint64(3);
-          cond.p50_latency_us = MillisecondsToMicroseconds(
-              static_cast<MicrosecondCount>(1 + rng.NextUint64(100)));
-          cond.p95_latency_us = cond.p50_latency_us * 2;
-          cond.p99_latency_us = cond.p50_latency_us * 3;
-          cond.p_up = rng.NextDouble();
-          cond.queue_delay_us = static_cast<MicrosecondCount>(
-              rng.NextUint64(MillisecondsToMicroseconds(20)));
-          cond.high_timestamp = Timestamp{
-              kNow - static_cast<MicrosecondCount>(
-                         rng.NextUint64(SecondsToMicroseconds(60))),
-              0};
-          cond.high_age_us = static_cast<MicrosecondCount>(
-              rng.NextUint64(SecondsToMicroseconds(5)));
-          digest.nodes.push_back(std::move(cond));
-        }
-      }
-      ASSERT_TRUE(monitor.InstallDigest(digest));
-    }
     const bool all_down = rng.NextBool(0.05);
     for (const ReplicaView& replica : replicas) {
       // Few distinct latencies, so exact utility ties are common.

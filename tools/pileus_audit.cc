@@ -80,10 +80,6 @@ int Run(int argc, char** argv) {
   flags.DefineString("durable_root", "",
                      "directory for per-run WALs (default: a fresh temp "
                      "dir, removed when every run passes)");
-  flags.DefineBool("aggregator", false,
-                   "run a shared-monitoring aggregator alongside the "
-                   "workload and kill it mid-run; priors and the fallback "
-                   "to self-probing are both audited");
   if (!flags.Parse(argc, argv)) {
     return 2;
   }
@@ -104,7 +100,6 @@ int Run(int argc, char** argv) {
   base.deployment = tcp ? DeploymentKind::kTcp : DeploymentKind::kSim;
   base.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
   base.key_count = static_cast<int>(flags.GetInt("keys"));
-  base.enable_aggregator = flags.GetBool("aggregator");
 
   // Each entry: a run configuration and the directory name its WALs use.
   std::vector<std::pair<std::string, ScenarioOptions>> configs;

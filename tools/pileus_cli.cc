@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
   if (args.empty()) {
     std::fprintf(stderr,
                  "usage: pileus_cli [flags] put KEY VALUE | get KEY | del KEY | "
-                 "range BEGIN [END] | probe | sync | stats | digest | "
+                 "range BEGIN [END] | probe | sync | stats | "
                  "tablets [split KEY | handoff PORT NAME] | bench N\n");
     return 2;
   }
@@ -465,69 +465,6 @@ int main(int argc, char** argv) {
     const auto& stats = std::get<proto::StatsReply>(reply.value());
     std::printf("server telemetry (%s):\n%s", request.format.c_str(),
                 stats.text.c_str());
-    return 0;
-  }
-
-  if (command == "digest" && args.size() == 1) {
-    // Fetch the shared-monitoring fleet digest from an aggregator endpoint
-    // (pileus_server --aggregator, or pileus_aggregator) and pretty-print
-    // the per-node conditions. --format json emits machine-readable output.
-    proto::DigestSubscribe request;
-    request.table = table;
-    request.have_version = 0;  // Always want the current digest.
-    Result<proto::Message> reply = Call(channel, request);
-    if (!reply.ok()) {
-      return Fail(reply.status());
-    }
-    const auto* push = std::get_if<proto::DigestPush>(&reply.value());
-    if (push == nullptr) {
-      return Fail(Status(StatusCode::kInternal,
-                         "unexpected reply type for digest"));
-    }
-    if (!push->has_digest) {
-      std::printf("(no digest yet: aggregator has ingested no reports)\n");
-      return 0;
-    }
-    const monitoring::ConditionDigest& digest = push->digest;
-    if (flags.GetString("format") == "json") {
-      std::printf("{\"version\": %llu, \"reports_merged\": %llu, \"nodes\": [",
-                  static_cast<unsigned long long>(digest.version),
-                  static_cast<unsigned long long>(digest.reports_merged));
-      for (size_t i = 0; i < digest.nodes.size(); ++i) {
-        const monitoring::NodeCondition& c = digest.nodes[i];
-        std::printf(
-            "%s{\"node\": \"%s\", \"samples\": %llu, \"p50_us\": %lld, "
-            "\"p95_us\": %lld, \"p99_us\": %lld, \"high_age_us\": %lld, "
-            "\"p_up\": %.3f, \"queue_delay_us\": %lld, \"overloaded\": %s}",
-            i == 0 ? "" : ", ", c.node.c_str(),
-            static_cast<unsigned long long>(c.sample_count),
-            static_cast<long long>(c.p50_latency_us),
-            static_cast<long long>(c.p95_latency_us),
-            static_cast<long long>(c.p99_latency_us),
-            static_cast<long long>(c.high_age_us), c.p_up,
-            static_cast<long long>(c.queue_delay_us),
-            c.overloaded ? "true" : "false");
-      }
-      std::printf("]}\n");
-      return 0;
-    }
-    std::printf("fleet digest v%llu (%llu reports merged, %zu nodes):\n",
-                static_cast<unsigned long long>(digest.version),
-                static_cast<unsigned long long>(digest.reports_merged),
-                digest.nodes.size());
-    for (const monitoring::NodeCondition& c : digest.nodes) {
-      std::printf(
-          "  %-22s rtt p50=%lld us p95=%lld us p99=%lld us (n=%llu)\n"
-          "  %-22s high=%s (age %.1f ms)  p_up=%.2f  queue=%lld us%s\n",
-          c.node.c_str(), static_cast<long long>(c.p50_latency_us),
-          static_cast<long long>(c.p95_latency_us),
-          static_cast<long long>(c.p99_latency_us),
-          static_cast<unsigned long long>(c.sample_count), "",
-          c.high_timestamp.ToString().c_str(),
-          c.high_age_us >= 0 ? MicrosecondsToMilliseconds(c.high_age_us) : -1.0,
-          c.p_up, static_cast<long long>(c.queue_delay_us),
-          c.overloaded ? "  [overloaded]" : "");
-    }
     return 0;
   }
 

@@ -75,11 +75,6 @@ int main(int argc, char** argv) {
                   "admission bucket burst in ops (with --admit_ops_per_sec)");
   flags.DefineInt("admit_queue", 32,
                   "admission max backlog in ops (with --admit_ops_per_sec)");
-  flags.DefineBool("aggregator", false,
-                   "embed a shared-monitoring aggregator: MonitorReport / "
-                   "DigestSubscribe on this port (DESIGN.md Section 12)");
-  flags.DefineInt("self_report_period_ms", 5000,
-                  "aggregator self-report period (with --aggregator)");
   if (!flags.Parse(argc, argv)) {
     return 2;
   }
@@ -135,7 +130,6 @@ int main(int argc, char** argv) {
         static_cast<double>(flags.GetInt("admit_queue"));
     options.admission = admission;
   }
-  options.aggregator = flags.GetBool("aggregator");
   // `pileus_cli stats` scrapes this registry over the regular port.
   options.metrics = &telemetry::MetricsRegistry::Default();
 
@@ -190,23 +184,8 @@ int main(int argc, char** argv) {
           ? RealClock::Instance()->NowMicros() +
                 SecondsToMicroseconds(stats_period_s)
           : 0;
-  // Periodic self-report into the embedded aggregator: the node's own high
-  // timestamp and queue delay join the fleet digest even before any client
-  // reports.
-  const MicrosecondCount self_report_period_us = MillisecondsToMicroseconds(
-      flags.GetInt("self_report_period_ms"));
-  MicrosecondCount next_self_report_us = 0;
-  uint64_t self_report_seq = 0;
   while (!g_stop.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (host.aggregator() != nullptr && self_report_period_us > 0 &&
-        RealClock::Instance()->NowMicros() >= next_self_report_us) {
-      next_self_report_us =
-          RealClock::Instance()->NowMicros() + self_report_period_us;
-      host.aggregator()->Ingest("self:" + flags.GetString("name"),
-                                ++self_report_seq,
-                                {host.node()->SelfCondition(table)});
-    }
     if (stats_period_s > 0 &&
         RealClock::Instance()->NowMicros() >= next_stats_us) {
       next_stats_us += SecondsToMicroseconds(stats_period_s);
