@@ -90,7 +90,6 @@ int main() {
     return std::make_shared<core::ChannelConnection>(
         network.Connect(node, delay), RealClock::Instance());
   };
-  routing.max_map_refresh_attempts = 0;
 
   Result<std::unique_ptr<core::ShardedClient>> created =
       core::ShardedClient::Create(std::move(map), RealClock::Instance(),

@@ -23,7 +23,6 @@ void Monitor::RecordLatencyLocked(NodeState& state, MicrosecondCount now_us,
                                   MicrosecondCount rtt_us) {
   state.latencies.Record(now_us, rtt_us);
   state.last_contact_us = now_us;
-  ++state.total_samples;
   ++samples_recorded_;
 }
 
@@ -72,7 +71,6 @@ void Monitor::RecordSuccessLocked(NodeState& state, MicrosecondCount now_us) {
   // the node recovered on its own before the cooldown ended.
   state.consecutive_failures = 0;
   state.breaker_open_until_us = 0;
-  ++state.total_samples;
 }
 
 void Monitor::RecordSuccess(std::string_view node) {
@@ -88,7 +86,6 @@ void Monitor::RecordFailure(std::string_view node) {
   // A failure is still contact for probing purposes: the prober keeps
   // checking for recovery at its normal cadence, not in a tight loop.
   state.last_contact_us = now;
-  ++state.total_samples;
   ++state.consecutive_failures;
   const bool was_open = state.breaker_open_until_us != 0;
   // Trip on reaching the threshold, and re-arm the full cooldown when a
@@ -305,7 +302,6 @@ std::vector<Monitor::NodeSnapshot> Monitor::Snapshot() const {
     snap.overloaded = now < state.overloaded_until_us;
     snap.queue_delay_us =
         static_cast<MicrosecondCount>(state.queue_delay_ewma_us);
-    snap.total_samples = state.total_samples;
     out.push_back(std::move(snap));
   }
   return out;

@@ -226,9 +226,6 @@ class Monitor {
     // Overload-control view (DESIGN.md Section 11).
     bool overloaded = false;
     MicrosecondCount queue_delay_us = 0;
-    // Monotonic count of samples ever recorded for this node (latency +
-    // reachability outcomes), unlike latency_samples which is windowed.
-    uint64_t total_samples = 0;
   };
 
   // One NodeSnapshot per known node, sorted by node name.
@@ -269,8 +266,6 @@ class Monitor {
     MicrosecondCount overloaded_until_us = 0;
     double queue_delay_ewma_us = 0.0;
     bool has_queue_delay = false;
-    // Monotonic count of samples ever recorded (latency + outcomes).
-    uint64_t total_samples = 0;
 
     explicit NodeState(const SlidingWindow::Options& window)
         : latencies(window), outcomes(window) {}

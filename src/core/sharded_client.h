@@ -14,28 +14,22 @@
 // when tablets have different primary sites (update timestamps from
 // different primaries are compared).
 //
-// Routing follows a versioned tablets::TabletMap (DESIGN.md Section 14). The
-// server fences requests that land on a node the current map routes
-// elsewhere (kWrongTablet), and writes at a member that no longer leads the
-// range (kNotPrimary, when the hinted primary is outside the tablet's
-// replica set); the client reacts by fetching a newer map and retrying,
-// spending the same retry budget as every other retry path. A map may have
-// gaps (a mid-churn map the client could only partially connect to), so
-// lookups can miss: unrouteable keys fail with kUnavailable after the
-// refresh attempts are spent — never an out-of-range crash or a misrouted
-// request. A deployment whose nodes never install a map (the paper's
-// manually configured prototype) passes max_map_refresh_attempts = 0: its
-// map never refreshes and a failed operation sends no map query.
+// Routing follows the tablets::TabletMap the deployment hands in, which
+// never changes: tablets stay where the deployment placed them (paper
+// Section 4.2). Each operation runs once, on the shard owning its key; a
+// kWrongTablet or kNotPrimary fence the shard client cannot resolve goes
+// back to the caller. The map may have gaps (a tablet whose primary the
+// client could not connect to), so lookups can miss: an unrouteable key
+// fails with kUnavailable — never an out-of-range crash or a misrouted
+// request.
+//
+// Not safe for concurrent operations: the per-shard clients are not.
 
 #ifndef PILEUS_SRC_CORE_SHARDED_CLIENT_H_
 #define PILEUS_SRC_CORE_SHARDED_CLIENT_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,26 +46,18 @@ class ShardedClient {
     // Connection factory for nodes named by a tablet map (required). May
     // return nullptr for nodes it cannot reach; a tablet whose primary is
     // unconnectable is left out of the routing table (its keys are
-    // unrouteable until a refresh succeeds).
+    // unrouteable).
     std::function<std::shared_ptr<NodeConnection>(const std::string& node)>
         connect;
-    // Refresh-and-retry cycles one operation (or scan piece) may spend on
-    // kWrongTablet, kNotPrimary, kUnavailable or unrouteable-key outcomes
-    // before the error is surfaced. Each cycle also costs a token from the
-    // retry budget. 0 fixes the map: no operation ever queries for a newer
-    // one.
-    int max_map_refresh_attempts = 2;
   };
 
-  // Builds the routing table from `initial` (fetched from any storage node
-  // via a TabletMapRequest, or seeded by the deployment). The map's ranges
-  // must not overlap but need not tile the keyspace. The options are handed
-  // to every per-tablet PileusClient. Unless Options::shared_retry_budget is
-  // set, the per-tablet clients and the map refreshes share one retry
-  // budget. Not safe for concurrent operations: a refresh rebuilds the
-  // per-tablet clients in place.
+  // Builds the routing table from `map` (fetched from any storage node via
+  // a TabletMapRequest, or seeded by the deployment). The map's ranges must
+  // not overlap but need not tile the keyspace. The options are handed to
+  // every per-tablet PileusClient. Unless Options::shared_retry_budget is
+  // set, the per-tablet clients share one retry budget.
   static Result<std::unique_ptr<ShardedClient>> Create(
-      tablets::TabletMap initial, const Clock* clock,
+      tablets::TabletMap map, const Clock* clock,
       PileusClient::Options options, RoutingOptions routing,
       FanoutCaller* fanout = nullptr);
 
@@ -87,10 +73,10 @@ class ShardedClient {
   // Range scan across shards: [begin, end) is covered one piece at a time in
   // key order, each piece ending at its tablet's boundary, and the pieces
   // are concatenated (so results stay sorted). Each piece routes like a
-  // point operation on its first key, refresh-and-retry included, so a key
-  // range no tablet covers fails with kUnavailable. The returned outcome
-  // aggregates the per-shard scans: the met subSLA is the *weakest* across
-  // shards (-1 if any shard met none), the RTT and message counts are summed.
+  // point operation on its first key, so a key range no tablet covers fails
+  // with kUnavailable. The returned outcome aggregates the per-shard scans:
+  // the met subSLA is the *weakest* across shards (-1 if any shard met
+  // none), the RTT and message counts are summed.
   Result<RangeResult> GetRange(Session& session, std::string_view begin,
                                std::string_view end, uint32_t limit);
 
@@ -101,21 +87,6 @@ class ShardedClient {
   // Version of the routing map in use.
   uint64_t map_version() const { return map_.version; }
   const tablets::TabletMap& tablet_map() const { return map_; }
-  // Fetches the newest map any connected node knows and rebuilds the
-  // routing table if it is newer than ours. Ok with no change when every
-  // reachable node is at our version, or when no node ever installed a map.
-  // Single-flight: callers arriving while
-  // a fetch is in flight wait for it and share its outcome instead of
-  // issuing their own query (RefreshTabletMap is safe to call concurrently
-  // even though the data path is not).
-  Status RefreshTabletMap();
-  // Successful refreshes that adopted a newer map.
-  uint64_t map_refreshes() const { return map_refreshes_; }
-  // Refresh calls that piggybacked on an in-flight fetch (each saved one
-  // map query and, on the retry path, one retry-budget token).
-  uint64_t map_refreshes_coalesced() const {
-    return map_refreshes_coalesced_.load(std::memory_order_relaxed);
-  }
 
   size_t shard_count() const { return shards_.size(); }
   PileusClient& shard_client(size_t index) { return *shards_[index].client; }
@@ -133,43 +104,15 @@ class ShardedClient {
 
   // The owning shard, or nullptr when no known range contains `key`.
   OwnedShard* OwnedShardFor(std::string_view key);
-  // Rebuilds shards_ from `map`, connecting members on demand (cached).
-  // Entries whose primary cannot be connected are skipped.
-  Status AdoptMap(tablets::TabletMap map);
-  std::shared_ptr<NodeConnection> ConnectTo(const std::string& node);
-  // Single-flight core behind RefreshTabletMap: joiners wait out the
-  // in-flight fetch for free; the fetcher pays a retry-budget token when
-  // `charge_budget` is set (the RouteOp retry path).
-  Status RefreshShared(bool charge_budget);
-  // The actual map query + adopt (exactly one caller at a time).
-  Status FetchTabletMap();
-  // Runs `op(client, range)` against the shard owning `key`, with
-  // refresh-and-retry on fenced, unavailable and unrouteable outcomes.
+  // Runs `op(client, range)` once against the shard owning `key`;
+  // kUnavailable when no shard covers it.
   template <typename T, typename Fn>
   Result<T> RouteOp(std::string_view key, Fn&& op);
 
+  // Declared before the shards, whose clients may draw on it.
+  std::unique_ptr<RetryBudget> own_retry_budget_;  // Null when shared.
   std::vector<OwnedShard> shards_;  // Sorted by range begin.
-
-  const Clock* clock_ = nullptr;
-  PileusClient::Options client_options_;
-  FanoutCaller* fanout_ = nullptr;
-  RoutingOptions routing_;
   tablets::TabletMap map_;
-  std::map<std::string, std::shared_ptr<NodeConnection>> connections_;
-  std::unique_ptr<RetryBudget> own_refresh_budget_;
-  RetryBudget* refresh_budget_ = nullptr;
-  uint64_t map_refreshes_ = 0;
-
-  // Single-flight refresh state. refresh_generation_ bumps when a fetch
-  // completes so joiners know theirs is done (not a later one).
-  std::mutex refresh_mu_;
-  std::condition_variable refresh_cv_;
-  bool refresh_in_flight_ = false;
-  uint64_t refresh_generation_ = 0;
-  Status last_refresh_status_;
-  // Atomic so tests (and metrics scrapes) can read it while a refresh is
-  // still parked on the condition variable; writes stay under refresh_mu_.
-  std::atomic<uint64_t> map_refreshes_coalesced_{0};
 };
 
 }  // namespace pileus::core

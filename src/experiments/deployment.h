@@ -8,21 +8,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/core/audit_hook.h"
 #include "src/core/client.h"
-#include "src/core/sharded_client.h"
 #include "src/experiments/scenario.h"
 #include "src/proto/messages.h"
 
 namespace pileus::experiments {
-
-// A frontend the runner sends ops through. Both client types expose the same
-// BeginSession / Get / Put / Delete / GetRange surface.
-using Frontend = std::variant<core::PileusClient*, core::ShardedClient*>;
 
 // One scripted fault action. The planner fixes every random choice from the
 // seed; when the op loop reaches the event, the runner resolves `target` and
@@ -58,8 +52,6 @@ struct GroundTruth {
   std::vector<proto::ObjectVersion> versions;  // Committed order.
   bool complete = true;  // False when part of the order could not be read.
   // WALs whose every entry must appear in `versions` (checked when complete).
-  // The tablet fleet lists every tablet's, retired and migrated copies and
-  // split children included, so each journaled version must be committed.
   std::vector<std::string> wal_paths;
 };
 
@@ -74,14 +66,15 @@ class Deployment {
   virtual Status Supports(const ScenarioOptions& options) const = 0;
   // Builds the world; every frontend reports its ops to `observer`.
   virtual Status Build(core::OpObserver* observer) = 0;
-  virtual std::vector<Frontend> frontends() = 0;
+  // The clients the runner sends ops through.
+  virtual std::vector<core::PileusClient*> frontends() = 0;
   // After the preload, before the first op: replication, probing, warm-up.
   virtual void Start() {}
   // The nodes an event aimed at `target` may hit right now (may be empty).
   virtual std::vector<std::string> Nodes(FaultEvent::Target target) = 0;
   virtual void Apply(const FaultEvent& event, const std::string& node) = 0;
-  // Deployment-owned activity before op `op` (probe rounds, churn, kills).
-  virtual Status BeforeOp(uint64_t /*op*/) { return Status::Ok(); }
+  // Deployment-owned activity before op `op` (probe rounds).
+  virtual void BeforeOp(uint64_t /*op*/) {}
   // Advances time by one think time after an op.
   virtual void AfterOp() {}
   // Heals every fault, quiesces background work, fills the deployment's
@@ -89,16 +82,12 @@ class Deployment {
   virtual Result<GroundTruth> Finish(ScenarioResult& result) = 0;
 };
 
-// Ok when `options` asks for one of `scenarios`, and for a coordinator kill
-// only where `name` offers it.
+// Ok when `options` asks for one of `scenarios`.
 Status CheckSupport(const ScenarioOptions& options, std::string_view name,
-                    const std::vector<FaultScenario>& scenarios,
-                    bool coordinator_kill);
+                    const std::vector<FaultScenario>& scenarios);
 
 std::unique_ptr<Deployment> MakeSimDeployment(const ScenarioOptions& options);
 std::unique_ptr<Deployment> MakeTcpDeployment(const ScenarioOptions& options);
-std::unique_ptr<Deployment> MakeTabletFleetDeployment(
-    const ScenarioOptions& options);
 
 }  // namespace pileus::experiments
 

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <tuple>
 #include <utility>
-#include <variant>
 
 #include "src/common/random.h"
 #include "src/experiments/deployment.h"
@@ -71,18 +70,11 @@ core::Sla AuditSla() {
 std::string ScenarioResult::Summary() const {
   // The scenario label and the flags that reproduce the run.
   const uint64_t seed = options.seed;
-  std::string label(FaultScenarioName(options.scenario));
-  std::string repro = "--seed " + std::to_string(seed) + " --scenarios ";
-  if (options.deployment == DeploymentKind::kTabletFleet) {
-    const std::string churn =
-        options.coordinator_kill ? "tablet-churn-kill" : "tablet-churn";
-    label = churn + "/" + label;
-    repro += churn;
-  } else {
-    repro += label;
-    if (options.deployment == DeploymentKind::kTcp) {
-      repro = "--transport tcp " + repro;
-    }
+  const std::string_view label = FaultScenarioName(options.scenario);
+  std::string repro =
+      "--seed " + std::to_string(seed) + " --scenarios " + std::string(label);
+  if (options.deployment == DeploymentKind::kTcp) {
+    repro = "--transport tcp " + repro;
   }
 
   std::ostringstream os;
@@ -100,16 +92,6 @@ std::string ScenarioResult::Summary() const {
   if (failovers > 0) {
     os << ", " << failovers << " failovers";
   }
-  if (options.deployment == DeploymentKind::kTabletFleet) {
-    os << ", " << splits << " splits, " << migrations << " migrations ("
-       << migration_failures << " failed), " << map_refreshes
-       << " map refreshes, " << final_tablets << " tablets @ map v"
-       << final_map_version;
-  }
-  if (coordinator_kills > 0 || coordinator_recoveries > 0) {
-    os << ", " << coordinator_kills << " coordinator kills ("
-       << coordinator_recoveries << " recovered)";
-  }
   os << "; " << acked_writes << " acked writes (" << lost_acked_writes
      << " lost); " << report.reads_checked << " reads, "
      << report.writes_checked << " writes, " << report.ranges_checked
@@ -123,19 +105,12 @@ std::string ScenarioResult::Summary() const {
 }
 
 Status CheckSupport(const ScenarioOptions& options, std::string_view name,
-                    const std::vector<FaultScenario>& scenarios,
-                    bool coordinator_kill) {
-  const auto unsupported = [name](std::string_view what) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string(name) + " does not support " + std::string(what));
-  };
+                    const std::vector<FaultScenario>& scenarios) {
   if (std::find(scenarios.begin(), scenarios.end(), options.scenario) ==
       scenarios.end()) {
-    return unsupported("scenario '" +
-                       std::string(FaultScenarioName(options.scenario)) + "'");
-  }
-  if (options.coordinator_kill && !coordinator_kill) {
-    return unsupported("coordinator kills");
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(name) + " does not support scenario '" +
+                      std::string(FaultScenarioName(options.scenario)) + "'");
   }
   return Status::Ok();
 }
@@ -143,13 +118,8 @@ Status CheckSupport(const ScenarioOptions& options, std::string_view name,
 namespace {
 
 std::unique_ptr<Deployment> MakeDeployment(const ScenarioOptions& options) {
-  switch (options.deployment) {
-    case DeploymentKind::kTcp:
-      return MakeTcpDeployment(options);
-    case DeploymentKind::kTabletFleet:
-      return MakeTabletFleetDeployment(options);
-    case DeploymentKind::kSim:
-      break;
+  if (options.deployment == DeploymentKind::kTcp) {
+    return MakeTcpDeployment(options);
   }
   return MakeSimDeployment(options);
 }
@@ -259,8 +229,7 @@ FaultPlan PlanFaults(FaultScenario scenario, uint64_t total_ops,
 }
 
 // Runs one workload op through `client`, recording the write if it was acked.
-template <typename Client>
-bool RunOp(Client& client, core::Session& session,
+bool RunOp(core::PileusClient& client, core::Session& session,
            const workload::Operation& op, Random& rng, AckedWrites& acked) {
   if (op.is_get) {
     if (rng.NextBool(0.04)) {
@@ -349,30 +318,25 @@ ScenarioResult RunAuditScenario(const ScenarioOptions& options) {
   }
   if (!options.durable_root.empty()) {
     MakeDirectories(options.durable_root);
-  } else if (options.scenario == FaultScenario::kCrashRestart ||
-             options.coordinator_kill) {
+  } else if (options.scenario == FaultScenario::kCrashRestart) {
     result.setup = Status(StatusCode::kInvalidArgument,
-                          "crash-restart and coordinator kills recover from "
-                          "disk and need a durable_root");
+                          "crash-restart recovers from disk and needs a "
+                          "durable_root");
     return result;
   }
   result.setup = deployment->Build(&recorder);
   if (!result.setup.ok()) {
     return result;
   }
-  const std::vector<Frontend> frontends = deployment->frontends();
+  const std::vector<core::PileusClient*> frontends = deployment->frontends();
   const core::Sla sla = options.sla.value_or(AuditSla());
-  const auto begin_session = [&sla](Frontend frontend) {
-    return std::visit([&sla](auto* client) { return client->BeginSession(sla); },
-                      frontend);
-  };
   AckedWrites acked;
 
   // Preload every key through a client, so each one rides the journaled
   // write path: state written around the WAL would be silently lost across
   // a crash + restart, which the checker rightly flags.
   {
-    Result<core::Session> preload = begin_session(frontends[0]);
+    Result<core::Session> preload = frontends[0]->BeginSession(sla);
     if (!preload.ok()) {
       result.setup = preload.status();
       return result;
@@ -382,9 +346,7 @@ ScenarioResult RunAuditScenario(const ScenarioOptions& options) {
           workload::YcsbWorkload::KeyForIndex(static_cast<uint64_t>(i));
       std::string value = std::to_string(i);  // Distinct per key.
       value.resize(100, 'p');
-      Result<core::PutResult> put = std::visit(
-          [&](auto* client) { return client->Put(*preload, key, value); },
-          frontends[0]);
+      Result<core::PutResult> put = frontends[0]->Put(*preload, key, value);
       if (put.ok()) {
         acked.emplace_back(key, put->timestamp);
       }
@@ -423,15 +385,12 @@ ScenarioResult RunAuditScenario(const ScenarioOptions& options) {
       deployment->Apply(event, node);
       crashed = event.kind == FaultEvent::Kind::kCrash ? node : crashed;
     }
-    result.setup = deployment->BeforeOp(i);
-    if (!result.setup.ok()) {
-      return result;
-    }
+    deployment->BeforeOp(i);
 
     const workload::Operation op = workload.Next();
     if (op.starts_new_session || !session.has_value()) {
       frontend = rng.NextUint64(frontends.size());
-      Result<core::Session> begun = begin_session(frontends[frontend]);
+      Result<core::Session> begun = frontends[frontend]->BeginSession(sla);
       if (!begun.ok()) {
         result.setup = begun.status();
         return result;
@@ -454,10 +413,7 @@ ScenarioResult RunAuditScenario(const ScenarioOptions& options) {
 
     ++result.ops_attempted;
     ++ops_in_session;
-    const bool ok = std::visit(
-        [&](auto* client) { return RunOp(*client, *session, op, rng, acked); },
-        frontends[frontend]);
-    if (!ok) {
+    if (!RunOp(*frontends[frontend], *session, op, rng, acked)) {
       ++result.ops_failed;
     }
     deployment->AfterOp();

@@ -3,9 +3,8 @@
 // "Consistency auditing").
 //
 // One runner drives every deployment the audit covers: the Fig-10 GeoTestbed
-// on the deterministic simulator, a durable group-commit primary plus a
-// pulled secondary over loopback TCP, and a tablet fleet that splits and
-// migrates ranges under a dynamic ShardedClient. The runner owns the seeded
+// on the deterministic simulator, and a durable group-commit primary plus a
+// pulled secondary over loopback TCP. The runner owns the seeded
 // op loop (YCSB-shaped Gets, Puts, Deletes and small Range scans, session
 // turnover and serialized hand-off between frontends), the fault plan, and
 // the checks: the ConsistencyChecker over the recorded history, the WAL
@@ -50,9 +49,8 @@ std::vector<FaultScenario> AllFaultScenarios();
 
 // Where the scenario runs (DESIGN.md Section 8 lists what each supports).
 enum class DeploymentKind {
-  kSim = 0,      // Fig-10 GeoTestbed on the deterministic simulator.
-  kTcp,          // Durable primary + pulled secondary over loopback TCP.
-  kTabletFleet,  // Splitting, migrating tablet fleet on a ManualClock.
+  kSim = 0,  // Fig-10 GeoTestbed on the deterministic simulator.
+  kTcp,      // Durable primary + pulled secondary over loopback TCP.
 };
 
 struct ScenarioOptions {
@@ -64,14 +62,9 @@ struct ScenarioOptions {
   int key_count = 100;
   int ops_per_session = 40;
   // WALs live here. Required for kCrashRestart (the restarted node recovers
-  // from its WAL), for coordinator_kill, and for every TCP run; optional
-  // otherwise. When set, the run also cross-checks the WALs against the
-  // committed order.
+  // from its WAL) and for every TCP run; optional otherwise. When set, the
+  // run also cross-checks the WALs against the committed order.
   std::string durable_root;
-  // Tablet fleet only: run the coordinator durably and kill it mid-operation
-  // at rotating protocol crash points; a standby recovers from the intent
-  // log (DESIGN.md Section 15).
-  bool coordinator_kill = false;
   // Defaults to AuditSla().
   std::optional<core::Sla> sla;
 };
@@ -99,17 +92,6 @@ struct ScenarioResult {
   std::vector<std::string> lost_write_details;  // The first few.
   // Sim: completed primary promotions (kFailover).
   uint64_t failovers = 0;
-  // Tablet fleet: churn executed and coordinator kills survived.
-  uint64_t splits = 0;
-  uint64_t migrations = 0;
-  uint64_t migration_failures = 0;
-  uint64_t map_refreshes = 0;  // Client-side map adoptions after fences.
-  uint64_t final_tablets = 0;
-  uint64_t final_map_version = 0;
-  uint64_t coordinator_kills = 0;
-  uint64_t coordinator_recoveries = 0;
-  // Tablet fleet: versions restarted nodes replayed from their tablet WALs.
-  uint64_t restart_wal_versions = 0;
 
   bool ok() const {
     return setup.ok() && report.ok() && lost_acked_writes == 0;
@@ -118,9 +100,9 @@ struct ScenarioResult {
   std::string Summary() const;
 };
 
-// Ok when the chosen deployment can run `options` as asked: the scenario and
-// the coordinator-kill knob. RunAuditScenario checks this
-// first and fails setup on an unsupported combination.
+// Ok when the chosen deployment can run `options`' scenario.
+// RunAuditScenario checks this first and fails setup on an unsupported
+// combination.
 Status Supports(const ScenarioOptions& options);
 
 ScenarioResult RunAuditScenario(const ScenarioOptions& options);

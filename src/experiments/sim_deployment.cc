@@ -24,8 +24,7 @@ class SimDeployment : public Deployment {
   explicit SimDeployment(const ScenarioOptions& options) : options_(options) {}
 
   Status Supports(const ScenarioOptions& options) const override {
-    return CheckSupport(options, "the sim deployment", AllFaultScenarios(),
-                        /*coordinator_kill=*/false);
+    return CheckSupport(options, "the sim deployment", AllFaultScenarios());
   }
 
   Status Build(core::OpObserver* observer) override {
@@ -64,7 +63,7 @@ class SimDeployment : public Deployment {
     return Status::Ok();
   }
 
-  std::vector<Frontend> frontends() override {
+  std::vector<core::PileusClient*> frontends() override {
     return {&frontends_[0]->client(), &frontends_[1]->client()};
   }
 

@@ -42,8 +42,7 @@ class TcpDeployment : public Deployment {
   Status Supports(const ScenarioOptions& options) const override {
     return CheckSupport(options, "the tcp deployment",
                         {FaultScenario::kNone, FaultScenario::kCrashRestart,
-                         FaultScenario::kHandoff},
-                        /*coordinator_kill=*/false);
+                         FaultScenario::kHandoff});
   }
 
   Status Build(core::OpObserver* observer) override {
@@ -89,7 +88,7 @@ class TcpDeployment : public Deployment {
     return Status::Ok();
   }
 
-  std::vector<Frontend> frontends() override {
+  std::vector<core::PileusClient*> frontends() override {
     return {frontends_[0].get(), frontends_[1].get()};
   }
 
@@ -115,11 +114,10 @@ class TcpDeployment : public Deployment {
     }
   }
 
-  Status BeforeOp(uint64_t op) override {
+  void BeforeOp(uint64_t op) override {
     if (op % kProbeStride == 0) {
       ProbeAll();
     }
-    return Status::Ok();
   }
 
   Result<GroundTruth> Finish(ScenarioResult& /*result*/) override {

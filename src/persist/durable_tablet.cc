@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <stdio.h>
 #include <string.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <utility>
@@ -25,10 +24,9 @@ Status Errno(const char* what, const std::string& path) {
 }
 
 // Checkpoint payload: varint version count, versions, the tablet's high
-// timestamp, then the tablet's key range (appended by the dynamic-tablet
-// work; checkpoints written before it simply end after the timestamp, and
-// the decoder treats the range as optional). File: magic + fixed32 length +
-// fixed32 crc + payload, written to a temp file and renamed into place.
+// timestamp, then the tablet's key range (optional for the decoder: the
+// oldest checkpoints end after the timestamp). File: magic + fixed32 length
+// + fixed32 crc + payload, written to a temp file and renamed into place.
 std::string EncodeCheckpoint(const std::vector<storage::VersionPtr>& versions,
                              const Timestamp& high, const KeyRange& range) {
   Encoder enc;
@@ -116,10 +114,8 @@ Status WriteFileAtomically(const std::string& path,
 struct CheckpointData {
   std::vector<proto::ObjectVersion> versions;
   Timestamp high = Timestamp::Zero();
-  // The range the tablet owned when the checkpoint was written. Absent from
-  // pre-split-era checkpoints; when present it overrides the caller's
-  // configured range (a split may have shrunk the tablet since the caller's
-  // seed options were written down).
+  // The range the tablet owned when the checkpoint was written; when
+  // present it overrides the caller's configured range.
   bool has_range = false;
   KeyRange range;
 };
@@ -194,59 +190,15 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
   return data;
 }
 
-bool Exists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-// The n-th tablet directory of a data root: the root, then tablet-<n>. One
-// holds a tablet once it holds a wal.log.
-std::string TabletDirectory(const std::string& root, int n) {
-  return n == 0 ? root : root + "/tablet-" + std::to_string(n);
-}
-
-// Makes `directory` (when missing) and writes its first checkpoint: what a
-// tablet directory holds before its log records anything.
-Status MakeTabletDirectory(const std::string& directory,
-                           const std::vector<storage::VersionPtr>& versions,
-                           const Timestamp& high, const KeyRange& range) {
-  if (::mkdir(directory.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Errno("mkdir", directory);
-  }
-  return WriteFileAtomically(
-      directory + "/checkpoint.db",
-      FrameCheckpoint(EncodeCheckpoint(versions, high, range)));
-}
-
-// The history of `parent`'s keys at or above `split_key`, oldest first: the
-// latest version of each key a checkpoint compacted out of the update log,
-// then the log's entries, which replica pulls and the audit read.
-std::vector<storage::VersionPtr> UpperHistory(const storage::Tablet& parent,
-                                              std::string_view split_key) {
-  std::vector<storage::VersionPtr> history =
-      parent.store().LatestVersionsAfter(Timestamp::Zero(), split_key);
-  std::erase_if(history, [&](const storage::VersionPtr& latest) {
-    return latest->timestamp > parent.update_log().truncation_point();
-  });
-  for (const storage::VersionPtr& entry : parent.update_log().entries()) {
-    if (entry->key >= split_key) {
-      history.push_back(entry);
-    }
-  }
-  return history;
-}
-
 }  // namespace
 
 // The WAL-plus-checkpoint journal of one tablet directory.
 class WalJournal final : public storage::TabletJournal {
  public:
   WalJournal(DurableTablet::Options options, WriteAheadLog wal,
-             std::vector<std::string> split_keys,
              std::optional<reconfig::ConfigEpoch> config)
       : options_(std::move(options)),
         wal_(std::move(wal)),
-        split_keys_(std::move(split_keys)),
         config_(std::move(config)) {}
 
   Status RecordVersion(storage::Tablet& tablet,
@@ -264,44 +216,6 @@ class WalJournal final : public storage::TabletJournal {
     PILEUS_RETURN_IF_ERROR(wal_.AppendConfig(config));
     config_ = config;
     return options_.sync_every_append ? wal_.Sync() : Status::Ok();
-  }
-
-  // Crash ordering: no acked write is ever lost.
-  //   1. The child's checkpoint (the history at or above the key, plus the
-  //      parent's high timestamp) is written and fsynced into child-<n>.
-  //   2. Only then is a split record appended to this WAL and synced.
-  // A crash before step 2 leaves the parent owning its full range and the
-  // child directory an orphan that no replayed split record names (the
-  // next split reuses it); a crash after it recovers the parent shrunk and
-  // the child complete from its own checkpoint.
-  Result<std::unique_ptr<storage::TabletJournal>> RecordSplit(
-      const storage::Tablet& parent, std::string_view split_key) override {
-    DurableTablet::Options child = options_;
-    child.directory =
-        options_.directory + "/child-" + std::to_string(split_keys_.size());
-    child.tablet.range = KeyRange{std::string(split_key), parent.range().end};
-    PILEUS_RETURN_IF_ERROR(MakeTabletDirectory(
-        child.directory, UpperHistory(parent, split_key),
-        parent.high_timestamp(), child.tablet.range));
-    // An orphan left by a crashed split may hold a stale log.
-    Result<WriteAheadLog> child_wal =
-        WriteAheadLog::Open(child.directory + "/wal.log");
-    if (!child_wal.ok()) {
-      return child_wal.status();
-    }
-    PILEUS_RETURN_IF_ERROR(child_wal->Reset());
-    // The child runs under the config that covered it in the parent.
-    if (config_.has_value()) {
-      PILEUS_RETURN_IF_ERROR(child_wal->AppendConfig(*config_));
-    }
-    PILEUS_RETURN_IF_ERROR(child_wal->Sync());
-
-    PILEUS_RETURN_IF_ERROR(wal_.AppendSplit(split_key));
-    PILEUS_RETURN_IF_ERROR(wal_.Sync());
-    split_keys_.emplace_back(split_key);
-    return std::unique_ptr<storage::TabletJournal>(std::make_unique<WalJournal>(
-        std::move(child), std::move(child_wal).value(),
-        std::vector<std::string>{}, config_));
   }
 
   Status Sync() override { return wal_.Sync(); }
@@ -326,11 +240,6 @@ class WalJournal final : public storage::TabletJournal {
     return Status::Ok();
   }
 
-  // The checkpoint and log stay; the marker is renamed into place.
-  Status Retire() override {
-    return WriteFileAtomically(options_.directory + "/retired", "");
-  }
-
   const WriteAheadLog& wal() const { return wal_; }
 
  private:
@@ -346,12 +255,11 @@ class WalJournal final : public storage::TabletJournal {
   }
 
   // Empties the WAL after a checkpoint, keeping what the checkpoint does not
-  // hold: the split records (they name the children) and the last config.
-  // With those to keep, the trimmed log replaces the old one by rename, so a
-  // crash leaves one or the other; the old one replays idempotently over
-  // the new checkpoint.
+  // hold: the last config. With one to keep, the trimmed log replaces the
+  // old one by rename, so a crash leaves one or the other; the old one
+  // replays idempotently over the new checkpoint.
   Status TrimLog() {
-    if (split_keys_.empty() && !config_.has_value()) {
+    if (!config_.has_value()) {
       return wal_.Reset();
     }
     const std::string path = options_.directory + "/wal.log";
@@ -362,12 +270,7 @@ class WalJournal final : public storage::TabletJournal {
         return next.status();
       }
       PILEUS_RETURN_IF_ERROR(next->Reset());  // A crash may have left one.
-      for (const std::string& key : split_keys_) {
-        PILEUS_RETURN_IF_ERROR(next->AppendSplit(key));
-      }
-      if (config_.has_value()) {
-        PILEUS_RETURN_IF_ERROR(next->AppendConfig(*config_));
-      }
+      PILEUS_RETURN_IF_ERROR(next->AppendConfig(*config_));
       PILEUS_RETURN_IF_ERROR(next->Sync());
     }
     if (::rename(trimmed.c_str(), path.c_str()) != 0) {
@@ -384,30 +287,8 @@ class WalJournal final : public storage::TabletJournal {
 
   DurableTablet::Options options_;
   WriteAheadLog wal_;
-  // Split n of this tablet lives in child-<n>.
-  std::vector<std::string> split_keys_;
   std::optional<reconfig::ConfigEpoch> config_;
 };
-
-storage::StorageNode::TabletFactory DurableTablet::Factory(Options options,
-                                                          Clock* clock) {
-  return [options = std::move(options), clock](storage::Tablet::Options tablet)
-             -> Result<std::shared_ptr<storage::Tablet>> {
-    int n = 0;
-    while (Exists(TabletDirectory(options.directory, n) + "/wal.log")) {
-      ++n;
-    }
-    Options created = options;
-    created.directory = TabletDirectory(options.directory, n);
-    created.tablet = std::move(tablet);
-    PILEUS_RETURN_IF_ERROR(MakeTabletDirectory(
-        created.directory, {}, Timestamp::Zero(), created.tablet.range));
-    Result<std::unique_ptr<DurableTablet>> made =
-        Open(std::move(created), clock);
-    PILEUS_RETURN_IF_ERROR(made.status());
-    return (*made)->shared_tablet();
-  };
-}
 
 Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
                                                            Clock* clock) {
@@ -424,8 +305,7 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
   // Recover into a *secondary* tablet so replay never allocates timestamps;
   // promotion afterwards seeds the allocator above everything recovered. The
   // checkpoint's recorded range (when present) wins over the caller's seed
-  // options: a split may have shrunk this tablet since those were written.
-  // No journal is attached yet, so replay records nothing.
+  // options. No journal is attached yet, so replay records nothing.
   storage::Tablet::Options recovery_options = options.tablet;
   recovery_options.is_primary = false;
   if (loaded->has_range) {
@@ -450,16 +330,6 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
       advance_to,
       [&recovery](const reconfig::ConfigEpoch& config) {
         recovery.config = config;
-      },
-      [&tablet, &recovery](const std::string& split_key) {
-        // The data above the key already lives in the child directory whose
-        // checkpoint preceded this record; shrink the parent and drop the
-        // extracted half. A checkpoint taken after the split already holds
-        // the shrunk range.
-        if (tablet->range().IsSplittable(split_key)) {
-          (void)tablet->Split(split_key);
-        }
-        recovery.split_keys.push_back(split_key);
       });
   if (!replayed.ok()) {
     return replayed.status();
@@ -468,7 +338,7 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
   recovery.wal_heartbeats = replayed->heartbeats;
   recovery.wal_tail_torn = replayed->tail_torn;
 
-  // Later checkpoints and splits journal the effective (post-split) range.
+  // Later checkpoints journal the effective range.
   options.tablet.range = tablet->range();
   if (options.tablet.is_primary) {
     tablet->SetPrimary(true);
@@ -479,41 +349,11 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
     return wal.status();
   }
   auto journal = std::make_unique<WalJournal>(
-      std::move(options), std::move(wal).value(), recovery.split_keys,
-      recovery.config);
+      std::move(options), std::move(wal).value(), recovery.config);
   WalJournal* raw = journal.get();
   tablet->AttachJournal(std::move(journal));
   return std::unique_ptr<DurableTablet>(
       new DurableTablet(std::move(tablet), raw, std::move(recovery)));
-}
-
-Result<std::vector<std::unique_ptr<DurableTablet>>> DurableTablet::OpenAll(
-    Options options, Clock* clock) {
-  std::vector<std::unique_ptr<DurableTablet>> opened;
-  // Breadth-first: each replayed split record names a child directory, and
-  // children can have split again.
-  std::vector<std::string> directories = {options.directory};
-  for (int n = 1; Exists(TabletDirectory(options.directory, n) + "/wal.log");
-       ++n) {
-    directories.push_back(TabletDirectory(options.directory, n));
-  }
-  for (size_t i = 0; i < directories.size(); ++i) {
-    options.directory = directories[i];
-    Result<std::unique_ptr<DurableTablet>> tablet = Open(options, clock);
-    if (!tablet.ok()) {
-      return Status(tablet.status().code(), "opening " + directories[i] +
-                                                ": " +
-                                                tablet.status().message());
-    }
-    for (size_t n = 0; n < (*tablet)->recovery_info().split_keys.size();
-         ++n) {
-      directories.push_back(directories[i] + "/child-" + std::to_string(n));
-    }
-    if (!Exists(directories[i] + "/retired")) {  // Its children may live.
-      opened.push_back(std::move(tablet).value());
-    }
-  }
-  return opened;
 }
 
 Status DurableTablet::Sync() { return journal_->Sync(); }

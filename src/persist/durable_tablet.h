@@ -2,8 +2,8 @@
 //
 // A durable tablet is a storage::Tablet whose journal (tablet_journal.h) is
 // a write-ahead log plus periodic checkpoints in the tablet's directory.
-// Every state change (accepted Put, Delete or commit, replicated version,
-// replication heartbeat, installed config, split) is appended to the WAL
+// Every state change (accepted Put or Delete, replicated version,
+// replication heartbeat, installed config) is appended to the WAL
 // before it is acknowledged, and the whole store is periodically
 // checkpointed so the log stays short. Reopening the same directory
 // reconstructs the tablet exactly: contents, high timestamp, range, and a
@@ -16,12 +16,7 @@
 // Layout inside the tablet directory:
 //   checkpoint.db - latest durable snapshot (atomic rename on update)
 //   wal.log       - records since that snapshot
-//   child-<n>/    - the upper half split off by this tablet's n-th split,
-//                   itself a durable tablet directory
-//   retired       - present once the tablet's node gave it up (migrated
-//                   away, or a migration to it rolled back)
-// A node's data root is the directory of its first tablet; each tablet the
-// node creates later gets tablet-<n>/ (n = 1, 2, ...) beside it.
+// A durable node's data root is the directory of its one tablet.
 
 #ifndef PILEUS_SRC_PERSIST_DURABLE_TABLET_H_
 #define PILEUS_SRC_PERSIST_DURABLE_TABLET_H_
@@ -29,12 +24,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/persist/wal.h"
-#include "src/storage/storage_node.h"
 #include "src/storage/tablet.h"
 
 namespace pileus::persist {
@@ -65,32 +58,16 @@ class DurableTablet {
     uint64_t wal_versions = 0;
     uint64_t wal_heartbeats = 0;
     bool wal_tail_torn = false;
-    // Split records replayed from the WAL, in log order. Each shrank this
-    // tablet to [begin, key); the data at or above the key lives in
-    // child-<n> (n = the record's position), whose checkpoint was made
-    // durable before the record was written.
-    std::vector<std::string> split_keys;
     // The last journaled config (a tablet-map install the node accepted),
     // for a driver to re-install fenced.
     std::optional<reconfig::ConfigEpoch> config;
   };
 
-  // Opens (or creates) the durable tablet, replaying any existing state.
+  // Opens (or creates) the durable tablet, replaying any existing state. A
+  // WAL record of a kind this build does not write (such as the retired
+  // split record, kind 4) fails with kCorruption.
   static Result<std::unique_ptr<DurableTablet>> Open(Options options,
                                                      Clock* clock);
-
-  // A durable node's tablet factory: each tablet it makes is new, in the
-  // first directory of the data root `options.directory` that holds none,
-  // with a first checkpoint that records its range.
-  static storage::StorageNode::TabletFactory Factory(Options options,
-                                                     Clock* clock);
-
-  // Opens every tablet of the data root `options.directory`: its own, each
-  // tablet-<n>, and recursively every split child their WALs record, but
-  // no retired one. All inherit `options` but take their range from their
-  // checkpoint when it records one.
-  static Result<std::vector<std::unique_ptr<DurableTablet>>> OpenAll(
-      Options options, Clock* clock);
 
   Result<proto::PutReply> HandlePut(std::string_view key,
                                     std::string_view value) {

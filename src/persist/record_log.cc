@@ -56,11 +56,8 @@ RecordLog& RecordLog::operator=(RecordLog&& other) noexcept {
     path_ = std::move(other.path_);
     fd_ = other.fd_;
     bytes_written_ = other.bytes_written_;
-    fault_injector_ = other.fault_injector_;
-    crash_prefix_ = std::move(other.crash_prefix_);
     other.fd_ = -1;
     other.bytes_written_ = 0;
-    other.fault_injector_ = nullptr;
   }
   return *this;
 }
@@ -104,11 +101,6 @@ Status RecordLog::Sync() {
   }
   if (::fdatasync(fd_) != 0) {
     return Errno("fdatasync", path_);
-  }
-  if (fault_injector_ != nullptr &&
-      fault_injector_->ShouldCrash(crash_prefix_ + "after_sync")) {
-    return Status(StatusCode::kCancelled,
-                  "crash point " + crash_prefix_ + "after_sync");
   }
   return Status::Ok();
 }

@@ -1,6 +1,5 @@
-// Low-level durable record log: the framing/recovery layer shared by the
-// tablet WAL (src/persist/wal.h) and the coordinator intent log
-// (src/tablets/intent_log.h).
+// Low-level durable record log: the framing/recovery layer under the tablet
+// WAL (src/persist/wal.h).
 //
 // On-disk record format (little-endian), identical to the historical WAL
 // layout so existing logs replay unchanged:
@@ -14,12 +13,6 @@
 // an unknown kind, or an absurd length *before* the tail is reported as
 // kCorruption so operators notice real damage rather than silently losing
 // committed data.
-//
-// Crash points: a log can be armed with a sim::FaultInjector and a name
-// prefix; Sync() then fires "<prefix>after_sync" after a successful
-// fdatasync, returning kAborted as if the process died the instant its
-// record became durable. The torture harness (DESIGN.md Section 15) uses
-// this to prove recovery handles a crash at the durability boundary itself.
 
 #ifndef PILEUS_SRC_PERSIST_RECORD_LOG_H_
 #define PILEUS_SRC_PERSIST_RECORD_LOG_H_
@@ -31,7 +24,6 @@
 #include <utility>
 
 #include "src/common/status.h"
-#include "src/sim/fault_injector.h"
 
 namespace pileus::persist {
 
@@ -57,21 +49,13 @@ class RecordLog {
   // Sync() (group-commit friendly).
   Status Append(uint8_t kind, std::string_view payload);
 
-  // fdatasync the log. Fires the "<prefix>after_sync" crash point (see
-  // SetCrashPoints) once the data is durable.
+  // fdatasync the log.
   Status Sync();
 
   // Truncates the log to empty (after a successful checkpoint).
   Status Reset();
 
   void Close();
-
-  // Arms cooperative crash points named "<prefix>..." against `injector`
-  // (not owned; null disarms).
-  void SetCrashPoints(sim::FaultInjector* injector, std::string prefix) {
-    fault_injector_ = injector;
-    crash_prefix_ = std::move(prefix);
-  }
 
   uint64_t bytes_written() const { return bytes_written_; }
   const std::string& path() const { return path_; }
@@ -96,8 +80,6 @@ class RecordLog {
   std::string path_;
   int fd_ = -1;
   uint64_t bytes_written_ = 0;
-  sim::FaultInjector* fault_injector_ = nullptr;  // Not owned.
-  std::string crash_prefix_;
 };
 
 }  // namespace pileus::persist

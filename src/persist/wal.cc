@@ -13,7 +13,8 @@ namespace {
 constexpr uint8_t kKindVersion = 1;
 constexpr uint8_t kKindHeartbeat = 2;
 constexpr uint8_t kKindConfig = 3;
-constexpr uint8_t kKindSplit = 4;
+// Kind 4 is retired: it journaled a tablet split. Replay rejects it as
+// corruption, since this build cannot rebuild the split child it named.
 
 std::string EncodeVersionPayload(const proto::ObjectVersion& version) {
   Encoder enc;
@@ -76,12 +77,6 @@ Status WriteAheadLog::AppendConfig(const reconfig::ConfigEpoch& config) {
   return log_.Append(kKindConfig, enc.Release());
 }
 
-Status WriteAheadLog::AppendSplit(std::string_view split_key) {
-  Encoder enc;
-  enc.PutLengthPrefixed(split_key);
-  return log_.Append(kKindSplit, enc.Release());
-}
-
 Status WriteAheadLog::Sync() { return log_.Sync(); }
 
 Status WriteAheadLog::Reset() { return log_.Reset(); }
@@ -92,8 +87,7 @@ Result<WriteAheadLog::ReplayStats> WriteAheadLog::Replay(
     const std::string& path,
     const std::function<void(const proto::ObjectVersion&)>& on_version,
     const std::function<void(const Timestamp&)>& on_heartbeat,
-    const std::function<void(const reconfig::ConfigEpoch&)>& on_config,
-    const std::function<void(const std::string&)>& on_split) {
+    const std::function<void(const reconfig::ConfigEpoch&)>& on_config) {
   ReplayStats stats;
   Result<RecordLog::ReplayStats> raw = RecordLog::Replay(
       path,
@@ -113,7 +107,7 @@ Result<WriteAheadLog::ReplayStats> WriteAheadLog::Replay(
           if (on_heartbeat) {
             on_heartbeat(heartbeat);
           }
-        } else if (kind == kKindConfig) {
+        } else {
           Decoder dec(payload);
           reconfig::ConfigEpoch config;
           PILEUS_RETURN_IF_ERROR(reconfig::DecodeConfigEpoch(dec, &config));
@@ -121,20 +115,12 @@ Result<WriteAheadLog::ReplayStats> WriteAheadLog::Replay(
           if (on_config) {
             on_config(config);
           }
-        } else {
-          Decoder dec(payload);
-          std::string split_key;
-          PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&split_key));
-          ++stats.splits;
-          if (on_split) {
-            on_split(split_key);
-          }
         }
         return Status::Ok();
       },
       [](uint8_t kind) {
         return kind == kKindVersion || kind == kKindHeartbeat ||
-               kind == kKindConfig || kind == kKindSplit;
+               kind == kKindConfig;
       });
   if (!raw.ok()) {
     return raw.status();

@@ -7,7 +7,8 @@
 // on startup.
 //
 // On-disk record format (little-endian):
-//   1 byte  kind        (1 = version, 2 = heartbeat, 3 = config, 4 = split)
+//   1 byte  kind        (1 = version, 2 = heartbeat, 3 = config; 4, a
+//                        tablet split, is retired and replays as corruption)
 //   4 bytes payload len
 //   4 bytes CRC-32 of payload
 //   N bytes payload     (codec-encoded)
@@ -51,12 +52,6 @@ class WriteAheadLog {
   // Journals an installed configuration (Section 6.2) so a restarted node
   // rejoins under the config it last acknowledged, not its seed roles.
   Status AppendConfig(const reconfig::ConfigEpoch& config);
-  // Journals a tablet split at `split_key` (DESIGN.md Section 14). Written
-  // AFTER the upper child's checkpoint is durable: replay shrinks this log's
-  // tablet to [begin, split_key) from the record onward, so a crash before
-  // the record leaves the parent owning the full range and a crash after it
-  // finds the upper half safe in the child's own directory.
-  Status AppendSplit(std::string_view split_key);
 
   // fdatasync the log.
   Status Sync();
@@ -74,20 +69,19 @@ class WriteAheadLog {
     uint64_t versions = 0;
     uint64_t heartbeats = 0;
     uint64_t configs = 0;
-    uint64_t splits = 0;
     // A partial record at EOF was discarded (normal after a crash).
     bool tail_torn = false;
   };
 
   // Streams every intact record through the callbacks (any may be null).
-  // Corruption before the final record fails with kCorruption.
+  // Corruption before the final record, a record of an unknown kind
+  // included, fails with kCorruption.
   static Result<ReplayStats> Replay(
       const std::string& path,
       const std::function<void(const proto::ObjectVersion&)>& on_version,
       const std::function<void(const Timestamp&)>& on_heartbeat,
       const std::function<void(const reconfig::ConfigEpoch&)>& on_config =
-          nullptr,
-      const std::function<void(const std::string&)>& on_split = nullptr);
+          nullptr);
 
   // Collects every intact version record in `path`, in log order
   // (heartbeats skipped). The audit harness uses this to cross-check a
@@ -96,8 +90,8 @@ class WriteAheadLog {
       const std::string& path);
 
  private:
-  // Record framing/recovery lives in RecordLog (shared with the coordinator
-  // intent log); this class owns only the typed payload codecs.
+  // Record framing/recovery lives in RecordLog; this class owns only the
+  // typed payload codecs.
   RecordLog log_;
 };
 

@@ -19,12 +19,14 @@ namespace {
 // later without a bump, since no other message's bytes changed. Version 6
 // added the dynamic-tablet control plane: the TabletMapRequest /
 // TabletMapReply pair, the optional key-range filter on SyncRequest
-// (migration catch-up pulls), and the map_version hint on ErrorReply for
-// kWrongTablet fences (DESIGN.md Section 14). Version 7
-// retired the table-wide config install pair (tags 19/20): failover installs
+// (then for migration catch-up pulls, now for ranged agents), and the
+// map_version hint on ErrorReply for kWrongTablet fences. Version 7 retired
+// the table-wide config install pair (tags 19/20): failover installs
 // tablet maps, so TabletMapRequest gained the write lease and TabletMapReply
-// the durable timestamp that ranks promotion candidates.
-constexpr uint8_t kWireVersion = 7;
+// the durable timestamp that ranks promotion candidates. Version 8 retired
+// the dynamic-tablet fields: TabletMapRequest's split key, TabletMap's
+// coordinator epoch and TabletInfo's ops/s.
+constexpr uint8_t kWireVersion = 8;
 
 // Varint-encoded microsecond counts (deadlines, queue delays) share one
 // decode path so every site gets the same overflow check.
@@ -234,7 +236,6 @@ void EncodeBody(Encoder& enc, const TabletMapRequest& m) {
   enc.PutVarint64(m.have_version);
   enc.PutBool(m.install);
   tablets::EncodeTabletMap(enc, m.map);
-  enc.PutLengthPrefixed(m.split_key);
   enc.PutVarint64(static_cast<uint64_t>(m.lease_duration_us));
 }
 
@@ -401,7 +402,6 @@ Status DecodeBody(Decoder& dec, TabletMapRequest* m) {
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&m->have_version));
   PILEUS_RETURN_IF_ERROR(dec.GetBool(&m->install));
   PILEUS_RETURN_IF_ERROR(tablets::DecodeTabletMap(dec, &m->map));
-  PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&m->split_key));
   return DecodeMicros(dec, &m->lease_duration_us);
 }
 

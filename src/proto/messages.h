@@ -170,7 +170,7 @@ struct SyncRequest {
   std::string table;
   Timestamp after;          // Send versions with timestamp > after.
   uint32_t max_versions = 0;  // 0 = unlimited.
-  // Optional key-range filter (wire v6): a migration catch-up pull wants
+  // Optional key-range filter (wire v6): a ranged replication agent wants
   // exactly one tablet's versions, not the whole table. Empty range with
   // has_range=false preserves the whole-table pull.
   bool has_range = false;
@@ -254,10 +254,10 @@ struct StatsReply {
   std::string text;  // Rendered export in the requested format.
 };
 
-// Tablet-map control plane (DESIGN.md Section 14). Asks a storage node (or
-// the coordinator) for its installed tablet map when it is newer than
-// `have_version`; answered with a TabletMapReply. Control traffic: exempt
-// from admission, so fenced clients can always re-route.
+// Tablet-map control plane (DESIGN.md Section 10). Asks a storage node for
+// its installed tablet map when it is newer than `have_version`; answered
+// with a TabletMapReply. Control traffic: exempt from admission, so the
+// failover coordinator and operators always get through.
 struct TabletMapRequest {
   std::string table;
   uint64_t have_version = 0;
@@ -271,11 +271,6 @@ struct TabletMapRequest {
   // the node answers writes with kNotPrimary. 0 = no lease (the role never
   // self-fences; used without a failover coordinator).
   MicrosecondCount lease_duration_us = 0;
-  // Admin verb (pileus_cli): when non-empty, split the hosted tablet
-  // containing this key before answering. Purely local — a
-  // coordinator-managed fleet splits through its coordinator instead, which
-  // also retiles the map.
-  std::string split_key;
 };
 
 struct TabletMapReply {

@@ -1,7 +1,7 @@
 // Lease-based failure detection (paper Section 6.2).
 //
 // The coordinator is a failure-detection policy that proposes tablet-map
-// edits, the way tablets::Rebalancer proposes splits and moves: it owns no
+// edits and never applies one itself: it owns no
 // configuration, only heartbeat evidence. Some driver (the deterministic
 // simulator's heartbeat events, or a timer thread under a real transport)
 // re-installs the current map on each member every kHeartbeatPeriodUs — the

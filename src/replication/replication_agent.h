@@ -46,8 +46,8 @@ class ReplicationAgent {
   struct Options {
     std::string table;
     // The keys to replicate. Anything narrower than the whole keyspace makes
-    // every pull a ranged one (migration catch-up), and only the hosted
-    // tablets that lie inside the range are read and advanced.
+    // every pull a ranged one, and only the hosted tablets that lie inside
+    // the range are read and advanced.
     KeyRange range = KeyRange::All();
     // Cap on versions per sync round trip (0 = unlimited). A pull never
     // splits a run of equal timestamps, so the actual count may slightly

@@ -1,6 +1,5 @@
 #include "src/server/node_host.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -9,34 +8,25 @@
 
 namespace pileus::server {
 
-Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
+Result<std::unique_ptr<persist::DurableTablet>> RecoverTablets(
     storage::StorageNode* node, std::string_view table,
     const persist::DurableTablet::Options& options, Clock* clock) {
-  node->SetTabletFactory(persist::DurableTablet::Factory(options, clock));
-  Result<std::vector<std::unique_ptr<persist::DurableTablet>>> opened =
-      persist::DurableTablet::OpenAll(options, clock);
+  Result<std::unique_ptr<persist::DurableTablet>> opened =
+      persist::DurableTablet::Open(options, clock);
   PILEUS_RETURN_IF_ERROR(opened.status());
+  const persist::DurableTablet& durable = **opened;
+  PILEUS_RETURN_IF_ERROR(node->AddTablet(table, durable.shared_tablet()));
+  tablets::TabletInfo entry;
+  entry.range = durable.tablet().range();
+  entry.config =
+      durable.recovery_info().config.value_or(reconfig::ConfigEpoch{});
+  if (entry.config.epoch == 0) {
+    return opened;  // Nothing journaled: the caller's role stands.
+  }
   tablets::TabletMap placement;
   placement.table = std::string(table);
-  std::vector<KeyRange> ranges;
-  for (const auto& tablet : *opened) {
-    PILEUS_RETURN_IF_ERROR(node->AddTablet(table, tablet->shared_tablet()));
-    tablets::TabletInfo entry;
-    entry.range = tablet->tablet().range();
-    entry.config =
-        tablet->recovery_info().config.value_or(reconfig::ConfigEpoch{});
-    placement.version = std::max(placement.version, entry.config.epoch);
-    ranges.push_back(entry.range);
-    placement.tablets.push_back(std::move(entry));
-  }
-  if (placement.version == 0 || !RangesCoverKeySpace(std::move(ranges))) {
-    // Nothing journaled, or only part of the table (a tablet-fleet node,
-    // whose driver installs the live map): the caller's role stands.
-    return opened;
-  }
-  std::ranges::sort(placement.tablets, {}, [](const tablets::TabletInfo& t) {
-    return t.range.begin;
-  });
+  placement.version = entry.config.epoch;
+  placement.tablets.push_back(std::move(entry));
   if (!node->InstallTabletMap(placement, /*lease_expiry_us=*/1)) {
     return Status(StatusCode::kCorruption,
                   "journaled placement does not install: " +
@@ -45,22 +35,17 @@ Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
   return opened;
 }
 
-Result<std::vector<std::unique_ptr<persist::DurableTablet>>> OpenDurableNode(
+Result<std::unique_ptr<persist::DurableTablet>> OpenDurableNode(
     storage::StorageNode* node, std::string_view table,
-    const std::string& root, std::optional<storage::Tablet::Options> first,
-    Clock* clock) {
+    const std::string& root, storage::Tablet::Options tablet, Clock* clock) {
   std::error_code error;
   std::filesystem::create_directories(root, error);
   persist::DurableTablet::Options options;
   options.directory = root;
-  options.tablet = first.value_or(storage::Tablet::Options{});
+  options.tablet = std::move(tablet);
   // Replication pulls and the audit's committed order read the update logs,
   // which a checkpoint compacts (ROADMAP item 3).
   options.checkpoint_threshold_bytes = 0;
-  if (!first.has_value() && std::filesystem::is_empty(root, error)) {
-    node->SetTabletFactory(persist::DurableTablet::Factory(options, clock));
-    return std::vector<std::unique_ptr<persist::DurableTablet>>{};
-  }
   return RecoverTablets(node, table, options, clock);
 }
 
@@ -82,7 +67,7 @@ Status NodeHost::Start() {
     durable.directory = options_.data_dir;
     durable.tablet.is_primary = options_.is_primary;
     durable.sync_every_append = options_.fsync_every_write;
-    Result<std::vector<std::unique_ptr<persist::DurableTablet>>> recovered =
+    Result<std::unique_ptr<persist::DurableTablet>> recovered =
         RecoverTablets(&node_, options_.table, durable, clock);
     PILEUS_RETURN_IF_ERROR(recovered.status());
     durable_ = std::move(recovered).value();
@@ -148,18 +133,8 @@ Status NodeHost::Stop() {
   if (committer_ != nullptr) {
     committer_->Stop();  // Final batch sync, while the node is still alive.
   }
-  // Every tablet, split children included; no thread touches them now.
-  Status first = Status::Ok();
-  for (storage::Tablet* tablet : node_.TabletsForTable(options_.table)) {
-    if (tablet->journal() == nullptr) {
-      continue;
-    }
-    if (Status st = tablet->journal()->Checkpoint(*tablet);
-        !st.ok() && first.ok()) {
-      first = st;
-    }
-  }
-  return first;
+  // No thread touches the tablet now.
+  return durable_ == nullptr ? Status::Ok() : durable_->Checkpoint();
 }
 
 }  // namespace pileus::server

@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
@@ -24,27 +23,24 @@
 
 namespace pileus::server {
 
-// Opens every tablet of the data root `options.directory` (creating the
-// root's own tablet from `options.tablet` when it holds none; see
-// durable_tablet.h), hosts each on `node`, and makes each tablet `node`
-// creates later a DurableTablet there too. Re-installs the placement they
-// journaled with an already-expired lease: one entry per tablet (its range
-// and last config), at the highest journaled epoch as the map version. So a
-// node deposed before it crashed comes back deposed, and one that led stays
-// fenced until a map install re-leases it (paper Section 6.2). Without any
-// journaled config, or for tablets covering part of the table only, nothing
-// is installed and `options.tablet` sets the role.
-Result<std::vector<std::unique_ptr<persist::DurableTablet>>> RecoverTablets(
+// Opens the tablet of the data root `options.directory` (creating it from
+// `options.tablet` when the root holds none; see durable_tablet.h) and
+// hosts it on `node`. Re-installs the placement it journaled with an
+// already-expired lease: one entry (its range and last config), with the
+// journaled epoch as the map version. So a node deposed before it crashed
+// comes back deposed, and one that led stays fenced until a map install
+// re-leases it (paper Section 6.2). Without a journaled config nothing is
+// installed and `options.tablet` sets the role. A journaled placement whose
+// range does not tile the key space fails with kCorruption.
+Result<std::unique_ptr<persist::DurableTablet>> RecoverTablets(
     storage::StorageNode* node, std::string_view table,
     const persist::DurableTablet::Options& options, Clock* clock);
 
-// A durable node of GeoTestbed or the tablet fleet: RecoverTablets on
-// `root` (made when missing), with checkpoints off. A fresh root starts with
-// `first`, or, without it, with no tablet until AddTablet.
-Result<std::vector<std::unique_ptr<persist::DurableTablet>>> OpenDurableNode(
+// A durable GeoTestbed node: RecoverTablets on `root` (made when missing),
+// with checkpoints off. A fresh root starts with `tablet`.
+Result<std::unique_ptr<persist::DurableTablet>> OpenDurableNode(
     storage::StorageNode* node, std::string_view table,
-    const std::string& root, std::optional<storage::Tablet::Options> first,
-    Clock* clock);
+    const std::string& root, storage::Tablet::Options tablet, Clock* clock);
 
 class NodeHost {
  public:
@@ -74,30 +70,29 @@ class NodeHost {
   NodeHost(const NodeHost&) = delete;
   NodeHost& operator=(const NodeHost&) = delete;
 
-  // Hosts the tablets (recovered from `data_dir`, or one in memory), enables
+  // Hosts the tablet (recovered from `data_dir`, or in memory), enables
   // admission and group commit and, for a secondary with a `primary_port`,
   // pulls once to catch up (so it never serves a read its high timestamp
   // does not cover) before the periodic pull starts. Listens last.
   Status Start();
 
   // Stops the puller, the server and the committer, in that order, then
-  // checkpoints every durable tablet and returns the first error. Does
+  // checkpoints the durable tablet and returns the first error. Does
   // nothing unless Start succeeded: a node that failed to start (say, on a
   // port another node holding the same data dir serves) leaves the files.
   Status Stop();
 
   storage::StorageNode* node() { return &node_; }
   uint16_t port() const { return server_.port(); }
-  // The durable tablets Start recovered (empty in memory).
-  const std::vector<std::unique_ptr<persist::DurableTablet>>& durable_tablets()
-      const {
-    return durable_;
+  // The durable tablet Start recovered (null in memory).
+  const persist::DurableTablet* durable_tablet() const {
+    return durable_.get();
   }
 
  private:
   const Options options_;
   // Declaration order is teardown order, reversed.
-  std::vector<std::unique_ptr<persist::DurableTablet>> durable_;
+  std::unique_ptr<persist::DurableTablet> durable_;
   storage::StorageNode node_;
   std::unique_ptr<persist::GroupCommitter> committer_;
   std::unique_ptr<net::TcpChannel> pull_channel_;  // To the primary.

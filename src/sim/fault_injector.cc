@@ -119,28 +119,6 @@ void FaultInjector::SetPartition(std::string_view from, std::string_view to,
   SetLinkRule(from, to, rule);
 }
 
-void FaultInjector::ArmCrashPoint(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  armed_crash_points_.emplace(name);
-}
-
-bool FaultInjector::ShouldCrash(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  seen_crash_points_.emplace(name);
-  auto it = armed_crash_points_.find(name);
-  if (it == armed_crash_points_.end()) {
-    return false;
-  }
-  armed_crash_points_.erase(it);  // One-shot: recovery re-visits safely.
-  crash_points_fired_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-std::vector<std::string> FaultInjector::SeenCrashPoints() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {seen_crash_points_.begin(), seen_crash_points_.end()};
-}
-
 const FaultRule* FaultInjector::FindNodeRuleLocked(
     std::string_view node) const {
   auto it = node_rules_.find(node);

@@ -32,11 +32,9 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "src/common/random.h"
 
@@ -124,25 +122,6 @@ class FaultInjector {
   // untouched unless partitioned separately.
   void SetPartition(std::string_view from, std::string_view to, bool blocked);
 
-  // --- Crash points (cooperative kill switches for torture tests) ---
-  //
-  // Control-plane code marks each phase boundary with ShouldCrash(name): an
-  // armed point fires exactly once (the arm is consumed) and the caller
-  // unwinds as if the process died there — volatile state is discarded by
-  // the harness while anything already fsynced survives. Unarmed points are
-  // free no-ops, but every visit is recorded so tests can assert that the
-  // matrix actually covered each registered boundary.
-
-  // Arms `name` to fire on its next visit.
-  void ArmCrashPoint(std::string_view name);
-  // True exactly once after ArmCrashPoint(name); also records the visit.
-  bool ShouldCrash(std::string_view name);
-  // Every crash point visited (fired or not), in sorted order.
-  std::vector<std::string> SeenCrashPoints() const;
-  uint64_t crash_points_fired() const {
-    return crash_points_fired_.load(std::memory_order_relaxed);
-  }
-
   // --- The per-message decision ---
 
   // Combines the from-node, to-node, and from->to link rules into one
@@ -185,9 +164,6 @@ class FaultInjector {
   std::map<std::string, FaultRule, std::less<>> node_rules_;
   // Keyed by "from\x1fto" (sites never contain control characters).
   std::map<std::string, FaultRule, std::less<>> link_rules_;
-  std::set<std::string, std::less<>> armed_crash_points_;
-  std::set<std::string, std::less<>> seen_crash_points_;
-  std::atomic<uint64_t> crash_points_fired_{0};
   mutable std::atomic<uint64_t> messages_dropped_{0};
   mutable std::atomic<uint64_t> messages_corrupted_{0};
   mutable std::atomic<uint64_t> messages_slowed_{0};

@@ -62,17 +62,7 @@ StorageNode::StorageNode(std::string name, std::string site, Clock* clock)
 
 Status StorageNode::AddTablet(std::string_view table,
                               Tablet::Options options) {
-  if (!tablet_factory_) {
-    return AddTablet(table,
-                     std::make_shared<Tablet>(std::move(options), clock_));
-  }
-  Result<std::shared_ptr<Tablet>> made = tablet_factory_(std::move(options));
-  PILEUS_RETURN_IF_ERROR(made.status());
-  const Status added = AddTablet(table, *made);
-  if (!added.ok() && (*made)->journal() != nullptr) {
-    (void)(*made)->journal()->Retire();  // A restart must not host it.
-  }
-  return added;
+  return AddTablet(table, std::make_shared<Tablet>(std::move(options), clock_));
 }
 
 Status StorageNode::AddTablet(std::string_view table,
@@ -117,15 +107,7 @@ bool StorageNode::InstallTabletMapLocked(const tablets::TabletMap& map,
   }
   auto it = tablet_maps_.find(map.table);
   if (it != tablet_maps_.end() && map.version < it->second.map.version) {
-    return false;  // Stale map: a fenced coordinator or delayed install.
-  }
-  // Coordinator-epoch fence (DESIGN.md Section 15): once a map from
-  // coordinator epoch E is installed, a deposed coordinator at a lower
-  // (non-legacy) epoch is refused outright — version monotonicity alone
-  // cannot fence it, because both coordinators mint plausible versions.
-  if (it != tablet_maps_.end() && map.coordinator_epoch != 0 &&
-      map.coordinator_epoch < it->second.map.coordinator_epoch) {
-    return false;
+    return false;  // Stale map: a delayed install.
   }
   // Journal the config each hosted tablet now runs under, so a restart
   // recovers it. A same-version re-install (a lease renewal) changes
@@ -143,9 +125,9 @@ bool StorageNode::InstallTabletMapLocked(const tablets::TabletMap& map,
   }
   tablet_maps_[map.table] = InstalledMap{map, lease_expiry_us};
   // Roles follow the map immediately, including on a same-version
-  // re-install (idempotent, so a lease renewal leaves tablets alone): the
-  // migration cutover and a failover rely on the old primary being demoted
-  // the instant it adopts the map that moves its range.
+  // re-install (idempotent, so a lease renewal leaves tablets alone): a
+  // failover and a primary move rely on the old primary being demoted the
+  // instant it adopts the map that moves its lead.
   ApplyTabletMapRolesLocked(map);
   RefreshTabletGaugesLocked();
   return true;
@@ -246,86 +228,6 @@ void StorageNode::StampPlacementLocked(const proto::Message& request,
       reply);
 }
 
-Status StorageNode::SplitTablet(std::string_view table,
-                                std::string_view split_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return SplitTabletLocked(table, split_key);
-}
-
-Status StorageNode::SplitTabletLocked(std::string_view table,
-                                      std::string_view split_key) {
-  auto it = tablets_.find(table);
-  if (it == tablets_.end()) {
-    return Status(StatusCode::kNotFound,
-                  "node " + name_ + " hosts no tablets of table");
-  }
-  for (auto& tablet : it->second) {
-    if (!tablet->range().Contains(split_key)) {
-      continue;
-    }
-    Result<std::unique_ptr<Tablet>> upper = tablet->Split(split_key);
-    if (!upper.ok()) {
-      return upper.status();
-    }
-    it->second.push_back(std::move(upper).value());
-    std::sort(it->second.begin(), it->second.end(),
-              [](const auto& a, const auto& b) {
-                return a->range().begin < b->range().begin;
-              });
-    RefreshTabletGaugesLocked();
-    return Status::Ok();
-  }
-  return Status(StatusCode::kNotFound,
-                "no hosted tablet contains the split key");
-}
-
-Status StorageNode::RemoveTablet(std::string_view table,
-                                 const KeyRange& range) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tablets_.find(table);
-  if (it == tablets_.end()) {
-    return Status(StatusCode::kNotFound,
-                  "node " + name_ + " hosts no tablets of table");
-  }
-  for (auto t = it->second.begin(); t != it->second.end(); ++t) {
-    if ((*t)->range() == range) {
-      if ((*t)->journal() != nullptr) {
-        PILEUS_RETURN_IF_ERROR((*t)->journal()->Retire());
-      }
-      it->second.erase(t);
-      if (it->second.empty()) {
-        tablets_.erase(it);
-      }
-      RefreshTabletGaugesLocked();
-      return Status::Ok();
-    }
-  }
-  return Status(StatusCode::kNotFound,
-                "node " + name_ + " hosts no tablet " + range.ToString());
-}
-
-std::vector<StorageNode::LocalTabletStat> StorageNode::LocalTabletStats(
-    std::string_view table) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LocalTabletStat> out;
-  auto it = tablets_.find(table);
-  if (it == tablets_.end()) {
-    return out;
-  }
-  out.reserve(it->second.size());
-  for (const auto& tablet : it->second) {
-    LocalTabletStat stat;
-    stat.range = tablet->range();
-    stat.is_primary = tablet->is_primary();
-    stat.is_sync_replica = tablet->is_sync_replica();
-    stat.size_bytes = tablet->ApproximateBytes();
-    stat.ops_total = tablet->ops_total();
-    stat.high_timestamp = tablet->high_timestamp();
-    out.push_back(std::move(stat));
-  }
-  return out;
-}
-
 proto::Message StorageNode::HandleTabletMapLocked(
     const proto::TabletMapRequest& request) {
   proto::TabletMapReply reply;
@@ -343,15 +245,6 @@ proto::Message StorageNode::HandleTabletMapLocked(
   } else {
     reply.accepted = true;  // A query always succeeds.
   }
-  if (!request.split_key.empty()) {
-    // Admin split (pileus_cli): split the hosted tablet locally. The map a
-    // coordinator owns is not retiled here — standalone nodes show the new
-    // tablets through the synthesized view below.
-    const Status split = SplitTabletLocked(request.table, request.split_key);
-    if (!split.ok()) {
-      return MakeError(split);
-    }
-  }
   // Durable tail: the newest update timestamp across the table's tablets
   // (writes are journaled before they are acknowledged, so the in-memory
   // log tail is also the durable tail). Drives the promotion choice.
@@ -367,8 +260,8 @@ proto::Message StorageNode::HandleTabletMapLocked(
     if (installed->second.map.version > request.have_version) {
       reply.has_map = true;
       reply.map = installed->second.map;
-      // Refresh the advisory load stats for ranges hosted here, so the map
-      // a client or the CLI fetches reflects live sizes.
+      // Refresh the advisory sizes of ranges hosted here, so the map the
+      // CLI fetches reflects live sizes.
       if (hosted != tablets_.end()) {
         for (tablets::TabletInfo& entry : reply.map.tablets) {
           for (const auto& tablet : hosted->second) {
@@ -396,7 +289,6 @@ proto::Message StorageNode::HandleTabletMapLocked(
     entry.config.primary = tablet->is_primary() ? name_ : "";
     entry.config.members = {name_};
     entry.size_bytes = tablet->ApproximateBytes();
-    entry.ops_per_sec = 0;
     reply.map.tablets.push_back(std::move(entry));
   }
   return reply;
@@ -574,8 +466,8 @@ void StorageNode::CountRequestLocked(const proto::Message& request,
       instruments_.not_primary->Increment();
     }
     if (err->code == StatusCode::kWrongTablet) {
-      // Fences are redirects too: a burst here during a migration is
-      // expected, a steady rate afterwards means stale client maps.
+      // Fences are redirects too: a steady rate means clients whose maps
+      // disagree with the deployment's.
       instruments_.wrong_tablet->Increment();
     }
   }
@@ -926,15 +818,14 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
 proto::Message StorageNode::HandleSyncLocked(
     const proto::SyncRequest& request) {
   // Sync is control traffic and is deliberately never fenced by the tablet
-  // map: the migration drain pulls from a source that is already fenced.
+  // map: a replica keeps pulling from a member the map has demoted.
   auto it = tablets_.find(request.table);
   if (it == tablets_.end() || it->second.empty()) {
     return MakeError(StatusCode::kNotFound,
                      "node " + name_ + " hosts no tablets of table");
   }
-  // A whole-table pull covers every tablet; a ranged pull (migration
-  // catch-up) every tablet overlapping its range, which may be finer than
-  // the range (children of a split the map never adopted).
+  // A whole-table pull covers every tablet; a ranged pull (a ranged
+  // ReplicationAgent) every tablet overlapping its range.
   const KeyRange wanted =
       request.has_range ? KeyRange{request.range_begin, request.range_end}
                         : KeyRange::All();
@@ -955,8 +846,8 @@ proto::Message StorageNode::HandleSyncLocked(
   // any contributor guarantees. A receiver advances to the last version it
   // gets, so a version above the bound waits for a later pull; otherwise
   // the receiver could skip a lower timestamp another tablet has yet to
-  // assign. A ranged pull reports such a version as has_more (the drain
-  // keeps pulling); a whole-table pull gets it next period.
+  // assign. A ranged pull reports such a version as has_more; a
+  // whole-table pull gets it next period.
   proto::SyncReply merged;
   merged.heartbeat = Timestamp::Max();
   for (const proto::SyncReply& part : parts) {
@@ -983,7 +874,7 @@ proto::Message StorageNode::HandleSyncLocked(
   if (request.max_versions != 0 &&
       merged.versions.size() > request.max_versions) {
     // Claim completeness only up to the last version actually sent, and,
-    // as UpdateLog::Scan does, never cut a run of equal timestamps: split
+    // as UpdateLog::Scan does, never cut a run of equal timestamps: two
     // tablets can assign one timestamp twice, and the receiver pulls after
     // the heartbeat, so the rest of a cut run would never arrive.
     size_t keep = request.max_versions;

@@ -42,29 +42,20 @@ class StorageNode {
   const std::string& name() const { return name_; }
   const std::string& site() const { return site_; }
 
-  // Creates and hosts a tablet: in memory, or with the tablet factory when
-  // one is set. Ranges of one table must not overlap on one node.
+  // Creates and hosts an in-memory tablet. Ranges of one table must not
+  // overlap on one node; a node may host several ranges of one table.
   Status AddTablet(std::string_view table, Tablet::Options options);
   // Hosts an already built tablet (e.g. one recovered from disk); the node
   // shares its ownership with the caller.
   Status AddTablet(std::string_view table, std::shared_ptr<Tablet> tablet);
 
-  // How a durable node creates tablets (server::RecoverTablets sets it
-  // before the node serves). AddTablet calls it outside the request lock,
-  // so tablets are created one at a time, as the coordinator does.
-  using TabletFactory =
-      std::function<Result<std::shared_ptr<Tablet>>(Tablet::Options)>;
-  void SetTabletFactory(TabletFactory factory) {
-    tablet_factory_ = std::move(factory);
-  }
-
-  // --- Dynamic tablets (DESIGN.md Section 14) ---
+  // --- Placement (DESIGN.md Section 10) ---
 
   // Installs a tablet map version-monotonically (normally done via a
   // TabletMapRequest with install=true; this entry point serves recovery,
   // which replays journaled configs before the transport exists). Adopting
   // a map applies the per-tablet roles it implies to hosted tablets — a
-  // failover (Section 6.2) and the migration cutover both promote and
+  // failover (Section 6.2) and a deliberate primary move both promote and
   // demote through exactly this path — and turns on the write fence:
   // requests for ranges the map assigns elsewhere are rejected with
   // kWrongTablet, writes at a member that does not lead the key's tablet
@@ -78,26 +69,6 @@ class StorageNode {
   // The installed tablet map (nullopt when none was ever installed).
   std::optional<tablets::TabletMap> InstalledTabletMap(
       std::string_view table) const;
-
-  // Splits the hosted tablet containing `split_key` in two at that key.
-  // Purely local: the caller (coordinator) owns publishing the new map.
-  Status SplitTablet(std::string_view table, std::string_view split_key);
-
-  // Removes the hosted tablet with exactly this range (migration source
-  // cleanup after the handoff drained, or a rolled-back target's copy),
-  // retiring a journaled one first; if that fails, the node keeps it.
-  Status RemoveTablet(std::string_view table, const KeyRange& range);
-
-  // Per-tablet load snapshot for the rebalancer and the CLI.
-  struct LocalTabletStat {
-    KeyRange range;
-    bool is_primary = false;
-    bool is_sync_replica = false;
-    uint64_t size_bytes = 0;
-    uint64_t ops_total = 0;  // Cumulative; the sampler turns this into ops/s.
-    Timestamp high_timestamp;
-  };
-  std::vector<LocalTabletStat> LocalTabletStats(std::string_view table) const;
 
   // Generic dispatch: takes any request message, returns the matching reply
   // (or ErrorReply). This is what transports invoke. A RangeReply's items
@@ -195,7 +166,6 @@ class StorageNode {
   proto::Message HandleLocked(const proto::Message& request);
   proto::Message HandleSyncLocked(const proto::SyncRequest& request);
   proto::Message HandleTabletMapLocked(const proto::TabletMapRequest& request);
-  Status SplitTabletLocked(std::string_view table, std::string_view split_key);
   bool InstallTabletMapLocked(const tablets::TabletMap& map,
                               MicrosecondCount lease_expiry_us);
   // Applies the roles the map assigns this node to hosted tablets whose
@@ -248,7 +218,7 @@ class StorageNode {
     telemetry::Counter* shed_writes = nullptr;
     telemetry::Counter* deadline_rejected = nullptr;
     telemetry::HistogramMetric* queue_delay_us = nullptr;
-    // Dynamic-tablet instruments (DESIGN.md Section 14).
+    // Placement instruments (DESIGN.md Section 10).
     telemetry::Counter* tablet_ops = nullptr;
     telemetry::Counter* wrong_tablet = nullptr;
     telemetry::Gauge* tablet_count = nullptr;
@@ -271,7 +241,6 @@ class StorageNode {
   Instruments instruments_;
   std::unique_ptr<AdmissionController> admission_;
   AckAfterSync ack_after_sync_;  // Empty: mutation acks are not deferred.
-  TabletFactory tablet_factory_;  // Empty: AddTablet creates in memory.
 };
 
 }  // namespace pileus::storage

@@ -40,7 +40,6 @@ Timestamp Tablet::CurrentHeartbeat() const {
 }
 
 proto::GetReply Tablet::HandleGet(std::string_view key) const {
-  ++ops_total_;
   proto::GetReply reply;
   reply.high_timestamp = authoritative() ? CurrentHeartbeat() : high_timestamp_;
   reply.served_by_primary = authoritative();
@@ -57,7 +56,6 @@ proto::GetReply Tablet::HandleGet(std::string_view key) const {
 }
 
 Result<proto::PutReply> Tablet::HandleDelete(std::string_view key) {
-  ++ops_total_;
   if (!options_.is_primary) {
     return Status(StatusCode::kNotPrimary,
                   "Delete sent to non-primary tablet " +
@@ -82,7 +80,6 @@ Result<proto::PutReply> Tablet::HandleDelete(std::string_view key) {
 proto::RangeReply Tablet::HandleRange(std::string_view begin,
                                       std::string_view end,
                                       uint32_t limit) const {
-  ++ops_total_;
   proto::RangeReply reply;
   reply.high_timestamp =
       authoritative() ? CurrentHeartbeat() : high_timestamp_;
@@ -93,7 +90,6 @@ proto::RangeReply Tablet::HandleRange(std::string_view begin,
 
 Result<proto::PutReply> Tablet::HandlePut(std::string_view key,
                                           std::string_view value) {
-  ++ops_total_;
   if (!options_.is_primary) {
     return Status(StatusCode::kNotPrimary,
                   "Put sent to non-primary tablet " + options_.range.ToString());
@@ -112,43 +108,6 @@ Result<proto::PutReply> Tablet::HandlePut(std::string_view key,
   reply.timestamp = version->timestamp;
   reply.high_timestamp = CurrentHeartbeat();
   return reply;
-}
-
-std::optional<std::string> Tablet::MedianKey() const {
-  std::optional<std::string> median = store_.MedianKey();
-  if (!median || !options_.range.IsSplittable(*median)) {
-    return std::nullopt;
-  }
-  return median;
-}
-
-Result<std::unique_ptr<Tablet>> Tablet::Split(std::string_view split_key) {
-  if (!options_.range.IsSplittable(split_key)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "split key '" + std::string(split_key) +
-                      "' is not strictly inside " + options_.range.ToString());
-  }
-  std::unique_ptr<TabletJournal> upper_journal;
-  if (journal_ != nullptr) {
-    Result<std::unique_ptr<TabletJournal>> recorded =
-        journal_->RecordSplit(*this, split_key);
-    if (!recorded.ok()) {
-      return recorded.status();
-    }
-    upper_journal = std::move(recorded).value();
-  }
-  Options upper_options = options_;
-  upper_options.range = KeyRange{std::string(split_key), options_.range.end};
-  auto upper = std::make_unique<Tablet>(upper_options, clock_);
-  upper->store_ = store_.ExtractUpper(split_key);
-  upper->update_log_ = update_log_.ExtractUpper(split_key);
-  upper->high_timestamp_ = high_timestamp_;
-  // Both children inherit the allocator floor so update timestamps stay
-  // strictly increasing across the split on either side.
-  upper->last_assigned_ = last_assigned_;
-  upper->journal_ = std::move(upper_journal);
-  options_.range.end = std::string(split_key);
-  return upper;
 }
 
 proto::SyncReply Tablet::HandleSync(const Timestamp& after,

@@ -15,7 +15,6 @@
 #define PILEUS_SRC_STORAGE_TABLET_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -69,28 +68,8 @@ class Tablet {
   // Null for an in-memory tablet.
   TabletJournal* journal() const { return journal_.get(); }
 
-  // --- Load stats and splits (DESIGN.md Section 14) ---
-
-  // Data-path operations served since creation (reads and writes alike);
-  // the manager samples this to derive ops/s for the rebalancer.
-  uint64_t ops_total() const { return ops_total_; }
-
-  // Retained user bytes; drives size-based split decisions.
+  // Retained user bytes (the tablet-map reply's advisory size).
   uint64_t ApproximateBytes() const { return store_.ApproximateBytes(); }
-
-  // A pivot splitting the key population roughly in half, restricted to keys
-  // strictly interior to this tablet's range. nullopt when no such pivot
-  // exists (too few keys).
-  std::optional<std::string> MedianKey() const;
-
-  // Splits this tablet at `split_key`: this tablet shrinks to
-  // [begin, split_key) and the returned sibling owns [split_key, end). Both
-  // children keep the parent's roles, high timestamp, and timestamp
-  // allocator floor, and they partition the parent's update-log suffix by
-  // key — so replication pulls and audits against either child see exactly
-  // the versions the parent would have served for that half. A journaled
-  // tablet records the split first and hands the sibling the new journal.
-  Result<std::unique_ptr<Tablet>> Split(std::string_view split_key);
 
   // --- Request handlers (storage nodes know nothing about SLAs) ---
 
@@ -160,8 +139,6 @@ class Tablet {
   UpdateLog update_log_;
   Timestamp high_timestamp_ = Timestamp::Zero();
   Timestamp last_assigned_ = Timestamp::Zero();
-  // Data-path ops served; mutable because reads are logically const.
-  mutable uint64_t ops_total_ = 0;
   std::unique_ptr<TabletJournal> journal_;
 };
 

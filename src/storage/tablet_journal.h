@@ -3,16 +3,13 @@
 // A tablet with a journal records every state change it makes, right after
 // making it in memory: the versions it applies (accepted Puts and Deletes,
 // and replicated versions), the high timestamp a replication heartbeat moved
-// it to, the tablet-map config its node accepted, its splits, and its
-// retirement. How a record becomes durable is the journal's
+// it to, and the tablet-map config its node accepted. How a record becomes
+// durable is the journal's
 // business (the WAL and checkpoints of src/persist); the tablet only sees a
 // Status. A tablet without a journal is in-memory.
 
 #ifndef PILEUS_SRC_STORAGE_TABLET_JOURNAL_H_
 #define PILEUS_SRC_STORAGE_TABLET_JOURNAL_H_
-
-#include <memory>
-#include <string_view>
 
 #include "src/common/status.h"
 #include "src/proto/messages.h"
@@ -39,22 +36,12 @@ class TabletJournal {
   // re-install it fenced.
   virtual Status RecordConfig(const reconfig::ConfigEpoch& config) = 0;
 
-  // Runs before `parent` splits at `split_key`: makes [split_key, end)
-  // durable on its own and commits the split, then returns the journal of
-  // that upper half. On failure the split must not happen.
-  virtual Result<std::unique_ptr<TabletJournal>> RecordSplit(
-      const Tablet& parent, std::string_view split_key) = 0;
-
   // Forces everything recorded so far to stable storage.
   virtual Status Sync() = 0;
 
   // Makes `tablet`'s whole state durable on its own, so recovery need not
   // replay what was recorded before (a shutdown's last act).
   virtual Status Checkpoint(Tablet& tablet) = 0;
-
-  // The tablet left its node (migrated away, or a migration to it rolled
-  // back): a restart must not host it again, but its record stays.
-  virtual Status Retire() = 0;
 };
 
 }  // namespace pileus::storage

@@ -46,21 +46,6 @@ void UpdateLog::TruncateThrough(const Timestamp& up_to) {
   truncated_through_ = MaxTimestamp(truncated_through_, up_to);
 }
 
-UpdateLog UpdateLog::ExtractUpper(std::string_view split_key) {
-  UpdateLog upper;
-  upper.truncated_through_ = truncated_through_;
-  std::deque<VersionPtr> lower;
-  for (VersionPtr& v : entries_) {
-    if (v->key >= split_key) {
-      upper.entries_.push_back(std::move(v));
-    } else {
-      lower.push_back(std::move(v));
-    }
-  }
-  entries_ = std::move(lower);
-  return upper;
-}
-
 std::vector<proto::ObjectVersion> UpdateLog::Export(bool* contiguous) const {
   if (contiguous != nullptr) {
     *contiguous = truncated_through_.IsZero();

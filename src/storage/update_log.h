@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <string_view>
 #include <vector>
 
 #include "src/common/timestamp.h"
@@ -30,7 +29,7 @@ namespace pileus::storage {
 class UpdateLog {
  public:
   // Appends a version; timestamps must be non-decreasing (a replica of two
-  // split tablets may log several entries with one timestamp).
+  // tablets on one node may log several entries with one timestamp).
   void Append(VersionPtr version);
 
   struct ScanResult {
@@ -44,7 +43,7 @@ class UpdateLog {
   // Versions with timestamp > after, ascending, at most `max_versions`
   // (0 = unlimited). Never splits a run of equal timestamps across the
   // `has_more` boundary: the receiver advances to the last timestamp it
-  // gets, so the rest of a cut run would never be pulled. Split tablets on
+  // gets, so the rest of a cut run would never be pulled. Two tablets on
   // one node can assign the same timestamp, and a replica of both logs the
   // run in one tablet.
   ScanResult Scan(const Timestamp& after, uint32_t max_versions) const;
@@ -59,16 +58,7 @@ class UpdateLog {
   // complete committed history.
   std::vector<proto::ObjectVersion> Export(bool* contiguous = nullptr) const;
 
-  // Tablet split (DESIGN.md Section 14): moves entries with key >= split_key
-  // into a new log, preserving timestamp order on both sides. The two logs
-  // jointly re-tile this log's suffix, and both inherit the truncation
-  // point, so replication pulls against either child stay exactly as
-  // contiguous as they were against the parent.
-  UpdateLog ExtractUpper(std::string_view split_key);
-
   size_t size() const { return entries_.size(); }
-  // Every entry, oldest first.
-  const std::deque<VersionPtr>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   // The newest entry; the log must not be empty.
   const VersionPtr& back() const { return entries_.back(); }

@@ -41,12 +41,11 @@ VersionPtr VersionedStore::GetLatest(std::string_view key) const {
 }
 
 std::vector<VersionPtr> VersionedStore::LatestVersionsAfter(
-    const Timestamp& after, std::string_view from_key) const {
+    const Timestamp& after) const {
   std::vector<VersionPtr> out;
-  for (auto it = versions_.lower_bound(from_key); it != versions_.end();
-       ++it) {
-    if (it->second->timestamp > after) {
-      out.push_back(it->second);
+  for (const auto& [key, version] : versions_) {
+    if (version->timestamp > after) {
+      out.push_back(version);
     }
   }
   std::sort(out.begin(), out.end(),
@@ -72,29 +71,6 @@ size_t VersionedStore::CollectTombstones(const Timestamp& horizon) {
     }
   }
   return collected;
-}
-
-std::optional<std::string> VersionedStore::MedianKey() const {
-  if (versions_.size() < 2) {
-    return std::nullopt;
-  }
-  auto mid = std::next(versions_.begin(), versions_.size() / 2);
-  if (mid->first == versions_.begin()->first) {
-    return std::nullopt;
-  }
-  return mid->first;
-}
-
-VersionedStore VersionedStore::ExtractUpper(std::string_view split_key) {
-  VersionedStore upper;
-  auto it = versions_.lower_bound(split_key);
-  while (it != versions_.end()) {
-    const uint64_t sz = VersionBytes(*it->second);
-    bytes_ -= sz;
-    upper.bytes_ += sz;
-    upper.versions_.insert(versions_.extract(it++));
-  }
-  return upper;
 }
 
 proto::VersionList VersionedStore::ScanRange(std::string_view begin,

@@ -6,7 +6,7 @@
 //
 // The store holds shared immutable versions (shared_version.h): the tablet's
 // update log points at the same objects, so a node keeps one copy of each
-// version. Readers inside the node (checkpoint, split) and scan replies take
+// version. Readers inside the node (checkpoint) and scan replies take
 // the pointers without copying.
 
 #ifndef PILEUS_SRC_STORAGE_VERSIONED_STORE_H_
@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,12 +34,10 @@ class VersionedStore {
   // Latest version of `key`; null when the key is unknown.
   VersionPtr GetLatest(std::string_view key) const;
 
-  // The latest versions with timestamp > after and key >= from_key, in
-  // ascending timestamp order (ties broken by key). The replication fallback
-  // when the update log has been truncated, and the contents of a checkpoint
-  // (from_key = a split child's first key).
-  std::vector<VersionPtr> LatestVersionsAfter(
-      const Timestamp& after, std::string_view from_key = {}) const;
+  // The latest versions with timestamp > after, in ascending timestamp
+  // order (ties broken by key). The replication fallback when the update
+  // log has been truncated, and the contents of a checkpoint.
+  std::vector<VersionPtr> LatestVersionsAfter(const Timestamp& after) const;
 
   // Latest versions with keys in [begin, end) in ascending key order, at
   // most `limit` (0 = unlimited): the stored versions themselves, one reference
@@ -59,19 +56,9 @@ class VersionedStore {
   size_t key_count() const { return versions_.size(); }
 
   // Retained user bytes (key + value of each key's version), maintained
-  // incrementally so it is O(1) to read. Drives split thresholds and the
-  // pileus_tablet_bytes gauge.
+  // incrementally so it is O(1) to read. Feeds the pileus_tablet_bytes
+  // gauge.
   uint64_t ApproximateBytes() const { return bytes_; }
-
-  // The middle key of the store (a split pivot yielding two halves of about
-  // equal key count). nullopt when the store has fewer than two keys or the
-  // middle key equals the first key (nothing strictly interior to split at).
-  std::optional<std::string> MedianKey() const;
-
-  // Moves every key >= split_key into a new store; this store keeps the
-  // lower half. The split side of a tablet
-  // split (DESIGN.md Section 14).
-  VersionedStore ExtractUpper(std::string_view split_key);
 
  private:
   std::map<std::string, VersionPtr, std::less<>> versions_;

@@ -76,21 +76,18 @@ void EncodeTabletInfo(Encoder& enc, const TabletInfo& info) {
   enc.PutLengthPrefixed(info.range.end);
   reconfig::EncodeConfigEpoch(enc, info.config);
   enc.PutVarint64(info.size_bytes);
-  enc.PutVarint64(info.ops_per_sec);
 }
 
 Status DecodeTabletInfo(Decoder& dec, TabletInfo* info) {
   PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&info->range.begin));
   PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&info->range.end));
   PILEUS_RETURN_IF_ERROR(reconfig::DecodeConfigEpoch(dec, &info->config));
-  PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&info->size_bytes));
-  return dec.GetVarint64(&info->ops_per_sec);
+  return dec.GetVarint64(&info->size_bytes);
 }
 
 void EncodeTabletMap(Encoder& enc, const TabletMap& map) {
   enc.PutLengthPrefixed(map.table);
   enc.PutVarint64(map.version);
-  enc.PutVarint64(map.coordinator_epoch);
   enc.PutVarint64(map.tablets.size());
   for (const TabletInfo& t : map.tablets) {
     EncodeTabletInfo(enc, t);
@@ -100,7 +97,6 @@ void EncodeTabletMap(Encoder& enc, const TabletMap& map) {
 Status DecodeTabletMap(Decoder& dec, TabletMap* map) {
   PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&map->table));
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&map->version));
-  PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&map->coordinator_epoch));
   uint64_t count;
   PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&count));
   // Sanity cap: every tablet entry occupies multiple bytes on the wire.

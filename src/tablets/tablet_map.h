@@ -1,13 +1,13 @@
-// Versioned tablet maps: the routing directory for dynamic tablets
-// (DESIGN.md Section 14, paper Section 4.2).
+// Versioned tablet maps: the routing directory of a table's tablets (paper
+// Section 4.2).
 //
 // A TabletMap names, for one table, every tablet (a half-open key range)
 // together with its per-tablet ConfigEpoch — replica membership and the
-// member holding the primary role — plus observational load stats. The map
-// itself carries a monotonic `version`: the coordinator bumps it on every
-// split or migration, storage nodes install maps version-monotonically, and
-// clients refresh theirs when a kWrongTablet fence tells them the server
-// knows a newer one.
+// member holding the primary role — plus an observational size. The ranges
+// and members are whatever the deployment installs; only a failover or a
+// deliberate primary move (DESIGN.md Section 10) edits a map, and then only
+// epochs and primaries. The map carries a monotonic `version`, and storage
+// nodes install maps version-monotonically.
 //
 // This header is codec-only (no proto or storage dependency) so the wire
 // messages (src/proto) can embed maps the same way they embed
@@ -28,17 +28,15 @@
 
 namespace pileus::tablets {
 
-// One tablet's entry: where a key range lives and how hot it is.
+// One tablet's entry: where a key range lives and how large it is.
 struct TabletInfo {
   KeyRange range;
   // Per-tablet epoch/roles (Section 6.2 machinery applied per range). The
-  // epoch fences stale owners across migrations exactly like a failover
-  // fences a deposed primary.
+  // epoch fences a deposed primary.
   reconfig::ConfigEpoch config;
-  // Load stats as last reported by the owning node; advisory (rebalancer
-  // input and CLI display), never part of routing decisions.
+  // Retained bytes as last reported by the owning node; advisory (CLI
+  // display), never part of routing decisions.
   uint64_t size_bytes = 0;
-  uint64_t ops_per_sec = 0;
 
   bool operator==(const TabletInfo&) const = default;
 
@@ -51,11 +49,6 @@ struct TabletMap {
   // 0 = "no map": a node that never installed one keeps legacy whole-table
   // routing, mirroring epoch 0 in reconfig::ConfigEpoch.
   uint64_t version = 0;
-  // Epoch of the coordinator that published this map (DESIGN.md Section 15).
-  // 0 = legacy/unfenced (an in-memory coordinator); a durable coordinator
-  // stamps its leadership epoch so nodes can refuse installs from a deposed
-  // coordinator even when its map version looks plausible.
-  uint64_t coordinator_epoch = 0;
   std::vector<TabletInfo> tablets;  // Sorted by range.begin, tiling keyspace.
 
   bool operator==(const TabletMap&) const = default;
@@ -71,7 +64,7 @@ struct TabletMap {
   std::string ToString() const;
 };
 
-// Codec helpers shared by the wire messages and any on-disk persistence.
+// Codec helpers for the wire messages.
 void EncodeTabletInfo(Encoder& enc, const TabletInfo& info);
 Status DecodeTabletInfo(Decoder& dec, TabletInfo* info);
 void EncodeTabletMap(Encoder& enc, const TabletMap& map);

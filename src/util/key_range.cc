@@ -13,18 +13,6 @@ bool KeyRange::Overlaps(const KeyRange& other) const {
   return !this_below_other && !other_below_this;
 }
 
-bool KeyRange::SplitAt(std::string_view key, KeyRange* lower,
-                       KeyRange* upper) const {
-  if (!IsSplittable(key)) {
-    return false;
-  }
-  lower->begin = begin;
-  lower->end = std::string(key);
-  upper->begin = std::string(key);
-  upper->end = end;
-  return true;
-}
-
 std::string KeyRange::ToString() const {
   std::string out = "[";
   out += begin.empty() ? "-inf" : "'" + begin + "'";

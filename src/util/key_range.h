@@ -39,16 +39,6 @@ struct KeyRange {
   bool operator==(const KeyRange&) const = default;
 
   std::string ToString() const;
-
-  // True iff splitting at `key` yields two non-empty halves, i.e. `key` is
-  // strictly inside the range (contained and above `begin`).
-  bool IsSplittable(std::string_view key) const {
-    return Contains(key) && key > begin;
-  }
-
-  // Splits into [begin, key) and [key, end). `lower`/`upper` are written
-  // only on success; returns false when `key` is not strictly interior.
-  bool SplitAt(std::string_view key, KeyRange* lower, KeyRange* upper) const;
 };
 
 // True iff `ranges` exactly tile the whole keyspace: sorted, adjacent, first

@@ -30,7 +30,7 @@ namespace pileus::experiments {
 // Without it gtest prints the options' raw bytes, which hold a string's
 // pointer, so two listings of one binary could name a case differently.
 void PrintTo(const ScenarioOptions& options, std::ostream* os) {
-  constexpr const char* kDeploymentNames[] = {"sim", "tcp", "fleet"};
+  constexpr const char* kDeploymentNames[] = {"sim", "tcp"};
   *os << kDeploymentNames[static_cast<int>(options.deployment)] << "/"
       << FaultScenarioName(options.scenario);
 }
@@ -114,41 +114,36 @@ TEST(AuditScenarioTest, FailoverSweepPromotesAndStaysClean) {
 }
 
 TEST(AuditScenarioTest, SameSeedIsReproducible) {
-  // Both deterministic deployments: the simulator and the tablet fleet on
-  // its ManualClock. (TCP runs on wall-clock time.)
-  for (const DeploymentKind deployment :
-       {DeploymentKind::kSim, DeploymentKind::kTabletFleet}) {
-    ScenarioOptions options;
-    options.deployment = deployment;
-    options.seed = 9;
-    options.scenario = FaultScenario::kPartition;
-    options.total_ops = 200;
-    const ScopedTempDir first_dir(kTempPrefix);
-    const ScopedTempDir second_dir(kTempPrefix);
-    options.durable_root = first_dir.path();
-    const ScenarioResult first = RunAuditScenario(options);
-    options.durable_root = second_dir.path();
-    const ScenarioResult second = RunAuditScenario(options);
-    ASSERT_TRUE(first.setup.ok()) << first.Summary();
-    EXPECT_EQ(first.Summary(), second.Summary());
-    ASSERT_EQ(first.history.ops.size(), second.history.ops.size());
-    // Session ids come from a process-global counter, so two runs in one
-    // process assign different raw ids; compare them up to renumbering by
-    // first appearance.
-    std::map<uint64_t, uint64_t> renumber_first;
-    std::map<uint64_t, uint64_t> renumber_second;
-    const auto canonical = [](const core::OpRecord& op,
-                              std::map<uint64_t, uint64_t>& renumber) {
-      core::OpRecord copy = op;
-      copy.session_id =
-          renumber.emplace(op.session_id, renumber.size() + 1).first->second;
-      return audit::DescribeOp(copy);
-    };
-    for (size_t i = 0; i < first.history.ops.size(); ++i) {
-      EXPECT_EQ(canonical(first.history.ops[i], renumber_first),
-                canonical(second.history.ops[i], renumber_second))
-          << first.Summary() << " op #" << i;
-    }
+  // On the simulator; TCP runs on wall-clock time.
+  ScenarioOptions options;
+  options.seed = 9;
+  options.scenario = FaultScenario::kPartition;
+  options.total_ops = 200;
+  const ScopedTempDir first_dir(kTempPrefix);
+  const ScopedTempDir second_dir(kTempPrefix);
+  options.durable_root = first_dir.path();
+  const ScenarioResult first = RunAuditScenario(options);
+  options.durable_root = second_dir.path();
+  const ScenarioResult second = RunAuditScenario(options);
+  ASSERT_TRUE(first.setup.ok()) << first.Summary();
+  EXPECT_EQ(first.Summary(), second.Summary());
+  ASSERT_EQ(first.history.ops.size(), second.history.ops.size());
+  // Session ids come from a process-global counter, so two runs in one
+  // process assign different raw ids; compare them up to renumbering by
+  // first appearance.
+  std::map<uint64_t, uint64_t> renumber_first;
+  std::map<uint64_t, uint64_t> renumber_second;
+  const auto canonical = [](const core::OpRecord& op,
+                            std::map<uint64_t, uint64_t>& renumber) {
+    core::OpRecord copy = op;
+    copy.session_id =
+        renumber.emplace(op.session_id, renumber.size() + 1).first->second;
+    return audit::DescribeOp(copy);
+  };
+  for (size_t i = 0; i < first.history.ops.size(); ++i) {
+    EXPECT_EQ(canonical(first.history.ops[i], renumber_first),
+              canonical(second.history.ops[i], renumber_second))
+        << first.Summary() << " op #" << i;
   }
 }
 
@@ -166,26 +161,23 @@ TEST(AuditScenarioTest, SummaryCitesTheSeedOnFailure) {
   EXPECT_NE(summary.find("gray"), std::string::npos) << summary;
 }
 
-constexpr DeploymentKind kDeployments[] = {
-    DeploymentKind::kSim, DeploymentKind::kTcp, DeploymentKind::kTabletFleet};
+constexpr DeploymentKind kDeployments[] = {DeploymentKind::kSim,
+                                           DeploymentKind::kTcp};
 
 TEST(AuditScenarioTest, InvalidSlaOrUnsupportedOptionsFailSetup) {
-  // An invalid SLA on every deployment, then combinations a deployment
+  // An invalid SLA on every deployment, then a combination a deployment
   // cannot express. Each must fail setup and run nothing.
-  std::vector<ScenarioOptions> bad(6);
-  for (size_t i = 0; i < 3; ++i) {
+  std::vector<ScenarioOptions> bad(3);
+  for (size_t i = 0; i < 2; ++i) {
     bad[i].deployment = kDeployments[i];
     bad[i].sla = core::Sla();  // No subSLAs: BeginSession rejects it.
   }
-  bad[3].deployment = DeploymentKind::kTcp;
-  bad[3].scenario = FaultScenario::kPartition;
-  bad[4].deployment = DeploymentKind::kTabletFleet;
-  bad[4].scenario = FaultScenario::kHandoff;
-  bad[5].coordinator_kill = true;  // On the sim.
+  bad[2].deployment = DeploymentKind::kTcp;
+  bad[2].scenario = FaultScenario::kPartition;
   for (size_t i = 0; i < bad.size(); ++i) {
     const ScopedTempDir dir(kTempPrefix);
     bad[i].durable_root = dir.path();
-    EXPECT_EQ(Supports(bad[i]).ok(), i < 3) << i;
+    EXPECT_EQ(Supports(bad[i]).ok(), i < 2) << i;
     const ScenarioResult result = RunAuditScenario(bad[i]);
     EXPECT_FALSE(result.setup.ok()) << result.Summary();
     EXPECT_EQ(result.ops_attempted, 0u) << result.Summary();
@@ -237,9 +229,6 @@ TEST_P(DeploymentScenarioTest, AuditsClean) {
   EXPECT_EQ(result.ops_attempted, 200u) << result.Summary();
   EXPECT_GT(result.acked_writes, 0u) << result.Summary();
   EXPECT_GT(result.report.claims_checked, 0u) << result.Summary();
-  if (options.deployment == DeploymentKind::kTabletFleet) {
-    EXPECT_GT(result.final_tablets, 2u) << result.Summary();
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSupported, DeploymentScenarioTest,

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -120,9 +122,15 @@ TEST(ConcurrencyTest, MonitorSharedBetweenThreads) {
 // thread absorbs replies (one RecordReply each) and selects targets (one
 // Estimate per replica) against the same monitor. Under TSan this is the
 // referee for the one-lock reply and estimate paths; everywhere it checks
-// that no reply's evidence is lost.
+// that no reply's evidence is lost: every latency sample lands in its
+// node's latency window, and every reachability outcome in its outcome
+// window, whose success fraction is the node's p_up.
 TEST(ConcurrencyTest, SharedMonitorRepliesAndSelectionsRace) {
-  core::Monitor monitor(RealClock::Instance());
+  core::Monitor::Options monitor_options;
+  // Windows that keep every sample of the run, so they can be counted.
+  monitor_options.latency_window.window_us = SecondsToMicroseconds(3600);
+  monitor_options.latency_window.max_samples = 1 << 16;
+  core::Monitor monitor(RealClock::Instance(), monitor_options);
   const std::vector<core::ReplicaView> replicas = {
       {"primary", true}, {"near", false}, {"far", false}};
   const core::Sla sla = core::Sla()
@@ -130,8 +138,14 @@ TEST(ConcurrencyTest, SharedMonitorRepliesAndSelectionsRace) {
                             .Add(core::Guarantee::Monotonic(), 5 * kMs, 0.7)
                             .Add(core::Guarantee::Eventual(), 50 * kMs, 0.3);
   constexpr int kRepliesEach = 4000;
+  // Every kFailureStride-th iteration also records a failure, round-robin
+  // over the replicas, so each outcome window holds both kinds.
+  constexpr int kFailureStride = 40;
   std::vector<std::thread> threads;
   std::atomic<int> bad_selections{0};
+  // Per thread and replica: {successes, failures} recorded.
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> recorded(
+      2, std::vector<std::pair<uint64_t, uint64_t>>(replicas.size()));
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       Random rng(7 + t);
@@ -146,14 +160,22 @@ TEST(ConcurrencyTest, SharedMonitorRepliesAndSelectionsRace) {
         if (selected.node_index < 0 || selected.target_rank < 0) {
           ++bad_selections;
         }
-        const core::ReplicaView& node =
-            replicas[selected.node_index < 0 ? 0 : selected.node_index];
+        const size_t index = selected.node_index < 0
+                                 ? 0
+                                 : static_cast<size_t>(selected.node_index);
         const Timestamp high{static_cast<int64_t>(rng.NextUint64(1 << 20)), 0};
         monitor.RecordReply(
-            node.name,
+            replicas[index].name,
             static_cast<MicrosecondCount>(500 + rng.NextUint64(6000)), high,
             static_cast<MicrosecondCount>(rng.NextUint64(300)));
+        ++recorded[t][index].first;
         session.RecordGet("k", high);
+        if (i % kFailureStride == 0) {
+          const size_t failed = static_cast<size_t>(i / kFailureStride) %
+                                replicas.size();
+          monitor.RecordFailure(replicas[failed].name);
+          ++recorded[t][failed].second;
+        }
       }
     });
   }
@@ -161,13 +183,35 @@ TEST(ConcurrencyTest, SharedMonitorRepliesAndSelectionsRace) {
     t.join();
   }
   EXPECT_EQ(bad_selections.load(), 0);
-  // Each reply is one latency sample and one reachability outcome.
-  EXPECT_EQ(monitor.samples_recorded(), 2u * kRepliesEach);
-  uint64_t total_samples = 0;
-  for (const core::Monitor::NodeSnapshot& node : monitor.Snapshot()) {
-    total_samples += node.total_samples;
+  // One more reply per replica closes any breaker the failures tripped, so
+  // each snapshot's p_up is its outcome window's success fraction.
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    monitor.RecordReply(replicas[r].name, 1000, Timestamp::Zero(), 0);
+    ++recorded[0][r].first;
   }
-  EXPECT_EQ(total_samples, 4u * kRepliesEach);
+  // Each reply is one latency sample and one reachability outcome: 4 per
+  // iteration of the two threads, plus the closing replies.
+  EXPECT_EQ(monitor.samples_recorded(), 2u * kRepliesEach + replicas.size());
+  const std::vector<core::Monitor::NodeSnapshot> snapshot = monitor.Snapshot();
+  ASSERT_EQ(snapshot.size(), replicas.size());
+  uint64_t latency_samples = 0;
+  for (const core::Monitor::NodeSnapshot& node : snapshot) {
+    const auto replica = std::find_if(
+        replicas.begin(), replicas.end(),
+        [&](const core::ReplicaView& r) { return r.name == node.node; });
+    ASSERT_NE(replica, replicas.end()) << node.node;
+    const size_t r = static_cast<size_t>(replica - replicas.begin());
+    const uint64_t successes = recorded[0][r].first + recorded[1][r].first;
+    const uint64_t failures = recorded[0][r].second + recorded[1][r].second;
+    ASSERT_GT(failures, 0u) << node.node;
+    EXPECT_EQ(node.latency_samples, successes) << node.node;
+    EXPECT_DOUBLE_EQ(node.p_up,
+                     1.0 - static_cast<double>(failures) /
+                               static_cast<double>(successes + failures))
+        << node.node;
+    latency_samples += node.latency_samples;
+  }
+  EXPECT_EQ(latency_samples, 2u * kRepliesEach + replicas.size());
 }
 
 TEST(ConcurrencyTest, ClientWithBackgroundProberUnderLoad) {

@@ -4,9 +4,11 @@
 // cleanly; the durable primary must also admit, export its storage metrics
 // and recover every acked write after a restart. A durable daemon killed
 // after a tablet-map install must come back in the role it journaled, and
-// fenced; flag combinations the daemon would ignore must be refused. Under a
-// sanitizer build the children inherit the sanitizer, so a data race or
-// memory error in the daemon fails this test through their exit status.
+// fenced; flag combinations the daemon would ignore must be refused. The
+// shipped pileus_audit binary must refuse the retired tablet-churn
+// scenarios. Under a sanitizer build the children inherit the sanitizer, so
+// a data race or memory error in the daemon fails this test through their
+// exit status.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -31,12 +33,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// One pileus_server child with its stdout on a pipe.
+// One pileus_server child (or another shipped binary at `path`) with its
+// stdout on a pipe.
 class ServerProcess {
  public:
-  explicit ServerProcess(std::vector<std::string> args) {
+  explicit ServerProcess(std::vector<std::string> args,
+                         std::string path = PILEUS_SERVER_PATH) {
     // Everything the child needs is built before fork: it only execs.
-    std::string path = PILEUS_SERVER_PATH;
     std::vector<char*> argv = {path.data()};
     for (std::string& arg : args) {
       argv.push_back(arg.data());
@@ -486,6 +489,16 @@ TEST(DaemonTest, RejectsFlagCombinationsItWouldIgnore) {
     ServerProcess server(args);
     ASSERT_TRUE(server.started());
     EXPECT_EQ(server.Wait(), 2) << flags.front();
+  }
+}
+
+// The dynamic-tablet audit scenarios are retired with the tablet fleet:
+// asking for one is an unknown scenario, refused before any run starts.
+TEST(AuditToolTest, RetiredTabletChurnScenariosExitTwo) {
+  for (const std::string scenario : {"tablet-churn", "tablet-churn-kill"}) {
+    ServerProcess audit({"--scenarios", scenario}, PILEUS_AUDIT_PATH);
+    ASSERT_TRUE(audit.started());
+    EXPECT_EQ(audit.Wait(), 2) << scenario;
   }
 }
 

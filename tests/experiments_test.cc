@@ -1,22 +1,15 @@
 // Unit tests for the experiments module: table rendering, run statistics,
-// preloading, the workload runner's accounting, and the tablet fleet's
-// coordinator-kill and crash-restart modes.
+// preloading, and the workload runner's accounting.
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
-#include <utility>
 
 #include "src/experiments/comparison.h"
-#include "src/experiments/deployment.h"
 #include "src/experiments/geo_testbed.h"
 #include "src/experiments/runner.h"
 #include "src/experiments/tables.h"
-#include "src/experiments/scenario.h"
 #include "src/workload/ycsb.h"
-#include "tests/numbered_key.h"
-#include "tests/scoped_temp_dir.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus::experiments {
@@ -149,109 +142,6 @@ TEST(ComparisonTest, BreakdownTableMentionsEveryRank) {
   EXPECT_NE(out.find("2."), std::string::npos);
   EXPECT_NE(out.find("90.0%"), std::string::npos);
   EXPECT_NE(out.find("0.90"), std::string::npos);
-}
-
-// The tablet-churn scenario with the coordinator repeatedly killed at
-// protocol crash points and recovered by a standby from the intent log
-// (DESIGN.md Section 15). The audit bar is the usual one — zero violations,
-// zero lost acked writes — and every kill must be followed by a recovery.
-TEST(TabletChurnTest, CoordinatorKillRecoversWithZeroLoss) {
-  const ScopedTempDir dir("pileus_churn_kill.");
-  ASSERT_FALSE(dir.path().empty());
-  ScenarioOptions options;
-  options.deployment = DeploymentKind::kTabletFleet;
-  options.seed = 3;
-  options.total_ops = 400;
-  options.key_count = 120;
-  options.coordinator_kill = true;
-  options.durable_root = dir.path();
-  const ScenarioResult result = RunAuditScenario(options);
-  ASSERT_TRUE(result.setup.ok()) << result.setup;
-  EXPECT_TRUE(result.ok()) << result.Summary();
-  EXPECT_GT(result.coordinator_kills, 0u);
-  EXPECT_EQ(result.coordinator_recoveries, result.coordinator_kills);
-  EXPECT_EQ(result.lost_acked_writes, 0u);
-  EXPECT_GT(result.acked_writes, 0u);
-}
-
-// The fleet's crash-restart on real durable tablets. n3 and n4 start with
-// no tablet, so one that leads a range got it by a committed migration.
-// Crash that node and restart it: it must reopen its tablets from its own
-// data root (there is no other copy of its writes), and no acked write may
-// be missing from the committed order.
-TEST(TabletChurnTest, RestartedMigrationTargetRecoversItsOwnTablets) {
-  const ScopedTempDir root("pileus_churn_restart.");
-  ASSERT_FALSE(root.path().empty());
-  ScenarioOptions options;
-  options.deployment = DeploymentKind::kTabletFleet;
-  options.scenario = FaultScenario::kCrashRestart;
-  options.key_count = 60;
-  options.durable_root = root.path();
-  std::unique_ptr<Deployment> fleet = MakeTabletFleetDeployment(options);
-  ASSERT_TRUE(fleet->Build(nullptr).ok());
-  core::ShardedClient* client =
-      std::get<core::ShardedClient*>(fleet->frontends().front());
-  Result<core::Session> session = client->BeginSession(AuditSla());
-  ASSERT_TRUE(session.ok());
-
-  std::set<std::pair<std::string, Timestamp>> acked;
-  uint64_t op = 0;
-  const auto run = [&](uint64_t ops) {
-    for (const uint64_t end = op + ops; op < end; ++op) {
-      ASSERT_TRUE(fleet->BeforeOp(op).ok());
-      const std::string key = workload::YcsbWorkload::KeyForIndex(
-          op % static_cast<uint64_t>(options.key_count));
-      Result<core::PutResult> put =
-          client->Put(*session, key,
-                      NumberedKey("v", static_cast<int64_t>(op)));
-      if (put.ok()) {
-        acked.emplace(key, put->timestamp);
-      }
-      fleet->AfterOp();
-    }
-  };
-  std::string target;
-  while (target.empty() && op < 400) {
-    run(10);
-    for (const std::string& node :
-         fleet->Nodes(FaultEvent::Target::kReplica)) {
-      if (node == "n3" || node == "n4") {
-        target = node;
-      }
-    }
-  }
-  ASSERT_FALSE(target.empty());
-  fleet->Apply(FaultEvent{FaultEvent::Kind::kCrash}, target);
-  run(40);
-  fleet->Apply(FaultEvent{FaultEvent::Kind::kRestart}, target);
-  run(40);
-
-  ScenarioResult result;
-  Result<GroundTruth> truth = fleet->Finish(result);
-  ASSERT_TRUE(truth.ok()) << truth.status();
-  EXPECT_GT(result.migrations, 0u);
-  EXPECT_GT(result.restart_wal_versions, 0u);
-  std::set<std::pair<std::string, Timestamp>> committed;
-  for (const proto::ObjectVersion& version : truth->versions) {
-    committed.emplace(version.key, version.timestamp);
-  }
-  for (const auto& [key, timestamp] : acked) {
-    EXPECT_EQ(committed.count({key, timestamp}), 1u) << key << "@" << timestamp;
-  }
-  // The only WALs are the tablets' own.
-  ASSERT_FALSE(truth->wal_paths.empty());
-  for (const std::string& path : truth->wal_paths) {
-    EXPECT_TRUE(path.ends_with("/wal.log")) << path;
-  }
-}
-
-TEST(TabletChurnTest, CoordinatorKillRequiresDurableRoot) {
-  ScenarioOptions options;
-  options.deployment = DeploymentKind::kTabletFleet;
-  options.coordinator_kill = true;
-  options.durable_root = "";
-  const ScenarioResult result = RunAuditScenario(options);
-  EXPECT_FALSE(result.setup.ok());
 }
 
 }  // namespace

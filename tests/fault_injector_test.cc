@@ -96,37 +96,6 @@ TEST(FaultInjectorTest, CrashAndRecoverSugar) {
   EXPECT_FALSE(faults.Affects("X", "N"));
 }
 
-TEST(FaultInjectorTest, CrashPointsFireExactlyOnceAndRecordVisits) {
-  sim::FaultInjector faults;
-  // Unarmed points are free no-ops, but the visit is recorded.
-  EXPECT_FALSE(faults.ShouldCrash("phase.a"));
-  EXPECT_EQ(faults.crash_points_fired(), 0u);
-
-  // An armed point fires exactly once: the arm is consumed by the first
-  // visit, so the recovery path can re-walk the same boundary safely.
-  faults.ArmCrashPoint("phase.a");
-  EXPECT_TRUE(faults.ShouldCrash("phase.a"));
-  EXPECT_FALSE(faults.ShouldCrash("phase.a"));
-  EXPECT_EQ(faults.crash_points_fired(), 1u);
-
-  // Arming one point never affects another.
-  faults.ArmCrashPoint("phase.b");
-  EXPECT_FALSE(faults.ShouldCrash("phase.c"));
-  EXPECT_TRUE(faults.ShouldCrash("phase.b"));
-  EXPECT_EQ(faults.crash_points_fired(), 2u);
-
-  // Every visit (fired or not) is remembered, sorted, deduplicated — the
-  // matrix tests use this to prove they covered each protocol boundary.
-  const std::vector<std::string> seen = faults.SeenCrashPoints();
-  EXPECT_EQ(seen,
-            (std::vector<std::string>{"phase.a", "phase.b", "phase.c"}));
-
-  // Re-arming after a fire works (the next torture iteration).
-  faults.ArmCrashPoint("phase.a");
-  EXPECT_TRUE(faults.ShouldCrash("phase.a"));
-  EXPECT_EQ(faults.crash_points_fired(), 3u);
-}
-
 TEST(FaultInjectorTest, CorruptFrameIsRejectedByCodecCrc) {
   // Flipped bytes in a real encoded frame must be caught by the wire CRC and
   // surface as a clean decode error - the contract every corruption path in

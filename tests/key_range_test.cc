@@ -1,6 +1,5 @@
 // Tests for half-open key ranges and keyspace tiling.
 
-#include <random>
 #include <string>
 #include <vector>
 
@@ -81,92 +80,6 @@ TEST(KeyRangeTest, SingleKeyRange) {
   EXPECT_TRUE(range.Contains("d"));
   EXPECT_FALSE(range.Contains("c"));
   EXPECT_FALSE(range.Contains(std::string("d") + '\0'));
-  // A single-key range has no strictly interior key, so it cannot split.
-  EXPECT_FALSE(range.IsSplittable("d"));
-}
-
-TEST(KeyRangeTest, IsSplittableEdges) {
-  const KeyRange range{"b", "d"};
-  EXPECT_FALSE(range.IsSplittable("b"));  // Lower bound: empty lower half.
-  EXPECT_FALSE(range.IsSplittable("d"));  // Not contained (exclusive end).
-  EXPECT_FALSE(range.IsSplittable("a"));
-  EXPECT_TRUE(range.IsSplittable("c"));
-  EXPECT_TRUE(range.IsSplittable(std::string("b") + '\0'));
-  // The unbounded range splits anywhere above the lowest key.
-  EXPECT_FALSE(KeyRange::All().IsSplittable(""));
-  EXPECT_TRUE(KeyRange::All().IsSplittable(std::string(1, '\0')));
-}
-
-TEST(KeyRangeTest, SplitAtRejectsBoundaryAndOutsideKeys) {
-  const KeyRange range{"b", "d"};
-  KeyRange lower, upper;
-  EXPECT_FALSE(range.SplitAt("b", &lower, &upper));
-  EXPECT_FALSE(range.SplitAt("d", &lower, &upper));
-  EXPECT_FALSE(range.SplitAt("z", &lower, &upper));
-  ASSERT_TRUE(range.SplitAt("c", &lower, &upper));
-  EXPECT_EQ(lower, (KeyRange{"b", "c"}));
-  EXPECT_EQ(upper, (KeyRange{"c", "d"}));
-}
-
-// Property: however a range is recursively split, the children are adjacent,
-// non-overlapping, and re-tile the parent exactly — every key the parent
-// contains lands in exactly one child. This is the invariant the tablet map
-// relies on when the coordinator retiles an entry after a split.
-TEST(KeyRangeTest, PropertySplitChildrenRetileParent) {
-  std::mt19937_64 rng(20260808);
-  const auto random_key = [&] {
-    std::string key(1 + rng() % 6, 'a');
-    for (char& c : key) {
-      c = static_cast<char>('a' + rng() % 26);
-    }
-    return key;
-  };
-  for (int trial = 0; trial < 200; ++trial) {
-    // Start from a random parent (sometimes unbounded on either side).
-    KeyRange parent;
-    if (rng() % 3 != 0) {
-      parent.begin = random_key();
-    }
-    if (rng() % 3 != 0) {
-      parent.end = random_key();
-    }
-    if (parent.IsEmpty()) {
-      continue;
-    }
-    // Split fragments repeatedly at random keys (skipping non-interior ones).
-    std::vector<KeyRange> fragments = {parent};
-    for (int s = 0; s < 8; ++s) {
-      const size_t pick = rng() % fragments.size();
-      const std::string key = random_key();
-      KeyRange lower, upper;
-      if (!fragments[pick].SplitAt(key, &lower, &upper)) {
-        EXPECT_FALSE(fragments[pick].IsSplittable(key));
-        continue;
-      }
-      EXPECT_TRUE(fragments[pick].IsSplittable(key));
-      fragments[pick] = lower;
-      fragments.insert(fragments.begin() + static_cast<long>(pick) + 1,
-                       upper);
-    }
-    // Children are sorted, adjacent, and preserve the parent's bounds.
-    EXPECT_EQ(fragments.front().begin, parent.begin);
-    EXPECT_EQ(fragments.back().end, parent.end);
-    for (size_t i = 0; i + 1 < fragments.size(); ++i) {
-      EXPECT_EQ(fragments[i].end, fragments[i + 1].begin);
-      EXPECT_FALSE(fragments[i].IsEmpty());
-      EXPECT_FALSE(fragments[i].Overlaps(fragments[i + 1]));
-    }
-    // Probe keys: membership in the parent == exactly one child owns it.
-    for (int probe = 0; probe < 64; ++probe) {
-      const std::string key = random_key();
-      int owners = 0;
-      for (const KeyRange& fragment : fragments) {
-        owners += fragment.Contains(key) ? 1 : 0;
-      }
-      EXPECT_EQ(owners, parent.Contains(key) ? 1 : 0)
-          << "key '" << key << "' in parent " << parent.ToString();
-    }
-  }
 }
 
 class SplitKeySpace : public ::testing::TestWithParam<int> {};

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/common/clock.h"
 #include "src/net/tcp.h"
 #include "src/proto/messages.h"
@@ -440,7 +443,7 @@ std::string FromHex(std::string_view hex) {
 // Whole wire frames (length, request id, message, CRC-32 trailer) of the
 // golden messages, as written by wire version 7.
 // 1996 bytes, CRC-32 of the whole frame 6baf7a96
-constexpr const char* kGoldenRangeFrame =
+constexpr const char* kGoldenRangeFrameV7 =
     "c807000007000000000000000f07320a7573657231303030303010000b16212c37424d58"
     "636e79848f9aa58080f2818389850600000a757365723130303030311025303b46515c67"
     "727d88939ea9b4bfcaea8ff28183898506ac02000a75736572313030303032104a55606b"
@@ -498,7 +501,7 @@ constexpr const char* kGoldenRangeFrame =
     "626d78838e99a4afbaca87f88183898506ec720001c09afe8183898506f0a20401ac020a"
     "7072696d6172792d6575d209b0c0eb69";
 // 2037 bytes, CRC-32 of the whole frame 0932b727
-constexpr const char* kGoldenSyncFrame =
+constexpr const char* kGoldenSyncFrameV7 =
     "f107000008000000000000000807320a75736572313030303530103a45505b66717c8792"
     "9da8b3bec9d4dfb497f881838985069875000a75736572313030303531105f6a75808b96"
     "a1acb7c2cdd8e3eef9049ea7f88183898506c477000a7573657231303030353210848f9a"
@@ -557,16 +560,62 @@ constexpr const char* kGoldenSyncFrame =
     "39104f5a65707b86919ca7b2bdc8d3dee9f4fe9efe818389850684e8010080b58a828389"
     "85060901ac020a7072696d6172792d6575d1a43af6";
 
-// The wire format is frozen at version 7: any change to the field codec, the
+// A frame's message starts after the 4-byte length and 8-byte request id
+// with its type byte, then the wire-version byte; it ends with its CRC-32.
+constexpr size_t kFrameVersionByte = 13;
+constexpr size_t kFrameHeaderBytes = 12;
+constexpr size_t kCrcBytes = 4;
+
+// Version 8 retired fields of the tablet-map messages only, so the golden
+// messages' bytes are the version-7 ones with the version byte set to 8 and
+// the CRC-32 trailer recomputed. Derived here rather than re-pinned, so the
+// body bytes stay checked against what version 7 wrote.
+std::string RebasedTo8(const std::string& v7_frame) {
+  std::string frame = v7_frame;
+  frame[kFrameVersionByte] = 8;
+  const std::string_view message = std::string_view(frame).substr(
+      kFrameHeaderBytes, frame.size() - kFrameHeaderBytes - kCrcBytes);
+  Encoder trailer;
+  trailer.PutFixed32(Crc32(message));
+  frame.replace(frame.size() - kCrcBytes, kCrcBytes, trailer.buffer());
+  return frame;
+}
+
+// The wire format is frozen at version 8: any change to the field codec, the
 // CRC or the frame layout moves these bytes and must bump kWireVersion.
 TEST(MessagesTest, WireFramesMatchPinnedBytes) {
-  EXPECT_EQ(ToHex(net::EncodeWireFrame(7, Message(GoldenRangeReply()))),
-            kGoldenRangeFrame);
-  EXPECT_EQ(ToHex(net::EncodeWireFrame(8, Message(GoldenSyncReply()))),
-            kGoldenSyncFrame);
+  const std::string range_v7 = FromHex(kGoldenRangeFrameV7);
+  const std::string sync_v7 = FromHex(kGoldenSyncFrameV7);
+  // The pinned constants are whole, intact version-7 frames.
+  for (const std::string& v7 : {range_v7, sync_v7}) {
+    ASSERT_EQ(v7[kFrameVersionByte], 7);
+    const std::string_view message(v7.data() + kFrameHeaderBytes,
+                                   v7.size() - kFrameHeaderBytes - kCrcBytes);
+    Encoder trailer;
+    trailer.PutFixed32(Crc32(message));
+    ASSERT_EQ(v7.substr(v7.size() - kCrcBytes), trailer.buffer());
+  }
+  const std::string range_encoded =
+      net::EncodeWireFrame(7, Message(GoldenRangeReply()));
+  const std::string sync_encoded =
+      net::EncodeWireFrame(8, Message(GoldenSyncReply()));
+  // Only the version byte and the trailer may differ from version 7.
+  for (const auto& [encoded, v7] :
+       {std::pair{range_encoded, range_v7}, std::pair{sync_encoded, sync_v7}}) {
+    ASSERT_EQ(encoded.size(), v7.size());
+    EXPECT_EQ(ToHex(encoded.substr(0, kFrameVersionByte)),
+              ToHex(v7.substr(0, kFrameVersionByte)));
+    EXPECT_EQ(ToHex(encoded.substr(kFrameVersionByte + 1,
+                                   encoded.size() - kFrameVersionByte - 1 -
+                                       kCrcBytes)),
+              ToHex(v7.substr(kFrameVersionByte + 1,
+                              v7.size() - kFrameVersionByte - 1 - kCrcBytes)));
+  }
+  EXPECT_EQ(ToHex(range_encoded), ToHex(RebasedTo8(range_v7)));
+  EXPECT_EQ(ToHex(sync_encoded), ToHex(RebasedTo8(sync_v7)));
 
   // And the pinned bytes decode to the same messages.
-  const std::string range_frame = FromHex(kGoldenRangeFrame);
+  const std::string range_frame = RebasedTo8(range_v7);
   Result<Message> range =
       DecodeMessage(std::string_view(range_frame).substr(12));
   ASSERT_TRUE(range.ok()) << range.status();
@@ -580,7 +629,7 @@ TEST(MessagesTest, WireFramesMatchPinnedBytes) {
   EXPECT_EQ(got_range.primary_hint, want_range.primary_hint);
   EXPECT_EQ(got_range.queue_delay_us, want_range.queue_delay_us);
 
-  const std::string sync_frame = FromHex(kGoldenSyncFrame);
+  const std::string sync_frame = RebasedTo8(sync_v7);
   Result<Message> sync = DecodeMessage(std::string_view(sync_frame).substr(12));
   ASSERT_TRUE(sync.ok()) << sync.status();
   const SyncReply want_sync = GoldenSyncReply();
@@ -590,6 +639,16 @@ TEST(MessagesTest, WireFramesMatchPinnedBytes) {
   EXPECT_TRUE(got_sync.has_more);
   EXPECT_EQ(got_sync.config_epoch, want_sync.config_epoch);
   EXPECT_EQ(got_sync.primary_hint, want_sync.primary_hint);
+}
+
+// A frame from a version-7 peer is refused, not decoded with the fields
+// version 8 retired.
+TEST(MessagesTest, Version7FrameRejected) {
+  const std::string v7 = FromHex(kGoldenRangeFrameV7);
+  const Result<Message> decoded =
+      DecodeMessage(std::string_view(v7).substr(kFrameHeaderBytes));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
 
 // A node's scan reply shares its store's versions; on the wire it must be
@@ -664,7 +723,7 @@ TEST(MessagesTest, TrailingBytesRejected) {
 }
 
 TEST(MessagesTest, TabletMapRequestRoundTrip) {
-  // Wire v6: the dynamic-tablet map exchange (DESIGN.md Section 14).
+  // Wire v6: the tablet map exchange.
   TabletMapRequest in;
   in.table = "orders";
   in.have_version = 7;
@@ -678,20 +737,17 @@ TEST(MessagesTest, TabletMapRequestRoundTrip) {
   left.config.members = {"alpha", "beta"};
   left.config.sync_members = {"beta"};
   left.size_bytes = 4096;
-  left.ops_per_sec = 120;
   tablets::TabletInfo right;
   right.range = KeyRange{"m", ""};
   right.config.epoch = 5;
   right.config.primary = "beta";
   right.config.members = {"beta"};
   in.map.tablets = {left, right};
-  in.split_key = "q";
   const TabletMapRequest out = RoundTrip(in);
   EXPECT_EQ(out.table, "orders");
   EXPECT_EQ(out.have_version, 7u);
   EXPECT_TRUE(out.install);
   EXPECT_EQ(out.map, in.map);
-  EXPECT_EQ(out.split_key, "q");
 }
 
 TEST(MessagesTest, TabletMapReplyRoundTrip) {

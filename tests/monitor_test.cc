@@ -308,7 +308,6 @@ void ExpectSameView(const Monitor& a, const Monitor& b,
     EXPECT_EQ(sa[i].consecutive_failures, sb[i].consecutive_failures);
     EXPECT_EQ(sa[i].overloaded, sb[i].overloaded);
     EXPECT_EQ(sa[i].queue_delay_us, sb[i].queue_delay_us);
-    EXPECT_EQ(sa[i].total_samples, sb[i].total_samples);
   }
   EXPECT_EQ(a.PNodeUp(node), b.PNodeUp(node));
   EXPECT_EQ(a.KnownHighTimestamp(node), b.KnownHighTimestamp(node));

@@ -1,5 +1,5 @@
-// The node host: recovery re-installs a durable node's journaled placement
-// fenced, Stop leaves every tablet checkpointed, and a secondary host has
+// The node host: recovery refuses a journaled placement it cannot
+// re-install, Stop leaves the tablet checkpointed, and a secondary host has
 // caught up before it serves its first read.
 
 #include "src/server/node_host.h"
@@ -56,50 +56,34 @@ tablets::TabletInfo Led(KeyRange range, uint64_t epoch) {
   return tablet;
 }
 
-TEST_F(NodeHostTest, SplitAfterMapInstallRecoversTwoEntryFencedMap) {
+// A data root holds one tablet for the whole table, so a journaled
+// placement covering part of the key space cannot be re-installed: recovery
+// fails loudly instead of serving under the caller's role.
+TEST_F(NodeHostTest, PartialJournaledPlacementFailsRecovery) {
   persist::DurableTablet::Options options;
   options.directory = dir_;
   options.tablet.is_primary = true;
-  tablets::TabletMap split;
   {
-    storage::StorageNode node("alpha", "local", RealClock::Instance());
-    auto opened = RecoverTablets(&node, "t", options, RealClock::Instance());
+    persist::DurableTablet::Options partial = options;
+    partial.tablet.range = KeyRange{"", "m"};
+    auto opened =
+        persist::DurableTablet::Open(partial, RealClock::Instance());
     ASSERT_TRUE(opened.ok()) << opened.status();
-    ASSERT_FALSE(node.InstalledTabletMap("t").has_value());
-    tablets::TabletMap whole;
-    whole.table = "t";
-    whole.version = 1;
-    whole.tablets = {Led(KeyRange::All(), 1)};
-    ASSERT_TRUE(node.InstallTabletMap(whole));
-    ASSERT_TRUE(node.SplitTablet("t", "m").ok());
-    split.table = "t";
-    split.version = 2;
-    split.tablets = {Led(KeyRange{"", "m"}, 1), Led(KeyRange{"m", ""}, 2)};
-    ASSERT_TRUE(node.InstallTabletMap(split));
-    ASSERT_TRUE(std::holds_alternative<proto::PutReply>(
-        node.Handle(PutOf("z"))));
+    ASSERT_TRUE((*opened)->tablet().HandlePut("a", "v").ok());
+    ASSERT_TRUE((*opened)
+                    ->tablet()
+                    .journal()
+                    ->RecordConfig(Led(KeyRange{"", "m"}, 1).config)
+                    .ok());
+    // The checkpoint records the tablet's range; the log keeps the config.
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
   }
 
   storage::StorageNode node("alpha", "local", RealClock::Instance());
-  auto opened = RecoverTablets(&node, "t", options, RealClock::Instance());
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  EXPECT_EQ(opened->size(), 2u);
-  std::optional<tablets::TabletMap> recovered = node.InstalledTabletMap("t");
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->version, 2u);  // The highest journaled epoch.
-  EXPECT_EQ(recovered->tablets, split.tablets);
-  // Fenced on both halves until a map install re-leases it.
-  for (const std::string key : {"a", "z"}) {
-    const proto::Message reply = node.Handle(PutOf(key));
-    const auto* err = std::get_if<proto::ErrorReply>(&reply);
-    ASSERT_NE(err, nullptr) << key;
-    EXPECT_EQ(err->code, StatusCode::kNotPrimary) << key;
-  }
-  ASSERT_TRUE(node.InstallTabletMap(split));
-  EXPECT_TRUE(std::holds_alternative<proto::PutReply>(node.Handle(PutOf("a"))));
-  const proto::Message z = node.Handle(GetOf("z"));
-  ASSERT_TRUE(std::holds_alternative<proto::GetReply>(z));
-  EXPECT_TRUE(std::get<proto::GetReply>(z).found);
+  auto recovered = RecoverTablets(&node, "t", options, RealClock::Instance());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption)
+      << recovered.status();
+  EXPECT_FALSE(node.InstalledTabletMap("t").has_value());
 }
 
 TEST_F(NodeHostTest, StopCheckpointsEveryTablet) {
@@ -110,7 +94,6 @@ TEST_F(NodeHostTest, StopCheckpointsEveryTablet) {
     options.data_dir = dir_;
     NodeHost host(options);
     ASSERT_TRUE(host.Start().ok());
-    ASSERT_TRUE(host.node()->SplitTablet("t", "m").ok());
     for (const std::string& key : keys) {
       ASSERT_TRUE(std::holds_alternative<proto::PutReply>(
           host.node()->Handle(PutOf(key))));
@@ -120,22 +103,12 @@ TEST_F(NodeHostTest, StopCheckpointsEveryTablet) {
 
   persist::DurableTablet::Options options;
   options.directory = dir_;
-  auto reopened =
-      persist::DurableTablet::OpenAll(options, RealClock::Instance());
+  auto reopened = persist::DurableTablet::Open(options, RealClock::Instance());
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ASSERT_EQ(reopened->size(), 2u);
-  uint64_t checkpointed = 0;
-  for (const auto& tablet : *reopened) {
-    EXPECT_EQ(tablet->recovery_info().wal_versions, 0u);
-    checkpointed += tablet->recovery_info().checkpoint_versions;
-  }
-  EXPECT_EQ(checkpointed, keys.size());
+  EXPECT_EQ((*reopened)->recovery_info().wal_versions, 0u);
+  EXPECT_EQ((*reopened)->recovery_info().checkpoint_versions, keys.size());
   for (const std::string& key : keys) {
-    bool found = false;
-    for (const auto& tablet : *reopened) {
-      found = found || tablet->HandleGet(key).found;
-    }
-    EXPECT_TRUE(found) << key;
+    EXPECT_TRUE((*reopened)->HandleGet(key).found) << key;
   }
 }
 

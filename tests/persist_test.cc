@@ -20,7 +20,9 @@
 #include "src/common/clock.h"
 #include "src/persist/durable_tablet.h"
 #include "src/persist/group_commit.h"
+#include "src/persist/record_log.h"
 #include "src/persist/wal.h"
+#include "src/util/codec.h"
 #include "src/util/crc32.h"
 #include "tests/numbered_key.h"
 
@@ -559,23 +561,10 @@ TEST_F(PersistTest, CorruptCheckpointIsRejected) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
 }
 
-// --- Durable splits (DESIGN.md Section 14) ---
-
-// The key's value as the reopened tablet owning it serves it ("" when no
-// reopened tablet owns the key or it is not found).
-std::string ReadFrom(
-    const std::vector<std::unique_ptr<DurableTablet>>& tablets,
-    const std::string& key) {
-  for (const auto& tablet : tablets) {
-    if (tablet->tablet().range().Contains(key)) {
-      const proto::GetReply reply = tablet->HandleGet(key);
-      return reply.found ? reply.value : "";
-    }
-  }
-  return "";
-}
-
-TEST_F(PersistTest, SplitThenReopenRecoversBothHalves) {
+// Kind 4 journaled a tablet split, which this build no longer makes or
+// replays: a log holding one must fail loudly, not open without the data
+// the split moved away.
+TEST_F(PersistTest, RetiredSplitRecordIsCorruption) {
   ManualClock clock(1000);
   DurableTablet::Options options;
   options.directory = dir_;
@@ -583,181 +572,19 @@ TEST_F(PersistTest, SplitThenReopenRecoversBothHalves) {
   {
     auto tablet = DurableTablet::Open(options, &clock);
     ASSERT_TRUE(tablet.ok()) << tablet.status();
-    for (const char* key : {"b", "q"}) {
-      clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)->HandlePut(key, "before").ok());
-    }
-    Result<std::unique_ptr<storage::Tablet>> upper =
-        (*tablet)->tablet().Split("m");
-    ASSERT_TRUE(upper.ok()) << upper.status();
-    clock.AdvanceMicros(5);
-    ASSERT_TRUE((*tablet)->HandlePut("c", "after").ok());
-    ASSERT_TRUE((*upper)->HandlePut("r", "after").ok());
-    // A checkpoint empties the parent's log; the split record that names
-    // the child must survive it.
-    ASSERT_TRUE((*tablet)->Checkpoint().ok());
-  }  // "Crash".
-
-  auto reopened = DurableTablet::OpenAll(options, &clock);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ASSERT_EQ(reopened->size(), 2u);
-  EXPECT_EQ((*reopened)[0]->tablet().range(), (KeyRange{"", "m"}));
-  EXPECT_EQ((*reopened)[1]->tablet().range(), (KeyRange{"m", ""}));
-  EXPECT_EQ(ReadFrom(*reopened, "b"), "before");
-  EXPECT_EQ(ReadFrom(*reopened, "q"), "before");
-  EXPECT_EQ(ReadFrom(*reopened, "c"), "after");
-  EXPECT_EQ(ReadFrom(*reopened, "r"), "after");
-  // Neither half serves the other's keys.
-  EXPECT_FALSE((*reopened)[0]->HandleGet("q").found);
-  EXPECT_FALSE((*reopened)[1]->HandleGet("b").found);
-}
-
-TEST_F(PersistTest, LostSplitRecordReopensWholeAndReusesTheOrphan) {
-  ManualClock clock(1000);
-  DurableTablet::Options options;
-  options.directory = dir_;
-  options.tablet.is_primary = true;
-  off_t before_split = 0;
+    ASSERT_TRUE((*tablet)->HandlePut("b", "v").ok());
+  }
   {
-    auto tablet = DurableTablet::Open(options, &clock);
-    ASSERT_TRUE(tablet.ok()) << tablet.status();
-    for (const char* key : {"b", "q"}) {
-      clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)->HandlePut(key, "v").ok());
-    }
-    before_split = FileSize(WalPath());
-    Result<std::unique_ptr<storage::Tablet>> upper =
-        (*tablet)->tablet().Split("m");
-    ASSERT_TRUE(upper.ok()) << upper.status();
-    clock.AdvanceMicros(5);
-    ASSERT_TRUE((*upper)->HandlePut("stale", "v").ok());
+    Result<RecordLog> log = RecordLog::Open(WalPath());
+    ASSERT_TRUE(log.ok()) << log.status();
+    Encoder split_key;
+    split_key.PutLengthPrefixed("m");
+    ASSERT_TRUE(log->Append(/*kind=*/4, split_key.buffer()).ok());
+    ASSERT_TRUE(log->Sync().ok());
   }
-  // The split record never reached the parent's log: the child directory is
-  // an orphan, and the parent still owns every key.
-  TruncateFile(WalPath(), before_split);
-  {
-    auto reopened = DurableTablet::OpenAll(options, &clock);
-    ASSERT_TRUE(reopened.ok()) << reopened.status();
-    ASSERT_EQ(reopened->size(), 1u);
-    EXPECT_EQ((*reopened)[0]->tablet().range(), KeyRange::All());
-    EXPECT_EQ(ReadFrom(*reopened, "b"), "v");
-    EXPECT_EQ(ReadFrom(*reopened, "q"), "v");
-    EXPECT_EQ(ReadFrom(*reopened, "stale"), "");
-
-    // The next split reuses the orphan's directory from a clean slate.
-    ASSERT_TRUE((*reopened)[0]->tablet().Split("m").ok());
-  }
-  auto resplit = DurableTablet::OpenAll(options, &clock);
-  ASSERT_TRUE(resplit.ok()) << resplit.status();
-  ASSERT_EQ(resplit->size(), 2u);
-  EXPECT_EQ(ReadFrom(*resplit, "q"), "v");
-  EXPECT_EQ(ReadFrom(*resplit, "stale"), "");
-}
-
-TEST_F(PersistTest, ChildThatSplitAgainReopensRecursively) {
-  ManualClock clock(1000);
-  DurableTablet::Options options;
-  options.directory = dir_;
-  options.tablet.is_primary = true;
-  {
-    auto tablet = DurableTablet::Open(options, &clock);
-    ASSERT_TRUE(tablet.ok()) << tablet.status();
-    for (const char* key : {"b", "p", "x"}) {
-      clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)->HandlePut(key, std::string(key) + "1").ok());
-    }
-    Result<std::unique_ptr<storage::Tablet>> middle =
-        (*tablet)->tablet().Split("m");
-    ASSERT_TRUE(middle.ok()) << middle.status();
-    Result<std::unique_ptr<storage::Tablet>> top = (*middle)->Split("t");
-    ASSERT_TRUE(top.ok()) << top.status();
-    clock.AdvanceMicros(5);
-    ASSERT_TRUE((*top)->HandlePut("y", "y1").ok());
-  }
-  auto reopened = DurableTablet::OpenAll(options, &clock);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ASSERT_EQ(reopened->size(), 3u);
-  EXPECT_EQ((*reopened)[0]->tablet().range(), (KeyRange{"", "m"}));
-  EXPECT_EQ((*reopened)[1]->tablet().range(), (KeyRange{"m", "t"}));
-  EXPECT_EQ((*reopened)[2]->tablet().range(), (KeyRange{"t", ""}));
-  for (const char* key : {"b", "p", "x", "y"}) {
-    EXPECT_EQ(ReadFrom(*reopened, key), std::string(key) + "1") << key;
-  }
-}
-
-// What a checkpoint must carry: every latest version (tombstones included)
-// in timestamp order, the high timestamp and the range.
-struct TabletImage {
-  std::vector<proto::ObjectVersion> latest;
-  Timestamp high;
-  KeyRange range;
-};
-
-TabletImage ImageOf(const storage::Tablet& tablet) {
-  TabletImage image;
-  for (const storage::VersionPtr& version :
-       tablet.store().LatestVersionsAfter(Timestamp::Zero())) {
-    image.latest.push_back(*version);
-  }
-  image.high = tablet.high_timestamp();
-  image.range = tablet.range();
-  return image;
-}
-
-TEST_F(PersistTest, CheckpointedSplitReopensTheSameContentsAndRange) {
-  ManualClock clock(1000);
-  DurableTablet::Options options;
-  options.directory = dir_;
-  options.tablet.is_primary = true;
-  std::vector<TabletImage> images;
-  {
-    auto tablet = DurableTablet::Open(options, &clock);
-    ASSERT_TRUE(tablet.ok()) << tablet.status();
-    for (int i = 0; i < 12; ++i) {
-      clock.AdvanceMicros(5);
-      ASSERT_TRUE((*tablet)
-                      ->HandlePut(NumberedKey("k", 10 + i),
-                                  std::string(i * 7, 'a' + i))
-                      .ok());
-    }
-    clock.AdvanceMicros(5);
-    ASSERT_TRUE((*tablet)->HandlePut("k12", "overwritten").ok());
-    ASSERT_TRUE((*tablet)->tablet().HandleDelete("k11").ok());
-    Result<std::unique_ptr<storage::Tablet>> upper =
-        (*tablet)->tablet().Split("k16");
-    ASSERT_TRUE(upper.ok()) << upper.status();
-    clock.AdvanceMicros(5);
-    ASSERT_TRUE((*tablet)->HandlePut("k13", "lower-after").ok());
-    ASSERT_TRUE((*upper)->HandlePut("k20", "upper-after").ok());
-    ASSERT_TRUE((*upper)->HandleDelete("k17").ok());
-
-    ASSERT_TRUE((*tablet)->Checkpoint().ok());
-    ASSERT_TRUE((*upper)->journal()->Checkpoint(**upper).ok());
-    images = {ImageOf((*tablet)->tablet()), ImageOf(**upper)};
-  }  // "Crash".
-
-  auto reopened = DurableTablet::OpenAll(options, &clock);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ASSERT_EQ(reopened->size(), 2u);
-  for (size_t i = 0; i < images.size(); ++i) {
-    const DurableTablet& half = *(*reopened)[i];
-    EXPECT_EQ(half.recovery_info().wal_versions, 0u) << i;
-    EXPECT_EQ(half.recovery_info().checkpoint_versions,
-              images[i].latest.size())
-        << i;
-    const TabletImage image = ImageOf(half.tablet());
-    EXPECT_EQ(image.range, images[i].range) << i;
-    EXPECT_EQ(image.high, images[i].high) << i;
-    EXPECT_EQ(image.latest, images[i].latest) << i;
-  }
-  EXPECT_EQ(images[0].range, (KeyRange{"", "k16"}));
-  EXPECT_EQ(images[1].range, (KeyRange{"k16", ""}));
-  EXPECT_EQ(ReadFrom(*reopened, "k11"), "");
-  EXPECT_EQ(ReadFrom(*reopened, "k12"), "overwritten");
-  EXPECT_EQ(ReadFrom(*reopened, "k13"), "lower-after");
-  EXPECT_EQ(ReadFrom(*reopened, "k17"), "");
-  EXPECT_EQ(ReadFrom(*reopened, "k20"), "upper-after");
-  EXPECT_EQ(ReadFrom(*reopened, "k21"), std::string(77, 'l'));
+  auto reopened = DurableTablet::Open(options, &clock);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
 }
 
 // --- GroupCommitter unit tests ---

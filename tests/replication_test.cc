@@ -163,16 +163,11 @@ struct CountingJournal : storage::TabletJournal {
   Status RecordConfig(const reconfig::ConfigEpoch&) override {
     return Status::Ok();
   }
-  Result<std::unique_ptr<TabletJournal>> RecordSplit(
-      const Tablet&, std::string_view) override {
-    return Status(StatusCode::kInternal, "no splits");
-  }
   Status Sync() override {
     ++syncs;
     return Status::Ok();
   }
   Status Checkpoint(Tablet&) override { return Status::Ok(); }
-  Status Retire() override { return Status::Ok(); }
 };
 
 TEST(ReplicationAgentTest, VersionedReplySyncsJournal) {

@@ -3,14 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <random>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -77,8 +73,7 @@ class ShardedClientTest : public ::testing::Test {
 
   // Connects nodes A and B at their own RTTs.
   ShardedClient::RoutingOptions Routing(MicrosecondCount rtt_a,
-                                        MicrosecondCount rtt_b,
-                                        int max_map_refresh_attempts) {
+                                        MicrosecondCount rtt_b) {
     ShardedClient::RoutingOptions routing;
     routing.connect = [this, rtt_a, rtt_b](const std::string& name)
         -> std::shared_ptr<NodeConnection> {
@@ -92,7 +87,6 @@ class ShardedClientTest : public ::testing::Test {
       }
       return nullptr;
     };
-    routing.max_map_refresh_attempts = max_map_refresh_attempts;
     return routing;
   }
 
@@ -118,14 +112,14 @@ class ShardedClientTest : public ::testing::Test {
     return map;
   }
 
-  // The two-tablet table as a fixed map: the nodes never install it, so the
-  // client never refreshes it. Node A answers in 5 ms, node B in 1 ms.
+  // The two-tablet table as a fixed map the nodes never install. Node A
+  // answers in 5 ms, node B in 1 ms.
   void Build(PileusClient::Options options = PileusClient::Options{}) {
     AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
     AddTablet(*node_b_, KeyRange{"", "m"}, /*is_primary=*/false);
     AddTablet(*node_b_, KeyRange{"m", ""}, /*is_primary=*/true);
     AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/false);
-    Create(TwoTablets(), options, Routing(5 * kMs, 1 * kMs, 0));
+    Create(TwoTablets(), options, Routing(5 * kMs, 1 * kMs));
   }
 
   ManualClock clock_;
@@ -140,14 +134,14 @@ TEST_F(ShardedClientTest, CreateRejectsOverlaps) {
   overlapping.tablets[0].range.end = "n";
   EXPECT_FALSE(ShardedClient::Create(std::move(overlapping), &clock_,
                                      PileusClient::Options{},
-                                     Routing(1 * kMs, 1 * kMs, 0))
+                                     Routing(1 * kMs, 1 * kMs))
                    .ok());
   // Routing binary-searches the ranges, so an unsorted map is refused too.
   tablets::TabletMap unsorted = TwoTablets();
   std::swap(unsorted.tablets[0], unsorted.tablets[1]);
   EXPECT_FALSE(ShardedClient::Create(std::move(unsorted), &clock_,
                                      PileusClient::Options{},
-                                     Routing(1 * kMs, 1 * kMs, 0))
+                                     Routing(1 * kMs, 1 * kMs))
                    .ok());
 }
 
@@ -156,7 +150,7 @@ TEST_F(ShardedClientTest, CreateRejectsEmpty) {
   map.table = "t";
   EXPECT_FALSE(ShardedClient::Create(std::move(map), &clock_,
                                      PileusClient::Options{},
-                                     Routing(1 * kMs, 1 * kMs, 0))
+                                     Routing(1 * kMs, 1 * kMs))
                    .ok());
 }
 
@@ -278,7 +272,7 @@ TEST_F(ShardedClientTest, ManyShards) {
     map.tablets.push_back(Entry(range.begin, range.end, 1, "A"));
   }
   Create(std::move(map), PileusClient::Options{},
-         Routing(1 * kMs, 1 * kMs, 0));
+         Routing(1 * kMs, 1 * kMs));
   ASSERT_EQ(client_->shard_count(), 8u);
 
   Session session = client_->BeginSession(ShoppingCartSla()).value();
@@ -300,7 +294,7 @@ TEST_F(ShardedClientTest, FixedMapNeverQueriesTheMap) {
   v1.table = "t";
   v1.version = 1;
   v1.tablets.push_back(Entry("", "m", 1, "A"));
-  Create(v1, PileusClient::Options{}, Routing(1 * kMs, 1 * kMs, 0));
+  Create(v1, PileusClient::Options{}, Routing(1 * kMs, 1 * kMs));
   Session session = client_->BeginSession(ShoppingCartSla()).value();
   ASSERT_TRUE(client_->Put(session, "apple", "low").ok());
 
@@ -309,12 +303,6 @@ TEST_F(ShardedClientTest, FixedMapNeverQueriesTheMap) {
   EXPECT_EQ(client_->GetRange(session, "", "", 0).status().code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(map_queries_, 0);
-
-  // An explicit refresh against nodes that never installed a map is Ok,
-  // costs one query and changes nothing.
-  ASSERT_TRUE(client_->RefreshTabletMap().ok());
-  EXPECT_EQ(map_queries_, 1);
-  EXPECT_EQ(client_->map_version(), 1u);
 
   // The range moves to B behind the client's back, so A fences it.
   tablets::TabletMap v2 = v1;
@@ -327,92 +315,22 @@ TEST_F(ShardedClientTest, FixedMapNeverQueriesTheMap) {
   ASSERT_FALSE(fenced.ok());
   EXPECT_EQ(fenced.status().code(), StatusCode::kUnavailable)
       << fenced.status();
-  EXPECT_EQ(map_queries_, 1);
+  // A write's fence goes back to the caller as it stands.
+  EXPECT_EQ(client_->Put(session, "apple", "moved").status().code(),
+            StatusCode::kWrongTablet);
+  EXPECT_EQ(map_queries_, 0);
   EXPECT_EQ(client_->map_version(), 1u);
-  EXPECT_EQ(client_->map_refreshes(), 0u);
 }
 
-// --- Refreshing maps: fence-triggered refresh, gaps, migrations ---
+// --- Maps with gaps, and arbitrary routing tables ---
 
 class DynamicShardedClientTest : public ShardedClientTest {
  protected:
   void BuildDynamic(tablets::TabletMap initial) {
     Create(std::move(initial), PileusClient::Options{},
-           Routing(1 * kMs, 1 * kMs, /*max_map_refresh_attempts=*/2));
+           Routing(1 * kMs, 1 * kMs));
   }
 };
-
-TEST_F(DynamicShardedClientTest, WrongTabletFenceTriggersMapRefresh) {
-  // A starts as primary for the whole keyspace (two tablets); B holds a
-  // secondary of the upper range.
-  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
-  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
-  AddTablet(*node_b_, KeyRange{"m", ""}, /*is_primary=*/false);
-
-  tablets::TabletMap v1;
-  v1.table = "t";
-  v1.version = 1;
-  v1.tablets.push_back(Entry("", "m", 1, "A"));
-  v1.tablets.push_back(Entry("m", "", 1, "A"));
-  BuildDynamic(v1);
-  ASSERT_EQ(client_->map_version(), 1u);
-
-  // The upper range migrates to B behind the client's back: the nodes adopt
-  // map v2 (A demotes and fences, B promotes), the client still holds v1.
-  tablets::TabletMap v2 = v1;
-  v2.version = 2;
-  v2.tablets[1] = Entry("m", "", 2, "B");
-  ASSERT_TRUE(node_a_->InstallTabletMap(v2));
-  ASSERT_TRUE(node_b_->InstallTabletMap(v2));
-
-  // The client's first write to the moved range is fenced with kWrongTablet,
-  // refreshes its map from the fencing node, and retries against B — the
-  // caller sees one clean success, not an error.
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  ASSERT_TRUE(client_->Put(session, "zebra", "high").ok());
-  EXPECT_EQ(client_->map_version(), 2u);
-  EXPECT_EQ(client_->map_refreshes(), 1u);
-  EXPECT_TRUE(node_b_->FindTablet("t", "zebra")->HandleGet("zebra").found);
-  EXPECT_FALSE(node_a_->FindTablet("t", "zebra")->HandleGet("zebra").found);
-
-  // Writes to the unmoved range still land on A with no further refresh.
-  ASSERT_TRUE(client_->Put(session, "apple", "low").ok());
-  EXPECT_EQ(client_->map_refreshes(), 1u);
-  EXPECT_TRUE(node_a_->FindTablet("t", "apple")->HandleGet("apple").found);
-}
-
-TEST_F(DynamicShardedClientTest, DemotedPrimaryRedirectTriggersMapRefresh) {
-  // A leads the upper range alone; B hosts a copy the client's map omits.
-  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
-  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
-  AddTablet(*node_b_, KeyRange{"m", ""}, /*is_primary=*/false);
-
-  tablets::TabletMap v1;
-  v1.table = "t";
-  v1.version = 1;
-  v1.tablets.push_back(Entry("", "m", 1, "A"));
-  v1.tablets.push_back(Entry("m", "", 1, "A"));
-  BuildDynamic(v1);
-
-  // A failover edit: B leads the upper range in epoch 2, and A stays on as
-  // a member, so A answers the stale route with kNotPrimary (not
-  // kWrongTablet). Its hint names B, whom the shard client cannot reach
-  // from its v1 replica set.
-  tablets::TabletMap v2 = v1;
-  v2.version = 2;
-  v2.tablets[1] = Entry("m", "", 2, "B");
-  v2.tablets[1].config.members = {"A", "B"};
-  ASSERT_TRUE(node_a_->InstallTabletMap(v2));
-  ASSERT_TRUE(node_b_->InstallTabletMap(v2));
-
-  // The unresolved redirect refreshes the map and the retry lands on B.
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  ASSERT_TRUE(client_->Put(session, "zebra", "high").ok());
-  EXPECT_EQ(client_->map_version(), 2u);
-  EXPECT_EQ(client_->map_refreshes(), 1u);
-  EXPECT_TRUE(node_b_->FindTablet("t", "zebra")->HandleGet("zebra").found);
-  EXPECT_FALSE(node_a_->FindTablet("t", "zebra")->HandleGet("zebra").found);
-}
 
 TEST_F(DynamicShardedClientTest, UnrouteableKeyReturnsUnavailable) {
   // The initial map covers only the lower half — a map may have gaps, but
@@ -433,29 +351,6 @@ TEST_F(DynamicShardedClientTest, UnrouteableKeyReturnsUnavailable) {
   const Result<PutResult> gap_put = client_->Put(session, "zebra", "v");
   ASSERT_FALSE(gap_put.ok());
   EXPECT_EQ(gap_put.status().code(), StatusCode::kUnavailable);
-}
-
-TEST_F(DynamicShardedClientTest, UnrouteableKeyRecoversAfterMapFillsGap) {
-  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
-  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
-  tablets::TabletMap partial;
-  partial.table = "t";
-  partial.version = 1;
-  partial.tablets.push_back(Entry("", "m", 1, "A"));
-  BuildDynamic(partial);
-
-  // The full map lands on the node; the client learns it through the
-  // unrouteable-key refresh path rather than a fence.
-  tablets::TabletMap full = partial;
-  full.version = 2;
-  full.tablets.push_back(Entry("m", "", 1, "A"));
-  ASSERT_TRUE(node_a_->InstallTabletMap(full));
-
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  ASSERT_TRUE(client_->Put(session, "zebra", "high").ok());
-  EXPECT_EQ(client_->map_version(), 2u);
-  EXPECT_EQ(client_->map_refreshes(), 1u);
-  EXPECT_EQ(client_->Get(session, "zebra")->value, "high");
 }
 
 TEST_F(DynamicShardedClientTest, ScanAcrossGapIsUnavailable) {
@@ -486,127 +381,6 @@ TEST_F(DynamicShardedClientTest, ScanAcrossGapIsUnavailable) {
   ASSERT_TRUE(covered.ok()) << covered.status();
   ASSERT_EQ(covered->items.size(), 1u);
   EXPECT_EQ(covered->items[0]->key, "apple");
-}
-
-TEST_F(DynamicShardedClientTest, ScanRefreshesAfterMigration) {
-  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
-  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
-  AddTablet(*node_b_, KeyRange{"m", ""}, /*is_primary=*/false);
-  tablets::TabletMap v1;
-  v1.table = "t";
-  v1.version = 1;
-  v1.tablets.push_back(Entry("", "m", 1, "A"));
-  v1.tablets.push_back(Entry("m", "", 1, "A"));
-  BuildDynamic(v1);
-
-  // The upper range migrates to B; a writer that learned map v2 puts
-  // "zebra" there.
-  tablets::TabletMap v2 = v1;
-  v2.version = 2;
-  v2.tablets[1] = Entry("m", "", 2, "B");
-  ASSERT_TRUE(node_a_->InstallTabletMap(v2));
-  ASSERT_TRUE(node_b_->InstallTabletMap(v2));
-  Session writer = client_->BeginSession(ShoppingCartSla()).value();
-  ASSERT_TRUE(client_->Put(writer, "apple", "low").ok());
-  ASSERT_TRUE(client_->Put(writer, "zebra", "high").ok());
-  ASSERT_EQ(client_->map_version(), 2u);
-
-  // A reader still at v1 scans the whole table: the upper piece is fenced
-  // at A, refreshes the map and is retried at B.
-  BuildDynamic(v1);
-  Session session = client_->BeginSession(ShoppingCartSla()).value();
-  const Result<RangeResult> scan = client_->GetRange(session, "", "", 0);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  ASSERT_EQ(scan->items.size(), 2u);
-  EXPECT_EQ(scan->items[0]->key, "apple");
-  EXPECT_EQ(scan->items[1]->key, "zebra");
-  EXPECT_EQ(client_->map_version(), 2u);
-  EXPECT_EQ(client_->map_refreshes(), 1u);
-}
-
-// Passes requests straight through to the node but holds every tablet-map
-// fetch at a gate until released, so concurrent refreshes demonstrably pile
-// up behind one in-flight query.
-class GatedMapConnection : public NodeConnection {
- public:
-  explicit GatedMapConnection(storage::StorageNode* node) : node_(node) {}
-
-  TimedReply Call(const proto::Message& request,
-                  MicrosecondCount /*timeout*/) override {
-    if (std::holds_alternative<proto::TabletMapRequest>(request)) {
-      fetches_.fetch_add(1);
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return open_; });
-    }
-    return TimedReply(node_->Handle(request), 0);
-  }
-
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
-  int fetches() const { return fetches_.load(); }
-
- private:
-  storage::StorageNode* node_;
-  std::atomic<int> fetches_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
-
-TEST_F(DynamicShardedClientTest, ConcurrentRefreshesShareOneFetch) {
-  AddTablet(*node_a_, KeyRange{"", "m"}, /*is_primary=*/true);
-  AddTablet(*node_a_, KeyRange{"m", ""}, /*is_primary=*/true);
-  tablets::TabletMap v1;
-  v1.table = "t";
-  v1.version = 1;
-  v1.tablets.push_back(Entry("", "m", 1, "A"));
-  v1.tablets.push_back(Entry("m", "", 1, "A"));
-
-  auto gated = std::make_shared<GatedMapConnection>(node_a_.get());
-  ShardedClient::RoutingOptions routing;
-  routing.connect =
-      [gated](const std::string& name) -> std::shared_ptr<NodeConnection> {
-    return name == "A" ? gated : nullptr;
-  };
-  Create(v1, PileusClient::Options{}, std::move(routing));
-
-  // A newer map waits on the node; every concurrent refresh wants it.
-  tablets::TabletMap v2 = v1;
-  v2.version = 2;
-  ASSERT_TRUE(node_a_->InstallTabletMap(v2));
-
-  constexpr int kCallers = 4;
-  std::vector<Status> results(kCallers);
-  std::vector<std::thread> callers;
-  for (int i = 0; i < kCallers; ++i) {
-    callers.emplace_back(
-        [this, &results, i] { results[i] = client_->RefreshTabletMap(); });
-  }
-  // Exactly one caller reaches the (gated) wire; the other three must
-  // register as joiners on the same fetch before we let it finish.
-  while (gated->fetches() < 1) {
-    std::this_thread::yield();
-  }
-  while (client_->map_refreshes_coalesced() < kCallers - 1) {
-    std::this_thread::yield();
-  }
-  gated->Open();
-  for (std::thread& caller : callers) {
-    caller.join();
-  }
-
-  for (int i = 0; i < kCallers; ++i) {
-    EXPECT_TRUE(results[i].ok()) << "caller " << i << ": " << results[i];
-  }
-  EXPECT_EQ(gated->fetches(), 1);  // One wire query served all four callers.
-  EXPECT_EQ(client_->map_version(), 2u);
-  EXPECT_EQ(client_->map_refreshes(), 1u);
-  EXPECT_EQ(client_->map_refreshes_coalesced(),
-            static_cast<uint64_t>(kCallers - 1));
 }
 
 TEST_F(DynamicShardedClientTest, RoutingTableFuzz) {

@@ -60,6 +60,16 @@ class StorageNodeTest : public ::testing::TestWithParam<Backend> {
     return node.AddTablet(table, (*opened)->shared_tablet());
   }
 
+  // Hosts `table` on node_ as two primary tablets, ["", "m") and ["m", "").
+  void AddTwoPrimaryTablets(std::string_view table) {
+    for (KeyRange range : {KeyRange{"", "m"}, KeyRange{"m", ""}}) {
+      Tablet::Options options;
+      options.range = std::move(range);
+      options.is_primary = true;
+      ASSERT_TRUE(AddTablet(node_, &clock_, table, options).ok());
+    }
+  }
+
   ManualClock clock_;
   StorageNode node_;
   std::string dir_;
@@ -526,17 +536,18 @@ TEST_P(StorageNodeTest, HighTimestampAccessor) {
   EXPECT_GT(node_.HighTimestamp("t", "k"), Timestamp::Zero());
 }
 
-// After an admin split, a keyless pull must still cover the whole table:
-// a secondary that advances to the reply's heartbeat would otherwise skip
-// the other tablet's writes for good.
-TEST_P(StorageNodeTest, WholeTablePullCoversEverySplitTablet) {
-  ASSERT_TRUE(node_.SplitTablet("t", "m").ok());
+// A node hosting two ranges of one table, as examples/sharded_regions does:
+// a keyless pull must still cover the whole table, or a secondary that
+// advances to the reply's heartbeat would skip the other tablet's writes
+// for good.
+TEST_P(StorageNodeTest, WholeTablePullCoversEveryTablet) {
+  AddTwoPrimaryTablets("two");
   Timestamp written[2];
   const char* keys[2] = {"a", "x"};
   for (int i = 0; i < 2; ++i) {
     clock_.AdvanceMicros(1);
     proto::PutRequest put;
-    put.table = "t";
+    put.table = "two";
     put.key = keys[i];
     put.value = "v";
     proto::Message reply = node_.Handle(put);
@@ -546,7 +557,7 @@ TEST_P(StorageNodeTest, WholeTablePullCoversEverySplitTablet) {
   clock_.AdvanceMicros(10);
 
   proto::SyncRequest pull;
-  pull.table = "t";
+  pull.table = "two";
   proto::Message reply = node_.Handle(pull);
   const auto* whole = std::get_if<proto::SyncReply>(&reply);
   ASSERT_NE(whole, nullptr);
@@ -566,16 +577,16 @@ TEST_P(StorageNodeTest, WholeTablePullCoversEverySplitTablet) {
   EXPECT_TRUE(batch->has_more);
 }
 
-// Split tablets on one node can assign one timestamp twice. A batched pull
+// Two tablets on one node can assign one timestamp twice. A batched pull
 // that ends inside such a run must take the whole run: the receiver pulls
 // after the reply's heartbeat next, so a cut run would lose its rest.
 TEST_P(StorageNodeTest, BatchedPullNeverCutsASameTimestampRun) {
-  ASSERT_TRUE(node_.SplitTablet("t", "m").ok());
+  AddTwoPrimaryTablets("two");
   Timestamp written[2];
   const char* keys[2] = {"a", "x"};
   for (int i = 0; i < 2; ++i) {
     proto::PutRequest put;
-    put.table = "t";
+    put.table = "two";
     put.key = keys[i];
     put.value = "v";
     proto::Message reply = node_.Handle(put);
@@ -586,7 +597,7 @@ TEST_P(StorageNodeTest, BatchedPullNeverCutsASameTimestampRun) {
   clock_.AdvanceMicros(10);
 
   proto::SyncRequest pull;
-  pull.table = "t";
+  pull.table = "two";
   pull.max_versions = 1;
   std::vector<std::string> received;
   for (int round = 0; round < 4; ++round) {

@@ -1,5 +1,5 @@
 // Tests for the tablet: timestamp assignment, request handlers, replication
-// apply, heartbeats, role changes, splits, and version sharing.
+// apply, heartbeats, role changes, and version sharing.
 
 #include <gtest/gtest.h>
 
@@ -420,29 +420,6 @@ TEST(TabletTest, CompactingTheLogLeavesStoreReadsIntact) {
   EXPECT_EQ(primary.HandleGet("a").value, "a3");
   EXPECT_EQ(primary.HandleGet("b").value, "b1");
   EXPECT_EQ(primary.HandleRange("", "", 0).items.size(), 2u);
-}
-
-TEST(TabletTest, SplitMovesSharedVersionsAndKeepsBytes) {
-  ManualClock clock(1000);
-  Tablet lower(PrimaryOptions(), &clock);
-  for (const auto& [key, value] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"a", "1"}, {"p", "22"}, {"x", "333"}, {"b", "4444"}, {"p", "5"},
-           {"y", "66"}}) {
-    clock.AdvanceMicros(5);
-    ASSERT_TRUE(lower.HandlePut(key, value).ok());
-  }
-  const uint64_t before = lower.ApproximateBytes();
-  const VersionPtr p_head = lower.store().GetLatest("p");
-
-  Result<std::unique_ptr<Tablet>> upper = lower.Split("m");
-  ASSERT_TRUE(upper.ok()) << upper.status();
-  EXPECT_EQ(lower.ApproximateBytes() + (*upper)->ApproximateBytes(), before);
-  EXPECT_EQ((*upper)->store().GetLatest("p").get(), p_head.get());
-  EXPECT_TRUE(StoreHeadIsLogTail(lower, "b"));
-  EXPECT_TRUE(StoreHeadIsLogTail(**upper, "y"));
-  EXPECT_EQ(lower.update_log().size(), 2u);
-  EXPECT_EQ((*upper)->update_log().size(), 4u);
 }
 
 }  // namespace

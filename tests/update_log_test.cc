@@ -171,26 +171,5 @@ TEST(UpdateLogTest, TruncationReleasesOnlyTheLogsReference) {
   EXPECT_EQ(held->value, "v@10");
 }
 
-TEST(UpdateLogTest, ExtractUpperMovesEntriesInOrder) {
-  UpdateLog log;
-  log.Append(V("a", 10));
-  log.Append(V("x", 20));
-  log.Append(V("b", 30));
-  log.Append(V("y", 40));
-  log.TruncateThrough(Timestamp{5, 0});
-  const VersionPtr y = log.back();
-
-  UpdateLog upper = log.ExtractUpper("m");
-  EXPECT_EQ(log.size(), 2u);
-  ASSERT_EQ(upper.size(), 2u);
-  EXPECT_EQ(upper.back().get(), y.get());  // Moved, not copied.
-  EXPECT_EQ(log.back()->key, "b");
-  EXPECT_EQ(upper.truncation_point(), (Timestamp{5, 0}));
-  auto scan = upper.Scan(Timestamp{5, 0}, 0);
-  ASSERT_EQ(scan.versions.size(), 2u);
-  EXPECT_EQ(scan.versions[0].key, "x");
-  EXPECT_EQ(scan.versions[1].key, "y");
-}
-
 }  // namespace
 }  // namespace pileus::storage

@@ -198,38 +198,5 @@ TEST(VersionedStoreTest, PrunedVersionLivesOnWhileSharedElsewhere) {
   EXPECT_EQ(held.use_count(), 1);
 }
 
-TEST(VersionedStoreTest, LatestVersionsAfterFromKeySkipsLowerKeys) {
-  VersionedStore store;
-  store.Apply(V("a", "va", 40));
-  store.Apply(V("m", "vm", 30));
-  store.Apply(V("z", "vz", 10));
-  store.Apply(V("q", "vq", 20));
-  auto versions = store.LatestVersionsAfter(Timestamp::Zero(), "m");
-  ASSERT_EQ(versions.size(), 3u);
-  EXPECT_EQ(versions[0]->key, "z");  // Timestamp order, not key order.
-  EXPECT_EQ(versions[1]->key, "q");
-  EXPECT_EQ(versions[2]->key, "m");  // from_key is inclusive.
-  EXPECT_EQ(versions[2].get(), store.GetLatest("m").get());
-  EXPECT_TRUE(store.LatestVersionsAfter(Timestamp{15, 0}, "zz").empty());
-}
-
-TEST(VersionedStoreTest, ExtractUpperMovesChainsAndBytes) {
-  VersionedStore store;
-  store.Apply(V("a", "1", 10));
-  store.Apply(V("n", "22", 20));
-  store.Apply(V("n", "333", 30));
-  store.Apply(V("z", "4444", 40));
-  const uint64_t before = store.ApproximateBytes();
-  const VersionPtr n_head = store.GetLatest("n");
-
-  VersionedStore upper = store.ExtractUpper("m");
-  EXPECT_EQ(store.ApproximateBytes() + upper.ApproximateBytes(), before);
-  EXPECT_EQ(store.ApproximateBytes(), 2u);  // "a" + "1".
-  EXPECT_EQ(store.key_count(), 1u);
-  EXPECT_EQ(upper.key_count(), 2u);
-  EXPECT_EQ(upper.GetLatest("n").get(), n_head.get());  // Moved, not copied.
-  EXPECT_EQ(store.GetLatest("n"), nullptr);
-}
-
 }  // namespace
 }  // namespace pileus::storage

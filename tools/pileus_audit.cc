@@ -12,9 +12,8 @@
 //                                       # with WAL group commit, replication
 //                                       # pulls over TCP (wall-clock time, so
 //                                       # runs are seeded but not bit-exact)
-//   pileus_audit --scenarios tablet-churn   # a splitting, migrating fleet
 //
-// Exits 2 on a scenario or option the chosen deployment does not support,
+// Exits 2 on an unknown scenario or one the chosen deployment does not support,
 // and 1 when any run reports a violation or a lost acked write. Without
 // --durable_root the runs' WALs go to a fresh temporary directory, removed
 // when every run passed and kept for triage otherwise.
@@ -25,7 +24,6 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/experiments/scenario.h"
@@ -35,7 +33,7 @@ namespace pileus {
 namespace {
 
 using experiments::DeploymentKind;
-using experiments::FaultScenario;
+using experiments::FaultScenarioName;
 using experiments::ScenarioOptions;
 using experiments::ScenarioResult;
 
@@ -63,12 +61,7 @@ int Run(int argc, char** argv) {
   flags.DefineInt("num_seeds", 8, "seeds per scenario when sweeping");
   flags.DefineString("scenarios", "",
                      "comma-separated: none, partition, drops, gray, "
-                     "crash-restart, handoff, failover, overload, "
-                     "tablet-churn (concurrent splits + live migrations, "
-                     "swept under none/partition/crash-restart sub-faults), "
-                     "tablet-churn-kill (same churn with a durable "
-                     "coordinator killed at rotating protocol crash points "
-                     "and recovered from its intent log) "
+                     "crash-restart, handoff, failover, overload "
                      "(default: none,partition,crash-restart on sim; "
                      "none,crash-restart,handoff on tcp)");
   flags.DefineString("transport", "sim",
@@ -101,35 +94,10 @@ int Run(int argc, char** argv) {
   base.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
   base.key_count = static_cast<int>(flags.GetInt("keys"));
 
-  // Each entry: a run configuration and the directory name its WALs use.
-  std::vector<std::pair<std::string, ScenarioOptions>> configs;
+  std::vector<ScenarioOptions> configs;
   std::istringstream names(scenario_list);
   for (std::string name; std::getline(names, name, ',');) {
     if (name.empty()) {
-      continue;
-    }
-    if (name == "tablet-churn" || name == "tablet-churn-kill") {
-      if (tcp) {
-        std::fprintf(stderr,
-                     "%s runs on its own in-process world and is "
-                     "not expressible over the tcp transport\n",
-                     name.c_str());
-        return 2;
-      }
-      // Splits, live migrations, and rebalancer rounds run concurrently
-      // with the workload, swept under each sub-fault. The kill variant also
-      // kills the durable coordinator at rotating protocol crash points.
-      for (const FaultScenario fault :
-           {FaultScenario::kNone, FaultScenario::kPartition,
-            FaultScenario::kCrashRestart}) {
-        ScenarioOptions options = base;
-        options.deployment = DeploymentKind::kTabletFleet;
-        options.scenario = fault;
-        options.coordinator_kill = name == "tablet-churn-kill";
-        configs.emplace_back(
-            name + "_" + std::string(experiments::FaultScenarioName(fault)),
-            options);
-      }
       continue;
     }
     const auto scenario = experiments::ParseFaultScenario(name);
@@ -139,16 +107,17 @@ int Run(int argc, char** argv) {
     }
     ScenarioOptions options = base;
     options.scenario = *scenario;
-    configs.emplace_back(name, options);
+    configs.push_back(options);
   }
   if (configs.empty()) {
     std::fprintf(stderr, "no scenarios selected\n");
     return 2;
   }
-  for (const auto& [name, options] : configs) {
+  for (const ScenarioOptions& options : configs) {
     const Status supported = experiments::Supports(options);
     if (!supported.ok()) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(),
+      std::fprintf(stderr, "%s: %s\n",
+                   std::string(FaultScenarioName(options.scenario)).c_str(),
                    supported.message().c_str());
       return 2;
     }
@@ -176,12 +145,13 @@ int Run(int argc, char** argv) {
 
   int failures = 0;
   uint64_t runs = 0;
-  for (auto& [name, options] : configs) {
+  for (ScenarioOptions& options : configs) {
     for (const uint64_t seed : seeds) {
       options.seed = seed;
       // One subdirectory per run: WALs append, so runs must not share files.
-      options.durable_root =
-          durable_root + "/" + name + "_" + std::to_string(seed);
+      options.durable_root = durable_root + "/" +
+                             std::string(FaultScenarioName(options.scenario)) +
+                             "_" + std::to_string(seed);
       const ScenarioResult result = experiments::RunAuditScenario(options);
       ++runs;
       std::printf("%s\n", result.Summary().c_str());

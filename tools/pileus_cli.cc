@@ -5,15 +5,8 @@
 //   pileus_cli --port 7000 probe
 //   pileus_cli --port 7000 sync            # dump versions above --after
 //   pileus_cli --port 7000 tablets         # live tablet map (table or JSON)
-//   pileus_cli --port 7000 tablets split m # split the tablet holding "m"
 //   pileus_cli --port 7000 tablets handoff 7001 backup
-//                                          # live-migrate primaryship
-//   pileus_cli --intent_log DIR/coordinator.intents tablets
-//                                          # durable coordinator state after
-//                                          # a kill -9: committed map, lease
-//                                          # holder, and any in-flight
-//                                          # split/migration intent (phase,
-//                                          # epoch, elapsed); no TCP needed
+//                                          # move primaryship to a replica
 //   pileus_cli --port 7000 bench 1000      # tiny put/get latency check
 //
 // Talks the raw storage protocol over TCP and pretty-prints replies,
@@ -31,7 +24,6 @@
 #include "src/net/tcp.h"
 #include "src/proto/messages.h"
 #include "src/replication/replication_agent.h"
-#include "src/tablets/intent_log.h"
 #include "src/tablets/tablet_map.h"
 #include "src/util/histogram.h"
 #include "tools/flags.h"
@@ -97,12 +89,10 @@ std::string JoinMembers(const std::vector<std::string>& members) {
 // synthesize a version-0 view from their hosted tablets, so this works
 // against a plain `pileus_server` too.
 Result<tablets::TabletMap> FetchTabletMap(net::TcpChannel& channel,
-                                          const std::string& table,
-                                          const std::string& split_key = "") {
+                                          const std::string& table) {
   proto::TabletMapRequest request;
   request.table = table;
   request.have_version = 0;
-  request.split_key = split_key;
   Result<proto::Message> reply = Call(channel, request);
   if (!reply.ok()) {
     return reply.status();
@@ -119,14 +109,11 @@ Result<tablets::TabletMap> FetchTabletMap(net::TcpChannel& channel,
   return map_reply->map;
 }
 
-// Prints the map as a JSON object (no trailing newline) so it can stand
-// alone or nest inside a larger document (the --intent_log view).
+// Prints the map as one JSON object (no trailing newline).
 void PrintTabletMapJson(const tablets::TabletMap& map) {
-  std::printf("{\"table\": \"%s\", \"version\": %llu, ",
+  std::printf("{\"table\": \"%s\", \"version\": %llu, \"tablets\": [",
               JsonEscape(map.table).c_str(),
               static_cast<unsigned long long>(map.version));
-  std::printf("\"coordinator_epoch\": %llu, \"tablets\": [",
-              static_cast<unsigned long long>(map.coordinator_epoch));
   for (size_t i = 0; i < map.tablets.size(); ++i) {
     const tablets::TabletInfo& t = map.tablets[i];
     std::printf(
@@ -140,9 +127,8 @@ void PrintTabletMapJson(const tablets::TabletMap& map) {
       std::printf("%s\"%s\"", j == 0 ? "" : ", ",
                   JsonEscape(t.config.members[j]).c_str());
     }
-    std::printf("], \"size_bytes\": %llu, \"ops_per_sec\": %llu}",
-                static_cast<unsigned long long>(t.size_bytes),
-                static_cast<unsigned long long>(t.ops_per_sec));
+    std::printf("], \"size_bytes\": %llu}",
+                static_cast<unsigned long long>(t.size_bytes));
   }
   std::printf("]}");
 }
@@ -156,111 +142,17 @@ void PrintTabletMap(const tablets::TabletMap& map, bool json) {
   std::printf("table '%s': map v%llu, %zu tablet%s\n", map.table.c_str(),
               static_cast<unsigned long long>(map.version),
               map.tablets.size(), map.tablets.size() == 1 ? "" : "s");
-  std::printf("%-28s %6s %-12s %-24s %10s %8s\n", "RANGE", "EPOCH", "PRIMARY",
-              "MEMBERS", "BYTES", "OPS/S");
+  std::printf("%-28s %6s %-12s %-24s %10s\n", "RANGE", "EPOCH", "PRIMARY",
+              "MEMBERS", "BYTES");
   for (const tablets::TabletInfo& t : map.tablets) {
     std::string range = "['" + t.range.begin + "', ";
     range += t.range.end.empty() ? "\xE2\x88\x9E)" : "'" + t.range.end + "')";
-    std::printf("%-28s %6llu %-12s %-24s %10llu %8llu\n", range.c_str(),
+    std::printf("%-28s %6llu %-12s %-24s %10llu\n", range.c_str(),
                 static_cast<unsigned long long>(t.config.epoch),
                 t.config.primary.empty() ? "-" : t.config.primary.c_str(),
                 JoinMembers(t.config.members).c_str(),
-                static_cast<unsigned long long>(t.size_bytes),
-                static_cast<unsigned long long>(t.ops_per_sec));
+                static_cast<unsigned long long>(t.size_bytes));
   }
-}
-
-// `tablets` with --intent_log: replays the durable coordinator state from
-// disk — no TCP, no running server, exactly what an operator has after a
-// kill -9 — and shows the committed map, the lease, and any in-flight
-// split/migration intent with its phase, epochs, and elapsed time.
-int ShowIntentLog(const std::string& path, bool json) {
-  Result<tablets::IntentLog::RecoveredState> recovered =
-      tablets::IntentLog::Recover(path);
-  if (!recovered.ok()) {
-    return Fail(recovered.status());
-  }
-  const tablets::IntentLog::RecoveredState& state = recovered.value();
-  const MicrosecondCount now = RealClock::Instance()->NowMicros();
-  const bool lease_expired =
-      state.lease.expiry_us != 0 && now >= state.lease.expiry_us;
-  if (json) {
-    std::printf(
-        "{\"lease\": {\"epoch\": %llu, \"holder\": \"%s\", "
-        "\"expiry_us\": %lld, \"expired\": %s}, \"in_flight\": ",
-        static_cast<unsigned long long>(state.lease.epoch),
-        JsonEscape(state.lease.holder).c_str(),
-        static_cast<long long>(state.lease.expiry_us),
-        lease_expired ? "true" : "false");
-    if (state.intent.has_value()) {
-      const tablets::TabletIntent& in = *state.intent;
-      std::printf(
-          "{\"intent_id\": %llu, \"phase\": \"%s\", \"table\": \"%s\", "
-          "\"begin\": \"%s\", \"end\": \"%s\", \"split_key\": \"%s\", "
-          "\"from\": \"%s\", \"to\": \"%s\", \"next_version\": %llu, "
-          "\"next_epoch\": %llu, \"coordinator_epoch\": %llu, "
-          "\"started_us\": %lld, \"elapsed_us\": %lld}",
-          static_cast<unsigned long long>(in.intent_id),
-          std::string(tablets::IntentPhaseName(in.phase)).c_str(),
-          JsonEscape(in.table).c_str(), JsonEscape(in.range.begin).c_str(),
-          JsonEscape(in.range.end).c_str(), JsonEscape(in.split_key).c_str(),
-          JsonEscape(in.from).c_str(), JsonEscape(in.to).c_str(),
-          static_cast<unsigned long long>(in.next_version),
-          static_cast<unsigned long long>(in.next_epoch),
-          static_cast<unsigned long long>(in.coordinator_epoch),
-          static_cast<long long>(in.started_us),
-          static_cast<long long>(now - in.started_us));
-    } else {
-      std::printf("null");
-    }
-    std::printf(", \"tail_torn\": %s, \"map\": ",
-                state.tail_torn ? "true" : "false");
-    if (state.map.version > 0) {
-      PrintTabletMapJson(state.map);
-    } else {
-      std::printf("null");
-    }
-    std::printf("}\n");
-    return 0;
-  }
-  std::printf("coordinator lease: epoch %llu held by '%s'%s\n",
-              static_cast<unsigned long long>(state.lease.epoch),
-              state.lease.holder.c_str(),
-              state.lease.expiry_us == 0
-                  ? " (no expiry)"
-                  : (lease_expired ? " (EXPIRED — standby may take over)"
-                                   : " (live)"));
-  if (state.intent.has_value()) {
-    const tablets::TabletIntent& in = *state.intent;
-    std::string op = std::string(tablets::IntentPhaseName(in.phase));
-    if (!in.split_key.empty()) {
-      op += " at '" + in.split_key + "'";
-    }
-    if (!in.to.empty()) {
-      op += " '" + in.from + "' -> '" + in.to + "'";
-    }
-    std::string range = "['" + in.range.begin + "', ";
-    range += in.range.end.empty() ? "+inf)" : "'" + in.range.end + "')";
-    std::printf(
-        "IN FLIGHT: intent #%llu %s on %s — installs map "
-        "v%llu / epoch %llu under coordinator epoch %llu, running %.1f ms\n",
-        static_cast<unsigned long long>(in.intent_id), op.c_str(),
-        range.c_str(), static_cast<unsigned long long>(in.next_version),
-        static_cast<unsigned long long>(in.next_epoch),
-        static_cast<unsigned long long>(in.coordinator_epoch),
-        MicrosecondsToMilliseconds(now - in.started_us));
-  } else {
-    std::printf("no in-flight operation (last intent committed)\n");
-  }
-  if (state.tail_torn) {
-    std::printf("note: torn tail record discarded (crash mid-append)\n");
-  }
-  if (state.map.version > 0) {
-    PrintTabletMap(state.map, /*json=*/false);
-  } else {
-    std::printf("no committed map (coordinator never booted durably)\n");
-  }
-  return 0;
 }
 
 // "put us:  p50=... p95=... p99=..." — quantiles from the log-bucketed
@@ -289,10 +181,6 @@ int main(int argc, char** argv) {
   flags.DefineInt("pipeline", 0,
                   "bench: ops kept in flight on the channel (0 = serial "
                   "synchronous loop)");
-  flags.DefineString("intent_log", "",
-                     "tablets: read the durable coordinator state (committed "
-                     "map, lease, in-flight intent) from this intent log "
-                     "instead of a server — works after a coordinator crash");
   if (!flags.Parse(argc, argv)) {
     return 2;
   }
@@ -301,7 +189,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: pileus_cli [flags] put KEY VALUE | get KEY | del KEY | "
                  "range BEGIN [END] | probe | sync | stats | "
-                 "tablets [split KEY | handoff PORT NAME] | bench N\n");
+                 "tablets [handoff PORT NAME] | bench N\n");
     return 2;
   }
   net::TcpChannel channel(static_cast<uint16_t>(flags.GetInt("port")));
@@ -468,12 +356,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "tablets" && args.size() == 1 &&
-      !flags.GetString("intent_log").empty()) {
-    return ShowIntentLog(flags.GetString("intent_log"),
-                         flags.GetString("format") == "json");
-  }
-
   if (command == "tablets" && args.size() == 1) {
     Result<tablets::TabletMap> map = FetchTabletMap(channel, table);
     if (!map.ok()) {
@@ -483,21 +365,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "tablets" && args.size() == 3 && args[1] == "split") {
-    // Admin split: the server splits the hosted tablet containing KEY at KEY
-    // (durable servers journal a WAL split record first) and answers with
-    // the resulting map view.
-    Result<tablets::TabletMap> map = FetchTabletMap(channel, table, args[2]);
-    if (!map.ok()) {
-      return Fail(map.status());
-    }
-    std::printf("split at '%s' ok\n", args[2].c_str());
-    PrintTabletMap(map.value(), flags.GetString("format") == "json");
-    return 0;
-  }
-
   if (command == "tablets" && args.size() == 4 && args[1] == "handoff") {
-    // CLI-coordinated live migration of the whole table's tablets from this
+    // CLI-coordinated primary move of the whole table's tablets from this
     // node (the --port source) to a second pileus_server that already
     // replicates from it (--role secondary --primary_port SOURCE):
     //

@@ -144,25 +144,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (first_start) {
-    std::printf("created %zu tablet(s) in the empty data directory %s\n",
-                host.durable_tablets().size(), data_dir.c_str());
-  } else if (!host.durable_tablets().empty()) {
-    // Split children included (DESIGN.md Section 14).
-    uint64_t checkpoint_versions = 0;
-    uint64_t wal_versions = 0;
-    bool torn = false;
-    for (const auto& tablet : host.durable_tablets()) {
-      const auto& recovery = tablet->recovery_info();
-      checkpoint_versions += recovery.checkpoint_versions;
-      wal_versions += recovery.wal_versions;
-      torn = torn || recovery.wal_tail_torn;
-    }
-    std::printf("recovered %zu tablet(s): %llu checkpoint + %llu WAL "
+    std::printf("created 1 tablet(s) in the empty data directory %s\n",
+                data_dir.c_str());
+  } else if (const persist::DurableTablet* tablet = host.durable_tablet()) {
+    const auto& recovery = tablet->recovery_info();
+    std::printf("recovered 1 tablet(s): %llu checkpoint + %llu WAL "
                 "versions%s\n",
-                host.durable_tablets().size(),
-                static_cast<unsigned long long>(checkpoint_versions),
-                static_cast<unsigned long long>(wal_versions),
-                torn ? " (torn WAL tail discarded)" : "");
+                static_cast<unsigned long long>(recovery.checkpoint_versions),
+                static_cast<unsigned long long>(recovery.wal_versions),
+                recovery.wal_tail_torn ? " (torn WAL tail discarded)" : "");
     if (auto map = host.node()->InstalledTabletMap(table)) {
       std::printf("journaled placement re-installed, fenced: %s\n",
                   map->ToString().c_str());

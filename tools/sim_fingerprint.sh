@@ -4,11 +4,10 @@
 #
 #   tools/sim_fingerprint.sh BUILD_DIR
 #
-# It runs, from a fresh temporary directory, the 15 simulator benches with
-# PILEUS_BENCH_SMOKE=1 (their output, plus the BENCH_tablets.json file one of
-# them writes) and the simulator audit sweep CI runs: 17 outputs. All of
-# them run on virtual time with seeded random streams, so the digests are
-# deterministic. Compare a parent build with a change's build on one
+# It runs, from a fresh temporary directory, the 14 simulator benches with
+# PILEUS_BENCH_SMOKE=1 and the simulator audit sweep CI runs: 15 outputs.
+# All of them run on virtual time with seeded random streams, so the digests
+# are deterministic. Compare a parent build with a change's build on one
 # machine: the C library's maths may round differently elsewhere.
 #
 # Prints "sha256  name" lines; exits 1 when any bench or sweep fails and 2 on
@@ -39,7 +38,6 @@ benches="
   bench_fig13_adaptation
   bench_fig14_utility_sensitivity
   bench_overload
-  bench_tablets
   bench_web_sla
 "
 
@@ -53,11 +51,11 @@ done
 
 # The sweep takes CI's arguments (.github/workflows/ci.yml, audit-sweep).
 if ! "$build/tools/pileus_audit" --num_seeds 8 --scenarios \
-  none,partition,drops,gray,crash-restart,handoff,failover,overload,tablet-churn,tablet-churn-kill \
+  none,partition,drops,gray,crash-restart,handoff,failover,overload \
   > audit_sim.out 2>&1; then
   echo "FAIL: audit_sim" >&2
   status=1
 fi
 
-sha256sum -- *.out BENCH_*.json
+sha256sum -- *.out
 exit "$status"
